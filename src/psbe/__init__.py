@@ -1,5 +1,7 @@
 """Finite-model workbench for pseudo BE-algebras."""
 
+__version__ = "0.1.0"
+
 from .algebra import FiniteAlgebra, ParseError, UnaryMap, load_algebra, \
     parse_algebra, serialize_algebra
 from .classify import ClassificationReport, DerivedOps, Verdict, \
@@ -9,5 +11,3 @@ from .quantifiers import MonadicPair, build_from_sigma, build_from_tau, \
 from .deduction import Congruence, DeductiveSystem, correspondence_report, \
     enumerate_congruences, enumerate_ds, generated_ds, quotient, theta_from_ds
 from .laws import SearchSpec, catalog, search_counterexample, verify_suite
-
-__version__ = "0.1.0"

@@ -1,14 +1,19 @@
 """Axiom checking, classification and derived operations.
 
-All checks are exact table computations by full enumeration.  Witnesses
-are reported for the FIRST violation in lexicographic scan order over
-element indices, so failing output is deterministic.
+All checks are exact table computations by full enumeration, and every
+witness-reporting check in the package runs on one scanner,
+`first_failure`.  Its order contract: it walks the tuples of element
+indices in lexicographic order and, on each tuple, tests the predicates
+in the order they are listed; the first predicate that fails names the
+failure and the tuple is its witness.  Checks made of several axioms
+scan them one after another (`first_failure_of`), so failing output is
+deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import product, starmap
 
 from .algebra import FiniteAlgebra
 
@@ -19,10 +24,6 @@ NOT_APPLICABLE = "not_applicable"
 
 class DeclaredZeroMismatch(ValueError):
     """Declared constant 0 is not a least element of the algebra."""
-
-
-class NotAPoset(ValueError):
-    """Operation requires <= to be a partial order."""
 
 
 @dataclass(frozen=True)
@@ -48,12 +49,47 @@ class Verdict:
     def na(name: str) -> "Verdict":
         return Verdict(name, NOT_APPLICABLE)
 
+    @staticmethod
+    def of(hit, name: str) -> "Verdict":
+        """Verdict from a first_failure result: holds(name) when it is None."""
+        return Verdict.holds(name) if hit is None else Verdict.fails(hit[0], hit[1])
+
     def to_json(self, alg: FiniteAlgebra | None = None) -> dict:
         doc: dict = {"name": self.name, "status": self.status}
         if self.witness is not None:
             doc["witness"] = (list(self.witness) if alg is None else
                               [alg.element_names[i] for i in self.witness])
         return doc
+
+
+def first_failure(n: int, arity: int, preds):
+    """First failing (name, tuple, instances) over range(n)**arity, or None.
+
+    Tuples are walked in lexicographic order; on each tuple the
+    (name, predicate) entries of preds are tested in order.  `instances`
+    counts the tuples visited up to and including the failing one.
+    """
+    # Most scans of pairs or triples hold: try a lone predicate with a
+    # C-level all() first and walk the tuples in Python only to locate a
+    # failure.  Predicates are pure, so the result is the same.
+    if arity > 1 and len(preds) == 1 and all(
+            starmap(preds[0][1], product(range(n), repeat=arity))):
+        return None
+    for count, tup in enumerate(product(range(n), repeat=arity), 1):
+        for name, pred in preds:
+            if not pred(*tup):
+                return name, tup, count
+    return None
+
+
+def first_failure_of(n: int, checks):
+    """first_failure over the (arity, preds) groups of checks, one group
+    after another; the first group with a failure decides."""
+    for arity, preds in checks:
+        hit = first_failure(n, arity, preds)
+        if hit is not None:
+            return hit
+    return None
 
 
 PSBE_AXIOMS = ("psBE1", "psBE2", "psBE3", "psBE4", "psBE5")
@@ -64,22 +100,13 @@ def check_pseudo_be(alg: FiniteAlgebra) -> Verdict:
     """psBE1-psBE5 over all tuples; first violated axiom wins."""
     n, one = alg.size, alg.one
     arr, sq = alg.arrow, alg.squig
-    for x in range(n):
-        if arr[x][x] != one or sq[x][x] != one:
-            return Verdict.fails("psBE1", (x,))
-    for x in range(n):
-        if arr[x][one] != one or sq[x][one] != one:
-            return Verdict.fails("psBE2", (x,))
-    for x in range(n):
-        if arr[one][x] != x or sq[one][x] != x:
-            return Verdict.fails("psBE3", (x,))
-    for x, y, z in product(range(n), repeat=3):
-        if arr[x][sq[y][z]] != sq[y][arr[x][z]]:
-            return Verdict.fails("psBE4", (x, y, z))
-    for x, y in product(range(n), repeat=2):
-        if (arr[x][y] == one) != (sq[x][y] == one):
-            return Verdict.fails("psBE5", (x, y))
-    return Verdict.holds("pseudo_be")
+    return Verdict.of(first_failure_of(n, [
+        (1, [("psBE1", lambda x: arr[x][x] == one and sq[x][x] == one)]),
+        (1, [("psBE2", lambda x: arr[x][one] == one and sq[x][one] == one)]),
+        (1, [("psBE3", lambda x: arr[one][x] == x and sq[one][x] == x)]),
+        (3, [("psBE4", lambda x, y, z: arr[x][sq[y][z]] == sq[y][arr[x][z]])]),
+        (2, [("psBE5", lambda x, y: (arr[x][y] == one) == (sq[x][y] == one))]),
+    ]), "pseudo_be")
 
 
 def check_pseudo_bck(alg: FiniteAlgebra) -> Verdict:
@@ -87,27 +114,21 @@ def check_pseudo_bck(alg: FiniteAlgebra) -> Verdict:
     (unary, then the antisymmetry quasi-identity, then the ternary ones)."""
     n, one = alg.size, alg.one
     arr, sq = alg.arrow, alg.squig
-    for x in range(n):
-        if arr[one][x] != x:
-            return Verdict.fails("psBCK3", (x,))
-    for x in range(n):
-        if sq[one][x] != x:
-            return Verdict.fails("psBCK4", (x,))
-    for x in range(n):
-        if arr[x][one] != one:
-            return Verdict.fails("psBCK5", (x,))
-    # unordered pairs, scanned by larger element first
-    for y in range(n):
-        for x in range(y):
-            if arr[x][y] == one and arr[y][x] == one:
-                return Verdict.fails("psBCK6", (x, y))
-    for x, y, z in product(range(n), repeat=3):
-        if sq[arr[x][y]][sq[arr[y][z]][arr[x][z]]] != one:
-            return Verdict.fails("psBCK1", (x, y, z))
-    for x, y, z in product(range(n), repeat=3):
-        if arr[sq[x][y]][arr[sq[y][z]][sq[x][z]]] != one:
-            return Verdict.fails("psBCK2", (x, y, z))
-    return Verdict.holds("pseudo_bck")
+    hit = first_failure_of(n, [
+        (1, [("psBCK3", lambda x: arr[one][x] == x)]),
+        (1, [("psBCK4", lambda x: sq[one][x] == x)]),
+        (1, [("psBCK5", lambda x: arr[x][one] == one)]),
+        # unordered pairs x < y, scanned as (y, x): larger element first
+        (2, [("psBCK6", lambda y, x:
+              x >= y or arr[x][y] != one or arr[y][x] != one)]),
+        (3, [("psBCK1", lambda x, y, z:
+              sq[arr[x][y]][sq[arr[y][z]][arr[x][z]]] == one)]),
+        (3, [("psBCK2", lambda x, y, z:
+              arr[sq[x][y]][arr[sq[y][z]][sq[x][z]]] == one)]),
+    ])
+    if hit is not None and hit[0] == "psBCK6":
+        hit = ("psBCK6", hit[1][::-1])     # reported as (x, y)
+    return Verdict.of(hit, "pseudo_bck")
 
 
 @dataclass(frozen=True)
@@ -149,32 +170,11 @@ class ClassificationReport:
         return {name: v.to_json(alg) for name, v in self.flags.items()}
 
 
-def _first_leq_failure(alg, pred_name, pred):
-    """Scan (x, y[, z]) lexicographically and report the first failure."""
-    for tup in product(range(alg.size), repeat=pred.__code__.co_argcount):
-        if not pred(*tup):
-            return Verdict.fails(pred_name, tup)
-    return Verdict.holds(pred_name)
-
-
 def _least_elements(alg: FiniteAlgebra) -> list[int]:
     one = alg.one
     return [z for z in alg.elements()
             if all(alg.arrow[z][x] == one and alg.squig[z][x] == one
                    for x in alg.elements())]
-
-
-def pseudo_product(alg: FiniteAlgebra, report: "ClassificationReport | None" = None):
-    """The table x (.) y = min{z | x <= y -> z} = min{z | y <= x ~> z}.
-
-    Returns (table, None) when every pair has agreeing unique minima,
-    else (None, first_failing_pair).  Requires <= to be a poset.
-    """
-    if report is None:
-        report, _ = classify(alg)
-    if not report.holds("poset"):
-        raise NotAPoset(f"<= is not a partial order on {alg.name}")
-    return pseudo_product_table(alg, report_leq(alg))
 
 
 def _unique_minimum(candidates: list[int], leq) -> int | None:
@@ -200,21 +200,21 @@ def classify(alg: FiniteAlgebra) -> tuple[ClassificationReport, DerivedOps]:
 
     leq = report_leq(alg)
 
-    def axiom(name, pred):
-        flags[name] = _first_leq_failure(alg, name, pred)
+    def axiom(name, arity, pred):
+        flags[name] = Verdict.of(first_failure(n, arity, [(name, pred)]), name)
 
-    axiom("condition_A", lambda x, y, z:
+    axiom("condition_A", 3, lambda x, y, z:
           not leq[x][y] or (leq[arr[y][z]][arr[x][z]] and leq[sq[y][z]][sq[x][z]]))
-    axiom("condition_M", lambda x, y, z:
+    axiom("condition_M", 3, lambda x, y, z:
           not leq[x][y] or (leq[arr[z][x]][arr[z][y]] and leq[sq[z][x]][sq[z][y]]))
-    axiom("condition_T", lambda x, y, z:
+    axiom("condition_T", 3, lambda x, y, z:
           not (leq[x][y] and leq[y][z]) or leq[x][z])
-    axiom("distributive_i", lambda x, y, z: arr[x][sq[y][z]] == sq[arr[x][y]][arr[x][z]])
-    axiom("distributive_ii", lambda x, y, z: sq[x][arr[y][z]] == arr[sq[x][y]][sq[x][z]])
+    axiom("distributive_i", 3, lambda x, y, z: arr[x][sq[y][z]] == sq[arr[x][y]][arr[x][z]])
+    axiom("distributive_ii", 3, lambda x, y, z: sq[x][arr[y][z]] == arr[sq[x][y]][sq[x][z]])
 
     cup1 = tuple(tuple(sq[arr[x][y]][y] for y in rng) for x in rng)
     cup2 = tuple(tuple(arr[sq[x][y]][y] for y in rng) for x in rng)
-    axiom("commutative", lambda x, y:
+    axiom("commutative", 2, lambda x, y:
           cup1[x][y] == cup1[y][x] and cup2[x][y] == cup2[y][x])
 
     # boundedness: search for a least element, even when no zero declared
@@ -241,20 +241,20 @@ def classify(alg: FiniteAlgebra) -> tuple[ClassificationReport, DerivedOps]:
         neg_minus = tuple(arr[x][zero] for x in rng)
         neg_sim = tuple(sq[x][zero] for x in rng)
         nm, ns = neg_minus, neg_sim
-        axiom("good", lambda x: ns[nm[x]] == nm[ns[x]])
-        axiom("involutive", lambda x: ns[nm[x]] == x and nm[ns[x]] == x)
+        axiom("good", 1, lambda x: ns[nm[x]] == nm[ns[x]])
+        axiom("involutive", 1, lambda x: ns[nm[x]] == x and nm[ns[x]] == x)
     else:
         flags["good"] = Verdict.na("good")
         flags["involutive"] = Verdict.na("involutive")
 
     # order structure
-    antisym = _first_leq_failure(alg, "antisymmetric",
-                                 lambda x, y: not (leq[x][y] and leq[y][x]) or x == y)
-    if antisym and flags["condition_T"]:
+    antisym = first_failure(n, 2, [("antisymmetric", lambda x, y:
+                                    not (leq[x][y] and leq[y][x]) or x == y)])
+    if antisym is None and flags["condition_T"]:
         flags["poset"] = Verdict.holds("poset")
     else:
-        bad = antisym if not antisym else flags["condition_T"]
-        flags["poset"] = Verdict.fails("poset", bad.witness)
+        flags["poset"] = Verdict.fails("poset", antisym[1] if antisym
+                                       else flags["condition_T"].witness)
 
     meet = join = None
     if flags["poset"]:
@@ -290,17 +290,17 @@ def classify(alg: FiniteAlgebra) -> tuple[ClassificationReport, DerivedOps]:
     # pseudo-hoop: psH1-psH5 with the computed product
     if odot is not None:
         od = odot
-        psh = (
-            _first_leq_failure(alg, "psH1", lambda x: od[x][one] == x and od[one][x] == x)
-            and _first_leq_failure(alg, "psH3", lambda x, y, z: arr[od[x][y]][z] == arr[x][arr[y][z]])
-            and _first_leq_failure(alg, "psH4", lambda x, y, z: sq[od[x][y]][z] == sq[y][sq[x][z]])
-            and _first_leq_failure(alg, "psH5", lambda x, y:
-                                   od[arr[x][y]][x] == od[arr[y][x]][y]
-                                   and od[arr[x][y]][x] == od[x][sq[x][y]]
-                                   and od[x][sq[x][y]] == od[y][sq[y][x]])
-        )
-        flags["pseudo_hoop"] = (Verdict.holds("pseudo_hoop") if psh else
-                                Verdict.fails("pseudo_hoop", psh.witness))
+        psh = first_failure_of(n, [
+            (1, [("psH1", lambda x: od[x][one] == x and od[one][x] == x)]),
+            (3, [("psH3", lambda x, y, z: arr[od[x][y]][z] == arr[x][arr[y][z]])]),
+            (3, [("psH4", lambda x, y, z: sq[od[x][y]][z] == sq[y][sq[x][z]])]),
+            (2, [("psH5", lambda x, y:
+                  od[arr[x][y]][x] == od[arr[y][x]][y]
+                  and od[arr[x][y]][x] == od[x][sq[x][y]]
+                  and od[x][sq[x][y]] == od[y][sq[y][x]])]),
+        ])
+        flags["pseudo_hoop"] = (Verdict.holds("pseudo_hoop") if psh is None else
+                                Verdict.fails("pseudo_hoop", psh[1]))
     else:
         flags["pseudo_hoop"] = Verdict.na("pseudo_hoop")
 
@@ -355,28 +355,15 @@ def _bound_table(leq, n: int, lower: bool):
 
 def _check_pseudo_mv(alg, oplus, odot, nm, ns, zero) -> Verdict:
     """psMV1-psMV8 on the structure ((+), (.), -, ~, 0, 1)."""
-    n, one = alg.size, alg.one
-    rng = range(n)
-    for x, y, z in product(rng, repeat=3):
-        if oplus[x][oplus[y][z]] != oplus[oplus[x][y]][z]:
-            return Verdict.fails("psMV1", (x, y, z))
-    for x in rng:
-        if oplus[x][zero] != x or oplus[zero][x] != x:
-            return Verdict.fails("psMV2", (x,))
-        if oplus[x][one] != one or oplus[one][x] != one:
-            return Verdict.fails("psMV3", (x,))
-    if nm[one] != zero or ns[one] != zero:
-        return Verdict.fails("psMV4", ())
-    for x, y in product(rng, repeat=2):
-        if ns[oplus[nm[x]][nm[y]]] != nm[oplus[ns[x]][ns[y]]]:
-            return Verdict.fails("psMV5", (x, y))
-        vals = {oplus[x][odot[ns[x]][y]], oplus[y][odot[ns[y]][x]],
-                oplus[odot[x][nm[y]]][y], oplus[odot[y][nm[x]]][x]}
-        if len(vals) != 1:
-            return Verdict.fails("psMV6", (x, y))
-        if odot[x][oplus[nm[x]][y]] != odot[oplus[x][ns[y]]][y]:
-            return Verdict.fails("psMV7", (x, y))
-    for x in rng:
-        if ns[nm[x]] != x:
-            return Verdict.fails("psMV8", (x,))
-    return Verdict.holds("pseudo_mv")
+    one = alg.one
+    return Verdict.of(first_failure_of(alg.size, [
+        (3, [("psMV1", lambda x, y, z: oplus[x][oplus[y][z]] == oplus[oplus[x][y]][z])]),
+        (1, [("psMV2", lambda x: oplus[x][zero] == x and oplus[zero][x] == x),
+             ("psMV3", lambda x: oplus[x][one] == one and oplus[one][x] == one)]),
+        (0, [("psMV4", lambda: nm[one] == zero and ns[one] == zero)]),
+        (2, [("psMV5", lambda x, y: ns[oplus[nm[x]][nm[y]]] == nm[oplus[ns[x]][ns[y]]]),
+             ("psMV6", lambda x, y: len({oplus[x][odot[ns[x]][y]], oplus[y][odot[ns[y]][x]],
+                                         oplus[odot[x][nm[y]]][y], oplus[odot[y][nm[x]]][x]}) == 1),
+             ("psMV7", lambda x, y: odot[x][oplus[nm[x]][y]] == odot[oplus[x][ns[y]]][y])]),
+        (1, [("psMV8", lambda x: ns[nm[x]] == x)]),
+    ]), "pseudo_mv")

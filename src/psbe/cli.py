@@ -1,4 +1,5 @@
-"""Command-line surface: classify, enumerate, deduce, quotient, verify, search.
+"""Command-line surface: classify, enumerate, deduce, quotient, verify,
+search and list the law catalog.
 
 Every subcommand emits a RunReport.  JSON is the contract (stable key
 order, deterministic for identical inputs); text output is a thin
@@ -13,14 +14,12 @@ import hashlib
 import json
 import sys
 
-from .algebra import FiniteAlgebra, ParseError, UnaryMap, load_algebra, \
-    serialize_algebra
+from . import __version__
+from .algebra import FiniteAlgebra, ParseError, load_algebra, serialize_algebra
 from .classify import check_pseudo_be, check_pseudo_bck, classify
-from .quantifiers import MonadicPair, enumerate_mop, pair_from_unary_blocks
+from .quantifiers import declared_pairs, enumerate_mop, pair_from_unary_blocks
 from . import deduction as ded
 from . import laws as lawmod
-
-VERSION = "0.1.0"
 
 EXIT_OK = 0
 EXIT_FAILURE_FOUND = 1
@@ -56,19 +55,7 @@ def _parse_set(alg, spec: str) -> frozenset:
         raise UsageError(str(exc))
 
 
-def _pairs_from_file(alg) -> list[tuple[str, MonadicPair]]:
-    """All (label, pair) couples declared as unary exists*/forall* blocks."""
-    out = []
-    for key in alg.unary:
-        if key.startswith("exists"):
-            twin = "forall" + key[len("exists"):]
-            if twin in alg.unary:
-                out.append((key[len("exists"):] or "default",
-                            MonadicPair(alg.unary[key], alg.unary[twin])))
-    return out
-
-
-def _select_pair(alg, prefix: str) -> MonadicPair:
+def _select_pair(alg, prefix: str):
     try:
         return pair_from_unary_blocks(alg, prefix)
     except KeyError as exc:
@@ -190,8 +177,7 @@ def _cmd_quotient(args):
 
 def _cmd_verify(args):
     alg = _load(args.algebra)
-    labelled = _pairs_from_file(alg)
-    pairs = [p for _, p in labelled]
+    pairs = [p for _, p in declared_pairs(alg)]
     if not pairs:
         pairs = enumerate_mop(alg)
     law_ids = args.law.split(",") if args.law else None
@@ -222,6 +208,7 @@ def _cmd_search(args):
         raise UsageError("search requires --law")
     try:
         spec = lawmod.SearchSpec(law=args.law, max_size=args.max_size,
+                                 min_size=args.min_size,
                                  iso_reject=args.iso_reject,
                                  budget=args.budget)
         result = lawmod.search_counterexample(spec)
@@ -258,6 +245,13 @@ def _cmd_search(args):
     return EXIT_OK, payload, text
 
 
+def _cmd_laws(args):
+    laws = lawmod.catalog_json()
+    lines = [f"{law['id']:34s} {law['anchor']}"
+             + ("  [probe]" if law["probe"] else "") for law in laws]
+    return EXIT_OK, {"laws": laws}, "\n".join(lines)
+
+
 _COMMANDS = {
     "check": _cmd_check,
     "mop": _cmd_mop,
@@ -266,6 +260,7 @@ _COMMANDS = {
     "quotient": _cmd_quotient,
     "verify": _cmd_verify,
     "search": _cmd_search,
+    "laws": _cmd_laws,
 }
 
 
@@ -274,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="psbe",
         description="finite-model workbench for pseudo BE-algebras")
     parser.add_argument("--version", action="version",
-                        version=f"psbe {VERSION}")
+                        version=f"psbe {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, algebra=True):
@@ -285,9 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
                          default=True, help="emit the JSON report (default)")
         fmt.add_argument("--text", dest="json", action="store_false",
                          help="emit a human-readable rendering")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; evaluation is "
-                            "single-threaded")
 
     p = sub.add_parser("check", help="classify an algebra")
     common(p)
@@ -317,10 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, algebra=False)
     p.add_argument("--law", help="target law id")
     p.add_argument("--max-size", type=int, default=4)
+    p.add_argument("--min-size", type=int, default=2)
     p.add_argument("--iso-reject", action="store_true",
                    help="skip non-canonical table pairs")
     p.add_argument("--budget", type=int, default=None,
                    help="maximum number of candidate table pairs to visit")
+
+    p = sub.add_parser("laws", help="list the law catalog")
+    common(p, algebra=False)
     return parser
 
 
@@ -338,7 +334,7 @@ def run(argv=None) -> int:
         return EXIT_USAGE
     report = {
         "tool": "psbe",
-        "version": VERSION,
+        "version": __version__,
         "subcommand": args.command,
         "input_digest": (_digest(args.algebra)
                          if getattr(args, "algebra", None) else None),

@@ -15,7 +15,7 @@ from itertools import product
 from .algebra import FiniteAlgebra
 from .classify import (ClassificationReport, DerivedOps, Verdict,
                        check_pseudo_bck, classify)
-from .quantifiers import MonadicPair, check_monadic
+from .quantifiers import MonadicPair, PreconditionUnmet, check_monadic
 
 
 class NotACongruence(ValueError):
@@ -29,10 +29,6 @@ class IllDefined(ValueError):
     def __init__(self, witness: tuple[int, ...]):
         super().__init__(f"class operation disagrees at {witness}")
         self.witness = witness
-
-
-class PreconditionUnmet(ValueError):
-    pass
 
 
 @dataclass(frozen=True)

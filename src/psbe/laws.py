@@ -13,17 +13,15 @@ E/F the existential/universal operators.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from itertools import permutations, product
 
-from .algebra import FiniteAlgebra, UnaryMap
-from .classify import DerivedOps, classify, check_pseudo_be
-from .quantifiers import MonadicPair, enumerate_mop
+from .algebra import FiniteAlgebra
+from .classify import FAILS, HOLDS, NOT_APPLICABLE, classify, first_failure
+from .quantifiers import MonadicPair, enumerate_mop, fixed_set
 from . import deduction as _ded
-
-HOLDS = "holds"
-FAILS = "fails"
-NOT_APPLICABLE = "not_applicable"
 
 
 class BudgetExceeded(RuntimeError):
@@ -32,9 +30,31 @@ class BudgetExceeded(RuntimeError):
         self.result = result
 
 
+class _Memo:
+    """Deductive systems and congruences of one algebra, each enumerated
+    on first use."""
+
+    def __init__(self, alg: FiniteAlgebra):
+        self.alg = alg
+
+    @cached_property
+    def ds(self):
+        return _ded.enumerate_ds(self.alg)
+
+    @cached_property
+    def ds_by_members(self):
+        return {d.members: d for d in self.ds}
+
+    @cached_property
+    def congruences(self):
+        return _ded.enumerate_congruences(self.alg)
+
+
 class Ctx:
     """Evaluation context: one algebra, its classification, derived
-    operations and (optionally) one monadic pair."""
+    operations and (optionally) one monadic pair.  `memo` holds the
+    algebra's deductive systems and congruences; every context derived
+    by `with_pair` shares it."""
 
     def __init__(self, alg: FiniteAlgebra, report=None, ops=None,
                  pair: MonadicPair | None = None):
@@ -57,12 +77,17 @@ class Ctx:
         self.join = ops.join
         self.E = pair.exists.images if pair else None
         self.F = pair.forall.images if pair else None
+        self.memo = _Memo(alg)
 
     def le(self, x, y):
         return self.a[x][y] == self.one
 
     def with_pair(self, pair):
-        return Ctx(self.alg, self.report, self.ops, pair)
+        ctx = copy.copy(self)
+        ctx.pair = pair
+        ctx.E = pair.exists.images if pair else None
+        ctx.F = pair.forall.images if pair else None
+        return ctx
 
 
 def _flags(*names):
@@ -124,7 +149,7 @@ def _global_over_congruences(body):
     """Wrap a per-congruence predicate into a global check."""
     def check(ctx):
         count = 0
-        for cong in _ded.enumerate_congruences(ctx.alg):
+        for cong in ctx.memo.congruences:
             count += ctx.n * ctx.n
             bad = body(ctx, cong)
             if bad is not None:
@@ -133,45 +158,44 @@ def _global_over_congruences(body):
     return check
 
 
+def _first_pair(ctx, pred):
+    """The first (x, y) failing pred, or None."""
+    hit = first_failure(ctx.n, 2, [(None, pred)])
+    return None if hit is None else hit[1]
+
+
 def _l6_iff(ctx, cong):
     one_cls = cong.one_class(ctx.alg)
-    for x, y in product(range(ctx.n), repeat=2):
-        if (ctx.a[x][y] in one_cls) != (ctx.s[x][y] in one_cls):
-            return (x, y)
-    return None
+    a, s = ctx.a, ctx.s
+    return _first_pair(ctx, lambda x, y: (a[x][y] in one_cls) == (s[x][y] in one_cls))
 
 
 def _l6_class_implications(ctx, cong):
     one_cls = cong.one_class(ctx.alg)
-    for x, y in product(range(ctx.n), repeat=2):
-        if cong.same(x, y):
-            if not {ctx.a[x][y], ctx.a[y][x], ctx.s[x][y], ctx.s[y][x]} <= one_cls:
-                return (x, y)
-    return None
+    a, s = ctx.a, ctx.s
+    return _first_pair(ctx, lambda x, y: not cong.same(x, y)
+                       or {a[x][y], a[y][x], s[x][y], s[y][x]} <= one_cls)
 
 
 def _l6_commutative_converse(ctx, cong):
     one_cls = cong.one_class(ctx.alg)
-    for x, y in product(range(ctx.n), repeat=2):
-        if ctx.a[x][y] in one_cls and ctx.a[y][x] in one_cls and not cong.same(x, y):
-            return (x, y)
-    return None
+    a = ctx.a
+    return _first_pair(ctx, lambda x, y: not (a[x][y] in one_cls and a[y][x] in one_cls)
+                       or cong.same(x, y))
 
 
 def _p6_cong_exists(ctx, cong):
     if not _ded.is_monadic_congruence(cong, ctx.pair):
         return None
-    for x, y in product(range(ctx.n), repeat=2):
-        if cong.same(x, y) and not cong.same(ctx.E[x], ctx.E[y]):
-            return (x, y)
-    return None
+    E = ctx.E
+    return _first_pair(ctx, lambda x, y: not cong.same(x, y) or cong.same(E[x], E[y]))
 
 
 def _p6_cong_one_class_mds(ctx, cong):
     if not _ded.is_monadic_congruence(cong, ctx.pair):
         return None
     one_cls = cong.one_class(ctx.alg)
-    ds = next((d for d in _ded.enumerate_ds(ctx.alg) if d.members == one_cls), None)
+    ds = ctx.memo.ds_by_members.get(one_cls)
     if ds is None or not _ded.is_monadic_ds(ds, ctx.pair):
         return tuple(sorted(one_cls))
     return None
@@ -179,7 +203,7 @@ def _p6_cong_one_class_mds(ctx, cong):
 
 def _p6_ds_upward(ctx):
     count = 0
-    for ds in _ded.enumerate_ds(ctx.alg):
+    for ds in ctx.memo.ds:
         for x in ds.members:
             for y in range(ctx.n):
                 count += 1
@@ -189,7 +213,7 @@ def _p6_ds_upward(ctx):
 
 
 def _p6_distributive_normal(ctx):
-    dss = _ded.enumerate_ds(ctx.alg)
+    dss = ctx.memo.ds
     bad = next((d for d in dss if not d.normal), None)
     if bad is not None:
         return False, tuple(sorted(bad.members)), len(dss)
@@ -197,10 +221,9 @@ def _p6_distributive_normal(ctx):
 
 
 def _p6_monadic_ds_generated(ctx):
-    from .quantifiers import fixed_set
     fixed, _, _ = fixed_set(ctx.alg, ctx.pair)
     count = 0
-    for ds in _ded.enumerate_ds(ctx.alg):
+    for ds in ctx.memo.ds:
         count += 1
         gen = _ded.generated_ds(ctx.alg, ds.members & fixed, ctx.report,
                                 verify=False)
@@ -596,12 +619,10 @@ def evaluate_law(law: Law, ctx: Ctx) -> LawVerdict:
         ok, witness, instances = law.check(ctx)
         return LawVerdict(law.id, pair_name, HOLDS if ok else FAILS,
                           witness, instances)
-    count = 0
-    for tup in product(range(ctx.n), repeat=law.arity):
-        count += 1
-        if not law.check(ctx, *tup):
-            return LawVerdict(law.id, pair_name, FAILS, tup, count)
-    return LawVerdict(law.id, pair_name, HOLDS, None, count)
+    hit = first_failure(ctx.n, law.arity, [(law.id, partial(law.check, ctx))])
+    if hit is None:
+        return LawVerdict(law.id, pair_name, HOLDS, None, ctx.n ** law.arity)
+    return LawVerdict(law.id, pair_name, FAILS, hit[1], hit[2])
 
 
 def verify_suite(alg: FiniteAlgebra, pairs, law_ids=None,
@@ -620,6 +641,7 @@ def verify_suite(alg: FiniteAlgebra, pairs, law_ids=None,
         if unknown:
             raise KeyError(f"unknown law ids: {sorted(unknown)}")
         laws = [l for l in laws if l.id in wanted]
+    pair_ctxs = [base.with_pair(pair) for pair in pairs]
     out = []
     for law in laws:
         if law.probe and not include_probes:
@@ -627,8 +649,7 @@ def verify_suite(alg: FiniteAlgebra, pairs, law_ids=None,
         if not law.uses_pair:
             out.append(evaluate_law(law, base))
         else:
-            for pair in pairs:
-                out.append(evaluate_law(law, base.with_pair(pair)))
+            out.extend(evaluate_law(law, ctx) for ctx in pair_ctxs)
     return out
 
 
@@ -715,6 +736,7 @@ def _is_canonical(n, arrow, squig):
 
 def _law_counterexample(law: Law, alg: FiniteAlgebra, spec: SearchSpec):
     report, ops = classify(alg)
+    assert report.holds("pseudo_be")
     if any(not report.holds(f) for f in spec.require):
         return None
     ctx = Ctx(alg, report, ops)
@@ -767,7 +789,6 @@ def search_counterexample(spec: SearchSpec) -> SearchResult:
                     name=f"search_{n}",
                     element_names=("1",) + tuple(f"e{i}" for i in range(1, n)),
                     one=0, arrow=arrow, squig=squig)
-                assert bool(check_pseudo_be(alg))
                 hit = _law_counterexample(law, alg, spec)
                 if hit is not None:
                     result.visited_by_size[n] = visited

@@ -13,7 +13,7 @@ from itertools import product
 
 from .algebra import FiniteAlgebra, UnaryMap
 from .classify import (ClassificationReport, DerivedOps, Verdict, classify,
-                       HOLDS)
+                       first_failure, first_failure_of, HOLDS)
 
 PLAIN = "plain"
 BOUNDED_COMMUTATIVE = "bc"
@@ -105,24 +105,18 @@ def check_monadic(alg: FiniteAlgebra, pair: MonadicPair, mode: str = PLAIN,
     E, F = pair.exists.images, pair.forall.images
     axioms: dict[str, Verdict] = {}
 
-    def scan(name, preds):
-        # preds: list of (variant, predicate) checked per tuple, lexicographically
-        for tup in product(range(n), repeat=preds[0][1].__code__.co_argcount):
-            for variant, pred in preds:
-                if not pred(*tup):
-                    axioms[name] = Verdict.fails(variant, tup)
-                    return
-        axioms[name] = Verdict.holds(name)
+    def axiom(name, arity, preds):
+        axioms[name] = Verdict.of(first_failure(n, arity, preds), name)
 
-    scan("M1", [("M1(arrow)", lambda x: arr[x][E[x]] == one),
-                ("M1(squig)", lambda x: sq[x][E[x]] == one)])
-    scan("M2", [("M2(arrow)", lambda x: arr[F[x]][x] == one),
-                ("M2(squig)", lambda x: sq[F[x]][x] == one)])
-    scan("M3", [("M3(arrow)", lambda x, y: F[arr[x][E[y]]] == arr[E[x]][E[y]]),
-                ("M3(squig)", lambda x, y: F[sq[x][E[y]]] == sq[E[x]][E[y]])])
-    scan("M4", [("M4(arrow)", lambda x, y: F[arr[E[x]][y]] == arr[E[x]][F[y]]),
-                ("M4(squig)", lambda x, y: F[sq[E[x]][y]] == sq[E[x]][F[y]])])
-    scan("M5", [("M5", lambda x: E[F[x]] == F[x])])
+    axiom("M1", 1, [("M1(arrow)", lambda x: arr[x][E[x]] == one),
+                    ("M1(squig)", lambda x: sq[x][E[x]] == one)])
+    axiom("M2", 1, [("M2(arrow)", lambda x: arr[F[x]][x] == one),
+                    ("M2(squig)", lambda x: sq[F[x]][x] == one)])
+    axiom("M3", 2, [("M3(arrow)", lambda x, y: F[arr[x][E[y]]] == arr[E[x]][E[y]]),
+                    ("M3(squig)", lambda x, y: F[sq[x][E[y]]] == sq[E[x]][E[y]])])
+    axiom("M4", 2, [("M4(arrow)", lambda x, y: F[arr[E[x]][y]] == arr[E[x]][F[y]]),
+                    ("M4(squig)", lambda x, y: F[sq[E[x]][y]] == sq[E[x]][F[y]])])
+    axiom("M5", 1, [("M5", lambda x: E[F[x]] == F[x])])
 
     if mode in (BOUNDED_COMMUTATIVE, HOOP):
         if ops is None:
@@ -130,12 +124,12 @@ def check_monadic(alg: FiniteAlgebra, pair: MonadicPair, mode: str = PLAIN,
         od = ops.odot
         if od is None:
             raise ModeUnavailable(f"mode {mode!r} needs the pseudo-product table")
-        scan("M6", [("M6", lambda x: F[od[x][x]] == od[F[x]][F[x]])])
+        axiom("M6", 1, [("M6", lambda x: F[od[x][x]] == od[F[x]][F[x]])])
     if mode == BOUNDED_COMMUTATIVE:
         op = ops.oplus
         if op is None:
             raise ModeUnavailable("bounded-commutative mode needs the oplus table")
-        scan("M7", [("M7", lambda x: F[op[x][x]] == op[F[x]][F[x]])])
+        axiom("M7", 1, [("M7", lambda x: F[op[x][x]] == op[F[x]][F[x]])])
 
     return MonadicCheckReport(mode, axioms)
 
@@ -219,12 +213,12 @@ def residuation_check(alg: FiniteAlgebra, pair: MonadicPair,
         report, _ = classify(alg)
     if not report.holds("condition_T"):
         raise PreconditionUnmet("residuation check needs a transitive order")
-    for x, y in product(range(alg.size), repeat=2):
-        left = alg.arrow[pair.exists(x)][y] == alg.one
-        right = alg.arrow[x][pair.forall(y)] == alg.one
-        if left != right:
-            return Verdict.fails("residuated_pair", (x, y))
-    return Verdict.holds("residuated_pair")
+    arr, one = alg.arrow, alg.one
+    E, F = pair.exists.images, pair.forall.images
+    return Verdict.of(first_failure(alg.size, 2, [(
+        "residuated_pair",
+        lambda x, y: (arr[E[x]][y] == one) == (arr[x][F[y]] == one))]),
+        "residuated_pair")
 
 
 def _require_bounded_good(alg, report, ops, what):
@@ -246,33 +240,24 @@ def build_from_tau(alg: FiniteAlgebra, tau: UnaryMap,
     n, one = alg.size, alg.one
     t, nm, ns, op = tau.images, ops.neg_minus, ops.neg_sim, ops.oplus
 
-    for x in range(n):                                    # U1
-        if alg.arrow[t[x]][x] != one:
-            raise UConditionFailed(1, (x,))
-    for x in range(n):                                    # U2
-        if ns[t[nm[x]]] != nm[t[ns[x]]]:
-            raise UConditionFailed(2, (x,))
-    for x, y in product(range(n), repeat=2):              # U3
-        if t[op[x][nm[t[y]]]] != op[t[x]][nm[t[y]]]:
-            raise UConditionFailed(3, (x, y))
-        if t[op[ns[t[x]]][y]] != op[ns[t[x]]][t[y]]:
-            raise UConditionFailed(3, (x, y))
-    for x, y in product(range(n), repeat=2):              # U4
-        if not (t[op[x][t[y]]] == t[op[t[x]][y]] == op[t[x]][t[y]]):
-            raise UConditionFailed(4, (x, y))
-    for x in range(n):                                    # U5
-        if t[ns[op[nm[x]][nm[x]]]] != ns[op[nm[t[x]]][nm[t[x]]]]:
-            raise UConditionFailed(5, (x,))
-        if t[nm[op[ns[x]][ns[x]]]] != nm[op[ns[t[x]]][ns[t[x]]]]:
-            raise UConditionFailed(5, (x,))
+    checks = [
+        (1, [(1, lambda x: alg.arrow[t[x]][x] == one)]),
+        (1, [(2, lambda x: ns[t[nm[x]]] == nm[t[ns[x]]])]),
+        (2, [(3, lambda x, y: t[op[x][nm[t[y]]]] == op[t[x]][nm[t[y]]]),
+             (3, lambda x, y: t[op[ns[t[x]]][y]] == op[ns[t[x]]][t[y]])]),
+        (2, [(4, lambda x, y: t[op[x][t[y]]] == t[op[t[x]][y]] == op[t[x]][t[y]])]),
+        (1, [(5, lambda x: t[ns[op[nm[x]][nm[x]]]] == ns[op[nm[t[x]]][nm[t[x]]]]),
+             (5, lambda x: t[nm[op[ns[x]][ns[x]]]] == nm[op[ns[t[x]]][ns[t[x]]]])]),
+    ]
     # U6 is exactly M7, which belongs to the commutative theory; on a
     # non-commutative (e.g. merely involutive) algebra it can fail even
     # for maps the construction is meant for, so it is only enforced
     # when the algebra is commutative.
     if report.holds("commutative"):
-        for x in range(n):                                # U6
-            if t[op[x][x]] != op[t[x]][t[x]]:
-                raise UConditionFailed(6, (x,))
+        checks.append((1, [(6, lambda x: t[op[x][x]] == op[t[x]][t[x]])]))
+    hit = first_failure_of(n, checks)
+    if hit is not None:
+        raise UConditionFailed(hit[0], hit[1])
 
     exists = tuple(ns[t[nm[x]]] for x in range(n))
     other = tuple(nm[t[ns[x]]] for x in range(n))
@@ -294,31 +279,22 @@ def build_from_sigma(alg: FiniteAlgebra, sigma: UnaryMap,
     n, one = alg.size, alg.one
     s, nm, ns, od = sigma.images, ops.neg_minus, ops.neg_sim, ops.odot
 
-    for x in range(n):                                    # E1
-        if alg.arrow[x][s[x]] != one:
-            raise EConditionFailed(1, (x,))
-    for x in range(n):                                    # E2
-        if ns[s[nm[x]]] != nm[s[ns[x]]]:
-            raise EConditionFailed(2, (x,))
-    for x, y in product(range(n), repeat=2):              # E3
-        if s[od[x][ns[s[y]]]] != od[s[x]][ns[s[y]]]:
-            raise EConditionFailed(3, (x, y))
-        if s[od[nm[s[x]]][y]] != od[nm[s[x]]][s[y]]:
-            raise EConditionFailed(3, (x, y))
-    for x, y in product(range(n), repeat=2):              # E4
-        if not (s[od[x][s[y]]] == s[od[s[x]][y]] == od[s[x]][s[y]]):
-            raise EConditionFailed(4, (x, y))
-    for x in range(n):                                    # E5
-        if s[ns[od[nm[x]][nm[x]]]] != ns[od[nm[s[x]]][nm[s[x]]]]:
-            raise EConditionFailed(5, (x,))
-        if s[nm[od[ns[x]][ns[x]]]] != nm[od[ns[s[x]]][ns[s[x]]]]:
-            raise EConditionFailed(5, (x,))
+    checks = [
+        (1, [(1, lambda x: alg.arrow[x][s[x]] == one)]),
+        (1, [(2, lambda x: ns[s[nm[x]]] == nm[s[ns[x]]])]),
+        (2, [(3, lambda x, y: s[od[x][ns[s[y]]]] == od[s[x]][ns[s[y]]]),
+             (3, lambda x, y: s[od[nm[s[x]]][y]] == od[nm[s[x]]][s[y]])]),
+        (2, [(4, lambda x, y: s[od[x][s[y]]] == s[od[s[x]][y]] == od[s[x]][s[y]])]),
+        (1, [(5, lambda x: s[ns[od[nm[x]][nm[x]]]] == ns[od[nm[s[x]]][nm[s[x]]]]),
+             (5, lambda x: s[nm[od[ns[x]][ns[x]]]] == nm[od[ns[s[x]]][ns[s[x]]]])]),
+    ]
     # E6 mirrors U6/M7: enforced only on commutative algebras (see
     # build_from_tau).
     if report.holds("commutative"):
-        for x in range(n):                                # E6
-            if s[od[x][x]] != od[s[x]][s[x]]:
-                raise EConditionFailed(6, (x,))
+        checks.append((1, [(6, lambda x: s[od[x][x]] == od[s[x]][s[x]])]))
+    hit = first_failure_of(n, checks)
+    if hit is not None:
+        raise EConditionFailed(hit[0], hit[1])
 
     forall = tuple(ns[s[nm[x]]] for x in range(n))
     other = tuple(nm[s[ns[x]]] for x in range(n))
@@ -425,48 +401,54 @@ def check_mv_quantifier(alg: FiniteAlgebra, m: UnaryMap, kind: str,
         report, ops = classify(alg)
     if not (report.holds("bounded") and report.holds("commutative")):
         raise NotBoundedCommutative("MV quantifier axioms need a bounded commutative algebra")
-    n = alg.size
-    f = m.images
+    f, arr, one = m.images, alg.arrow, alg.one
     nm, ns, od, op = ops.neg_minus, ops.neg_sim, ops.odot, ops.oplus
-    meet, join = ops.meet, ops.join
-
+    # the two kinds differ in MV1 (f decreasing vs increasing) and MV2
+    # (f preserves meets vs joins)
     if kind == "universal":
-        checks = [
-            ("MVU1", 1, lambda x: alg.arrow[f[x]][x] == alg.one),
-            ("MVU2", 2, lambda x, y: f[meet[x][y]] == meet[f[x]][f[y]]),
-            ("MVU3", 1, lambda x: f[nm[f[x]]] == nm[f[x]] and f[ns[f[x]]] == ns[f[x]]),
-            ("MVU4", 2, lambda x, y: f[od[f[x]][f[y]]] == od[f[x]][f[y]]),
-            ("MVU5", 1, lambda x: f[od[x][x]] == od[f[x]][f[x]]),
-            ("MVU6", 1, lambda x: f[op[x][x]] == op[f[x]][f[x]]),
-        ]
+        tag, lat, mv1 = "MVU", ops.meet, lambda x: arr[f[x]][x] == one
     elif kind == "existential":
-        checks = [
-            ("MVE1", 1, lambda x: alg.arrow[x][f[x]] == alg.one),
-            ("MVE2", 2, lambda x, y: f[join[x][y]] == join[f[x]][f[y]]),
-            ("MVE3", 1, lambda x: f[nm[f[x]]] == nm[f[x]] and f[ns[f[x]]] == ns[f[x]]),
-            ("MVE4", 2, lambda x, y: f[od[f[x]][f[y]]] == od[f[x]][f[y]]),
-            ("MVE5", 1, lambda x: f[od[x][x]] == od[f[x]][f[x]]),
-            ("MVE6", 1, lambda x: f[op[x][x]] == op[f[x]][f[x]]),
-        ]
+        tag, lat, mv1 = "MVE", ops.join, lambda x: arr[x][f[x]] == one
     else:
         raise ValueError("kind must be 'universal' or 'existential'")
+    checks = [
+        (1, [(tag + "1", mv1)]),
+        (2, [(tag + "2", lambda x, y: f[lat[x][y]] == lat[f[x]][f[y]])]),
+        (1, [(tag + "3", lambda x: f[nm[f[x]]] == nm[f[x]] and f[ns[f[x]]] == ns[f[x]])]),
+        (2, [(tag + "4", lambda x, y: f[od[f[x]][f[y]]] == od[f[x]][f[y]])]),
+        (1, [(tag + "5", lambda x: f[od[x][x]] == od[f[x]][f[x]])]),
+        (1, [(tag + "6", lambda x: f[op[x][x]] == op[f[x]][f[x]])]),
+    ]
+    return Verdict.of(first_failure_of(alg.size, checks), f"mv_{kind}")
 
-    for name, arity, pred in checks:
-        for tup in product(range(n), repeat=arity):
-            if not pred(*tup):
-                return Verdict.fails(name, tup)
-    return Verdict.holds(f"mv_{kind}")
+
+def declared_pairs(alg: FiniteAlgebra) -> list[tuple[str, MonadicPair]]:
+    """(label, pair) for every quantifier pair the file declares, in file order.
+
+    A pair is a unary block `exists<k>` with its twin `forall<k>`, or
+    `<p>_exists` with `<p>_forall`; the label (k or p, possibly empty) is
+    what `pair_from_unary_blocks` and the CLI's `--pair` accept.
+    """
+    out = []
+    for key in alg.unary:
+        if key.startswith("exists"):
+            label = key[len("exists"):]
+            twin = "forall" + label
+        elif key.endswith("_exists"):
+            label = key[:-len("_exists")]
+            twin = label + "_forall"
+        else:
+            continue
+        if twin in alg.unary:
+            out.append((label, MonadicPair(alg.unary[key], alg.unary[twin])))
+    return out
 
 
 def pair_from_unary_blocks(alg: FiniteAlgebra, prefix: str) -> MonadicPair:
-    """Read `unary <prefix>_exists` / `unary <prefix>_forall` blocks.
-
-    The bare names `exists` / `forall` are used when prefix is empty."""
-    e_key = f"{prefix}_exists" if prefix else "exists"
-    f_key = f"{prefix}_forall" if prefix else "forall"
-    # fixture convention: exists2/forall2 style names (suffix, no underscore)
-    if e_key not in alg.unary and f"exists{prefix}" in alg.unary:
-        e_key, f_key = f"exists{prefix}", f"forall{prefix}"
-    if e_key not in alg.unary or f_key not in alg.unary:
-        raise KeyError(f"no unary blocks {e_key!r}/{f_key!r} in {alg.name}")
-    return MonadicPair(alg.unary[e_key], alg.unary[f_key])
+    """The first declared pair labelled `prefix` (see `declared_pairs`);
+    the bare blocks `exists` / `forall` when prefix is empty."""
+    for label, pair in declared_pairs(alg):
+        if label == prefix:
+            return pair
+    raise KeyError(f"no unary blocks {prefix}_exists/{prefix}_forall or "
+                   f"exists{prefix}/forall{prefix} in {alg.name}")

@@ -11,15 +11,11 @@ from psbe.laws import (FAILS, SearchSpec, candidate_count,
                        search_counterexample, verify_suite)
 from psbe.quantifiers import (BOUNDED_COMMUTATIVE, build_from_sigma,
                               build_from_tau, check_mv_quantifier,
-                              compose_pairs, dual_quantifier, enumerate_mop,
-                              fixed_set, is_monadic, pair_from_unary_blocks)
+                              compose_pairs, declared_pairs, dual_quantifier,
+                              enumerate_mop, fixed_set, is_monadic,
+                              pair_from_unary_blocks)
 
 from conftest import FIXTURE_NAMES, load
-
-
-def declared_pairs(alg):
-    return [pair_from_unary_blocks(alg, key[len("exists"):])
-            for key in sorted(alg.unary) if key.startswith("exists")]
 
 
 def test_criterion_01_mop_four_element():
@@ -29,7 +25,7 @@ def test_criterion_01_mop_four_element():
     assert time.monotonic() - t0 < 1.0
     assert len(pairs) == 3
     assert {(p.exists.images, p.forall.images) for p in pairs} == \
-        {(p.exists.images, p.forall.images) for p in declared_pairs(alg)}
+        {(p.exists.images, p.forall.images) for _, p in declared_pairs(alg)}
 
 
 def test_criterion_02_mop_five_element_pruned_and_unpruned():
@@ -38,7 +34,7 @@ def test_criterion_02_mop_five_element_pruned_and_unpruned():
     pruned = enumerate_mop(alg)
     assert time.monotonic() - t0 < 2.0
     assert len(pruned) == 4
-    assert set(pruned) == set(declared_pairs(alg))
+    assert set(pruned) == {p for _, p in declared_pairs(alg)}
     t0 = time.monotonic()
     unpruned = enumerate_mop(alg, unpruned=True)
     assert time.monotonic() - t0 < 30.0
@@ -49,7 +45,7 @@ def test_criterion_03_mop_bounded_commutative():
     alg = load("bc4")
     pairs = enumerate_mop(alg, mode=BOUNDED_COMMUTATIVE)
     assert len(pairs) == 2
-    assert set(pairs) == set(declared_pairs(alg))
+    assert set(pairs) == {p for _, p in declared_pairs(alg)}
 
 
 def test_criterion_04_fixed_sets():
@@ -172,7 +168,7 @@ def test_criterion_11_law_suite_clean():
     law_count = None
     for name in FIXTURE_NAMES:
         alg = load(name)
-        verdicts = verify_suite(alg, declared_pairs(alg))
+        verdicts = verify_suite(alg, [p for _, p in declared_pairs(alg)])
         failures = [v for v in verdicts if v.status == FAILS]
         assert not failures, failures
         instances += sum(v.instances for v in verdicts)

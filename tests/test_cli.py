@@ -4,7 +4,9 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft7Validator
 
+import psbe
 from psbe.cli import run
+from psbe.laws import catalog
 
 from conftest import fixture_path
 
@@ -104,6 +106,45 @@ def test_search_exhausted_exits_zero(capsys):
                                "--max-size", "3")
     assert code == 0
     assert report["payload"]["exhausted"] is True
+
+
+def test_search_min_size_skips_smaller_carriers(capsys):
+    code, report = invoke_json(capsys, "search", "--law", "AX.refl",
+                               "--min-size", "3", "--max-size", "3")
+    assert code == 0
+    assert report["payload"]["visited_by_size"] == {"3": 81}
+
+
+def test_laws_lists_the_catalog(capsys):
+    code, report = invoke_json(capsys, "laws")
+    assert code == 0
+    assert report["input_digest"] is None
+    ids = [law["id"] for law in report["payload"]["laws"]]
+    assert ids == [law.id for law in catalog()]
+    assert len(set(ids)) == 86
+
+
+def test_verify_reads_suffix_named_pair(tmp_path, capsys):
+    text = fixture_path("inv6").read_text()
+    renamed = tmp_path / "inv6_named.alg"
+    renamed.write_text(text.replace("unary forall", "unary x_forall")
+                       .replace("unary exists", "unary x_exists"))
+    _, original = invoke_json(capsys, "verify", str(fixture_path("inv6")))
+    code, report = invoke_json(capsys, "verify", str(renamed))
+    assert code == 0
+    assert report["payload"]["pairs"] == 1
+    assert report["payload"]["verdicts"] == original["payload"]["verdicts"]
+    code, report = invoke_json(capsys, "ds", str(renamed), "--pair", "x")
+    assert code == 0
+
+
+def test_version(capsys):
+    assert run(["--version"]) == 0
+    assert capsys.readouterr().out.strip() == f"psbe {psbe.__version__}"
+
+
+def test_threads_flag_is_gone(capsys):
+    assert run(["check", str(fixture_path("bc4")), "--threads", "2"]) == 2
 
 
 def test_parse_error_exits_two(tmp_path, capsys):

@@ -6,33 +6,33 @@ from psbe.classify import classify
 from psbe.quantifiers import (BOUNDED_COMMUTATIVE, MonadicPair, NotBCK,
                               build_from_sigma, build_from_tau, check_monadic,
                               check_mv_quantifier, compose_pairs,
-                              dual_quantifier, enumerate_mop, fixed_set,
-                              is_monadic, pair_from_unary_blocks,
+                              declared_pairs, dual_quantifier, enumerate_mop,
+                              fixed_set, is_monadic, pair_from_unary_blocks,
                               residuation_check)
 
 from conftest import load
-
-
-def declared_pairs(alg):
-    """The monadic pairs shipped as unary blocks of a fixture."""
-    out = []
-    for key in sorted(alg.unary):
-        if key.startswith("exists"):
-            out.append(pair_from_unary_blocks(alg, key[len("exists"):]))
-    return out
 
 
 def test_mop_psbe4_matches_declared(psbe4):
     pairs = enumerate_mop(psbe4)
     assert len(pairs) == 3
     assert sorted(pairs, key=lambda p: p.sort_key()) == \
-        sorted(declared_pairs(psbe4), key=lambda p: p.sort_key())
+        sorted([p for _, p in declared_pairs(psbe4)], key=lambda p: p.sort_key())
 
 
 def test_mop_psbe5_matches_declared(psbe5):
     pairs = enumerate_mop(psbe5)
     assert len(pairs) == 4
-    assert set(pairs) == set(declared_pairs(psbe5))
+    assert set(pairs) == {p for _, p in declared_pairs(psbe5)}
+
+
+def test_declared_pairs_labels_in_file_order(psbe5, inv6):
+    assert [label for label, _ in declared_pairs(psbe5)] == ["1", "2", "3", "4"]
+    assert [label for label, _ in declared_pairs(inv6)] == [""]
+    renamed = inv6.with_unary(p_exists=inv6.unary["exists"],
+                              p_forall=inv6.unary["forall"])
+    assert [label for label, _ in declared_pairs(renamed)] == ["", "p"]
+    assert pair_from_unary_blocks(renamed, "p") == pair_from_unary_blocks(inv6, "")
 
 
 def test_mop_unpruned_agrees(psbe4):
@@ -42,7 +42,7 @@ def test_mop_unpruned_agrees(psbe4):
 def test_mop_bc4_bounded_commutative_mode(bc4):
     pairs = enumerate_mop(bc4, mode=BOUNDED_COMMUTATIVE)
     assert len(pairs) == 2
-    assert set(pairs) == set(declared_pairs(bc4))
+    assert set(pairs) == {p for _, p in declared_pairs(bc4)}
 
 
 def test_check_monadic_reports_failing_axiom(psbe5):
