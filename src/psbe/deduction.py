@@ -203,15 +203,28 @@ def _canonical(cls) -> Congruence:
     return Congruence(tuple(out))
 
 
+def _related(cong: Congruence) -> list[tuple]:
+    # related[x] is x's block, ascending
+    blocks = cong.blocks()
+    return [blocks[c] for c in cong.classes]
+
+
 def is_compatible(alg: FiniteAlgebra, cong: Congruence) -> tuple[int, ...] | None:
-    """First 4-tuple (x,y,u,v) breaking compatibility, or None."""
-    n = alg.size
-    for x, y, u, v in product(range(n), repeat=4):
-        if cong.same(x, y) and cong.same(u, v):
-            if not cong.same(alg.arrow[x][u], alg.arrow[y][v]):
-                return (x, y, u, v)
-            if not cong.same(alg.squig[x][u], alg.squig[y][v]):
-                return (x, y, u, v)
+    """First 4-tuple (x,y,u,v) breaking compatibility, or None.
+
+    Only related pairs x ~ y, u ~ v are visited, in lexicographic order,
+    so the witness is the lexicographically first one over all of A^4."""
+    cls = cong.classes
+    related = _related(cong)
+    arrow, squig = alg.arrow, alg.squig
+    for x, ys in enumerate(related):
+        ax, sx = arrow[x], squig[x]
+        for y in ys:
+            ay, sy = arrow[y], squig[y]
+            for u, vs in enumerate(related):
+                for v in vs:
+                    if cls[ax[u]] != cls[ay[v]] or cls[sx[u]] != cls[sy[v]]:
+                        return (x, y, u, v)
     return None
 
 
@@ -224,15 +237,19 @@ def is_monadic_congruence(cong: Congruence, pair: MonadicPair) -> bool:
 def is_meet_compatible(alg: FiniteAlgebra, cong: Congruence,
                        ops: DerivedOps) -> bool:
     """Compatibility with the meet, checked only where meets exist."""
-    n = alg.size
     meet = ops.meet
     if meet is None:
         return True
-    for x, y, u, v in product(range(n), repeat=4):
-        if cong.same(x, y) and cong.same(u, v):
-            a, b = meet[x][u], meet[y][v]
-            if a is not None and b is not None and not cong.same(a, b):
-                return False
+    cls = cong.classes
+    related = _related(cong)
+    for x, ys in enumerate(related):
+        for y in ys:
+            mx, my = meet[x], meet[y]
+            for u, vs in enumerate(related):
+                for v in vs:
+                    a, b = mx[u], my[v]
+                    if a is not None and b is not None and cls[a] != cls[b]:
+                        return False
     return True
 
 
@@ -242,24 +259,71 @@ def is_relative_congruence(alg: FiniteAlgebra, cong: Congruence) -> bool:
     return bool(check_pseudo_bck(q.algebra))
 
 
+def _find(parent: list, x: int) -> int:
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
+def _partition(parent: list) -> tuple:
+    """Restricted-growth string of a union-find forest."""
+    return _canonical([_find(parent, x) for x in range(len(parent))]).classes
+
+
+def _principal(alg: FiniteAlgebra, a: int, b: int, cols) -> tuple:
+    """Cg(a, b) by union-find closure: each merge of x and y queues the
+    translated pairs (x op u, y op u) and (u op x, u op y) for every u
+    and both implications, until the queue empties or one block is left."""
+    parent = list(range(alg.size))
+    blocks = alg.size
+    queue = [(a, b)]
+    while queue and blocks > 1:
+        x, y = queue.pop()
+        rx, ry = _find(parent, x), _find(parent, y)
+        if rx != ry:
+            parent[ry] = rx
+            blocks -= 1
+            for table, col in zip((alg.arrow, alg.squig), cols):
+                queue.extend(zip(table[x], table[y]))
+                queue.extend(zip(col[x], col[y]))
+    return _partition(parent)
+
+
+def _join(p: tuple, q: tuple) -> tuple:
+    """Join of two partitions in Eq(A), as restricted-growth strings."""
+    first = {}
+    parent = [first.setdefault(c, x) for x, c in enumerate(p)]
+    first = {}
+    for x, c in enumerate(q):
+        rx, ry = _find(parent, x), _find(parent, first.setdefault(c, x))
+        parent[rx] = ry
+    return _partition(parent)
+
+
 def enumerate_congruences(alg: FiniteAlgebra) -> list[Congruence]:
-    """All congruences, by restricted-growth-string scan with early
-    per-prefix compatibility rejection deferred to the full check."""
+    """All congruences, sorted by restricted-growth string.
+
+    Every congruence is the join of the principal congruences Cg(a, b)
+    of its pairs, and Con(A) is a sublattice of Eq(A): so the identity
+    plus every Cg(a, b), a < b, closed under partition joins, is Con(A)
+    (R. Freese, "Computing congruences efficiently", Algebra Universalis
+    59, 2008).  Callers report the first congruence that fails a law,
+    so the sort order is part of the contract."""
     n = alg.size
-    out = []
-
-    def grow(prefix, k):
-        if len(prefix) == n:
-            cong = Congruence(tuple(prefix))
-            if is_compatible(alg, cong) is None:
-                out.append(cong)
-            return
-        for c in range(k + 1):
-            grow(prefix + [c], max(k, c + 1))
-
-    grow([], 0)
-    out.sort(key=lambda c: c.classes)
-    return out
+    cols = [tuple(zip(*t)) for t in (alg.arrow, alg.squig)]
+    principals = {_principal(alg, a, b, cols)
+                  for a in range(n) for b in range(a + 1, n)}
+    found = set(principals)
+    queue = list(principals)
+    while queue:
+        theta = queue.pop()
+        for p in principals:
+            psi = _join(theta, p)
+            if psi not in found:
+                found.add(psi)
+                queue.append(psi)
+    found.add(tuple(range(n)))
+    return [Congruence(c) for c in sorted(found)]
 
 
 def theta_from_ds(alg: FiniteAlgebra, ds: DeductiveSystem) -> Congruence:

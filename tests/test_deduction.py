@@ -1,17 +1,20 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psbe.classify import classify
+from psbe.algebra import FiniteAlgebra
+from psbe.classify import check_pseudo_be, classify
 from psbe.deduction import (Congruence, IllDefined, correspondence_report,
                             enumerate_congruences, enumerate_ds, generated_ds,
-                            is_compatible, is_monadic_congruence,
+                            is_compatible, is_meet_compatible,
+                            is_monadic_congruence,
                             is_monadic_ds, monadic_ds, quotient,
                             theta_from_ds)
+from psbe.laws import _psbe4_psbe5_ok, _tables_from_cells, free_cells
 from psbe.quantifiers import enumerate_mop, pair_from_unary_blocks
 
-from conftest import load
+from conftest import FIXTURE_NAMES, load
 
 
 def member_names(alg, ds):
@@ -92,6 +95,107 @@ def test_congruence_count_psbe5(psbe5):
     assert len(enumerate_congruences(psbe5)) == 7
 
 
+def all_partitions(n):
+    """Every partition of range(n) as a restricted-growth string, in
+    lexicographic order (Bell(n) of them)."""
+    def grow(prefix, k):
+        if len(prefix) == n:
+            yield tuple(prefix)
+            return
+        for c in range(k + 1):
+            yield from grow(prefix + [c], max(k, c + 1))
+
+    return [Congruence(c) for c in grow([], 0)]
+
+
+def scan_congruences(alg):
+    """Reference enumerator: every partition that passes is_compatible."""
+    return [c for c in all_partitions(alg.size) if is_compatible(alg, c) is None]
+
+
+def scan_compatible(alg, cong):
+    """Reference for is_compatible: the first of all n^4 tuples."""
+    for x, y, u, v in product(range(alg.size), repeat=4):
+        if cong.same(x, y) and cong.same(u, v):
+            if not cong.same(alg.arrow[x][u], alg.arrow[y][v]):
+                return (x, y, u, v)
+            if not cong.same(alg.squig[x][u], alg.squig[y][v]):
+                return (x, y, u, v)
+    return None
+
+
+def scan_meet_compatible(alg, cong, meet):
+    """Reference for is_meet_compatible over all n^4 tuples."""
+    for x, y, u, v in product(range(alg.size), repeat=4):
+        if cong.same(x, y) and cong.same(u, v):
+            a, b = meet[x][u], meet[y][v]
+            if a is not None and b is not None and not cong.same(a, b):
+                return False
+    return True
+
+
+def labelled_models(n):
+    """Every pseudo BE-algebra on n labelled elements with 1 = element 0."""
+    cells = free_cells(n)
+    tables = [_tables_from_cells(n, cells, vals)
+              for vals in product(range(n), repeat=len(cells))]
+    return [FiniteAlgebra(f"m{n}", ("1",) + tuple(f"e{i}" for i in range(1, n)),
+                          0, arrow, squig)
+            for arrow, squig in product(tables, repeat=2)
+            if _psbe4_psbe5_ok(n, arrow, squig)]
+
+
+def times_c2(alg):
+    """alg x C2, C2 = {1, 0}; element (x, y) has index 2x + y."""
+    c2 = ((0, 1), (0, 0))
+    cells = [(x, y) for x in alg.elements() for y in range(2)]
+
+    def table(t):
+        return tuple(tuple(2 * t[x][u] + c2[y][v] for u, v in cells)
+                     for x, y in cells)
+
+    return FiniteAlgebra(f"{alg.name}xC2",
+                         tuple(f"{alg.element_names[x]}.{'10'[y]}" for x, y in cells),
+                         2 * alg.one, table(alg.arrow), table(alg.squig))
+
+
+def test_labelled_models_small():
+    assert [len(labelled_models(n)) for n in (2, 3)] == [1, 6]
+
+
+ORACLE_ALGEBRAS = [
+    *(pytest.param(load(name), id=name) for name in FIXTURE_NAMES),
+    *(pytest.param(alg, id=f"m{n}-{i}")
+      for n in (2, 3) for i, alg in enumerate(labelled_models(n))),
+]
+
+
+@pytest.mark.parametrize("alg", ORACLE_ALGEBRAS + [
+    pytest.param(times_c2(load(name)), id=f"{name}xC2") for name in ("bc4", "psbe4")])
+def test_enumerate_congruences_matches_partition_scan(alg):
+    assert enumerate_congruences(alg) == scan_congruences(alg)
+
+
+@pytest.mark.parametrize("alg", ORACLE_ALGEBRAS)
+def test_compatibility_witnesses_match_full_scan(alg):
+    _, ops = classify(alg)
+    for cong in all_partitions(alg.size):
+        assert is_compatible(alg, cong) == scan_compatible(alg, cong)
+        if ops.meet is not None:
+            assert (is_meet_compatible(alg, cong, ops)
+                    == scan_meet_compatible(alg, cong, ops.meet))
+
+
+@pytest.mark.parametrize("name, count", [("bc4", 8), ("psbe4", 4),
+                                         ("psbe5", 19), ("inv6", 4)])
+def test_product_congruence_counts(name, count):
+    alg = times_c2(load(name))
+    assert check_pseudo_be(alg)
+    congs = enumerate_congruences(alg)
+    assert len(congs) == count
+    assert all(is_compatible(alg, c) is None for c in congs)
+
+
 def test_quotient_psbe5(psbe5):
     d = next(ds for ds in enumerate_ds(psbe5)
              if member_names(psbe5, ds) == {"1", "a", "d"})
@@ -143,7 +247,7 @@ def partitions(draw, n):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from(["psbe4", "psbe5", "bc4"]), st.data())
+@given(st.sampled_from(["psbe4", "psbe5", "bc4", "inv6"]), st.data())
 def test_enumerate_congruences_complete(name, data):
     # a random partition is listed iff it is operation-compatible
     alg = load(name)
