@@ -10,6 +10,7 @@ between the appropriate classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 from .algebra import FiniteAlgebra
@@ -471,6 +472,7 @@ def correspondence_report(alg: FiniteAlgebra, pair: MonadicPair,
         raise ValueError(f"unknown variant {variant!r}")
 
     by_members = {d.members: d for d in right}
+    theta = cache(lambda d: theta_from_ds(alg, d))   # Theta_D once per D
     if len(left) != len(right):
         return Verdict.fails(f"correspondence_{variant}_counts",
                              (len(left), len(right)))
@@ -479,11 +481,11 @@ def correspondence_report(alg: FiniteAlgebra, pair: MonadicPair,
         if d is None:
             return Verdict.fails(f"correspondence_{variant}_one_class",
                                  tuple(sorted(cong.one_class(alg))))
-        if theta_from_ds(alg, d) != cong:
+        if theta(d) != cong:
             return Verdict.fails(f"correspondence_{variant}_theta_roundtrip",
                                  tuple(sorted(d.members)))
     for d in right:                         # D -> Theta -> [1] round trip
-        cong = theta_from_ds(alg, d)
+        cong = theta(d)
         if cong not in left:
             return Verdict.fails(f"correspondence_{variant}_theta_class",
                                  tuple(sorted(d.members)))

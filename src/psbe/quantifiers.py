@@ -96,10 +96,25 @@ def _normalize_mode(mode: str) -> str:
         raise ValueError(f"unknown mode {mode!r}") from None
 
 
+def _mode_tables(alg: FiniteAlgebra, mode: str, ops: DerivedOps | None):
+    """(odot, oplus) for M6/M7, None where the mode does not check them;
+    raises ModeUnavailable when the mode needs a table the algebra lacks."""
+    if mode == PLAIN:
+        return None, None
+    if ops is None:
+        _, ops = classify(alg)
+    if ops.odot is None:
+        raise ModeUnavailable(f"mode {mode!r} needs the pseudo-product table")
+    if mode == BOUNDED_COMMUTATIVE and ops.oplus is None:
+        raise ModeUnavailable("bounded-commutative mode needs the oplus table")
+    return ops.odot, ops.oplus if mode == BOUNDED_COMMUTATIVE else None
+
+
 def check_monadic(alg: FiniteAlgebra, pair: MonadicPair, mode: str = PLAIN,
                   ops: DerivedOps | None = None) -> MonadicCheckReport:
     """Check M1-M5 (plus M6/M7 per mode) over all element pairs."""
     mode = _normalize_mode(mode)
+    od, op = _mode_tables(alg, mode, ops)
     n, one = alg.size, alg.one
     arr, sq = alg.arrow, alg.squig
     E, F = pair.exists.images, pair.forall.images
@@ -118,17 +133,9 @@ def check_monadic(alg: FiniteAlgebra, pair: MonadicPair, mode: str = PLAIN,
                     ("M4(squig)", lambda x, y: F[sq[E[x]][y]] == sq[E[x]][F[y]])])
     axiom("M5", 1, [("M5", lambda x: E[F[x]] == F[x])])
 
-    if mode in (BOUNDED_COMMUTATIVE, HOOP):
-        if ops is None:
-            _, ops = classify(alg)
-        od = ops.odot
-        if od is None:
-            raise ModeUnavailable(f"mode {mode!r} needs the pseudo-product table")
+    if od is not None:
         axiom("M6", 1, [("M6", lambda x: F[od[x][x]] == od[F[x]][F[x]])])
-    if mode == BOUNDED_COMMUTATIVE:
-        op = ops.oplus
-        if op is None:
-            raise ModeUnavailable("bounded-commutative mode needs the oplus table")
+    if op is not None:
         axiom("M7", 1, [("M7", lambda x: F[op[x][x]] == op[F[x]][F[x]])])
 
     return MonadicCheckReport(mode, axioms)
@@ -144,29 +151,41 @@ def enumerate_mop(alg: FiniteAlgebra, mode: str = PLAIN,
                   unpruned: bool = False) -> list[MonadicPair]:
     """All monadic pairs, sorted by (forall images, exists images).
 
-    The pruned enumeration restricts candidates to maps that are
-    increasing/decreasing, idempotent and fix 1 -- all consequences of
-    M1/M2/M5, so no valid pair is lost.  `unpruned` runs the raw scan
-    over every pair of self-maps instead (self-check; feasible for
-    small carriers only).
+    Candidates are the idempotent maps fixing 1 that are increasing
+    (exists, M1) or decreasing (forall, M2); idempotence and E1 = F1 = 1
+    follow from M1-M5.  The candidates are joined on their shared fixed
+    set (an idempotent map's image): forall candidates are grouped by
+    image I, and E meets only the groups with C(E) <= I <= Fix(E), where
+    C(E) = {x -> e, x ~> e : x, e in Fix(E)}.  I <= Fix(E) is M5
+    (E F x = F x); C(E) <= I is M3 at x = E x (F(x -> E y) = x -> E y,
+    likewise for ~>), and an E with C(E) outside Fix(E) meets no group.
+    Both are instances of the axioms, so every surviving pair is decided by
+    `check_monadic` and the result is exact on any input.  `unpruned`
+    runs the raw scan over every pair of self-maps instead (self-check;
+    feasible for small carriers only).
     """
     mode = _normalize_mode(mode)
     if mode != PLAIN and ops is None:
         _, ops = classify(alg)
+    _mode_tables(alg, mode, ops)    # ModeUnavailable before any candidate
     n, one = alg.size, alg.one
     arr, sq = alg.arrow, alg.squig
 
     found: list[MonadicPair] = []
     if unpruned:
         # Exhaustive O(n^{2n}) scan.  M1 depends only on the exists
-        # candidate, so it is hoisted out of the inner loop; every
-        # (exists, forall) pair is still decided exactly.
+        # candidate and M2 only on the forall candidate, so both are
+        # hoisted out of the inner loop; every remaining (exists, forall)
+        # pair is still decided exactly.
+        forall_maps = [UnaryMap(F) for F in product(range(n), repeat=n)
+                       if all(arr[F[x]][x] == one and sq[F[x]][x] == one
+                              for x in range(n))]
         for E in product(range(n), repeat=n):
             if not all(arr[x][E[x]] == one and sq[x][E[x]] == one for x in range(n)):
                 continue
             em = UnaryMap(E)
-            for F in product(range(n), repeat=n):
-                pair = MonadicPair(em, UnaryMap(F))
+            for fm in forall_maps:
+                pair = MonadicPair(em, fm)
                 if check_monadic(alg, pair, mode, ops).ok:
                     found.append(pair)
         found.sort(key=MonadicPair.sort_key)
@@ -176,20 +195,30 @@ def enumerate_mop(alg: FiniteAlgebra, mode: str = PLAIN,
           for x in range(n)]
     down = [[y for y in range(n) if arr[y][x] == one and sq[y][x] == one]
             for x in range(n)]
-    up[one] = [one]    # exists(1) = 1
-    down_choices = list(down)
-    down_choices[one] = [one]   # forall(1) = 1
+    up[one] = [one]      # exists(1) = 1
+    down[one] = [one]    # forall(1) = 1
 
     def idempotent(m):
-        return all(m[m[x]] == m[x] for x in range(n))
+        return tuple(map(m.__getitem__, m)) == m      # m m = m
 
-    exist_cands = [UnaryMap(E) for E in product(*up) if idempotent(E)]
-    forall_cands = [UnaryMap(F) for F in product(*down_choices) if idempotent(F)]
-    for em in exist_cands:
-        for fm in forall_cands:
-            pair = MonadicPair(em, fm)
-            if check_monadic(alg, pair, mode, ops).ok:
-                found.append(pair)
+    forall_by_image: dict[frozenset, list[tuple[int, ...]]] = {}
+    for F in product(*down):
+        if idempotent(F):
+            forall_by_image.setdefault(frozenset(F), []).append(F)
+    for E in product(*up):
+        if not idempotent(E):
+            continue
+        fix = frozenset(E)
+        closed = frozenset(t[x][e] for t in (arr, sq) for x in fix for e in fix)
+        if not closed <= fix:
+            continue
+        em = UnaryMap(E)
+        for image, group in forall_by_image.items():
+            if closed <= image <= fix:
+                for F in group:
+                    pair = MonadicPair(em, UnaryMap(F))
+                    if check_monadic(alg, pair, mode, ops).ok:
+                        found.append(pair)
     found.sort(key=MonadicPair.sort_key)
     return found
 

@@ -3,7 +3,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psbe.algebra import FiniteAlgebra
+from psbe import deduction
 from psbe.classify import check_pseudo_be, classify
 from psbe.deduction import (Congruence, IllDefined, correspondence_report,
                             enumerate_congruences, enumerate_ds, generated_ds,
@@ -11,10 +11,9 @@ from psbe.deduction import (Congruence, IllDefined, correspondence_report,
                             is_monadic_congruence,
                             is_monadic_ds, monadic_ds, quotient,
                             theta_from_ds)
-from psbe.laws import _psbe4_psbe5_ok, _tables_from_cells, free_cells
 from psbe.quantifiers import enumerate_mop, pair_from_unary_blocks
 
-from conftest import FIXTURE_NAMES, load
+from conftest import ORACLE_ALGEBRAS, labelled_models, load, times_c2
 
 
 def member_names(alg, ds):
@@ -134,40 +133,8 @@ def scan_meet_compatible(alg, cong, meet):
     return True
 
 
-def labelled_models(n):
-    """Every pseudo BE-algebra on n labelled elements with 1 = element 0."""
-    cells = free_cells(n)
-    tables = [_tables_from_cells(n, cells, vals)
-              for vals in product(range(n), repeat=len(cells))]
-    return [FiniteAlgebra(f"m{n}", ("1",) + tuple(f"e{i}" for i in range(1, n)),
-                          0, arrow, squig)
-            for arrow, squig in product(tables, repeat=2)
-            if _psbe4_psbe5_ok(n, arrow, squig)]
-
-
-def times_c2(alg):
-    """alg x C2, C2 = {1, 0}; element (x, y) has index 2x + y."""
-    c2 = ((0, 1), (0, 0))
-    cells = [(x, y) for x in alg.elements() for y in range(2)]
-
-    def table(t):
-        return tuple(tuple(2 * t[x][u] + c2[y][v] for u, v in cells)
-                     for x, y in cells)
-
-    return FiniteAlgebra(f"{alg.name}xC2",
-                         tuple(f"{alg.element_names[x]}.{'10'[y]}" for x, y in cells),
-                         2 * alg.one, table(alg.arrow), table(alg.squig))
-
-
 def test_labelled_models_small():
     assert [len(labelled_models(n)) for n in (2, 3)] == [1, 6]
-
-
-ORACLE_ALGEBRAS = [
-    *(pytest.param(load(name), id=name) for name in FIXTURE_NAMES),
-    *(pytest.param(alg, id=f"m{n}-{i}")
-      for n in (2, 3) for i, alg in enumerate(labelled_models(n))),
-]
 
 
 @pytest.mark.parametrize("alg", ORACLE_ALGEBRAS + [
@@ -222,6 +189,22 @@ def test_correspondence_be_variant(bc4):
 def test_correspondence_bck_meet_variant(inv6):
     for pair in enumerate_mop(inv6):
         assert bool(correspondence_report(inv6, pair, variant="bck_meet"))
+
+
+def test_correspondence_computes_theta_once_per_ds(inv6, monkeypatch):
+    pair = pair_from_unary_blocks(inv6, "")
+    normal = [d for d in monadic_ds(inv6, pair) if d.normal]
+    assert len(normal) == 2
+    calls = []
+    real = deduction.theta_from_ds
+
+    def counted(alg, ds):
+        calls.append(ds.members)
+        return real(alg, ds)
+
+    monkeypatch.setattr(deduction, "theta_from_ds", counted)
+    assert bool(correspondence_report(inv6, pair, variant="bck_meet"))
+    assert sorted(calls, key=sorted) == sorted((d.members for d in normal), key=sorted)
 
 
 def test_monadic_congruence_definition(psbe5):

@@ -1,16 +1,74 @@
+from dataclasses import replace
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from psbe.algebra import UnaryMap
 from psbe.classify import classify
-from psbe.quantifiers import (BOUNDED_COMMUTATIVE, MonadicPair, NotBCK,
-                              build_from_sigma, build_from_tau, check_monadic,
+from psbe.quantifiers import (BOUNDED_COMMUTATIVE, HOOP, PLAIN, ModeUnavailable,
+                              MonadicPair, NotBCK, build_from_sigma,
+                              build_from_tau, check_monadic,
                               check_mv_quantifier, compose_pairs,
                               declared_pairs, dual_quantifier, enumerate_mop,
                               fixed_set, is_monadic, pair_from_unary_blocks,
                               residuation_check)
 
-from conftest import load
+from conftest import ORACLE_ALGEBRAS, load, times_c2
+
+MODES = (PLAIN, BOUNDED_COMMUTATIVE, HOOP)
+
+
+def cross_product_mop(alg, mode=PLAIN):
+    """Reference enumerator: every (exists, forall) pair of candidates
+    (increasing resp. decreasing, idempotent, fixing 1) that passes
+    check_monadic.  M5 (E F x = F x) is screened first, read off the
+    definition of the fixed set; it is one of the axioms check_monadic
+    decides, so the list is the same and products stay affordable.
+    ModeUnavailable is raised whatever the candidates, as check_monadic
+    raises it on the identity pair."""
+    ops = classify(alg)[1] if mode != PLAIN else None
+    n, one, arr, sq = alg.size, alg.one, alg.arrow, alg.squig
+    identity = UnaryMap.identity(n)
+    check_monadic(alg, MonadicPair(identity, identity), mode, ops)
+    up = [[y for y in range(n) if arr[x][y] == one and sq[x][y] == one]
+          for x in range(n)]
+    down = [[y for y in range(n) if arr[y][x] == one and sq[y][x] == one]
+            for x in range(n)]
+    up[one] = down[one] = [one]
+
+    def idempotent(m):
+        return all(m[m[x]] == m[x] for x in range(n))
+
+    foralls = [(F, frozenset(F)) for F in product(*down) if idempotent(F)]
+    found = []
+    for E in product(*up):
+        if not idempotent(E):
+            continue
+        fix = frozenset(x for x in range(n) if E[x] == x)
+        for F, image in foralls:
+            if image <= fix:
+                pair = MonadicPair(UnaryMap(E), UnaryMap(F))
+                if check_monadic(alg, pair, mode, ops).ok:
+                    found.append(pair)
+    found.sort(key=MonadicPair.sort_key)
+    return found
+
+
+def outcome(enumerator, alg, mode, **kw):
+    """The list of pairs, or ModeUnavailable when that is raised."""
+    try:
+        return enumerator(alg, mode=mode, **kw)
+    except ModeUnavailable:
+        return ModeUnavailable
+
+
+def times_c2_pair(pair):
+    """pair x the identity pair of C2, indexed as `times_c2` does."""
+    def lift(m):
+        return UnaryMap(tuple(2 * m(x) + y for x in range(len(m.images))
+                              for y in range(2)))
+    return MonadicPair(lift(pair.exists), lift(pair.forall))
 
 
 def test_mop_psbe4_matches_declared(psbe4):
@@ -37,6 +95,55 @@ def test_declared_pairs_labels_in_file_order(psbe5, inv6):
 
 def test_mop_unpruned_agrees(psbe4):
     assert set(enumerate_mop(psbe4, unpruned=True)) == set(enumerate_mop(psbe4))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("alg", ORACLE_ALGEBRAS)
+def test_enumerate_mop_matches_cross_product(alg, mode):
+    expected = outcome(cross_product_mop, alg, mode)
+    assert outcome(enumerate_mop, alg, mode) == expected
+    if alg.size <= 3:
+        assert outcome(enumerate_mop, alg, mode, unpruned=True) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["psbe4", "psbe5", "bc4", "inv6"]), st.sampled_from(MODES),
+       st.data())
+def test_enumerate_mop_matches_cross_product_off_psbe(name, mode, data):
+    # one cell of one table changed: mostly not a pseudo BE-algebra any
+    # more (1 -> x = x or x -> x = 1 may fail), where no shortcut that
+    # relies on the psBE axioms may be taken; the declared zero is
+    # dropped, as it need not stay least
+    alg = load(name)
+    n = alg.size
+    which = data.draw(st.sampled_from(["arrow", "squig"]))
+    x, y, v = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+    rows = [list(row) for row in getattr(alg, which)]
+    rows[x][y] = v
+    alg = replace(alg, zero=None, **{which: tuple(map(tuple, rows))})
+    assert (outcome(enumerate_mop, alg, mode)
+            == outcome(cross_product_mop, alg, mode))
+
+
+@pytest.mark.parametrize("name, counts", [
+    ("inv6", (2, 1, 2)), ("bc4", (2, 2, 2)),
+    ("psbe4", (3, ModeUnavailable, ModeUnavailable)),
+    ("psbe5", (4, ModeUnavailable, ModeUnavailable))])
+def test_mop_counts_per_mode(name, counts):
+    alg = load(name)
+    got = [outcome(enumerate_mop, alg, mode) for mode in MODES]
+    assert [r if r is ModeUnavailable else len(r) for r in got] == list(counts)
+
+
+@pytest.mark.parametrize("name", ["bc4", "psbe4"])
+def test_mop_on_products_with_c2(name):
+    factor = load(name)
+    alg = times_c2(factor)
+    pairs = enumerate_mop(alg)
+    assert len(pairs) == 5
+    assert pairs == cross_product_mop(alg)
+    for _, pair in declared_pairs(factor):
+        assert times_c2_pair(pair) in pairs
 
 
 def test_mop_bc4_bounded_commutative_mode(bc4):
