@@ -26,6 +26,10 @@ class DeclaredZeroMismatch(ValueError):
     """Declared constant 0 is not a least element of the algebra."""
 
 
+class InvariantViolated(RuntimeError):
+    """A result the program proves or re-checks came out wrong: a bug."""
+
+
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of one check: holds, fails(witness) or not_applicable."""

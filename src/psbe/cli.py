@@ -16,8 +16,10 @@ import sys
 
 from . import __version__
 from .algebra import FiniteAlgebra, ParseError, load_algebra, serialize_algebra
-from .classify import check_pseudo_be, check_pseudo_bck, classify
-from .quantifiers import declared_pairs, enumerate_mop, pair_from_unary_blocks
+from .classify import (DeclaredZeroMismatch, check_pseudo_be, check_pseudo_bck,
+                       classify)
+from .quantifiers import (PreconditionUnmet, declared_pairs, enumerate_mop,
+                          pair_from_unary_blocks)
 from . import deduction as ded
 from . import laws as lawmod
 
@@ -329,7 +331,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         code, payload, text = _COMMANDS[args.command](args)
-    except UsageError as exc:
+    except (UsageError, DeclaredZeroMismatch, PreconditionUnmet) as exc:
         print(f"psbe: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     report = {

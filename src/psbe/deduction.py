@@ -14,8 +14,8 @@ from functools import cache
 from itertools import product
 
 from .algebra import FiniteAlgebra
-from .classify import (ClassificationReport, DerivedOps, Verdict,
-                       check_pseudo_bck, classify)
+from .classify import (ClassificationReport, DerivedOps, InvariantViolated,
+                       Verdict, check_pseudo_be, check_pseudo_bck, classify)
 from .quantifiers import MonadicPair, PreconditionUnmet, check_monadic
 
 
@@ -66,6 +66,24 @@ def _is_normal(alg: FiniteAlgebra, members: frozenset) -> bool:
     return True
 
 
+def _closures_disagree(alg: FiniteAlgebra, members: frozenset):
+    # On a pseudo BE-algebra modus ponens for -> and for ~> close the same
+    # sets: x -> ((x -> y) ~> y) = (x -> y) ~> (x -> y) = 1 (psBE4, psBE1),
+    # so x ~> ((x -> y) ~> y) = 1 (psBE5), and two ~> steps take x and
+    # x -> y to y; symmetrically for ~>.  So a disagreement names the
+    # pseudo BE axiom that fails.
+    def tokens(xs):
+        return ", ".join(alg.element_names[x] for x in xs)
+
+    where = f"arrow and squig closures disagree on {{{tokens(sorted(members))}}}"
+    verdict = check_pseudo_be(alg)
+    if verdict:
+        raise InvariantViolated(f"{where} of a pseudo BE-algebra")
+    raise PreconditionUnmet(f"deductive systems need a pseudo BE-algebra: "
+                            f"{where}; {verdict.name} fails at "
+                            f"({tokens(verdict.witness)})")
+
+
 def enumerate_ds(alg: FiniteAlgebra) -> list[DeductiveSystem]:
     """All deductive systems, ascending by size then lexicographically."""
     n, one = alg.size, alg.one
@@ -75,9 +93,8 @@ def enumerate_ds(alg: FiniteAlgebra) -> list[DeductiveSystem]:
         members = frozenset([one] + [x for i, x in enumerate(rest) if bits >> i & 1])
         arrow_closed = _mp_closed(alg, members, alg.arrow)
         squig_closed = _mp_closed(alg, members, alg.squig)
-        # closure under the two implications is provably equivalent
-        assert arrow_closed == squig_closed, \
-            f"arrow/squig closure disagree on {sorted(members)}"
+        if arrow_closed != squig_closed:
+            _closures_disagree(alg, members)
         if arrow_closed:
             out.append(DeductiveSystem(members, _is_normal(alg, members)))
     out.sort(key=DeductiveSystem.sort_key)

@@ -17,9 +17,11 @@ import copy
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import permutations, product
+from math import inf
 
 from .algebra import FiniteAlgebra
-from .classify import FAILS, HOLDS, NOT_APPLICABLE, classify, first_failure
+from .classify import (FAILS, HOLDS, NOT_APPLICABLE, InvariantViolated,
+                       classify, first_failure)
 from .quantifiers import MonadicPair, enumerate_mop, fixed_set
 from . import deduction as _ded
 
@@ -693,29 +695,79 @@ def candidate_count(n: int) -> int:
     return n ** ((n - 1) * (n - 2))
 
 
-def _tables_from_cells(n, cells, values):
-    t = [[None] * n for _ in range(n)]
-    for y in range(n):
-        t[0][y] = y                 # 1 -> x = x
-    for x in range(n):
-        t[x][0] = 0                 # x -> 1 = 1
-        t[x][x] = 0                 # x -> x = 1
-    for (x, y), v in zip(cells, values):
+def _backtrack(t, cells, values, ok, d=0):
+    """Assign `values` to cells[d:] of table t depth-first, yielding at
+    each full assignment, in lexicographic order of the cells' values.
+    ok(d) runs after cells[d] is written and may read only cells[:d + 1]
+    and fixed cells; a False prunes the subtree."""
+    if d == len(cells):
+        yield
+        return
+    x, y = cells[d]
+    for v in values:
         t[x][y] = v
-    return tuple(tuple(r) for r in t)
+        if ok(d):
+            yield from _backtrack(t, cells, values, ok, d + 1)
 
 
-def _psbe4_psbe5_ok(n, arrow, squig):
-    for x in range(n):
-        for y in range(n):
-            if (arrow[x][y] == 0) != (squig[x][y] == 0):   # psBE5
-                return False
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if arrow[x][squig[y][z]] != squig[y][arrow[x][z]]:  # psBE4
-                    return False
-    return True
+def _models(n):
+    """Every pseudo BE table pair on n elements (1 = element 0), as
+    (rank, arrow, squig), in the order of the scan over all candidate
+    pairs: arrow cell values lexicographic in `free_cells` order, then
+    squig values the same way.  `rank` is the pair's 1-based position
+    in that scan, so candidates in pruned subtrees are counted."""
+    cells = free_cells(n)
+    k = len(cells)
+    weight = [n ** (k - 1 - i) for i in range(k)]
+    pos = [[k] * n for _ in range(n)]        # depth at which a cell is set
+    for d, (x, y) in enumerate(cells):
+        pos[x][y] = d
+    col_before = [[p for p, q in cells[:d] if q == x]
+                  for d, (x, _) in enumerate(cells)]
+    a = [[y if x == 0 else 0 for y in range(n)] for x in range(n)]
+
+    # psBE4 at z = y reads x -> (y ~> y) = y ~> (x -> y), i.e.
+    # y ~> (x -> y) = x -> 1 = 1, and psBE5 turns that into
+    # y -> (x -> y) = 1: an arrow table breaking it has no squig partner.
+    def arrow_ok(d):
+        x, y = cells[d]
+        v = a[x][y]
+        if v == 0:
+            return True
+        if v != y and pos[y][v] < d and a[y][v]:   # the law at (x, y)
+            return False
+        # the law at an earlier (p, x) with p -> x = y needs x -> y = 1
+        return all(a[p][x] != y for p in col_before[d])
+
+    for _ in _backtrack(a, cells, range(n), arrow_ok):
+        arrow = tuple(map(tuple, a))
+        base = sum(a[x][y] * w for (x, y), w in zip(cells, weight)) * n ** k
+        # psBE5: a squig cell is 1 exactly where the arrow cell is
+        s = [list(row) if x == 0 else [0] * n for x, row in enumerate(arrow)]
+        open_cells = [c for c in cells if arrow[c[0]][c[1]]]
+        depth = [[-1] * n for _ in range(n)]
+        for d, (x, y) in enumerate(open_cells):
+            depth[x][y] = d
+        # psBE4 instance (x, y, z) reads squig cells (y, z) and (y, x -> z):
+        # test it once both are set, or now if neither is open.  It holds
+        # by the unit rows and columns when 1 is among x, y, z, and when
+        # z = y both sides are 1 (psBE5 and the arrow pruning).
+        checks = [[] for _ in open_cells]
+        fixed = []
+        for x, y, z in product(range(1, n), repeat=3):
+            if z != y:
+                w = arrow[x][z]
+                d = max(depth[y][z], depth[y][w])
+                (checks[d] if d >= 0 else fixed).append((arrow[x], s[y], z, w))
+        if not all(ar[sr[z]] == sr[w] for ar, sr, z, w in fixed):
+            continue
+
+        def squig_ok(d):
+            return all(ar[sr[z]] == sr[w] for ar, sr, z, w in checks[d])
+
+        for _ in _backtrack(s, open_cells, range(1, n), squig_ok):
+            yield (base + sum(s[x][y] * w for (x, y), w in zip(cells, weight))
+                   + 1, arrow, tuple(map(tuple, s)))
 
 
 def _is_canonical(n, arrow, squig):
@@ -736,7 +788,10 @@ def _is_canonical(n, arrow, squig):
 
 def _law_counterexample(law: Law, alg: FiniteAlgebra, spec: SearchSpec):
     report, ops = classify(alg)
-    assert report.holds("pseudo_be")
+    if not report.holds("pseudo_be"):
+        raise InvariantViolated(
+            f"search model {alg.arrow}, {alg.squig} is not a pseudo "
+            f"BE-algebra: {report['pseudo_be']}")
     if any(not report.holds(f) for f in spec.require):
         return None
     ctx = Ctx(alg, report, ops)
@@ -756,48 +811,54 @@ def _law_counterexample(law: Law, alg: FiniteAlgebra, spec: SearchSpec):
 
 
 def search_counterexample(spec: SearchSpec) -> SearchResult:
-    """Exhaustive scan of small algebras for a failure of one law.
+    """Exhaustive search of small algebras for a failure of one law.
 
-    Enumerates all (arrow, squig) table pairs consistent with the
-    forced unit rows/columns, filters by psBE4/psBE5 (with early exit),
-    then by the required classification flags, and evaluates the target
-    law on every monadic pair.  Every visited candidate pair is
-    counted, before filtering, so exhaustiveness is checkable against
-    `candidate_count`.  Any returned counterexample has been re-checked
-    from scratch before being returned.
+    The candidates are all (arrow, squig) table pairs consistent with
+    the forced unit rows/columns, in a fixed scan order (see `_models`).
+    They are not built one by one: a backtracking search assigns one
+    cell at a time and tests psBE4/psBE5 as soon as the cells they read
+    are set, so a failing prefix prunes every candidate that extends it.
+    Arrow tables are also pruned on y -> (x -> y) = 1, a consequence of
+    psBE4 and psBE5.  Each pseudo BE-algebra found is then filtered by
+    the required classification flags (and by `_is_canonical` under
+    `iso_reject`), and the target law is evaluated on every monadic pair.
+
+    `visited_by_size[n]` counts the candidates covered in scan order,
+    pruned subtrees included: the rank of the counterexample, or
+    candidate_count(n)**2 when size n is exhausted, so exhaustiveness is
+    checkable against `candidate_count`.  The budget bounds the same
+    count.  Any returned counterexample has been re-checked from scratch
+    before being returned.
     """
     law = next((l for l in catalog() if l.id == spec.law), None)
     if law is None:
         raise KeyError(f"unknown law id {spec.law!r}")
     result = SearchResult(found=None)
     for n in range(spec.min_size, spec.max_size + 1):
-        cells = free_cells(n)
-        visited = 0
-        for a_vals in product(range(n), repeat=len(cells)):
-            arrow = _tables_from_cells(n, cells, a_vals)
-            for s_vals in product(range(n), repeat=len(cells)):
-                visited += 1
-                if spec.budget is not None and result.visited + visited > spec.budget:
-                    result.visited_by_size[n] = visited
-                    raise BudgetExceeded(result)
-                squig = _tables_from_cells(n, cells, s_vals)
-                if not _psbe4_psbe5_ok(n, arrow, squig):
-                    continue
-                if spec.iso_reject and not _is_canonical(n, arrow, squig):
-                    continue
-                alg = FiniteAlgebra(
-                    name=f"search_{n}",
-                    element_names=("1",) + tuple(f"e{i}" for i in range(1, n)),
-                    one=0, arrow=arrow, squig=squig)
-                hit = _law_counterexample(law, alg, spec)
-                if hit is not None:
-                    result.visited_by_size[n] = visited
-                    # soundness: re-verify the witness from a fresh context
-                    alg2, pair, witness = hit
-                    rehit = _law_counterexample(law, alg2, spec)
-                    assert rehit is not None, "counterexample failed re-verification"
-                    result.found = hit
-                    return result
-        result.visited_by_size[n] = visited
+        remaining = (inf if spec.budget is None
+                     else max(spec.budget - result.visited, 0))
+        total = candidate_count(n) ** 2
+        for rank, arrow, squig in _models(n):
+            if rank > remaining:
+                break
+            if spec.iso_reject and not _is_canonical(n, arrow, squig):
+                continue
+            alg = FiniteAlgebra(
+                name=f"search_{n}",
+                element_names=("1",) + tuple(f"e{i}" for i in range(1, n)),
+                one=0, arrow=arrow, squig=squig)
+            hit = _law_counterexample(law, alg, spec)
+            if hit is not None:
+                result.visited_by_size[n] = rank
+                # soundness: re-verify the witness from a fresh context
+                if _law_counterexample(law, hit[0], spec) is None:
+                    raise InvariantViolated(
+                        f"counterexample to {law.id} failed re-verification")
+                result.found = hit
+                return result
+        if total > remaining:
+            result.visited_by_size[n] = remaining + 1
+            raise BudgetExceeded(result)
+        result.visited_by_size[n] = total
     result.exhausted = True
     return result

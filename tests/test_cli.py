@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -155,6 +158,38 @@ def test_parse_error_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "line 6" in err
+
+
+def _psbe_process(*argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(psbe.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "psbe.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_bad_declared_zero_exits_two(tmp_path):
+    bad = tmp_path / "bc4_zero_a.alg"
+    bad.write_text(fixture_path("bc4").read_text().replace("zero 0", "zero a"))
+    for command in ("check", "verify"):
+        out = _psbe_process(command, str(bad))
+        assert out.returncode == 2, command
+        assert out.stdout == ""
+        assert out.stderr == ("psbe: error: declared zero 'a' is not the "
+                              "least element ('0' is)\n"), command
+
+
+def test_ds_on_non_psbe_tables_exits_two(tmp_path):
+    # psBE5 fails at (b, a): b -> a = 1 but b ~> a = a, so {1, b} is
+    # closed under modus ponens for ~> but not for ->
+    bad = tmp_path / "psbe5_broken.alg"
+    bad.write_text("algebra broken\nelements 1 a b\none 1\n"
+                   "arrow\n1 a b\n1 1 1\n1 1 1\n"
+                   "squig\n1 a b\n1 1 1\n1 a 1\nend\n")
+    out = _psbe_process("ds", str(bad))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == (
+        "psbe: error: deductive systems need a pseudo BE-algebra: arrow and "
+        "squig closures disagree on {1, b}; psBE5 fails at (b, a)\n")
 
 
 def test_missing_file_exits_two(capsys):

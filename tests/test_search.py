@@ -1,9 +1,19 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from psbe.classify import check_pseudo_bck
-from psbe.laws import (BudgetExceeded, Ctx, SearchSpec, candidate_count,
-                       catalog, evaluate_law, free_cells,
-                       search_counterexample)
+import psbe.laws
+from psbe.classify import InvariantViolated, check_pseudo_bck
+from psbe.laws import (BudgetExceeded, Ctx, SearchSpec, _is_canonical,
+                       _models, candidate_count, catalog, evaluate_law,
+                       free_cells, search_counterexample)
+
+from conftest import brute_models, brute_search, search_outcome
+
+LAW_IDS = [law.id for law in catalog()]
 
 
 def test_free_cell_count_closed_form():
@@ -18,6 +28,90 @@ def test_size3_exhaustive_visit_count():
     assert result.found is None
     assert result.exhausted
     assert result.visited_by_size == {3: candidate_count(3) ** 2}
+
+
+def test_size4_exhaustive_visit_count():
+    result = search_counterexample(SearchSpec(law="AX.refl",
+                                              min_size=4, max_size=4))
+    assert result.found is None
+    assert result.exhausted
+    assert result.visited_by_size == {4: candidate_count(4) ** 2}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_models_match_brute_scan(n):
+    assert list(_models(n)) == brute_models(n)
+
+
+def test_model_counts():
+    models = {n: list(_models(n)) for n in (2, 3, 4)}
+    assert [len(models[n]) for n in (2, 3, 4)] == [1, 6, 388]
+    assert [sum(_is_canonical(n, a, s) for _, a, s in models[n])
+            for n in (2, 3, 4)] == [1, 4, 77]
+
+
+@pytest.mark.parametrize("law_id", LAW_IDS)
+def test_search_matches_brute_force(law_id):
+    for spec in (SearchSpec(law=law_id, max_size=3),
+                 SearchSpec(law=law_id, max_size=3, iso_reject=True,
+                            include_identity_pair=False)):
+        assert (search_outcome(search_counterexample, spec)
+                == search_outcome(brute_search, spec)), spec
+
+
+@pytest.mark.parametrize("law_id", ["AX.refl", "AX.psbck6_antisym"])
+def test_budget_matches_brute_force(law_id):
+    for budget in range(-1, 90):
+        spec = SearchSpec(law=law_id, max_size=3, budget=budget)
+        assert (search_outcome(search_counterexample, spec)
+                == search_outcome(brute_search, spec)), budget
+
+
+# tables on {1, a, b} that fail psBE5: a -> b = b but a ~> b = 1
+NOT_PSBE = (((0, 1, 2), (0, 0, 2), (0, 0, 0)),
+            ((0, 1, 2), (0, 0, 0), (0, 0, 0)))
+
+
+def _fake_models(n):
+    yield (1,) + NOT_PSBE
+
+
+def test_non_psbe_model_raises(monkeypatch):
+    monkeypatch.setattr(psbe.laws, "_models", _fake_models)
+    with pytest.raises(InvariantViolated, match="not a pseudo BE-algebra"):
+        search_counterexample(SearchSpec(law="AX.refl", min_size=3,
+                                         max_size=3))
+
+
+def test_non_psbe_model_raises_under_optimize():
+    src = Path(psbe.laws.__file__).resolve().parents[1]
+    script = (
+        "import psbe.laws as laws\n"
+        "from psbe.classify import InvariantViolated\n"
+        f"laws._models = lambda n: iter([(1,) + {NOT_PSBE!r}])\n"
+        "try:\n"
+        "    laws.search_counterexample(laws.SearchSpec('AX.refl', 3, 3))\n"
+        "except InvariantViolated:\n"
+        "    print('raised')\n")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "raised", out.stderr
+
+
+def test_failed_reverification_raises(monkeypatch):
+    real = psbe.laws._law_counterexample
+    hits = []
+
+    def hit_once(law, alg, spec):
+        hit = None if hits else real(law, alg, spec)
+        if hit is not None:
+            hits.append(hit)
+        return hit
+
+    monkeypatch.setattr(psbe.laws, "_law_counterexample", hit_once)
+    with pytest.raises(InvariantViolated, match="re-verification"):
+        search_counterexample(SearchSpec(law="AX.psbck6_antisym", max_size=3))
 
 
 def test_finds_non_antisymmetric_algebra():
