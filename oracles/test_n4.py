@@ -8,8 +8,8 @@ scans 16.8M table pairs; it is built once), so they live outside its
 
 The references are the tier-1 ones: the brute-force scan for `_models`
 and `search_counterexample`, the candidate cross product for
-`enumerate_mop` and the Bell(n) partition scan for
-`enumerate_congruences`.
+`enumerate_mop`, the Bell(n) partition scan for `enumerate_congruences`
+and the eager one-pass classification for `classify`.
 """
 
 import sys
@@ -20,6 +20,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from conftest import brute_models, brute_search, model_algebra, search_outcome
+from test_classify import assert_matches_eager
 from test_deduction import scan_congruences
 from test_quantifiers import MODES, cross_product_mop, outcome
 
@@ -60,3 +61,8 @@ def test_enumerate_mop_matches_cross_product(alg):
 @pytest.mark.parametrize("alg", N4)
 def test_enumerate_congruences_matches_partition_scan(alg):
     assert enumerate_congruences(alg) == scan_congruences(alg)
+
+
+@pytest.mark.parametrize("alg", N4)
+def test_classify_matches_eager(alg):
+    assert_matches_eager(alg)

@@ -12,7 +12,8 @@ deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property, partial
 from itertools import product, starmap
 
 from .algebra import FiniteAlgebra
@@ -135,21 +136,6 @@ def check_pseudo_bck(alg: FiniteAlgebra) -> Verdict:
     return Verdict.of(hit, "pseudo_bck")
 
 
-@dataclass(frozen=True)
-class DerivedOps:
-    """Operations induced by the tables; optional ones are None when undefined."""
-
-    leq: tuple[tuple[bool, ...], ...]
-    neg_minus: tuple[int, ...] | None = None   # x -> 0
-    neg_sim: tuple[int, ...] | None = None     # x ~> 0
-    odot: tuple[tuple[int, ...], ...] | None = None
-    oplus: tuple[tuple[int, ...], ...] | None = None
-    cup1: tuple[tuple[int, ...], ...] = ()
-    cup2: tuple[tuple[int, ...], ...] = ()
-    meet: tuple[tuple[int, ...], ...] | None = None
-    join: tuple[tuple[int, ...], ...] | None = None
-
-
 FLAG_NAMES = (
     "pseudo_be", "pseudo_bck", "condition_A", "condition_M", "condition_T",
     "distributive_i", "distributive_ii", "commutative", "bounded", "good",
@@ -158,14 +144,61 @@ FLAG_NAMES = (
 )
 
 
-@dataclass(frozen=True)
+def least_elements(alg: FiniteAlgebra) -> list[int]:
+    """The elements z with z -> x = z ~> x = 1 for every x.  Raises
+    DeclaredZeroMismatch when the algebra declares a zero that is not its
+    only least element (with several, none is singled out)."""
+    one, rng = alg.one, alg.elements()
+    least = [z for z in rng
+             if all(alg.arrow[z][x] == one and alg.squig[z][x] == one for x in rng)]
+    if alg.zero is not None and len(least) < 2 and least != [alg.zero]:
+        what = (f"the least element ({alg.element_names[least[0]]!r} is)" if least
+                else "a least element")
+        raise DeclaredZeroMismatch(
+            f"declared zero {alg.element_names[alg.zero]!r} is not {what}")
+    return least
+
+
+def _cup(first, then):    # the table of (x first y) then y
+    rng = range(len(first))
+    return tuple(tuple(then[first[x][y]][y] for y in rng) for x in rng)
+
+
+def _axiom(arity: int, tables: tuple, pred):
+    """A flag computed on first read: pred(*tables, *t) for every t in range(n)**arity,
+    tables read off the report by name; not_applicable if one is undefined."""
+    def verdict(report):
+        name, args = flag.attrname, [getattr(report, t) for t in tables]
+        if None in args:
+            return Verdict.na(name)
+        hit = first_failure(report.alg.size, arity, [(name, partial(pred, *args))])
+        return Verdict.of(hit, name)
+    flag = cached_property(verdict)
+    return flag
+
+
 class ClassificationReport:
-    flags: dict[str, Verdict] = field(default_factory=dict)
+    """Classification flags and derived tables of one algebra, each
+    computed on first read and kept (see `classify`)."""
+
+    def __init__(self, alg: FiniteAlgebra):
+        self.alg = alg
+        self.arrow, self.squig = alg.arrow, alg.squig
+        least = least_elements(alg)
+        self._zero = least[0] if len(least) == 1 else None
+        self.bounded = (Verdict.holds("bounded") if len(least) == 1
+                        else Verdict.fails("bounded", tuple(least[:2])))
+
+    @property
+    def flags(self) -> dict[str, Verdict]:
+        return {name: getattr(self, name) for name in FLAG_NAMES}
 
     def __getitem__(self, name: str) -> Verdict:
         if name == "distributive":   # alias bound to condition (i)
             name = "distributive_i"
-        return self.flags[name]
+        if name not in FLAG_NAMES:
+            raise KeyError(name)
+        return getattr(self, name)
 
     def holds(self, name: str) -> bool:
         return self[name].status == HOLDS
@@ -173,151 +206,115 @@ class ClassificationReport:
     def to_json(self, alg: FiniteAlgebra | None = None) -> dict:
         return {name: v.to_json(alg) for name, v in self.flags.items()}
 
+    # ------------------------------------------- tables (None if undefined)
 
-def _least_elements(alg: FiniteAlgebra) -> list[int]:
-    one = alg.one
-    return [z for z in alg.elements()
-            if all(alg.arrow[z][x] == one and alg.squig[z][x] == one
-                   for x in alg.elements())]
+    leq = cached_property(lambda self: tuple(tuple(v == self.alg.one for v in row)
+                                             for row in self.arrow))
+    cup1 = cached_property(lambda self: _cup(self.arrow, self.squig))    # (x -> y) ~> y
+    cup2 = cached_property(lambda self: _cup(self.squig, self.arrow))    # (x ~> y) -> y
+    neg_minus = cached_property(lambda self: None if self._zero is None else
+                                tuple(row[self._zero] for row in self.arrow))   # x -> 0
+    neg_sim = cached_property(lambda self: None if self._zero is None else
+                              tuple(row[self._zero] for row in self.squig))     # x ~> 0
+    meet = cached_property(lambda self: _bound_table(self.leq, lower=True) if self.poset else None)
+    join = cached_property(lambda self: _bound_table(self.leq, lower=False) if self.poset else None)
+    # (odot, None), or (None, the first pair without a product)
+    _pseudo_product = cached_property(lambda self: pseudo_product_table(self.alg, self.leq)
+                                      if self.poset else (None, None))
+    odot = cached_property(lambda self: self._pseudo_product[0])
+
+    @cached_property
+    def oplus(self):    # x (+) y = y~ -> x, required to agree with x- ~> y
+        nm, ns = self.neg_minus, self.neg_sim
+        if nm is None:
+            return None
+        a, s, rng = self.arrow, self.squig, self.alg.elements()
+        cand = tuple(tuple(a[ns[y]][x] for y in rng) for x in rng)
+        return cand if all(cand[x][y] == s[nm[x]][y] for x in rng for y in rng) else None
+
+    # ------------------------------------------------------------- flags
+
+    pseudo_be = cached_property(lambda self: check_pseudo_be(self.alg))
+    pseudo_bck = cached_property(lambda self: check_pseudo_bck(self.alg))
+    condition_A = _axiom(3, ("leq", "arrow", "squig"), lambda leq, a, s, x, y, z:
+                         not leq[x][y] or (leq[a[y][z]][a[x][z]] and leq[s[y][z]][s[x][z]]))
+    condition_M = _axiom(3, ("leq", "arrow", "squig"), lambda leq, a, s, x, y, z:
+                         not leq[x][y] or (leq[a[z][x]][a[z][y]] and leq[s[z][x]][s[z][y]]))
+    condition_T = _axiom(3, ("leq",), lambda leq, x, y, z:
+                         not (leq[x][y] and leq[y][z]) or leq[x][z])
+    distributive_i = _axiom(3, ("arrow", "squig"), lambda a, s, x, y, z:
+                            a[x][s[y][z]] == s[a[x][y]][a[x][z]])
+    distributive_ii = _axiom(3, ("arrow", "squig"), lambda a, s, x, y, z:
+                             s[x][a[y][z]] == a[s[x][y]][s[x][z]])
+    commutative = _axiom(2, ("cup1", "cup2"), lambda c1, c2, x, y:
+                         c1[x][y] == c1[y][x] and c2[x][y] == c2[y][x])
+    good = _axiom(1, ("neg_minus", "neg_sim"), lambda nm, ns, x: ns[nm[x]] == nm[ns[x]])
+    involutive = _axiom(1, ("neg_minus", "neg_sim"), lambda nm, ns, x:
+                        ns[nm[x]] == x and nm[ns[x]] == x)
+
+    @cached_property
+    def poset(self):
+        leq = self.leq
+        antisym = first_failure(self.alg.size, 2, [("antisymmetric", lambda x, y:
+                                                    not (leq[x][y] and leq[y][x]) or x == y)])
+        if antisym is None and self.condition_T:
+            return Verdict.holds("poset")
+        return Verdict.fails("poset", antisym[1] if antisym else self.condition_T.witness)
+
+    def _order_flag(self, name, tables, witness=()) -> Verdict:
+        if not self.poset:
+            return Verdict.na(name)
+        return Verdict.holds(name) if None not in tables else Verdict.fails(name, witness)
+
+    meet_semilattice = cached_property(
+        lambda self: self._order_flag("meet_semilattice", [self.meet]))
+    join_semilattice = cached_property(
+        lambda self: self._order_flag("join_semilattice", [self.join]))
+    lattice = cached_property(lambda self: self._order_flag("lattice", [self.meet, self.join]))
+    has_pP = cached_property(lambda self: self._order_flag(
+        "has_pP", self._pseudo_product[:1], self._pseudo_product[1]))
+
+    @cached_property
+    def pseudo_hoop(self):    # psH1-psH5 with the computed product
+        od, a, s, one = self.odot, self.arrow, self.squig, self.alg.one
+        if od is None:
+            return Verdict.na("pseudo_hoop")
+        psh = first_failure_of(self.alg.size, [
+            (1, [("psH1", lambda x: od[x][one] == x and od[one][x] == x)]),
+            (3, [("psH3", lambda x, y, z: a[od[x][y]][z] == a[x][a[y][z]])]),
+            (3, [("psH4", lambda x, y, z: s[od[x][y]][z] == s[y][s[x][z]])]),
+            (2, [("psH5", lambda x, y:
+                  od[a[x][y]][x] == od[a[y][x]][y]
+                  and od[a[x][y]][x] == od[x][s[x][y]]
+                  and od[x][s[x][y]] == od[y][s[y][x]])]),
+        ])
+        return Verdict.holds("pseudo_hoop") if psh is None else Verdict.fails("pseudo_hoop", psh[1])
+
+    @cached_property
+    def pseudo_mv(self):    # of a bounded commutative algebra
+        if (self._zero is None or not self.commutative or self.oplus is None
+                or self.odot is None):
+            return Verdict.na("pseudo_mv")
+        return _check_pseudo_mv(self.alg, self.oplus, self.odot, self.neg_minus,
+                                self.neg_sim, self._zero)
+
+
+DerivedOps = ClassificationReport   # the derived tables are the report's
+
+
+def classify(alg: FiniteAlgebra) -> tuple[ClassificationReport, DerivedOps]:
+    """The flags and derived tables of alg as (report, ops): one
+    ClassificationReport in both roles.  Only the least elements are found
+    here, so a bad declared zero raises DeclaredZeroMismatch at once.  Each
+    flag and table is computed on first read (reading the tables and flags
+    it needs the same way) and kept: a caller pays only for what it reads."""
+    report = ClassificationReport(alg)
+    return report, report
 
 
 def _unique_minimum(candidates: list[int], leq) -> int | None:
     mins = [m for m in candidates if all(leq[m][z] for z in candidates)]
     return mins[0] if len(mins) == 1 else None
-
-
-def report_leq(alg: FiniteAlgebra):
-    one = alg.one
-    return tuple(tuple(alg.arrow[x][y] == one for y in range(alg.size))
-                 for x in range(alg.size))
-
-
-def classify(alg: FiniteAlgebra) -> tuple[ClassificationReport, DerivedOps]:
-    """Compute every classification flag and all derived tables."""
-    n, one = alg.size, alg.one
-    arr, sq = alg.arrow, alg.squig
-    rng = range(n)
-    flags: dict[str, Verdict] = {}
-
-    flags["pseudo_be"] = check_pseudo_be(alg)
-    flags["pseudo_bck"] = check_pseudo_bck(alg)
-
-    leq = report_leq(alg)
-
-    def axiom(name, arity, pred):
-        flags[name] = Verdict.of(first_failure(n, arity, [(name, pred)]), name)
-
-    axiom("condition_A", 3, lambda x, y, z:
-          not leq[x][y] or (leq[arr[y][z]][arr[x][z]] and leq[sq[y][z]][sq[x][z]]))
-    axiom("condition_M", 3, lambda x, y, z:
-          not leq[x][y] or (leq[arr[z][x]][arr[z][y]] and leq[sq[z][x]][sq[z][y]]))
-    axiom("condition_T", 3, lambda x, y, z:
-          not (leq[x][y] and leq[y][z]) or leq[x][z])
-    axiom("distributive_i", 3, lambda x, y, z: arr[x][sq[y][z]] == sq[arr[x][y]][arr[x][z]])
-    axiom("distributive_ii", 3, lambda x, y, z: sq[x][arr[y][z]] == arr[sq[x][y]][sq[x][z]])
-
-    cup1 = tuple(tuple(sq[arr[x][y]][y] for y in rng) for x in rng)
-    cup2 = tuple(tuple(arr[sq[x][y]][y] for y in rng) for x in rng)
-    axiom("commutative", 2, lambda x, y:
-          cup1[x][y] == cup1[y][x] and cup2[x][y] == cup2[y][x])
-
-    # boundedness: search for a least element, even when no zero declared
-    least = _least_elements(alg)
-    if len(least) == 1:
-        zero = least[0]
-        if alg.zero is not None and alg.zero != zero:
-            raise DeclaredZeroMismatch(
-                f"declared zero {alg.element_names[alg.zero]!r} is not the "
-                f"least element ({alg.element_names[zero]!r} is)")
-        flags["bounded"] = Verdict.holds("bounded")
-    elif len(least) == 0:
-        zero = None
-        if alg.zero is not None:
-            raise DeclaredZeroMismatch(
-                f"declared zero {alg.element_names[alg.zero]!r} is not a least element")
-        flags["bounded"] = Verdict.fails("bounded", ())
-    else:
-        zero = None
-        flags["bounded"] = Verdict.fails("bounded", tuple(least[:2]))
-
-    neg_minus = neg_sim = None
-    if zero is not None:
-        neg_minus = tuple(arr[x][zero] for x in rng)
-        neg_sim = tuple(sq[x][zero] for x in rng)
-        nm, ns = neg_minus, neg_sim
-        axiom("good", 1, lambda x: ns[nm[x]] == nm[ns[x]])
-        axiom("involutive", 1, lambda x: ns[nm[x]] == x and nm[ns[x]] == x)
-    else:
-        flags["good"] = Verdict.na("good")
-        flags["involutive"] = Verdict.na("involutive")
-
-    # order structure
-    antisym = first_failure(n, 2, [("antisymmetric", lambda x, y:
-                                    not (leq[x][y] and leq[y][x]) or x == y)])
-    if antisym is None and flags["condition_T"]:
-        flags["poset"] = Verdict.holds("poset")
-    else:
-        flags["poset"] = Verdict.fails("poset", antisym[1] if antisym
-                                       else flags["condition_T"].witness)
-
-    meet = join = None
-    if flags["poset"]:
-        meet = _bound_table(leq, n, lower=True)
-        join = _bound_table(leq, n, lower=False)
-        flags["meet_semilattice"] = (Verdict.holds("meet_semilattice") if meet is not None
-                                     else Verdict.fails("meet_semilattice", ()))
-        flags["join_semilattice"] = (Verdict.holds("join_semilattice") if join is not None
-                                     else Verdict.fails("join_semilattice", ()))
-        flags["lattice"] = (Verdict.holds("lattice")
-                            if meet is not None and join is not None
-                            else Verdict.fails("lattice", ()))
-    else:
-        for f in ("meet_semilattice", "join_semilattice", "lattice"):
-            flags[f] = Verdict.na(f)
-
-    # pseudo-product
-    odot = None
-    if flags["poset"]:
-        odot, bad_pair = pseudo_product_table(alg, leq)
-        flags["has_pP"] = (Verdict.holds("has_pP") if odot is not None
-                           else Verdict.fails("has_pP", bad_pair))
-    else:
-        flags["has_pP"] = Verdict.na("has_pP")
-
-    # oplus: x (+) y = y~ -> x, required to agree with x- ~> y
-    oplus = None
-    if zero is not None:
-        cand = tuple(tuple(arr[neg_sim[y]][x] for y in rng) for x in rng)
-        if all(cand[x][y] == sq[neg_minus[x]][y] for x in rng for y in rng):
-            oplus = cand
-
-    # pseudo-hoop: psH1-psH5 with the computed product
-    if odot is not None:
-        od = odot
-        psh = first_failure_of(n, [
-            (1, [("psH1", lambda x: od[x][one] == x and od[one][x] == x)]),
-            (3, [("psH3", lambda x, y, z: arr[od[x][y]][z] == arr[x][arr[y][z]])]),
-            (3, [("psH4", lambda x, y, z: sq[od[x][y]][z] == sq[y][sq[x][z]])]),
-            (2, [("psH5", lambda x, y:
-                  od[arr[x][y]][x] == od[arr[y][x]][y]
-                  and od[arr[x][y]][x] == od[x][sq[x][y]]
-                  and od[x][sq[x][y]] == od[y][sq[y][x]])]),
-        ])
-        flags["pseudo_hoop"] = (Verdict.holds("pseudo_hoop") if psh is None else
-                                Verdict.fails("pseudo_hoop", psh[1]))
-    else:
-        flags["pseudo_hoop"] = Verdict.na("pseudo_hoop")
-
-    # pseudo MV structure of a bounded commutative algebra
-    if zero is not None and flags["commutative"] and oplus is not None and odot is not None:
-        flags["pseudo_mv"] = _check_pseudo_mv(alg, oplus, odot, neg_minus, neg_sim, zero)
-    else:
-        flags["pseudo_mv"] = Verdict.na("pseudo_mv")
-
-    ops = DerivedOps(leq=leq, neg_minus=neg_minus, neg_sim=neg_sim,
-                     odot=odot, oplus=oplus, cup1=cup1, cup2=cup2,
-                     meet=meet, join=join)
-    return ClassificationReport(flags), ops
 
 
 def pseudo_product_table(alg: FiniteAlgebra, leq):
@@ -338,18 +335,16 @@ def pseudo_product_table(alg: FiniteAlgebra, leq):
     return tuple(rows), None
 
 
-def _bound_table(leq, n: int, lower: bool):
+def _bound_table(leq, lower: bool):
     """Meet (lower=True) or join table from the order, or None if some pair lacks one."""
+    n = len(leq)
+    le = leq if lower else tuple(zip(*leq))     # a join is a meet of the dual
     rows = []
     for x in range(n):
         row = []
         for y in range(n):
-            if lower:
-                bounds = [z for z in range(n) if leq[z][x] and leq[z][y]]
-                best = [m for m in bounds if all(leq[z][m] for z in bounds)]
-            else:
-                bounds = [z for z in range(n) if leq[x][z] and leq[y][z]]
-                best = [m for m in bounds if all(leq[m][z] for z in bounds)]
+            bounds = [z for z in range(n) if le[z][x] and le[z][y]]
+            best = [m for m in bounds if all(le[z][m] for z in bounds)]
             if len(best) != 1:
                 return None
             row.append(best[0])

@@ -17,7 +17,7 @@ import sys
 from . import __version__
 from .algebra import FiniteAlgebra, ParseError, load_algebra, serialize_algebra
 from .classify import (DeclaredZeroMismatch, check_pseudo_be, check_pseudo_bck,
-                       classify)
+                       classify, least_elements)
 from .quantifiers import (PreconditionUnmet, declared_pairs, enumerate_mop,
                           pair_from_unary_blocks)
 from . import deduction as ded
@@ -42,12 +42,16 @@ def _names(alg, xs):
 
 
 def _load(path) -> FiniteAlgebra:
+    """The algebra in path; raises DeclaredZeroMismatch (exit 2) when its
+    declared zero is not the least element, whatever the subcommand."""
     try:
-        return load_algebra(path)
+        alg = load_algebra(path)
     except FileNotFoundError:
         raise UsageError(f"no such file: {path}")
     except ParseError as exc:
         raise UsageError(f"{path}: {exc}")
+    least_elements(alg)
+    return alg
 
 
 def _parse_set(alg, spec: str) -> frozenset:
@@ -134,8 +138,7 @@ def _cmd_gen(args):
     if args.set is None:
         raise UsageError("gen requires --set")
     xs = _parse_set(alg, args.set)
-    report, _ = classify(alg)
-    gen = ded.generated_ds(alg, xs, report)
+    gen = ded.generated_ds(alg, xs)
     payload = {
         "algebra": alg.name,
         "set": _names(alg, xs),
@@ -150,8 +153,7 @@ def _cmd_quotient(args):
     if args.set is None:
         raise UsageError("quotient requires --set (a deductive system)")
     xs = _parse_set(alg, args.set)
-    report, _ = classify(alg)
-    d = ded.generated_ds(alg, xs, report)
+    d = ded.generated_ds(alg, xs)
     if d.members != xs:
         raise UsageError(
             f"--set is not a deductive system (it generates "

@@ -155,15 +155,17 @@ def generated_ds(alg: FiniteAlgebra, xs,
     if verify:
         meets = [d.members for d in enumerate_ds(alg) if xs <= d.members]
         oracle = frozenset.intersection(*meets)
-        assert members == oracle, \
-            f"fixpoint {sorted(members)} != intersection oracle {sorted(oracle)}"
+        if members != oracle:
+            raise InvariantViolated(f"fixpoint {sorted(members)} != "
+                                    f"intersection oracle {sorted(oracle)}")
         if report is None:
             report, _ = classify(alg)
         if report.holds("condition_M") and xs:
             by_arrow = _implication_members(alg, xs, alg.arrow)
             by_squig = _implication_members(alg, xs, alg.squig)
-            assert members == by_arrow == by_squig, \
-                "nested-implication characterization disagrees with fixpoint"
+            if not members == by_arrow == by_squig:
+                raise InvariantViolated(
+                    "nested-implication characterization disagrees with fixpoint")
     return DeductiveSystem(members, _is_normal(alg, members))
 
 
@@ -203,7 +205,8 @@ class Congruence:
         for i, b in enumerate(blocks):
             for x in b:
                 cls[x] = i
-        assert None not in cls, "blocks do not cover the carrier"
+        if None in cls:
+            raise InvariantViolated("blocks do not cover the carrier")
         return _canonical(cls)
 
     def to_json(self, alg: FiniteAlgebra) -> list[list[str]]:
@@ -372,7 +375,8 @@ def theta_from_ds(alg: FiniteAlgebra, ds: DeductiveSystem) -> Congruence:
     bad = is_compatible(alg, cong)
     if bad is not None:
         raise NotACongruence("relation not compatible with the operations", bad)
-    assert cong.one_class(alg) == d, "[1]_Theta differs from D"
+    if cong.one_class(alg) != d:
+        raise InvariantViolated("[1]_Theta differs from D")
     return cong
 
 
@@ -446,7 +450,7 @@ def quotient(alg: FiniteAlgebra, cong: Congruence,
         chk = check_monadic(q, q_pair)
         if not chk.ok:
             bad = chk.first_failure()
-            raise AssertionError(f"quotient pair fails {bad.name} at {bad.witness}")
+            raise InvariantViolated(f"quotient pair fails {bad.name} at {bad.witness}")
     return QuotientAlgebra(q, tuple(proj), q_pair)
 
 

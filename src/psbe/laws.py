@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import permutations, product
 from math import inf
 
@@ -54,9 +54,10 @@ class _Memo:
 
 class Ctx:
     """Evaluation context: one algebra, its classification, derived
-    operations and (optionally) one monadic pair.  `memo` holds the
-    algebra's deductive systems and congruences; every context derived
-    by `with_pair` shares it."""
+    operations and (optionally) one monadic pair.  The derived tables are
+    read from `ops` on first use.  `memo` holds the algebra's deductive
+    systems and congruences; every context derived by `with_pair` shares
+    it and the classification."""
 
     def __init__(self, alg: FiniteAlgebra, report=None, ops=None,
                  pair: MonadicPair | None = None):
@@ -71,15 +72,16 @@ class Ctx:
         self.zero = alg.zero
         self.a = alg.arrow
         self.s = alg.squig
-        self.nm = ops.neg_minus
-        self.ns = ops.neg_sim
-        self.od = ops.odot
-        self.op = ops.oplus
-        self.meet = ops.meet
-        self.join = ops.join
         self.E = pair.exists.images if pair else None
         self.F = pair.forall.images if pair else None
         self.memo = _Memo(alg)
+
+    nm = cached_property(lambda self: self.ops.neg_minus)
+    ns = cached_property(lambda self: self.ops.neg_sim)
+    od = cached_property(lambda self: self.ops.odot)
+    op = cached_property(lambda self: self.ops.oplus)
+    meet = cached_property(lambda self: self.ops.meet)
+    join = cached_property(lambda self: self.ops.join)
 
     def le(self, x, y):
         return self.a[x][y] == self.one
@@ -283,7 +285,9 @@ def _iff_pointwise(lhs, rhs):
     return check
 
 
-def catalog() -> list[Law]:
+@cache
+def catalog() -> tuple[Law, ...]:
+    """Every law, sorted by id: one immutable tuple, built on the first call."""
     L = []
     add = L.append
 
@@ -596,10 +600,14 @@ def catalog() -> list[Law]:
             lambda c, x, y: not (c.le(x, y) and c.le(y, x)) or x == y,
             uses_pair=False, probe=True))
 
-    ids = [law.id for law in L]
-    assert len(ids) == len(set(ids)), "law ids must be unique"
-    L.sort(key=lambda law: law.id)
-    return L
+    if len({law.id for law in L}) != len(L):
+        raise InvariantViolated("law ids must be unique")
+    return tuple(sorted(L, key=lambda law: law.id))
+
+
+@cache
+def _law_by_id() -> dict[str, Law]:
+    return {law.id: law for law in catalog()}
 
 
 def catalog_json() -> list[dict]:
@@ -639,7 +647,7 @@ def verify_suite(alg: FiniteAlgebra, pairs, law_ids=None,
     laws = catalog()
     if law_ids is not None:
         wanted = set(law_ids)
-        unknown = wanted - {l.id for l in laws}
+        unknown = wanted - _law_by_id().keys()
         if unknown:
             raise KeyError(f"unknown law ids: {sorted(unknown)}")
         laws = [l for l in laws if l.id in wanted]
@@ -830,7 +838,7 @@ def search_counterexample(spec: SearchSpec) -> SearchResult:
     count.  Any returned counterexample has been re-checked from scratch
     before being returned.
     """
-    law = next((l for l in catalog() if l.id == spec.law), None)
+    law = _law_by_id().get(spec.law)
     if law is None:
         raise KeyError(f"unknown law id {spec.law!r}")
     result = SearchResult(found=None)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from .algebra import FiniteAlgebra, UnaryMap
-from .classify import (ClassificationReport, DerivedOps, Verdict, classify,
-                       first_failure, first_failure_of, HOLDS)
+from .classify import (ClassificationReport, DerivedOps, InvariantViolated,
+                       Verdict, classify, first_failure, first_failure_of, HOLDS)
 
 PLAIN = "plain"
 BOUNDED_COMMUTATIVE = "bc"
@@ -290,7 +290,8 @@ def build_from_tau(alg: FiniteAlgebra, tau: UnaryMap,
 
     exists = tuple(ns[t[nm[x]]] for x in range(n))
     other = tuple(nm[t[ns[x]]] for x in range(n))
-    assert exists == other, "the two defining formulas for exists disagree despite U2"
+    if exists != other:
+        raise InvariantViolated("the two defining formulas for exists disagree despite U2")
     pair = MonadicPair(UnaryMap(exists), tau)
     _validate_built(alg, pair, report, ops, "build_from_tau")
     return pair
@@ -327,7 +328,8 @@ def build_from_sigma(alg: FiniteAlgebra, sigma: UnaryMap,
 
     forall = tuple(ns[s[nm[x]]] for x in range(n))
     other = tuple(nm[s[ns[x]]] for x in range(n))
-    assert forall == other, "the two defining formulas for forall disagree despite E2"
+    if forall != other:
+        raise InvariantViolated("the two defining formulas for forall disagree despite E2")
     pair = MonadicPair(sigma, UnaryMap(forall))
     _validate_built(alg, pair, report, ops, "build_from_sigma")
     return pair
@@ -346,8 +348,8 @@ def _validate_built(alg, pair, report, ops, what):
     chk = check_monadic(alg, pair, mode, ops)
     if not chk.ok:
         bad = chk.first_failure()
-        raise AssertionError(f"{what} produced a non-monadic pair: "
-                             f"{bad.name} fails at {bad.witness}")
+        raise InvariantViolated(f"{what} produced a non-monadic pair: "
+                                f"{bad.name} fails at {bad.witness}")
 
 
 def dual_quantifier(alg: FiniteAlgebra, direction: str, m: UnaryMap,
@@ -381,10 +383,11 @@ def compose_pairs(alg: FiniteAlgebra, p1: MonadicPair, p2: MonadicPair,
 
     Returns the validated pair (exists1 exists2, forall1 forall2) iff
     the compositions commute; also reports the pointwise ordering and
-    asserts its composition characterizations.  The theorems are stated
-    for pseudo BCK-algebras, but their arguments only use transitivity
-    of the induced order, and the source example applies them to a
-    non-BCK transitive algebra -- so that is the precondition enforced.
+    checks its composition characterizations (InvariantViolated if one
+    fails).  The theorems are stated for pseudo BCK-algebras, but their
+    arguments only use transitivity of the induced order, and the source
+    example applies them to a non-BCK transitive algebra -- so that is
+    the precondition enforced.
     """
     if report is None:
         report, _ = classify(alg)
@@ -400,16 +403,18 @@ def compose_pairs(alg: FiniteAlgebra, p1: MonadicPair, p2: MonadicPair,
     le = lambda a, b: all(alg.arrow[a(x)][b(x)] == one for x in alg.elements())
     # forall1 forall2 = forall1 forces forall1 <= forall2 even on a mere
     # preorder (forall1 x = forall1(forall2 x) <= forall2 x by M2)
-    assert not (f12 == p1.forall) or le(p1.forall, p2.forall), \
-        "forall ordering characterization (forward)"
-    assert not (e12 == p1.exists) or le(p2.exists, p1.exists), \
-        "exists ordering characterization (forward)"
+    if f12 == p1.forall and not le(p1.forall, p2.forall):
+        raise InvariantViolated("forall ordering characterization (forward)")
+    if e12 == p1.exists and not le(p2.exists, p1.exists):
+        raise InvariantViolated("exists ordering characterization (forward)")
     if report.holds("poset"):
         forall_le = le(p1.forall, p2.forall)
         exists_le = le(p1.exists, p2.exists)
         # full equivalences need antisymmetry of <=
-        assert forall_le == (f12 == p1.forall), "forall ordering characterization"
-        assert le(p2.exists, p1.exists) == (e12 == p1.exists), "exists ordering characterization"
+        if forall_le != (f12 == p1.forall):
+            raise InvariantViolated("forall ordering characterization")
+        if le(p2.exists, p1.exists) != (e12 == p1.exists):
+            raise InvariantViolated("exists ordering characterization")
     else:
         forall_le = exists_le = None
 
@@ -417,7 +422,7 @@ def compose_pairs(alg: FiniteAlgebra, p1: MonadicPair, p2: MonadicPair,
     if commute:
         pair = MonadicPair(e12, f12)
         if not check_monadic(alg, pair).ok:
-            raise AssertionError("commuting composition failed monadic validation")
+            raise InvariantViolated("commuting composition failed monadic validation")
     return CompositionResult(pair, commute, forall_le, exists_le)
 
 

@@ -5,6 +5,9 @@ import pytest
 
 import psbe
 from psbe.algebra import FiniteAlgebra, load_algebra
+from psbe.classify import (DeclaredZeroMismatch, Verdict, _check_pseudo_mv,
+                           check_pseudo_be, check_pseudo_bck, first_failure,
+                           first_failure_of, pseudo_product_table)
 from psbe.laws import (BudgetExceeded, SearchResult, _is_canonical,
                        _law_counterexample, candidate_count, catalog,
                        free_cells)
@@ -142,6 +145,162 @@ def search_outcome(search, spec):
         alg, pair, witness = found
         found = (alg.arrow, alg.squig, pair, witness)
     return raised, found, result.visited_by_size, result.exhausted
+
+
+# ------------------------------------------------ the eager classification
+# classify's reference: every flag and derived table computed in one pass,
+# in the order the flags depend on each other.
+
+TABLE_NAMES = ("leq", "neg_minus", "neg_sim", "odot", "oplus", "cup1",
+               "cup2", "meet", "join")
+
+
+def eager_classify(alg):
+    """Every classification flag and derived table of alg, computed at
+    once, as ({flag: Verdict}, {table name: table or None})."""
+    n, one = alg.size, alg.one
+    arr, sq = alg.arrow, alg.squig
+    rng = range(n)
+    flags: dict[str, Verdict] = {}
+
+    flags["pseudo_be"] = check_pseudo_be(alg)
+    flags["pseudo_bck"] = check_pseudo_bck(alg)
+
+    leq = tuple(tuple(arr[x][y] == one for y in rng) for x in rng)
+
+    def axiom(name, arity, pred):
+        flags[name] = Verdict.of(first_failure(n, arity, [(name, pred)]), name)
+
+    axiom("condition_A", 3, lambda x, y, z:
+          not leq[x][y] or (leq[arr[y][z]][arr[x][z]] and leq[sq[y][z]][sq[x][z]]))
+    axiom("condition_M", 3, lambda x, y, z:
+          not leq[x][y] or (leq[arr[z][x]][arr[z][y]] and leq[sq[z][x]][sq[z][y]]))
+    axiom("condition_T", 3, lambda x, y, z:
+          not (leq[x][y] and leq[y][z]) or leq[x][z])
+    axiom("distributive_i", 3, lambda x, y, z: arr[x][sq[y][z]] == sq[arr[x][y]][arr[x][z]])
+    axiom("distributive_ii", 3, lambda x, y, z: sq[x][arr[y][z]] == arr[sq[x][y]][sq[x][z]])
+
+    cup1 = tuple(tuple(sq[arr[x][y]][y] for y in rng) for x in rng)
+    cup2 = tuple(tuple(arr[sq[x][y]][y] for y in rng) for x in rng)
+    axiom("commutative", 2, lambda x, y:
+          cup1[x][y] == cup1[y][x] and cup2[x][y] == cup2[y][x])
+
+    # boundedness: search for a least element, even when no zero declared
+    least = [z for z in rng if all(arr[z][x] == one and sq[z][x] == one for x in rng)]
+    if len(least) == 1:
+        zero = least[0]
+        if alg.zero is not None and alg.zero != zero:
+            raise DeclaredZeroMismatch(
+                f"declared zero {alg.element_names[alg.zero]!r} is not the "
+                f"least element ({alg.element_names[zero]!r} is)")
+        flags["bounded"] = Verdict.holds("bounded")
+    elif len(least) == 0:
+        zero = None
+        if alg.zero is not None:
+            raise DeclaredZeroMismatch(
+                f"declared zero {alg.element_names[alg.zero]!r} is not a least element")
+        flags["bounded"] = Verdict.fails("bounded", ())
+    else:
+        zero = None
+        flags["bounded"] = Verdict.fails("bounded", tuple(least[:2]))
+
+    neg_minus = neg_sim = None
+    if zero is not None:
+        neg_minus = tuple(arr[x][zero] for x in rng)
+        neg_sim = tuple(sq[x][zero] for x in rng)
+        nm, ns = neg_minus, neg_sim
+        axiom("good", 1, lambda x: ns[nm[x]] == nm[ns[x]])
+        axiom("involutive", 1, lambda x: ns[nm[x]] == x and nm[ns[x]] == x)
+    else:
+        flags["good"] = Verdict.na("good")
+        flags["involutive"] = Verdict.na("involutive")
+
+    # order structure
+    antisym = first_failure(n, 2, [("antisymmetric", lambda x, y:
+                                    not (leq[x][y] and leq[y][x]) or x == y)])
+    if antisym is None and flags["condition_T"]:
+        flags["poset"] = Verdict.holds("poset")
+    else:
+        flags["poset"] = Verdict.fails("poset", antisym[1] if antisym
+                                       else flags["condition_T"].witness)
+
+    meet = join = None
+    if flags["poset"]:
+        meet = _eager_bound_table(leq, n, lower=True)
+        join = _eager_bound_table(leq, n, lower=False)
+        flags["meet_semilattice"] = (Verdict.holds("meet_semilattice") if meet is not None
+                                     else Verdict.fails("meet_semilattice", ()))
+        flags["join_semilattice"] = (Verdict.holds("join_semilattice") if join is not None
+                                     else Verdict.fails("join_semilattice", ()))
+        flags["lattice"] = (Verdict.holds("lattice")
+                            if meet is not None and join is not None
+                            else Verdict.fails("lattice", ()))
+    else:
+        for f in ("meet_semilattice", "join_semilattice", "lattice"):
+            flags[f] = Verdict.na(f)
+
+    # pseudo-product
+    odot = None
+    if flags["poset"]:
+        odot, bad_pair = pseudo_product_table(alg, leq)
+        flags["has_pP"] = (Verdict.holds("has_pP") if odot is not None
+                           else Verdict.fails("has_pP", bad_pair))
+    else:
+        flags["has_pP"] = Verdict.na("has_pP")
+
+    # oplus: x (+) y = y~ -> x, required to agree with x- ~> y
+    oplus = None
+    if zero is not None:
+        cand = tuple(tuple(arr[neg_sim[y]][x] for y in rng) for x in rng)
+        if all(cand[x][y] == sq[neg_minus[x]][y] for x in rng for y in rng):
+            oplus = cand
+
+    # pseudo-hoop: psH1-psH5 with the computed product
+    if odot is not None:
+        od = odot
+        psh = first_failure_of(n, [
+            (1, [("psH1", lambda x: od[x][one] == x and od[one][x] == x)]),
+            (3, [("psH3", lambda x, y, z: arr[od[x][y]][z] == arr[x][arr[y][z]])]),
+            (3, [("psH4", lambda x, y, z: sq[od[x][y]][z] == sq[y][sq[x][z]])]),
+            (2, [("psH5", lambda x, y:
+                  od[arr[x][y]][x] == od[arr[y][x]][y]
+                  and od[arr[x][y]][x] == od[x][sq[x][y]]
+                  and od[x][sq[x][y]] == od[y][sq[y][x]])]),
+        ])
+        flags["pseudo_hoop"] = (Verdict.holds("pseudo_hoop") if psh is None else
+                                Verdict.fails("pseudo_hoop", psh[1]))
+    else:
+        flags["pseudo_hoop"] = Verdict.na("pseudo_hoop")
+
+    # pseudo MV structure of a bounded commutative algebra
+    if zero is not None and flags["commutative"] and oplus is not None and odot is not None:
+        flags["pseudo_mv"] = _check_pseudo_mv(alg, oplus, odot, neg_minus, neg_sim, zero)
+    else:
+        flags["pseudo_mv"] = Verdict.na("pseudo_mv")
+
+    tables = dict(leq=leq, neg_minus=neg_minus, neg_sim=neg_sim,
+                  odot=odot, oplus=oplus, cup1=cup1, cup2=cup2,
+                  meet=meet, join=join)
+    return flags, tables
+
+
+def _eager_bound_table(leq, n: int, lower: bool):
+    """Meet (lower=True) or join table from the order, or None if some pair lacks one."""
+    rows = []
+    for x in range(n):
+        row = []
+        for y in range(n):
+            if lower:
+                bounds = [z for z in range(n) if leq[z][x] and leq[z][y]]
+                best = [m for m in bounds if all(leq[z][m] for z in bounds)]
+            else:
+                bounds = [z for z in range(n) if leq[x][z] and leq[y][z]]
+                best = [m for m in bounds if all(leq[m][z] for z in bounds)]
+            if len(best) != 1:
+                return None
+            row.append(best[0])
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def times_c2(alg):

@@ -1,4 +1,21 @@
-from psbe.classify import check_pseudo_be, check_pseudo_bck, classify
+import importlib
+import random
+import re
+from collections import Counter
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from psbe.classify import (FLAG_NAMES, DeclaredZeroMismatch, check_pseudo_be,
+                           check_pseudo_bck, classify)
+from psbe.laws import SearchSpec, search_counterexample
+
+from conftest import (FIXTURE_NAMES, ORACLE_ALGEBRAS, TABLE_NAMES,
+                      eager_classify, load, times_c2)
+
+# the module: the package attribute psbe.classify is the function
+classify_module = importlib.import_module("psbe.classify")
 
 
 def names(alg, verdict):
@@ -77,3 +94,88 @@ def test_report_json_shape(any_fixture):
     doc = report.to_json(any_fixture)
     for verdict in doc.values():
         assert verdict["status"] in ("holds", "fails", "not_applicable")
+
+
+# ------------------------------------------- on-demand classification
+# Each flag and table of classify is computed on first read; the eager
+# one-pass classification in conftest is the reference.
+
+def assert_matches_eager(alg, seed=0):
+    try:
+        flags, tables = eager_classify(alg)
+    except DeclaredZeroMismatch as exc:
+        with pytest.raises(DeclaredZeroMismatch, match=re.escape(str(exc))):
+            classify(alg)
+        return
+    for name in FLAG_NAMES:                 # each read alone
+        report, _ = classify(alg)
+        assert report[name] == flags[name], name
+    for name in TABLE_NAMES:
+        _, ops = classify(alg)
+        assert getattr(ops, name) == tables[name], name
+    report, ops = classify(alg)             # everything, in a random order
+    attrs = list(FLAG_NAMES + TABLE_NAMES)
+    random.Random(seed).shuffle(attrs)
+    for name in attrs:
+        getattr(report, name)
+    assert report.to_json(alg) == {k: v.to_json(alg) for k, v in flags.items()}
+    assert list(report.flags) == list(FLAG_NAMES)
+    assert {name: getattr(ops, name) for name in TABLE_NAMES} == tables
+    assert report["distributive"] == flags["distributive_i"]
+
+
+@pytest.mark.parametrize("alg", ORACLE_ALGEBRAS + [
+    pytest.param(times_c2(load(name)), id=f"{name}xC2") for name in ("bc4", "psbe4")])
+def test_classify_matches_eager(alg):
+    assert_matches_eager(alg)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_declared_zero_checked_up_front(name):
+    # every element declared as the zero: classify raises exactly when,
+    # and with the message with which, the eager classification does
+    alg = load(name)
+    for zero in alg.elements():
+        assert_matches_eager(replace(alg, zero=zero), seed=zero)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FIXTURE_NAMES), st.data())
+def test_classify_matches_eager_off_psbe(name, data):
+    # one cell of one table changed, mostly not psBE any more; the
+    # declared zero is dropped, as it need not stay least
+    alg = load(name)
+    n = alg.size
+    which = data.draw(st.sampled_from(["arrow", "squig"]))
+    x, y, v = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+    rows = [list(row) for row in getattr(alg, which)]
+    rows[x][y] = v
+    alg = replace(alg, zero=None, **{which: tuple(map(tuple, rows))})
+    assert_matches_eager(alg, seed=data.draw(st.integers(0, 2**16)))
+
+
+def test_unknown_flag_is_a_key_error(bc4):
+    report, _ = classify(bc4)
+    with pytest.raises(KeyError):
+        report["leq"]
+
+
+def test_search_computes_only_what_the_law_reads(monkeypatch):
+    # AX.psbck6_antisym needs pseudo_be alone: no model of the search
+    # may be checked for psBCK or get a pseudo-product table
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(classify_module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(classify_module, name, wrapper)
+
+    for name in ("check_pseudo_be", "check_pseudo_bck", "pseudo_product_table"):
+        counted(name)
+    result = search_counterexample(SearchSpec(law="AX.psbck6_antisym", max_size=3))
+    assert result.found is not None
+    assert calls["check_pseudo_be"] > 0
+    assert calls["check_pseudo_bck"] == calls["pseudo_product_table"] == 0

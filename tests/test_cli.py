@@ -169,8 +169,9 @@ def _psbe_process(*argv):
 def test_bad_declared_zero_exits_two(tmp_path):
     bad = tmp_path / "bc4_zero_a.alg"
     bad.write_text(fixture_path("bc4").read_text().replace("zero 0", "zero a"))
-    for command in ("check", "verify"):
-        out = _psbe_process(command, str(bad))
+    for command in (["check"], ["verify"], ["mop"], ["ds"], ["gen", "--set", "1"],
+                    ["quotient", "--set", "1"]):
+        out = _psbe_process(*command, str(bad))
         assert out.returncode == 2, command
         assert out.stdout == ""
         assert out.stderr == ("psbe: error: declared zero 'a' is not the "

@@ -18,6 +18,20 @@ def test_catalog_size_and_required_ids():
     assert len(ids) == len(laws)
 
 
+def test_catalog_is_built_once():
+    assert catalog() is catalog()
+    assert isinstance(catalog(), tuple)
+
+
+def test_laws_hold_no_per_call_state():
+    # the catalog's laws are shared by every call: a second run over
+    # the same algebra gives the same verdicts
+    alg = load("inv6")
+    pairs = enumerate_mop(alg)
+    first = verify_suite(alg, pairs, include_probes=True)
+    assert verify_suite(alg, pairs, include_probes=True) == first
+
+
 def test_catalog_sorted_and_anchored():
     laws = catalog()
     assert [l.id for l in laws] == sorted(l.id for l in laws)

@@ -11,12 +11,11 @@ verdict, witness or instance count.
 import hashlib
 import json
 import random
-from dataclasses import asdict
 from itertools import product
 
 from psbe.algebra import FiniteAlgebra, UnaryMap
-from psbe.classify import (_check_pseudo_mv, check_pseudo_be,
-                           check_pseudo_bck, classify)
+from psbe.classify import (InvariantViolated, _check_pseudo_mv,
+                           check_pseudo_be, check_pseudo_bck, classify)
 from psbe.laws import verify_suite
 from psbe.quantifiers import (EConditionFailed, ModeUnavailable, MonadicPair,
                               PreconditionUnmet, UConditionFailed,
@@ -24,7 +23,7 @@ from psbe.quantifiers import (EConditionFailed, ModeUnavailable, MonadicPair,
                               check_mv_quantifier, enumerate_mop,
                               residuation_check)
 
-from conftest import FIXTURE_NAMES, load
+from conftest import FIXTURE_NAMES, TABLE_NAMES, load
 
 DIGEST = "18f01b0c684740138e8e2d0febf1aa85e7839eb57963d1b2c227229d30355eb2"
 
@@ -117,7 +116,8 @@ def _small_models():
 def _classified(alg):
     report, ops = classify(alg)
     return [alg.arrow, alg.squig, check_pseudo_be(alg).to_json(alg),
-            check_pseudo_bck(alg).to_json(alg), report.to_json(alg), asdict(ops)]
+            check_pseudo_bck(alg).to_json(alg), report.to_json(alg),
+            {name: getattr(ops, name) for name in TABLE_NAMES}]
 
 
 def _nudged_mv(rng, alg, ops):
@@ -141,7 +141,7 @@ def _built(build, alg, m, report, ops):
         pair = build(alg, m, report, ops)
     except (UConditionFailed, EConditionFailed) as exc:
         return [type(exc).__name__, exc.k, exc.witness]
-    except (PreconditionUnmet, AssertionError) as exc:
+    except (PreconditionUnmet, InvariantViolated) as exc:
         return [type(exc).__name__, str(exc)]
     return [pair.exists.images, pair.forall.images]
 
