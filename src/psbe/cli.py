@@ -16,8 +16,7 @@ import sys
 
 from . import __version__
 from .algebra import FiniteAlgebra, ParseError, load_algebra, serialize_algebra
-from .classify import (DeclaredZeroMismatch, check_pseudo_be, check_pseudo_bck,
-                       classify, least_elements)
+from .classify import DeclaredZeroMismatch, classify, least_elements
 from .quantifiers import (PreconditionUnmet, declared_pairs, enumerate_mop,
                           pair_from_unary_blocks)
 from . import deduction as ded
@@ -76,8 +75,8 @@ def _cmd_check(args):
     payload = {
         "algebra": alg.name,
         "size": alg.size,
-        "pseudo_be": check_pseudo_be(alg).to_json(alg),
-        "pseudo_bck": check_pseudo_bck(alg).to_json(alg),
+        "pseudo_be": report["pseudo_be"].to_json(alg),
+        "pseudo_bck": report["pseudo_bck"].to_json(alg),
         "flags": report.to_json(alg),
     }
     lines = [f"algebra {alg.name} ({alg.size} elements)"]

@@ -188,26 +188,9 @@ class Congruence:
             out[c].append(x)
         return [tuple(b) for b in out]
 
-    def block_of(self, x: int) -> tuple:
-        c = self.classes[x]
-        return tuple(i for i, b in enumerate(self.classes) if b == c)
-
     def one_class(self, alg: FiniteAlgebra) -> frozenset:
-        return frozenset(self.block_of(alg.one))
-
-    @staticmethod
-    def identity(n: int) -> "Congruence":
-        return Congruence(tuple(range(n)))
-
-    @staticmethod
-    def from_blocks(n: int, blocks) -> "Congruence":
-        cls = [None] * n
-        for i, b in enumerate(blocks):
-            for x in b:
-                cls[x] = i
-        if None in cls:
-            raise InvariantViolated("blocks do not cover the carrier")
-        return _canonical(cls)
+        c = self.classes[alg.one]
+        return frozenset(x for x, b in enumerate(self.classes) if b == c)
 
     def to_json(self, alg: FiniteAlgebra) -> list[list[str]]:
         return [[alg.element_names[x] for x in b] for b in self.blocks()]
@@ -216,12 +199,7 @@ class Congruence:
 def _canonical(cls) -> Congruence:
     # renumber so block ids appear in first-occurrence order
     seen = {}
-    out = []
-    for c in cls:
-        if c not in seen:
-            seen[c] = len(seen)
-        out.append(seen[c])
-    return Congruence(tuple(out))
+    return Congruence(tuple(seen.setdefault(c, len(seen)) for c in cls))
 
 
 def _related(cong: Congruence) -> list[tuple]:
@@ -250,9 +228,12 @@ def is_compatible(alg: FiniteAlgebra, cong: Congruence) -> tuple[int, ...] | Non
 
 
 def is_monadic_congruence(cong: Congruence, pair: MonadicPair) -> bool:
-    n = len(cong.classes)
-    return all(cong.same(pair.forall(x), pair.forall(y))
-               for x in range(n) for y in range(n) if cong.same(x, y))
+    """x ~ y implies forall x ~ forall y, checked against the first
+    element of each block."""
+    cls, f = cong.classes, pair.forall.images
+    first = {}
+    return all(cls[f[x]] == cls[f[first.setdefault(c, x)]]
+               for x, c in enumerate(cls))
 
 
 def is_meet_compatible(alg: FiniteAlgebra, cong: Congruence,
@@ -280,45 +261,44 @@ def is_relative_congruence(alg: FiniteAlgebra, cong: Congruence) -> bool:
     return bool(check_pseudo_bck(q.algebra))
 
 
-def _find(parent: list, x: int) -> int:
-    while parent[x] != x:
-        parent[x] = x = parent[parent[x]]
-    return x
+def _merge(lab: list, members: list, x: int, y: int) -> None:
+    """Merge the classes of x and y (distinct) by relabelling the smaller."""
+    keep, gone = lab[x], lab[y]
+    if len(members[keep]) < len(members[gone]):
+        keep, gone = gone, keep
+    for z in members[gone]:
+        lab[z] = keep
+    members[keep] += members[gone]
+    members[gone] = None
 
 
-def _partition(parent: list) -> tuple:
-    """Restricted-growth string of a union-find forest."""
-    return _canonical([_find(parent, x) for x in range(len(parent))]).classes
+def _principal(n: int, a: int, b: int, translates) -> tuple:
+    """Cg(a, b): each merge of x and y queues the non-trivial translated
+    pairs of (x, y), until the queue empties or one block is left."""
+    lab = list(range(n))
+    members = [[x] for x in range(n)]
+    pending = [[(a, b)]]
+    while pending:
+        for pair in pending.pop():
+            x, y = pair
+            if lab[x] != lab[y]:
+                _merge(lab, members, x, y)
+                if len(members[lab[x]]) == n:
+                    return (0,) * n
+                pending.append(translates(pair))
+    return _canonical(lab).classes
 
 
-def _principal(alg: FiniteAlgebra, a: int, b: int, cols) -> tuple:
-    """Cg(a, b) by union-find closure: each merge of x and y queues the
-    translated pairs (x op u, y op u) and (u op x, u op y) for every u
-    and both implications, until the queue empties or one block is left."""
-    parent = list(range(alg.size))
-    blocks = alg.size
-    queue = [(a, b)]
-    while queue and blocks > 1:
-        x, y = queue.pop()
-        rx, ry = _find(parent, x), _find(parent, y)
-        if rx != ry:
-            parent[ry] = rx
-            blocks -= 1
-            for table, col in zip((alg.arrow, alg.squig), cols):
-                queue.extend(zip(table[x], table[y]))
-                queue.extend(zip(col[x], col[y]))
-    return _partition(parent)
-
-
-def _join(p: tuple, q: tuple) -> tuple:
-    """Join of two partitions in Eq(A), as restricted-growth strings."""
-    first = {}
-    parent = [first.setdefault(c, x) for x, c in enumerate(p)]
-    first = {}
-    for x, c in enumerate(q):
-        rx, ry = _find(parent, x), _find(parent, first.setdefault(c, x))
-        parent[rx] = ry
-    return _partition(parent)
+def _join(theta: tuple, links) -> tuple:
+    """theta joined with the partition whose blocks the links (x, first
+    element of x's block) span; theta itself when every link lies in it."""
+    if all(theta[x] == theta[y] for x, y in links):
+        return theta
+    lab, members = list(theta), Congruence(theta).blocks()
+    for x, y in links:
+        if lab[x] != lab[y]:
+            _merge(lab, members, x, y)
+    return _canonical(lab).classes
 
 
 def enumerate_congruences(alg: FiniteAlgebra) -> list[Congruence]:
@@ -328,17 +308,31 @@ def enumerate_congruences(alg: FiniteAlgebra) -> list[Congruence]:
     of its pairs, and Con(A) is a sublattice of Eq(A): so the identity
     plus every Cg(a, b), a < b, closed under partition joins, is Con(A)
     (R. Freese, "Computing congruences efficiently", Algebra Universalis
-    59, 2008).  Callers report the first congruence that fails a law,
-    so the sort order is part of the contract."""
+    59, 2008).  A merge relabels the smaller class, so no find is
+    needed; a merge of x and y queues the non-trivial translates
+    (x op u, y op u) and (u op x, u op y), listed once per pair per
+    call.  A join applies only the links (x, first element of x's
+    block) of a principal.  Callers report the first congruence that
+    fails a law, so the sort order is part of the contract."""
     n = alg.size
-    cols = [tuple(zip(*t)) for t in (alg.arrow, alg.squig)]
-    principals = {_principal(alg, a, b, cols)
+    tables = [(t, tuple(zip(*t))) for t in (alg.arrow, alg.squig)]
+
+    @cache
+    def translates(pair):
+        x, y = pair
+        return {(p, q) for t in tables for rows in t
+                for p, q in zip(rows[x], rows[y]) if p != q}
+
+    principals = {_principal(n, a, b, translates)
                   for a in range(n) for b in range(a + 1, n)}
+    # p.index(c) is the first element of the block numbered c
+    links = [[(x, p.index(c)) for x, c in enumerate(p) if p.index(c) != x]
+             for p in principals]
     found = set(principals)
     queue = list(principals)
     while queue:
         theta = queue.pop()
-        for p in principals:
+        for p in links:
             psi = _join(theta, p)
             if psi not in found:
                 found.add(psi)

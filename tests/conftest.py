@@ -303,18 +303,27 @@ def _eager_bound_table(leq, n: int, lower: bool):
     return tuple(rows)
 
 
-def times_c2(alg):
-    """alg x C2, C2 = {1, 0}; element (x, y) has index 2x + y."""
-    c2 = ((0, 1), (0, 0))
-    cells = [(x, y) for x in alg.elements() for y in range(2)]
+C2 = FiniteAlgebra("C2", ("1", "0"), 0, ((0, 1), (0, 0)), ((0, 1), (0, 0)))
 
-    def table(t):
-        return tuple(tuple(2 * t[x][u] + c2[y][v] for u, v in cells)
+
+def direct_product(a, b):
+    """a x b, operations componentwise; element (x, y) has index x|b| + y."""
+    cells = [(x, y) for x in a.elements() for y in b.elements()]
+
+    def table(s, t):
+        return tuple(tuple(b.size * s[x][u] + t[y][v] for u, v in cells)
                      for x, y in cells)
 
-    return FiniteAlgebra(f"{alg.name}xC2",
-                         tuple(f"{alg.element_names[x]}.{'10'[y]}" for x, y in cells),
-                         2 * alg.one, table(alg.arrow), table(alg.squig))
+    return FiniteAlgebra(f"{a.name}x{b.name}",
+                         tuple(f"{a.element_names[x]}.{b.element_names[y]}"
+                               for x, y in cells),
+                         b.size * a.one + b.one,
+                         table(a.arrow, b.arrow), table(a.squig, b.squig))
+
+
+def times_c2(alg):
+    """alg x C2, C2 = {1, 0}; element (x, y) has index 2x + y."""
+    return direct_product(alg, C2)
 
 
 # the differential oracles' inputs: the fixtures and every labelled

@@ -8,6 +8,7 @@ import pytest
 from jsonschema import Draft7Validator
 
 import psbe
+from psbe import cli as cli_module
 from psbe.cli import run
 from psbe.laws import catalog
 
@@ -15,6 +16,7 @@ from conftest import fixture_path
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report.schema.json"
 VALIDATOR = Draft7Validator(json.loads(SCHEMA_PATH.read_text()))
+classify_module = sys.modules["psbe.classify"]     # psbe.classify is the function
 
 
 def invoke(capsys, *argv):
@@ -40,6 +42,23 @@ def test_check_report(capsys):
     assert code == 0
     assert report["payload"]["flags"]["pseudo_bck"]["status"] == "fails"
     assert report["payload"]["flags"]["pseudo_bck"]["witness"] == ["b", "c"]
+
+
+def test_check_runs_each_axiom_check_once(capsys, monkeypatch):
+    # the payload's pseudo_be/pseudo_bck fields are the report's flags
+    calls = []
+    for name in ("check_pseudo_be", "check_pseudo_bck"):
+        real = getattr(classify_module, name)
+
+        def counted(alg, real=real, name=name):
+            calls.append(name)
+            return real(alg)
+
+        monkeypatch.setattr(classify_module, name, counted)
+        monkeypatch.setattr(cli_module, name, counted, raising=False)
+    code, _ = invoke_json(capsys, "check", str(fixture_path("inv6")))
+    assert code == 0
+    assert sorted(calls) == ["check_pseudo_bck", "check_pseudo_be"]
 
 
 def test_mop_lists_four_pairs(capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from psbe import deduction
+from psbe.algebra import FiniteAlgebra, UnaryMap
 from psbe.classify import check_pseudo_be, classify
 from psbe.deduction import (Congruence, IllDefined, correspondence_report,
                             enumerate_congruences, enumerate_ds, generated_ds,
@@ -11,7 +12,7 @@ from psbe.deduction import (Congruence, IllDefined, correspondence_report,
                             is_monadic_congruence,
                             is_monadic_ds, monadic_ds, quotient,
                             theta_from_ds)
-from psbe.quantifiers import enumerate_mop, pair_from_unary_blocks
+from psbe.quantifiers import MonadicPair, enumerate_mop, pair_from_unary_blocks
 
 from conftest import ORACLE_ALGEBRAS, labelled_models, load, times_c2
 
@@ -112,6 +113,68 @@ def scan_congruences(alg):
     return [c for c in all_partitions(alg.size) if is_compatible(alg, c) is None]
 
 
+def unionfind_congruences(alg):
+    """Reference enumerator: the identity and every principal Cg(a, b) by
+    union-find closure over all translated pairs, closed under
+    union-find joins of partitions."""
+    n = alg.size
+    cols = [tuple(zip(*t)) for t in (alg.arrow, alg.squig)]
+
+    def find(parent, x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    def partition(parent):
+        seen = {}
+        return tuple(seen.setdefault(find(parent, x), len(seen)) for x in range(n))
+
+    def principal(a, b):
+        parent = list(range(n))
+        blocks = n
+        queue = [(a, b)]
+        while queue and blocks > 1:
+            x, y = queue.pop()
+            rx, ry = find(parent, x), find(parent, y)
+            if rx != ry:
+                parent[ry] = rx
+                blocks -= 1
+                for table, col in zip((alg.arrow, alg.squig), cols):
+                    queue.extend(zip(table[x], table[y]))
+                    queue.extend(zip(col[x], col[y]))
+        return partition(parent)
+
+    def join(p, q):
+        first = {}
+        parent = [first.setdefault(c, x) for x, c in enumerate(p)]
+        first = {}
+        for x, c in enumerate(q):
+            rx, ry = find(parent, x), find(parent, first.setdefault(c, x))
+            parent[rx] = ry
+        return partition(parent)
+
+    principals = {principal(a, b) for a in range(n) for b in range(a + 1, n)}
+    found = set(principals)
+    queue = list(principals)
+    while queue:
+        theta = queue.pop()
+        for p in principals:
+            psi = join(theta, p)
+            if psi not in found:
+                found.add(psi)
+                queue.append(psi)
+    found.add(tuple(range(n)))
+    return [Congruence(c) for c in sorted(found)]
+
+
+def monadic_congruence_reference(cong, pair):
+    """Reference for is_monadic_congruence: x ~ y implies forall x ~
+    forall y, over all n^2 pairs."""
+    n = len(cong.classes)
+    return all(cong.same(pair.forall(x), pair.forall(y))
+               for x in range(n) for y in range(n) if cong.same(x, y))
+
+
 def scan_compatible(alg, cong):
     """Reference for is_compatible: the first of all n^4 tuples."""
     for x, y, u, v in product(range(alg.size), repeat=4):
@@ -141,6 +204,44 @@ def test_labelled_models_small():
     pytest.param(times_c2(load(name)), id=f"{name}xC2") for name in ("bc4", "psbe4")])
 def test_enumerate_congruences_matches_partition_scan(alg):
     assert enumerate_congruences(alg) == scan_congruences(alg)
+
+
+@pytest.mark.parametrize("name", ["psbe5", "inv6"])
+def test_enumerate_congruences_matches_unionfind(name):
+    alg = times_c2(load(name))
+    assert enumerate_congruences(alg) == unionfind_congruences(alg)
+
+
+@st.composite
+def table_pairs(draw):
+    """Two arbitrary operation tables on 2 to 6 elements, 1 = element 0."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    cell = st.integers(min_value=0, max_value=n - 1)
+    arrow, squig = (tuple(tuple(draw(cell) for _ in range(n)) for _ in range(n))
+                    for _ in range(2))
+    return FiniteAlgebra("r", tuple(f"e{i}" for i in range(n)), 0, arrow, squig)
+
+
+@settings(max_examples=120, deadline=None)
+@given(table_pairs())
+def test_enumerate_congruences_matches_scan_off_psbe(alg):
+    assert enumerate_congruences(alg) == scan_congruences(alg)
+
+
+@pytest.mark.parametrize("alg", ORACLE_ALGEBRAS + [
+    pytest.param(times_c2(load(name)), id=f"{name}xC2") for name in ("bc4", "psbe4")])
+def test_is_monadic_congruence_matches_reference(alg):
+    # every partition up to n = 6; every self-map as forall up to n = 4
+    n = alg.size
+    congs = all_partitions(n) if n <= 6 else enumerate_congruences(alg)
+    pairs = enumerate_mop(alg)
+    if n <= 4:
+        pairs = [MonadicPair(UnaryMap.identity(n), UnaryMap(images))
+                 for images in product(range(n), repeat=n)]
+    for pair in pairs:
+        for cong in congs:
+            assert (is_monadic_congruence(cong, pair)
+                    == monadic_congruence_reference(cong, pair))
 
 
 @pytest.mark.parametrize("alg", ORACLE_ALGEBRAS)
