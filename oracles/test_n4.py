@@ -22,11 +22,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from conftest import brute_models, brute_search, model_algebra, search_outcome
 from test_classify import assert_matches_eager
 from test_deduction import scan_congruences
+from test_law_pin import digest, with_least_zero
 from test_quantifiers import MODES, cross_product_mop, outcome
 
 from psbe.deduction import enumerate_congruences
-from psbe.laws import SearchSpec, _models, search_counterexample
+from psbe.laws import SearchSpec, _models, search_counterexample, verify_suite
 from psbe.quantifiers import enumerate_mop
+
+# sha256 over verify_suite(include_probes=True) on every model with its
+# monadic pairs, the least element declared as zero where there is one
+VERDICT_DIGEST = "d520e371f571fc9d82ff049925f98973dc9fdd7aa3c36b1f59b610ca24171bde"
 
 RANKED = brute_models(4)
 MODELS = [model_algebra(4, arrow, squig, "m4") for _, arrow, squig in RANKED]
@@ -49,6 +54,14 @@ def test_search_matches_brute_force(law_id):
     assert (search_outcome(search_counterexample, spec)
             == search_outcome(lambda s: brute_search(s, lambda n: RANKED),
                               spec))
+
+
+def test_suite_verdicts_are_pinned():
+    verdicts = []
+    for alg in map(with_least_zero, MODELS):
+        verdicts.append([v.to_json(alg) for v in verify_suite(
+            alg, enumerate_mop(alg), include_probes=True)])
+    assert digest(verdicts) == VERDICT_DIGEST
 
 
 @pytest.mark.parametrize("alg", N4)

@@ -83,12 +83,6 @@ class FiniteAlgebra:
 
     # -- convenience accessors ------------------------------------------
 
-    def arr(self, x: int, y: int) -> int:
-        return self.arrow[x][y]
-
-    def sq(self, x: int, y: int) -> int:
-        return self.squig[x][y]
-
     def leq(self, x: int, y: int) -> bool:
         """x <= y iff x -> y = 1 (and, on well-formed algebras, iff x ~> y = 1)."""
         return self.arrow[x][y] == self.one

@@ -164,11 +164,18 @@ def _cup(first, then):    # the table of (x first y) then y
     return tuple(tuple(then[first[x][y]][y] for y in rng) for x in rng)
 
 
-def _axiom(arity: int, tables: tuple, pred):
+def tables_of(source, arity: int, pred) -> list:
+    """The attributes of source named by pred's parameters, in order: all
+    of them but the last `arity`, which take the elements."""
+    code = pred.__code__
+    return [getattr(source, t) for t in code.co_varnames[:code.co_argcount - arity]]
+
+
+def _axiom(arity: int, pred):
     """A flag computed on first read: pred(*tables, *t) for every t in range(n)**arity,
-    tables read off the report by name; not_applicable if one is undefined."""
+    the tables read off the report by `tables_of`; not_applicable if one is undefined."""
     def verdict(report):
-        name, args = flag.attrname, [getattr(report, t) for t in tables]
+        name, args = flag.attrname, tables_of(report, arity, pred)
         if None in args:
             return Verdict.na(name)
         hit = first_failure(report.alg.size, arity, [(name, partial(pred, *args))])
@@ -236,21 +243,20 @@ class ClassificationReport:
 
     pseudo_be = cached_property(lambda self: check_pseudo_be(self.alg))
     pseudo_bck = cached_property(lambda self: check_pseudo_bck(self.alg))
-    condition_A = _axiom(3, ("leq", "arrow", "squig"), lambda leq, a, s, x, y, z:
-                         not leq[x][y] or (leq[a[y][z]][a[x][z]] and leq[s[y][z]][s[x][z]]))
-    condition_M = _axiom(3, ("leq", "arrow", "squig"), lambda leq, a, s, x, y, z:
-                         not leq[x][y] or (leq[a[z][x]][a[z][y]] and leq[s[z][x]][s[z][y]]))
-    condition_T = _axiom(3, ("leq",), lambda leq, x, y, z:
-                         not (leq[x][y] and leq[y][z]) or leq[x][z])
-    distributive_i = _axiom(3, ("arrow", "squig"), lambda a, s, x, y, z:
-                            a[x][s[y][z]] == s[a[x][y]][a[x][z]])
-    distributive_ii = _axiom(3, ("arrow", "squig"), lambda a, s, x, y, z:
-                             s[x][a[y][z]] == a[s[x][y]][s[x][z]])
-    commutative = _axiom(2, ("cup1", "cup2"), lambda c1, c2, x, y:
-                         c1[x][y] == c1[y][x] and c2[x][y] == c2[y][x])
-    good = _axiom(1, ("neg_minus", "neg_sim"), lambda nm, ns, x: ns[nm[x]] == nm[ns[x]])
-    involutive = _axiom(1, ("neg_minus", "neg_sim"), lambda nm, ns, x:
-                        ns[nm[x]] == x and nm[ns[x]] == x)
+    condition_A = _axiom(3, lambda leq, arrow, squig, x, y, z: not leq[x][y] or (
+        leq[arrow[y][z]][arrow[x][z]] and leq[squig[y][z]][squig[x][z]]))
+    condition_M = _axiom(3, lambda leq, arrow, squig, x, y, z: not leq[x][y] or (
+        leq[arrow[z][x]][arrow[z][y]] and leq[squig[z][x]][squig[z][y]]))
+    condition_T = _axiom(3, lambda leq, x, y, z: not (leq[x][y] and leq[y][z]) or leq[x][z])
+    distributive_i = _axiom(3, lambda arrow, squig, x, y, z:
+                            arrow[x][squig[y][z]] == squig[arrow[x][y]][arrow[x][z]])
+    distributive_ii = _axiom(3, lambda arrow, squig, x, y, z:
+                             squig[x][arrow[y][z]] == arrow[squig[x][y]][squig[x][z]])
+    commutative = _axiom(2, lambda cup1, cup2, x, y:
+                         cup1[x][y] == cup1[y][x] and cup2[x][y] == cup2[y][x])
+    good = _axiom(1, lambda neg_minus, neg_sim, x: neg_sim[neg_minus[x]] == neg_minus[neg_sim[x]])
+    involutive = _axiom(1, lambda neg_minus, neg_sim, x:
+                        neg_sim[neg_minus[x]] == x and neg_minus[neg_sim[x]] == x)
 
     @cached_property
     def poset(self):

@@ -53,6 +53,19 @@ def _load(path) -> FiniteAlgebra:
     return alg
 
 
+def _load_psbe(path, command: str):
+    """(alg, report, ops) for the algebra in path; raises PreconditionUnmet
+    (exit 2) when it is not a pseudo BE-algebra."""
+    alg = _load(path)
+    report, ops = classify(alg)
+    verdict = report["pseudo_be"]
+    if not verdict:
+        raise PreconditionUnmet(
+            f"{command} needs a pseudo BE-algebra: {verdict.name} fails at "
+            f"({', '.join(alg.element_names[x] for x in verdict.witness)})")
+    return alg, report, ops
+
+
 def _parse_set(alg, spec: str) -> frozenset:
     try:
         return frozenset(alg.index(tok) for tok in spec.split(",") if tok)
@@ -90,9 +103,9 @@ def _cmd_check(args):
 
 
 def _cmd_mop(args):
-    alg = _load(args.algebra)
+    alg, _, ops = _load_psbe(args.algebra, "mop")
     try:
-        pairs = enumerate_mop(alg, mode=args.mode)
+        pairs = enumerate_mop(alg, mode=args.mode, ops=ops)
     except ValueError as exc:
         raise UsageError(str(exc))
     payload = {
@@ -179,13 +192,14 @@ def _cmd_quotient(args):
 
 
 def _cmd_verify(args):
-    alg = _load(args.algebra)
+    alg, report, ops = _load_psbe(args.algebra, "verify")
     pairs = [p for _, p in declared_pairs(alg)]
     if not pairs:
         pairs = enumerate_mop(alg)
     law_ids = args.law.split(",") if args.law else None
     try:
-        verdicts = lawmod.verify_suite(alg, pairs, law_ids=law_ids)
+        verdicts = lawmod.verify_suite(alg, pairs, law_ids=law_ids,
+                                       report=report, ops=ops)
     except KeyError as exc:
         raise UsageError(str(exc))
     failures = [v for v in verdicts if v.status == lawmod.FAILS]

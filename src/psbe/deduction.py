@@ -202,10 +202,12 @@ def _canonical(cls) -> Congruence:
     return Congruence(tuple(seen.setdefault(c, len(seen)) for c in cls))
 
 
-def _related(cong: Congruence) -> list[tuple]:
-    # related[x] is x's block, ascending
+def _related_pairs(cong: Congruence):
+    """Every (x, y, u, v) with x ~ y and u ~ v, in lexicographic order."""
     blocks = cong.blocks()
-    return [blocks[c] for c in cong.classes]
+    related = [blocks[c] for c in cong.classes]      # x's block, ascending
+    return ((x, y, u, v) for x, ys in enumerate(related) for y in ys
+            for u, vs in enumerate(related) for v in vs)
 
 
 def is_compatible(alg: FiniteAlgebra, cong: Congruence) -> tuple[int, ...] | None:
@@ -213,18 +215,24 @@ def is_compatible(alg: FiniteAlgebra, cong: Congruence) -> tuple[int, ...] | Non
 
     Only related pairs x ~ y, u ~ v are visited, in lexicographic order,
     so the witness is the lexicographically first one over all of A^4."""
-    cls = cong.classes
-    related = _related(cong)
-    arrow, squig = alg.arrow, alg.squig
-    for x, ys in enumerate(related):
-        ax, sx = arrow[x], squig[x]
-        for y in ys:
-            ay, sy = arrow[y], squig[y]
-            for u, vs in enumerate(related):
-                for v in vs:
-                    if cls[ax[u]] != cls[ay[v]] or cls[sx[u]] != cls[sy[v]]:
-                        return (x, y, u, v)
-    return None
+    cls, a, s = cong.classes, alg.arrow, alg.squig
+    first = {}
+    lead = [first.setdefault(c, x) for x, c in enumerate(cls)]
+
+    def agrees(t):    # class of t[x][u] and of t[u][x] unchanged by x -> lead[x]
+        rows = [list(map(cls.__getitem__, row)) for row in t]
+        cols = list(zip(*rows))
+        return all(rows[x] == rows[r] and cols[x] == cols[r] for x, r in enumerate(lead))
+
+    # Compatible iff every element agrees with its block's leader r:
+    # t[x][u] ~ t[r][u] and t[u][x] ~ t[u][r] are the instances (x, r, u, u)
+    # and (u, u, x, r); conversely, for x ~ y and u ~ v with leaders r and
+    # r', t[x][u] ~ t[r][u] ~ t[y][u] ~ t[y][r'] ~ t[y][v] and ~ is
+    # transitive.  This O(n^2) test decides; the walk only names a failure.
+    if agrees(a) and agrees(s):
+        return None
+    return next(((x, y, u, v) for x, y, u, v in _related_pairs(cong)
+                 if cls[a[x][u]] != cls[a[y][v]] or cls[s[x][u]] != cls[s[y][v]]), None)
 
 
 def is_monadic_congruence(cong: Congruence, pair: MonadicPair) -> bool:
@@ -239,20 +247,10 @@ def is_monadic_congruence(cong: Congruence, pair: MonadicPair) -> bool:
 def is_meet_compatible(alg: FiniteAlgebra, cong: Congruence,
                        ops: DerivedOps) -> bool:
     """Compatibility with the meet, checked only where meets exist."""
-    meet = ops.meet
-    if meet is None:
-        return True
-    cls = cong.classes
-    related = _related(cong)
-    for x, ys in enumerate(related):
-        for y in ys:
-            mx, my = meet[x], meet[y]
-            for u, vs in enumerate(related):
-                for v in vs:
-                    a, b = mx[u], my[v]
-                    if a is not None and b is not None and cls[a] != cls[b]:
-                        return False
-    return True
+    meet, cls = ops.meet, cong.classes
+    return meet is None or all(
+        meet[x][u] is None or meet[y][v] is None or cls[meet[x][u]] == cls[meet[y][v]]
+        for x, y, u, v in _related_pairs(cong))
 
 
 def is_relative_congruence(alg: FiniteAlgebra, cong: Congruence) -> bool:
@@ -344,28 +342,21 @@ def enumerate_congruences(alg: FiniteAlgebra) -> list[Congruence]:
 def theta_from_ds(alg: FiniteAlgebra, ds: DeductiveSystem) -> Congruence:
     """Theta_D: x ~ y iff x->y and y->x both in D; verified to be a
     congruence with [1] = D before being returned."""
-    n = alg.size
-    d = ds.members
-    rel = [[alg.arrow[x][y] in d and alg.arrow[y][x] in d for y in range(n)]
-           for x in range(n)]
+    n, d, a = alg.size, ds.members, alg.arrow
+    # related[x] = {y : x ~ y}, a symmetric relation by definition
+    related = [frozenset(y for y in range(n) if a[x][y] in d and a[y][x] in d)
+               for x in range(n)]
     for x in range(n):
-        if not rel[x][x]:
+        if x not in related[x]:
             raise NotACongruence("relation not reflexive", (x,))
-    for x, y in product(range(n), repeat=2):
-        if rel[x][y] != rel[y][x]:
-            raise NotACongruence("relation not symmetric", (x, y))
-    for x, y, z in product(range(n), repeat=3):
-        if rel[x][y] and rel[y][z] and not rel[x][z]:
-            raise NotACongruence("relation not transitive", (x, y, z))
-    cls = [None] * n
-    nxt = 0
-    for x in range(n):
-        if cls[x] is None:
-            for y in range(x, n):
-                if rel[x][y]:
-                    cls[y] = nxt
-            nxt += 1
-    cong = _canonical(cls)
+    # transitive iff x ~ y puts y's relatives among x's; the n^3 walk
+    # only names a failure
+    if not all(related[y] <= related[x] for x in range(n) for y in related[x]):
+        raise NotACongruence("relation not transitive", next(
+            (x, y, z) for x, y, z in product(range(n), repeat=3)
+            if y in related[x] and z in related[y] and z not in related[x]))
+    # an equivalence: each class is labelled by its least element
+    cong = _canonical([min(r) for r in related])
     bad = is_compatible(alg, cong)
     if bad is not None:
         raise NotACongruence("relation not compatible with the operations", bad)
@@ -388,8 +379,15 @@ def quotient(alg: FiniteAlgebra, cong: Congruence,
 
     Classes are ordered (and named) by their least-index
     representative.  Well-definedness of the class operations is
-    verified elementwise, never assumed.
+    verified elementwise, never assumed.  A pair that is not monadic
+    raises PreconditionUnmet, naming the first axiom it fails.
     """
+    if pair is not None:
+        bad = check_monadic(alg, pair).first_failure()
+        if bad is not None:
+            raise PreconditionUnmet(
+                f"quotient needs a monadic pair: {bad.name} fails at "
+                f"({', '.join(alg.element_names[x] for x in bad.witness)})")
     n = alg.size
     blocks = sorted(cong.blocks(), key=min)
     proj = [None] * n

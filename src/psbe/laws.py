@@ -16,12 +16,12 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
-from itertools import permutations, product
+from itertools import permutations, product, starmap
 from math import inf
 
 from .algebra import FiniteAlgebra
 from .classify import (FAILS, HOLDS, NOT_APPLICABLE, InvariantViolated,
-                       classify, first_failure)
+                       classify, first_failure, tables_of)
 from .quantifiers import MonadicPair, enumerate_mop, fixed_set
 from . import deduction as _ded
 
@@ -54,10 +54,12 @@ class _Memo:
 
 class Ctx:
     """Evaluation context: one algebra, its classification, derived
-    operations and (optionally) one monadic pair.  The derived tables are
-    read from `ops` on first use.  `memo` holds the algebra's deductive
-    systems and congruences; every context derived by `with_pair` shares
-    it and the classification."""
+    operations and (optionally) one monadic pair, with the tables a law
+    predicate names: a, s (-> and ~>), E, F, nm, ns, od, op, meet, join
+    and the constants one, zero.  The derived tables are read from `ops`
+    on first use.  `memo` holds the algebra's deductive systems and
+    congruences; every context derived by `with_pair` shares it and the
+    classification."""
 
     def __init__(self, alg: FiniteAlgebra, report=None, ops=None,
                  pair: MonadicPair | None = None):
@@ -66,15 +68,13 @@ class Ctx:
         self.alg = alg
         self.report = report
         self.ops = ops
-        self.pair = pair
         self.n = alg.size
         self.one = alg.one
         self.zero = alg.zero
         self.a = alg.arrow
         self.s = alg.squig
-        self.E = pair.exists.images if pair else None
-        self.F = pair.forall.images if pair else None
         self.memo = _Memo(alg)
+        self._bind(pair)
 
     nm = cached_property(lambda self: self.ops.neg_minus)
     ns = cached_property(lambda self: self.ops.neg_sim)
@@ -83,14 +83,15 @@ class Ctx:
     meet = cached_property(lambda self: self.ops.meet)
     join = cached_property(lambda self: self.ops.join)
 
-    def le(self, x, y):
-        return self.a[x][y] == self.one
+    def _bind(self, pair):
+        self.pair = pair
+        self.E = pair.exists.images if pair else None
+        self.F = pair.forall.images if pair else None
+        self.pair_name = ",".join(map(str, self.F)) if pair else None
 
     def with_pair(self, pair):
         ctx = copy.copy(self)
-        ctx.pair = pair
-        ctx.E = pair.exists.images if pair else None
-        ctx.F = pair.forall.images if pair else None
+        ctx._bind(pair)
         return ctx
 
 
@@ -109,7 +110,6 @@ def _has(*attrs):
 _BE = _flags("pseudo_be")
 _BCK = _flags("pseudo_bck")
 _BND = _flags("pseudo_be", "bounded")
-_ALWAYS = lambda ctx: True
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,9 @@ class Law:
     anchor: str
     arity: int                    # 0 means a global (whole-structure) law
     hypothesis: object            # Ctx -> bool
-    check: object                 # (Ctx, *elements) -> bool; arity 0:
+    check: object                 # (*tables, *elements) -> bool: the leading
+                                  # parameters name Ctx tables (a, s, E, ...),
+                                  # the last `arity` take elements; arity 0:
                                   # Ctx -> (ok, witness, instances)
     uses_pair: bool = True
     probe: bool = False           # excluded from verify_suite by default;
@@ -176,23 +178,23 @@ def _l6_iff(ctx, cong):
 
 def _l6_class_implications(ctx, cong):
     one_cls = cong.one_class(ctx.alg)
-    a, s = ctx.a, ctx.s
-    return _first_pair(ctx, lambda x, y: not cong.same(x, y)
+    a, s, cls = ctx.a, ctx.s, cong.classes
+    return _first_pair(ctx, lambda x, y: cls[x] != cls[y]
                        or {a[x][y], a[y][x], s[x][y], s[y][x]} <= one_cls)
 
 
 def _l6_commutative_converse(ctx, cong):
     one_cls = cong.one_class(ctx.alg)
-    a = ctx.a
+    a, cls = ctx.a, cong.classes
     return _first_pair(ctx, lambda x, y: not (a[x][y] in one_cls and a[y][x] in one_cls)
-                       or cong.same(x, y))
+                       or cls[x] == cls[y])
 
 
 def _p6_cong_exists(ctx, cong):
     if not _ded.is_monadic_congruence(cong, ctx.pair):
         return None
-    E = ctx.E
-    return _first_pair(ctx, lambda x, y: not cong.same(x, y) or cong.same(E[x], E[y]))
+    E, cls = ctx.E, cong.classes
+    return _first_pair(ctx, lambda x, y: cls[x] != cls[y] or cls[E[x]] == cls[E[y]])
 
 
 def _p6_cong_one_class_mds(ctx, cong):
@@ -209,9 +211,10 @@ def _p6_ds_upward(ctx):
     count = 0
     for ds in ctx.memo.ds:
         for x in ds.members:
+            ax = ctx.a[x]
             for y in range(ctx.n):
                 count += 1
-                if ctx.le(x, y) and y not in ds.members:
+                if ax[y] == ctx.one and y not in ds.members:
                     return False, (x, y), count
     return True, None, count
 
@@ -276,12 +279,12 @@ def _surjective_id(ctx):
 
 
 def _iff_pointwise(lhs, rhs):
-    """Global law: (for all x,y: lhs) iff (for all x,y: rhs)."""
+    """Global law: (for all x,y: lhs) iff (for all x,y: rhs), each side a
+    predicate of Ctx tables and x, y as a law's check is."""
     def check(ctx):
-        n2 = ctx.n * ctx.n
-        l = all(lhs(ctx, x, y) for x in range(ctx.n) for y in range(ctx.n))
-        r = all(rhs(ctx, x, y) for x in range(ctx.n) for y in range(ctx.n))
-        return l == r, (None if l == r else ()), 2 * n2
+        l, r = (all(starmap(partial(side, *tables_of(ctx, 2, side)),
+                            product(range(ctx.n), repeat=2))) for side in (lhs, rhs))
+        return l == r, (None if l == r else ()), 2 * ctx.n * ctx.n
     return check
 
 
@@ -293,60 +296,58 @@ def catalog() -> tuple[Law, ...]:
 
     # -------- structural laws of the two implications
     add(Law("BE.exchange_dual", "x ~> (y -> z) = y -> (x ~> z)", 3, _BE,
-            lambda c, x, y, z: c.s[x][c.a[y][z]] == c.a[y][c.s[x][z]],
-            uses_pair=False))
+            lambda a, s, x, y, z: s[x][a[y][z]] == a[y][s[x][z]], uses_pair=False))
     add(Law("BE.exchange", "x -> (y ~> z) = y ~> (x -> z)", 3, _BE,
-            lambda c, x, y, z: c.a[x][c.s[y][z]] == c.s[y][c.a[x][z]],
-            uses_pair=False))
+            lambda a, s, x, y, z: a[x][s[y][z]] == s[y][a[x][z]], uses_pair=False))
     add(Law("BE.transitive_T", "under (T): x <= y and y <= z imply x <= z", 3,
             _flags("pseudo_be", "condition_T"),
-            lambda c, x, y, z: not (c.le(x, y) and c.le(y, z)) or c.le(x, z),
-            uses_pair=False))
+            lambda a, one, x, y, z: not (a[x][y] == one and a[y][z] == one)
+            or a[x][z] == one, uses_pair=False))
     add(Law("BE.const_upper_mixed", "x -> (y ~> x) = 1 and x ~> (y -> x) = 1", 2, _BE,
-            lambda c, x, y: c.a[x][c.s[y][x]] == c.one and c.s[x][c.a[y][x]] == c.one,
+            lambda a, s, one, x, y: a[x][s[y][x]] == one and s[x][a[y][x]] == one,
             uses_pair=False))
     add(Law("BE.const_upper", "x -> (y -> x) = 1 and x ~> (y ~> x) = 1", 2, _BE,
-            lambda c, x, y: c.a[x][c.a[y][x]] == c.one and c.s[x][c.s[y][x]] == c.one,
+            lambda a, s, one, x, y: a[x][a[y][x]] == one and s[x][s[y][x]] == one,
             uses_pair=False))
     add(Law("BE.cup_upper", "x -> ((x -> y) ~> y) = 1 and x ~> ((x ~> y) -> y) = 1",
             2, _BE,
-            lambda c, x, y: c.a[x][c.s[c.a[x][y]][y]] == c.one
-            and c.s[x][c.a[c.s[x][y]][y]] == c.one, uses_pair=False))
+            lambda a, s, one, x, y: a[x][s[a[x][y]][y]] == one
+            and s[x][a[s[x][y]][y]] == one, uses_pair=False))
     add(Law("A.antitone_first",
             "under (A): x <= y implies y -> z <= x -> z and y ~> z <= x ~> z",
             3, _flags("pseudo_be", "condition_A"),
-            lambda c, x, y, z: not c.le(x, y)
-            or (c.le(c.a[y][z], c.a[x][z]) and c.le(c.s[y][z], c.s[x][z])),
+            lambda a, s, one, x, y, z: a[x][y] != one
+            or (a[a[y][z]][a[x][z]] == one and a[s[y][z]][s[x][z]] == one),
             uses_pair=False))
     add(Law("M.monotone_second",
             "under (M): x <= y implies z -> x <= z -> y and z ~> x <= z ~> y",
             3, _flags("pseudo_be", "condition_M"),
-            lambda c, x, y, z: not c.le(x, y)
-            or (c.le(c.a[z][x], c.a[z][y]) and c.le(c.s[z][x], c.s[z][y])),
+            lambda a, s, one, x, y, z: a[x][y] != one
+            or (a[a[z][x]][a[z][y]] == one and a[s[z][x]][s[z][y]] == one),
             uses_pair=False))
     add(Law("BE.distributive_i",
             "x -> (y ~> z) = (x -> y) ~> (x -> z)",
             3, _flags("pseudo_be", "distributive_i"),
-            lambda c, x, y, z: c.a[x][c.s[y][z]] == c.s[c.a[x][y]][c.a[x][z]],
+            lambda a, s, x, y, z: a[x][s[y][z]] == s[a[x][y]][a[x][z]],
             uses_pair=False))
     add(Law("BCK.antitone", "x <= y implies y -> z <= x -> z and y ~> z <= x ~> z",
             3, _BCK,
-            lambda c, x, y, z: not c.le(x, y)
-            or (c.le(c.a[y][z], c.a[x][z]) and c.le(c.s[y][z], c.s[x][z])),
+            lambda a, s, one, x, y, z: a[x][y] != one
+            or (a[a[y][z]][a[x][z]] == one and a[s[y][z]][s[x][z]] == one),
             uses_pair=False))
     add(Law("BCK.monotone", "x <= y implies z -> x <= z -> y and z ~> x <= z ~> y",
             3, _BCK,
-            lambda c, x, y, z: not c.le(x, y)
-            or (c.le(c.a[z][x], c.a[z][y]) and c.le(c.s[z][x], c.s[z][y])),
+            lambda a, s, one, x, y, z: a[x][y] != one
+            or (a[a[z][x]][a[z][y]] == one and a[s[z][x]][s[z][y]] == one),
             uses_pair=False))
     add(Law("BCK.inner_monotone",
             "x -> y <= (z -> x) -> (z -> y) and x ~> y <= (z ~> x) ~> (z ~> y)",
             3, _BCK,
-            lambda c, x, y, z: c.le(c.a[x][y], c.a[c.a[z][x]][c.a[z][y]])
-            and c.le(c.s[x][y], c.s[c.s[z][x]][c.s[z][y]]), uses_pair=False))
+            lambda a, s, one, x, y, z: a[a[x][y]][a[a[z][x]][a[z][y]]] == one
+            and a[s[x][y]][s[s[z][x]][s[z][y]]] == one, uses_pair=False))
     add(Law("BCK.cup_ge", "x <= (x -> y) ~> y and x <= (x ~> y) -> y", 2, _BCK,
-            lambda c, x, y: c.le(x, c.s[c.a[x][y]][y]) and c.le(x, c.a[c.s[x][y]][y]),
-            uses_pair=False))
+            lambda a, s, one, x, y: a[x][s[a[x][y]][y]] == one
+            and a[x][a[s[x][y]][y]] == one, uses_pair=False))
 
     # -------- bounded negation laws
     add(Law("BND.neg_constants", "1- = 1~ = 0 and 0- = 0~ = 1", 0, _BND,
@@ -355,37 +356,36 @@ def catalog() -> tuple[Law, ...]:
                        None, 4), uses_pair=False))
     add(Law("BND.double_neg_ge", "x <= x-~ and x <= x~-", 1,
             _flags("pseudo_bck", "bounded"),
-            lambda c, x: c.le(x, c.ns[c.nm[x]]) and c.le(x, c.nm[c.ns[x]]),
+            lambda a, nm, ns, one, x: a[x][ns[nm[x]]] == one and a[x][nm[ns[x]]] == one,
             uses_pair=False))
     add(Law("BND.neg_antitone", "x <= y implies y- <= x- and y~ <= x~", 2,
             _flags("pseudo_bck", "bounded"),
-            lambda c, x, y: not c.le(x, y)
-            or (c.le(c.nm[y], c.nm[x]) and c.le(c.ns[y], c.ns[x])),
-            uses_pair=False))
+            lambda a, nm, ns, one, x, y: a[x][y] != one
+            or (a[nm[y]][nm[x]] == one and a[ns[y]][ns[x]] == one), uses_pair=False))
     add(Law("BND.triple_neg", "x-~- = x- and x~-~ = x~", 1,
             _flags("pseudo_bck", "bounded"),
-            lambda c, x: c.nm[c.ns[c.nm[x]]] == c.nm[x]
-            and c.ns[c.nm[c.ns[x]]] == c.ns[x], uses_pair=False))
+            lambda nm, ns, x: nm[ns[nm[x]]] == nm[x]
+            and ns[nm[ns[x]]] == ns[x], uses_pair=False))
 
     # -------- pseudo-product laws
     _PP = _and(_flags("pseudo_bck", "has_pP"), _has("od"))
     add(Law("PP.le_both", "x*y <= x and x*y <= y", 2, _PP,
-            lambda c, x, y: c.le(c.od[x][y], x) and c.le(c.od[x][y], y),
+            lambda a, od, one, x, y: a[od[x][y]][x] == one and a[od[x][y]][y] == one,
             uses_pair=False))
     add(Law("PP.residual_le",
             "(x -> y)*x <= x,y and x*(x ~> y) <= x,y", 2, _PP,
-            lambda c, x, y: c.le(c.od[c.a[x][y]][x], x)
-            and c.le(c.od[c.a[x][y]][x], y)
-            and c.le(c.od[x][c.s[x][y]], x)
-            and c.le(c.od[x][c.s[x][y]], y), uses_pair=False))
+            lambda a, s, od, one, x, y: a[od[a[x][y]][x]][x] == one
+            and a[od[a[x][y]][x]][y] == one
+            and a[od[x][s[x][y]]][x] == one
+            and a[od[x][s[x][y]]][y] == one, uses_pair=False))
     add(Law("PP.monotone", "x <= y implies x*z <= y*z and z*x <= z*y", 3, _PP,
-            lambda c, x, y, z: not c.le(x, y)
-            or (c.le(c.od[x][z], c.od[y][z]) and c.le(c.od[z][x], c.od[z][y])),
+            lambda a, od, one, x, y, z: a[x][y] != one
+            or (a[od[x][z]][od[y][z]] == one and a[od[z][x]][od[z][y]] == one),
             uses_pair=False))
     add(Law("PP.curry", "x -> (y -> z) = x*y -> z and x ~> (y ~> z) = y*x ~> z",
             3, _PP,
-            lambda c, x, y, z: c.a[x][c.a[y][z]] == c.a[c.od[x][y]][z]
-            and c.s[x][c.s[y][z]] == c.s[c.od[y][x]][z], uses_pair=False))
+            lambda a, s, od, x, y, z: a[x][a[y][z]] == a[od[x][y]][z]
+            and s[x][s[y][z]] == s[od[y][x]][z], uses_pair=False))
 
     # -------- monadic pair laws (any monadic pseudo BE-algebra)
     add(Law("P3.exists_one", "E1 = 1", 0, _BE,
@@ -393,51 +393,51 @@ def catalog() -> tuple[Law, ...]:
     add(Law("P3.forall_one_const", "F1 = 1", 0, _BE,
             lambda c: (c.F[c.one] == c.one, None, 1)))
     add(Law("P3.increasing_decreasing", "x <= Ex and Fx <= x", 1, _BE,
-            lambda c, x: c.le(x, c.E[x]) and c.le(c.F[x], x)))
+            lambda a, E, F, one, x: a[x][E[x]] == one and a[F[x]][x] == one))
     add(Law("P3.forall_exists", "FEx = Ex", 1, _BE,
-            lambda c, x: c.F[c.E[x]] == c.E[x]))
+            lambda E, F, x: F[E[x]] == E[x]))
     add(Law("P3.fixed_iff", "Fx = x iff Ex = x", 1, _BE,
-            lambda c, x: (c.F[x] == x) == (c.E[x] == x)))
+            lambda E, F, x: (F[x] == x) == (E[x] == x)))
     add(Law("P3.exists_idem", "EEx = Ex", 1, _BE,
-            lambda c, x: c.E[c.E[x]] == c.E[x]))
+            lambda E, x: E[E[x]] == E[x]))
     add(Law("P3.forall_idem", "FFx = Fx", 1, _BE,
-            lambda c, x: c.F[c.F[x]] == c.F[x]))
+            lambda F, x: F[F[x]] == F[x]))
     add(Law("P3.stable_exists", "F(Ex -> Ey) = Ex -> Ey (both arrows)", 2, _BE,
-            lambda c, x, y: c.F[c.a[c.E[x]][c.E[y]]] == c.a[c.E[x]][c.E[y]]
-            and c.F[c.s[c.E[x]][c.E[y]]] == c.s[c.E[x]][c.E[y]]))
+            lambda a, s, E, F, x, y: F[a[E[x]][E[y]]] == a[E[x]][E[y]]
+            and F[s[E[x]][E[y]]] == s[E[x]][E[y]]))
     add(Law("P3.leq_exists_iff", "x <= Ey iff Ex <= Ey", 2, _BE,
-            lambda c, x, y: c.le(x, c.E[y]) == c.le(c.E[x], c.E[y])))
+            lambda a, E, one, x, y: (a[x][E[y]] == one) == (a[E[x]][E[y]] == one)))
     add(Law("P3.forall_leq_iff", "Fx <= y iff Fx <= Fy", 2, _BE,
-            lambda c, x, y: c.le(c.F[x], y) == c.le(c.F[x], c.F[y])))
+            lambda a, F, one, x, y: (a[F[x]][y] == one) == (a[F[x]][F[y]] == one)))
     add(Law("P3.forall_arrow", "F(Fx -> y) = Fx -> Fy (both arrows)", 2, _BE,
-            lambda c, x, y: c.F[c.a[c.F[x]][y]] == c.a[c.F[x]][c.F[y]]
-            and c.F[c.s[c.F[x]][y]] == c.s[c.F[x]][c.F[y]]))
+            lambda a, s, F, x, y: F[a[F[x]][y]] == a[F[x]][F[y]]
+            and F[s[F[x]][y]] == s[F[x]][F[y]]))
     add(Law("P3.forall_arrow_exists", "F(Fx -> Ey) = Fx -> Ey (both arrows)", 2, _BE,
-            lambda c, x, y: c.F[c.a[c.F[x]][c.E[y]]] == c.a[c.F[x]][c.E[y]]
-            and c.F[c.s[c.F[x]][c.E[y]]] == c.s[c.F[x]][c.E[y]]))
+            lambda a, s, E, F, x, y: F[a[F[x]][E[y]]] == a[F[x]][E[y]]
+            and F[s[F[x]][E[y]]] == s[F[x]][E[y]]))
     add(Law("P3.arrow_forall", "F(x -> Fy) = Ex -> Fy (both arrows)", 2, _BE,
-            lambda c, x, y: c.F[c.a[x][c.F[y]]] == c.a[c.E[x]][c.F[y]]
-            and c.F[c.s[x][c.F[y]]] == c.s[c.E[x]][c.F[y]]))
+            lambda a, s, E, F, x, y: F[a[x][F[y]]] == a[E[x]][F[y]]
+            and F[s[x][F[y]]] == s[E[x]][F[y]]))
     add(Law("P3.forall_forall", "F(Fx -> Fy) = Fx -> Fy (both arrows)", 2, _BE,
-            lambda c, x, y: c.F[c.a[c.F[x]][c.F[y]]] == c.a[c.F[x]][c.F[y]]
-            and c.F[c.s[c.F[x]][c.F[y]]] == c.s[c.F[x]][c.F[y]]))
+            lambda a, s, F, x, y: F[a[F[x]][F[y]]] == a[F[x]][F[y]]
+            and F[s[F[x]][F[y]]] == s[F[x]][F[y]]))
     add(Law("P3.exists_le_stable", "E(Ex -> Ey) <= Ex -> Ey (both arrows)", 2, _BE,
-            lambda c, x, y: c.le(c.E[c.a[c.E[x]][c.E[y]]], c.a[c.E[x]][c.E[y]])
-            and c.le(c.E[c.s[c.E[x]][c.E[y]]], c.s[c.E[x]][c.E[y]])))
+            lambda a, s, E, one, x, y: a[E[a[E[x]][E[y]]]][a[E[x]][E[y]]] == one
+            and a[E[s[E[x]][E[y]]]][s[E[x]][E[y]]] == one))
     add(Law("P3.forall_one", "Fx = 1 iff x = 1", 1, _BE,
-            lambda c, x: (c.F[x] == c.one) == (x == c.one)))
+            lambda F, one, x: (F[x] == one) == (x == one)))
     add(Law("P3.isotone_T", "under (T): x <= y implies Ex <= Ey and Fx <= Fy",
             2, _flags("pseudo_be", "condition_T"),
-            lambda c, x, y: not c.le(x, y)
-            or (c.le(c.E[x], c.E[y]) and c.le(c.F[x], c.F[y]))))
+            lambda a, E, F, one, x, y: a[x][y] != one
+            or (a[E[x]][E[y]] == one and a[F[x]][F[y]] == one)))
     add(Law("P3.isotone_unconditional",
             "x <= y implies Ex <= Ey and Fx <= Fy (no (T) hypothesis; probe)",
             2, _BE,
-            lambda c, x, y: not c.le(x, y)
-            or (c.le(c.E[x], c.E[y]) and c.le(c.F[x], c.F[y])), probe=True))
+            lambda a, E, F, one, x, y: a[x][y] != one
+            or (a[E[x]][E[y]] == one and a[F[x]][F[y]] == one), probe=True))
     add(Law("P3.residuated_T", "under (T): Ex <= y iff x <= Fy", 2,
             _flags("pseudo_be", "condition_T"),
-            lambda c, x, y: c.le(c.E[x], y) == c.le(x, c.F[y])))
+            lambda a, E, F, one, x, y: (a[E[x]][y] == one) == (a[x][F[y]] == one)))
 
     # -------- fixed-set laws
     add(Law("P3f.subalgebra", "the fixed set contains 1 and is closed under -> and ~>",
@@ -453,118 +453,120 @@ def catalog() -> tuple[Law, ...]:
     add(Law("P3b.zero_fixed", "E0 = 0 and F0 = 0", 0, _BND,
             lambda c: (c.E[c.zero] == c.zero and c.F[c.zero] == c.zero, None, 2)))
     add(Law("P3b.neg_exchange", "(Ex)- = F(x-) and (Ex)~ = F(x~)", 1, _BND,
-            lambda c, x: c.nm[c.E[x]] == c.F[c.nm[x]]
-            and c.ns[c.E[x]] == c.F[c.ns[x]]))
+            lambda E, F, nm, ns, x: nm[E[x]] == F[nm[x]]
+            and ns[E[x]] == F[ns[x]]))
     add(Law("P3b.forall_neg_stable", "F((Ex)-) = (Ex)- and F((Ex)~) = (Ex)~", 1, _BND,
-            lambda c, x: c.F[c.nm[c.E[x]]] == c.nm[c.E[x]]
-            and c.F[c.ns[c.E[x]]] == c.ns[c.E[x]]))
+            lambda E, F, nm, ns, x: F[nm[E[x]]] == nm[E[x]]
+            and F[ns[E[x]]] == ns[E[x]]))
     add(Law("P3b.forall_forall_neg", "F((Fx)-) = (Fx)- and F((Fx)~) = (Fx)~", 1, _BND,
-            lambda c, x: c.F[c.nm[c.F[x]]] == c.nm[c.F[x]]
-            and c.F[c.ns[c.F[x]]] == c.ns[c.F[x]]))
+            lambda F, nm, ns, x: F[nm[F[x]]] == nm[F[x]]
+            and F[ns[F[x]]] == ns[F[x]]))
     add(Law("P3b.exists_exists_neg", "E((Ex)-) = (Ex)- and E((Ex)~) = (Ex)~", 1, _BND,
-            lambda c, x: c.E[c.nm[c.E[x]]] == c.nm[c.E[x]]
-            and c.E[c.ns[c.E[x]]] == c.ns[c.E[x]]))
+            lambda E, nm, ns, x: E[nm[E[x]]] == nm[E[x]]
+            and E[ns[E[x]]] == ns[E[x]]))
     add(Law("P3b.exists_zero_iff", "Ex = 0 iff x = 0", 1, _BND,
-            lambda c, x: (c.E[x] == c.zero) == (x == c.zero)))
+            lambda E, zero, x: (E[x] == zero) == (x == zero)))
 
     # -------- involutive duality
     add(Law("INV.dual_formulas",
             "Ex = (F(x-))~ = (F(x~))- and Fx = (E(x-))~ = (E(x~))-", 1,
             _flags("pseudo_be", "involutive"),
-            lambda c, x: c.E[x] == c.ns[c.F[c.nm[x]]] == c.nm[c.F[c.ns[x]]]
-            and c.F[x] == c.ns[c.E[c.nm[x]]] == c.nm[c.E[c.ns[x]]]))
+            lambda E, F, nm, ns, x: E[x] == ns[F[nm[x]]] == nm[F[ns[x]]]
+            and F[x] == ns[E[nm[x]]] == nm[E[ns[x]]]))
 
     # -------- bounded commutative exchange laws
     _BC = _and(_flags("pseudo_be", "bounded", "commutative"),
                _has("od", "op", "meet", "join"))
     add(Law("L4.oplus_demorgan", "x (+) y = (y- * x-)~ = (y~ * x~)-", 2, _BC,
-            lambda c, x, y: c.op[x][y] == c.ns[c.od[c.nm[y]][c.nm[x]]]
-            == c.nm[c.od[c.ns[y]][c.ns[x]]], uses_pair=False))
+            lambda nm, ns, od, op, x, y: op[x][y] == ns[od[nm[y]][nm[x]]]
+            == nm[od[ns[y]][ns[x]]], uses_pair=False))
     add(Law("P4.meet_join_equiv",
             "F(x^y) = Fx^Fy (all x,y) iff E(xvy) = Ex v Ey (all x,y)", 0, _BC,
             _iff_pointwise(
-                lambda c, x, y: c.F[c.meet[x][y]] == c.meet[c.F[x]][c.F[y]],
-                lambda c, x, y: c.E[c.join[x][y]] == c.join[c.E[x]][c.E[y]])))
+                lambda F, meet, x, y: F[meet[x][y]] == meet[F[x]][F[y]],
+                lambda E, join, x, y: E[join[x][y]] == join[E[x]][E[y]])))
     add(Law("P4.odot_oplus_equiv",
             "F(x*y) = Fx*Fy (all x,y) iff E(x(+)y) = Ex(+)Ey (all x,y)", 0, _BC,
             _iff_pointwise(
-                lambda c, x, y: c.F[c.od[x][y]] == c.od[c.F[x]][c.F[y]],
-                lambda c, x, y: c.E[c.op[x][y]] == c.op[c.E[x]][c.E[y]])))
+                lambda F, od, x, y: F[od[x][y]] == od[F[x]][F[y]],
+                lambda E, op, x, y: E[op[x][y]] == op[E[x]][E[y]])))
     add(Law("P4.oplus_odot_equiv",
             "F(x(+)y) = Fx(+)Fy (all x,y) iff E(x*y) = Ex*Ey (all x,y)", 0, _BC,
             _iff_pointwise(
-                lambda c, x, y: c.F[c.op[x][y]] == c.op[c.F[x]][c.F[y]],
-                lambda c, x, y: c.E[c.od[x][y]] == c.od[c.E[x]][c.E[y]])))
+                lambda F, op, x, y: F[op[x][y]] == op[F[x]][F[y]],
+                lambda E, od, x, y: E[od[x][y]] == od[E[x]][E[y]])))
 
     # -------- monadic pseudo BCK laws
     add(Law("P5.forall_arrow_compat",
             "F(x -> y) ~> (Fx -> Fy) = 1 and F(x ~> y) -> (Fx ~> Fy) = 1", 2, _BCK,
-            lambda c, x, y: c.s[c.F[c.a[x][y]]][c.a[c.F[x]][c.F[y]]] == c.one
-            and c.a[c.F[c.s[x][y]]][c.s[c.F[x]][c.F[y]]] == c.one))
+            lambda a, s, F, one, x, y: s[F[a[x][y]]][a[F[x]][F[y]]] == one
+            and a[F[s[x][y]]][s[F[x]][F[y]]] == one))
     add(Law("P5.forall_to_exists",
             "F(x -> y) ~> (Ex -> Ey) = 1 and F(x ~> y) -> (Ex ~> Ey) = 1", 2, _BCK,
-            lambda c, x, y: c.s[c.F[c.a[x][y]]][c.a[c.E[x]][c.E[y]]] == c.one
-            and c.a[c.F[c.s[x][y]]][c.s[c.E[x]][c.E[y]]] == c.one))
+            lambda a, s, E, F, one, x, y: s[F[a[x][y]]][a[E[x]][E[y]]] == one
+            and a[F[s[x][y]]][s[E[x]][E[y]]] == one))
     add(Law("P5.exists_stable", "E(Ex -> Ey) = Ex -> Ey (both arrows)", 2, _BCK,
-            lambda c, x, y: c.E[c.a[c.E[x]][c.E[y]]] == c.a[c.E[x]][c.E[y]]
-            and c.E[c.s[c.E[x]][c.E[y]]] == c.s[c.E[x]][c.E[y]]))
+            lambda a, s, E, x, y: E[a[E[x]][E[y]]] == a[E[x]][E[y]]
+            and E[s[E[x]][E[y]]] == s[E[x]][E[y]]))
     add(Law("P5.forall_image_stable",
             "E(Fx -> Fy) = Fx -> Fy and F(Fx -> Fy) = Fx -> Fy (both arrows)", 2,
             _BCK,
-            lambda c, x, y: c.E[c.a[c.F[x]][c.F[y]]] == c.a[c.F[x]][c.F[y]]
-            and c.E[c.s[c.F[x]][c.F[y]]] == c.s[c.F[x]][c.F[y]]
-            and c.F[c.a[c.F[x]][c.F[y]]] == c.a[c.F[x]][c.F[y]]
-            and c.F[c.s[c.F[x]][c.F[y]]] == c.s[c.F[x]][c.F[y]]))
+            lambda a, s, E, F, x, y: E[a[F[x]][F[y]]] == a[F[x]][F[y]]
+            and E[s[F[x]][F[y]]] == s[F[x]][F[y]]
+            and F[a[F[x]][F[y]]] == a[F[x]][F[y]]
+            and F[s[F[x]][F[y]]] == s[F[x]][F[y]]))
 
     # -------- semilattice laws
     _MEET = _and(_flags("pseudo_bck", "meet_semilattice"), _has("meet"))
     _JOIN = _and(_flags("pseudo_bck", "join_semilattice"), _has("join"))
     add(Law("P5.meet_forall", "F(x^y) = Fx ^ Fy", 2, _MEET,
-            lambda c, x, y: c.F[c.meet[x][y]] == c.meet[c.F[x]][c.F[y]]))
+            lambda F, meet, x, y: F[meet[x][y]] == meet[F[x]][F[y]]))
     add(Law("P5.meet_exists_le", "E(x^y) <= Ex ^ Ey", 2, _MEET,
-            lambda c, x, y: c.le(c.E[c.meet[x][y]], c.meet[c.E[x]][c.E[y]])))
+            lambda a, E, meet, one, x, y: a[E[meet[x][y]]][meet[E[x]][E[y]]] == one))
     add(Law("P5.meet_mixed_le", "F(x^y) <= Ex ^ Ey", 2, _MEET,
-            lambda c, x, y: c.le(c.F[c.meet[x][y]], c.meet[c.E[x]][c.E[y]])))
+            lambda a, E, F, meet, one, x, y: a[F[meet[x][y]]][meet[E[x]][E[y]]] == one))
     add(Law("P5.meet_stable", "E(Ex^Ey) = Ex^Ey and F(Ex^Ey) = Ex^Ey", 2, _MEET,
-            lambda c, x, y: c.E[c.meet[c.E[x]][c.E[y]]] == c.meet[c.E[x]][c.E[y]]
-            and c.F[c.meet[c.E[x]][c.E[y]]] == c.meet[c.E[x]][c.E[y]]))
+            lambda E, F, meet, x, y: E[meet[E[x]][E[y]]] == meet[E[x]][E[y]]
+            and F[meet[E[x]][E[y]]] == meet[E[x]][E[y]]))
     add(Law("P5.join_exists", "E(xvy) = Ex v Ey", 2, _JOIN,
-            lambda c, x, y: c.E[c.join[x][y]] == c.join[c.E[x]][c.E[y]]))
+            lambda E, join, x, y: E[join[x][y]] == join[E[x]][E[y]]))
     add(Law("P5.join_stable", "F(ExvEy) = ExvEy and E(ExvEy) = ExvEy", 2, _JOIN,
-            lambda c, x, y: c.F[c.join[c.E[x]][c.E[y]]] == c.join[c.E[x]][c.E[y]]
-            and c.E[c.join[c.E[x]][c.E[y]]] == c.join[c.E[x]][c.E[y]]))
+            lambda E, F, join, x, y: F[join[E[x]][E[y]]] == join[E[x]][E[y]]
+            and E[join[E[x]][E[y]]] == join[E[x]][E[y]]))
     add(Law("P5.join_mixed_le", "Fx v Ey <= F(x v Ey)", 2, _JOIN,
-            lambda c, x, y: c.le(c.join[c.F[x]][c.E[y]], c.F[c.join[x][c.E[y]]])))
+            lambda a, E, F, join, one, x, y:
+            a[join[F[x]][E[y]]][F[join[x][E[y]]]] == one))
 
     # -------- monadic pseudo-product laws
     add(Law("P5.pp_exists_stable", "E(Ex*Ey) = Ex*Ey", 2, _PP,
-            lambda c, x, y: c.E[c.od[c.E[x]][c.E[y]]] == c.od[c.E[x]][c.E[y]]))
+            lambda E, od, x, y: E[od[E[x]][E[y]]] == od[E[x]][E[y]]))
     add(Law("P5.pp_exists_le", "E(x*y) <= Ex*Ey", 2, _PP,
-            lambda c, x, y: c.le(c.E[c.od[x][y]], c.od[c.E[x]][c.E[y]])))
+            lambda a, E, od, one, x, y: a[E[od[x][y]]][od[E[x]][E[y]]] == one))
     add(Law("P5.pp_forall_stable", "F(Fx*Fy) = Fx*Fy", 2, _PP,
-            lambda c, x, y: c.F[c.od[c.F[x]][c.F[y]]] == c.od[c.F[x]][c.F[y]]))
+            lambda F, od, x, y: F[od[F[x]][F[y]]] == od[F[x]][F[y]]))
     add(Law("P5.pp_forall_le", "Fx*Fy <= F(x*y) and Fx*Fy <= E(x*y)", 2, _PP,
-            lambda c, x, y: c.le(c.od[c.F[x]][c.F[y]], c.F[c.od[x][y]])
-            and c.le(c.od[c.F[x]][c.F[y]], c.E[c.od[x][y]])))
+            lambda a, E, F, od, one, x, y: a[od[F[x]][F[y]]][F[od[x][y]]] == one
+            and a[od[F[x]][F[y]]][E[od[x][y]]] == one))
     add(Law("P5.pp_transfer", "E(Ex*y) = Ex*Ey = E(x*Ey)", 2, _PP,
-            lambda c, x, y: c.E[c.od[c.E[x]][y]] == c.od[c.E[x]][c.E[y]]
-            == c.E[c.od[x][c.E[y]]]))
+            lambda E, od, x, y: E[od[E[x]][y]] == od[E[x]][E[y]]
+            == E[od[x][E[y]]]))
     add(Law("P5.pp_mixed", "E(x*Fy) = Ex*Fy and E(Fx*y) = Fx*Ey", 2, _PP,
-            lambda c, x, y: c.E[c.od[x][c.F[y]]] == c.od[c.E[x]][c.F[y]]
-            and c.E[c.od[c.F[x]][y]] == c.od[c.F[x]][c.E[y]]))
+            lambda E, F, od, x, y: E[od[x][F[y]]] == od[E[x]][F[y]]
+            and E[od[F[x]][y]] == od[F[x]][E[y]]))
 
     # -------- bounded commutative BCK oplus laws
     _BCBCK = _and(_flags("pseudo_bck", "bounded", "commutative"), _has("op"))
     add(Law("P5.oplus_stable", "F(Fx(+)Fy) = Fx(+)Fy", 2, _BCBCK,
-            lambda c, x, y: c.F[c.op[c.F[x]][c.F[y]]] == c.op[c.F[x]][c.F[y]]))
+            lambda F, op, x, y: F[op[F[x]][F[y]]] == op[F[x]][F[y]]))
     add(Law("P5.oplus_le", "Fx(+)Fy <= F(x(+)y)", 2, _BCBCK,
-            lambda c, x, y: c.le(c.op[c.F[x]][c.F[y]], c.F[c.op[x][y]])))
+            lambda a, F, op, one, x, y: a[op[F[x]][F[y]]][F[op[x][y]]] == one))
 
     # -------- monadic pseudo-hoop law
     add(Law("P5.hoop_meet", "F(x -> y)*x <= Ex ^ Ey and x*F(x ~> y) <= Ex ^ Ey", 2,
             _and(_flags("pseudo_hoop", "meet_semilattice"), _has("od", "meet")),
-            lambda c, x, y: c.le(c.od[c.F[c.a[x][y]]][x], c.meet[c.E[x]][c.E[y]])
-            and c.le(c.od[x][c.F[c.s[x][y]]], c.meet[c.E[x]][c.E[y]])))
+            lambda a, s, E, F, od, meet, one, x, y:
+            a[od[F[a[x][y]]][x]][meet[E[x]][E[y]]] == one
+            and a[od[x][F[s[x][y]]]][meet[E[x]][E[y]]] == one))
 
     # -------- congruence / deductive-system laws
     add(Law("L6.arrow_iff_squig_one_class",
@@ -594,10 +596,10 @@ def catalog() -> tuple[Law, ...]:
             _global_over_congruences(_p6_cong_exists)))
 
     # -------- axiom probes for the search module
-    add(Law("AX.refl", "x <= x", 1, _BE, lambda c, x: c.le(x, x),
+    add(Law("AX.refl", "x <= x", 1, _BE, lambda a, one, x: a[x][x] == one,
             uses_pair=False))
     add(Law("AX.psbck6_antisym", "x <= y and y <= x imply x = y (probe)", 2, _BE,
-            lambda c, x, y: not (c.le(x, y) and c.le(y, x)) or x == y,
+            lambda a, one, x, y: not (a[x][y] == one and a[y][x] == one) or x == y,
             uses_pair=False, probe=True))
 
     if len({law.id for law in L}) != len(L):
@@ -618,18 +620,17 @@ def catalog_json() -> list[dict]:
 # ------------------------------------------------------------- suite runner
 
 def evaluate_law(law: Law, ctx: Ctx) -> LawVerdict:
-    pair_name = None
-    if law.uses_pair:
-        if ctx.pair is None:
-            return LawVerdict(law.id, None, NOT_APPLICABLE, None, 0)
-        pair_name = ",".join(str(v) for v in ctx.pair.forall.images)
+    if law.uses_pair and ctx.pair is None:
+        return LawVerdict(law.id, None, NOT_APPLICABLE, None, 0)
+    pair_name = ctx.pair_name if law.uses_pair else None
     if not law.hypothesis(ctx):
         return LawVerdict(law.id, pair_name, NOT_APPLICABLE, None, 0)
     if law.arity == 0:
         ok, witness, instances = law.check(ctx)
         return LawVerdict(law.id, pair_name, HOLDS if ok else FAILS,
                           witness, instances)
-    hit = first_failure(ctx.n, law.arity, [(law.id, partial(law.check, ctx))])
+    pred = partial(law.check, *tables_of(ctx, law.arity, law.check))
+    hit = first_failure(ctx.n, law.arity, [(law.id, pred)])
     if hit is None:
         return LawVerdict(law.id, pair_name, HOLDS, None, ctx.n ** law.arity)
     return LawVerdict(law.id, pair_name, FAILS, hit[1], hit[2])

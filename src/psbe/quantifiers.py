@@ -261,77 +261,59 @@ def build_from_tau(alg: FiniteAlgebra, tau: UnaryMap,
                    report: ClassificationReport | None = None,
                    ops: DerivedOps | None = None) -> MonadicPair:
     """Pair with forall = tau, exists x = (tau x-)~, after verifying U1-U6."""
-    if report is None or ops is None:
-        report, ops = classify(alg)
-    _require_bounded_good(alg, report, ops, "build_from_tau")
-    if ops.oplus is None:
-        raise PreconditionUnmet("build_from_tau needs the oplus table")
-    n, one = alg.size, alg.one
-    t, nm, ns, op = tau.images, ops.neg_minus, ops.neg_sim, ops.oplus
-
-    checks = [
-        (1, [(1, lambda x: alg.arrow[t[x]][x] == one)]),
-        (1, [(2, lambda x: ns[t[nm[x]]] == nm[t[ns[x]]])]),
-        (2, [(3, lambda x, y: t[op[x][nm[t[y]]]] == op[t[x]][nm[t[y]]]),
-             (3, lambda x, y: t[op[ns[t[x]]][y]] == op[ns[t[x]]][t[y]])]),
-        (2, [(4, lambda x, y: t[op[x][t[y]]] == t[op[t[x]][y]] == op[t[x]][t[y]])]),
-        (1, [(5, lambda x: t[ns[op[nm[x]][nm[x]]]] == ns[op[nm[t[x]]][nm[t[x]]]]),
-             (5, lambda x: t[nm[op[ns[x]][ns[x]]]] == nm[op[ns[t[x]]][ns[t[x]]]])]),
-    ]
-    # U6 is exactly M7, which belongs to the commutative theory; on a
-    # non-commutative (e.g. merely involutive) algebra it can fail even
-    # for maps the construction is meant for, so it is only enforced
-    # when the algebra is commutative.
-    if report.holds("commutative"):
-        checks.append((1, [(6, lambda x: t[op[x][x]] == op[t[x]][t[x]])]))
-    hit = first_failure_of(n, checks)
-    if hit is not None:
-        raise UConditionFailed(hit[0], hit[1])
-
-    exists = tuple(ns[t[nm[x]]] for x in range(n))
-    other = tuple(nm[t[ns[x]]] for x in range(n))
-    if exists != other:
-        raise InvariantViolated("the two defining formulas for exists disagree despite U2")
-    pair = MonadicPair(UnaryMap(exists), tau)
-    _validate_built(alg, pair, report, ops, "build_from_tau")
-    return pair
+    return _build(alg, tau, report, ops, from_forall=True)
 
 
 def build_from_sigma(alg: FiniteAlgebra, sigma: UnaryMap,
                      report: ClassificationReport | None = None,
                      ops: DerivedOps | None = None) -> MonadicPair:
     """Pair with exists = sigma, forall x = (sigma x-)~, after verifying E1-E6."""
+    return _build(alg, sigma, report, ops, from_forall=False)
+
+
+def _build(alg, m, report, ops, from_forall: bool) -> MonadicPair:
+    # U1-U6 (tau, over the oplus table) and E1-E6 (sigma, over the
+    # pseudo-product) differ in condition 1 (tau decreasing, sigma
+    # increasing) and in the negation each side of condition 3 reads;
+    # the other map of the pair is (m x-)~ = (m x~)- either way.
+    what = "build_from_tau" if from_forall else "build_from_sigma"
     if report is None or ops is None:
         report, ops = classify(alg)
-    _require_bounded_good(alg, report, ops, "build_from_sigma")
-    if ops.odot is None:
-        raise PreconditionUnmet("build_from_sigma needs the pseudo-product table")
-    n, one = alg.size, alg.one
-    s, nm, ns, od = sigma.images, ops.neg_minus, ops.neg_sim, ops.odot
+    _require_bounded_good(alg, report, ops, what)
+    t = ops.oplus if from_forall else ops.odot
+    if t is None:
+        raise PreconditionUnmet(f"{what} needs the "
+                                + ("oplus table" if from_forall else "pseudo-product table"))
+    n, one, arr = alg.size, alg.one, alg.arrow
+    f, nm, ns = m.images, ops.neg_minus, ops.neg_sim
+    p, q = (nm, ns) if from_forall else (ns, nm)
 
     checks = [
-        (1, [(1, lambda x: alg.arrow[x][s[x]] == one)]),
-        (1, [(2, lambda x: ns[s[nm[x]]] == nm[s[ns[x]]])]),
-        (2, [(3, lambda x, y: s[od[x][ns[s[y]]]] == od[s[x]][ns[s[y]]]),
-             (3, lambda x, y: s[od[nm[s[x]]][y]] == od[nm[s[x]]][s[y]])]),
-        (2, [(4, lambda x, y: s[od[x][s[y]]] == s[od[s[x]][y]] == od[s[x]][s[y]])]),
-        (1, [(5, lambda x: s[ns[od[nm[x]][nm[x]]]] == ns[od[nm[s[x]]][nm[s[x]]]]),
-             (5, lambda x: s[nm[od[ns[x]][ns[x]]]] == nm[od[ns[s[x]]][ns[s[x]]]])]),
+        (1, [(1, lambda x: (arr[f[x]][x] if from_forall else arr[x][f[x]]) == one)]),
+        (1, [(2, lambda x: ns[f[nm[x]]] == nm[f[ns[x]]])]),
+        (2, [(3, lambda x, y: f[t[x][p[f[y]]]] == t[f[x]][p[f[y]]]),
+             (3, lambda x, y: f[t[q[f[x]]][y]] == t[q[f[x]]][f[y]])]),
+        (2, [(4, lambda x, y: f[t[x][f[y]]] == f[t[f[x]][y]] == t[f[x]][f[y]])]),
+        (1, [(5, lambda x: f[ns[t[nm[x]][nm[x]]]] == ns[t[nm[f[x]]][nm[f[x]]]]),
+             (5, lambda x: f[nm[t[ns[x]][ns[x]]]] == nm[t[ns[f[x]]][ns[f[x]]]])]),
     ]
-    # E6 mirrors U6/M7: enforced only on commutative algebras (see
-    # build_from_tau).
+    # U6 is exactly M7 (E6 mirrors it), which belongs to the commutative
+    # theory; on a non-commutative (e.g. merely involutive) algebra it can
+    # fail even for maps the construction is meant for, so it is only
+    # enforced when the algebra is commutative.
     if report.holds("commutative"):
-        checks.append((1, [(6, lambda x: s[od[x][x]] == od[s[x]][s[x]])]))
+        checks.append((1, [(6, lambda x: f[t[x][x]] == t[f[x]][f[x]])]))
     hit = first_failure_of(n, checks)
     if hit is not None:
-        raise EConditionFailed(hit[0], hit[1])
+        raise (UConditionFailed if from_forall else EConditionFailed)(hit[0], hit[1])
 
-    forall = tuple(ns[s[nm[x]]] for x in range(n))
-    other = tuple(nm[s[ns[x]]] for x in range(n))
-    if forall != other:
-        raise InvariantViolated("the two defining formulas for forall disagree despite E2")
-    pair = MonadicPair(sigma, UnaryMap(forall))
-    _validate_built(alg, pair, report, ops, "build_from_sigma")
+    other = tuple(ns[f[nm[x]]] for x in range(n))
+    if other != tuple(nm[f[ns[x]]] for x in range(n)):
+        raise InvariantViolated("the two defining formulas for " + (
+            "exists disagree despite U2" if from_forall else "forall disagree despite E2"))
+    pair = (MonadicPair(UnaryMap(other), m) if from_forall
+            else MonadicPair(m, UnaryMap(other)))
+    _validate_built(alg, pair, report, ops, what)
     return pair
 
 

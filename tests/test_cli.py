@@ -212,6 +212,33 @@ def test_ds_on_non_psbe_tables_exits_two(tmp_path):
         "squig closures disagree on {1, b}; psBE5 fails at (b, a)\n")
 
 
+@pytest.mark.parametrize("command", ["mop", "verify"])
+def test_non_psbe_input_exits_two(tmp_path, capsys, command):
+    # psBE4 fails at (a, a, b): a -> (a ~> b) = a -> b = a, a ~> (a -> b) = 1
+    bad = tmp_path / "psbe4_broken.alg"
+    bad.write_text("algebra broken\nelements 1 a b\none 1\n"
+                   "arrow\n1 a b\n1 1 a\n1 b 1\n"
+                   "squig\n1 a b\n1 1 b\n1 a 1\nend\n")
+    assert run([command, str(bad)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"psbe: error: {command} needs a pseudo BE-algebra: "
+                       "psBE4 fails at (a, a, b)\n")
+    assert run(["check", str(bad)]) == 0
+
+
+def test_quotient_by_a_pair_that_is_not_monadic_exits_two(tmp_path):
+    chain = tmp_path / "chain2.alg"
+    chain.write_text("algebra chain2\nelements 1 e1\none 1\n"
+                     "arrow\n1 e1\n1 1\nsquig\n1 e1\n1 1\n"
+                     "unary exists1\n1 1\nunary forall1\n1 e1\nend\n")
+    out = _psbe_process("quotient", str(chain), "--set", "1", "--pair", "1")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == ("psbe: error: quotient needs a monadic pair: "
+                          "M5 fails at (e1)\n")
+
+
 def test_missing_file_exits_two(capsys):
     assert run(["check", "/no/such/file.alg"]) == 2
 

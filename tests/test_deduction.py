@@ -12,7 +12,8 @@ from psbe.deduction import (Congruence, IllDefined, correspondence_report,
                             is_monadic_congruence,
                             is_monadic_ds, monadic_ds, quotient,
                             theta_from_ds)
-from psbe.quantifiers import MonadicPair, enumerate_mop, pair_from_unary_blocks
+from psbe.quantifiers import (MonadicPair, PreconditionUnmet, enumerate_mop,
+                              pair_from_unary_blocks)
 
 from conftest import ORACLE_ALGEBRAS, labelled_models, load, times_c2
 
@@ -89,6 +90,18 @@ def test_theta_trivial_cases(psbe5, bc4):
     assert blocks == {frozenset({"1"}), frozenset({"a", "d"}),
                       frozenset({"b", "c"})}
     assert theta_from_ds(psbe5, dss5[psbe5.size]).n_blocks == 1
+
+
+def test_theta_from_ds_rejects_a_non_transitive_relation():
+    # a pseudo BE-algebra of size 4 (arrow = squig) in which {1} relates
+    # e2 ~ e1 (e2 -> e1 = e1 -> e2 = 1) and e1 ~ e3, but e3 -> e2 = e1
+    t = ((0, 1, 2, 3), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 1, 0))
+    alg = FiniteAlgebra("m4", ("1", "e1", "e2", "e3"), 0, t, t)
+    assert check_pseudo_be(alg)
+    with pytest.raises(deduction.NotACongruence) as err:
+        theta_from_ds(alg, enumerate_ds(alg)[0])
+    assert (err.value.reason, err.value.witness) == ("relation not transitive",
+                                                     (2, 1, 3))
 
 
 def test_congruence_count_psbe5(psbe5):
@@ -272,6 +285,16 @@ def test_quotient_psbe5(psbe5):
     assert quot.algebra.size == 2
     assert quot.algebra.arrow == quot.algebra.squig
     assert quot.pair is not None
+
+
+def test_quotient_rejects_a_pair_that_is_not_monadic():
+    # E = (1, 1), F = Id on the 2-element chain: M5 (E F x = F x) fails at e1
+    t = ((0, 1), (0, 0))
+    alg = FiniteAlgebra("c2", ("1", "e1"), 0, t, t)
+    pair = MonadicPair(UnaryMap((0, 0)), UnaryMap((0, 1)))
+    with pytest.raises(PreconditionUnmet,
+                       match=r"^quotient needs a monadic pair: M5 fails at \(e1\)$"):
+        quotient(alg, Congruence((0, 1)), pair=pair)
 
 
 def test_quotient_identity_and_full(psbe5):

@@ -1,0 +1,123 @@
+"""Pin every law's outcome, hypotheses bypassed, and the suite's verdicts.
+
+`test_law_outcomes_are_pinned` runs each law of the catalog with its
+hypothesis replaced by "always" on seeded random table pairs with n <= 4
+(pseudo BE-algebras and arbitrary tables) and random E/F maps, so laws
+whose hypotheses (condition_A, has_pP, pseudo_hoop, ...) rarely hold
+still report a verdict, witness and instance count, or raise; an
+exception is recorded by its type.  `test_suite_verdicts_are_pinned`
+runs `verify_suite(include_probes=True)` on bc4, psbe4 and psbe5 x C2
+with their product pairs and on every model of size 2 and 3 with its
+monadic pairs.  A changed digest means some law now reports a different
+verdict, witness or instance count.
+"""
+
+import dataclasses
+import hashlib
+import json
+import random
+
+from psbe.algebra import FiniteAlgebra, UnaryMap
+from psbe.classify import check_pseudo_be
+from psbe.laws import Ctx, _models, catalog, evaluate_law, verify_suite
+from psbe.quantifiers import MonadicPair, enumerate_mop
+
+from conftest import labelled_models, load, times_c2
+from test_quantifiers import times_c2_pair
+
+LAW_DIGEST = "4949db0eafa902b336fe53fd5425296975ff657828ebb51cc1da8788f9b0c777"
+SUITE_DIGEST = "28c51aca69dd5147a826be64776cc89b59aa4f2d050e35e461fe740c1636d51a"
+
+
+def with_least_zero(alg):
+    """alg declaring its least element as zero, when it has exactly one."""
+    n, one = alg.size, alg.one
+    least = [z for z in range(n) if all(alg.arrow[z][x] == one and alg.squig[z][x] == one
+                                        for x in range(n))]
+    return dataclasses.replace(alg, zero=least[0]) if len(least) == 1 else alg
+
+
+def _random_algebra(rng, n):
+    t = [[[rng.randrange(n) for _ in range(n)] for _ in range(n)] for _ in range(2)]
+    for rows in t:
+        rows[0] = list(range(n))
+        if rng.random() < 0.5:
+            for x in range(n):
+                rows[x][0] = rows[x][x] = 0
+    return FiniteAlgebra("r", ("1",) + tuple(f"e{i}" for i in range(1, n)), 0,
+                         *(tuple(map(tuple, rows)) for rows in t))
+
+
+def _random_map(rng, alg, direction):
+    """Self-map sending x above it (direction 1), below it (-1) or anywhere (0)."""
+    out = []
+    for x in range(alg.size):
+        cands = [y for y in range(alg.size) if direction == 0 or alg.one ==
+                 (alg.arrow[x][y] if direction > 0 else alg.arrow[y][x])]
+        out.append(rng.choice(cands or range(alg.size)))
+    return UnaryMap(tuple(out))
+
+
+def _algebras(rng):
+    out = []
+    for n in (2, 3, 4):
+        models = labelled_models(n) if n < 4 else [
+            FiniteAlgebra("m4", ("1", "e1", "e2", "e3"), 0, arrow, squig)
+            for _, arrow, squig in _models(4)]
+        out += rng.sample(models, min(len(models), 12))
+        out += [_random_algebra(rng, n) for _ in range(20)]
+    return [with_least_zero(alg) for alg in out]
+
+
+def _outcome(law, ctx):
+    try:
+        return evaluate_law(law, ctx).to_json()
+    except Exception as exc:
+        return type(exc).__name__
+
+
+def law_outcomes():
+    rng = random.Random(19111996)
+    laws = [dataclasses.replace(law, hypothesis=lambda c: True) for law in catalog()]
+    out = []
+    for alg in _algebras(rng):
+        base = Ctx(alg)
+        pairs = [MonadicPair(_random_map(rng, alg, d), _random_map(rng, alg, -d))
+                 for d in (1, 1, 0)]
+        if check_pseudo_be(alg):
+            pairs += enumerate_mop(alg)[:2]
+        ctxs = [base.with_pair(p) for p in pairs]
+        out.append([alg.arrow, alg.squig, alg.zero, [p.exists.images for p in pairs],
+                    [p.forall.images for p in pairs]])
+        for law in laws:
+            out.append([_outcome(law, c) for c in (ctxs if law.uses_pair else [base])])
+    return out
+
+
+def suite_outcomes():
+    out = []
+    for name in ("bc4", "psbe4", "psbe5"):
+        factor = load(name)
+        alg = with_least_zero(times_c2(factor))
+        pairs = [times_c2_pair(p) for p in enumerate_mop(factor)]
+        out.append([alg.name] + [v.to_json(alg) for v in
+                                 verify_suite(alg, pairs, include_probes=True)])
+    for n in (2, 3):
+        for alg in map(with_least_zero, labelled_models(n)):
+            out.append([alg.arrow, alg.squig] + [
+                v.to_json(alg) for v in
+                verify_suite(alg, enumerate_mop(alg), include_probes=True)])
+    return out
+
+
+def digest(outcomes):
+    doc = json.dumps(outcomes, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(doc.encode()).hexdigest()
+
+
+def test_law_outcomes_are_pinned():
+    assert digest(law_outcomes()) == LAW_DIGEST
+
+
+def test_suite_verdicts_are_pinned():
+    assert digest(suite_outcomes()) == SUITE_DIGEST
