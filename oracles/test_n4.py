@@ -1,4 +1,5 @@
-"""Differential oracles on every labelled pseudo BE-algebra of size 4.
+"""Differential oracles on every labelled pseudo BE-algebra of size 4
+(and, for `enumerate_mop`, on the first 300 of size 5).
 
 Too slow for the tier-1 suite (the brute-force list of the 388 models
 scans 16.8M table pairs; it is built once), so they live outside its
@@ -13,6 +14,7 @@ and the eager one-pass classification for `classify`.
 """
 
 import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -79,3 +81,15 @@ def test_enumerate_congruences_matches_partition_scan(alg):
 @pytest.mark.parametrize("alg", N4)
 def test_classify_matches_eager(alg):
     assert_matches_eager(alg)
+
+
+# the carrier size of the per-model audit: the first models in scan order
+N5 = [pytest.param(model_algebra(5, arrow, squig, "m5"), id=f"m5-{rank}")
+      for rank, arrow, squig in islice(_models(5), 300)]
+
+
+@pytest.mark.parametrize("alg", N5)
+def test_enumerate_mop_matches_cross_product_n5(alg):
+    for mode in MODES:
+        assert (outcome(enumerate_mop, alg, mode)
+                == outcome(cross_product_mop, alg, mode)), mode

@@ -2,8 +2,10 @@
 
 The partition scan cannot reach these carriers (Bell(16) is about
 10^10), so `enumerate_congruences` is compared with the union-find
-closure it replaced, and the counts are pinned.  The n = 36 reference
-takes about a second:
+closure it replaced, and the counts are pinned.  The monadic pairs of
+psbe5×C2 and inv6×C2 are pinned as the product-and-filter join listed
+them (0.4 s and 28 s on CPython 3.11).  The n = 36 reference takes
+about a second:
 
     PYTHONPATH=src python -m pytest oracles
 """
@@ -15,10 +17,13 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
-from conftest import direct_product, load
+from conftest import direct_product, load, times_c2
 from test_deduction import unionfind_congruences
+from test_quantifiers import times_c2_pair
 
+from psbe.algebra import UnaryMap
 from psbe.deduction import enumerate_congruences, is_compatible
+from psbe.quantifiers import MonadicPair, declared_pairs, enumerate_mop
 
 
 @pytest.mark.parametrize("left, right, count", [("bc4", "bc4", 16),
@@ -30,3 +35,32 @@ def test_product_congruences_match_unionfind(left, right, count):
     assert congs == unionfind_congruences(alg)
     assert len(congs) == count
     assert all(is_compatible(alg, c) is None for c in congs)
+
+
+# (exists, forall) images, in enumerate_mop's order
+PRODUCT_MOP = {
+    "psbe5": [
+        ((0, 1, 2, 3, 4, 5, 6, 7, 8, 9), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9)),
+        ((0, 1, 2, 3, 6, 7, 6, 7, 8, 9), (0, 1, 2, 3, 6, 7, 6, 7, 8, 9)),
+        ((0, 1, 8, 9, 4, 5, 6, 7, 8, 9), (0, 1, 8, 9, 4, 5, 6, 7, 8, 9)),
+        ((0, 1, 8, 9, 6, 7, 6, 7, 8, 9), (0, 1, 8, 9, 6, 7, 6, 7, 8, 9)),
+    ],
+    "inv6": [
+        ((0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),
+         (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)),
+        ((0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 10, 11),
+         (0, 1, 10, 11, 10, 11, 10, 11, 10, 11, 10, 11)),
+        ((0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 11),
+         (0, 11, 11, 11, 11, 11, 11, 11, 11, 11, 11, 11)),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_MOP))
+def test_product_mop_is_pinned(name):
+    factor = load(name)
+    pairs = enumerate_mop(times_c2(factor))
+    assert pairs == [MonadicPair(UnaryMap(e), UnaryMap(f))
+                     for e, f in PRODUCT_MOP[name]]
+    for _, pair in declared_pairs(factor):
+        assert times_c2_pair(pair) in pairs

@@ -97,6 +97,21 @@ def first_failure_of(n: int, checks):
     return None
 
 
+def backtrack(cells, cands, ok, d=0):
+    """Assign each of cands[d] in turn to cells[d] = (row, i), i.e. row[i],
+    depth first, yielding at each full assignment (in lexicographic order
+    of list positions).  ok(d) runs after cells[d] is set, may read only
+    cells[:d + 1] and cells outside the list, and prunes on a False."""
+    if d == len(cells):
+        yield
+        return
+    row, i = cells[d]
+    for v in cands[d]:
+        row[i] = v
+        if ok(d):
+            yield from backtrack(cells, cands, ok, d + 1)
+
+
 PSBE_AXIOMS = ("psBE1", "psBE2", "psBE3", "psBE4", "psBE5")
 PSBCK_AXIOMS = ("psBCK1", "psBCK2", "psBCK3", "psBCK4", "psBCK5", "psBCK6")
 

@@ -21,7 +21,7 @@ from math import inf
 
 from .algebra import FiniteAlgebra
 from .classify import (FAILS, HOLDS, NOT_APPLICABLE, InvariantViolated,
-                       classify, first_failure, tables_of)
+                       backtrack, classify, first_failure, tables_of)
 from .quantifiers import MonadicPair, enumerate_mop, fixed_set
 from . import deduction as _ded
 
@@ -704,21 +704,6 @@ def candidate_count(n: int) -> int:
     return n ** ((n - 1) * (n - 2))
 
 
-def _backtrack(t, cells, values, ok, d=0):
-    """Assign `values` to cells[d:] of table t depth-first, yielding at
-    each full assignment, in lexicographic order of the cells' values.
-    ok(d) runs after cells[d] is written and may read only cells[:d + 1]
-    and fixed cells; a False prunes the subtree."""
-    if d == len(cells):
-        yield
-        return
-    x, y = cells[d]
-    for v in values:
-        t[x][y] = v
-        if ok(d):
-            yield from _backtrack(t, cells, values, ok, d + 1)
-
-
 def _models(n):
     """Every pseudo BE table pair on n elements (1 = element 0), as
     (rank, arrow, squig), in the order of the scan over all candidate
@@ -748,7 +733,7 @@ def _models(n):
         # the law at an earlier (p, x) with p -> x = y needs x -> y = 1
         return all(a[p][x] != y for p in col_before[d])
 
-    for _ in _backtrack(a, cells, range(n), arrow_ok):
+    for _ in backtrack([(a[x], y) for x, y in cells], [range(n)] * k, arrow_ok):
         arrow = tuple(map(tuple, a))
         base = sum(a[x][y] * w for (x, y), w in zip(cells, weight)) * n ** k
         # psBE5: a squig cell is 1 exactly where the arrow cell is
@@ -774,7 +759,8 @@ def _models(n):
         def squig_ok(d):
             return all(ar[sr[z]] == sr[w] for ar, sr, z, w in checks[d])
 
-        for _ in _backtrack(s, open_cells, range(1, n), squig_ok):
+        for _ in backtrack([(s[x], y) for x, y in open_cells],
+                           [range(1, n)] * len(open_cells), squig_ok):
             yield (base + sum(s[x][y] * w for (x, y), w in zip(cells, weight))
                    + 1, arrow, tuple(map(tuple, s)))
 

@@ -9,11 +9,12 @@ pair from a single interior-like or closure-like map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 from .algebra import FiniteAlgebra, UnaryMap
 from .classify import (ClassificationReport, DerivedOps, InvariantViolated,
-                       Verdict, classify, first_failure, first_failure_of, HOLDS)
+                       Verdict, backtrack, classify, first_failure,
+                       first_failure_of, HOLDS)
 
 PLAIN = "plain"
 BOUNDED_COMMUTATIVE = "bc"
@@ -151,76 +152,74 @@ def enumerate_mop(alg: FiniteAlgebra, mode: str = PLAIN,
                   unpruned: bool = False) -> list[MonadicPair]:
     """All monadic pairs, sorted by (forall images, exists images).
 
-    Candidates are the idempotent maps fixing 1 that are increasing
-    (exists, M1) or decreasing (forall, M2); idempotence and E1 = F1 = 1
-    follow from M1-M5.  The candidates are joined on their shared fixed
-    set (an idempotent map's image): forall candidates are grouped by
-    image I, and E meets only the groups with C(E) <= I <= Fix(E), where
-    C(E) = {x -> e, x ~> e : x, e in Fix(E)}.  I <= Fix(E) is M5
-    (E F x = F x); C(E) <= I is M3 at x = E x (F(x -> E y) = x -> E y,
-    likewise for ~>), and an E with C(E) outside Fix(E) meets no group.
-    Both are instances of the axioms, so every surviving pair is decided by
-    `check_monadic` and the result is exact on any input.  `unpruned`
-    runs the raw scan over every pair of self-maps instead (self-check;
-    feasible for small carriers only).
+    The maps are built on their image, cell by cell.  Where 1 -> y = y
+    for all y, as on a pseudo BE-algebra, M1 and M3 at x = 1 and M5 give
+    E 1 = 1, F E = E and E F = F, so both maps are the identity on one
+    image S, which holds 1 and x -> e, x ~> e for x, e in S (M3 at
+    x = E x, y = e); each such closed S is taken in turn.  Elsewhere E
+    need not be idempotent (on constant tables it may swap two elements)
+    and every image is tried.  `check_monadic` decides each pair, so the
+    list is exact on any input.  `unpruned` scans every pair of maps
+    passing M1 and M2 instead (a self-check for small carriers).
     """
     mode = _normalize_mode(mode)
     if mode != PLAIN and ops is None:
         _, ops = classify(alg)
-    _mode_tables(alg, mode, ops)    # ModeUnavailable before any candidate
-    n, one = alg.size, alg.one
-    arr, sq = alg.arrow, alg.squig
+    n, one, arr, sq, rng = alg.size, alg.one, alg.arrow, alg.squig, range(alg.size)
+    # M6 and M7 read F at x and at x (.) x, x (+) x; ModeUnavailable here
+    squares = [tuple(t[x][x] for x in rng) for t in _mode_tables(alg, mode, ops) if t]
+    up = [{y for y in rng if arr[x][y] == one and sq[x][y] == one} for x in rng]     # M1
+    down = [{y for y in rng if arr[y][x] == one and sq[y][x] == one} for x in rng]   # M2
+    cols = [tuple(zip(*t)) for t in (arr, sq)]
 
-    found: list[MonadicPair] = []
+    def pairs(image, fixed):
+        # E x then F x for x outside fixed, valued in image (M1, M2, M5).
+        # M3 at E z = e (F(y t e) = E y t e), M4 at E x = e (F(e t y) =
+        # e t F y), M6 and M7 are F(r y) = r(m y), m = E or F, each tested
+        # once both cells are set; a non-empty fixed is closed under all r.
+        E, F = list(rng), list(rng)
+        free = [x for x in rng if x not in fixed]
+        cells = [(m, x) for x in free for m in (E, F)]
+        cands = [[v for v in image if v in (up if m is E else down)[x]] for m, x in cells]
+        if not all(cands):
+            return
+        de = [-1 if x in fixed else 2 * free.index(x) for x in rng]
+        df = [d + (d >= 0) for d in de]
+        checks = [[] for _ in cells]
+        for r, m, dm in ([(c[e], E, de) for c in cols for e in image]
+                         + [(t[e], F, df) for t in (arr, sq) for e in image]
+                         + [(r, F, df) for r in squares]):
+            for y in free:
+                checks[max(dm[y], df[r[y]])].append((r, m, y))
+        for _ in backtrack(cells, cands, lambda d: all(
+                F[r[y]] == r[m[y]] for r, m, y in checks[d])):
+            if fixed or (len(set(E)) == len(image) and all(E[v] == v for v in F)):
+                yield MonadicPair(UnaryMap(tuple(E)), UnaryMap(tuple(F)))
+
     if unpruned:
-        # Exhaustive O(n^{2n}) scan.  M1 depends only on the exists
-        # candidate and M2 only on the forall candidate, so both are
-        # hoisted out of the inner loop; every remaining (exists, forall)
-        # pair is still decided exactly.
-        forall_maps = [UnaryMap(F) for F in product(range(n), repeat=n)
-                       if all(arr[F[x]][x] == one and sq[F[x]][x] == one
-                              for x in range(n))]
-        for E in product(range(n), repeat=n):
-            if not all(arr[x][E[x]] == one and sq[x][E[x]] == one for x in range(n)):
-                continue
-            em = UnaryMap(E)
-            for fm in forall_maps:
-                pair = MonadicPair(em, fm)
-                if check_monadic(alg, pair, mode, ops).ok:
-                    found.append(pair)
-        found.sort(key=MonadicPair.sort_key)
-        return found
+        foralls = [UnaryMap(F) for F in product(rng, repeat=n)
+                   if all(F[x] in down[x] for x in rng)]
+        candidates = (MonadicPair(UnaryMap(E), f) for E in product(rng, repeat=n)
+                      if all(E[x] in up[x] for x in rng) for f in foralls)
+    elif all(arr[one][y] == y for y in rng):
+        # S holds E x and F x for all x (M1, M2), so any singleton up[x] or
+        # down[x], and r x for x in S
+        def close(S, new):      # the least closed set holding S and new
+            while new:
+                S = S | new
+                new = ({row[y] for z in new for row in (arr[z], sq[z], cols[0][z], cols[1][z])
+                        for y in S} | {r[z] for r in squares for z in new}) - S
+            return S
 
-    up = [[y for y in range(n) if arr[x][y] == one and sq[x][y] == one]
-          for x in range(n)]
-    down = [[y for y in range(n) if arr[y][x] == one and sq[y][x] == one]
-            for x in range(n)]
-    up[one] = [one]      # exists(1) = 1
-    down[one] = [one]    # forall(1) = 1
-
-    def idempotent(m):
-        return tuple(map(m.__getitem__, m)) == m      # m m = m
-
-    forall_by_image: dict[frozenset, list[tuple[int, ...]]] = {}
-    for F in product(*down):
-        if idempotent(F):
-            forall_by_image.setdefault(frozenset(F), []).append(F)
-    for E in product(*up):
-        if not idempotent(E):
-            continue
-        fix = frozenset(E)
-        closed = frozenset(t[x][e] for t in (arr, sq) for x in fix for e in fix)
-        if not closed <= fix:
-            continue
-        em = UnaryMap(E)
-        for image, group in forall_by_image.items():
-            if closed <= image <= fix:
-                for F in group:
-                    pair = MonadicPair(em, UnaryMap(F))
-                    if check_monadic(alg, pair, mode, ops).ok:
-                        found.append(pair)
-    found.sort(key=MonadicPair.sort_key)
-    return found
+        shapes = [close(frozenset(), {one}.union(*(c for c in up + down if len(c) == 1)))]
+        for S in shapes:
+            shapes += {close(S, {x}) for x in rng if x not in S} - set(shapes)
+        candidates = (p for S in shapes for p in pairs(S, S))
+    else:
+        candidates = (p for k in range(1, n + 1) for image in combinations(rng, k)
+                      for p in pairs(set(image), ()))
+    return sorted((p for p in candidates if check_monadic(alg, p, mode, ops).ok),
+                  key=MonadicPair.sort_key)
 
 
 def fixed_set(alg: FiniteAlgebra, pair: MonadicPair):

@@ -4,7 +4,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psbe.algebra import UnaryMap
+from psbe import quantifiers as quantifiers_module
+from psbe.algebra import FiniteAlgebra, UnaryMap
 from psbe.classify import classify
 from psbe.quantifiers import (BOUNDED_COMMUTATIVE, HOOP, PLAIN, ModeUnavailable,
                               MonadicPair, NotBCK, build_from_sigma,
@@ -14,7 +15,7 @@ from psbe.quantifiers import (BOUNDED_COMMUTATIVE, HOOP, PLAIN, ModeUnavailable,
                               fixed_set, is_monadic, pair_from_unary_blocks,
                               residuation_check)
 
-from conftest import ORACLE_ALGEBRAS, load, times_c2
+from conftest import FIXTURE_NAMES, ORACLE_ALGEBRAS, load, times_c2
 
 MODES = (PLAIN, BOUNDED_COMMUTATIVE, HOOP)
 
@@ -123,6 +124,58 @@ def test_enumerate_mop_matches_cross_product_off_psbe(name, mode, data):
     alg = replace(alg, zero=None, **{which: tuple(map(tuple, rows))})
     assert (outcome(enumerate_mop, alg, mode)
             == outcome(cross_product_mop, alg, mode))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_enumerate_mop_matches_unpruned_on_any_tables(data):
+    # arbitrary tables and any element as 1: monadic pairs need not be
+    # idempotent here (on constant tables E may swap two elements), so
+    # the reference is the raw scan, not the cross product of idempotent
+    # candidates; the row of 1 is made the identity half of the time,
+    # where the pruned path takes each map's image to be a subalgebra
+    n = data.draw(st.integers(1, 3))
+    one = data.draw(st.integers(0, n - 1))
+    cells = st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(tuple)
+    arrow, squig = (list(data.draw(st.lists(cells, min_size=n, max_size=n)))
+                    for _ in range(2))
+    if data.draw(st.booleans()):
+        arrow[one] = tuple(range(n))
+    alg = FiniteAlgebra("any", tuple(f"e{i}" for i in range(n)), one,
+                        tuple(arrow), tuple(squig))
+    for mode in MODES:
+        assert (outcome(enumerate_mop, alg, mode)
+                == outcome(enumerate_mop, alg, mode, unpruned=True)), mode
+
+
+def test_enumerate_mop_on_constant_tables_finds_non_idempotent_pairs():
+    # x -> y = x ~> y = 1 everywhere: any F with F 1 = 1 and any E fixing
+    # Im F is monadic, e.g. E swapping the other two elements
+    ones = ((0, 0, 0),) * 3
+    alg = FiniteAlgebra("ones", ("1", "a", "b"), 0, ones, ones)
+    pairs = enumerate_mop(alg)
+    assert MonadicPair(UnaryMap((0, 2, 1)), UnaryMap((0, 0, 0))) in pairs
+    assert pairs == enumerate_mop(alg, unpruned=True)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_enumerate_mop_checks_each_returned_pair_once(name, monkeypatch):
+    # every candidate built satisfies M1-M7 of the mode, so the final
+    # check_monadic never rejects one
+    alg = load(name)
+    calls = []
+    real = quantifiers_module.check_monadic
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(quantifiers_module, "check_monadic", counted)
+    for mode in MODES:
+        calls.clear()
+        pairs = outcome(enumerate_mop, alg, mode)
+        if pairs is not ModeUnavailable:
+            assert sorted(calls, key=MonadicPair.sort_key) == pairs, mode
 
 
 @pytest.mark.parametrize("name, counts", [
