@@ -4,8 +4,9 @@ The partition scan cannot reach these carriers (Bell(16) is about
 10^10), so `enumerate_congruences` is compared with the union-find
 closure it replaced, and the counts are pinned.  The monadic pairs of
 psbe5×C2 and inv6×C2 are pinned as the product-and-filter join listed
-them (0.4 s and 28 s on CPython 3.11).  The n = 36 reference takes
-about a second:
+them (0.4 s and 28 s on CPython 3.11); psbe4×C2 is compared with the
+cross-product reference, which takes about 4 s there.  The n = 36
+reference takes about a second:
 
     PYTHONPATH=src python -m pytest oracles
 """
@@ -19,7 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from conftest import direct_product, load, times_c2
 from test_deduction import unionfind_congruences
-from test_quantifiers import times_c2_pair
+from test_quantifiers import cross_product_mop, times_c2_pair
 
 from psbe.algebra import UnaryMap
 from psbe.deduction import enumerate_congruences, is_compatible
@@ -54,6 +55,11 @@ PRODUCT_MOP = {
          (0, 11, 11, 11, 11, 11, 11, 11, 11, 11, 11, 11)),
     ],
 }
+
+
+def test_psbe4_product_mop_matches_cross_product():
+    alg = times_c2(load("psbe4"))
+    assert enumerate_mop(alg) == cross_product_mop(alg)
 
 
 @pytest.mark.parametrize("name", sorted(PRODUCT_MOP))

@@ -21,6 +21,15 @@ class ParseError(ValueError):
         self.reason = reason
 
 
+class PreconditionUnmet(ValueError):
+    """The input does not meet what the operation needs (CLI exit status 2);
+    `witness`, when given, is a tuple of element indices showing it."""
+
+    def __init__(self, message: str, witness: tuple | None = None):
+        super().__init__(message)
+        self.witness = witness
+
+
 Table = tuple[tuple[int, ...], ...]
 
 
@@ -91,7 +100,7 @@ class FiniteAlgebra:
         try:
             return self.element_names.index(token)
         except ValueError:
-            raise KeyError(f"unknown element {token!r}") from None
+            raise PreconditionUnmet(f"unknown element {token!r}") from None
 
     def elements(self) -> range:
         return range(self.size)

@@ -16,15 +16,11 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import product, starmap
 
-from .algebra import FiniteAlgebra
+from .algebra import FiniteAlgebra, PreconditionUnmet
 
 HOLDS = "holds"
 FAILS = "fails"
 NOT_APPLICABLE = "not_applicable"
-
-
-class DeclaredZeroMismatch(ValueError):
-    """Declared constant 0 is not a least element of the algebra."""
 
 
 class InvariantViolated(RuntimeError):
@@ -161,7 +157,7 @@ FLAG_NAMES = (
 
 def least_elements(alg: FiniteAlgebra) -> list[int]:
     """The elements z with z -> x = z ~> x = 1 for every x.  Raises
-    DeclaredZeroMismatch when the algebra declares a zero that is not its
+    PreconditionUnmet when the algebra declares a zero that is not its
     only least element (with several, none is singled out)."""
     one, rng = alg.one, alg.elements()
     least = [z for z in rng
@@ -169,8 +165,8 @@ def least_elements(alg: FiniteAlgebra) -> list[int]:
     if alg.zero is not None and len(least) < 2 and least != [alg.zero]:
         what = (f"the least element ({alg.element_names[least[0]]!r} is)" if least
                 else "a least element")
-        raise DeclaredZeroMismatch(
-            f"declared zero {alg.element_names[alg.zero]!r} is not {what}")
+        raise PreconditionUnmet(
+            f"declared zero {alg.element_names[alg.zero]!r} is not {what}", (alg.zero,))
     return least
 
 
@@ -326,7 +322,7 @@ DerivedOps = ClassificationReport   # the derived tables are the report's
 def classify(alg: FiniteAlgebra) -> tuple[ClassificationReport, DerivedOps]:
     """The flags and derived tables of alg as (report, ops): one
     ClassificationReport in both roles.  Only the least elements are found
-    here, so a bad declared zero raises DeclaredZeroMismatch at once.  Each
+    here, so a bad declared zero raises PreconditionUnmet at once.  Each
     flag and table is computed on first read (reading the tables and flags
     it needs the same way) and kept: a caller pays only for what it reads."""
     report = ClassificationReport(alg)

@@ -4,7 +4,8 @@ search and list the law catalog.
 Every subcommand emits a RunReport.  JSON is the contract (stable key
 order, deterministic for identical inputs); text output is a thin
 rendering of the same payload.  Exit codes: 0 clean, 1 a law failed or
-a counterexample was found, 2 parse or usage error.
+a counterexample was found, 2 an input or usage error: argparse's own,
+or a PreconditionUnmet from reading the file or from the library.
 """
 
 from __future__ import annotations
@@ -15,20 +16,16 @@ import json
 import sys
 
 from . import __version__
-from .algebra import FiniteAlgebra, ParseError, load_algebra, serialize_algebra
-from .classify import DeclaredZeroMismatch, classify, least_elements
-from .quantifiers import (PreconditionUnmet, declared_pairs, enumerate_mop,
-                          pair_from_unary_blocks)
+from .algebra import (FiniteAlgebra, ParseError, PreconditionUnmet, load_algebra,
+                      serialize_algebra)
+from .classify import classify, least_elements
+from .quantifiers import declared_pairs, enumerate_mop, pair_from_unary_blocks
 from . import deduction as ded
 from . import laws as lawmod
 
 EXIT_OK = 0
 EXIT_FAILURE_FOUND = 1
 EXIT_USAGE = 2
-
-
-class UsageError(Exception):
-    pass
 
 
 def _digest(path) -> str:
@@ -41,14 +38,17 @@ def _names(alg, xs):
 
 
 def _load(path) -> FiniteAlgebra:
-    """The algebra in path; raises DeclaredZeroMismatch (exit 2) when its
-    declared zero is not the least element, whatever the subcommand."""
+    """The algebra in path; raises PreconditionUnmet (exit 2) when the file
+    cannot be read or parsed, or when its declared zero is not the least
+    element, whatever the subcommand."""
     try:
         alg = load_algebra(path)
     except FileNotFoundError:
-        raise UsageError(f"no such file: {path}")
-    except ParseError as exc:
-        raise UsageError(f"{path}: {exc}")
+        raise PreconditionUnmet(f"no such file: {path}")
+    except OSError as exc:
+        raise PreconditionUnmet(f"cannot read {path}: {exc.strerror}")
+    except (UnicodeDecodeError, ParseError) as exc:
+        raise PreconditionUnmet(f"{path}: {exc}")
     least_elements(alg)
     return alg
 
@@ -62,22 +62,13 @@ def _load_psbe(path, command: str):
     if not verdict:
         raise PreconditionUnmet(
             f"{command} needs a pseudo BE-algebra: {verdict.name} fails at "
-            f"({', '.join(alg.element_names[x] for x in verdict.witness)})")
+            f"({', '.join(alg.element_names[x] for x in verdict.witness)})",
+            verdict.witness)
     return alg, report, ops
 
 
 def _parse_set(alg, spec: str) -> frozenset:
-    try:
-        return frozenset(alg.index(tok) for tok in spec.split(",") if tok)
-    except KeyError as exc:
-        raise UsageError(str(exc))
-
-
-def _select_pair(alg, prefix: str):
-    try:
-        return pair_from_unary_blocks(alg, prefix)
-    except KeyError as exc:
-        raise UsageError(str(exc))
+    return frozenset(alg.index(tok) for tok in spec.split(",") if tok)
 
 
 # ------------------------------------------------------------- subcommands
@@ -104,10 +95,7 @@ def _cmd_check(args):
 
 def _cmd_mop(args):
     alg, _, ops = _load_psbe(args.algebra, "mop")
-    try:
-        pairs = enumerate_mop(alg, mode=args.mode, ops=ops)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    pairs = enumerate_mop(alg, mode=args.mode, ops=ops)
     payload = {
         "algebra": alg.name,
         "mode": args.mode,
@@ -124,7 +112,7 @@ def _cmd_mop(args):
 
 def _cmd_ds(args):
     alg = _load(args.algebra)
-    pair = _select_pair(alg, args.pair) if args.pair is not None else None
+    pair = pair_from_unary_blocks(alg, args.pair) if args.pair is not None else None
     systems = ded.enumerate_ds(alg)
     payload = {
         "algebra": alg.name,
@@ -147,8 +135,6 @@ def _cmd_ds(args):
 
 def _cmd_gen(args):
     alg = _load(args.algebra)
-    if args.set is None:
-        raise UsageError("gen requires --set")
     xs = _parse_set(alg, args.set)
     gen = ded.generated_ds(alg, xs)
     payload = {
@@ -162,20 +148,15 @@ def _cmd_gen(args):
 
 def _cmd_quotient(args):
     alg = _load(args.algebra)
-    if args.set is None:
-        raise UsageError("quotient requires --set (a deductive system)")
     xs = _parse_set(alg, args.set)
     d = ded.generated_ds(alg, xs)
     if d.members != xs:
-        raise UsageError(
+        raise PreconditionUnmet(
             f"--set is not a deductive system (it generates "
             f"{{{', '.join(_names(alg, d.members))}}})")
-    pair = _select_pair(alg, args.pair) if args.pair is not None else None
-    try:
-        cong = ded.theta_from_ds(alg, d)
-        quot = ded.quotient(alg, cong, pair=pair, name=f"{alg.name}_quot")
-    except (ded.NotACongruence, ded.IllDefined) as exc:
-        raise UsageError(str(exc))
+    pair = pair_from_unary_blocks(alg, args.pair) if args.pair is not None else None
+    cong = ded.theta_from_ds(alg, d)
+    quot = ded.quotient(alg, cong, pair=pair, name=f"{alg.name}_quot")
     qalg = quot.algebra
     if quot.pair is not None:
         qalg = qalg.with_unary(exists=quot.pair.exists, forall=quot.pair.forall)
@@ -197,11 +178,8 @@ def _cmd_verify(args):
     if not pairs:
         pairs = enumerate_mop(alg)
     law_ids = args.law.split(",") if args.law else None
-    try:
-        verdicts = lawmod.verify_suite(alg, pairs, law_ids=law_ids,
-                                       report=report, ops=ops)
-    except KeyError as exc:
-        raise UsageError(str(exc))
+    verdicts = lawmod.verify_suite(alg, pairs, law_ids=law_ids,
+                                   report=report, ops=ops)
     failures = [v for v in verdicts if v.status == lawmod.FAILS]
     payload = {
         "algebra": alg.name,
@@ -221,16 +199,11 @@ def _cmd_verify(args):
 
 
 def _cmd_search(args):
-    if args.law is None:
-        raise UsageError("search requires --law")
+    spec = lawmod.SearchSpec(law=args.law, max_size=args.max_size,
+                             min_size=args.min_size, iso_reject=args.iso_reject,
+                             budget=args.budget)
     try:
-        spec = lawmod.SearchSpec(law=args.law, max_size=args.max_size,
-                                 min_size=args.min_size,
-                                 iso_reject=args.iso_reject,
-                                 budget=args.budget)
         result = lawmod.search_counterexample(spec)
-    except (KeyError, ValueError) as exc:
-        raise UsageError(str(exc))
     except lawmod.BudgetExceeded as exc:
         result = exc.result
     payload = {
@@ -311,11 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generated deductive system of --set")
     common(p)
-    p.add_argument("--set", help="comma-separated element names")
+    p.add_argument("--set", required=True, help="comma-separated element names")
 
     p = sub.add_parser("quotient", help="quotient by the congruence of --set")
     common(p)
-    p.add_argument("--set", help="deductive system, comma-separated")
+    p.add_argument("--set", required=True, help="deductive system, comma-separated")
     p.add_argument("--pair", help="unary block prefix selecting a monadic pair")
 
     p = sub.add_parser("verify", help="run the law suite")
@@ -324,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="bounded counterexample search")
     common(p, algebra=False)
-    p.add_argument("--law", help="target law id")
+    p.add_argument("--law", required=True, help="target law id")
     p.add_argument("--max-size", type=int, default=4)
     p.add_argument("--min-size", type=int, default=2)
     p.add_argument("--iso-reject", action="store_true",
@@ -346,7 +319,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         code, payload, text = _COMMANDS[args.command](args)
-    except (UsageError, DeclaredZeroMismatch, PreconditionUnmet) as exc:
+    except PreconditionUnmet as exc:
         print(f"psbe: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     report = {

@@ -13,23 +13,17 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import product
 
-from .algebra import FiniteAlgebra
+from .algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap
 from .classify import (ClassificationReport, DerivedOps, InvariantViolated,
                        Verdict, check_pseudo_be, check_pseudo_bck, classify)
-from .quantifiers import MonadicPair, PreconditionUnmet, check_monadic
+from .quantifiers import MonadicPair, check_monadic
+
+# perfbench/workloads.py catches this name, and perfbench changes only on its own
+NotACongruence = PreconditionUnmet
 
 
-class NotACongruence(ValueError):
-    def __init__(self, reason: str, witness: tuple[int, ...]):
-        super().__init__(f"{reason} at {witness}")
-        self.reason = reason
-        self.witness = witness
-
-
-class IllDefined(ValueError):
-    def __init__(self, witness: tuple[int, ...]):
-        super().__init__(f"class operation disagrees at {witness}")
-        self.witness = witness
+def _unmet(reason: str, witness: tuple[int, ...]) -> PreconditionUnmet:
+    return PreconditionUnmet(f"{reason} at {witness}", witness)
 
 
 @dataclass(frozen=True)
@@ -81,7 +75,7 @@ def _closures_disagree(alg: FiniteAlgebra, members: frozenset):
         raise InvariantViolated(f"{where} of a pseudo BE-algebra")
     raise PreconditionUnmet(f"deductive systems need a pseudo BE-algebra: "
                             f"{where}; {verdict.name} fails at "
-                            f"({tokens(verdict.witness)})")
+                            f"({tokens(verdict.witness)})", verdict.witness)
 
 
 def enumerate_ds(alg: FiniteAlgebra) -> list[DeductiveSystem]:
@@ -348,18 +342,18 @@ def theta_from_ds(alg: FiniteAlgebra, ds: DeductiveSystem) -> Congruence:
                for x in range(n)]
     for x in range(n):
         if x not in related[x]:
-            raise NotACongruence("relation not reflexive", (x,))
+            raise _unmet("relation not reflexive", (x,))
     # transitive iff x ~ y puts y's relatives among x's; the n^3 walk
     # only names a failure
     if not all(related[y] <= related[x] for x in range(n) for y in related[x]):
-        raise NotACongruence("relation not transitive", next(
+        raise _unmet("relation not transitive", next(
             (x, y, z) for x, y, z in product(range(n), repeat=3)
             if y in related[x] and z in related[y] and z not in related[x]))
     # an equivalence: each class is labelled by its least element
     cong = _canonical([min(r) for r in related])
     bad = is_compatible(alg, cong)
     if bad is not None:
-        raise NotACongruence("relation not compatible with the operations", bad)
+        raise _unmet("relation not compatible with the operations", bad)
     if cong.one_class(alg) != d:
         raise InvariantViolated("[1]_Theta differs from D")
     return cong
@@ -387,7 +381,8 @@ def quotient(alg: FiniteAlgebra, cong: Congruence,
         if bad is not None:
             raise PreconditionUnmet(
                 f"quotient needs a monadic pair: {bad.name} fails at "
-                f"({', '.join(alg.element_names[x] for x in bad.witness)})")
+                f"({', '.join(alg.element_names[x] for x in bad.witness)})",
+                bad.witness)
     n = alg.size
     blocks = sorted(cong.blocks(), key=min)
     proj = [None] * n
@@ -408,7 +403,7 @@ def quotient(alg: FiniteAlgebra, cong: Congruence,
                 # locate a concrete witness 4-tuple for the report
                 for a, b in product(blocks[proj[x]], blocks[proj[y]]):
                     if proj[table[a][b]] != v:
-                        raise IllDefined((x, a, y, b))
+                        raise _unmet("class operation disagrees", (x, a, y, b))
         return tuple(tuple(r) for r in out)
 
     q_arrow = build(alg.arrow)
@@ -424,8 +419,6 @@ def quotient(alg: FiniteAlgebra, cong: Congruence,
     )
     q_pair = None
     if pair is not None:
-        from .algebra import UnaryMap
-
         def push(um):
             images = [None] * m
             for x in range(n):
@@ -435,7 +428,7 @@ def quotient(alg: FiniteAlgebra, cong: Congruence,
                 elif images[proj[x]] != v:
                     for a in blocks[proj[x]]:
                         if proj[um(a)] != images[proj[x]]:
-                            raise IllDefined((x, a, x, a))
+                            raise _unmet("class operation disagrees", (x, a, x, a))
             return UnaryMap(tuple(images))
 
         q_pair = MonadicPair(push(pair.exists), push(pair.forall))

@@ -19,7 +19,7 @@ from functools import cache, cached_property, partial
 from itertools import permutations, product, starmap
 from math import inf
 
-from .algebra import FiniteAlgebra
+from .algebra import FiniteAlgebra, PreconditionUnmet
 from .classify import (FAILS, HOLDS, NOT_APPLICABLE, InvariantViolated,
                        backtrack, classify, first_failure, tables_of)
 from .quantifiers import MonadicPair, enumerate_mop, fixed_set
@@ -650,7 +650,7 @@ def verify_suite(alg: FiniteAlgebra, pairs, law_ids=None,
         wanted = set(law_ids)
         unknown = wanted - _law_by_id().keys()
         if unknown:
-            raise KeyError(f"unknown law ids: {sorted(unknown)}")
+            raise PreconditionUnmet(f"unknown law ids: {sorted(unknown)}")
         laws = [l for l in laws if l.id in wanted]
     pair_ctxs = [base.with_pair(pair) for pair in pairs]
     out = []
@@ -678,7 +678,9 @@ class SearchSpec:
 
     def __post_init__(self):
         if not (2 <= self.min_size <= self.max_size <= 5):
-            raise ValueError("search sizes must satisfy 2 <= min <= max <= 5")
+            raise PreconditionUnmet("search sizes must satisfy 2 <= min <= max <= 5")
+        if self.budget is not None and self.budget < 0:
+            raise PreconditionUnmet(f"search budget must be >= 0, got {self.budget}")
 
 
 @dataclass
@@ -827,7 +829,7 @@ def search_counterexample(spec: SearchSpec) -> SearchResult:
     """
     law = _law_by_id().get(spec.law)
     if law is None:
-        raise KeyError(f"unknown law id {spec.law!r}")
+        raise PreconditionUnmet(f"unknown law id {spec.law!r}")
     result = SearchResult(found=None)
     for n in range(spec.min_size, spec.max_size + 1):
         remaining = (inf if spec.budget is None

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .algebra import FiniteAlgebra, UnaryMap
+from .algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap
 from .classify import (ClassificationReport, DerivedOps, InvariantViolated,
                        Verdict, backtrack, classify, first_failure,
                        first_failure_of, HOLDS)
@@ -28,34 +28,8 @@ _MODE_ALIASES = {
 }
 
 
-class ModeUnavailable(ValueError):
-    """Requested check mode needs derived operations the algebra lacks."""
-
-
-class NotBCK(ValueError):
-    pass
-
-
-class NotBoundedCommutative(ValueError):
-    pass
-
-
-class PreconditionUnmet(ValueError):
-    pass
-
-
-class UConditionFailed(ValueError):
-    def __init__(self, k: int, witness: tuple[int, ...]):
-        super().__init__(f"condition U{k} fails at {witness}")
-        self.k = k
-        self.witness = witness
-
-
-class EConditionFailed(ValueError):
-    def __init__(self, k: int, witness: tuple[int, ...]):
-        super().__init__(f"condition E{k} fails at {witness}")
-        self.k = k
-        self.witness = witness
+# perfbench/workloads.py catches this name, and perfbench changes only on its own
+ModeUnavailable = PreconditionUnmet
 
 
 @dataclass(frozen=True)
@@ -94,20 +68,20 @@ def _normalize_mode(mode: str) -> str:
     try:
         return _MODE_ALIASES[mode]
     except KeyError:
-        raise ValueError(f"unknown mode {mode!r}") from None
+        raise PreconditionUnmet(f"unknown mode {mode!r}") from None
 
 
 def _mode_tables(alg: FiniteAlgebra, mode: str, ops: DerivedOps | None):
     """(odot, oplus) for M6/M7, None where the mode does not check them;
-    raises ModeUnavailable when the mode needs a table the algebra lacks."""
+    raises PreconditionUnmet when the mode needs a table the algebra lacks."""
     if mode == PLAIN:
         return None, None
     if ops is None:
         _, ops = classify(alg)
     if ops.odot is None:
-        raise ModeUnavailable(f"mode {mode!r} needs the pseudo-product table")
+        raise PreconditionUnmet(f"mode {mode!r} needs the pseudo-product table")
     if mode == BOUNDED_COMMUTATIVE and ops.oplus is None:
-        raise ModeUnavailable("bounded-commutative mode needs the oplus table")
+        raise PreconditionUnmet("bounded-commutative mode needs the oplus table")
     return ops.odot, ops.oplus if mode == BOUNDED_COMMUTATIVE else None
 
 
@@ -166,7 +140,7 @@ def enumerate_mop(alg: FiniteAlgebra, mode: str = PLAIN,
     if mode != PLAIN and ops is None:
         _, ops = classify(alg)
     n, one, arr, sq, rng = alg.size, alg.one, alg.arrow, alg.squig, range(alg.size)
-    # M6 and M7 read F at x and at x (.) x, x (+) x; ModeUnavailable here
+    # M6 and M7 read F at x and at x (.) x, x (+) x; PreconditionUnmet here
     squares = [tuple(t[x][x] for x in rng) for t in _mode_tables(alg, mode, ops) if t]
     up = [{y for y in rng if arr[x][y] == one and sq[x][y] == one} for x in rng]     # M1
     down = [{y for y in rng if arr[y][x] == one and sq[y][x] == one} for x in rng]   # M2
@@ -304,7 +278,8 @@ def _build(alg, m, report, ops, from_forall: bool) -> MonadicPair:
         checks.append((1, [(6, lambda x: f[t[x][x]] == t[f[x]][f[x]])]))
     hit = first_failure_of(n, checks)
     if hit is not None:
-        raise (UConditionFailed if from_forall else EConditionFailed)(hit[0], hit[1])
+        raise PreconditionUnmet(f"condition {'U' if from_forall else 'E'}{hit[0]} fails "
+                                f"at {hit[1]}", hit[1])
 
     other = tuple(ns[f[nm[x]]] for x in range(n))
     if other != tuple(nm[f[ns[x]]] for x in range(n)):
@@ -373,7 +348,7 @@ def compose_pairs(alg: FiniteAlgebra, p1: MonadicPair, p2: MonadicPair,
     if report is None:
         report, _ = classify(alg)
     if not report.holds("condition_T"):
-        raise NotBCK("compose_pairs needs a transitive induced order")
+        raise PreconditionUnmet("compose_pairs needs a transitive induced order")
     one = alg.one
     e12 = p1.exists.compose(p2.exists)
     e21 = p2.exists.compose(p1.exists)
@@ -415,7 +390,7 @@ def check_mv_quantifier(alg: FiniteAlgebra, m: UnaryMap, kind: str,
     if report is None or ops is None:
         report, ops = classify(alg)
     if not (report.holds("bounded") and report.holds("commutative")):
-        raise NotBoundedCommutative("MV quantifier axioms need a bounded commutative algebra")
+        raise PreconditionUnmet("MV quantifier axioms need a bounded commutative algebra")
     f, arr, one = m.images, alg.arrow, alg.one
     nm, ns, od, op = ops.neg_minus, ops.neg_sim, ops.odot, ops.oplus
     # the two kinds differ in MV1 (f decreasing vs increasing) and MV2
@@ -465,5 +440,5 @@ def pair_from_unary_blocks(alg: FiniteAlgebra, prefix: str) -> MonadicPair:
     for label, pair in declared_pairs(alg):
         if label == prefix:
             return pair
-    raise KeyError(f"no unary blocks {prefix}_exists/{prefix}_forall or "
-                   f"exists{prefix}/forall{prefix} in {alg.name}")
+    raise PreconditionUnmet(f"no unary blocks {prefix}_exists/{prefix}_forall or "
+                            f"exists{prefix}/forall{prefix} in {alg.name}")

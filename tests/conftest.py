@@ -4,8 +4,8 @@ from pathlib import Path
 import pytest
 
 import psbe
-from psbe.algebra import FiniteAlgebra, load_algebra
-from psbe.classify import (DeclaredZeroMismatch, Verdict, _check_pseudo_mv,
+from psbe.algebra import FiniteAlgebra, PreconditionUnmet, load_algebra
+from psbe.classify import (Verdict, _check_pseudo_mv,
                            check_pseudo_be, check_pseudo_bck, first_failure,
                            first_failure_of, pseudo_product_table)
 from psbe.laws import (BudgetExceeded, SearchResult, _is_canonical,
@@ -190,14 +190,14 @@ def eager_classify(alg):
     if len(least) == 1:
         zero = least[0]
         if alg.zero is not None and alg.zero != zero:
-            raise DeclaredZeroMismatch(
+            raise PreconditionUnmet(
                 f"declared zero {alg.element_names[alg.zero]!r} is not the "
                 f"least element ({alg.element_names[zero]!r} is)")
         flags["bounded"] = Verdict.holds("bounded")
     elif len(least) == 0:
         zero = None
         if alg.zero is not None:
-            raise DeclaredZeroMismatch(
+            raise PreconditionUnmet(
                 f"declared zero {alg.element_names[alg.zero]!r} is not a least element")
         flags["bounded"] = Verdict.fails("bounded", ())
     else:

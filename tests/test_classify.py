@@ -7,8 +7,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psbe.classify import (FLAG_NAMES, DeclaredZeroMismatch, check_pseudo_be,
-                           check_pseudo_bck, classify)
+from psbe.algebra import PreconditionUnmet
+from psbe.classify import FLAG_NAMES, check_pseudo_be, check_pseudo_bck, classify
 from psbe.laws import SearchSpec, search_counterexample
 
 from conftest import (FIXTURE_NAMES, ORACLE_ALGEBRAS, TABLE_NAMES,
@@ -103,8 +103,8 @@ def test_report_json_shape(any_fixture):
 def assert_matches_eager(alg, seed=0):
     try:
         flags, tables = eager_classify(alg)
-    except DeclaredZeroMismatch as exc:
-        with pytest.raises(DeclaredZeroMismatch, match=re.escape(str(exc))):
+    except PreconditionUnmet as exc:
+        with pytest.raises(PreconditionUnmet, match=re.escape(str(exc))):
             classify(alg)
         return
     for name in FLAG_NAMES:                 # each read alone

@@ -18,6 +18,16 @@ SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report.schema.j
 VALIDATOR = Draft7Validator(json.loads(SCHEMA_PATH.read_text()))
 classify_module = sys.modules["psbe.classify"]     # psbe.classify is the function
 
+# psBE4 fails at (a, a, b): a -> (a ~> b) = a -> b = a, a ~> (a -> b) = 1
+NOT_PSBE = ("algebra broken\nelements 1 a b\none 1\n"
+            "arrow\n1 a b\n1 1 a\n1 b 1\n"
+            "squig\n1 a b\n1 1 b\n1 a 1\nend\n")
+# psBE5 fails at (b, a): b -> a = 1 but b ~> a = a, so {1, b} is
+# closed under modus ponens for ~> but not for ->
+CLOSURES_DISAGREE = ("algebra broken\nelements 1 a b\none 1\n"
+                     "arrow\n1 a b\n1 1 1\n1 1 1\n"
+                     "squig\n1 a b\n1 1 1\n1 a 1\nend\n")
+
 
 def invoke(capsys, *argv):
     code = run(list(argv))
@@ -198,12 +208,8 @@ def test_bad_declared_zero_exits_two(tmp_path):
 
 
 def test_ds_on_non_psbe_tables_exits_two(tmp_path):
-    # psBE5 fails at (b, a): b -> a = 1 but b ~> a = a, so {1, b} is
-    # closed under modus ponens for ~> but not for ->
     bad = tmp_path / "psbe5_broken.alg"
-    bad.write_text("algebra broken\nelements 1 a b\none 1\n"
-                   "arrow\n1 a b\n1 1 1\n1 1 1\n"
-                   "squig\n1 a b\n1 1 1\n1 a 1\nend\n")
+    bad.write_text(CLOSURES_DISAGREE)
     out = _psbe_process("ds", str(bad))
     assert out.returncode == 2
     assert out.stdout == ""
@@ -214,11 +220,8 @@ def test_ds_on_non_psbe_tables_exits_two(tmp_path):
 
 @pytest.mark.parametrize("command", ["mop", "verify"])
 def test_non_psbe_input_exits_two(tmp_path, capsys, command):
-    # psBE4 fails at (a, a, b): a -> (a ~> b) = a -> b = a, a ~> (a -> b) = 1
     bad = tmp_path / "psbe4_broken.alg"
-    bad.write_text("algebra broken\nelements 1 a b\none 1\n"
-                   "arrow\n1 a b\n1 1 a\n1 b 1\n"
-                   "squig\n1 a b\n1 1 b\n1 a 1\nend\n")
+    bad.write_text(NOT_PSBE)
     assert run([command, str(bad)]) == 2
     out = capsys.readouterr()
     assert out.out == ""
@@ -246,6 +249,58 @@ def test_missing_file_exits_two(capsys):
 def test_usage_error_exits_two(capsys):
     assert run(["gen", str(fixture_path("psbe5"))]) == 2     # missing --set
     assert run(["search"]) == 2                              # missing --law
+
+
+# every source of exit status 2; {name} is a path from _exit_two_inputs
+EXIT_TWO = {
+    "parse_error": "check {parse_error}",
+    "missing_file": "check {missing}",
+    "directory": "check {dir}",
+    "through_a_file": "check {parse_error}/x.alg",
+    "not_utf8": "check {latin1}",
+    "bad_declared_zero": "check {bad_zero}",
+    "mop_not_psbe": "mop {not_psbe}",
+    "verify_not_psbe": "verify {not_psbe}",
+    "ds_closures_disagree": "ds {closures_disagree}",
+    "unknown_element": "gen {bc4} --set 1,q",
+    "unknown_pair": "ds {bc4} --pair 9",
+    "set_not_a_ds": "quotient {psbe5} --set 1,d",
+    "not_a_congruence": "quotient {psbe4} --set 1",
+    "mode_unavailable": "mop {psbe4} --mode bc",
+    "verify_unknown_law": "verify {bc4} --law NO.such_law",
+    "search_unknown_law": "search --law NO.such_law --max-size 2",
+    "search_size_out_of_range": "search --law AX.refl --max-size 6",
+    "negative_budget": "search --law AX.refl --budget -1",
+    "gen_without_set": "gen {psbe5}",
+    "quotient_without_set": "quotient {psbe5}",
+    "search_without_law": "search",
+}
+
+
+def _exit_two_inputs(tmp_path):
+    texts = {"parse_error": "algebra t\nelements 1 a\none 1\nbogus\nend\n",
+             "bad_zero": fixture_path("bc4").read_text().replace("zero 0", "zero a"),
+             "not_psbe": NOT_PSBE, "closures_disagree": CLOSURES_DISAGREE}
+    paths = {name: tmp_path / f"{name}.alg" for name in texts}
+    for name, text in texts.items():
+        paths[name].write_text(text)
+    paths["latin1"] = tmp_path / "latin1.alg"
+    paths["latin1"].write_bytes("algebra café\n".encode("latin-1"))
+    paths.update(missing=tmp_path / "missing.alg", dir=tmp_path,
+                 **{name: fixture_path(name) for name in ("bc4", "psbe4", "psbe5")})
+    return paths
+
+
+@pytest.mark.parametrize("case", EXIT_TWO)
+def test_input_and_usage_errors_exit_two(tmp_path, capsys, case):
+    argv = EXIT_TWO[case].format(**_exit_two_inputs(tmp_path)).split()
+    code = run(argv)
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert "Traceback" not in out.err
+    assert out.err.splitlines()[-1].startswith(
+        ("psbe: error: ", f"psbe {argv[0]}: error: "))
 
 
 def test_reports_are_deterministic(capsys):

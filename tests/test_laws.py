@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from psbe.algebra import PreconditionUnmet
 from psbe.laws import (FAILS, HOLDS, NOT_APPLICABLE, Ctx, catalog,
                        catalog_json, evaluate_law, verify_suite)
 from psbe.quantifiers import enumerate_mop
@@ -87,7 +88,7 @@ def test_pair_law_without_pair_is_not_applicable():
 
 def test_unknown_law_id_rejected():
     alg = load("bc4")
-    with pytest.raises(KeyError):
+    with pytest.raises(PreconditionUnmet):
         verify_suite(alg, [], law_ids=["NO.such_law"])
 
 

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from psbe import quantifiers as quantifiers_module
-from psbe.algebra import FiniteAlgebra, UnaryMap
+from psbe.algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap
 from psbe.classify import classify
-from psbe.quantifiers import (BOUNDED_COMMUTATIVE, HOOP, PLAIN, ModeUnavailable,
-                              MonadicPair, NotBCK, build_from_sigma,
-                              build_from_tau, check_monadic,
+from psbe.quantifiers import (BOUNDED_COMMUTATIVE, HOOP, PLAIN, MonadicPair,
+                              build_from_sigma, build_from_tau, check_monadic,
                               check_mv_quantifier, compose_pairs,
                               declared_pairs, dual_quantifier, enumerate_mop,
                               fixed_set, is_monadic, pair_from_unary_blocks,
@@ -26,7 +25,7 @@ def cross_product_mop(alg, mode=PLAIN):
     check_monadic.  M5 (E F x = F x) is screened first, read off the
     definition of the fixed set; it is one of the axioms check_monadic
     decides, so the list is the same and products stay affordable.
-    ModeUnavailable is raised whatever the candidates, as check_monadic
+    PreconditionUnmet is raised whatever the candidates, as check_monadic
     raises it on the identity pair."""
     ops = classify(alg)[1] if mode != PLAIN else None
     n, one, arr, sq = alg.size, alg.one, alg.arrow, alg.squig
@@ -57,11 +56,11 @@ def cross_product_mop(alg, mode=PLAIN):
 
 
 def outcome(enumerator, alg, mode, **kw):
-    """The list of pairs, or ModeUnavailable when that is raised."""
+    """The list of pairs, or PreconditionUnmet when that is raised."""
     try:
         return enumerator(alg, mode=mode, **kw)
-    except ModeUnavailable:
-        return ModeUnavailable
+    except PreconditionUnmet:
+        return PreconditionUnmet
 
 
 def times_c2_pair(pair):
@@ -174,18 +173,18 @@ def test_enumerate_mop_checks_each_returned_pair_once(name, monkeypatch):
     for mode in MODES:
         calls.clear()
         pairs = outcome(enumerate_mop, alg, mode)
-        if pairs is not ModeUnavailable:
+        if pairs is not PreconditionUnmet:
             assert sorted(calls, key=MonadicPair.sort_key) == pairs, mode
 
 
 @pytest.mark.parametrize("name, counts", [
     ("inv6", (2, 1, 2)), ("bc4", (2, 2, 2)),
-    ("psbe4", (3, ModeUnavailable, ModeUnavailable)),
-    ("psbe5", (4, ModeUnavailable, ModeUnavailable))])
+    ("psbe4", (3, PreconditionUnmet, PreconditionUnmet)),
+    ("psbe5", (4, PreconditionUnmet, PreconditionUnmet))])
 def test_mop_counts_per_mode(name, counts):
     alg = load(name)
     got = [outcome(enumerate_mop, alg, mode) for mode in MODES]
-    assert [r if r is ModeUnavailable else len(r) for r in got] == list(counts)
+    assert [r if r is PreconditionUnmet else len(r) for r in got] == list(counts)
 
 
 @pytest.mark.parametrize("name", ["bc4", "psbe4"])
@@ -194,7 +193,8 @@ def test_mop_on_products_with_c2(name):
     alg = times_c2(factor)
     pairs = enumerate_mop(alg)
     assert len(pairs) == 5
-    assert pairs == cross_product_mop(alg)
+    if name == "bc4":   # psbe4's reference takes seconds: it is in oracles/
+        assert pairs == cross_product_mop(alg)
     for _, pair in declared_pairs(factor):
         assert times_c2_pair(pair) in pairs
 
@@ -286,7 +286,7 @@ def test_compose_requires_transitivity(psbe4):
     report, _ = classify(psbe4)
     assert not report.holds("condition_T")
     pairs = enumerate_mop(psbe4)
-    with pytest.raises(NotBCK):
+    with pytest.raises(PreconditionUnmet):
         compose_pairs(psbe4, pairs[0], pairs[0])
 
 

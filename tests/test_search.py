@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import psbe.laws
+from psbe.algebra import PreconditionUnmet
 from psbe.classify import InvariantViolated, check_pseudo_bck
 from psbe.laws import (BudgetExceeded, Ctx, SearchSpec, _is_canonical,
                        _models, candidate_count, catalog, evaluate_law,
@@ -61,7 +62,9 @@ def test_search_matches_brute_force(law_id):
 
 @pytest.mark.parametrize("law_id", ["AX.refl", "AX.psbck6_antisym"])
 def test_budget_matches_brute_force(law_id):
-    for budget in range(-1, 90):
+    with pytest.raises(PreconditionUnmet, match="budget"):
+        SearchSpec(law=law_id, max_size=3, budget=-1)
+    for budget in range(90):
         spec = SearchSpec(law=law_id, max_size=3, budget=budget)
         assert (search_outcome(search_counterexample, spec)
                 == search_outcome(brute_search, spec)), budget
@@ -143,7 +146,7 @@ def test_budget_enforced():
 
 
 def test_unknown_law_rejected():
-    with pytest.raises(KeyError):
+    with pytest.raises(PreconditionUnmet):
         search_counterexample(SearchSpec(law="NO.such_law", max_size=3))
 
 

@@ -13,14 +13,12 @@ import json
 import random
 from itertools import product
 
-from psbe.algebra import FiniteAlgebra, UnaryMap
-from psbe.classify import (InvariantViolated, _check_pseudo_mv,
-                           check_pseudo_be, check_pseudo_bck, classify)
+from psbe.algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap
+from psbe.classify import (_check_pseudo_mv, check_pseudo_be, check_pseudo_bck,
+                           classify)
 from psbe.laws import verify_suite
-from psbe.quantifiers import (EConditionFailed, ModeUnavailable, MonadicPair,
-                              PreconditionUnmet, UConditionFailed,
-                              build_from_sigma, build_from_tau, check_monadic,
-                              check_mv_quantifier, enumerate_mop,
+from psbe.quantifiers import (MonadicPair, build_from_sigma, build_from_tau,
+                              check_monadic, check_mv_quantifier, enumerate_mop,
                               residuation_check)
 
 from conftest import FIXTURE_NAMES, TABLE_NAMES, load
@@ -163,7 +161,7 @@ def outcomes():
             for mode in ("plain", "bc", "hoop"):
                 try:
                     out.append(check_monadic(alg, pair, mode, ops).to_json(alg))
-                except ModeUnavailable as exc:
+                except PreconditionUnmet as exc:
                     out.append(str(exc))
             if report.holds("condition_T"):
                 out.append(residuation_check(alg, pair, report).to_json(alg))
