@@ -9,7 +9,7 @@ boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class ParseError(ValueError):
@@ -33,8 +33,7 @@ class PreconditionUnmet(ValueError):
 Table = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class UnaryMap:
+class UnaryMap(NamedTuple):
     """Total self-map on the carrier, stored as the image of each index."""
 
     images: tuple[int, ...]
@@ -57,38 +56,63 @@ class UnaryMap:
         return UnaryMap(tuple(range(n)))
 
 
-@dataclass(frozen=True)
+# _replace goes through _make, which checks len(): here the carrier's size
+UnaryMap._make = classmethod(lambda cls, fields: cls(*fields))
+
+
 class FiniteAlgebra:
-    name: str
-    element_names: tuple[str, ...]
-    one: int
-    arrow: Table
-    squig: Table
-    zero: int | None = None
-    unary: dict[str, UnaryMap] = field(default_factory=dict, compare=False)
+    """An immutable record whose fields are ordinary instance attributes,
+    read in every inner loop.  Equality and hash ignore `unary`."""
+
+    _fields = ("name", "element_names", "one", "arrow", "squig", "zero", "unary")
+
+    def __init__(self, name: str, element_names: tuple[str, ...], one: int, arrow: Table,
+                 squig: Table, zero: int | None = None, unary: dict[str, UnaryMap] | None = None):
+        values = (name, element_names, one, arrow, squig, zero, {} if unary is None else unary)
+        for key, value in zip(self._fields, values):
+            object.__setattr__(self, key, value)
+        n = self.size
+        if n == 0:
+            raise ValueError("empty carrier")
+        if len(set(element_names)) != n:
+            raise ValueError("duplicate element names")
+        for tbl, label in ((arrow, "arrow"), (squig, "squig")):
+            if len(tbl) != n or any(len(row) != n for row in tbl):
+                raise ValueError(f"{label} table is not {n}x{n}")
+            if any(not (0 <= v < n) for row in tbl for v in row):
+                raise ValueError(f"{label} table entry out of range")
+        if not (0 <= one < n):
+            raise ValueError("constant 1 out of range")
+        if zero is not None and not (0 <= zero < n):
+            raise ValueError("constant 0 out of range")
+        for opname, m in self.unary.items():
+            if len(m) != n or any(not (0 <= v < n) for v in m.images):
+                raise ValueError(f"unary map {opname!r} is not a self-map")
 
     @property
     def size(self) -> int:
         return len(self.element_names)
 
-    def __post_init__(self):
-        n = self.size
-        if n == 0:
-            raise ValueError("empty carrier")
-        if len(set(self.element_names)) != n:
-            raise ValueError("duplicate element names")
-        for tbl, label in ((self.arrow, "arrow"), (self.squig, "squig")):
-            if len(tbl) != n or any(len(row) != n for row in tbl):
-                raise ValueError(f"{label} table is not {n}x{n}")
-            if any(not (0 <= v < n) for row in tbl for v in row):
-                raise ValueError(f"{label} table entry out of range")
-        if not (0 <= self.one < n):
-            raise ValueError("constant 1 out of range")
-        if self.zero is not None and not (0 <= self.zero < n):
-            raise ValueError("constant 0 out of range")
-        for opname, m in self.unary.items():
-            if len(m) != n or any(not (0 <= v < n) for v in m.images):
-                raise ValueError(f"unary map {opname!r} is not a self-map")
+    def _key(self) -> tuple:
+        return (self.name, self.element_names, self.one, self.arrow, self.squig, self.zero)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"FiniteAlgebra({', '.join(f'{k}={getattr(self, k)!r}' for k in self._fields)})"
+
+    def _replace(self, **changes) -> "FiniteAlgebra":
+        """A validated copy with the given fields changed, as on the tuple records."""
+        return FiniteAlgebra(**{**{k: getattr(self, k) for k in self._fields}, **changes})
 
     # -- convenience accessors ------------------------------------------
 
@@ -106,10 +130,7 @@ class FiniteAlgebra:
         return range(self.size)
 
     def with_unary(self, **maps: UnaryMap) -> "FiniteAlgebra":
-        merged = dict(self.unary)
-        merged.update(maps)
-        return FiniteAlgebra(self.name, self.element_names, self.one,
-                             self.arrow, self.squig, self.zero, merged)
+        return self._replace(unary={**self.unary, **maps})
 
 
 def _tokenize(text: str):

@@ -12,9 +12,9 @@ deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import product, starmap
+from typing import NamedTuple
 
 from .algebra import FiniteAlgebra, PreconditionUnmet
 
@@ -27,8 +27,7 @@ class InvariantViolated(RuntimeError):
     """A result the program proves or re-checks came out wrong: a bug."""
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of one check: holds, fails(witness) or not_applicable."""
 
     name: str

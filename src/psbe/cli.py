@@ -19,7 +19,7 @@ from . import __version__
 from .algebra import (FiniteAlgebra, ParseError, PreconditionUnmet, load_algebra,
                       serialize_algebra)
 from .classify import classify, least_elements
-from .quantifiers import declared_pairs, enumerate_mop, pair_from_unary_blocks
+from .quantifiers import declared_pairs, enumerate_mop, pair_from_unary_blocks, require_monadic
 from . import deduction as ded
 from . import laws as lawmod
 
@@ -67,6 +67,15 @@ def _load_psbe(path, command: str):
     return alg, report, ops
 
 
+def _monadic_pair(alg, command: str, label: str, pair=None):
+    """The declared pair `label`, read from the file unless given; raises
+    PreconditionUnmet (exit 2) unless it is monadic.  A given pair was not
+    named by --pair, so the message names its label."""
+    if pair is None:
+        return require_monadic(alg, pair_from_unary_blocks(alg, label), command)
+    return require_monadic(alg, pair, f"{command} (declared pair {label!r})")
+
+
 def _parse_set(alg, spec: str) -> frozenset:
     return frozenset(alg.index(tok) for tok in spec.split(",") if tok)
 
@@ -112,7 +121,7 @@ def _cmd_mop(args):
 
 def _cmd_ds(args):
     alg = _load(args.algebra)
-    pair = pair_from_unary_blocks(alg, args.pair) if args.pair is not None else None
+    pair = _monadic_pair(alg, "ds", args.pair) if args.pair is not None else None
     systems = ded.enumerate_ds(alg)
     payload = {
         "algebra": alg.name,
@@ -154,7 +163,7 @@ def _cmd_quotient(args):
         raise PreconditionUnmet(
             f"--set is not a deductive system (it generates "
             f"{{{', '.join(_names(alg, d.members))}}})")
-    pair = pair_from_unary_blocks(alg, args.pair) if args.pair is not None else None
+    pair = _monadic_pair(alg, "quotient", args.pair) if args.pair is not None else None
     cong = ded.theta_from_ds(alg, d)
     quot = ded.quotient(alg, cong, pair=pair, name=f"{alg.name}_quot")
     qalg = quot.algebra
@@ -174,7 +183,7 @@ def _cmd_quotient(args):
 
 def _cmd_verify(args):
     alg, report, ops = _load_psbe(args.algebra, "verify")
-    pairs = [p for _, p in declared_pairs(alg)]
+    pairs = [_monadic_pair(alg, "verify", label, p) for label, p in declared_pairs(alg)]
     if not pairs:
         pairs = enumerate_mop(alg)
     law_ids = args.law.split(",") if args.law else None

@@ -9,14 +9,14 @@ between the appropriate classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
+from typing import NamedTuple
 
 from .algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap
 from .classify import (ClassificationReport, DerivedOps, InvariantViolated,
                        Verdict, check_pseudo_be, check_pseudo_bck, classify)
-from .quantifiers import MonadicPair, check_monadic
+from .quantifiers import MonadicPair, check_monadic, require_monadic
 
 # perfbench/workloads.py catches this name, and perfbench changes only on its own
 NotACongruence = PreconditionUnmet
@@ -26,8 +26,7 @@ def _unmet(reason: str, witness: tuple[int, ...]) -> PreconditionUnmet:
     return PreconditionUnmet(f"{reason} at {witness}", witness)
 
 
-@dataclass(frozen=True)
-class DeductiveSystem:
+class DeductiveSystem(NamedTuple):
     members: frozenset
     normal: bool
 
@@ -163,8 +162,7 @@ def generated_ds(alg: FiniteAlgebra, xs,
     return DeductiveSystem(members, _is_normal(alg, members))
 
 
-@dataclass(frozen=True)
-class Congruence:
+class Congruence(NamedTuple):
     """Partition as a restricted-growth string: classes[x] is the block
     index of x, blocks numbered by first occurrence."""
     classes: tuple
@@ -359,8 +357,7 @@ def theta_from_ds(alg: FiniteAlgebra, ds: DeductiveSystem) -> Congruence:
     return cong
 
 
-@dataclass(frozen=True)
-class QuotientAlgebra:
+class QuotientAlgebra(NamedTuple):
     algebra: FiniteAlgebra
     projection: tuple          # element index -> class index
     pair: MonadicPair | None   # quotient quantifiers, when supplied
@@ -377,12 +374,7 @@ def quotient(alg: FiniteAlgebra, cong: Congruence,
     raises PreconditionUnmet, naming the first axiom it fails.
     """
     if pair is not None:
-        bad = check_monadic(alg, pair).first_failure()
-        if bad is not None:
-            raise PreconditionUnmet(
-                f"quotient needs a monadic pair: {bad.name} fails at "
-                f"({', '.join(alg.element_names[x] for x in bad.witness)})",
-                bad.witness)
+        require_monadic(alg, pair, "quotient")
     n = alg.size
     blocks = sorted(cong.blocks(), key=min)
     proj = [None] * n

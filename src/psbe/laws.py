@@ -14,10 +14,11 @@ E/F the existential/universal operators.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from itertools import permutations, product, starmap
 from math import inf
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from .algebra import FiniteAlgebra, PreconditionUnmet
 from .classify import (FAILS, HOLDS, NOT_APPLICABLE, InvariantViolated,
@@ -112,8 +113,7 @@ _BCK = _flags("pseudo_bck")
 _BND = _flags("pseudo_be", "bounded")
 
 
-@dataclass(frozen=True)
-class Law:
+class Law(NamedTuple):
     id: str
     anchor: str
     arity: int                    # 0 means a global (whole-structure) law
@@ -127,8 +127,7 @@ class Law:
                                   # exists so search can adjudicate it
 
 
-@dataclass(frozen=True)
-class LawVerdict:
+class LawVerdict(NamedTuple):
     law_id: str
     pair_name: str | None
     status: str
@@ -666,8 +665,7 @@ def verify_suite(alg: FiniteAlgebra, pairs, law_ids=None,
 
 # ------------------------------------------------------------------ search
 
-@dataclass(frozen=True)
-class SearchSpec:
+class _SearchFields(NamedTuple):
     law: str
     max_size: int = 4
     min_size: int = 2
@@ -676,18 +674,30 @@ class SearchSpec:
     budget: int | None = None
     include_identity_pair: bool = True
 
-    def __post_init__(self):
-        if not (2 <= self.min_size <= self.max_size <= 5):
+
+class SearchSpec(_SearchFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        spec = super().__new__(cls, *args, **kwargs)
+        if not (2 <= spec.min_size <= spec.max_size <= 5):
             raise PreconditionUnmet("search sizes must satisfy 2 <= min <= max <= 5")
-        if self.budget is not None and self.budget < 0:
-            raise PreconditionUnmet(f"search budget must be >= 0, got {self.budget}")
+        if spec.budget is not None and spec.budget < 0:
+            raise PreconditionUnmet(f"search budget must be >= 0, got {spec.budget}")
+        return spec
+
+    @classmethod
+    def _make(cls, iterable) -> "SearchSpec":      # so that _replace validates
+        return cls(*iterable)
 
 
-@dataclass
-class SearchResult:
-    found: tuple | None            # (FiniteAlgebra, MonadicPair|None, witness)
-    visited_by_size: dict = field(default_factory=dict)
-    exhausted: bool = False
+class SearchResult(SimpleNamespace):
+    """Filled in while the search runs: found is (FiniteAlgebra,
+    MonadicPair|None, witness) or None.  Equal by fields, unhashable."""
+
+    def __init__(self, found: tuple | None, visited_by_size: dict | None = None,
+                 exhausted: bool = False):
+        super().__init__(found=found, visited_by_size=visited_by_size or {}, exhausted=exhausted)
 
     @property
     def visited(self) -> int:

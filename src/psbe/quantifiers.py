@@ -8,8 +8,8 @@ pair from a single interior-like or closure-like map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap
 from .classify import (ClassificationReport, DerivedOps, InvariantViolated,
@@ -32,8 +32,7 @@ _MODE_ALIASES = {
 ModeUnavailable = PreconditionUnmet
 
 
-@dataclass(frozen=True)
-class MonadicPair:
+class MonadicPair(NamedTuple):
     exists: UnaryMap
     forall: UnaryMap
 
@@ -44,8 +43,7 @@ class MonadicPair:
         return self.exists.is_identity() and self.forall.is_identity()
 
 
-@dataclass(frozen=True)
-class MonadicCheckReport:
+class MonadicCheckReport(NamedTuple):
     mode: str
     axioms: dict[str, Verdict]
 
@@ -119,6 +117,17 @@ def check_monadic(alg: FiniteAlgebra, pair: MonadicPair, mode: str = PLAIN,
 def is_monadic(alg: FiniteAlgebra, pair: MonadicPair, mode: str = PLAIN,
                ops: DerivedOps | None = None) -> bool:
     return check_monadic(alg, pair, mode, ops).ok
+
+
+def require_monadic(alg: FiniteAlgebra, pair: MonadicPair, what: str) -> MonadicPair:
+    """pair, when it is monadic; else PreconditionUnmet saying that `what`
+    needs a monadic pair and naming the first axiom it fails."""
+    bad = check_monadic(alg, pair).first_failure()
+    if bad is not None:
+        raise PreconditionUnmet(
+            f"{what} needs a monadic pair: {bad.name} fails at "
+            f"({', '.join(alg.element_names[x] for x in bad.witness)})", bad.witness)
+    return pair
 
 
 def enumerate_mop(alg: FiniteAlgebra, mode: str = PLAIN,
@@ -323,8 +332,7 @@ def dual_quantifier(alg: FiniteAlgebra, direction: str, m: UnaryMap,
     return UnaryMap(tuple(ns[m(nm[x])] for x in range(alg.size)))
 
 
-@dataclass(frozen=True)
-class CompositionResult:
+class CompositionResult(NamedTuple):
     pair: MonadicPair | None       # validated composition, when it commutes
     commute: bool
     # pointwise comparisons; None when <= is not a partial order, where

@@ -2,7 +2,6 @@ import importlib
 import random
 import re
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -136,7 +135,7 @@ def test_declared_zero_checked_up_front(name):
     # and with the message with which, the eager classification does
     alg = load(name)
     for zero in alg.elements():
-        assert_matches_eager(replace(alg, zero=zero), seed=zero)
+        assert_matches_eager(alg._replace(zero=zero), seed=zero)
 
 
 @settings(max_examples=150, deadline=None)
@@ -150,7 +149,7 @@ def test_classify_matches_eager_off_psbe(name, data):
     x, y, v = (data.draw(st.integers(0, n - 1)) for _ in range(3))
     rows = [list(row) for row in getattr(alg, which)]
     rows[x][y] = v
-    alg = replace(alg, zero=None, **{which: tuple(map(tuple, rows))})
+    alg = alg._replace(zero=None, **{which: tuple(map(tuple, rows))})
     assert_matches_eager(alg, seed=data.draw(st.integers(0, 2**16)))
 
 

@@ -22,6 +22,10 @@ classify_module = sys.modules["psbe.classify"]     # psbe.classify is the functi
 NOT_PSBE = ("algebra broken\nelements 1 a b\none 1\n"
             "arrow\n1 a b\n1 1 a\n1 b 1\n"
             "squig\n1 a b\n1 1 b\n1 a 1\nend\n")
+# psbe5 whose declared pair 1 has E constantly 1: M5 fails at a, as
+# E(F a) = 1 but F a = a
+NON_MONADIC_PAIR = fixture_path("psbe5").read_text().replace(
+    "unary exists1\n1 a b c d\n", "unary exists1\n1 1 1 1 1\n")
 # psBE5 fails at (b, a): b -> a = 1 but b ~> a = a, so {1, b} is
 # closed under modus ponens for ~> but not for ->
 CLOSURES_DISAGREE = ("algebra broken\nelements 1 a b\none 1\n"
@@ -242,6 +246,19 @@ def test_quotient_by_a_pair_that_is_not_monadic_exits_two(tmp_path):
                           "M5 fails at (e1)\n")
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["ds", "--pair", "1"], "ds needs a monadic pair: M5 fails at (a)"),
+    (["verify"], "verify (declared pair '1') needs a monadic pair: M5 fails at (a)"),
+], ids=["ds", "verify"])
+def test_declared_pair_that_is_not_monadic_exits_two(tmp_path, capsys, argv, err):
+    bad = tmp_path / "psbe5_e1.alg"
+    bad.write_text(NON_MONADIC_PAIR)
+    assert run([argv[0], str(bad), *argv[1:]]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"psbe: error: {err}\n"
+
+
 def test_missing_file_exits_two(capsys):
     assert run(["check", "/no/such/file.alg"]) == 2
 
@@ -264,6 +281,8 @@ EXIT_TWO = {
     "ds_closures_disagree": "ds {closures_disagree}",
     "unknown_element": "gen {bc4} --set 1,q",
     "unknown_pair": "ds {bc4} --pair 9",
+    "ds_non_monadic_pair": "ds {non_monadic} --pair 1",
+    "verify_non_monadic_pair": "verify {non_monadic}",
     "set_not_a_ds": "quotient {psbe5} --set 1,d",
     "not_a_congruence": "quotient {psbe4} --set 1",
     "mode_unavailable": "mop {psbe4} --mode bc",
@@ -280,7 +299,8 @@ EXIT_TWO = {
 def _exit_two_inputs(tmp_path):
     texts = {"parse_error": "algebra t\nelements 1 a\none 1\nbogus\nend\n",
              "bad_zero": fixture_path("bc4").read_text().replace("zero 0", "zero a"),
-             "not_psbe": NOT_PSBE, "closures_disagree": CLOSURES_DISAGREE}
+             "not_psbe": NOT_PSBE, "closures_disagree": CLOSURES_DISAGREE,
+             "non_monadic": NON_MONADIC_PAIR}
     paths = {name: tmp_path / f"{name}.alg" for name in texts}
     for name, text in texts.items():
         paths[name].write_text(text)

@@ -12,7 +12,6 @@ monadic pairs.  A changed digest means some law now reports a different
 verdict, witness or instance count.
 """
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -34,7 +33,7 @@ def with_least_zero(alg):
     n, one = alg.size, alg.one
     least = [z for z in range(n) if all(alg.arrow[z][x] == one and alg.squig[z][x] == one
                                         for x in range(n))]
-    return dataclasses.replace(alg, zero=least[0]) if len(least) == 1 else alg
+    return alg._replace(zero=least[0]) if len(least) == 1 else alg
 
 
 def _random_algebra(rng, n):
@@ -78,7 +77,7 @@ def _outcome(law, ctx):
 
 def law_outcomes():
     rng = random.Random(19111996)
-    laws = [dataclasses.replace(law, hypothesis=lambda c: True) for law in catalog()]
+    laws = [law._replace(hypothesis=lambda c: True) for law in catalog()]
     out = []
     for alg in _algebras(rng):
         base = Ctx(alg)

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -120,7 +119,7 @@ def test_enumerate_mop_matches_cross_product_off_psbe(name, mode, data):
     x, y, v = (data.draw(st.integers(0, n - 1)) for _ in range(3))
     rows = [list(row) for row in getattr(alg, which)]
     rows[x][y] = v
-    alg = replace(alg, zero=None, **{which: tuple(map(tuple, rows))})
+    alg = alg._replace(zero=None, **{which: tuple(map(tuple, rows))})
     assert (outcome(enumerate_mop, alg, mode)
             == outcome(cross_product_mop, alg, mode))
 

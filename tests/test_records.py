@@ -1,0 +1,163 @@
+"""The records: immutable tuples or plain classes.
+
+Assigning to a field raises AttributeError; equality and hash cover the
+record's fields, and the hash is the hash of the tuple of those fields,
+on which set and dict orders, and so the output, depend; construction
+validates with fixed messages, and `_replace` gives a changed copy that
+is validated too.  `SearchResult` alone is mutable.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import psbe
+from psbe.algebra import FiniteAlgebra, UnaryMap
+from psbe.classify import FAILS, HOLDS, Verdict
+from psbe.deduction import Congruence, DeductiveSystem, QuotientAlgebra
+from psbe.laws import Law, LawVerdict, SearchResult, SearchSpec
+from psbe.quantifiers import CompositionResult, MonadicCheckReport, MonadicPair
+
+T = ((0, 1), (0, 0))           # -> and ~> of the 2-element chain 1 > e
+E, F = UnaryMap((0, 1)), UnaryMap((0, 0))
+
+
+def chain(**changes):
+    fields = dict(name="c2", element_names=("1", "e"), one=0, arrow=T, squig=T)
+    return FiniteAlgebra(**{**fields, **changes})
+
+
+def check_law(ctx):
+    return True, None, 1
+
+
+# per record: (build(variant) -> record, its fields in order); variant 0
+# and 1 differ in one field
+RECORDS = {
+    "UnaryMap": (lambda v: UnaryMap((0, v)), ("images",)),
+    "Verdict": (lambda v: Verdict("psBE1", (HOLDS, FAILS)[v], (v,)),
+                ("name", "status", "witness")),
+    "MonadicPair": (lambda v: MonadicPair(E, (E, F)[v]), ("exists", "forall")),
+    "MonadicCheckReport": (lambda v: MonadicCheckReport("plain", {"M1": v}),
+                           ("mode", "axioms")),
+    "CompositionResult": (lambda v: CompositionResult(None, bool(v), None, None),
+                          ("pair", "commute", "forall_le", "exists_le")),
+    "DeductiveSystem": (lambda v: DeductiveSystem(frozenset({0, v}), True),
+                        ("members", "normal")),
+    "Congruence": (lambda v: Congruence((0, v)), ("classes",)),
+    "QuotientAlgebra": (lambda v: QuotientAlgebra(chain(), (0, v), None),
+                        ("algebra", "projection", "pair")),
+    "Law": (lambda v: Law("X.law", "x = x", v, bool, check_law),
+            ("id", "anchor", "arity", "hypothesis", "check", "uses_pair", "probe")),
+    "LawVerdict": (lambda v: LawVerdict("X.law", None, HOLDS, None, v),
+                   ("law_id", "pair_name", "status", "witness", "instances")),
+    "SearchSpec": (lambda v: SearchSpec("AX.refl", 3 + v),
+                   ("law", "max_size", "min_size", "require", "iso_reject",
+                    "budget", "include_identity_pair")),
+    "FiniteAlgebra": (lambda v: chain(zero=(None, 1)[v]),
+                      ("name", "element_names", "one", "arrow", "squig", "zero")),
+}
+
+
+@pytest.mark.parametrize("record", RECORDS)
+def test_record_is_immutable_with_field_equality_and_hash(record):
+    build, fields = RECORDS[record]
+    a, b, c = build(0), build(0), build(1)
+    assert a == b and a != c and a is not b
+    assert not (a != b)
+    values = tuple(getattr(a, f) for f in fields)
+    if record == "MonadicCheckReport":              # a dict field: unhashable
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b) == hash(values)
+        assert len({a, b, c}) == 2
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(a, f, None)
+    assert tuple(getattr(a, f) for f in fields) == values
+    changed = a._replace(**{fields[0]: getattr(c, fields[0])})
+    assert type(changed) is type(a) and getattr(changed, fields[0]) == getattr(c, fields[0])
+    assert tuple(getattr(changed, f) for f in fields[1:]) == values[1:]
+
+
+def test_finite_algebra_ignores_unary_and_validates():
+    plain, marked = chain(), chain(unary={"exists": E, "forall": F})
+    assert plain == marked and hash(plain) == hash(marked)
+    assert marked.unary == {"exists": E, "forall": F} and plain.unary == {}
+    assert plain.with_unary(exists=E, forall=F).unary == marked.unary
+    assert marked._replace(zero=1).unary is marked.unary
+    with pytest.raises(AttributeError):
+        del plain.arrow
+    assert repr(plain) == ("FiniteAlgebra(name='c2', element_names=('1', 'e'), one=0, "
+                           "arrow=((0, 1), (0, 0)), squig=((0, 1), (0, 0)), zero=None, "
+                           "unary={})")
+    bad = [(dict(element_names=()), "empty carrier"),
+           (dict(element_names=("1", "1")), "duplicate element names"),
+           (dict(arrow=((0, 1),)), "arrow table is not 2x2"),
+           (dict(squig=((0, 1), (0, 2))), "squig table entry out of range"),
+           (dict(one=2), "constant 1 out of range"),
+           (dict(zero=-1), "constant 0 out of range"),
+           (dict(unary={"m": UnaryMap((0,))}), "unary map 'm' is not a self-map")]
+    for changes, message in bad:
+        for make in (lambda: chain(**changes), lambda: plain._replace(**changes)):
+            with pytest.raises(ValueError) as exc:
+                make()
+            assert str(exc.value) == message
+    with pytest.raises(TypeError):
+        plain._replace(size=3)
+
+
+def test_search_spec_validates_on_construction_and_replace():
+    spec = SearchSpec(law="AX.refl")
+    assert spec == ("AX.refl", 4, 2, (), False, None, True)
+    assert spec._replace(budget=0).budget == 0
+    for make in (lambda: SearchSpec("AX.refl", 6), lambda: spec._replace(min_size=1),
+                 lambda: SearchSpec("AX.refl", 3, 4)):
+        with pytest.raises(psbe.PreconditionUnmet) as exc:
+            make()
+        assert str(exc.value) == "search sizes must satisfy 2 <= min <= max <= 5"
+    for make in (lambda: SearchSpec("AX.refl", budget=-1), lambda: spec._replace(budget=-1)):
+        with pytest.raises(psbe.PreconditionUnmet) as exc:
+            make()
+        assert str(exc.value) == "search budget must be >= 0, got -1"
+    with pytest.raises(AttributeError):
+        spec.extra = 1                           # no instance dictionary
+
+
+def test_search_result_is_mutable_and_unhashable():
+    result = SearchResult(found=None)
+    assert result == SearchResult(None, {}, False) and result.visited == 0
+    result.visited_by_size[2] = 7
+    result.exhausted = True
+    assert result.visited == 7 and result != SearchResult(found=None)
+    assert SearchResult(found=None).visited_by_size is not SearchResult(None).visited_by_size
+    with pytest.raises(TypeError):
+        hash(result)
+
+
+def test_record_protocols():
+    m = UnaryMap((0, 0, 1))
+    assert len(m) == 3 and m(2) == 1 and m._replace(images=(0, 1, 2)).is_identity()
+    assert 2 in DeductiveSystem(frozenset({0, 2}), False)
+    assert 1 not in DeductiveSystem(frozenset({0, 2}), False)
+    assert Verdict.holds("x") and not Verdict.fails("x", (0,)) and not Verdict.na("x")
+    assert LawVerdict("l", None, HOLDS, None, 1) and not LawVerdict("l", None, FAILS, (0,), 1)
+    law = Law(id="X.law", anchor="x = x", arity=0, hypothesis=bool, check=check_law)
+    assert law.uses_pair and not law.probe
+    assert Verdict("x", HOLDS).witness is None
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter, so that this process's imports do not count;
+    # the difference leaves out what site loaded before the import
+    src = Path(psbe.__file__).resolve().parents[1]
+    code = ("import sys; before = set(sys.modules); "
+            f"sys.path.insert(0, {str(src)!r}); import psbe.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert "psbe.cli" in out
+    assert "dataclasses" not in out and "inspect" not in out
