@@ -9,8 +9,9 @@ scans 16.8M table pairs; it is built once), so they live outside its
 
 The references are the tier-1 ones: the brute-force scan for `_models`
 and `search_counterexample`, the candidate cross product for
-`enumerate_mop`, the Bell(n) partition scan for `enumerate_congruences`
-and the eager one-pass classification for `classify`.
+`enumerate_mop`, the Bell(n) partition scan for `enumerate_congruences`,
+the subset scan for `enumerate_ds` and the eager one-pass
+classification for `classify`.
 """
 
 import sys
@@ -21,13 +22,13 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
-from conftest import brute_models, brute_search, model_algebra, search_outcome
+from conftest import brute_models, brute_search, model_algebra, scan_ds, search_outcome
 from test_classify import assert_matches_eager
 from test_deduction import scan_congruences
 from test_law_pin import digest, with_least_zero
 from test_quantifiers import MODES, cross_product_mop, outcome
 
-from psbe.deduction import enumerate_congruences
+from psbe.deduction import enumerate_congruences, enumerate_ds
 from psbe.laws import SearchSpec, _models, search_counterexample, verify_suite
 from psbe.quantifiers import enumerate_mop
 
@@ -76,6 +77,11 @@ def test_enumerate_mop_matches_cross_product(alg):
 @pytest.mark.parametrize("alg", N4)
 def test_enumerate_congruences_matches_partition_scan(alg):
     assert enumerate_congruences(alg) == scan_congruences(alg)
+
+
+@pytest.mark.parametrize("alg", N4)
+def test_enumerate_ds_matches_subset_scan(alg):
+    assert enumerate_ds(alg) == scan_ds(alg)
 
 
 @pytest.mark.parametrize("alg", N4)

@@ -6,24 +6,29 @@ closure it replaced, and the counts are pinned.  The monadic pairs of
 psbe5×C2 and inv6×C2 are pinned as the product-and-filter join listed
 them (0.4 s and 28 s on CPython 3.11); psbe4×C2 is compared with the
 cross-product reference, which takes about 4 s there.  The n = 36
-reference takes about a second:
+reference takes about a second.  `enumerate_ds` is compared with the
+subset scan on bc4×bc4 and psbe5×psbe4 (2^15 and 2^19 subsets, about
+0.3 s and 5 s); inv6×inv6 (2^35) is out of the scan's reach, so its
+counts are pinned, with its deductive systems, congruences and monadic
+pairs listed in under 0.5 s together:
 
     PYTHONPATH=src python -m pytest oracles
 """
 
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
-from conftest import direct_product, load, times_c2
+from conftest import direct_product, load, scan_ds, times_c2
 from test_deduction import unionfind_congruences
 from test_quantifiers import cross_product_mop, times_c2_pair
 
 from psbe.algebra import UnaryMap
-from psbe.deduction import enumerate_congruences, is_compatible
+from psbe.deduction import enumerate_congruences, enumerate_ds, is_compatible
 from psbe.quantifiers import MonadicPair, declared_pairs, enumerate_mop
 
 
@@ -36,6 +41,23 @@ def test_product_congruences_match_unionfind(left, right, count):
     assert congs == unionfind_congruences(alg)
     assert len(congs) == count
     assert all(is_compatible(alg, c) is None for c in congs)
+
+
+@pytest.mark.parametrize("left, right, count", [("bc4", "bc4", 16),
+                                                ("psbe5", "psbe4", 8)])
+def test_product_ds_match_subset_scan(left, right, count):
+    alg = direct_product(load(left), load(right))
+    systems = enumerate_ds(alg)
+    assert systems == scan_ds(alg)
+    assert len(systems) == count
+
+
+def test_inv6_squared_structure_is_pinned():
+    alg = direct_product(load("inv6"), load("inv6"))
+    t0 = time.perf_counter()
+    systems, congs, pairs = enumerate_ds(alg), enumerate_congruences(alg), enumerate_mop(alg)
+    assert time.perf_counter() - t0 < 0.5
+    assert (len(systems), len(congs), len(pairs)) == (16, 4, 5)
 
 
 # (exists, forall) images, in enumerate_mop's order

@@ -107,6 +107,21 @@ def backtrack(cells, cands, ok, d=0):
             yield from backtrack(cells, cands, ok, d + 1)
 
 
+def closed_sets(start, atoms, join) -> set:
+    """Every set reachable from start by joins with the atoms, start
+    included: a breadth-first search joining each set found with every
+    atom.  When start is the least closed set and each closed set is the
+    join of start with atoms, this lists the whole closure system."""
+    found, queue = {start}, [start]
+    for closed in queue:
+        for atom in atoms:
+            joined = join(closed, atom)
+            if joined not in found:
+                found.add(joined)
+                queue.append(joined)
+    return found
+
+
 PSBE_AXIOMS = ("psBE1", "psBE2", "psBE3", "psBE4", "psBE5")
 PSBCK_AXIOMS = ("psBCK1", "psBCK2", "psBCK3", "psBCK4", "psBCK5", "psBCK6")
 

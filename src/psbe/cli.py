@@ -80,6 +80,12 @@ def _parse_set(alg, spec: str) -> frozenset:
     return frozenset(alg.index(tok) for tok in spec.split(",") if tok)
 
 
+def _generated(alg, xs):
+    """The least deductive system holding xs, read off the full list so
+    that tables whose two closures disagree raise PreconditionUnmet."""
+    return next(d for d in ded.enumerate_ds(alg) if xs <= d.members)
+
+
 # ------------------------------------------------------------- subcommands
 
 def _cmd_check(args):
@@ -145,7 +151,7 @@ def _cmd_ds(args):
 def _cmd_gen(args):
     alg = _load(args.algebra)
     xs = _parse_set(alg, args.set)
-    gen = ded.generated_ds(alg, xs)
+    gen = _generated(alg, xs)
     payload = {
         "algebra": alg.name,
         "set": _names(alg, xs),
@@ -158,7 +164,7 @@ def _cmd_gen(args):
 def _cmd_quotient(args):
     alg = _load(args.algebra)
     xs = _parse_set(alg, args.set)
-    d = ded.generated_ds(alg, xs)
+    d = _generated(alg, xs)
     if d.members != xs:
         raise PreconditionUnmet(
             f"--set is not a deductive system (it generates "

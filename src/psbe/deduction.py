@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 from .algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap
 from .classify import (ClassificationReport, DerivedOps, InvariantViolated,
-                       Verdict, check_pseudo_be, check_pseudo_bck, classify)
+                       Verdict, check_pseudo_be, check_pseudo_bck, classify,
+                       closed_sets)
 from .quantifiers import MonadicPair, check_monadic, require_monadic
 
 # perfbench/workloads.py catches this name, and perfbench changes only on its own
@@ -41,15 +42,6 @@ class DeductiveSystem(NamedTuple):
 
     def to_json(self, alg: FiniteAlgebra) -> dict:
         return {"members": self.tokens(alg), "normal": self.normal}
-
-
-def _mp_closed(alg: FiniteAlgebra, members: frozenset, table) -> bool:
-    for x in members:
-        row = table[x]
-        for y in range(alg.size):
-            if row[y] in members and y not in members:
-                return False
-    return True
 
 
 def _is_normal(alg: FiniteAlgebra, members: frozenset) -> bool:
@@ -78,20 +70,27 @@ def _closures_disagree(alg: FiniteAlgebra, members: frozenset):
 
 
 def enumerate_ds(alg: FiniteAlgebra) -> list[DeductiveSystem]:
-    """All deductive systems, ascending by size then lexicographically."""
-    n, one = alg.size, alg.one
-    rest = [x for x in range(n) if x != one]
-    out = []
-    for bits in range(1 << len(rest)):
-        members = frozenset([one] + [x for i, x in enumerate(rest) if bits >> i & 1])
-        arrow_closed = _mp_closed(alg, members, alg.arrow)
-        squig_closed = _mp_closed(alg, members, alg.squig)
-        if arrow_closed != squig_closed:
-            _closures_disagree(alg, members)
-        if arrow_closed:
-            out.append(DeductiveSystem(members, _is_normal(alg, members)))
-    out.sort(key=DeductiveSystem.sort_key)
-    return out
+    """All deductive systems, ascending by size then lexicographically.
+
+    Each one is closed under modus ponens and is the closure of its
+    elements, so the systems are the sets reached from <1> by closing
+    with one element at a time (`closed_sets`).  The families closed for
+    -> and for ~> are listed apart; where they differ, PreconditionUnmet
+    names the member of their difference that is least as a binary
+    number over the elements other than 1, lower index lower bit."""
+    one = alg.one
+
+    def family(table):
+        return closed_sets(_closure(alg, (), (table,)), alg.elements(),
+                           lambda members, x: members if x in members
+                           else _closure(alg, members | {x}, (table,)))
+
+    by_arrow, by_squig = family(alg.arrow), family(alg.squig)
+    if by_arrow != by_squig:
+        _closures_disagree(alg, min(by_arrow ^ by_squig, key=lambda members: sum(
+            1 << (x - (x > one)) for x in members if x != one)))
+    return sorted((DeductiveSystem(m, _is_normal(alg, m)) for m in by_arrow),
+                  key=DeductiveSystem.sort_key)
 
 
 def is_monadic_ds(ds: DeductiveSystem, pair: MonadicPair) -> bool:
@@ -105,60 +104,29 @@ def monadic_ds(alg: FiniteAlgebra, pair: MonadicPair,
     return [d for d in ds_list if is_monadic_ds(d, pair)]
 
 
-def _closure(alg: FiniteAlgebra, seed) -> frozenset:
-    members = set(seed)
-    members.add(alg.one)
-    changed = True
-    while changed:
-        changed = False
-        for x in list(members):
-            for y in range(alg.size):
-                if y not in members and (alg.arrow[x][y] in members
-                                         or alg.squig[x][y] in members):
-                    members.add(y)
-                    changed = True
+def _closure(alg: FiniteAlgebra, seed, tables) -> frozenset:
+    """The least set holding 1 and seed in which x and t[x][y] put y,
+    for each table t of tables."""
+    members = {alg.one, *seed}
+    grown = True
+    while grown:
+        grown = False
+        for y in alg.elements():
+            if y not in members and any(t[x][y] in members
+                                        for t in tables for x in members):
+                members.add(y)
+                grown = True
     return frozenset(members)
 
 
-def _implication_members(alg: FiniteAlgebra, xs: frozenset, table) -> frozenset:
-    # y is generated iff a1 -> (a2 -> ... (ak -> y)...) = 1 for some
-    # sequence from xs; on a finite algebra depth |A| suffices since
-    # every modus-ponens step adds an element.
-    n, one = alg.size, alg.one
-    vals = [frozenset([y]) for y in range(n)]  # reachable nested values per target
-    hit = set()
-    for _ in range(n):
-        vals = [frozenset(table[a][v] for a in xs for v in vs) for vs in vals]
-        hit.update(y for y in range(n) if one in vals[y])
-    return frozenset(hit) | {one}
-
-
 def generated_ds(alg: FiniteAlgebra, xs,
-                 report: ClassificationReport | None = None,
-                 verify: bool = True) -> DeductiveSystem:
-    """Least deductive system containing xs (modus-ponens fixpoint).
-
-    With verify=True the result is cross-checked against the
-    intersection of all enumerated deductive systems containing xs,
-    and -- under condition (M) -- against the nested-implication
-    membership characterization.
-    """
+                 report: ClassificationReport | None = None) -> DeductiveSystem:
+    """Least deductive system containing xs: the modus-ponens closure of
+    xs for -> and ~> together.  On tables whose two closures disagree it
+    is the least set closed for both; `enumerate_ds` rejects such tables."""
+    # report is unused; perfbench/workloads.py passes it positionally
     xs = frozenset(alg.index(x) if isinstance(x, str) else x for x in xs)
-    members = _closure(alg, xs)
-    if verify:
-        meets = [d.members for d in enumerate_ds(alg) if xs <= d.members]
-        oracle = frozenset.intersection(*meets)
-        if members != oracle:
-            raise InvariantViolated(f"fixpoint {sorted(members)} != "
-                                    f"intersection oracle {sorted(oracle)}")
-        if report is None:
-            report, _ = classify(alg)
-        if report.holds("condition_M") and xs:
-            by_arrow = _implication_members(alg, xs, alg.arrow)
-            by_squig = _implication_members(alg, xs, alg.squig)
-            if not members == by_arrow == by_squig:
-                raise InvariantViolated(
-                    "nested-implication characterization disagrees with fixpoint")
+    members = _closure(alg, xs, (alg.arrow, alg.squig))
     return DeductiveSystem(members, _is_normal(alg, members))
 
 
@@ -295,15 +263,16 @@ def enumerate_congruences(alg: FiniteAlgebra) -> list[Congruence]:
     """All congruences, sorted by restricted-growth string.
 
     Every congruence is the join of the principal congruences Cg(a, b)
-    of its pairs, and Con(A) is a sublattice of Eq(A): so the identity
-    plus every Cg(a, b), a < b, closed under partition joins, is Con(A)
-    (R. Freese, "Computing congruences efficiently", Algebra Universalis
-    59, 2008).  A merge relabels the smaller class, so no find is
-    needed; a merge of x and y queues the non-trivial translates
-    (x op u, y op u) and (u op x, u op y), listed once per pair per
-    call.  A join applies only the links (x, first element of x's
-    block) of a principal.  Callers report the first congruence that
-    fails a law, so the sort order is part of the contract."""
+    of its pairs, and Con(A) is a sublattice of Eq(A): so the partitions
+    reached from the identity by joins with the Cg(a, b), a < b
+    (`closed_sets`), are Con(A) (R. Freese, "Computing congruences
+    efficiently", Algebra Universalis 59, 2008).  A merge relabels the
+    smaller class, so no find is needed; a merge of x and y queues the
+    non-trivial translates (x op u, y op u) and (u op x, u op y), listed
+    once per pair per call.  A join applies only the links (x, first
+    element of x's block) of a principal.  Callers report the first
+    congruence that fails a law, so the sort order is part of the
+    contract."""
     n = alg.size
     tables = [(t, tuple(zip(*t))) for t in (alg.arrow, alg.squig)]
 
@@ -318,17 +287,7 @@ def enumerate_congruences(alg: FiniteAlgebra) -> list[Congruence]:
     # p.index(c) is the first element of the block numbered c
     links = [[(x, p.index(c)) for x, c in enumerate(p) if p.index(c) != x]
              for p in principals]
-    found = set(principals)
-    queue = list(principals)
-    while queue:
-        theta = queue.pop()
-        for p in links:
-            psi = _join(theta, p)
-            if psi not in found:
-                found.add(psi)
-                queue.append(psi)
-    found.add(tuple(range(n)))
-    return [Congruence(c) for c in sorted(found)]
+    return [Congruence(c) for c in sorted(closed_sets(tuple(range(n)), links, _join))]
 
 
 def theta_from_ds(alg: FiniteAlgebra, ds: DeductiveSystem) -> Congruence:
@@ -467,7 +426,7 @@ def correspondence_report(alg: FiniteAlgebra, pair: MonadicPair,
                 if is_meet_compatible(alg, c, ops) and is_relative_congruence(alg, c)]
         right = [d for d in monadic_ds(alg, pair, ds_all) if d.normal]
     else:
-        raise ValueError(f"unknown variant {variant!r}")
+        raise PreconditionUnmet(f"unknown variant {variant!r}")
 
     by_members = {d.members: d for d in right}
     theta = cache(lambda d: theta_from_ds(alg, d))   # Theta_D once per D

@@ -231,8 +231,7 @@ def _p6_monadic_ds_generated(ctx):
     count = 0
     for ds in ctx.memo.ds:
         count += 1
-        gen = _ded.generated_ds(ctx.alg, ds.members & fixed, ctx.report,
-                                verify=False)
+        gen = _ded.generated_ds(ctx.alg, ds.members & fixed)
         if _ded.is_monadic_ds(ds, ctx.pair) != (gen.members == ds.members):
             return False, tuple(sorted(ds.members)), count
     return True, None, count

@@ -8,13 +8,13 @@ pair from a single interior-like or closure-like map.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations
 from typing import NamedTuple
 
 from .algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap
 from .classify import (ClassificationReport, DerivedOps, InvariantViolated,
-                       Verdict, backtrack, classify, first_failure,
-                       first_failure_of, HOLDS)
+                       Verdict, backtrack, classify, closed_sets,
+                       first_failure, first_failure_of, HOLDS)
 
 PLAIN = "plain"
 BOUNDED_COMMUTATIVE = "bc"
@@ -131,8 +131,7 @@ def require_monadic(alg: FiniteAlgebra, pair: MonadicPair, what: str) -> Monadic
 
 
 def enumerate_mop(alg: FiniteAlgebra, mode: str = PLAIN,
-                  ops: DerivedOps | None = None,
-                  unpruned: bool = False) -> list[MonadicPair]:
+                  ops: DerivedOps | None = None) -> list[MonadicPair]:
     """All monadic pairs, sorted by (forall images, exists images).
 
     The maps are built on their image, cell by cell.  Where 1 -> y = y
@@ -142,8 +141,7 @@ def enumerate_mop(alg: FiniteAlgebra, mode: str = PLAIN,
     x = E x, y = e); each such closed S is taken in turn.  Elsewhere E
     need not be idempotent (on constant tables it may swap two elements)
     and every image is tried.  `check_monadic` decides each pair, so the
-    list is exact on any input.  `unpruned` scans every pair of maps
-    passing M1 and M2 instead (a self-check for small carriers).
+    list is exact on any input.
     """
     mode = _normalize_mode(mode)
     if mode != PLAIN and ops is None:
@@ -179,12 +177,7 @@ def enumerate_mop(alg: FiniteAlgebra, mode: str = PLAIN,
             if fixed or (len(set(E)) == len(image) and all(E[v] == v for v in F)):
                 yield MonadicPair(UnaryMap(tuple(E)), UnaryMap(tuple(F)))
 
-    if unpruned:
-        foralls = [UnaryMap(F) for F in product(rng, repeat=n)
-                   if all(F[x] in down[x] for x in rng)]
-        candidates = (MonadicPair(UnaryMap(E), f) for E in product(rng, repeat=n)
-                      if all(E[x] in up[x] for x in rng) for f in foralls)
-    elif all(arr[one][y] == y for y in rng):
+    if all(arr[one][y] == y for y in rng):
         # S holds E x and F x for all x (M1, M2), so any singleton up[x] or
         # down[x], and r x for x in S
         def close(S, new):      # the least closed set holding S and new
@@ -194,9 +187,8 @@ def enumerate_mop(alg: FiniteAlgebra, mode: str = PLAIN,
                         for y in S} | {r[z] for r in squares for z in new}) - S
             return S
 
-        shapes = [close(frozenset(), {one}.union(*(c for c in up + down if len(c) == 1)))]
-        for S in shapes:
-            shapes += {close(S, {x}) for x in rng if x not in S} - set(shapes)
+        seeds = {one}.union(*(c for c in up + down if len(c) == 1))
+        shapes = closed_sets(close(frozenset(), seeds), rng, lambda S, x: close(S, {x} - S))
         candidates = (p for S in shapes for p in pairs(S, S))
     else:
         candidates = (p for k in range(1, n + 1) for image in combinations(rng, k)
@@ -327,7 +319,7 @@ def dual_quantifier(alg: FiniteAlgebra, direction: str, m: UnaryMap,
     if not report.holds("involutive"):
         raise PreconditionUnmet("dual_quantifier needs a bounded involutive algebra")
     if direction not in ("exists", "forall"):
-        raise ValueError("direction must be 'exists' or 'forall'")
+        raise PreconditionUnmet("direction must be 'exists' or 'forall'")
     nm, ns = ops.neg_minus, ops.neg_sim
     return UnaryMap(tuple(ns[m(nm[x])] for x in range(alg.size)))
 
@@ -408,7 +400,7 @@ def check_mv_quantifier(alg: FiniteAlgebra, m: UnaryMap, kind: str,
     elif kind == "existential":
         tag, lat, mv1 = "MVE", ops.join, lambda x: arr[x][f[x]] == one
     else:
-        raise ValueError("kind must be 'universal' or 'existential'")
+        raise PreconditionUnmet("kind must be 'universal' or 'existential'")
     checks = [
         (1, [(tag + "1", mv1)]),
         (2, [(tag + "2", lambda x, y: f[lat[x][y]] == lat[f[x]][f[y]])]),

@@ -1,16 +1,19 @@
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
 
 import psbe
-from psbe.algebra import FiniteAlgebra, PreconditionUnmet, load_algebra
+from psbe.algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap, load_algebra
 from psbe.classify import (Verdict, _check_pseudo_mv,
-                           check_pseudo_be, check_pseudo_bck, first_failure,
-                           first_failure_of, pseudo_product_table)
+                           check_pseudo_be, check_pseudo_bck, classify,
+                           first_failure, first_failure_of, pseudo_product_table)
+from psbe.deduction import (DeductiveSystem, _closures_disagree, _is_normal,
+                            generated_ds)
 from psbe.laws import (BudgetExceeded, SearchResult, _is_canonical,
                        _law_counterexample, candidate_count, catalog,
                        free_cells)
+from psbe.quantifiers import PLAIN, MonadicPair, check_monadic
 
 FIXDIR = Path(psbe.__file__).resolve().parent / "fixtures"
 FIXTURE_NAMES = ("psbe4", "psbe5", "bc4", "inv6")
@@ -301,6 +304,88 @@ def _eager_bound_table(leq, n: int, lower: bool):
             row.append(best[0])
         rows.append(tuple(row))
     return tuple(rows)
+
+
+# ------------------------------------------------ the deductive-system scans
+# enumerate_ds's reference: every subset holding 1 is tested for modus
+# ponens under -> and under ~>, in the order of its bit pattern over the
+# other elements; generated_ds's references are the intersection of the
+# scanned systems and, under condition (M), the nested implications.
+
+def _mp_closed(alg, members, table):
+    for x in members:
+        row = table[x]
+        for y in range(alg.size):
+            if row[y] in members and y not in members:
+                return False
+    return True
+
+
+def scan_ds(alg):
+    """Every deductive system by the subset scan, sorted as enumerate_ds
+    sorts them; PreconditionUnmet names the first subset in scan order
+    that is closed for one of -> and ~> but not for the other."""
+    n, one = alg.size, alg.one
+    rest = [x for x in range(n) if x != one]
+    out = []
+    for bits in range(1 << len(rest)):
+        members = frozenset([one] + [x for i, x in enumerate(rest) if bits >> i & 1])
+        arrow_closed = _mp_closed(alg, members, alg.arrow)
+        squig_closed = _mp_closed(alg, members, alg.squig)
+        if arrow_closed != squig_closed:
+            _closures_disagree(alg, members)
+        if arrow_closed:
+            out.append(DeductiveSystem(members, _is_normal(alg, members)))
+    out.sort(key=DeductiveSystem.sort_key)
+    return out
+
+
+def implication_members(alg, xs: frozenset, table) -> frozenset:
+    # y is generated iff a1 -> (a2 -> ... (ak -> y)...) = 1 for some
+    # sequence from xs; on a finite algebra depth |A| suffices since
+    # every modus-ponens step adds an element.
+    n, one = alg.size, alg.one
+    vals = [frozenset([y]) for y in range(n)]  # reachable nested values per target
+    hit = set()
+    for _ in range(n):
+        vals = [frozenset(table[a][v] for a in xs for v in vs) for vs in vals]
+        hit.update(y for y in range(n) if one in vals[y])
+    return frozenset(hit) | {one}
+
+
+def assert_generated_ds_matches_references(alg):
+    """generated_ds of every subset of alg is the intersection of the
+    scanned systems holding it and, under condition (M), for a non-empty
+    subset, the nested-implication members for -> and for ~>."""
+    systems = [d.members for d in scan_ds(alg)]
+    condition_m = classify(alg)[0].holds("condition_M")
+    for r in range(alg.size + 1):
+        for xs in map(frozenset, combinations(alg.elements(), r)):
+            members = generated_ds(alg, xs).members
+            assert members == frozenset.intersection(*(d for d in systems if xs <= d)), xs
+            if condition_m and xs:
+                assert (members == implication_members(alg, xs, alg.arrow)
+                        == implication_members(alg, xs, alg.squig)), xs
+
+
+# ------------------------------------------------ the unpruned MOP scan
+# enumerate_mop's raw reference: every pair of maps passing M1 and M2.
+
+def unpruned_mop(alg, mode=PLAIN):
+    """Every pair of maps E, F with x <= E x and F x <= x (M1, M2) that
+    check_monadic accepts, sorted as enumerate_mop sorts them.  A mode the
+    algebra cannot check raises PreconditionUnmet whatever the maps, as
+    check_monadic raises it on the identity pair."""
+    ops = classify(alg)[1] if mode != PLAIN else None
+    n, one, arr, sq = alg.size, alg.one, alg.arrow, alg.squig
+    identity = UnaryMap.identity(n)
+    check_monadic(alg, MonadicPair(identity, identity), mode, ops)
+    up = [[y for y in range(n) if arr[x][y] == one and sq[x][y] == one] for x in range(n)]
+    down = [[y for y in range(n) if arr[y][x] == one and sq[y][x] == one] for x in range(n)]
+    foralls = [UnaryMap(F) for F in product(*down)]
+    pairs = (MonadicPair(UnaryMap(E), f) for E in product(*up) for f in foralls)
+    return sorted((p for p in pairs if check_monadic(alg, p, mode, ops).ok),
+                  key=MonadicPair.sort_key)
 
 
 C2 = FiniteAlgebra("C2", ("1", "0"), 0, ((0, 1), (0, 0)), ((0, 1), (0, 0)))

@@ -279,6 +279,8 @@ EXIT_TWO = {
     "mop_not_psbe": "mop {not_psbe}",
     "verify_not_psbe": "verify {not_psbe}",
     "ds_closures_disagree": "ds {closures_disagree}",
+    "gen_closures_disagree": "gen {closures_disagree} --set 1",
+    "quotient_closures_disagree": "quotient {closures_disagree} --set 1",
     "unknown_element": "gen {bc4} --set 1,q",
     "unknown_pair": "ds {bc4} --pair 9",
     "ds_non_monadic_pair": "ds {non_monadic} --pair 1",

@@ -1,4 +1,4 @@
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,9 +12,11 @@ from psbe.deduction import (Congruence, correspondence_report,
                             is_monadic_congruence,
                             is_monadic_ds, monadic_ds, quotient,
                             theta_from_ds)
-from psbe.quantifiers import MonadicPair, enumerate_mop, pair_from_unary_blocks
+from psbe.quantifiers import (MonadicPair, check_mv_quantifier, dual_quantifier,
+                              enumerate_mop, pair_from_unary_blocks)
 
-from conftest import ORACLE_ALGEBRAS, labelled_models, load, times_c2
+from conftest import (ORACLE_ALGEBRAS, assert_generated_ds_matches_references,
+                      labelled_models, load, scan_ds, times_c2)
 
 
 def member_names(alg, ds):
@@ -59,13 +61,41 @@ def test_generated_ds_example(psbe5):
 
 
 def test_generated_ds_exhaustive_oracle(any_fixture):
-    # generated_ds(verify=True) asserts fixpoint == intersection oracle
-    # (and the nested-implication characterizations under condition (M))
-    report, _ = classify(any_fixture)
-    n = any_fixture.size
-    for r in range(n + 1):
-        for xs in combinations(range(n), r):
-            generated_ds(any_fixture, xs, report, verify=True)
+    # the closure of every subset equals the intersection of the scanned
+    # systems holding it (and the nested implications under condition (M))
+    assert_generated_ds_matches_references(any_fixture)
+
+
+def ds_outcome(enumerator, alg):
+    """The list of deductive systems, or the message and witness of the
+    PreconditionUnmet raised instead."""
+    try:
+        return enumerator(alg)
+    except PreconditionUnmet as exc:
+        return str(exc), exc.witness
+
+
+@pytest.mark.parametrize("alg", ORACLE_ALGEBRAS)
+def test_enumerate_ds_matches_subset_scan(alg):
+    assert enumerate_ds(alg) == scan_ds(alg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_enumerate_ds_matches_subset_scan_on_any_tables(data):
+    # arbitrary tables and any element as 1, the row of 1 made the
+    # identity half of the time: mostly not pseudo BE-algebras, where the
+    # two closures may disagree and the scan names the first subset
+    n = data.draw(st.integers(1, 6))
+    one = data.draw(st.integers(0, n - 1))
+    cells = st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(tuple)
+    arrow, squig = (list(data.draw(st.lists(cells, min_size=n, max_size=n)))
+                    for _ in range(2))
+    if data.draw(st.booleans()):
+        arrow[one] = squig[one] = tuple(range(n))
+    alg = FiniteAlgebra("any", tuple(f"e{i}" for i in range(n)), one,
+                        tuple(arrow), tuple(squig))
+    assert ds_outcome(enumerate_ds, alg) == ds_outcome(scan_ds, alg)
 
 
 def test_theta_from_ds(psbe5):
@@ -294,6 +324,20 @@ def test_quotient_rejects_a_pair_that_is_not_monadic():
     with pytest.raises(PreconditionUnmet,
                        match=r"^quotient needs a monadic pair: M5 fails at \(e1\)$"):
         quotient(alg, Congruence((0, 1)), pair=pair)
+
+
+@pytest.mark.parametrize("name, call, message", [
+    ("psbe5", lambda alg: correspondence_report(alg, enumerate_mop(alg)[0], "nope"),
+     "unknown variant 'nope'"),
+    ("inv6", lambda alg: dual_quantifier(alg, "sideways", UnaryMap.identity(alg.size)),
+     "direction must be 'exists' or 'forall'"),
+    ("bc4", lambda alg: check_mv_quantifier(alg, UnaryMap.identity(alg.size), "modal"),
+     "kind must be 'universal' or 'existential'"),
+])
+def test_unknown_keyword_values_are_rejected(name, call, message):
+    with pytest.raises(PreconditionUnmet) as err:
+        call(load(name))
+    assert str(err.value) == message
 
 
 def test_quotient_identity_and_full(psbe5):

@@ -13,7 +13,7 @@ from psbe.quantifiers import (BOUNDED_COMMUTATIVE, HOOP, PLAIN, MonadicPair,
                               fixed_set, is_monadic, pair_from_unary_blocks,
                               residuation_check)
 
-from conftest import FIXTURE_NAMES, ORACLE_ALGEBRAS, load, times_c2
+from conftest import FIXTURE_NAMES, ORACLE_ALGEBRAS, load, times_c2, unpruned_mop
 
 MODES = (PLAIN, BOUNDED_COMMUTATIVE, HOOP)
 
@@ -54,10 +54,10 @@ def cross_product_mop(alg, mode=PLAIN):
     return found
 
 
-def outcome(enumerator, alg, mode, **kw):
+def outcome(enumerator, alg, mode):
     """The list of pairs, or PreconditionUnmet when that is raised."""
     try:
-        return enumerator(alg, mode=mode, **kw)
+        return enumerator(alg, mode=mode)
     except PreconditionUnmet:
         return PreconditionUnmet
 
@@ -93,7 +93,7 @@ def test_declared_pairs_labels_in_file_order(psbe5, inv6):
 
 
 def test_mop_unpruned_agrees(psbe4):
-    assert set(enumerate_mop(psbe4, unpruned=True)) == set(enumerate_mop(psbe4))
+    assert set(unpruned_mop(psbe4)) == set(enumerate_mop(psbe4))
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -102,7 +102,7 @@ def test_enumerate_mop_matches_cross_product(alg, mode):
     expected = outcome(cross_product_mop, alg, mode)
     assert outcome(enumerate_mop, alg, mode) == expected
     if alg.size <= 3:
-        assert outcome(enumerate_mop, alg, mode, unpruned=True) == expected
+        assert outcome(unpruned_mop, alg, mode) == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -143,7 +143,7 @@ def test_enumerate_mop_matches_unpruned_on_any_tables(data):
                         tuple(arrow), tuple(squig))
     for mode in MODES:
         assert (outcome(enumerate_mop, alg, mode)
-                == outcome(enumerate_mop, alg, mode, unpruned=True)), mode
+                == outcome(unpruned_mop, alg, mode)), mode
 
 
 def test_enumerate_mop_on_constant_tables_finds_non_idempotent_pairs():
@@ -153,7 +153,7 @@ def test_enumerate_mop_on_constant_tables_finds_non_idempotent_pairs():
     alg = FiniteAlgebra("ones", ("1", "a", "b"), 0, ones, ones)
     pairs = enumerate_mop(alg)
     assert MonadicPair(UnaryMap((0, 2, 1)), UnaryMap((0, 0, 0))) in pairs
-    assert pairs == enumerate_mop(alg, unpruned=True)
+    assert pairs == unpruned_mop(alg)
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
