@@ -134,14 +134,15 @@ def enumerate_mop(alg: FiniteAlgebra, mode: str = PLAIN,
                   ops: DerivedOps | None = None) -> list[MonadicPair]:
     """All monadic pairs, sorted by (forall images, exists images).
 
-    The maps are built on their image, cell by cell.  Where 1 -> y = y
-    for all y, as on a pseudo BE-algebra, M1 and M3 at x = 1 and M5 give
-    E 1 = 1, F E = E and E F = F, so both maps are the identity on one
-    image S, which holds 1 and x -> e, x ~> e for x, e in S (M3 at
-    x = E x, y = e); each such closed S is taken in turn.  Elsewhere E
-    need not be idempotent (on constant tables it may swap two elements)
-    and every image is tried.  `check_monadic` decides each pair, so the
-    list is exact on any input.
+    The maps are built on their image, cell by cell, by a search that
+    decides each pair: M1 and M2 bound each cell's candidates, and M3,
+    M4 (at every e in the image), M6 and M7 are tested once both cells
+    they read are set.  Where 1 -> y = y for all y, as on a pseudo
+    BE-algebra, M1 and M3 at x = 1 and M5 make both maps the identity
+    on one image S, closed under ->, ~> and the mode's squares, so M3-M7
+    hold on S; M1 and M2 there read x -> x = x ~> x = 1, on which S is
+    filtered.  Elsewhere E need not be idempotent (on constant tables it
+    may swap two elements): each image is tried, E onto it and M5 checked.
     """
     mode = _normalize_mode(mode)
     if mode != PLAIN and ops is None:
@@ -189,12 +190,11 @@ def enumerate_mop(alg: FiniteAlgebra, mode: str = PLAIN,
 
         seeds = {one}.union(*(c for c in up + down if len(c) == 1))
         shapes = closed_sets(close(frozenset(), seeds), rng, lambda S, x: close(S, {x} - S))
-        candidates = (p for S in shapes for p in pairs(S, S))
+        candidates = (p for S in shapes if all(x in up[x] for x in S) for p in pairs(S, S))
     else:
         candidates = (p for k in range(1, n + 1) for image in combinations(rng, k)
                       for p in pairs(set(image), ()))
-    return sorted((p for p in candidates if check_monadic(alg, p, mode, ops).ok),
-                  key=MonadicPair.sort_key)
+    return sorted(candidates, key=MonadicPair.sort_key)
 
 
 def fixed_set(alg: FiniteAlgebra, pair: MonadicPair):
@@ -203,7 +203,7 @@ def fixed_set(alg: FiniteAlgebra, pair: MonadicPair):
     fixed_e = frozenset(x for x in range(n) if pair.exists(x) == x)
     fixed_f = frozenset(x for x in range(n) if pair.forall(x) == x)
     if fixed_e != fixed_f:
-        raise ValueError("fixed sets of exists and forall disagree; pair is not monadic")
+        raise PreconditionUnmet("fixed sets of exists and forall disagree; pair is not monadic")
     image = frozenset(pair.forall(x) for x in range(n))
     kernel = frozenset(x for x in range(n) if pair.forall(x) == alg.one)
     return fixed_e, image, kernel

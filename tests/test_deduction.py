@@ -13,7 +13,7 @@ from psbe.deduction import (Congruence, correspondence_report,
                             is_monadic_ds, monadic_ds, quotient,
                             theta_from_ds)
 from psbe.quantifiers import (MonadicPair, check_mv_quantifier, dual_quantifier,
-                              enumerate_mop, pair_from_unary_blocks)
+                              enumerate_mop, fixed_set, pair_from_unary_blocks)
 
 from conftest import (ORACLE_ALGEBRAS, assert_generated_ds_matches_references,
                       labelled_models, load, scan_ds, times_c2)
@@ -333,6 +333,9 @@ def test_quotient_rejects_a_pair_that_is_not_monadic():
      "direction must be 'exists' or 'forall'"),
     ("bc4", lambda alg: check_mv_quantifier(alg, UnaryMap.identity(alg.size), "modal"),
      "kind must be 'universal' or 'existential'"),
+    ("psbe4", lambda alg: fixed_set(alg, MonadicPair(UnaryMap.identity(alg.size),
+                                                     UnaryMap((alg.one,) * alg.size))),
+     "fixed sets of exists and forall disagree; pair is not monadic"),
 ])
 def test_unknown_keyword_values_are_rejected(name, call, message):
     with pytest.raises(PreconditionUnmet) as err:

@@ -24,7 +24,7 @@ from psbe.quantifiers import MonadicPair, enumerate_mop
 from conftest import labelled_models, load, times_c2
 from test_quantifiers import times_c2_pair
 
-LAW_DIGEST = "4949db0eafa902b336fe53fd5425296975ff657828ebb51cc1da8788f9b0c777"
+LAW_DIGEST = "1eee5b939e7763b9040b0a19305ad8ec3a30c26226b638a7bbb127536163b32d"
 SUITE_DIGEST = "28c51aca69dd5147a826be64776cc89b59aa4f2d050e35e461fe740c1636d51a"
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from psbe import quantifiers as quantifiers_module
 from psbe.algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap
-from psbe.classify import classify
+from psbe.classify import FAILS, Verdict, classify
 from psbe.quantifiers import (BOUNDED_COMMUTATIVE, HOOP, PLAIN, MonadicPair,
                               build_from_sigma, build_from_tau, check_monadic,
                               check_mv_quantifier, compose_pairs,
@@ -13,7 +13,7 @@ from psbe.quantifiers import (BOUNDED_COMMUTATIVE, HOOP, PLAIN, MonadicPair,
                               fixed_set, is_monadic, pair_from_unary_blocks,
                               residuation_check)
 
-from conftest import FIXTURE_NAMES, ORACLE_ALGEBRAS, load, times_c2, unpruned_mop
+from conftest import ORACLE_ALGEBRAS, load, model_algebra, times_c2, unpruned_mop
 
 MODES = (PLAIN, BOUNDED_COMMUTATIVE, HOOP)
 
@@ -156,24 +156,50 @@ def test_enumerate_mop_on_constant_tables_finds_non_idempotent_pairs():
     assert pairs == unpruned_mop(alg)
 
 
-@pytest.mark.parametrize("name", FIXTURE_NAMES)
-def test_enumerate_mop_checks_each_returned_pair_once(name, monkeypatch):
-    # every candidate built satisfies M1-M7 of the mode, so the final
-    # check_monadic never rejects one
-    alg = load(name)
-    calls = []
-    real = quantifiers_module.check_monadic
+@pytest.mark.parametrize("alg", ORACLE_ALGEBRAS)
+def test_enumerate_mop_decides_pairs_without_check_monadic(alg, monkeypatch):
+    # the search is the decision procedure and check_monadic its oracle:
+    # no call is made, and every pair returned passes the full check
+    def refuse(*args, **kw):
+        raise AssertionError("enumerate_mop called check_monadic")
 
-    def counted(*args):
-        calls.append(args[1])
-        return real(*args)
-
-    monkeypatch.setattr(quantifiers_module, "check_monadic", counted)
-    for mode in MODES:
-        calls.clear()
-        pairs = outcome(enumerate_mop, alg, mode)
+    with monkeypatch.context() as patch:
+        patch.setattr(quantifiers_module, "check_monadic", refuse)
+        found = {mode: outcome(enumerate_mop, alg, mode) for mode in MODES}
+    for mode, pairs in found.items():
         if pairs is not PreconditionUnmet:
-            assert sorted(calls, key=MonadicPair.sort_key) == pairs, mode
+            assert all(check_monadic(alg, p, mode).ok for p in pairs), mode
+
+
+def test_enumerate_mop_filters_closed_images_on_x_to_x():
+    # 1 -> y = y, so each image is a closed set, and {1, e1} is one; but
+    # e1 ~> e1 = e1, so the identity pair fails M1(squig) at e1
+    alg = FiniteAlgebra("two", ("1", "e1"), 0, ((0, 1), (0, 0)), ((0, 1), (0, 1)))
+    identity = UnaryMap.identity(2)
+    assert (check_monadic(alg, MonadicPair(identity, identity)).first_failure()
+            == Verdict("M1(squig)", FAILS, (1,)))
+    assert enumerate_mop(alg) == unpruned_mop(alg) == []
+
+
+# per family of instances the search tests, the first model in scan
+# order on which the search without it lists a pair that is not monadic
+# (no pseudo BE-algebra with n <= 4 needs M4); the tables are 1 -> y = y,
+# x -> y = 1 for the middle rows x, and the last row given
+@pytest.mark.parametrize("last_arrow, last_squig, pair, failure", [
+    ((0, 1, 1, 0), (0, 1, 2, 0), ((0, 1, 2, 0), (0, 1, 2, 1)), ("M3(arrow)", (3, 2))),
+    ((0, 1, 2, 0), (0, 1, 1, 0), ((0, 1, 2, 0), (0, 1, 2, 1)), ("M3(squig)", (3, 2))),
+    ((0, 0, 1, 4, 0), (0, 0, 1, 1, 0), ((0, 1, 2, 2, 4),) * 2, ("M4(arrow)", (4, 3))),
+    ((0, 0, 1, 1, 0), (0, 0, 1, 4, 0), ((0, 1, 2, 2, 4),) * 2, ("M4(squig)", (4, 3)))],
+    ids=["M3-arrow", "M3-squig", "M4-arrow", "M4-squig"])
+def test_enumerate_mop_tests_each_instance_family(last_arrow, last_squig, pair, failure):
+    n = len(last_arrow)
+    arrow, squig = ((tuple(range(n)),) + ((0,) * n,) * (n - 2) + (last,)
+                    for last in (last_arrow, last_squig))
+    alg = model_algebra(n, arrow, squig)
+    name, witness = failure
+    assert (check_monadic(alg, MonadicPair(*map(UnaryMap, pair))).first_failure()
+            == Verdict(name, FAILS, witness))
+    assert enumerate_mop(alg) == cross_product_mop(alg)
 
 
 @pytest.mark.parametrize("name, counts", [
@@ -208,7 +234,7 @@ def test_check_monadic_reports_failing_axiom(psbe5):
     bad = MonadicPair(UnaryMap((0, 0, 0, 0, 0)), UnaryMap((0, 1, 2, 3, 4)))
     report = check_monadic(psbe5, bad)
     assert not report.ok
-    assert report.first_failure is not None
+    assert report.first_failure() == Verdict("M5", FAILS, (1,))
 
 
 def test_fixed_sets_psbe5(psbe5):
