@@ -4,8 +4,8 @@ __version__ = "0.1.0"
 
 from .algebra import FiniteAlgebra, ParseError, PreconditionUnmet, UnaryMap, \
     load_algebra, parse_algebra, serialize_algebra
-from .classify import ClassificationReport, DerivedOps, Verdict, \
-    check_pseudo_be, check_pseudo_bck, classify
+from .classify import ClassificationReport, Verdict, check_pseudo_be, \
+    check_pseudo_bck, classify
 from .quantifiers import MonadicPair, build_from_sigma, build_from_tau, \
     check_monadic, compose_pairs, dual_quantifier, enumerate_mop, fixed_set
 from .deduction import Congruence, DeductiveSystem, correspondence_report, \

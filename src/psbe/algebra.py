@@ -62,7 +62,9 @@ UnaryMap._make = classmethod(lambda cls, fields: cls(*fields))
 
 class FiniteAlgebra:
     """An immutable record whose fields are ordinary instance attributes,
-    read in every inner loop.  Equality and hash ignore `unary`."""
+    read in every inner loop.  Equality and hash ignore `unary`.  The
+    instance keeps its classification once `psbe.classify.classify` has
+    built it; a `_replace` copy starts without one."""
 
     _fields = ("name", "element_names", "one", "arrow", "squig", "zero", "unary")
 

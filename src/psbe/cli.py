@@ -18,7 +18,7 @@ import sys
 from . import __version__
 from .algebra import (FiniteAlgebra, ParseError, PreconditionUnmet, load_algebra,
                       serialize_algebra)
-from .classify import classify, least_elements
+from .classify import classify
 from .quantifiers import declared_pairs, enumerate_mop, pair_from_unary_blocks, require_monadic
 from . import deduction as ded
 from . import laws as lawmod
@@ -49,22 +49,21 @@ def _load(path) -> FiniteAlgebra:
         raise PreconditionUnmet(f"cannot read {path}: {exc.strerror}")
     except (UnicodeDecodeError, ParseError) as exc:
         raise PreconditionUnmet(f"{path}: {exc}")
-    least_elements(alg)
+    classify(alg)
     return alg
 
 
-def _load_psbe(path, command: str):
-    """(alg, report, ops) for the algebra in path; raises PreconditionUnmet
-    (exit 2) when it is not a pseudo BE-algebra."""
+def _load_psbe(path, command: str) -> FiniteAlgebra:
+    """The algebra in path; raises PreconditionUnmet (exit 2) when it is
+    not a pseudo BE-algebra."""
     alg = _load(path)
-    report, ops = classify(alg)
-    verdict = report["pseudo_be"]
+    verdict = classify(alg)[0]["pseudo_be"]
     if not verdict:
         raise PreconditionUnmet(
             f"{command} needs a pseudo BE-algebra: {verdict.name} fails at "
             f"({', '.join(alg.element_names[x] for x in verdict.witness)})",
             verdict.witness)
-    return alg, report, ops
+    return alg
 
 
 def _monadic_pair(alg, command: str, label: str, pair=None):
@@ -90,7 +89,7 @@ def _generated(alg, xs):
 
 def _cmd_check(args):
     alg = _load(args.algebra)
-    report, ops = classify(alg)
+    report, _ = classify(alg)
     payload = {
         "algebra": alg.name,
         "size": alg.size,
@@ -109,8 +108,8 @@ def _cmd_check(args):
 
 
 def _cmd_mop(args):
-    alg, _, ops = _load_psbe(args.algebra, "mop")
-    pairs = enumerate_mop(alg, mode=args.mode, ops=ops)
+    alg = _load_psbe(args.algebra, "mop")
+    pairs = enumerate_mop(alg, mode=args.mode)
     payload = {
         "algebra": alg.name,
         "mode": args.mode,
@@ -188,13 +187,12 @@ def _cmd_quotient(args):
 
 
 def _cmd_verify(args):
-    alg, report, ops = _load_psbe(args.algebra, "verify")
+    alg = _load_psbe(args.algebra, "verify")
     pairs = [_monadic_pair(alg, "verify", label, p) for label, p in declared_pairs(alg)]
     if not pairs:
         pairs = enumerate_mop(alg)
     law_ids = args.law.split(",") if args.law else None
-    verdicts = lawmod.verify_suite(alg, pairs, law_ids=law_ids,
-                                   report=report, ops=ops)
+    verdicts = lawmod.verify_suite(alg, pairs, law_ids=law_ids)
     failures = [v for v in verdicts if v.status == lawmod.FAILS]
     payload = {
         "algebra": alg.name,

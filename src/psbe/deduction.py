@@ -14,9 +14,8 @@ from itertools import product
 from typing import NamedTuple
 
 from .algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap
-from .classify import (ClassificationReport, DerivedOps, InvariantViolated,
-                       Verdict, check_pseudo_be, check_pseudo_bck, classify,
-                       closed_sets)
+from .classify import (ClassificationReport, InvariantViolated, Verdict,
+                       check_pseudo_be, check_pseudo_bck, classify, closed_sets)
 from .quantifiers import MonadicPair, check_monadic, require_monadic
 
 # perfbench/workloads.py catches this name, and perfbench changes only on its own
@@ -204,13 +203,12 @@ def is_monadic_congruence(cong: Congruence, pair: MonadicPair) -> bool:
                for x, c in enumerate(cls))
 
 
-def is_meet_compatible(alg: FiniteAlgebra, cong: Congruence,
-                       ops: DerivedOps) -> bool:
-    """Compatibility with the meet, checked only where meets exist."""
-    meet, cls = ops.meet, cong.classes
-    return meet is None or all(
-        meet[x][u] is None or meet[y][v] is None or cls[meet[x][u]] == cls[meet[y][v]]
-        for x, y, u, v in _related_pairs(cong))
+def is_meet_compatible(alg: FiniteAlgebra, cong: Congruence) -> bool:
+    """x ~ y and u ~ v imply x ^ u ~ y ^ v.  Checked only when every meet
+    exists; true, unchecked, when some pair has no meet."""
+    meet, cls = classify(alg)[0].meet, cong.classes
+    return meet is None or all(cls[meet[x][u]] == cls[meet[y][v]]
+                               for x, y, u, v in _related_pairs(cong))
 
 
 def is_relative_congruence(alg: FiniteAlgebra, cong: Congruence) -> bool:
@@ -395,21 +393,18 @@ VARIANT_BCK_MEET = "bck_meet"
 
 
 def correspondence_report(alg: FiniteAlgebra, pair: MonadicPair,
-                          variant: str = VARIANT_BE,
-                          report: ClassificationReport | None = None,
-                          ops: DerivedOps | None = None) -> Verdict:
+                          variant: str = VARIANT_BE) -> Verdict:
     """Round-trip check of the congruence/deductive-system bijection.
 
     variant 'be': monadic congruences vs monadic deductive systems on a
     distributive commutative algebra.  variant 'bck_meet': monadic
-    relative congruences (quotient is pseudo BCK; meet-compatible where
-    meets exist) vs normal monadic deductive systems, on a pseudo
+    relative congruences (quotient is pseudo BCK; meet-compatible when
+    every meet exists) vs normal monadic deductive systems, on a pseudo
     BCK-algebra.  The stated scope is the BCK-meet-semilattice case,
-    but meets need not be total here; compatibility is enforced only on
-    pairs whose meets exist.
+    but meets need not be total here: meet compatibility is checked only
+    when every meet exists, and not at all otherwise.
     """
-    if report is None or ops is None:
-        report, ops = classify(alg)
+    report, _ = classify(alg)
     ds_all = enumerate_ds(alg)
     cons = enumerate_congruences(alg)
     m_cons = [c for c in cons if is_monadic_congruence(c, pair)]
@@ -423,7 +418,7 @@ def correspondence_report(alg: FiniteAlgebra, pair: MonadicPair,
         if not report.holds("pseudo_bck"):
             raise PreconditionUnmet("variant 'bck_meet' needs a pseudo BCK-algebra")
         left = [c for c in m_cons
-                if is_meet_compatible(alg, c, ops) and is_relative_congruence(alg, c)]
+                if is_meet_compatible(alg, c) and is_relative_congruence(alg, c)]
         right = [d for d in monadic_ds(alg, pair, ds_all) if d.normal]
     else:
         raise PreconditionUnmet(f"unknown variant {variant!r}")

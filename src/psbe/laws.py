@@ -21,8 +21,9 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 from .algebra import FiniteAlgebra, PreconditionUnmet
-from .classify import (FAILS, HOLDS, NOT_APPLICABLE, InvariantViolated,
-                       backtrack, classify, first_failure, tables_of)
+from .classify import (FAILS, FLAG_ALIASES, FLAG_NAMES, HOLDS, NOT_APPLICABLE,
+                       InvariantViolated, backtrack, classify, first_failure,
+                       tables_of)
 from .quantifiers import MonadicPair, enumerate_mop, fixed_set
 from . import deduction as _ded
 
@@ -54,21 +55,17 @@ class _Memo:
 
 
 class Ctx:
-    """Evaluation context: one algebra, its classification, derived
-    operations and (optionally) one monadic pair, with the tables a law
-    predicate names: a, s (-> and ~>), E, F, nm, ns, od, op, meet, join
-    and the constants one, zero.  The derived tables are read from `ops`
-    on first use.  `memo` holds the algebra's deductive systems and
-    congruences; every context derived by `with_pair` shares it and the
-    classification."""
+    """Evaluation context: one algebra, its classification and
+    (optionally) one monadic pair, with the tables a law predicate names:
+    a, s (-> and ~>), E, F, nm, ns, od, op, meet, join and the constants
+    one, zero.  `report` is the algebra's one ClassificationReport
+    (`classify`); the derived tables are read from it on first use.
+    `memo` holds the algebra's deductive systems and congruences; every
+    context derived by `with_pair` shares it."""
 
-    def __init__(self, alg: FiniteAlgebra, report=None, ops=None,
-                 pair: MonadicPair | None = None):
-        if report is None or ops is None:
-            report, ops = classify(alg)
+    def __init__(self, alg: FiniteAlgebra, pair: MonadicPair | None = None):
         self.alg = alg
-        self.report = report
-        self.ops = ops
+        self.report, _ = classify(alg)
         self.n = alg.size
         self.one = alg.one
         self.zero = alg.zero
@@ -77,12 +74,12 @@ class Ctx:
         self.memo = _Memo(alg)
         self._bind(pair)
 
-    nm = cached_property(lambda self: self.ops.neg_minus)
-    ns = cached_property(lambda self: self.ops.neg_sim)
-    od = cached_property(lambda self: self.ops.odot)
-    op = cached_property(lambda self: self.ops.oplus)
-    meet = cached_property(lambda self: self.ops.meet)
-    join = cached_property(lambda self: self.ops.join)
+    nm = cached_property(lambda self: self.report.neg_minus)
+    ns = cached_property(lambda self: self.report.neg_sim)
+    od = cached_property(lambda self: self.report.odot)
+    op = cached_property(lambda self: self.report.oplus)
+    meet = cached_property(lambda self: self.report.meet)
+    join = cached_property(lambda self: self.report.join)
 
     def _bind(self, pair):
         self.pair = pair
@@ -635,14 +632,14 @@ def evaluate_law(law: Law, ctx: Ctx) -> LawVerdict:
 
 
 def verify_suite(alg: FiniteAlgebra, pairs, law_ids=None,
-                 include_probes: bool = False,
-                 report=None, ops=None) -> list[LawVerdict]:
+                 include_probes: bool = False) -> list[LawVerdict]:
     """Evaluate the catalog over the algebra and the given monadic pairs.
 
     Pair-independent laws are evaluated once; pair laws once per pair.
     Probe laws (documented open questions) are skipped unless requested.
+    Hypotheses read the algebra's one classification (`classify`).
     """
-    base = Ctx(alg, report, ops)
+    base = Ctx(alg)
     laws = catalog()
     if law_ids is not None:
         wanted = set(law_ids)
@@ -683,6 +680,12 @@ class SearchSpec(_SearchFields):
             raise PreconditionUnmet("search sizes must satisfy 2 <= min <= max <= 5")
         if spec.budget is not None and spec.budget < 0:
             raise PreconditionUnmet(f"search budget must be >= 0, got {spec.budget}")
+        if isinstance(spec.require, str):
+            raise PreconditionUnmet(f"require must list flag names, not the string "
+                                    f"{spec.require!r}")
+        unknown = [f for f in spec.require if FLAG_ALIASES.get(f, f) not in FLAG_NAMES]
+        if unknown:
+            raise PreconditionUnmet(f"unknown classification flags in require: {unknown}")
         return spec
 
     @classmethod
@@ -793,14 +796,14 @@ def _is_canonical(n, arrow, squig):
 
 
 def _law_counterexample(law: Law, alg: FiniteAlgebra, spec: SearchSpec):
-    report, ops = classify(alg)
+    ctx = Ctx(alg)
+    report = ctx.report
     if not report.holds("pseudo_be"):
         raise InvariantViolated(
             f"search model {alg.arrow}, {alg.squig} is not a pseudo "
             f"BE-algebra: {report['pseudo_be']}")
     if any(not report.holds(f) for f in spec.require):
         return None
-    ctx = Ctx(alg, report, ops)
     if not law.uses_pair:
         v = evaluate_law(law, ctx)
         if v.status == FAILS:
@@ -856,8 +859,9 @@ def search_counterexample(spec: SearchSpec) -> SearchResult:
             hit = _law_counterexample(law, alg, spec)
             if hit is not None:
                 result.visited_by_size[n] = rank
-                # soundness: re-verify the witness from a fresh context
-                if _law_counterexample(law, hit[0], spec) is None:
+                # soundness: re-verify the witness on a fresh copy, whose
+                # classification is computed again, not read from hit[0]
+                if _law_counterexample(law, hit[0]._replace(), spec) is None:
                     raise InvariantViolated(
                         f"counterexample to {law.id} failed re-verification")
                 result.found = hit

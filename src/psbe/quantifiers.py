@@ -12,9 +12,8 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap
-from .classify import (ClassificationReport, DerivedOps, InvariantViolated,
-                       Verdict, backtrack, classify, closed_sets,
-                       first_failure, first_failure_of, HOLDS)
+from .classify import (InvariantViolated, Verdict, backtrack, classify,
+                       closed_sets, first_failure, first_failure_of, HOLDS)
 
 PLAIN = "plain"
 BOUNDED_COMMUTATIVE = "bc"
@@ -69,25 +68,24 @@ def _normalize_mode(mode: str) -> str:
         raise PreconditionUnmet(f"unknown mode {mode!r}") from None
 
 
-def _mode_tables(alg: FiniteAlgebra, mode: str, ops: DerivedOps | None):
+def _mode_tables(alg: FiniteAlgebra, mode: str):
     """(odot, oplus) for M6/M7, None where the mode does not check them;
     raises PreconditionUnmet when the mode needs a table the algebra lacks."""
     if mode == PLAIN:
         return None, None
-    if ops is None:
-        _, ops = classify(alg)
-    if ops.odot is None:
+    report, _ = classify(alg)
+    if report.odot is None:
         raise PreconditionUnmet(f"mode {mode!r} needs the pseudo-product table")
-    if mode == BOUNDED_COMMUTATIVE and ops.oplus is None:
+    if mode == BOUNDED_COMMUTATIVE and report.oplus is None:
         raise PreconditionUnmet("bounded-commutative mode needs the oplus table")
-    return ops.odot, ops.oplus if mode == BOUNDED_COMMUTATIVE else None
+    return report.odot, report.oplus if mode == BOUNDED_COMMUTATIVE else None
 
 
-def check_monadic(alg: FiniteAlgebra, pair: MonadicPair, mode: str = PLAIN,
-                  ops: DerivedOps | None = None) -> MonadicCheckReport:
+def check_monadic(alg: FiniteAlgebra, pair: MonadicPair,
+                  mode: str = PLAIN) -> MonadicCheckReport:
     """Check M1-M5 (plus M6/M7 per mode) over all element pairs."""
     mode = _normalize_mode(mode)
-    od, op = _mode_tables(alg, mode, ops)
+    od, op = _mode_tables(alg, mode)
     n, one = alg.size, alg.one
     arr, sq = alg.arrow, alg.squig
     E, F = pair.exists.images, pair.forall.images
@@ -114,9 +112,8 @@ def check_monadic(alg: FiniteAlgebra, pair: MonadicPair, mode: str = PLAIN,
     return MonadicCheckReport(mode, axioms)
 
 
-def is_monadic(alg: FiniteAlgebra, pair: MonadicPair, mode: str = PLAIN,
-               ops: DerivedOps | None = None) -> bool:
-    return check_monadic(alg, pair, mode, ops).ok
+def is_monadic(alg: FiniteAlgebra, pair: MonadicPair, mode: str = PLAIN) -> bool:
+    return check_monadic(alg, pair, mode).ok
 
 
 def require_monadic(alg: FiniteAlgebra, pair: MonadicPair, what: str) -> MonadicPair:
@@ -130,8 +127,7 @@ def require_monadic(alg: FiniteAlgebra, pair: MonadicPair, what: str) -> Monadic
     return pair
 
 
-def enumerate_mop(alg: FiniteAlgebra, mode: str = PLAIN,
-                  ops: DerivedOps | None = None) -> list[MonadicPair]:
+def enumerate_mop(alg: FiniteAlgebra, mode: str = PLAIN) -> list[MonadicPair]:
     """All monadic pairs, sorted by (forall images, exists images).
 
     The maps are built on their image, cell by cell, by a search that
@@ -145,11 +141,9 @@ def enumerate_mop(alg: FiniteAlgebra, mode: str = PLAIN,
     may swap two elements): each image is tried, E onto it and M5 checked.
     """
     mode = _normalize_mode(mode)
-    if mode != PLAIN and ops is None:
-        _, ops = classify(alg)
     n, one, arr, sq, rng = alg.size, alg.one, alg.arrow, alg.squig, range(alg.size)
     # M6 and M7 read F at x and at x (.) x, x (+) x; PreconditionUnmet here
-    squares = [tuple(t[x][x] for x in rng) for t in _mode_tables(alg, mode, ops) if t]
+    squares = [tuple(t[x][x] for x in rng) for t in _mode_tables(alg, mode) if t]
     up = [{y for y in rng if arr[x][y] == one and sq[x][y] == one} for x in rng]     # M1
     down = [{y for y in rng if arr[y][x] == one and sq[y][x] == one} for x in rng]   # M2
     cols = [tuple(zip(*t)) for t in (arr, sq)]
@@ -209,11 +203,9 @@ def fixed_set(alg: FiniteAlgebra, pair: MonadicPair):
     return fixed_e, image, kernel
 
 
-def residuation_check(alg: FiniteAlgebra, pair: MonadicPair,
-                      report: ClassificationReport | None = None) -> Verdict:
+def residuation_check(alg: FiniteAlgebra, pair: MonadicPair) -> Verdict:
     """exists(x) <= y iff x <= forall(y), over all pairs.  Needs (T)."""
-    if report is None:
-        report, _ = classify(alg)
+    report, _ = classify(alg)
     if not report.holds("condition_T"):
         raise PreconditionUnmet("residuation check needs a transitive order")
     arr, one = alg.arrow, alg.one
@@ -224,42 +216,32 @@ def residuation_check(alg: FiniteAlgebra, pair: MonadicPair,
         "residuated_pair")
 
 
-def _require_bounded_good(alg, report, ops, what):
-    if not report.holds("bounded") or ops.neg_minus is None:
-        raise PreconditionUnmet(f"{what} needs a bounded algebra")
-    if not report.holds("good"):
-        raise PreconditionUnmet(f"{what} needs a good algebra")
-
-
-def build_from_tau(alg: FiniteAlgebra, tau: UnaryMap,
-                   report: ClassificationReport | None = None,
-                   ops: DerivedOps | None = None) -> MonadicPair:
+def build_from_tau(alg: FiniteAlgebra, tau: UnaryMap) -> MonadicPair:
     """Pair with forall = tau, exists x = (tau x-)~, after verifying U1-U6."""
-    return _build(alg, tau, report, ops, from_forall=True)
+    return _build(alg, tau, from_forall=True)
 
 
-def build_from_sigma(alg: FiniteAlgebra, sigma: UnaryMap,
-                     report: ClassificationReport | None = None,
-                     ops: DerivedOps | None = None) -> MonadicPair:
+def build_from_sigma(alg: FiniteAlgebra, sigma: UnaryMap) -> MonadicPair:
     """Pair with exists = sigma, forall x = (sigma x-)~, after verifying E1-E6."""
-    return _build(alg, sigma, report, ops, from_forall=False)
+    return _build(alg, sigma, from_forall=False)
 
 
-def _build(alg, m, report, ops, from_forall: bool) -> MonadicPair:
+def _build(alg, m, from_forall: bool) -> MonadicPair:
     # U1-U6 (tau, over the oplus table) and E1-E6 (sigma, over the
     # pseudo-product) differ in condition 1 (tau decreasing, sigma
     # increasing) and in the negation each side of condition 3 reads;
     # the other map of the pair is (m x-)~ = (m x~)- either way.
     what = "build_from_tau" if from_forall else "build_from_sigma"
-    if report is None or ops is None:
-        report, ops = classify(alg)
-    _require_bounded_good(alg, report, ops, what)
-    t = ops.oplus if from_forall else ops.odot
+    report, _ = classify(alg)
+    for flag in ("bounded", "good"):
+        if not report.holds(flag):
+            raise PreconditionUnmet(f"{what} needs a {flag} algebra")
+    t = report.oplus if from_forall else report.odot
     if t is None:
         raise PreconditionUnmet(f"{what} needs the "
                                 + ("oplus table" if from_forall else "pseudo-product table"))
     n, one, arr = alg.size, alg.one, alg.arrow
-    f, nm, ns = m.images, ops.neg_minus, ops.neg_sim
+    f, nm, ns = m.images, report.neg_minus, report.neg_sim
     p, q = (nm, ns) if from_forall else (ns, nm)
 
     checks = [
@@ -288,39 +270,32 @@ def _build(alg, m, report, ops, from_forall: bool) -> MonadicPair:
             "exists disagree despite U2" if from_forall else "forall disagree despite E2"))
     pair = (MonadicPair(UnaryMap(other), m) if from_forall
             else MonadicPair(m, UnaryMap(other)))
-    _validate_built(alg, pair, report, ops, what)
-    return pair
-
-
-def _validate_built(alg, pair, report, ops, what):
     # the construction theorems promise a monadic pair; verify, never
     # assume.  M7 is checked only on commutative algebras, matching the
     # U6/E6 gating above.
-    if report.holds("commutative") and ops.oplus is not None and ops.odot is not None:
+    if report.holds("commutative") and report.oplus is not None and report.odot is not None:
         mode = BOUNDED_COMMUTATIVE
-    elif ops.odot is not None:
+    elif report.odot is not None:
         mode = HOOP
     else:
         mode = PLAIN
-    chk = check_monadic(alg, pair, mode, ops)
+    chk = check_monadic(alg, pair, mode)
     if not chk.ok:
         bad = chk.first_failure()
         raise InvariantViolated(f"{what} produced a non-monadic pair: "
                                 f"{bad.name} fails at {bad.witness}")
+    return pair
 
 
-def dual_quantifier(alg: FiniteAlgebra, direction: str, m: UnaryMap,
-                    report: ClassificationReport | None = None,
-                    ops: DerivedOps | None = None) -> UnaryMap:
+def dual_quantifier(alg: FiniteAlgebra, direction: str, m: UnaryMap) -> UnaryMap:
     """exists x = (forall x-)~ (direction='exists') or the converse
     ('forall').  Needs a bounded involutive algebra; an involution."""
-    if report is None or ops is None:
-        report, ops = classify(alg)
+    report, _ = classify(alg)
     if not report.holds("involutive"):
         raise PreconditionUnmet("dual_quantifier needs a bounded involutive algebra")
     if direction not in ("exists", "forall"):
         raise PreconditionUnmet("direction must be 'exists' or 'forall'")
-    nm, ns = ops.neg_minus, ops.neg_sim
+    nm, ns = report.neg_minus, report.neg_sim
     return UnaryMap(tuple(ns[m(nm[x])] for x in range(alg.size)))
 
 
@@ -333,8 +308,7 @@ class CompositionResult(NamedTuple):
     exists_le: bool | None         # exists1 <= exists2 pointwise
 
 
-def compose_pairs(alg: FiniteAlgebra, p1: MonadicPair, p2: MonadicPair,
-                  report: ClassificationReport | None = None) -> CompositionResult:
+def compose_pairs(alg: FiniteAlgebra, p1: MonadicPair, p2: MonadicPair) -> CompositionResult:
     """Compose two monadic pairs.
 
     Returns the validated pair (exists1 exists2, forall1 forall2) iff
@@ -345,8 +319,7 @@ def compose_pairs(alg: FiniteAlgebra, p1: MonadicPair, p2: MonadicPair,
     example applies them to a non-BCK transitive algebra -- so that is
     the precondition enforced.
     """
-    if report is None:
-        report, _ = classify(alg)
+    report, _ = classify(alg)
     if not report.holds("condition_T"):
         raise PreconditionUnmet("compose_pairs needs a transitive induced order")
     one = alg.one
@@ -382,23 +355,20 @@ def compose_pairs(alg: FiniteAlgebra, p1: MonadicPair, p2: MonadicPair,
     return CompositionResult(pair, commute, forall_le, exists_le)
 
 
-def check_mv_quantifier(alg: FiniteAlgebra, m: UnaryMap, kind: str,
-                        report: ClassificationReport | None = None,
-                        ops: DerivedOps | None = None) -> Verdict:
+def check_mv_quantifier(alg: FiniteAlgebra, m: UnaryMap, kind: str) -> Verdict:
     """MVU1-MVU6 (kind='universal') or MVE1-MVE6 (kind='existential')
     on the multi-valued structure of a bounded commutative algebra."""
-    if report is None or ops is None:
-        report, ops = classify(alg)
+    report, _ = classify(alg)
     if not (report.holds("bounded") and report.holds("commutative")):
         raise PreconditionUnmet("MV quantifier axioms need a bounded commutative algebra")
     f, arr, one = m.images, alg.arrow, alg.one
-    nm, ns, od, op = ops.neg_minus, ops.neg_sim, ops.odot, ops.oplus
+    nm, ns, od, op = report.neg_minus, report.neg_sim, report.odot, report.oplus
     # the two kinds differ in MV1 (f decreasing vs increasing) and MV2
     # (f preserves meets vs joins)
     if kind == "universal":
-        tag, lat, mv1 = "MVU", ops.meet, lambda x: arr[f[x]][x] == one
+        tag, lat, mv1 = "MVU", report.meet, lambda x: arr[f[x]][x] == one
     elif kind == "existential":
-        tag, lat, mv1 = "MVE", ops.join, lambda x: arr[x][f[x]] == one
+        tag, lat, mv1 = "MVE", report.join, lambda x: arr[x][f[x]] == one
     else:
         raise PreconditionUnmet("kind must be 'universal' or 'existential'")
     checks = [

@@ -376,15 +376,14 @@ def unpruned_mop(alg, mode=PLAIN):
     check_monadic accepts, sorted as enumerate_mop sorts them.  A mode the
     algebra cannot check raises PreconditionUnmet whatever the maps, as
     check_monadic raises it on the identity pair."""
-    ops = classify(alg)[1] if mode != PLAIN else None
     n, one, arr, sq = alg.size, alg.one, alg.arrow, alg.squig
     identity = UnaryMap.identity(n)
-    check_monadic(alg, MonadicPair(identity, identity), mode, ops)
+    check_monadic(alg, MonadicPair(identity, identity), mode)
     up = [[y for y in range(n) if arr[x][y] == one and sq[x][y] == one] for x in range(n)]
     down = [[y for y in range(n) if arr[y][x] == one and sq[y][x] == one] for x in range(n)]
     foralls = [UnaryMap(F) for F in product(*down)]
     pairs = (MonadicPair(UnaryMap(E), f) for E in product(*up) for f in foralls)
-    return sorted((p for p in pairs if check_monadic(alg, p, mode, ops).ok),
+    return sorted((p for p in pairs if check_monadic(alg, p, mode).ok),
                   key=MonadicPair.sort_key)
 
 

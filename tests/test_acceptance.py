@@ -70,12 +70,12 @@ def test_criterion_05_non_bck_witnesses():
 
 def test_criterion_06_derived_product_and_sum_tables():
     alg = load("bc4")
-    _, ops = classify(alg)
+    report, _ = classify(alg)
     nm = alg.element_names
-    assert [[nm[v] for v in row] for row in ops.odot] == \
+    assert [[nm[v] for v in row] for row in report.odot] == \
         [["1", "a", "b", "0"], ["a", "a", "0", "0"],
          ["b", "0", "b", "0"], ["0", "0", "0", "0"]]
-    assert [[nm[v] for v in row] for row in ops.oplus] == \
+    assert [[nm[v] for v in row] for row in report.oplus] == \
         [["1", "1", "1", "1"], ["1", "a", "1", "a"],
          ["1", "1", "b", "b"], ["1", "a", "b", "0"]]
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from psbe.algebra import PreconditionUnmet
-from psbe.classify import FLAG_NAMES, check_pseudo_be, check_pseudo_bck, classify
+from psbe.classify import (FLAG_NAMES, ClassificationReport, check_pseudo_be,
+                           check_pseudo_bck, classify)
 from psbe.laws import SearchSpec, search_counterexample
 
 from conftest import (FIXTURE_NAMES, ORACLE_ALGEBRAS, TABLE_NAMES,
@@ -66,10 +67,10 @@ def test_inv6_flags(inv6):
 
 
 def test_bc4_derived_tables(bc4):
-    _, ops = classify(bc4)
+    report, _ = classify(bc4)
     nm = bc4.element_names
-    odot = [[nm[v] for v in row] for row in ops.odot]
-    oplus = [[nm[v] for v in row] for row in ops.oplus]
+    odot = [[nm[v] for v in row] for row in report.odot]
+    oplus = [[nm[v] for v in row] for row in report.oplus]
     assert odot == [["1", "a", "b", "0"],
                     ["a", "a", "0", "0"],
                     ["b", "0", "b", "0"],
@@ -81,11 +82,11 @@ def test_bc4_derived_tables(bc4):
 
 
 def test_negations_involutive(inv6):
-    _, ops = classify(inv6)
+    report, _ = classify(inv6)
     n = inv6.size
     for x in range(n):
-        assert ops.neg_sim[ops.neg_minus[x]] == x
-        assert ops.neg_minus[ops.neg_sim[x]] == x
+        assert report.neg_sim[report.neg_minus[x]] == x
+        assert report.neg_minus[report.neg_sim[x]] == x
 
 
 def test_report_json_shape(any_fixture):
@@ -97,7 +98,10 @@ def test_report_json_shape(any_fixture):
 
 # ------------------------------------------- on-demand classification
 # Each flag and table of classify is computed on first read; the eager
-# one-pass classification in conftest is the reference.
+# one-pass classification in conftest is the reference.  classify(alg)
+# returns the report the algebra object keeps, which other tests may have
+# read already: a fresh ClassificationReport is built for each read alone
+# and for the reads in a random order.
 
 def assert_matches_eager(alg, seed=0):
     try:
@@ -107,20 +111,39 @@ def assert_matches_eager(alg, seed=0):
             classify(alg)
         return
     for name in FLAG_NAMES:                 # each read alone
-        report, _ = classify(alg)
-        assert report[name] == flags[name], name
+        assert ClassificationReport(alg)[name] == flags[name], name
     for name in TABLE_NAMES:
-        _, ops = classify(alg)
-        assert getattr(ops, name) == tables[name], name
-    report, ops = classify(alg)             # everything, in a random order
+        assert getattr(ClassificationReport(alg), name) == tables[name], name
+    report = ClassificationReport(alg)      # everything, in a random order
     attrs = list(FLAG_NAMES + TABLE_NAMES)
     random.Random(seed).shuffle(attrs)
     for name in attrs:
         getattr(report, name)
-    assert report.to_json(alg) == {k: v.to_json(alg) for k, v in flags.items()}
-    assert list(report.flags) == list(FLAG_NAMES)
-    assert {name: getattr(ops, name) for name in TABLE_NAMES} == tables
-    assert report["distributive"] == flags["distributive_i"]
+    for checked in (report, classify(alg)[0]):
+        assert checked.to_json(alg) == {k: v.to_json(alg) for k, v in flags.items()}
+        assert list(checked.flags) == list(FLAG_NAMES)
+        assert {name: getattr(checked, name) for name in TABLE_NAMES} == tables
+        assert checked["distributive"] == flags["distributive_i"]
+
+
+def test_classify_returns_the_report_the_algebra_keeps(any_fixture):
+    report, ops = classify(any_fixture)
+    assert ops is report
+    assert classify(any_fixture)[0] is report
+    copy = any_fixture._replace()
+    assert copy == any_fixture and hash(copy) == hash(any_fixture)
+    assert repr(copy) == repr(any_fixture)
+    fresh, _ = classify(copy)
+    assert fresh is not report and fresh.alg is copy
+    assert classify(copy)[0] is fresh
+    assert fresh.to_json(copy) == report.to_json(any_fixture)
+
+
+def test_bad_declared_zero_raises_on_every_classify(psbe5):
+    alg = psbe5._replace(zero=psbe5.one)
+    for _ in range(2):
+        with pytest.raises(PreconditionUnmet, match="declared zero"):
+            classify(alg)
 
 
 @pytest.mark.parametrize("alg", ORACLE_ALGEBRAS + [

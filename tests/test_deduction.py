@@ -12,6 +12,7 @@ from psbe.deduction import (Congruence, correspondence_report,
                             is_monadic_congruence,
                             is_monadic_ds, monadic_ds, quotient,
                             theta_from_ds)
+from psbe.laws import SearchSpec
 from psbe.quantifiers import (MonadicPair, check_mv_quantifier, dual_quantifier,
                               enumerate_mop, fixed_set, pair_from_unary_blocks)
 
@@ -232,8 +233,7 @@ def scan_meet_compatible(alg, cong, meet):
     """Reference for is_meet_compatible over all n^4 tuples."""
     for x, y, u, v in product(range(alg.size), repeat=4):
         if cong.same(x, y) and cong.same(u, v):
-            a, b = meet[x][u], meet[y][v]
-            if a is not None and b is not None and not cong.same(a, b):
+            if not cong.same(meet[x][u], meet[y][v]):
                 return False
     return True
 
@@ -288,12 +288,11 @@ def test_is_monadic_congruence_matches_reference(alg):
 
 @pytest.mark.parametrize("alg", ORACLE_ALGEBRAS)
 def test_compatibility_witnesses_match_full_scan(alg):
-    _, ops = classify(alg)
+    meet = classify(alg)[0].meet    # None unless every pair has a meet
     for cong in all_partitions(alg.size):
         assert is_compatible(alg, cong) == scan_compatible(alg, cong)
-        if ops.meet is not None:
-            assert (is_meet_compatible(alg, cong, ops)
-                    == scan_meet_compatible(alg, cong, ops.meet))
+        assert is_meet_compatible(alg, cong) == (
+            meet is None or scan_meet_compatible(alg, cong, meet))
 
 
 @pytest.mark.parametrize("name, count", [("bc4", 8), ("psbe4", 4),
@@ -336,6 +335,10 @@ def test_quotient_rejects_a_pair_that_is_not_monadic():
     ("psbe4", lambda alg: fixed_set(alg, MonadicPair(UnaryMap.identity(alg.size),
                                                      UnaryMap((alg.one,) * alg.size))),
      "fixed sets of exists and forall disagree; pair is not monadic"),
+    ("psbe4", lambda alg: SearchSpec(law="AX.refl", require=("poset", "bogus")),
+     "unknown classification flags in require: ['bogus']"),
+    ("psbe4", lambda alg: SearchSpec(law="AX.refl", require="bounded"),
+     "require must list flag names, not the string 'bounded'"),
 ])
 def test_unknown_keyword_values_are_rejected(name, call, message):
     with pytest.raises(PreconditionUnmet) as err:

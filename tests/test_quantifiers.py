@@ -26,10 +26,9 @@ def cross_product_mop(alg, mode=PLAIN):
     decides, so the list is the same and products stay affordable.
     PreconditionUnmet is raised whatever the candidates, as check_monadic
     raises it on the identity pair."""
-    ops = classify(alg)[1] if mode != PLAIN else None
     n, one, arr, sq = alg.size, alg.one, alg.arrow, alg.squig
     identity = UnaryMap.identity(n)
-    check_monadic(alg, MonadicPair(identity, identity), mode, ops)
+    check_monadic(alg, MonadicPair(identity, identity), mode)
     up = [[y for y in range(n) if arr[x][y] == one and sq[x][y] == one]
           for x in range(n)]
     down = [[y for y in range(n) if arr[y][x] == one and sq[y][x] == one]
@@ -48,7 +47,7 @@ def cross_product_mop(alg, mode=PLAIN):
         for F, image in foralls:
             if image <= fix:
                 pair = MonadicPair(UnaryMap(E), UnaryMap(F))
-                if check_monadic(alg, pair, mode, ops).ok:
+                if check_monadic(alg, pair, mode).ok:
                     found.append(pair)
     found.sort(key=MonadicPair.sort_key)
     return found

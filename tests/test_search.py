@@ -1,13 +1,14 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import psbe.laws
 from psbe.algebra import PreconditionUnmet
-from psbe.classify import InvariantViolated, check_pseudo_bck
+from psbe.classify import ClassificationReport, InvariantViolated, check_pseudo_bck
 from psbe.laws import (BudgetExceeded, Ctx, SearchSpec, _is_canonical,
                        _models, candidate_count, catalog, evaluate_law,
                        free_cells, search_counterexample)
@@ -115,6 +116,27 @@ def test_failed_reverification_raises(monkeypatch):
     monkeypatch.setattr(psbe.laws, "_law_counterexample", hit_once)
     with pytest.raises(InvariantViolated, match="re-verification"):
         search_counterexample(SearchSpec(law="AX.psbck6_antisym", max_size=3))
+
+
+@pytest.mark.parametrize("law_id, max_size", [
+    ("AX.psbck6_antisym", 3),           # a law of the algebra
+    ("P3.isotone_unconditional", 4),    # a law of a monadic pair
+])
+def test_counterexample_is_reclassified_for_its_recheck(law_id, max_size, monkeypatch):
+    # the re-check runs on a copy of the found algebra, so its
+    # classification is built a second time, never read from the report
+    # the scan kept on the algebra object
+    built = Counter()
+    init = ClassificationReport.__init__
+
+    def counted(self, alg):
+        built[alg.arrow, alg.squig] += 1
+        init(self, alg)
+
+    monkeypatch.setattr(ClassificationReport, "__init__", counted)
+    alg = search_counterexample(SearchSpec(law=law_id, max_size=max_size)).found[0]
+    assert built[alg.arrow, alg.squig] == 2
+    assert max(built.values()) == 2
 
 
 def test_finds_non_antisymmetric_algebra():

@@ -112,31 +112,32 @@ def _small_models():
 
 
 def _classified(alg):
-    report, ops = classify(alg)
+    report, _ = classify(alg)
     return [alg.arrow, alg.squig, check_pseudo_be(alg).to_json(alg),
             check_pseudo_bck(alg).to_json(alg), report.to_json(alg),
-            {name: getattr(ops, name) for name in TABLE_NAMES}]
+            {name: getattr(report, name) for name in TABLE_NAMES}]
 
 
-def _nudged_mv(rng, alg, ops):
+def _nudged_mv(rng, alg, report):
     """psMV1-psMV8 on the derived structure with one cell of (+), (.) or a
     negation changed."""
     n = alg.size
-    tables = {"oplus": [list(r) for r in ops.oplus], "odot": [list(r) for r in ops.odot],
-              "neg_minus": [list(ops.neg_minus)], "neg_sim": [list(ops.neg_sim)]}
+    tables = {"oplus": [list(r) for r in report.oplus],
+              "odot": [list(r) for r in report.odot],
+              "neg_minus": [list(report.neg_minus)], "neg_sim": [list(report.neg_sim)]}
     key = rng.choice(sorted(tables))
     row = rng.choice(tables[key])
     y = rng.randrange(n)
     row[y] = (row[y] + rng.randrange(1, n)) % n
     t = {k: tuple(tuple(r) for r in v) for k, v in tables.items()}
-    zero = ops.neg_minus[alg.one]
+    zero = report.neg_minus[alg.one]
     return [key, _check_pseudo_mv(alg, t["oplus"], t["odot"], t["neg_minus"][0],
                                   t["neg_sim"][0], zero).to_json(alg)]
 
 
-def _built(build, alg, m, report, ops):
+def _built(build, alg, m):
     try:
-        pair = build(alg, m, report, ops)
+        pair = build(alg, m)
     except ValueError as exc:
         return ["rejected", str(exc)]
     return [pair.exists.images, pair.forall.images]
@@ -155,16 +156,16 @@ def outcomes():
         for _ in range(30):
             out.append(_classified(_perturbed(rng, alg)))
     for alg in fixtures.values():
-        report, ops = classify(alg)
+        report, _ = classify(alg)
         pairs = _random_pairs(rng, alg, 24)
         for pair in pairs:
             for mode in ("plain", "bc", "hoop"):
                 try:
-                    out.append(check_monadic(alg, pair, mode, ops).to_json(alg))
+                    out.append(check_monadic(alg, pair, mode).to_json(alg))
                 except PreconditionUnmet as exc:
                     out.append(str(exc))
             if report.holds("condition_T"):
-                out.append(residuation_check(alg, pair, report).to_json(alg))
+                out.append(residuation_check(alg, pair).to_json(alg))
         same_fixed = [p for p in pairs if all(
             (p.exists(x) == x) == (p.forall(x) == x) for x in range(alg.size))]
         out.append([v.to_json(alg) for v in
@@ -172,27 +173,26 @@ def outcomes():
                                  include_probes=True)])
     models = _small_models()
     for alg in [fixtures["bc4"]] + models:
-        report, ops = classify(alg)
+        report, _ = classify(alg)
         if not (report.holds("bounded") and report.holds("commutative")):
             continue
         for m in map(UnaryMap, product(range(alg.size), repeat=alg.size)):
             for kind in ("universal", "existential"):
-                out.append(check_mv_quantifier(alg, m, kind, report, ops).to_json(alg))
-        if ops.oplus is not None and ops.odot is not None:
+                out.append(check_mv_quantifier(alg, m, kind).to_json(alg))
+        if report.oplus is not None and report.odot is not None:
             for _ in range(20):
-                out.append(_nudged_mv(rng, alg, ops))
+                out.append(_nudged_mv(rng, alg, report))
     for name in ("bc4", "inv6"):
         alg = fixtures[name]
-        report, ops = classify(alg)
         downs = product(*([y for y in range(alg.size) if alg.arrow[y][x] == alg.one]
                           for x in range(alg.size)))
         ups = product(*([y for y in range(alg.size) if alg.arrow[x][y] == alg.one]
                         for x in range(alg.size)))
         anywhere = [pair.exists.images for pair in _random_pairs(rng, alg, 32)]
         for images in list(downs) + anywhere:
-            out.append(_built(build_from_tau, alg, UnaryMap(images), report, ops))
+            out.append(_built(build_from_tau, alg, UnaryMap(images)))
         for images in list(ups) + anywhere:
-            out.append(_built(build_from_sigma, alg, UnaryMap(images), report, ops))
+            out.append(_built(build_from_sigma, alg, UnaryMap(images)))
     for alg in models:
         out.append([alg.arrow, alg.squig] +
                    [v.to_json(alg) for v in
