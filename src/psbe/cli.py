@@ -215,10 +215,7 @@ def _cmd_search(args):
     spec = lawmod.SearchSpec(law=args.law, max_size=args.max_size,
                              min_size=args.min_size, iso_reject=args.iso_reject,
                              budget=args.budget)
-    try:
-        result = lawmod.search_counterexample(spec)
-    except lawmod.BudgetExceeded as exc:
-        result = exc.result
+    result = lawmod.search_counterexample(spec)
     payload = {
         "law": args.law,
         "max_size": args.max_size,

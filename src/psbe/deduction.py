@@ -381,10 +381,9 @@ def quotient(alg: FiniteAlgebra, cong: Congruence,
             return UnaryMap(tuple(images))
 
         q_pair = MonadicPair(push(pair.exists), push(pair.forall))
-        chk = check_monadic(q, q_pair)
-        if not chk.ok:
-            bad = chk.first_failure()
-            raise InvariantViolated(f"quotient pair fails {bad.name} at {bad.witness}")
+        verdict = check_monadic(q, q_pair)
+        if not verdict:
+            raise InvariantViolated(f"quotient pair fails {verdict.name} at {verdict.witness}")
     return QuotientAlgebra(q, tuple(proj), q_pair)
 
 

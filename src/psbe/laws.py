@@ -28,12 +28,6 @@ from .quantifiers import MonadicPair, enumerate_mop, fixed_set
 from . import deduction as _ded
 
 
-class BudgetExceeded(RuntimeError):
-    def __init__(self, result):
-        super().__init__("search budget exhausted")
-        self.result = result
-
-
 class _Memo:
     """Deductive systems and congruences of one algebra, each enumerated
     on first use."""
@@ -668,7 +662,6 @@ class _SearchFields(NamedTuple):
     require: tuple = ()            # classification flags the algebra must hold
     iso_reject: bool = False
     budget: int | None = None
-    include_identity_pair: bool = True
 
 
 class SearchSpec(_SearchFields):
@@ -683,10 +676,15 @@ class SearchSpec(_SearchFields):
         if isinstance(spec.require, str):
             raise PreconditionUnmet(f"require must list flag names, not the string "
                                     f"{spec.require!r}")
-        unknown = [f for f in spec.require if FLAG_ALIASES.get(f, f) not in FLAG_NAMES]
+        try:        # a one-pass iterable is read once, into the stored tuple
+            require = tuple(spec.require)
+            unknown = [f for f in require if FLAG_ALIASES.get(f, f) not in FLAG_NAMES]
+        except TypeError:           # not iterable, or an unhashable entry
+            raise PreconditionUnmet(f"require must list flag names, got "
+                                    f"{spec.require!r}") from None
         if unknown:
             raise PreconditionUnmet(f"unknown classification flags in require: {unknown}")
-        return spec
+        return super().__new__(cls, **{**spec._asdict(), "require": require})
 
     @classmethod
     def _make(cls, iterable) -> "SearchSpec":      # so that _replace validates
@@ -809,10 +807,7 @@ def _law_counterexample(law: Law, alg: FiniteAlgebra, spec: SearchSpec):
         if v.status == FAILS:
             return (alg, None, v.witness)
         return None
-    pairs = enumerate_mop(alg)
-    if not spec.include_identity_pair:
-        pairs = [p for p in pairs if not p.is_identity()]
-    for pair in pairs:
+    for pair in enumerate_mop(alg):
         v = evaluate_law(law, ctx.with_pair(pair))
         if v.status == FAILS:
             return (alg, pair, v.witness)
@@ -836,8 +831,9 @@ def search_counterexample(spec: SearchSpec) -> SearchResult:
     pruned subtrees included: the rank of the counterexample, or
     candidate_count(n)**2 when size n is exhausted, so exhaustiveness is
     checkable against `candidate_count`.  The budget bounds the same
-    count.  Any returned counterexample has been re-checked from scratch
-    before being returned.
+    count: when it runs out first, the result comes back with found None
+    and exhausted False.  Any returned counterexample has been re-checked
+    from scratch before being returned.
     """
     law = _law_by_id().get(spec.law)
     if law is None:
@@ -868,7 +864,7 @@ def search_counterexample(spec: SearchSpec) -> SearchResult:
                 return result
         if total > remaining:
             result.visited_by_size[n] = remaining + 1
-            raise BudgetExceeded(result)
+            return result
         result.visited_by_size[n] = total
     result.exhausted = True
     return result

@@ -13,18 +13,11 @@ from typing import NamedTuple
 
 from .algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap
 from .classify import (InvariantViolated, Verdict, backtrack, classify,
-                       closed_sets, first_failure, first_failure_of, HOLDS)
+                       closed_sets, first_failure_of)
 
 PLAIN = "plain"
 BOUNDED_COMMUTATIVE = "bc"
 HOOP = "hoop"
-
-_MODE_ALIASES = {
-    "plain": PLAIN,
-    "bc": BOUNDED_COMMUTATIVE,
-    "bounded_commutative": BOUNDED_COMMUTATIVE,
-    "hoop": HOOP,
-}
 
 
 # perfbench/workloads.py catches this name, and perfbench changes only on its own
@@ -38,39 +31,13 @@ class MonadicPair(NamedTuple):
     def sort_key(self):
         return (self.forall.images, self.exists.images)
 
-    def is_identity(self) -> bool:
-        return self.exists.is_identity() and self.forall.is_identity()
-
-
-class MonadicCheckReport(NamedTuple):
-    mode: str
-    axioms: dict[str, Verdict]
-
-    @property
-    def ok(self) -> bool:
-        return all(v.status == HOLDS for v in self.axioms.values())
-
-    def first_failure(self) -> Verdict | None:
-        for v in self.axioms.values():
-            if v.status != HOLDS:
-                return v
-        return None
-
-    def to_json(self, alg: FiniteAlgebra | None = None) -> dict:
-        return {"mode": self.mode, "ok": self.ok,
-                "axioms": {k: v.to_json(alg) for k, v in self.axioms.items()}}
-
-
-def _normalize_mode(mode: str) -> str:
-    try:
-        return _MODE_ALIASES[mode]
-    except KeyError:
-        raise PreconditionUnmet(f"unknown mode {mode!r}") from None
-
 
 def _mode_tables(alg: FiniteAlgebra, mode: str):
     """(odot, oplus) for M6/M7, None where the mode does not check them;
-    raises PreconditionUnmet when the mode needs a table the algebra lacks."""
+    raises PreconditionUnmet for an unknown mode or when the mode needs a
+    table the algebra lacks."""
+    if mode not in (PLAIN, BOUNDED_COMMUTATIVE, HOOP):
+        raise PreconditionUnmet(f"unknown mode {mode!r}")
     if mode == PLAIN:
         return None, None
     report, _ = classify(alg)
@@ -81,49 +48,43 @@ def _mode_tables(alg: FiniteAlgebra, mode: str):
     return report.odot, report.oplus if mode == BOUNDED_COMMUTATIVE else None
 
 
-def check_monadic(alg: FiniteAlgebra, pair: MonadicPair,
-                  mode: str = PLAIN) -> MonadicCheckReport:
-    """Check M1-M5 (plus M6/M7 per mode) over all element pairs."""
-    mode = _normalize_mode(mode)
+def check_monadic(alg: FiniteAlgebra, pair: MonadicPair, mode: str = PLAIN) -> Verdict:
+    """M1-M5 (plus M6/M7 per mode), axiom after axiom over all elements
+    or element pairs: the first failing instance, such as M3(squig) with
+    its witness, or Verdict("monadic", HOLDS)."""
     od, op = _mode_tables(alg, mode)
-    n, one = alg.size, alg.one
-    arr, sq = alg.arrow, alg.squig
+    one, arr, sq = alg.one, alg.arrow, alg.squig
     E, F = pair.exists.images, pair.forall.images
-    axioms: dict[str, Verdict] = {}
-
-    def axiom(name, arity, preds):
-        axioms[name] = Verdict.of(first_failure(n, arity, preds), name)
-
-    axiom("M1", 1, [("M1(arrow)", lambda x: arr[x][E[x]] == one),
-                    ("M1(squig)", lambda x: sq[x][E[x]] == one)])
-    axiom("M2", 1, [("M2(arrow)", lambda x: arr[F[x]][x] == one),
-                    ("M2(squig)", lambda x: sq[F[x]][x] == one)])
-    axiom("M3", 2, [("M3(arrow)", lambda x, y: F[arr[x][E[y]]] == arr[E[x]][E[y]]),
-                    ("M3(squig)", lambda x, y: F[sq[x][E[y]]] == sq[E[x]][E[y]])])
-    axiom("M4", 2, [("M4(arrow)", lambda x, y: F[arr[E[x]][y]] == arr[E[x]][F[y]]),
-                    ("M4(squig)", lambda x, y: F[sq[E[x]][y]] == sq[E[x]][F[y]])])
-    axiom("M5", 1, [("M5", lambda x: E[F[x]] == F[x])])
-
+    checks = [
+        (1, [("M1(arrow)", lambda x: arr[x][E[x]] == one),
+             ("M1(squig)", lambda x: sq[x][E[x]] == one)]),
+        (1, [("M2(arrow)", lambda x: arr[F[x]][x] == one),
+             ("M2(squig)", lambda x: sq[F[x]][x] == one)]),
+        (2, [("M3(arrow)", lambda x, y: F[arr[x][E[y]]] == arr[E[x]][E[y]]),
+             ("M3(squig)", lambda x, y: F[sq[x][E[y]]] == sq[E[x]][E[y]])]),
+        (2, [("M4(arrow)", lambda x, y: F[arr[E[x]][y]] == arr[E[x]][F[y]]),
+             ("M4(squig)", lambda x, y: F[sq[E[x]][y]] == sq[E[x]][F[y]])]),
+        (1, [("M5", lambda x: E[F[x]] == F[x])]),
+    ]
     if od is not None:
-        axiom("M6", 1, [("M6", lambda x: F[od[x][x]] == od[F[x]][F[x]])])
+        checks.append((1, [("M6", lambda x: F[od[x][x]] == od[F[x]][F[x]])]))
     if op is not None:
-        axiom("M7", 1, [("M7", lambda x: F[op[x][x]] == op[F[x]][F[x]])])
-
-    return MonadicCheckReport(mode, axioms)
+        checks.append((1, [("M7", lambda x: F[op[x][x]] == op[F[x]][F[x]])]))
+    return Verdict.of(first_failure_of(alg.size, checks), "monadic")
 
 
 def is_monadic(alg: FiniteAlgebra, pair: MonadicPair, mode: str = PLAIN) -> bool:
-    return check_monadic(alg, pair, mode).ok
+    return bool(check_monadic(alg, pair, mode))
 
 
 def require_monadic(alg: FiniteAlgebra, pair: MonadicPair, what: str) -> MonadicPair:
     """pair, when it is monadic; else PreconditionUnmet saying that `what`
     needs a monadic pair and naming the first axiom it fails."""
-    bad = check_monadic(alg, pair).first_failure()
-    if bad is not None:
+    verdict = check_monadic(alg, pair)
+    if not verdict:
         raise PreconditionUnmet(
-            f"{what} needs a monadic pair: {bad.name} fails at "
-            f"({', '.join(alg.element_names[x] for x in bad.witness)})", bad.witness)
+            f"{what} needs a monadic pair: {verdict.name} fails at "
+            f"({', '.join(alg.element_names[x] for x in verdict.witness)})", verdict.witness)
     return pair
 
 
@@ -140,7 +101,6 @@ def enumerate_mop(alg: FiniteAlgebra, mode: str = PLAIN) -> list[MonadicPair]:
     filtered.  Elsewhere E need not be idempotent (on constant tables it
     may swap two elements): each image is tried, E onto it and M5 checked.
     """
-    mode = _normalize_mode(mode)
     n, one, arr, sq, rng = alg.size, alg.one, alg.arrow, alg.squig, range(alg.size)
     # M6 and M7 read F at x and at x (.) x, x (+) x; PreconditionUnmet here
     squares = [tuple(t[x][x] for x in rng) for t in _mode_tables(alg, mode) if t]
@@ -201,19 +161,6 @@ def fixed_set(alg: FiniteAlgebra, pair: MonadicPair):
     image = frozenset(pair.forall(x) for x in range(n))
     kernel = frozenset(x for x in range(n) if pair.forall(x) == alg.one)
     return fixed_e, image, kernel
-
-
-def residuation_check(alg: FiniteAlgebra, pair: MonadicPair) -> Verdict:
-    """exists(x) <= y iff x <= forall(y), over all pairs.  Needs (T)."""
-    report, _ = classify(alg)
-    if not report.holds("condition_T"):
-        raise PreconditionUnmet("residuation check needs a transitive order")
-    arr, one = alg.arrow, alg.one
-    E, F = pair.exists.images, pair.forall.images
-    return Verdict.of(first_failure(alg.size, 2, [(
-        "residuated_pair",
-        lambda x, y: (arr[E[x]][y] == one) == (arr[x][F[y]] == one))]),
-        "residuated_pair")
 
 
 def build_from_tau(alg: FiniteAlgebra, tau: UnaryMap) -> MonadicPair:
@@ -279,24 +226,11 @@ def _build(alg, m, from_forall: bool) -> MonadicPair:
         mode = HOOP
     else:
         mode = PLAIN
-    chk = check_monadic(alg, pair, mode)
-    if not chk.ok:
-        bad = chk.first_failure()
+    verdict = check_monadic(alg, pair, mode)
+    if not verdict:
         raise InvariantViolated(f"{what} produced a non-monadic pair: "
-                                f"{bad.name} fails at {bad.witness}")
+                                f"{verdict.name} fails at {verdict.witness}")
     return pair
-
-
-def dual_quantifier(alg: FiniteAlgebra, direction: str, m: UnaryMap) -> UnaryMap:
-    """exists x = (forall x-)~ (direction='exists') or the converse
-    ('forall').  Needs a bounded involutive algebra; an involution."""
-    report, _ = classify(alg)
-    if not report.holds("involutive"):
-        raise PreconditionUnmet("dual_quantifier needs a bounded involutive algebra")
-    if direction not in ("exists", "forall"):
-        raise PreconditionUnmet("direction must be 'exists' or 'forall'")
-    nm, ns = report.neg_minus, report.neg_sim
-    return UnaryMap(tuple(ns[m(nm[x])] for x in range(alg.size)))
 
 
 class CompositionResult(NamedTuple):
@@ -350,7 +284,7 @@ def compose_pairs(alg: FiniteAlgebra, p1: MonadicPair, p2: MonadicPair) -> Compo
     pair = None
     if commute:
         pair = MonadicPair(e12, f12)
-        if not check_monadic(alg, pair).ok:
+        if not check_monadic(alg, pair):
             raise InvariantViolated("commuting composition failed monadic validation")
     return CompositionResult(pair, commute, forall_le, exists_le)
 

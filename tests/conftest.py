@@ -10,9 +10,8 @@ from psbe.classify import (Verdict, _check_pseudo_mv,
                            first_failure, first_failure_of, pseudo_product_table)
 from psbe.deduction import (DeductiveSystem, _closures_disagree, _is_normal,
                             generated_ds)
-from psbe.laws import (BudgetExceeded, SearchResult, _is_canonical,
-                       _law_counterexample, candidate_count, catalog,
-                       free_cells)
+from psbe.laws import (SearchResult, _is_canonical, _law_counterexample,
+                       candidate_count, catalog, free_cells)
 from psbe.quantifiers import PLAIN, MonadicPair, check_monadic
 
 FIXDIR = Path(psbe.__file__).resolve().parent / "fixtures"
@@ -119,7 +118,7 @@ def brute_search(spec, pairs=brute_pairs):
         for rank, arrow, squig in pairs(n):
             if spec.budget is not None and result.visited + rank > spec.budget:
                 result.visited_by_size[n] = rank
-                raise BudgetExceeded(result)
+                return result
             if not _psbe4_psbe5_ok(n, arrow, squig):
                 continue
             if spec.iso_reject and not _is_canonical(n, arrow, squig):
@@ -135,19 +134,16 @@ def brute_search(spec, pairs=brute_pairs):
 
 
 def search_outcome(search, spec):
-    """A search's result, its BudgetExceeded result or the exception it
-    raised, as comparable data."""
+    """A search's result or the exception it raised, as comparable data."""
     try:
-        result, raised = search(spec), False
-    except BudgetExceeded as exc:
-        result, raised = exc.result, True
+        result = search(spec)
     except Exception as exc:        # e.g. a law that cannot be evaluated
         return type(exc), str(exc)
     found = result.found
     if found is not None:
         alg, pair, witness = found
         found = (alg.arrow, alg.squig, pair, witness)
-    return raised, found, result.visited_by_size, result.exhausted
+    return found, result.visited_by_size, result.exhausted
 
 
 # ------------------------------------------------ the eager classification
@@ -383,7 +379,7 @@ def unpruned_mop(alg, mode=PLAIN):
     down = [[y for y in range(n) if arr[y][x] == one and sq[y][x] == one] for x in range(n)]
     foralls = [UnaryMap(F) for F in product(*down)]
     pairs = (MonadicPair(UnaryMap(E), f) for E in product(*up) for f in foralls)
-    return sorted((p for p in pairs if check_monadic(alg, p, mode).ok),
+    return sorted((p for p in pairs if check_monadic(alg, p, mode)),
                   key=MonadicPair.sort_key)
 
 

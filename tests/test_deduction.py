@@ -13,8 +13,8 @@ from psbe.deduction import (Congruence, correspondence_report,
                             is_monadic_ds, monadic_ds, quotient,
                             theta_from_ds)
 from psbe.laws import SearchSpec
-from psbe.quantifiers import (MonadicPair, check_mv_quantifier, dual_quantifier,
-                              enumerate_mop, fixed_set, pair_from_unary_blocks)
+from psbe.quantifiers import (MonadicPair, check_mv_quantifier, enumerate_mop,
+                              fixed_set, pair_from_unary_blocks)
 
 from conftest import (ORACLE_ALGEBRAS, assert_generated_ds_matches_references,
                       labelled_models, load, scan_ds, times_c2)
@@ -328,8 +328,6 @@ def test_quotient_rejects_a_pair_that_is_not_monadic():
 @pytest.mark.parametrize("name, call, message", [
     ("psbe5", lambda alg: correspondence_report(alg, enumerate_mop(alg)[0], "nope"),
      "unknown variant 'nope'"),
-    ("inv6", lambda alg: dual_quantifier(alg, "sideways", UnaryMap.identity(alg.size)),
-     "direction must be 'exists' or 'forall'"),
     ("bc4", lambda alg: check_mv_quantifier(alg, UnaryMap.identity(alg.size), "modal"),
      "kind must be 'universal' or 'existential'"),
     ("psbe4", lambda alg: fixed_set(alg, MonadicPair(UnaryMap.identity(alg.size),
@@ -339,6 +337,14 @@ def test_quotient_rejects_a_pair_that_is_not_monadic():
      "unknown classification flags in require: ['bogus']"),
     ("psbe4", lambda alg: SearchSpec(law="AX.refl", require="bounded"),
      "require must list flag names, not the string 'bounded'"),
+    ("psbe4", lambda alg: SearchSpec(law="AX.refl", require=5),
+     "require must list flag names, got 5"),
+    ("psbe4", lambda alg: SearchSpec(law="AX.refl", require=None),
+     "require must list flag names, got None"),
+    ("psbe4", lambda alg: SearchSpec(law="AX.refl", require=(["poset"],)),
+     "require must list flag names, got (['poset'],)"),
+    ("bc4", lambda alg: enumerate_mop(alg, "bounded_commutative"),
+     "unknown mode 'bounded_commutative'"),
 ])
 def test_unknown_keyword_values_are_rejected(name, call, message):
     with pytest.raises(PreconditionUnmet) as err:

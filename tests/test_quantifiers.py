@@ -5,13 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from psbe import quantifiers as quantifiers_module
 from psbe.algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap
-from psbe.classify import FAILS, Verdict, classify
+from psbe.classify import FAILS, HOLDS, Verdict, classify
+from psbe.laws import Ctx, catalog, evaluate_law
 from psbe.quantifiers import (BOUNDED_COMMUTATIVE, HOOP, PLAIN, MonadicPair,
                               build_from_sigma, build_from_tau, check_monadic,
                               check_mv_quantifier, compose_pairs,
-                              declared_pairs, dual_quantifier, enumerate_mop,
-                              fixed_set, is_monadic, pair_from_unary_blocks,
-                              residuation_check)
+                              declared_pairs, enumerate_mop, fixed_set,
+                              is_monadic, pair_from_unary_blocks)
 
 from conftest import ORACLE_ALGEBRAS, load, model_algebra, times_c2, unpruned_mop
 
@@ -47,7 +47,7 @@ def cross_product_mop(alg, mode=PLAIN):
         for F, image in foralls:
             if image <= fix:
                 pair = MonadicPair(UnaryMap(E), UnaryMap(F))
-                if check_monadic(alg, pair, mode).ok:
+                if check_monadic(alg, pair, mode):
                     found.append(pair)
     found.sort(key=MonadicPair.sort_key)
     return found
@@ -167,7 +167,7 @@ def test_enumerate_mop_decides_pairs_without_check_monadic(alg, monkeypatch):
         found = {mode: outcome(enumerate_mop, alg, mode) for mode in MODES}
     for mode, pairs in found.items():
         if pairs is not PreconditionUnmet:
-            assert all(check_monadic(alg, p, mode).ok for p in pairs), mode
+            assert all(check_monadic(alg, p, mode) for p in pairs), mode
 
 
 def test_enumerate_mop_filters_closed_images_on_x_to_x():
@@ -175,7 +175,7 @@ def test_enumerate_mop_filters_closed_images_on_x_to_x():
     # e1 ~> e1 = e1, so the identity pair fails M1(squig) at e1
     alg = FiniteAlgebra("two", ("1", "e1"), 0, ((0, 1), (0, 0)), ((0, 1), (0, 1)))
     identity = UnaryMap.identity(2)
-    assert (check_monadic(alg, MonadicPair(identity, identity)).first_failure()
+    assert (check_monadic(alg, MonadicPair(identity, identity))
             == Verdict("M1(squig)", FAILS, (1,)))
     assert enumerate_mop(alg) == unpruned_mop(alg) == []
 
@@ -196,7 +196,7 @@ def test_enumerate_mop_tests_each_instance_family(last_arrow, last_squig, pair, 
                     for last in (last_arrow, last_squig))
     alg = model_algebra(n, arrow, squig)
     name, witness = failure
-    assert (check_monadic(alg, MonadicPair(*map(UnaryMap, pair))).first_failure()
+    assert (check_monadic(alg, MonadicPair(*map(UnaryMap, pair)))
             == Verdict(name, FAILS, witness))
     assert enumerate_mop(alg) == cross_product_mop(alg)
 
@@ -231,9 +231,11 @@ def test_mop_bc4_bounded_commutative_mode(bc4):
 
 def test_check_monadic_reports_failing_axiom(psbe5):
     bad = MonadicPair(UnaryMap((0, 0, 0, 0, 0)), UnaryMap((0, 1, 2, 3, 4)))
-    report = check_monadic(psbe5, bad)
-    assert not report.ok
-    assert report.first_failure() == Verdict("M5", FAILS, (1,))
+    verdict = check_monadic(psbe5, bad)
+    assert not verdict and not is_monadic(psbe5, bad)
+    assert verdict == Verdict("M5", FAILS, (1,))
+    identity = UnaryMap.identity(psbe5.size)
+    assert check_monadic(psbe5, MonadicPair(identity, identity)) == Verdict("monadic", HOLDS)
 
 
 def test_fixed_sets_psbe5(psbe5):
@@ -248,9 +250,10 @@ def test_fixed_sets_psbe5(psbe5):
 
 
 def test_residuation_on_all_pairs(psbe5, bc4):
+    law = next(l for l in catalog() if l.id == "P3.residuated_T")
     for alg in (psbe5, bc4):
         for pair in enumerate_mop(alg):
-            assert residuation_check(alg, pair)
+            assert evaluate_law(law, Ctx(alg, pair)).status == HOLDS
 
 
 def test_build_from_tau_inv6(inv6):
@@ -274,12 +277,11 @@ def test_build_from_tau_bc4(bc4):
 
 
 def test_dual_roundtrip(bc4, inv6):
+    # INV.dual_formulas: Ex = (F(x-))~ = (F(x~))- and Fx = (E(x-))~ = (E(x~))-
+    law = next(l for l in catalog() if l.id == "INV.dual_formulas")
     for alg in (bc4, inv6):
         for pair in enumerate_mop(alg):
-            e2 = dual_quantifier(alg, "forall", pair.forall)
-            f2 = dual_quantifier(alg, "exists", pair.exists)
-            assert e2 == pair.exists
-            assert f2 == pair.forall
+            assert evaluate_law(law, Ctx(alg, pair)).status == HOLDS
 
 
 def test_compose_reproduces_fourth_pair(psbe5):

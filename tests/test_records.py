@@ -18,7 +18,7 @@ from psbe.algebra import FiniteAlgebra, UnaryMap
 from psbe.classify import FAILS, HOLDS, Verdict
 from psbe.deduction import Congruence, DeductiveSystem, QuotientAlgebra
 from psbe.laws import Law, LawVerdict, SearchResult, SearchSpec
-from psbe.quantifiers import CompositionResult, MonadicCheckReport, MonadicPair
+from psbe.quantifiers import CompositionResult, MonadicPair
 
 T = ((0, 1), (0, 0))           # -> and ~> of the 2-element chain 1 > e
 E, F = UnaryMap((0, 1)), UnaryMap((0, 0))
@@ -40,8 +40,6 @@ RECORDS = {
     "Verdict": (lambda v: Verdict("psBE1", (HOLDS, FAILS)[v], (v,)),
                 ("name", "status", "witness")),
     "MonadicPair": (lambda v: MonadicPair(E, (E, F)[v]), ("exists", "forall")),
-    "MonadicCheckReport": (lambda v: MonadicCheckReport("plain", {"M1": v}),
-                           ("mode", "axioms")),
     "CompositionResult": (lambda v: CompositionResult(None, bool(v), None, None),
                           ("pair", "commute", "forall_le", "exists_le")),
     "DeductiveSystem": (lambda v: DeductiveSystem(frozenset({0, v}), True),
@@ -55,7 +53,7 @@ RECORDS = {
                    ("law_id", "pair_name", "status", "witness", "instances")),
     "SearchSpec": (lambda v: SearchSpec("AX.refl", 3 + v),
                    ("law", "max_size", "min_size", "require", "iso_reject",
-                    "budget", "include_identity_pair")),
+                    "budget")),
     "FiniteAlgebra": (lambda v: chain(zero=(None, 1)[v]),
                       ("name", "element_names", "one", "arrow", "squig", "zero")),
 }
@@ -68,12 +66,8 @@ def test_record_is_immutable_with_field_equality_and_hash(record):
     assert a == b and a != c and a is not b
     assert not (a != b)
     values = tuple(getattr(a, f) for f in fields)
-    if record == "MonadicCheckReport":              # a dict field: unhashable
-        with pytest.raises(TypeError):
-            hash(a)
-    else:
-        assert hash(a) == hash(b) == hash(values)
-        assert len({a, b, c}) == 2
+    assert hash(a) == hash(b) == hash(values)
+    assert len({a, b, c}) == 2
     for f in fields:
         with pytest.raises(AttributeError):
             setattr(a, f, None)
@@ -112,7 +106,7 @@ def test_finite_algebra_ignores_unary_and_validates():
 
 def test_search_spec_validates_on_construction_and_replace():
     spec = SearchSpec(law="AX.refl")
-    assert spec == ("AX.refl", 4, 2, (), False, None, True)
+    assert spec == ("AX.refl", 4, 2, (), False, None)
     assert spec._replace(budget=0).budget == 0
     for make in (lambda: SearchSpec("AX.refl", 6), lambda: spec._replace(min_size=1),
                  lambda: SearchSpec("AX.refl", 3, 4)):

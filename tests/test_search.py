@@ -9,7 +9,7 @@ import pytest
 import psbe.laws
 from psbe.algebra import PreconditionUnmet
 from psbe.classify import ClassificationReport, InvariantViolated, check_pseudo_bck
-from psbe.laws import (BudgetExceeded, Ctx, SearchSpec, _is_canonical,
+from psbe.laws import (Ctx, SearchSpec, _is_canonical,
                        _models, candidate_count, catalog, evaluate_law,
                        free_cells, search_counterexample)
 
@@ -55,8 +55,7 @@ def test_model_counts():
 @pytest.mark.parametrize("law_id", LAW_IDS)
 def test_search_matches_brute_force(law_id):
     for spec in (SearchSpec(law=law_id, max_size=3),
-                 SearchSpec(law=law_id, max_size=3, iso_reject=True,
-                            include_identity_pair=False)):
+                 SearchSpec(law=law_id, max_size=3, iso_reject=True)):
         assert (search_outcome(search_counterexample, spec)
                 == search_outcome(brute_search, spec)), spec
 
@@ -161,10 +160,12 @@ def test_iso_reject_still_finds():
 
 
 def test_budget_enforced():
-    with pytest.raises(BudgetExceeded) as exc:
-        search_counterexample(SearchSpec(law="AX.refl",
-                                         min_size=3, max_size=3, budget=10))
-    assert exc.value.result.visited <= 11
+    # the stop is returned, not raised: nothing found, not exhausted, and
+    # the count stops at the first candidate past the budget
+    result = search_counterexample(SearchSpec(law="AX.refl",
+                                              min_size=3, max_size=3, budget=10))
+    assert result.found is None and not result.exhausted
+    assert result.visited_by_size == {3: 11}
 
 
 def test_unknown_law_rejected():
@@ -185,3 +186,16 @@ def test_require_flags_filter():
                                               max_size=3,
                                               require=("poset",)))
     assert result.found is None and result.exhausted
+
+
+def test_require_is_stored_as_a_tuple():
+    spec = SearchSpec(law="AX.refl", require=["poset"])
+    assert spec.require == ("poset",) and hash(spec) == hash(spec._replace())
+    # a generator is read once, into the stored tuple, so the search still
+    # requires the flag and finds no antisymmetry counterexample
+    spec = SearchSpec(law="AX.psbck6_antisym", max_size=3,
+                      require=(f for f in ["pseudo_bck"]))
+    assert spec.require == ("pseudo_bck",)
+    result = search_counterexample(spec)
+    assert result.found is None and result.exhausted
+    assert search_counterexample(spec._replace(require=())).found is not None

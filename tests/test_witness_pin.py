@@ -16,14 +16,14 @@ from itertools import product
 from psbe.algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap
 from psbe.classify import (_check_pseudo_mv, check_pseudo_be, check_pseudo_bck,
                            classify)
-from psbe.laws import verify_suite
+from psbe.laws import Ctx, catalog, evaluate_law, verify_suite
 from psbe.quantifiers import (MonadicPair, build_from_sigma, build_from_tau,
-                              check_monadic, check_mv_quantifier, enumerate_mop,
-                              residuation_check)
+                              check_monadic, check_mv_quantifier, enumerate_mop)
 
 from conftest import FIXTURE_NAMES, TABLE_NAMES, load
 
-DIGEST = "03508190cc773b82f789e4f2e90c718f52b7e007ab331b64e0f8b7b5fd9e012b"
+DIGEST = "a26a20abcf40cf2ba45e250c5513e542df50f59049546f3a7ea4dc4e0f14cdac"
+RESIDUATED = next(law for law in catalog() if law.id == "P3.residuated_T")
 
 
 def _algebra(name, arrow, squig, zero=None):
@@ -156,7 +156,6 @@ def outcomes():
         for _ in range(30):
             out.append(_classified(_perturbed(rng, alg)))
     for alg in fixtures.values():
-        report, _ = classify(alg)
         pairs = _random_pairs(rng, alg, 24)
         for pair in pairs:
             for mode in ("plain", "bc", "hoop"):
@@ -164,8 +163,7 @@ def outcomes():
                     out.append(check_monadic(alg, pair, mode).to_json(alg))
                 except PreconditionUnmet as exc:
                     out.append(str(exc))
-            if report.holds("condition_T"):
-                out.append(residuation_check(alg, pair).to_json(alg))
+            out.append(evaluate_law(RESIDUATED, Ctx(alg, pair)).to_json(alg))
         same_fixed = [p for p in pairs if all(
             (p.exists(x) == x) == (p.forall(x) == x) for x in range(alg.size))]
         out.append([v.to_json(alg) for v in
