@@ -62,9 +62,9 @@ UnaryMap._make = classmethod(lambda cls, fields: cls(*fields))
 
 class FiniteAlgebra:
     """An immutable record whose fields are ordinary instance attributes,
-    read in every inner loop.  Equality and hash ignore `unary`.  The
-    instance keeps its classification once `psbe.classify.classify` has
-    built it; a `_replace` copy starts without one."""
+    read in every inner loop.  Equality and hash ignore `unary`.  What is
+    computed of the algebra is kept on it (`kept`); a `_replace` copy
+    starts without any of it."""
 
     _fields = ("name", "element_names", "one", "arrow", "squig", "zero", "unary")
 
@@ -73,6 +73,7 @@ class FiniteAlgebra:
         values = (name, element_names, one, arrow, squig, zero, {} if unary is None else unary)
         for key, value in zip(self._fields, values):
             object.__setattr__(self, key, value)
+        object.__setattr__(self, "_store", {})
         n = self.size
         if n == 0:
             raise ValueError("empty carrier")
@@ -115,6 +116,12 @@ class FiniteAlgebra:
     def _replace(self, **changes) -> "FiniteAlgebra":
         """A validated copy with the given fields changed, as on the tuple records."""
         return FiniteAlgebra(**{**{k: getattr(self, k) for k in self._fields}, **changes})
+
+    def kept(self, key, compute):
+        """compute(self), kept under key by the first call; what raises is not kept."""
+        if key not in self._store:
+            self._store[key] = compute(self)
+        return self._store[key]
 
     # -- convenience accessors ------------------------------------------
 
@@ -182,8 +189,7 @@ def parse_algebra(text: str) -> FiniteAlgebra:
     one = element(toks[1], lineno)
 
     zero = None
-    arrow = None
-    squig = None
+    tables: dict[str, Table] = {}
     unary: dict[str, UnaryMap] = {}
 
     def read_rows(count: int, section: str) -> Table:
@@ -206,14 +212,10 @@ def parse_algebra(text: str) -> FiniteAlgebra:
             if zero is not None:
                 raise ParseError(lineno, "duplicate 'zero' section")
             zero = element(toks[1], lineno)
-        elif head == "arrow":
-            if arrow is not None:
-                raise ParseError(lineno, "duplicate 'arrow' section")
-            arrow = read_rows(n, "arrow")
-        elif head == "squig":
-            if squig is not None:
-                raise ParseError(lineno, "duplicate 'squig' section")
-            squig = read_rows(n, "squig")
+        elif head in ("arrow", "squig"):
+            if head in tables:
+                raise ParseError(lineno, f"duplicate {head!r} section")
+            tables[head] = read_rows(n, head)
         elif head == "unary":
             if len(toks) != 2:
                 raise ParseError(lineno, "expected 'unary <opname>'")
@@ -227,14 +229,13 @@ def parse_algebra(text: str) -> FiniteAlgebra:
         else:
             raise ParseError(lineno, f"unknown section {head!r}")
 
-    if arrow is None:
-        raise ParseError(lineno, "missing 'arrow' section")
-    if squig is None:
-        raise ParseError(lineno, "missing 'squig' section")
+    for head in ("arrow", "squig"):
+        if head not in tables:
+            raise ParseError(lineno, f"missing {head!r} section")
     if pos != len(lines):
         raise ParseError(lines[pos][0], "content after 'end'")
 
-    return FiniteAlgebra(name, element_names, one, arrow, squig, zero, unary)
+    return FiniteAlgebra(name, element_names, one, tables["arrow"], tables["squig"], zero, unary)
 
 
 def serialize_algebra(alg: FiniteAlgebra) -> str:

@@ -127,7 +127,12 @@ PSBCK_AXIOMS = ("psBCK1", "psBCK2", "psBCK3", "psBCK4", "psBCK5", "psBCK6")
 
 
 def check_pseudo_be(alg: FiniteAlgebra) -> Verdict:
-    """psBE1-psBE5 over all tuples; first violated axiom wins."""
+    """psBE1-psBE5 over all tuples; first violated axiom wins.  Kept per
+    algebra object (`FiniteAlgebra.kept`)."""
+    return alg.kept("pseudo_be", _scan_pseudo_be)
+
+
+def _scan_pseudo_be(alg: FiniteAlgebra) -> Verdict:
     n, one = alg.size, alg.one
     arr, sq = alg.arrow, alg.squig
     return Verdict.of(first_failure_of(n, [
@@ -141,7 +146,12 @@ def check_pseudo_be(alg: FiniteAlgebra) -> Verdict:
 
 def check_pseudo_bck(alg: FiniteAlgebra) -> Verdict:
     """psBCK1-psBCK6 over all tuples; axioms scanned cheapest arity first
-    (unary, then the antisymmetry quasi-identity, then the ternary ones)."""
+    (unary, then the antisymmetry quasi-identity, then the ternary ones).
+    Kept per algebra object."""
+    return alg.kept("pseudo_bck", _scan_pseudo_bck)
+
+
+def _scan_pseudo_bck(alg: FiniteAlgebra) -> Verdict:
     n, one = alg.size, alg.one
     arr, sq = alg.arrow, alg.squig
     hit = first_failure_of(n, [
@@ -332,15 +342,13 @@ class ClassificationReport:
 
 def classify(alg: FiniteAlgebra) -> tuple[ClassificationReport, ClassificationReport]:
     """alg's one ClassificationReport, twice (the pair perfbench unpacks).
-    The first call builds it and the algebra object keeps it, so every
+    The first call builds it and the algebra object keeps it, as it keeps
+    its DS, congruences and MOP pairs (`FiniteAlgebra.kept`), so every
     later call returns the same report; a `_replace` copy gets its own.
     A bad declared zero raises PreconditionUnmet on every call.  Each flag
     and table is computed on first read (reading the tables and flags it
     needs the same way) and kept: a caller pays only for what it reads."""
-    # kept beside the read-only fields, where cached_property would keep it
-    report = alg.__dict__.get("_classification")
-    if report is None:
-        report = alg.__dict__["_classification"] = ClassificationReport(alg)
+    report = alg.kept("classification", ClassificationReport)
     return report, report
 
 

@@ -76,7 +76,12 @@ def enumerate_ds(alg: FiniteAlgebra) -> list[DeductiveSystem]:
     with one element at a time (`closed_sets`).  The families closed for
     -> and for ~> are listed apart; where they differ, PreconditionUnmet
     names the member of their difference that is least as a binary
-    number over the elements other than 1, lower index lower bit."""
+    number over the elements other than 1, lower index lower bit.  Kept
+    per algebra object (`FiniteAlgebra.kept`); each call gets a new list."""
+    return list(alg.kept("ds", _enumerate_ds))
+
+
+def _enumerate_ds(alg: FiniteAlgebra) -> list[DeductiveSystem]:
     one = alg.one
 
     def family(table):
@@ -98,9 +103,8 @@ def is_monadic_ds(ds: DeductiveSystem, pair: MonadicPair) -> bool:
 
 def monadic_ds(alg: FiniteAlgebra, pair: MonadicPair,
                ds_list: list[DeductiveSystem] | None = None) -> list[DeductiveSystem]:
-    if ds_list is None:
-        ds_list = enumerate_ds(alg)
-    return [d for d in ds_list if is_monadic_ds(d, pair)]
+    return [d for d in (enumerate_ds(alg) if ds_list is None else ds_list)
+            if is_monadic_ds(d, pair)]
 
 
 def _closure(alg: FiniteAlgebra, seed, tables) -> frozenset:
@@ -270,7 +274,11 @@ def enumerate_congruences(alg: FiniteAlgebra) -> list[Congruence]:
     once per pair per call.  A join applies only the links (x, first
     element of x's block) of a principal.  Callers report the first
     congruence that fails a law, so the sort order is part of the
-    contract."""
+    contract.  Kept per algebra object; each call gets a new list."""
+    return list(alg.kept("congruences", _enumerate_congruences))
+
+
+def _enumerate_congruences(alg: FiniteAlgebra) -> list[Congruence]:
     n = alg.size
     tables = [(t, tuple(zip(*t))) for t in (alg.arrow, alg.squig)]
 
@@ -404,21 +412,19 @@ def correspondence_report(alg: FiniteAlgebra, pair: MonadicPair,
     when every meet exists, and not at all otherwise.
     """
     report, _ = classify(alg)
-    ds_all = enumerate_ds(alg)
-    cons = enumerate_congruences(alg)
-    m_cons = [c for c in cons if is_monadic_congruence(c, pair)]
+    m_cons = [c for c in enumerate_congruences(alg) if is_monadic_congruence(c, pair)]
 
     if variant == VARIANT_BE:
         if not (report.holds("distributive_i") and report.holds("commutative")):
             raise PreconditionUnmet("variant 'be' needs a distributive commutative algebra")
         left = m_cons
-        right = [d for d in monadic_ds(alg, pair, ds_all)]
+        right = monadic_ds(alg, pair)
     elif variant == VARIANT_BCK_MEET:
         if not report.holds("pseudo_bck"):
             raise PreconditionUnmet("variant 'bck_meet' needs a pseudo BCK-algebra")
         left = [c for c in m_cons
                 if is_meet_compatible(alg, c) and is_relative_congruence(alg, c)]
-        right = [d for d in monadic_ds(alg, pair, ds_all) if d.normal]
+        right = [d for d in monadic_ds(alg, pair) if d.normal]
     else:
         raise PreconditionUnmet(f"unknown variant {variant!r}")
 

@@ -28,24 +28,9 @@ from .quantifiers import MonadicPair, enumerate_mop, fixed_set
 from . import deduction as _ded
 
 
-class _Memo:
-    """Deductive systems and congruences of one algebra, each enumerated
-    on first use."""
-
-    def __init__(self, alg: FiniteAlgebra):
-        self.alg = alg
-
-    @cached_property
-    def ds(self):
-        return _ded.enumerate_ds(self.alg)
-
-    @cached_property
-    def ds_by_members(self):
-        return {d.members: d for d in self.ds}
-
-    @cached_property
-    def congruences(self):
-        return _ded.enumerate_congruences(self.alg)
+# read through the module, where perfbench traces them
+_all_ds = lambda ctx: _ded.enumerate_ds(ctx.alg)
+_all_congruences = lambda ctx: _ded.enumerate_congruences(ctx.alg)
 
 
 class Ctx:
@@ -54,8 +39,8 @@ class Ctx:
     a, s (-> and ~>), E, F, nm, ns, od, op, meet, join and the constants
     one, zero.  `report` is the algebra's one ClassificationReport
     (`classify`); the derived tables are read from it on first use.
-    `memo` holds the algebra's deductive systems and congruences; every
-    context derived by `with_pair` shares it."""
+    `ds`, `congruences` and each law hypothesis are computed once (`once`)
+    and shared by every context derived by `with_pair`: none reads the pair."""
 
     def __init__(self, alg: FiniteAlgebra, pair: MonadicPair | None = None):
         self.alg = alg
@@ -65,8 +50,17 @@ class Ctx:
         self.zero = alg.zero
         self.a = alg.arrow
         self.s = alg.squig
-        self.memo = _Memo(alg)
+        self._known = {}        # what `once` computed, shared by every with_pair copy
         self._bind(pair)
+
+    def once(self, fn):
+        """fn(self), computed on the first call for this context or a copy."""
+        if fn not in self._known:
+            self._known[fn] = fn(self)
+        return self._known[fn]
+
+    ds = property(lambda self: self.once(_all_ds))
+    congruences = property(lambda self: self.once(_all_congruences))
 
     nm = cached_property(lambda self: self.report.neg_minus)
     ns = cached_property(lambda self: self.report.neg_sim)
@@ -105,6 +99,9 @@ _BND = _flags("pseudo_be", "bounded")
 
 
 class Law(NamedTuple):
+    """A catalog entry.  `hypothesis` reads only algebra-level state (flags
+    and derived tables), never E, F or the pair: `Ctx.once` decides it."""
+
     id: str
     anchor: str
     arity: int                    # 0 means a global (whole-structure) law
@@ -130,10 +127,8 @@ class LawVerdict(NamedTuple):
 
     def to_json(self, alg: FiniteAlgebra | None = None) -> dict:
         w = self.witness
-        if w is not None and alg is not None:
-            w = [alg.element_names[x] if isinstance(x, int) else x for x in w]
-        elif w is not None:
-            w = list(w)
+        if w is not None:
+            w = [alg.element_names[x] if alg is not None and isinstance(x, int) else x for x in w]
         return {"law": self.law_id, "pair": self.pair_name,
                 "status": self.status, "witness": w,
                 "instances": self.instances}
@@ -142,15 +137,13 @@ class LawVerdict(NamedTuple):
 # ---------------------------------------------------------------- catalog
 
 def _global_over_congruences(body):
-    """Wrap a per-congruence predicate into a global check."""
+    """Wrap body(ctx, cong, [1] of cong) -> witness or None into a global check."""
     def check(ctx):
-        count = 0
-        for cong in ctx.memo.congruences:
-            count += ctx.n * ctx.n
-            bad = body(ctx, cong)
+        for count, cong in enumerate(ctx.congruences, 1):
+            bad = body(ctx, cong, cong.one_class(ctx.alg))
             if bad is not None:
-                return False, bad, count
-        return True, None, count
+                return False, bad, count * ctx.n * ctx.n
+        return True, None, len(ctx.congruences) * ctx.n * ctx.n
     return check
 
 
@@ -160,46 +153,39 @@ def _first_pair(ctx, pred):
     return None if hit is None else hit[1]
 
 
-def _l6_iff(ctx, cong):
-    one_cls = cong.one_class(ctx.alg)
+def _l6_iff(ctx, cong, one_cls):
     a, s = ctx.a, ctx.s
     return _first_pair(ctx, lambda x, y: (a[x][y] in one_cls) == (s[x][y] in one_cls))
 
 
-def _l6_class_implications(ctx, cong):
-    one_cls = cong.one_class(ctx.alg)
+def _l6_class_implications(ctx, cong, one_cls):
     a, s, cls = ctx.a, ctx.s, cong.classes
     return _first_pair(ctx, lambda x, y: cls[x] != cls[y]
                        or {a[x][y], a[y][x], s[x][y], s[y][x]} <= one_cls)
 
 
-def _l6_commutative_converse(ctx, cong):
-    one_cls = cong.one_class(ctx.alg)
+def _l6_commutative_converse(ctx, cong, one_cls):
     a, cls = ctx.a, cong.classes
     return _first_pair(ctx, lambda x, y: not (a[x][y] in one_cls and a[y][x] in one_cls)
                        or cls[x] == cls[y])
 
 
-def _p6_cong_exists(ctx, cong):
+def _p6_cong_exists(ctx, cong, one_cls):
     if not _ded.is_monadic_congruence(cong, ctx.pair):
         return None
     E, cls = ctx.E, cong.classes
     return _first_pair(ctx, lambda x, y: cls[x] != cls[y] or cls[E[x]] == cls[E[y]])
 
 
-def _p6_cong_one_class_mds(ctx, cong):
-    if not _ded.is_monadic_congruence(cong, ctx.pair):
-        return None
-    one_cls = cong.one_class(ctx.alg)
-    ds = ctx.memo.ds_by_members.get(one_cls)
-    if ds is None or not _ded.is_monadic_ds(ds, ctx.pair):
+def _p6_cong_one_class_mds(ctx, cong, one_cls):    # None when [1] is a monadic DS
+    if _ded.is_monadic_congruence(cong, ctx.pair) and not any(
+            d.members == one_cls and _ded.is_monadic_ds(d, ctx.pair) for d in ctx.ds):
         return tuple(sorted(one_cls))
-    return None
 
 
 def _p6_ds_upward(ctx):
     count = 0
-    for ds in ctx.memo.ds:
+    for ds in ctx.ds:
         for x in ds.members:
             ax = ctx.a[x]
             for y in range(ctx.n):
@@ -210,22 +196,17 @@ def _p6_ds_upward(ctx):
 
 
 def _p6_distributive_normal(ctx):
-    dss = ctx.memo.ds
-    bad = next((d for d in dss if not d.normal), None)
-    if bad is not None:
-        return False, tuple(sorted(bad.members)), len(dss)
-    return True, None, len(dss)
+    bad = next((d for d in ctx.ds if not d.normal), None)
+    return bad is None, bad and tuple(sorted(bad.members)), len(ctx.ds)
 
 
 def _p6_monadic_ds_generated(ctx):
     fixed, _, _ = fixed_set(ctx.alg, ctx.pair)
-    count = 0
-    for ds in ctx.memo.ds:
-        count += 1
+    for count, ds in enumerate(ctx.ds, 1):
         gen = _ded.generated_ds(ctx.alg, ds.members & fixed)
         if _ded.is_monadic_ds(ds, ctx.pair) != (gen.members == ds.members):
             return False, tuple(sorted(ds.members)), count
-    return True, None, count
+    return True, None, len(ctx.ds)
 
 
 def _fixed_subalgebra(ctx):
@@ -261,10 +242,8 @@ def _kernel_trivial(ctx):
 
 
 def _surjective_id(ctx):
-    if frozenset(ctx.F) == frozenset(range(ctx.n)):
-        ok = ctx.pair.forall.is_identity()
-        return ok, (None if ok else ()), ctx.n
-    return True, None, ctx.n
+    ok = len(set(ctx.F)) < ctx.n or ctx.pair.forall.is_identity()
+    return ok, (None if ok else ()), ctx.n
 
 
 def _iff_pointwise(lhs, rhs):
@@ -612,12 +591,11 @@ def evaluate_law(law: Law, ctx: Ctx) -> LawVerdict:
     if law.uses_pair and ctx.pair is None:
         return LawVerdict(law.id, None, NOT_APPLICABLE, None, 0)
     pair_name = ctx.pair_name if law.uses_pair else None
-    if not law.hypothesis(ctx):
+    if not ctx.once(law.hypothesis):
         return LawVerdict(law.id, pair_name, NOT_APPLICABLE, None, 0)
     if law.arity == 0:
         ok, witness, instances = law.check(ctx)
-        return LawVerdict(law.id, pair_name, HOLDS if ok else FAILS,
-                          witness, instances)
+        return LawVerdict(law.id, pair_name, HOLDS if ok else FAILS, witness, instances)
     pred = partial(law.check, *tables_of(ctx, law.arity, law.check))
     hit = first_failure(ctx.n, law.arity, [(law.id, pred)])
     if hit is None:
@@ -631,7 +609,8 @@ def verify_suite(alg: FiniteAlgebra, pairs, law_ids=None,
 
     Pair-independent laws are evaluated once; pair laws once per pair.
     Probe laws (documented open questions) are skipped unless requested.
-    Hypotheses read the algebra's one classification (`classify`).
+    Hypotheses read the algebra's one classification (`classify`), and
+    each distinct hypothesis is decided once (`Ctx.once`).
     """
     base = Ctx(alg)
     laws = catalog()
@@ -803,12 +782,13 @@ def _law_counterexample(law: Law, alg: FiniteAlgebra, spec: SearchSpec):
     if any(not report.holds(f) for f in spec.require):
         return None
     if not law.uses_pair:
-        v = evaluate_law(law, ctx)
-        if v.status == FAILS:
-            return (alg, None, v.witness)
-        return None
-    for pair in enumerate_mop(alg):
-        v = evaluate_law(law, ctx.with_pair(pair))
+        pairs = [None]
+    elif ctx.once(law.hypothesis):
+        pairs = enumerate_mop(alg)
+    else:
+        return None     # every pair's verdict would be not applicable
+    for pair in pairs:
+        v = evaluate_law(law, ctx.with_pair(pair) if pair else ctx)
         if v.status == FAILS:
             return (alg, pair, v.witness)
     return None

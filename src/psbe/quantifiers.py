@@ -100,7 +100,12 @@ def enumerate_mop(alg: FiniteAlgebra, mode: str = PLAIN) -> list[MonadicPair]:
     hold on S; M1 and M2 there read x -> x = x ~> x = 1, on which S is
     filtered.  Elsewhere E need not be idempotent (on constant tables it
     may swap two elements): each image is tried, E onto it and M5 checked.
+    Kept per algebra object and mode; each call gets a new list.
     """
+    return list(alg.kept(("mop", mode), lambda alg: _enumerate_mop(alg, mode)))
+
+
+def _enumerate_mop(alg: FiniteAlgebra, mode: str) -> list[MonadicPair]:
     n, one, arr, sq, rng = alg.size, alg.one, alg.arrow, alg.squig, range(alg.size)
     # M6 and M7 read F at x and at x (.) x, x (+) x; PreconditionUnmet here
     squares = [tuple(t[x][x] for x in rng) for t in _mode_tables(alg, mode) if t]

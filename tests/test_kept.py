@@ -1,0 +1,183 @@
+"""What an algebra object keeps: axiom verdicts, deductive systems,
+congruences and monadic pairs are computed on the first call for the
+object, later calls get the kept result (a new list each time), a
+`_replace` copy computes afresh and a raised PreconditionUnmet is never
+kept.  Law hypotheses read no pair, so each is decided once."""
+
+import importlib
+from collections import Counter
+
+import pytest
+
+from psbe import deduction as deduction_module
+from psbe import laws as laws_module
+from psbe import quantifiers as quantifiers_module
+from psbe.algebra import PreconditionUnmet, parse_algebra
+from psbe.classify import check_pseudo_be, check_pseudo_bck
+from psbe.deduction import enumerate_congruences, enumerate_ds
+from psbe.laws import Ctx, SearchSpec, catalog, search_counterexample
+from psbe.quantifiers import BOUNDED_COMMUTATIVE, HOOP, PLAIN, enumerate_mop
+
+from conftest import FIXTURE_NAMES, load, model_algebra, times_c2
+
+classify_module = importlib.import_module("psbe.classify")   # psbe.classify is the function
+
+ALGEBRAS = [
+    *(pytest.param(load(name), id=name) for name in FIXTURE_NAMES),
+    *(pytest.param(times_c2(load(name)), id=f"{name}xC2") for name in ("bc4", "psbe4")),
+    *(pytest.param(model_algebra(n, arrow, squig), id=f"m{n}-{rank}")
+      for n in (2, 3) for rank, arrow, squig in laws_module._models(n)),
+]
+
+COMPUTATIONS = {
+    "check_pseudo_be": check_pseudo_be,
+    "check_pseudo_bck": check_pseudo_bck,
+    "enumerate_ds": enumerate_ds,
+    "enumerate_congruences": enumerate_congruences,
+    **{f"enumerate_mop[{mode}]": lambda alg, mode=mode: enumerate_mop(alg, mode)
+       for mode in (PLAIN, BOUNDED_COMMUTATIVE, HOOP)},
+}
+LISTS = [name for name in COMPUTATIONS if name.startswith("enumerate")]
+
+# the private scanner behind each computation, as (module, attribute)
+SCANNERS = {
+    "check_pseudo_be": (classify_module, "_scan_pseudo_be"),
+    "check_pseudo_bck": (classify_module, "_scan_pseudo_bck"),
+    "enumerate_ds": (deduction_module, "_enumerate_ds"),
+    "enumerate_congruences": (deduction_module, "_enumerate_congruences"),
+    "enumerate_mop": (quantifiers_module, "_enumerate_mop"),
+}
+
+# -> and ~> close different sets: {1, b} is closed for -> only
+CLOSURES_DISAGREE = ("algebra broken\nelements 1 a b\none 1\n"
+                     "arrow\n1 a b\n1 1 1\n1 1 1\n"
+                     "squig\n1 a b\n1 1 1\n1 a 1\nend\n")
+
+
+def outcome(compute, alg):
+    """The result, or the PreconditionUnmet raised, as (type, message)."""
+    try:
+        return compute(alg)
+    except PreconditionUnmet as exc:
+        return PreconditionUnmet, str(exc)
+
+
+def raises(compute, alg) -> bool:
+    try:
+        compute(alg)
+    except PreconditionUnmet:
+        return True
+    return False
+
+
+def count_scans(monkeypatch) -> Counter:
+    """Count each private scanner's calls, by scanner and algebra tables."""
+    calls = Counter()
+    for name, (module, attr) in SCANNERS.items():
+        def counted(alg, *args, real=getattr(module, attr), name=name):
+            calls[name, alg.arrow, alg.squig, *args] += 1
+            return real(alg, *args)
+        monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS)
+def test_later_calls_and_copies_give_the_first_result(alg):
+    alg = alg._replace()            # a new object: nothing is kept yet
+    for name, compute in COMPUTATIONS.items():
+        first = outcome(compute, alg)
+        assert outcome(compute, alg) == first, name
+        assert outcome(compute, alg._replace()) == first, name
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS)
+def test_a_returned_list_is_the_callers_own(alg):
+    alg = alg._replace()
+    for name in LISTS:
+        returned = outcome(COMPUTATIONS[name], alg)
+        if not isinstance(returned, list):
+            continue                # the mode is not available here
+        want = list(returned)
+        returned.clear()
+        assert COMPUTATIONS[name](alg) == want, name
+        again = COMPUTATIONS[name](alg)
+        again.append(None)
+        assert COMPUTATIONS[name](alg) == want, name
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS)
+def test_each_object_is_scanned_once(alg, monkeypatch):
+    # what raises is never kept: that is the two tests below
+    computations = [c for c in COMPUTATIONS.values() if not raises(c, alg._replace())]
+    alg = alg._replace()
+    calls = count_scans(monkeypatch)
+    for compute in computations:
+        compute(alg)
+        compute(alg)
+    first = Counter(calls)
+    assert len(first) == len(computations) and max(first.values()) == 1
+    for compute in computations:
+        compute(alg._replace())
+    # a copy has equal tables, so each scan is now counted twice
+    assert calls == Counter({key: 2 for key in first})
+
+
+def test_unavailable_mode_raises_on_every_call(psbe4, monkeypatch):
+    alg = psbe4._replace()
+    calls = count_scans(monkeypatch)
+    for _ in range(3):
+        with pytest.raises(PreconditionUnmet, match="needs the pseudo-product table"):
+            enumerate_mop(alg, mode=BOUNDED_COMMUTATIVE)
+    assert sum(calls.values()) == 3
+
+
+def test_disagreeing_closures_raise_on_every_call(monkeypatch):
+    alg = parse_algebra(CLOSURES_DISAGREE)
+    calls = count_scans(monkeypatch)
+    for _ in range(3):
+        with pytest.raises(PreconditionUnmet, match="closures disagree on {1, b}"):
+            enumerate_ds(alg)
+    assert calls[("enumerate_ds", alg.arrow, alg.squig)] == 3
+
+
+@pytest.mark.parametrize("law_id, max_size, scanner", [
+    ("AX.psbck6_antisym", 3, "check_pseudo_be"),
+    ("P3.isotone_unconditional", 4, "enumerate_mop"),
+])
+def test_counterexample_recheck_scans_again(law_id, max_size, scanner, monkeypatch):
+    # the re-check runs on a copy of the found algebra, which keeps
+    # nothing of what the scan computed on it
+    calls = count_scans(monkeypatch)
+    alg = search_counterexample(SearchSpec(law=law_id, max_size=max_size)).found[0]
+    found = {key: count for key, count in calls.items() if key[:3] == (scanner, alg.arrow, alg.squig)}
+    assert list(found.values()) == [2]
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS)
+def test_hypotheses_read_no_pair(alg):
+    ctx = Ctx(alg)
+    pairs = enumerate_mop(alg)
+    for law in catalog():
+        want = law.hypothesis(ctx)
+        for pair in pairs:
+            assert law.hypothesis(Ctx(alg).with_pair(pair)) == want, law.id
+
+
+@pytest.mark.parametrize("law_id", ["P4.meet_join_equiv", "P5.meet_forall"])
+def test_search_lists_pairs_only_where_the_hypothesis_holds(law_id, monkeypatch):
+    listed = Counter()
+    real = laws_module.enumerate_mop
+
+    def counted(alg, *args):
+        listed[alg.arrow, alg.squig] += 1
+        return real(alg, *args)
+
+    monkeypatch.setattr(laws_module, "enumerate_mop", counted)
+    result = search_counterexample(SearchSpec(law=law_id, max_size=3))
+    assert result.found is None and result.exhausted
+    law = laws_module._law_by_id()[law_id]
+    models = [model_algebra(n, arrow, squig)
+              for n in (2, 3) for _, arrow, squig in laws_module._models(n)]
+    holds = Counter((m.arrow, m.squig) for m in models if law.hypothesis(Ctx(m)))
+    assert 0 < len(holds) < len(models)     # the hypothesis fails somewhere
+    assert listed == holds
