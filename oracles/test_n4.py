@@ -10,8 +10,9 @@ scans 16.8M table pairs; it is built once), so they live outside its
 The references are the tier-1 ones: the brute-force scan for `_models`
 and `search_counterexample`, the candidate cross product for
 `enumerate_mop`, the Bell(n) partition scan for `enumerate_congruences`,
-the subset scan for `enumerate_ds` and the eager one-pass
-classification for `classify`.
+the subset scan for `enumerate_ds`, the eager one-pass classification
+for `classify` and `generated_ds` for the deductive system that the
+law P6.monadic_ds_generated reads off the list of systems.
 """
 
 import sys
@@ -25,6 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from conftest import brute_models, brute_search, model_algebra, scan_ds, search_outcome
 from test_classify import assert_matches_eager
 from test_deduction import scan_congruences
+from test_kernel import assert_least_ds_is_generated
 from test_law_pin import digest, with_least_zero
 from test_quantifiers import MODES, cross_product_mop, outcome
 
@@ -87,6 +89,11 @@ def test_enumerate_ds_matches_subset_scan(alg):
 @pytest.mark.parametrize("alg", N4)
 def test_classify_matches_eager(alg):
     assert_matches_eager(alg)
+
+
+@pytest.mark.parametrize("alg", N4)
+def test_least_ds_is_the_generated_ds(alg):
+    assert_least_ds_is_generated(alg)
 
 
 # the carrier size of the per-model audit: the first models in scan order

@@ -2,18 +2,22 @@
 
 All checks are exact table computations by full enumeration, and every
 witness-reporting check in the package runs on one scanner,
-`first_failure`.  Its order contract: it walks the tuples of element
-indices in lexicographic order and, on each tuple, tests the predicates
-in the order they are listed; the first predicate that fails names the
+`first_failure`.  A check is a (name, expression) entry: a boolean
+expression over the element variables x, y, z and named tables, such as
+"arrow[x][x] == one".  Its order contract: it walks the tuples of element
+indices in lexicographic order and, on each tuple, tests the expressions
+in the order they are listed; the first one that fails names the
 failure and the tuple is its witness.  Checks made of several axioms
 scan them one after another (`first_failure_of`), so failing output is
-deterministic.
+deterministic.  Each group of expressions runs as one generated loop,
+compiled on first use (`_scan`).
 """
 
 from __future__ import annotations
 
-from functools import cached_property, partial
-from itertools import product, starmap
+import _ast    # the parser's node classes, without the import cost of `ast`
+from functools import cached_property
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .algebra import FiniteAlgebra, PreconditionUnmet
@@ -62,34 +66,95 @@ class Verdict(NamedTuple):
         return doc
 
 
-def first_failure(n: int, arity: int, preds):
+def first_failure(n: int, arity: int, checks, source):
     """First failing (name, tuple, instances) over range(n)**arity, or None.
 
-    Tuples are walked in lexicographic order; on each tuple the
-    (name, predicate) entries of preds are tested in order.  `instances`
-    counts the tuples visited up to and including the failing one.
-    """
-    # Most scans of pairs or triples hold: try a lone predicate with a
-    # C-level all() first and walk the tuples in Python only to locate a
-    # failure.  Predicates are pure, so the result is the same.
-    if arity > 1 and len(preds) == 1 and all(
-            starmap(preds[0][1], product(range(n), repeat=arity))):
-        return None
-    for count, tup in enumerate(product(range(n), repeat=arity), 1):
-        for name, pred in preds:
-            if not pred(*tup):
-                return name, tup, count
-    return None
+    checks is a tuple of (name, expression): a boolean expression over x,
+    y, z (the first `arity` of them) and tables read off source by name.
+    Tuples are walked in lexicographic order, a tuple's checks tested in
+    the listed order; `instances` counts the tuples up to the failing one.
+    The group is compiled into one nested-loop function on its first use
+    and cached (`_scan`).  The expressions are the package's own
+    constants, and a whitelist admits only names, subscripts, comparisons,
+    and/or/not, set displays, integer constants and len(...): text from a
+    user must be parsed into such an expression, never passed through."""
+    scan = _SCANS.get((arity, checks)) or _scan(arity, checks)
+    hit = scan(n, *[getattr(source, t) for t in scan.tables])
+    return None if hit is None else (checks[hit[0]][0], hit[1], hit[2])
 
 
-def first_failure_of(n: int, checks):
-    """first_failure over the (arity, preds) groups of checks, one group
-    after another; the first group with a failure decides."""
-    for arity, preds in checks:
-        hit = first_failure(n, arity, preds)
+def first_failure_of(n: int, groups, source):
+    """first_failure over the (arity, checks) groups, one group after
+    another; the first group with a failure decides."""
+    for arity, checks in groups:
+        hit = first_failure(n, arity, checks, source)
         if hit is not None:
             return hit
     return None
+
+
+_VARS = ("x", "y", "z")
+_CMP = (_ast.Eq, _ast.NotEq, _ast.Lt, _ast.LtE, _ast.Gt, _ast.GtE, _ast.In, _ast.NotIn)
+_SCANS = {}     # (arity, checks) -> scan; generated text -> scan
+
+
+def _scan(arity: int, checks):
+    """first_failure's function for one group of checks, cached by its text:
+    a loop per variable, x outermost, and in the innermost one `if not
+    (expression): return index, tuple, rank` per check, rank counting the
+    tuples from 1 in lexicographic order.  Its parameters are n and
+    the tables named (`scan.tables`).  Nothing is compiled unless every
+    expression passes `_whitelist`."""
+    tables = set()
+    for _, expr in checks:
+        tree = compile(expr, "<check>", "eval", _ast.PyCF_ONLY_AST)    # the scan kernel
+        _whitelist(tree.body, expr, arity, tables)
+    tables = tuple(sorted(tables))
+    pad = "    " * (arity + 1)
+    witness = "(" + ", ".join(_VARS[:arity]) + ("," if arity == 1 else "") + ")"
+    rank = "".join(v + " * _n" * (arity - 1 - d) + " + " for d, v in enumerate(_VARS[:arity])) + "1"
+    text = "\n".join([f"def scan({', '.join(('_n',) + tables)}):", "    _r = _range(_n)"]
+                     + [f"{'    ' * (d + 1)}for {v} in _r:" for d, v in enumerate(_VARS[:arity])]
+                     + [f"{pad}if not ({expr}):\n{pad}    return {i}, {witness}, {rank}"
+                        for i, (_, expr) in enumerate(checks)])
+    if text not in _SCANS:
+        env = {"__builtins__": {}, "len": len, "_range": range}
+        exec(compile(text, "<first_failure scan>", "exec"), env)    # the scan kernel
+        _SCANS[text] = env["scan"]
+        _SCANS[text].tables = tables
+    _SCANS[arity, checks] = _SCANS[text]
+    return _SCANS[text]
+
+
+def _whitelist(node, expr: str, arity: int, tables: set) -> None:
+    """Add the tables node names to tables; InvariantViolated unless node
+    and all its parts are names, subscripts, comparisons, and/or/not, set
+    displays, integer constants or len(...).  The names are tables and
+    the first `arity` of x, y, z; none starts with an underscore."""
+    kind = type(node)
+    if kind is _ast.Name and node.id not in ("len",) + _VARS[arity:] and node.id[0] != "_":
+        if node.id not in _VARS:
+            tables.add(node.id)
+        return
+    if kind is _ast.Subscript:
+        parts = (node.value, node.slice)
+    elif kind is _ast.Compare and all(type(op) in _CMP for op in node.ops):
+        parts = (node.left, *node.comparators)
+    elif kind is _ast.BoolOp:
+        parts = node.values
+    elif kind is _ast.UnaryOp and type(node.op) is _ast.Not:
+        parts = (node.operand,)
+    elif kind is _ast.Set:
+        parts = node.elts
+    elif (kind is _ast.Call and type(node.func) is _ast.Name and node.func.id == "len"
+          and len(node.args) == 1 and not node.keywords):
+        parts = node.args
+    elif kind is _ast.Constant and type(node.value) is int:
+        return
+    else:
+        raise InvariantViolated(f"{kind.__name__} is not allowed in the scan expression {expr!r}")
+    for part in parts:
+        _whitelist(part, expr, arity, tables)
 
 
 def backtrack(cells, cands, ok, d=0):
@@ -132,16 +197,17 @@ def check_pseudo_be(alg: FiniteAlgebra) -> Verdict:
     return alg.kept("pseudo_be", _scan_pseudo_be)
 
 
+_PSBE = (
+    (1, (("psBE1", "arrow[x][x] == one and squig[x][x] == one"),)),
+    (1, (("psBE2", "arrow[x][one] == one and squig[x][one] == one"),)),
+    (1, (("psBE3", "arrow[one][x] == x and squig[one][x] == x"),)),
+    (3, (("psBE4", "arrow[x][squig[y][z]] == squig[y][arrow[x][z]]"),)),
+    (2, (("psBE5", "(arrow[x][y] == one) == (squig[x][y] == one)"),)),
+)
+
+
 def _scan_pseudo_be(alg: FiniteAlgebra) -> Verdict:
-    n, one = alg.size, alg.one
-    arr, sq = alg.arrow, alg.squig
-    return Verdict.of(first_failure_of(n, [
-        (1, [("psBE1", lambda x: arr[x][x] == one and sq[x][x] == one)]),
-        (1, [("psBE2", lambda x: arr[x][one] == one and sq[x][one] == one)]),
-        (1, [("psBE3", lambda x: arr[one][x] == x and sq[one][x] == x)]),
-        (3, [("psBE4", lambda x, y, z: arr[x][sq[y][z]] == sq[y][arr[x][z]])]),
-        (2, [("psBE5", lambda x, y: (arr[x][y] == one) == (sq[x][y] == one))]),
-    ]), "pseudo_be")
+    return Verdict.of(first_failure_of(alg.size, _PSBE, alg), "pseudo_be")
 
 
 def check_pseudo_bck(alg: FiniteAlgebra) -> Verdict:
@@ -151,21 +217,19 @@ def check_pseudo_bck(alg: FiniteAlgebra) -> Verdict:
     return alg.kept("pseudo_bck", _scan_pseudo_bck)
 
 
+_PSBCK = (
+    (1, (("psBCK3", "arrow[one][x] == x"),)),
+    (1, (("psBCK4", "squig[one][x] == x"),)),
+    (1, (("psBCK5", "arrow[x][one] == one"),)),
+    # unordered pairs y < x, scanned larger element first, reported as (y, x)
+    (2, (("psBCK6", "y >= x or arrow[y][x] != one or arrow[x][y] != one"),)),
+    (3, (("psBCK1", "squig[arrow[x][y]][squig[arrow[y][z]][arrow[x][z]]] == one"),)),
+    (3, (("psBCK2", "arrow[squig[x][y]][arrow[squig[y][z]][squig[x][z]]] == one"),)),
+)
+
+
 def _scan_pseudo_bck(alg: FiniteAlgebra) -> Verdict:
-    n, one = alg.size, alg.one
-    arr, sq = alg.arrow, alg.squig
-    hit = first_failure_of(n, [
-        (1, [("psBCK3", lambda x: arr[one][x] == x)]),
-        (1, [("psBCK4", lambda x: sq[one][x] == x)]),
-        (1, [("psBCK5", lambda x: arr[x][one] == one)]),
-        # unordered pairs x < y, scanned as (y, x): larger element first
-        (2, [("psBCK6", lambda y, x:
-              x >= y or arr[x][y] != one or arr[y][x] != one)]),
-        (3, [("psBCK1", lambda x, y, z:
-              sq[arr[x][y]][sq[arr[y][z]][arr[x][z]]] == one)]),
-        (3, [("psBCK2", lambda x, y, z:
-              arr[sq[x][y]][arr[sq[y][z]][sq[x][z]]] == one)]),
-    ])
+    hit = first_failure_of(alg.size, _PSBCK, alg)
     if hit is not None and hit[0] == "psBCK6":
         hit = ("psBCK6", hit[1][::-1])     # reported as (x, y)
     return Verdict.of(hit, "pseudo_bck")
@@ -200,22 +264,15 @@ def _cup(first, then):    # the table of (x first y) then y
     return tuple(tuple(then[first[x][y]][y] for y in rng) for x in rng)
 
 
-def tables_of(source, arity: int, pred) -> list:
-    """The attributes of source named by pred's parameters, in order: all
-    of them but the last `arity`, which take the elements."""
-    code = pred.__code__
-    return [getattr(source, t) for t in code.co_varnames[:code.co_argcount - arity]]
-
-
-def _axiom(arity: int, pred):
-    """A flag computed on first read: pred(*tables, *t) for every t in range(n)**arity,
-    the tables read off the report by `tables_of`; not_applicable if one is undefined."""
+def _axiom(arity: int, expr: str, bounded: bool = False):
+    """A flag computed on first read: expr at every t in range(n)**arity,
+    over the report's tables; not_applicable if `bounded` and the algebra
+    is not, as its negations are then undefined."""
     def verdict(report):
-        name, args = flag.attrname, tables_of(report, arity, pred)
-        if None in args:
+        name = flag.attrname
+        if bounded and report._zero is None:
             return Verdict.na(name)
-        hit = first_failure(report.alg.size, arity, [(name, partial(pred, *args))])
-        return Verdict.of(hit, name)
+        return Verdict.of(first_failure(report.alg.size, arity, ((name, expr),), report), name)
     flag = cached_property(verdict)
     return flag
 
@@ -226,7 +283,7 @@ class ClassificationReport:
 
     def __init__(self, alg: FiniteAlgebra):
         self.alg = alg
-        self.arrow, self.squig = alg.arrow, alg.squig
+        self.one, self.arrow, self.squig = alg.one, alg.arrow, alg.squig
         least = least_elements(alg)
         self._zero = least[0] if len(least) == 1 else None
         self.bounded = (Verdict.holds("bounded") if len(least) == 1
@@ -278,26 +335,22 @@ class ClassificationReport:
 
     pseudo_be = cached_property(lambda self: check_pseudo_be(self.alg))
     pseudo_bck = cached_property(lambda self: check_pseudo_bck(self.alg))
-    condition_A = _axiom(3, lambda leq, arrow, squig, x, y, z: not leq[x][y] or (
-        leq[arrow[y][z]][arrow[x][z]] and leq[squig[y][z]][squig[x][z]]))
-    condition_M = _axiom(3, lambda leq, arrow, squig, x, y, z: not leq[x][y] or (
-        leq[arrow[z][x]][arrow[z][y]] and leq[squig[z][x]][squig[z][y]]))
-    condition_T = _axiom(3, lambda leq, x, y, z: not (leq[x][y] and leq[y][z]) or leq[x][z])
-    distributive_i = _axiom(3, lambda arrow, squig, x, y, z:
-                            arrow[x][squig[y][z]] == squig[arrow[x][y]][arrow[x][z]])
-    distributive_ii = _axiom(3, lambda arrow, squig, x, y, z:
-                             squig[x][arrow[y][z]] == arrow[squig[x][y]][squig[x][z]])
-    commutative = _axiom(2, lambda cup1, cup2, x, y:
-                         cup1[x][y] == cup1[y][x] and cup2[x][y] == cup2[y][x])
-    good = _axiom(1, lambda neg_minus, neg_sim, x: neg_sim[neg_minus[x]] == neg_minus[neg_sim[x]])
-    involutive = _axiom(1, lambda neg_minus, neg_sim, x:
-                        neg_sim[neg_minus[x]] == x and neg_minus[neg_sim[x]] == x)
+    condition_A = _axiom(3, "not leq[x][y] or "
+                         "(leq[arrow[y][z]][arrow[x][z]] and leq[squig[y][z]][squig[x][z]])")
+    condition_M = _axiom(3, "not leq[x][y] or "
+                         "(leq[arrow[z][x]][arrow[z][y]] and leq[squig[z][x]][squig[z][y]])")
+    condition_T = _axiom(3, "not (leq[x][y] and leq[y][z]) or leq[x][z]")
+    distributive_i = _axiom(3, "arrow[x][squig[y][z]] == squig[arrow[x][y]][arrow[x][z]]")
+    distributive_ii = _axiom(3, "squig[x][arrow[y][z]] == arrow[squig[x][y]][squig[x][z]]")
+    commutative = _axiom(2, "cup1[x][y] == cup1[y][x] and cup2[x][y] == cup2[y][x]")
+    good = _axiom(1, "neg_sim[neg_minus[x]] == neg_minus[neg_sim[x]]", bounded=True)
+    involutive = _axiom(1, "neg_sim[neg_minus[x]] == x and neg_minus[neg_sim[x]] == x",
+                        bounded=True)
 
     @cached_property
     def poset(self):
-        leq = self.leq
-        antisym = first_failure(self.alg.size, 2, [("antisymmetric", lambda x, y:
-                                                    not (leq[x][y] and leq[y][x]) or x == y)])
+        antisym = first_failure(self.alg.size, 2, (
+            ("antisymmetric", "not (leq[x][y] and leq[y][x]) or x == y"),), self)
         if antisym is None and self.condition_T:
             return Verdict.holds("poset")
         return Verdict.fails("poset", antisym[1] if antisym else self.condition_T.witness)
@@ -317,18 +370,9 @@ class ClassificationReport:
 
     @cached_property
     def pseudo_hoop(self):    # psH1-psH5 with the computed product
-        od, a, s, one = self.odot, self.arrow, self.squig, self.alg.one
-        if od is None:
+        if self.odot is None:
             return Verdict.na("pseudo_hoop")
-        psh = first_failure_of(self.alg.size, [
-            (1, [("psH1", lambda x: od[x][one] == x and od[one][x] == x)]),
-            (3, [("psH3", lambda x, y, z: a[od[x][y]][z] == a[x][a[y][z]])]),
-            (3, [("psH4", lambda x, y, z: s[od[x][y]][z] == s[y][s[x][z]])]),
-            (2, [("psH5", lambda x, y:
-                  od[a[x][y]][x] == od[a[y][x]][y]
-                  and od[a[x][y]][x] == od[x][s[x][y]]
-                  and od[x][s[x][y]] == od[y][s[y][x]])]),
-        ])
+        psh = first_failure_of(self.alg.size, _PSH, self)
         return Verdict.holds("pseudo_hoop") if psh is None else Verdict.fails("pseudo_hoop", psh[1])
 
     @cached_property
@@ -338,6 +382,16 @@ class ClassificationReport:
             return Verdict.na("pseudo_mv")
         return _check_pseudo_mv(self.alg, self.oplus, self.odot, self.neg_minus,
                                 self.neg_sim, self._zero)
+
+
+_PSH = (
+    (1, (("psH1", "odot[x][one] == x and odot[one][x] == x"),)),
+    (3, (("psH3", "arrow[odot[x][y]][z] == arrow[x][arrow[y][z]]"),)),
+    (3, (("psH4", "squig[odot[x][y]][z] == squig[y][squig[x][z]]"),)),
+    (2, (("psH5", "odot[arrow[x][y]][x] == odot[arrow[y][x]][y]"
+                  " and odot[arrow[x][y]][x] == odot[x][squig[x][y]]"
+                  " and odot[x][squig[x][y]] == odot[y][squig[y][x]]"),)),
+)
 
 
 def classify(alg: FiniteAlgebra) -> tuple[ClassificationReport, ClassificationReport]:
@@ -392,17 +446,20 @@ def _bound_table(leq, lower: bool):
     return tuple(rows)
 
 
+_PSMV = (
+    (3, (("psMV1", "oplus[x][oplus[y][z]] == oplus[oplus[x][y]][z]"),)),
+    (1, (("psMV2", "oplus[x][zero] == x and oplus[zero][x] == x"),
+         ("psMV3", "oplus[x][one] == one and oplus[one][x] == one"))),
+    (0, (("psMV4", "nm[one] == zero and ns[one] == zero"),)),
+    (2, (("psMV5", "ns[oplus[nm[x]][nm[y]]] == nm[oplus[ns[x]][ns[y]]]"),
+         ("psMV6", "len({oplus[x][odot[ns[x]][y]], oplus[y][odot[ns[y]][x]],"
+                   " oplus[odot[x][nm[y]]][y], oplus[odot[y][nm[x]]][x]}) == 1"),
+         ("psMV7", "odot[x][oplus[nm[x]][y]] == odot[oplus[x][ns[y]]][y]"))),
+    (1, (("psMV8", "ns[nm[x]] == x"),)),
+)
+
+
 def _check_pseudo_mv(alg, oplus, odot, nm, ns, zero) -> Verdict:
     """psMV1-psMV8 on the structure ((+), (.), -, ~, 0, 1)."""
-    one = alg.one
-    return Verdict.of(first_failure_of(alg.size, [
-        (3, [("psMV1", lambda x, y, z: oplus[x][oplus[y][z]] == oplus[oplus[x][y]][z])]),
-        (1, [("psMV2", lambda x: oplus[x][zero] == x and oplus[zero][x] == x),
-             ("psMV3", lambda x: oplus[x][one] == one and oplus[one][x] == one)]),
-        (0, [("psMV4", lambda: nm[one] == zero and ns[one] == zero)]),
-        (2, [("psMV5", lambda x, y: ns[oplus[nm[x]][nm[y]]] == nm[oplus[ns[x]][ns[y]]]),
-             ("psMV6", lambda x, y: len({oplus[x][odot[ns[x]][y]], oplus[y][odot[ns[y]][x]],
-                                         oplus[odot[x][nm[y]]][y], oplus[odot[y][nm[x]]][x]}) == 1),
-             ("psMV7", lambda x, y: odot[x][oplus[nm[x]][y]] == odot[oplus[x][ns[y]]][y])]),
-        (1, [("psMV8", lambda x: ns[nm[x]] == x)]),
-    ]), "pseudo_mv")
+    tables = SimpleNamespace(oplus=oplus, odot=odot, nm=nm, ns=ns, zero=zero, one=alg.one)
+    return Verdict.of(first_failure_of(alg.size, _PSMV, tables), "pseudo_mv")

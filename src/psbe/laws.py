@@ -2,7 +2,12 @@
 
 Every law carries an anchor (the identity it encodes, in plain
 notation), a hypothesis expressed as classification flags / derived-op
-availability, and a decision procedure.  `verify_suite` evaluates the
+availability, and a check.  `psbe laws` shows the anchor; the check
+runs.  A pointwise law's check is an expression over the `Ctx` tables
+and x, y, z, such as "a[x][s[y][z]] == s[y][a[x][z]]" for
+x -> (y ~> z) = y ~> (x -> z), compiled by `classify.first_failure`;
+nothing yet checks it against the anchor.  A global law's check is a
+function of the context.  `verify_suite` evaluates the
 catalog against an algebra and a set of monadic pairs; `search_counterexample`
 enumerates small algebras looking for a failure of one law.
 
@@ -14,33 +19,34 @@ E/F the existential/universal operators.
 from __future__ import annotations
 
 import copy
-from functools import cache, cached_property, partial
-from itertools import permutations, product, starmap
+from functools import cache, cached_property
+from itertools import permutations, product
 from math import inf
 from types import SimpleNamespace
 from typing import NamedTuple
 
 from .algebra import FiniteAlgebra, PreconditionUnmet
 from .classify import (FAILS, FLAG_ALIASES, FLAG_NAMES, HOLDS, NOT_APPLICABLE,
-                       InvariantViolated, backtrack, classify, first_failure,
-                       tables_of)
+                       InvariantViolated, backtrack, classify, first_failure)
 from .quantifiers import MonadicPair, enumerate_mop, fixed_set
 from . import deduction as _ded
 
 
-# read through the module, where perfbench traces them
+# per algebra (`Ctx.once`); read through the module, where perfbench traces them
 _all_ds = lambda ctx: _ded.enumerate_ds(ctx.alg)
 _all_congruences = lambda ctx: _ded.enumerate_congruences(ctx.alg)
+_ds_by_members = lambda ctx: {d.members: d for d in ctx.ds}
 
 
 class Ctx:
     """Evaluation context: one algebra, its classification and
-    (optionally) one monadic pair, with the tables a law predicate names:
+    (optionally) one monadic pair, with the tables a law expression names:
     a, s (-> and ~>), E, F, nm, ns, od, op, meet, join and the constants
     one, zero.  `report` is the algebra's one ClassificationReport
     (`classify`); the derived tables are read from it on first use.
-    `ds`, `congruences` and each law hypothesis are computed once (`once`)
-    and shared by every context derived by `with_pair`: none reads the pair."""
+    `ds`, `congruences`, the congruences' tables and each law hypothesis
+    are computed once (`once`) and shared by every context derived by
+    `with_pair`: none reads the pair."""
 
     def __init__(self, alg: FiniteAlgebra, pair: MonadicPair | None = None):
         self.alg = alg
@@ -106,9 +112,9 @@ class Law(NamedTuple):
     anchor: str
     arity: int                    # 0 means a global (whole-structure) law
     hypothesis: object            # Ctx -> bool
-    check: object                 # (*tables, *elements) -> bool: the leading
-                                  # parameters name Ctx tables (a, s, E, ...),
-                                  # the last `arity` take elements; arity 0:
+    check: object                 # arity >= 1: an expression over Ctx tables
+                                  # (a, s, E, ...) and x, y, z, which must hold
+                                  # at every tuple (`first_failure`); arity 0:
                                   # Ctx -> (ok, witness, instances)
     uses_pair: bool = True
     probe: bool = False           # excluded from verify_suite by default;
@@ -136,51 +142,55 @@ class LawVerdict(NamedTuple):
 
 # ---------------------------------------------------------------- catalog
 
-def _global_over_congruences(body):
-    """Wrap body(ctx, cong, [1] of cong) -> witness or None into a global check."""
+def _congruence_tables(ctx):
+    """Per congruence, in order, the tables its laws read: a, s, cls (its
+    classes), one_cls (the class of 1) and links, each x paired with the
+    first element of its block where the two differ."""
+    return [SimpleNamespace(a=ctx.a, s=ctx.s, cls=c.classes, one_cls=c.one_class(ctx.alg),
+                            links=[(x, c.classes.index(b)) for x, b in enumerate(c.classes)
+                                   if c.classes.index(b) != x])
+            for c in ctx.congruences]
+
+
+def _over_congruences(body):
+    """Wrap body(ctx, tables of a congruence) -> witness or None into a
+    global check."""
     def check(ctx):
-        for count, cong in enumerate(ctx.congruences, 1):
-            bad = body(ctx, cong, cong.one_class(ctx.alg))
+        congs = ctx.once(_congruence_tables)
+        for count, c in enumerate(congs, 1):
+            bad = body(ctx, c)
             if bad is not None:
                 return False, bad, count * ctx.n * ctx.n
-        return True, None, len(ctx.congruences) * ctx.n * ctx.n
+        return True, None, len(congs) * ctx.n * ctx.n
     return check
 
 
-def _first_pair(ctx, pred):
-    """The first (x, y) failing pred, or None."""
-    hit = first_failure(ctx.n, 2, [(None, pred)])
-    return None if hit is None else hit[1]
+def _first_pair(ctx, expr, source):    # the first (x, y) failing expr, or None
+    hit = first_failure(ctx.n, 2, ((None, expr),), source)
+    return hit and hit[1]
 
 
-def _l6_iff(ctx, cong, one_cls):
-    a, s = ctx.a, ctx.s
-    return _first_pair(ctx, lambda x, y: (a[x][y] in one_cls) == (s[x][y] in one_cls))
+def _each_congruence(expr):
+    """Global law: expr at every (x, y) over each congruence's tables."""
+    return _over_congruences(lambda ctx, c: _first_pair(ctx, expr, c))
 
 
-def _l6_class_implications(ctx, cong, one_cls):
-    a, s, cls = ctx.a, ctx.s, cong.classes
-    return _first_pair(ctx, lambda x, y: cls[x] != cls[y]
-                       or {a[x][y], a[y][x], s[x][y], s[y][x]} <= one_cls)
+def _monadic(ctx, c):    # x ~ y implies Fx ~ Fy, checked against each block's first element
+    F, cls = ctx.F, c.cls
+    return all(cls[F[x]] == cls[F[r]] for x, r in c.links)
 
 
-def _l6_commutative_converse(ctx, cong, one_cls):
-    a, cls = ctx.a, cong.classes
-    return _first_pair(ctx, lambda x, y: not (a[x][y] in one_cls and a[y][x] in one_cls)
-                       or cls[x] == cls[y])
+def _p6_cong_exists(ctx, c):
+    if _monadic(ctx, c):
+        return _first_pair(ctx, "cls[x] != cls[y] or cls[E[x]] == cls[E[y]]",
+                           SimpleNamespace(E=ctx.E, cls=c.cls))
 
 
-def _p6_cong_exists(ctx, cong, one_cls):
-    if not _ded.is_monadic_congruence(cong, ctx.pair):
-        return None
-    E, cls = ctx.E, cong.classes
-    return _first_pair(ctx, lambda x, y: cls[x] != cls[y] or cls[E[x]] == cls[E[y]])
-
-
-def _p6_cong_one_class_mds(ctx, cong, one_cls):    # None when [1] is a monadic DS
-    if _ded.is_monadic_congruence(cong, ctx.pair) and not any(
-            d.members == one_cls and _ded.is_monadic_ds(d, ctx.pair) for d in ctx.ds):
-        return tuple(sorted(one_cls))
+def _p6_cong_one_class_mds(ctx, c):    # None when [1] is a monadic DS
+    if _monadic(ctx, c):
+        d = ctx.once(_ds_by_members).get(c.one_cls)
+        if d is None or not _ded.is_monadic_ds(d, ctx.pair):
+            return tuple(sorted(c.one_cls))
 
 
 def _p6_ds_upward(ctx):
@@ -200,11 +210,17 @@ def _p6_distributive_normal(ctx):
     return bad is None, bad and tuple(sorted(bad.members)), len(ctx.ds)
 
 
+def _least_ds(ctx, xs) -> frozenset:
+    """The members of the deductive system generated by xs: those of the
+    first listed system holding xs, as the systems form a closure system
+    listed by size."""
+    return next(d.members for d in ctx.ds if xs <= d.members)
+
+
 def _p6_monadic_ds_generated(ctx):
     fixed, _, _ = fixed_set(ctx.alg, ctx.pair)
     for count, ds in enumerate(ctx.ds, 1):
-        gen = _ded.generated_ds(ctx.alg, ds.members & fixed)
-        if _ded.is_monadic_ds(ds, ctx.pair) != (gen.members == ds.members):
+        if _ded.is_monadic_ds(ds, ctx.pair) != (_least_ds(ctx, ds.members & fixed) == ds.members):
             return False, tuple(sorted(ds.members)), count
     return True, None, len(ctx.ds)
 
@@ -247,11 +263,10 @@ def _surjective_id(ctx):
 
 
 def _iff_pointwise(lhs, rhs):
-    """Global law: (for all x,y: lhs) iff (for all x,y: rhs), each side a
-    predicate of Ctx tables and x, y as a law's check is."""
+    """Global law: (for all x,y: lhs) iff (for all x,y: rhs), each side an
+    expression over Ctx tables and x, y as a law's check is."""
     def check(ctx):
-        l, r = (all(starmap(partial(side, *tables_of(ctx, 2, side)),
-                            product(range(ctx.n), repeat=2))) for side in (lhs, rhs))
+        l, r = (first_failure(ctx.n, 2, ((None, side),), ctx) is None for side in (lhs, rhs))
         return l == r, (None if l == r else ()), 2 * ctx.n * ctx.n
     return check
 
@@ -264,289 +279,216 @@ def catalog() -> tuple[Law, ...]:
 
     # -------- structural laws of the two implications
     add(Law("BE.exchange_dual", "x ~> (y -> z) = y -> (x ~> z)", 3, _BE,
-            lambda a, s, x, y, z: s[x][a[y][z]] == a[y][s[x][z]], uses_pair=False))
+            "s[x][a[y][z]] == a[y][s[x][z]]", uses_pair=False))
     add(Law("BE.exchange", "x -> (y ~> z) = y ~> (x -> z)", 3, _BE,
-            lambda a, s, x, y, z: a[x][s[y][z]] == s[y][a[x][z]], uses_pair=False))
+            "a[x][s[y][z]] == s[y][a[x][z]]", uses_pair=False))
     add(Law("BE.transitive_T", "under (T): x <= y and y <= z imply x <= z", 3,
             _flags("pseudo_be", "condition_T"),
-            lambda a, one, x, y, z: not (a[x][y] == one and a[y][z] == one)
-            or a[x][z] == one, uses_pair=False))
+            "not (a[x][y] == one and a[y][z] == one) or a[x][z] == one", uses_pair=False))
     add(Law("BE.const_upper_mixed", "x -> (y ~> x) = 1 and x ~> (y -> x) = 1", 2, _BE,
-            lambda a, s, one, x, y: a[x][s[y][x]] == one and s[x][a[y][x]] == one,
-            uses_pair=False))
+            "a[x][s[y][x]] == one and s[x][a[y][x]] == one", uses_pair=False))
     add(Law("BE.const_upper", "x -> (y -> x) = 1 and x ~> (y ~> x) = 1", 2, _BE,
-            lambda a, s, one, x, y: a[x][a[y][x]] == one and s[x][s[y][x]] == one,
-            uses_pair=False))
-    add(Law("BE.cup_upper", "x -> ((x -> y) ~> y) = 1 and x ~> ((x ~> y) -> y) = 1",
-            2, _BE,
-            lambda a, s, one, x, y: a[x][s[a[x][y]][y]] == one
-            and s[x][a[s[x][y]][y]] == one, uses_pair=False))
+            "a[x][a[y][x]] == one and s[x][s[y][x]] == one", uses_pair=False))
+    add(Law("BE.cup_upper", "x -> ((x -> y) ~> y) = 1 and x ~> ((x ~> y) -> y) = 1", 2, _BE,
+            "a[x][s[a[x][y]][y]] == one and s[x][a[s[x][y]][y]] == one", uses_pair=False))
+    antitone = "a[x][y] != one or (a[a[y][z]][a[x][z]] == one and a[s[y][z]][s[x][z]] == one)"
+    monotone = "a[x][y] != one or (a[a[z][x]][a[z][y]] == one and a[s[z][x]][s[z][y]] == one)"
     add(Law("A.antitone_first",
             "under (A): x <= y implies y -> z <= x -> z and y ~> z <= x ~> z",
-            3, _flags("pseudo_be", "condition_A"),
-            lambda a, s, one, x, y, z: a[x][y] != one
-            or (a[a[y][z]][a[x][z]] == one and a[s[y][z]][s[x][z]] == one),
-            uses_pair=False))
+            3, _flags("pseudo_be", "condition_A"), antitone, uses_pair=False))
     add(Law("M.monotone_second",
             "under (M): x <= y implies z -> x <= z -> y and z ~> x <= z ~> y",
-            3, _flags("pseudo_be", "condition_M"),
-            lambda a, s, one, x, y, z: a[x][y] != one
-            or (a[a[z][x]][a[z][y]] == one and a[s[z][x]][s[z][y]] == one),
-            uses_pair=False))
-    add(Law("BE.distributive_i",
-            "x -> (y ~> z) = (x -> y) ~> (x -> z)",
+            3, _flags("pseudo_be", "condition_M"), monotone, uses_pair=False))
+    add(Law("BE.distributive_i", "x -> (y ~> z) = (x -> y) ~> (x -> z)",
             3, _flags("pseudo_be", "distributive_i"),
-            lambda a, s, x, y, z: a[x][s[y][z]] == s[a[x][y]][a[x][z]],
-            uses_pair=False))
+            "a[x][s[y][z]] == s[a[x][y]][a[x][z]]", uses_pair=False))
     add(Law("BCK.antitone", "x <= y implies y -> z <= x -> z and y ~> z <= x ~> z",
-            3, _BCK,
-            lambda a, s, one, x, y, z: a[x][y] != one
-            or (a[a[y][z]][a[x][z]] == one and a[s[y][z]][s[x][z]] == one),
-            uses_pair=False))
+            3, _BCK, antitone, uses_pair=False))
     add(Law("BCK.monotone", "x <= y implies z -> x <= z -> y and z ~> x <= z ~> y",
-            3, _BCK,
-            lambda a, s, one, x, y, z: a[x][y] != one
-            or (a[a[z][x]][a[z][y]] == one and a[s[z][x]][s[z][y]] == one),
-            uses_pair=False))
+            3, _BCK, monotone, uses_pair=False))
     add(Law("BCK.inner_monotone",
-            "x -> y <= (z -> x) -> (z -> y) and x ~> y <= (z ~> x) ~> (z ~> y)",
-            3, _BCK,
-            lambda a, s, one, x, y, z: a[a[x][y]][a[a[z][x]][a[z][y]]] == one
-            and a[s[x][y]][s[s[z][x]][s[z][y]]] == one, uses_pair=False))
+            "x -> y <= (z -> x) -> (z -> y) and x ~> y <= (z ~> x) ~> (z ~> y)", 3, _BCK,
+            "a[a[x][y]][a[a[z][x]][a[z][y]]] == one"
+            " and a[s[x][y]][s[s[z][x]][s[z][y]]] == one", uses_pair=False))
     add(Law("BCK.cup_ge", "x <= (x -> y) ~> y and x <= (x ~> y) -> y", 2, _BCK,
-            lambda a, s, one, x, y: a[x][s[a[x][y]][y]] == one
-            and a[x][a[s[x][y]][y]] == one, uses_pair=False))
+            "a[x][s[a[x][y]][y]] == one and a[x][a[s[x][y]][y]] == one", uses_pair=False))
 
     # -------- bounded negation laws
     add(Law("BND.neg_constants", "1- = 1~ = 0 and 0- = 0~ = 1", 0, _BND,
             lambda c: (c.nm[c.one] == c.ns[c.one] == c.zero
                        and c.nm[c.zero] == c.ns[c.zero] == c.one,
                        None, 4), uses_pair=False))
-    add(Law("BND.double_neg_ge", "x <= x-~ and x <= x~-", 1,
-            _flags("pseudo_bck", "bounded"),
-            lambda a, nm, ns, one, x: a[x][ns[nm[x]]] == one and a[x][nm[ns[x]]] == one,
+    _BBCK = _flags("pseudo_bck", "bounded")
+    add(Law("BND.double_neg_ge", "x <= x-~ and x <= x~-", 1, _BBCK,
+            "a[x][ns[nm[x]]] == one and a[x][nm[ns[x]]] == one", uses_pair=False))
+    add(Law("BND.neg_antitone", "x <= y implies y- <= x- and y~ <= x~", 2, _BBCK,
+            "a[x][y] != one or (a[nm[y]][nm[x]] == one and a[ns[y]][ns[x]] == one)",
             uses_pair=False))
-    add(Law("BND.neg_antitone", "x <= y implies y- <= x- and y~ <= x~", 2,
-            _flags("pseudo_bck", "bounded"),
-            lambda a, nm, ns, one, x, y: a[x][y] != one
-            or (a[nm[y]][nm[x]] == one and a[ns[y]][ns[x]] == one), uses_pair=False))
-    add(Law("BND.triple_neg", "x-~- = x- and x~-~ = x~", 1,
-            _flags("pseudo_bck", "bounded"),
-            lambda nm, ns, x: nm[ns[nm[x]]] == nm[x]
-            and ns[nm[ns[x]]] == ns[x], uses_pair=False))
+    add(Law("BND.triple_neg", "x-~- = x- and x~-~ = x~", 1, _BBCK,
+            "nm[ns[nm[x]]] == nm[x] and ns[nm[ns[x]]] == ns[x]", uses_pair=False))
 
     # -------- pseudo-product laws
     _PP = _and(_flags("pseudo_bck", "has_pP"), _has("od"))
     add(Law("PP.le_both", "x*y <= x and x*y <= y", 2, _PP,
-            lambda a, od, one, x, y: a[od[x][y]][x] == one and a[od[x][y]][y] == one,
+            "a[od[x][y]][x] == one and a[od[x][y]][y] == one", uses_pair=False))
+    add(Law("PP.residual_le", "(x -> y)*x <= x,y and x*(x ~> y) <= x,y", 2, _PP,
+            "a[od[a[x][y]][x]][x] == one and a[od[a[x][y]][x]][y] == one"
+            " and a[od[x][s[x][y]]][x] == one and a[od[x][s[x][y]]][y] == one",
             uses_pair=False))
-    add(Law("PP.residual_le",
-            "(x -> y)*x <= x,y and x*(x ~> y) <= x,y", 2, _PP,
-            lambda a, s, od, one, x, y: a[od[a[x][y]][x]][x] == one
-            and a[od[a[x][y]][x]][y] == one
-            and a[od[x][s[x][y]]][x] == one
-            and a[od[x][s[x][y]]][y] == one, uses_pair=False))
     add(Law("PP.monotone", "x <= y implies x*z <= y*z and z*x <= z*y", 3, _PP,
-            lambda a, od, one, x, y, z: a[x][y] != one
-            or (a[od[x][z]][od[y][z]] == one and a[od[z][x]][od[z][y]] == one),
+            "a[x][y] != one or (a[od[x][z]][od[y][z]] == one and a[od[z][x]][od[z][y]] == one)",
             uses_pair=False))
-    add(Law("PP.curry", "x -> (y -> z) = x*y -> z and x ~> (y ~> z) = y*x ~> z",
-            3, _PP,
-            lambda a, s, od, x, y, z: a[x][a[y][z]] == a[od[x][y]][z]
-            and s[x][s[y][z]] == s[od[y][x]][z], uses_pair=False))
+    add(Law("PP.curry", "x -> (y -> z) = x*y -> z and x ~> (y ~> z) = y*x ~> z", 3, _PP,
+            "a[x][a[y][z]] == a[od[x][y]][z] and s[x][s[y][z]] == s[od[y][x]][z]",
+            uses_pair=False))
 
     # -------- monadic pair laws (any monadic pseudo BE-algebra)
-    add(Law("P3.exists_one", "E1 = 1", 0, _BE,
-            lambda c: (c.E[c.one] == c.one, None, 1)))
+    add(Law("P3.exists_one", "E1 = 1", 0, _BE, lambda c: (c.E[c.one] == c.one, None, 1)))
     add(Law("P3.forall_one_const", "F1 = 1", 0, _BE,
             lambda c: (c.F[c.one] == c.one, None, 1)))
     add(Law("P3.increasing_decreasing", "x <= Ex and Fx <= x", 1, _BE,
-            lambda a, E, F, one, x: a[x][E[x]] == one and a[F[x]][x] == one))
-    add(Law("P3.forall_exists", "FEx = Ex", 1, _BE,
-            lambda E, F, x: F[E[x]] == E[x]))
-    add(Law("P3.fixed_iff", "Fx = x iff Ex = x", 1, _BE,
-            lambda E, F, x: (F[x] == x) == (E[x] == x)))
-    add(Law("P3.exists_idem", "EEx = Ex", 1, _BE,
-            lambda E, x: E[E[x]] == E[x]))
-    add(Law("P3.forall_idem", "FFx = Fx", 1, _BE,
-            lambda F, x: F[F[x]] == F[x]))
+            "a[x][E[x]] == one and a[F[x]][x] == one"))
+    add(Law("P3.forall_exists", "FEx = Ex", 1, _BE, "F[E[x]] == E[x]"))
+    add(Law("P3.fixed_iff", "Fx = x iff Ex = x", 1, _BE, "(F[x] == x) == (E[x] == x)"))
+    add(Law("P3.exists_idem", "EEx = Ex", 1, _BE, "E[E[x]] == E[x]"))
+    add(Law("P3.forall_idem", "FFx = Fx", 1, _BE, "F[F[x]] == F[x]"))
     add(Law("P3.stable_exists", "F(Ex -> Ey) = Ex -> Ey (both arrows)", 2, _BE,
-            lambda a, s, E, F, x, y: F[a[E[x]][E[y]]] == a[E[x]][E[y]]
-            and F[s[E[x]][E[y]]] == s[E[x]][E[y]]))
+            "F[a[E[x]][E[y]]] == a[E[x]][E[y]] and F[s[E[x]][E[y]]] == s[E[x]][E[y]]"))
     add(Law("P3.leq_exists_iff", "x <= Ey iff Ex <= Ey", 2, _BE,
-            lambda a, E, one, x, y: (a[x][E[y]] == one) == (a[E[x]][E[y]] == one)))
+            "(a[x][E[y]] == one) == (a[E[x]][E[y]] == one)"))
     add(Law("P3.forall_leq_iff", "Fx <= y iff Fx <= Fy", 2, _BE,
-            lambda a, F, one, x, y: (a[F[x]][y] == one) == (a[F[x]][F[y]] == one)))
+            "(a[F[x]][y] == one) == (a[F[x]][F[y]] == one)"))
     add(Law("P3.forall_arrow", "F(Fx -> y) = Fx -> Fy (both arrows)", 2, _BE,
-            lambda a, s, F, x, y: F[a[F[x]][y]] == a[F[x]][F[y]]
-            and F[s[F[x]][y]] == s[F[x]][F[y]]))
+            "F[a[F[x]][y]] == a[F[x]][F[y]] and F[s[F[x]][y]] == s[F[x]][F[y]]"))
     add(Law("P3.forall_arrow_exists", "F(Fx -> Ey) = Fx -> Ey (both arrows)", 2, _BE,
-            lambda a, s, E, F, x, y: F[a[F[x]][E[y]]] == a[F[x]][E[y]]
-            and F[s[F[x]][E[y]]] == s[F[x]][E[y]]))
+            "F[a[F[x]][E[y]]] == a[F[x]][E[y]] and F[s[F[x]][E[y]]] == s[F[x]][E[y]]"))
     add(Law("P3.arrow_forall", "F(x -> Fy) = Ex -> Fy (both arrows)", 2, _BE,
-            lambda a, s, E, F, x, y: F[a[x][F[y]]] == a[E[x]][F[y]]
-            and F[s[x][F[y]]] == s[E[x]][F[y]]))
+            "F[a[x][F[y]]] == a[E[x]][F[y]] and F[s[x][F[y]]] == s[E[x]][F[y]]"))
     add(Law("P3.forall_forall", "F(Fx -> Fy) = Fx -> Fy (both arrows)", 2, _BE,
-            lambda a, s, F, x, y: F[a[F[x]][F[y]]] == a[F[x]][F[y]]
-            and F[s[F[x]][F[y]]] == s[F[x]][F[y]]))
+            "F[a[F[x]][F[y]]] == a[F[x]][F[y]] and F[s[F[x]][F[y]]] == s[F[x]][F[y]]"))
     add(Law("P3.exists_le_stable", "E(Ex -> Ey) <= Ex -> Ey (both arrows)", 2, _BE,
-            lambda a, s, E, one, x, y: a[E[a[E[x]][E[y]]]][a[E[x]][E[y]]] == one
-            and a[E[s[E[x]][E[y]]]][s[E[x]][E[y]]] == one))
-    add(Law("P3.forall_one", "Fx = 1 iff x = 1", 1, _BE,
-            lambda F, one, x: (F[x] == one) == (x == one)))
+            "a[E[a[E[x]][E[y]]]][a[E[x]][E[y]]] == one"
+            " and a[E[s[E[x]][E[y]]]][s[E[x]][E[y]]] == one"))
+    add(Law("P3.forall_one", "Fx = 1 iff x = 1", 1, _BE, "(F[x] == one) == (x == one)"))
+    isotone = "a[x][y] != one or (a[E[x]][E[y]] == one and a[F[x]][F[y]] == one)"
     add(Law("P3.isotone_T", "under (T): x <= y implies Ex <= Ey and Fx <= Fy",
-            2, _flags("pseudo_be", "condition_T"),
-            lambda a, E, F, one, x, y: a[x][y] != one
-            or (a[E[x]][E[y]] == one and a[F[x]][F[y]] == one)))
+            2, _flags("pseudo_be", "condition_T"), isotone))
     add(Law("P3.isotone_unconditional",
             "x <= y implies Ex <= Ey and Fx <= Fy (no (T) hypothesis; probe)",
-            2, _BE,
-            lambda a, E, F, one, x, y: a[x][y] != one
-            or (a[E[x]][E[y]] == one and a[F[x]][F[y]] == one), probe=True))
+            2, _BE, isotone, probe=True))
     add(Law("P3.residuated_T", "under (T): Ex <= y iff x <= Fy", 2,
-            _flags("pseudo_be", "condition_T"),
-            lambda a, E, F, one, x, y: (a[E[x]][y] == one) == (a[x][F[y]] == one)))
+            _flags("pseudo_be", "condition_T"), "(a[E[x]][y] == one) == (a[x][F[y]] == one)"))
 
     # -------- fixed-set laws
     add(Law("P3f.subalgebra", "the fixed set contains 1 and is closed under -> and ~>",
             0, _BE, _fixed_subalgebra))
     add(Law("P3f.images", "fixed set = Im(F) = Im(E)", 0, _BE, _fixed_images))
-    add(Law("P3f.full_iff_id", "fixed set = A iff E = F = Id", 0, _BE,
-            _fixed_full_iff_id))
+    add(Law("P3f.full_iff_id", "fixed set = A iff E = F = Id", 0, _BE, _fixed_full_iff_id))
     add(Law("P3f.kernel", "Ker(F) = {1}", 0, _BE, _kernel_trivial))
-    add(Law("P3f.surjective_id", "F surjective implies F = Id", 0, _BE,
-            _surjective_id))
+    add(Law("P3f.surjective_id", "F surjective implies F = Id", 0, _BE, _surjective_id))
 
     # -------- bounded monadic laws
     add(Law("P3b.zero_fixed", "E0 = 0 and F0 = 0", 0, _BND,
             lambda c: (c.E[c.zero] == c.zero and c.F[c.zero] == c.zero, None, 2)))
     add(Law("P3b.neg_exchange", "(Ex)- = F(x-) and (Ex)~ = F(x~)", 1, _BND,
-            lambda E, F, nm, ns, x: nm[E[x]] == F[nm[x]]
-            and ns[E[x]] == F[ns[x]]))
+            "nm[E[x]] == F[nm[x]] and ns[E[x]] == F[ns[x]]"))
     add(Law("P3b.forall_neg_stable", "F((Ex)-) = (Ex)- and F((Ex)~) = (Ex)~", 1, _BND,
-            lambda E, F, nm, ns, x: F[nm[E[x]]] == nm[E[x]]
-            and F[ns[E[x]]] == ns[E[x]]))
+            "F[nm[E[x]]] == nm[E[x]] and F[ns[E[x]]] == ns[E[x]]"))
     add(Law("P3b.forall_forall_neg", "F((Fx)-) = (Fx)- and F((Fx)~) = (Fx)~", 1, _BND,
-            lambda F, nm, ns, x: F[nm[F[x]]] == nm[F[x]]
-            and F[ns[F[x]]] == ns[F[x]]))
+            "F[nm[F[x]]] == nm[F[x]] and F[ns[F[x]]] == ns[F[x]]"))
     add(Law("P3b.exists_exists_neg", "E((Ex)-) = (Ex)- and E((Ex)~) = (Ex)~", 1, _BND,
-            lambda E, nm, ns, x: E[nm[E[x]]] == nm[E[x]]
-            and E[ns[E[x]]] == ns[E[x]]))
-    add(Law("P3b.exists_zero_iff", "Ex = 0 iff x = 0", 1, _BND,
-            lambda E, zero, x: (E[x] == zero) == (x == zero)))
+            "E[nm[E[x]]] == nm[E[x]] and E[ns[E[x]]] == ns[E[x]]"))
+    add(Law("P3b.exists_zero_iff", "Ex = 0 iff x = 0", 1, _BND, "(E[x] == zero) == (x == zero)"))
 
     # -------- involutive duality
-    add(Law("INV.dual_formulas",
-            "Ex = (F(x-))~ = (F(x~))- and Fx = (E(x-))~ = (E(x~))-", 1,
-            _flags("pseudo_be", "involutive"),
-            lambda E, F, nm, ns, x: E[x] == ns[F[nm[x]]] == nm[F[ns[x]]]
-            and F[x] == ns[E[nm[x]]] == nm[E[ns[x]]]))
+    add(Law("INV.dual_formulas", "Ex = (F(x-))~ = (F(x~))- and Fx = (E(x-))~ = (E(x~))-",
+            1, _flags("pseudo_be", "involutive"),
+            "E[x] == ns[F[nm[x]]] == nm[F[ns[x]]] and F[x] == ns[E[nm[x]]] == nm[E[ns[x]]]"))
 
     # -------- bounded commutative exchange laws
-    _BC = _and(_flags("pseudo_be", "bounded", "commutative"),
-               _has("od", "op", "meet", "join"))
+    _BC = _and(_flags("pseudo_be", "bounded", "commutative"), _has("od", "op", "meet", "join"))
     add(Law("L4.oplus_demorgan", "x (+) y = (y- * x-)~ = (y~ * x~)-", 2, _BC,
-            lambda nm, ns, od, op, x, y: op[x][y] == ns[od[nm[y]][nm[x]]]
-            == nm[od[ns[y]][ns[x]]], uses_pair=False))
+            "op[x][y] == ns[od[nm[y]][nm[x]]] == nm[od[ns[y]][ns[x]]]", uses_pair=False))
     add(Law("P4.meet_join_equiv",
             "F(x^y) = Fx^Fy (all x,y) iff E(xvy) = Ex v Ey (all x,y)", 0, _BC,
-            _iff_pointwise(
-                lambda F, meet, x, y: F[meet[x][y]] == meet[F[x]][F[y]],
-                lambda E, join, x, y: E[join[x][y]] == join[E[x]][E[y]])))
+            _iff_pointwise("F[meet[x][y]] == meet[F[x]][F[y]]",
+                           "E[join[x][y]] == join[E[x]][E[y]]")))
     add(Law("P4.odot_oplus_equiv",
             "F(x*y) = Fx*Fy (all x,y) iff E(x(+)y) = Ex(+)Ey (all x,y)", 0, _BC,
-            _iff_pointwise(
-                lambda F, od, x, y: F[od[x][y]] == od[F[x]][F[y]],
-                lambda E, op, x, y: E[op[x][y]] == op[E[x]][E[y]])))
+            _iff_pointwise("F[od[x][y]] == od[F[x]][F[y]]", "E[op[x][y]] == op[E[x]][E[y]]")))
     add(Law("P4.oplus_odot_equiv",
             "F(x(+)y) = Fx(+)Fy (all x,y) iff E(x*y) = Ex*Ey (all x,y)", 0, _BC,
-            _iff_pointwise(
-                lambda F, op, x, y: F[op[x][y]] == op[F[x]][F[y]],
-                lambda E, od, x, y: E[od[x][y]] == od[E[x]][E[y]])))
+            _iff_pointwise("F[op[x][y]] == op[F[x]][F[y]]", "E[od[x][y]] == od[E[x]][E[y]]")))
 
     # -------- monadic pseudo BCK laws
     add(Law("P5.forall_arrow_compat",
             "F(x -> y) ~> (Fx -> Fy) = 1 and F(x ~> y) -> (Fx ~> Fy) = 1", 2, _BCK,
-            lambda a, s, F, one, x, y: s[F[a[x][y]]][a[F[x]][F[y]]] == one
-            and a[F[s[x][y]]][s[F[x]][F[y]]] == one))
+            "s[F[a[x][y]]][a[F[x]][F[y]]] == one and a[F[s[x][y]]][s[F[x]][F[y]]] == one"))
     add(Law("P5.forall_to_exists",
             "F(x -> y) ~> (Ex -> Ey) = 1 and F(x ~> y) -> (Ex ~> Ey) = 1", 2, _BCK,
-            lambda a, s, E, F, one, x, y: s[F[a[x][y]]][a[E[x]][E[y]]] == one
-            and a[F[s[x][y]]][s[E[x]][E[y]]] == one))
+            "s[F[a[x][y]]][a[E[x]][E[y]]] == one and a[F[s[x][y]]][s[E[x]][E[y]]] == one"))
     add(Law("P5.exists_stable", "E(Ex -> Ey) = Ex -> Ey (both arrows)", 2, _BCK,
-            lambda a, s, E, x, y: E[a[E[x]][E[y]]] == a[E[x]][E[y]]
-            and E[s[E[x]][E[y]]] == s[E[x]][E[y]]))
+            "E[a[E[x]][E[y]]] == a[E[x]][E[y]] and E[s[E[x]][E[y]]] == s[E[x]][E[y]]"))
     add(Law("P5.forall_image_stable",
-            "E(Fx -> Fy) = Fx -> Fy and F(Fx -> Fy) = Fx -> Fy (both arrows)", 2,
-            _BCK,
-            lambda a, s, E, F, x, y: E[a[F[x]][F[y]]] == a[F[x]][F[y]]
-            and E[s[F[x]][F[y]]] == s[F[x]][F[y]]
-            and F[a[F[x]][F[y]]] == a[F[x]][F[y]]
-            and F[s[F[x]][F[y]]] == s[F[x]][F[y]]))
+            "E(Fx -> Fy) = Fx -> Fy and F(Fx -> Fy) = Fx -> Fy (both arrows)", 2, _BCK,
+            "E[a[F[x]][F[y]]] == a[F[x]][F[y]] and E[s[F[x]][F[y]]] == s[F[x]][F[y]]"
+            " and F[a[F[x]][F[y]]] == a[F[x]][F[y]] and F[s[F[x]][F[y]]] == s[F[x]][F[y]]"))
 
     # -------- semilattice laws
     _MEET = _and(_flags("pseudo_bck", "meet_semilattice"), _has("meet"))
     _JOIN = _and(_flags("pseudo_bck", "join_semilattice"), _has("join"))
-    add(Law("P5.meet_forall", "F(x^y) = Fx ^ Fy", 2, _MEET,
-            lambda F, meet, x, y: F[meet[x][y]] == meet[F[x]][F[y]]))
+    add(Law("P5.meet_forall", "F(x^y) = Fx ^ Fy", 2, _MEET, "F[meet[x][y]] == meet[F[x]][F[y]]"))
     add(Law("P5.meet_exists_le", "E(x^y) <= Ex ^ Ey", 2, _MEET,
-            lambda a, E, meet, one, x, y: a[E[meet[x][y]]][meet[E[x]][E[y]]] == one))
+            "a[E[meet[x][y]]][meet[E[x]][E[y]]] == one"))
     add(Law("P5.meet_mixed_le", "F(x^y) <= Ex ^ Ey", 2, _MEET,
-            lambda a, E, F, meet, one, x, y: a[F[meet[x][y]]][meet[E[x]][E[y]]] == one))
+            "a[F[meet[x][y]]][meet[E[x]][E[y]]] == one"))
     add(Law("P5.meet_stable", "E(Ex^Ey) = Ex^Ey and F(Ex^Ey) = Ex^Ey", 2, _MEET,
-            lambda E, F, meet, x, y: E[meet[E[x]][E[y]]] == meet[E[x]][E[y]]
-            and F[meet[E[x]][E[y]]] == meet[E[x]][E[y]]))
-    add(Law("P5.join_exists", "E(xvy) = Ex v Ey", 2, _JOIN,
-            lambda E, join, x, y: E[join[x][y]] == join[E[x]][E[y]]))
+            "E[meet[E[x]][E[y]]] == meet[E[x]][E[y]] and F[meet[E[x]][E[y]]] == meet[E[x]][E[y]]"))
+    add(Law("P5.join_exists", "E(xvy) = Ex v Ey", 2, _JOIN, "E[join[x][y]] == join[E[x]][E[y]]"))
     add(Law("P5.join_stable", "F(ExvEy) = ExvEy and E(ExvEy) = ExvEy", 2, _JOIN,
-            lambda E, F, join, x, y: F[join[E[x]][E[y]]] == join[E[x]][E[y]]
-            and E[join[E[x]][E[y]]] == join[E[x]][E[y]]))
+            "F[join[E[x]][E[y]]] == join[E[x]][E[y]] and E[join[E[x]][E[y]]] == join[E[x]][E[y]]"))
     add(Law("P5.join_mixed_le", "Fx v Ey <= F(x v Ey)", 2, _JOIN,
-            lambda a, E, F, join, one, x, y:
-            a[join[F[x]][E[y]]][F[join[x][E[y]]]] == one))
+            "a[join[F[x]][E[y]]][F[join[x][E[y]]]] == one"))
 
     # -------- monadic pseudo-product laws
     add(Law("P5.pp_exists_stable", "E(Ex*Ey) = Ex*Ey", 2, _PP,
-            lambda E, od, x, y: E[od[E[x]][E[y]]] == od[E[x]][E[y]]))
-    add(Law("P5.pp_exists_le", "E(x*y) <= Ex*Ey", 2, _PP,
-            lambda a, E, od, one, x, y: a[E[od[x][y]]][od[E[x]][E[y]]] == one))
+            "E[od[E[x]][E[y]]] == od[E[x]][E[y]]"))
+    add(Law("P5.pp_exists_le", "E(x*y) <= Ex*Ey", 2, _PP, "a[E[od[x][y]]][od[E[x]][E[y]]] == one"))
     add(Law("P5.pp_forall_stable", "F(Fx*Fy) = Fx*Fy", 2, _PP,
-            lambda F, od, x, y: F[od[F[x]][F[y]]] == od[F[x]][F[y]]))
+            "F[od[F[x]][F[y]]] == od[F[x]][F[y]]"))
     add(Law("P5.pp_forall_le", "Fx*Fy <= F(x*y) and Fx*Fy <= E(x*y)", 2, _PP,
-            lambda a, E, F, od, one, x, y: a[od[F[x]][F[y]]][F[od[x][y]]] == one
-            and a[od[F[x]][F[y]]][E[od[x][y]]] == one))
+            "a[od[F[x]][F[y]]][F[od[x][y]]] == one and a[od[F[x]][F[y]]][E[od[x][y]]] == one"))
     add(Law("P5.pp_transfer", "E(Ex*y) = Ex*Ey = E(x*Ey)", 2, _PP,
-            lambda E, od, x, y: E[od[E[x]][y]] == od[E[x]][E[y]]
-            == E[od[x][E[y]]]))
+            "E[od[E[x]][y]] == od[E[x]][E[y]] == E[od[x][E[y]]]"))
     add(Law("P5.pp_mixed", "E(x*Fy) = Ex*Fy and E(Fx*y) = Fx*Ey", 2, _PP,
-            lambda E, F, od, x, y: E[od[x][F[y]]] == od[E[x]][F[y]]
-            and E[od[F[x]][y]] == od[F[x]][E[y]]))
+            "E[od[x][F[y]]] == od[E[x]][F[y]] and E[od[F[x]][y]] == od[F[x]][E[y]]"))
 
     # -------- bounded commutative BCK oplus laws
     _BCBCK = _and(_flags("pseudo_bck", "bounded", "commutative"), _has("op"))
     add(Law("P5.oplus_stable", "F(Fx(+)Fy) = Fx(+)Fy", 2, _BCBCK,
-            lambda F, op, x, y: F[op[F[x]][F[y]]] == op[F[x]][F[y]]))
+            "F[op[F[x]][F[y]]] == op[F[x]][F[y]]"))
     add(Law("P5.oplus_le", "Fx(+)Fy <= F(x(+)y)", 2, _BCBCK,
-            lambda a, F, op, one, x, y: a[op[F[x]][F[y]]][F[op[x][y]]] == one))
+            "a[op[F[x]][F[y]]][F[op[x][y]]] == one"))
 
     # -------- monadic pseudo-hoop law
     add(Law("P5.hoop_meet", "F(x -> y)*x <= Ex ^ Ey and x*F(x ~> y) <= Ex ^ Ey", 2,
             _and(_flags("pseudo_hoop", "meet_semilattice"), _has("od", "meet")),
-            lambda a, s, E, F, od, meet, one, x, y:
-            a[od[F[a[x][y]]][x]][meet[E[x]][E[y]]] == one
-            and a[od[x][F[s[x][y]]]][meet[E[x]][E[y]]] == one))
+            "a[od[F[a[x][y]]][x]][meet[E[x]][E[y]]] == one"
+            " and a[od[x][F[s[x][y]]]][meet[E[x]][E[y]]] == one"))
 
     # -------- congruence / deductive-system laws
     add(Law("L6.arrow_iff_squig_one_class",
             "for every congruence: x -> y in [1] iff x ~> y in [1]", 0, _BE,
-            _global_over_congruences(_l6_iff), uses_pair=False))
+            _each_congruence("(a[x][y] in one_cls) == (s[x][y] in one_cls)"), uses_pair=False))
     add(Law("L6.class_implications",
             "(x,y) related implies x -> y, y -> x, x ~> y, y ~> x in [1]", 0, _BE,
-            _global_over_congruences(_l6_class_implications), uses_pair=False))
+            _each_congruence("cls[x] != cls[y] or {a[x][y], a[y][x], s[x][y], s[y][x]}"
+                             " <= one_cls"), uses_pair=False))
     add(Law("L6.commutative_converse",
             "commutative: x -> y, y -> x in [1] implies (x,y) related", 0,
             _flags("pseudo_be", "commutative"),
-            _global_over_congruences(_l6_commutative_converse), uses_pair=False))
+            _each_congruence("not (a[x][y] in one_cls and a[y][x] in one_cls)"
+                             " or cls[x] == cls[y]"), uses_pair=False))
     add(Law("P6.ds_upward", "D a deductive system, x in D, x <= y imply y in D",
             0, _BE, _p6_ds_upward, uses_pair=False))
     add(Law("P6.distributive_normal", "distributive: every deductive system is normal",
@@ -557,18 +499,15 @@ def catalog() -> tuple[Law, ...]:
             _flags("pseudo_be", "condition_M"), _p6_monadic_ds_generated))
     add(Law("P6.monadic_con_one_class",
             "monadic congruence: [1] is a monadic deductive system", 0, _BE,
-            _global_over_congruences(_p6_cong_one_class_mds)))
+            _over_congruences(_p6_cong_one_class_mds)))
     add(Law("P6.commutative_exists_cong",
             "commutative: monadic congruence relates Ex and Ey when it relates x,y",
-            0, _flags("pseudo_be", "commutative"),
-            _global_over_congruences(_p6_cong_exists)))
+            0, _flags("pseudo_be", "commutative"), _over_congruences(_p6_cong_exists)))
 
     # -------- axiom probes for the search module
-    add(Law("AX.refl", "x <= x", 1, _BE, lambda a, one, x: a[x][x] == one,
-            uses_pair=False))
+    add(Law("AX.refl", "x <= x", 1, _BE, "a[x][x] == one", uses_pair=False))
     add(Law("AX.psbck6_antisym", "x <= y and y <= x imply x = y (probe)", 2, _BE,
-            lambda a, one, x, y: not (a[x][y] == one and a[y][x] == one) or x == y,
-            uses_pair=False, probe=True))
+            "not (a[x][y] == one and a[y][x] == one) or x == y", uses_pair=False, probe=True))
 
     if len({law.id for law in L}) != len(L):
         raise InvariantViolated("law ids must be unique")
@@ -596,8 +535,7 @@ def evaluate_law(law: Law, ctx: Ctx) -> LawVerdict:
     if law.arity == 0:
         ok, witness, instances = law.check(ctx)
         return LawVerdict(law.id, pair_name, HOLDS if ok else FAILS, witness, instances)
-    pred = partial(law.check, *tables_of(ctx, law.arity, law.check))
-    hit = first_failure(ctx.n, law.arity, [(law.id, pred)])
+    hit = first_failure(ctx.n, law.arity, ((law.id, law.check),), ctx)
     if hit is None:
         return LawVerdict(law.id, pair_name, HOLDS, None, ctx.n ** law.arity)
     return LawVerdict(law.id, pair_name, FAILS, hit[1], hit[2])

@@ -9,6 +9,7 @@ pair from a single interior-like or closure-like map.
 from __future__ import annotations
 
 from itertools import combinations
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap
@@ -48,29 +49,28 @@ def _mode_tables(alg: FiniteAlgebra, mode: str):
     return report.odot, report.oplus if mode == BOUNDED_COMMUTATIVE else None
 
 
+_M1_M5 = (
+    (1, (("M1(arrow)", "a[x][E[x]] == one"), ("M1(squig)", "s[x][E[x]] == one"))),
+    (1, (("M2(arrow)", "a[F[x]][x] == one"), ("M2(squig)", "s[F[x]][x] == one"))),
+    (2, (("M3(arrow)", "F[a[x][E[y]]] == a[E[x]][E[y]]"),
+         ("M3(squig)", "F[s[x][E[y]]] == s[E[x]][E[y]]"))),
+    (2, (("M4(arrow)", "F[a[E[x]][y]] == a[E[x]][F[y]]"),
+         ("M4(squig)", "F[s[E[x]][y]] == s[E[x]][F[y]]"))),
+    (1, (("M5", "E[F[x]] == F[x]"),)),
+)
+_M6 = (1, (("M6", "F[od[x][x]] == od[F[x]][F[x]]"),))
+_M7 = (1, (("M7", "F[op[x][x]] == op[F[x]][F[x]]"),))
+
+
 def check_monadic(alg: FiniteAlgebra, pair: MonadicPair, mode: str = PLAIN) -> Verdict:
     """M1-M5 (plus M6/M7 per mode), axiom after axiom over all elements
     or element pairs: the first failing instance, such as M3(squig) with
     its witness, or Verdict("monadic", HOLDS)."""
     od, op = _mode_tables(alg, mode)
-    one, arr, sq = alg.one, alg.arrow, alg.squig
-    E, F = pair.exists.images, pair.forall.images
-    checks = [
-        (1, [("M1(arrow)", lambda x: arr[x][E[x]] == one),
-             ("M1(squig)", lambda x: sq[x][E[x]] == one)]),
-        (1, [("M2(arrow)", lambda x: arr[F[x]][x] == one),
-             ("M2(squig)", lambda x: sq[F[x]][x] == one)]),
-        (2, [("M3(arrow)", lambda x, y: F[arr[x][E[y]]] == arr[E[x]][E[y]]),
-             ("M3(squig)", lambda x, y: F[sq[x][E[y]]] == sq[E[x]][E[y]])]),
-        (2, [("M4(arrow)", lambda x, y: F[arr[E[x]][y]] == arr[E[x]][F[y]]),
-             ("M4(squig)", lambda x, y: F[sq[E[x]][y]] == sq[E[x]][F[y]])]),
-        (1, [("M5", lambda x: E[F[x]] == F[x])]),
-    ]
-    if od is not None:
-        checks.append((1, [("M6", lambda x: F[od[x][x]] == od[F[x]][F[x]])]))
-    if op is not None:
-        checks.append((1, [("M7", lambda x: F[op[x][x]] == op[F[x]][F[x]])]))
-    return Verdict.of(first_failure_of(alg.size, checks), "monadic")
+    tables = SimpleNamespace(a=alg.arrow, s=alg.squig, one=alg.one, od=od, op=op,
+                             E=pair.exists.images, F=pair.forall.images)
+    groups = _M1_M5 + ((_M6,) if od is not None else ()) + ((_M7,) if op is not None else ())
+    return Verdict.of(first_failure_of(alg.size, groups, tables), "monadic")
 
 
 def is_monadic(alg: FiniteAlgebra, pair: MonadicPair, mode: str = PLAIN) -> bool:
@@ -178,6 +178,20 @@ def build_from_sigma(alg: FiniteAlgebra, sigma: UnaryMap) -> MonadicPair:
     return _build(alg, sigma, from_forall=False)
 
 
+# _build's conditions over f (tau or sigma), its table t and the negations p, q
+_U1 = (1, ((1, "a[f[x]][x] == one"),))
+_E1 = (1, ((1, "a[x][f[x]] == one"),))
+_UE2_UE5 = (
+    (1, ((2, "ns[f[nm[x]]] == nm[f[ns[x]]]"),)),
+    (2, ((3, "f[t[x][p[f[y]]]] == t[f[x]][p[f[y]]]"),
+         (3, "f[t[q[f[x]]][y]] == t[q[f[x]]][f[y]]"))),
+    (2, ((4, "f[t[x][f[y]]] == f[t[f[x]][y]] == t[f[x]][f[y]]"),)),
+    (1, ((5, "f[ns[t[nm[x]][nm[x]]]] == ns[t[nm[f[x]]][nm[f[x]]]]"),
+         (5, "f[nm[t[ns[x]][ns[x]]]] == nm[t[ns[f[x]]][ns[f[x]]]]"))),
+)
+_UE6 = (1, ((6, "f[t[x][x]] == t[f[x]][f[x]]"),))
+
+
 def _build(alg, m, from_forall: bool) -> MonadicPair:
     # U1-U6 (tau, over the oplus table) and E1-E6 (sigma, over the
     # pseudo-product) differ in condition 1 (tau decreasing, sigma
@@ -192,26 +206,16 @@ def _build(alg, m, from_forall: bool) -> MonadicPair:
     if t is None:
         raise PreconditionUnmet(f"{what} needs the "
                                 + ("oplus table" if from_forall else "pseudo-product table"))
-    n, one, arr = alg.size, alg.one, alg.arrow
-    f, nm, ns = m.images, report.neg_minus, report.neg_sim
+    n, f, nm, ns = alg.size, m.images, report.neg_minus, report.neg_sim
     p, q = (nm, ns) if from_forall else (ns, nm)
-
-    checks = [
-        (1, [(1, lambda x: (arr[f[x]][x] if from_forall else arr[x][f[x]]) == one)]),
-        (1, [(2, lambda x: ns[f[nm[x]]] == nm[f[ns[x]]])]),
-        (2, [(3, lambda x, y: f[t[x][p[f[y]]]] == t[f[x]][p[f[y]]]),
-             (3, lambda x, y: f[t[q[f[x]]][y]] == t[q[f[x]]][f[y]])]),
-        (2, [(4, lambda x, y: f[t[x][f[y]]] == f[t[f[x]][y]] == t[f[x]][f[y]])]),
-        (1, [(5, lambda x: f[ns[t[nm[x]][nm[x]]]] == ns[t[nm[f[x]]][nm[f[x]]]]),
-             (5, lambda x: f[nm[t[ns[x]][ns[x]]]] == nm[t[ns[f[x]]][ns[f[x]]]])]),
-    ]
+    tables = SimpleNamespace(a=alg.arrow, one=alg.one, f=f, t=t, nm=nm, ns=ns, p=p, q=q)
     # U6 is exactly M7 (E6 mirrors it), which belongs to the commutative
     # theory; on a non-commutative (e.g. merely involutive) algebra it can
     # fail even for maps the construction is meant for, so it is only
     # enforced when the algebra is commutative.
-    if report.holds("commutative"):
-        checks.append((1, [(6, lambda x: f[t[x][x]] == t[f[x]][f[x]])]))
-    hit = first_failure_of(n, checks)
+    groups = ((_U1 if from_forall else _E1),) + _UE2_UE5 + (
+        (_UE6,) if report.holds("commutative") else ())
+    hit = first_failure_of(n, groups, tables)
     if hit is not None:
         raise PreconditionUnmet(f"condition {'U' if from_forall else 'E'}{hit[0]} fails "
                                 f"at {hit[1]}", hit[1])
@@ -294,31 +298,31 @@ def compose_pairs(alg: FiniteAlgebra, p1: MonadicPair, p2: MonadicPair) -> Compo
     return CompositionResult(pair, commute, forall_le, exists_le)
 
 
+# the two kinds differ in MV1 (f decreasing vs increasing) and MV2 (f
+# preserves meets vs joins: lat is the meet or the join table)
+_MV = {kind: (
+    (1, ((tag + "1", mv1),)),
+    (2, ((tag + "2", "f[lat[x][y]] == lat[f[x]][f[y]]"),)),
+    (1, ((tag + "3", "f[nm[f[x]]] == nm[f[x]] and f[ns[f[x]]] == ns[f[x]]"),)),
+    (2, ((tag + "4", "f[od[f[x]][f[y]]] == od[f[x]][f[y]]"),)),
+    (1, ((tag + "5", "f[od[x][x]] == od[f[x]][f[x]]"),)),
+    (1, ((tag + "6", "f[op[x][x]] == op[f[x]][f[x]]"),)),
+) for kind, tag, mv1 in (("universal", "MVU", "a[f[x]][x] == one"),
+                         ("existential", "MVE", "a[x][f[x]] == one"))}
+
+
 def check_mv_quantifier(alg: FiniteAlgebra, m: UnaryMap, kind: str) -> Verdict:
     """MVU1-MVU6 (kind='universal') or MVE1-MVE6 (kind='existential')
     on the multi-valued structure of a bounded commutative algebra."""
     report, _ = classify(alg)
     if not (report.holds("bounded") and report.holds("commutative")):
         raise PreconditionUnmet("MV quantifier axioms need a bounded commutative algebra")
-    f, arr, one = m.images, alg.arrow, alg.one
-    nm, ns, od, op = report.neg_minus, report.neg_sim, report.odot, report.oplus
-    # the two kinds differ in MV1 (f decreasing vs increasing) and MV2
-    # (f preserves meets vs joins)
-    if kind == "universal":
-        tag, lat, mv1 = "MVU", report.meet, lambda x: arr[f[x]][x] == one
-    elif kind == "existential":
-        tag, lat, mv1 = "MVE", report.join, lambda x: arr[x][f[x]] == one
-    else:
+    if kind not in ("universal", "existential"):
         raise PreconditionUnmet("kind must be 'universal' or 'existential'")
-    checks = [
-        (1, [(tag + "1", mv1)]),
-        (2, [(tag + "2", lambda x, y: f[lat[x][y]] == lat[f[x]][f[y]])]),
-        (1, [(tag + "3", lambda x: f[nm[f[x]]] == nm[f[x]] and f[ns[f[x]]] == ns[f[x]])]),
-        (2, [(tag + "4", lambda x, y: f[od[f[x]][f[y]]] == od[f[x]][f[y]])]),
-        (1, [(tag + "5", lambda x: f[od[x][x]] == od[f[x]][f[x]])]),
-        (1, [(tag + "6", lambda x: f[op[x][x]] == op[f[x]][f[x]])]),
-    ]
-    return Verdict.of(first_failure_of(alg.size, checks), f"mv_{kind}")
+    tables = SimpleNamespace(a=alg.arrow, one=alg.one, f=m.images, nm=report.neg_minus,
+                             ns=report.neg_sim, od=report.odot, op=report.oplus,
+                             lat=report.meet if kind == "universal" else report.join)
+    return Verdict.of(first_failure_of(alg.size, _MV[kind], tables), f"mv_{kind}")
 
 
 def declared_pairs(alg: FiniteAlgebra) -> list[tuple[str, MonadicPair]]:

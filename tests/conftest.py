@@ -1,3 +1,4 @@
+from functools import cache
 from itertools import combinations, product
 from pathlib import Path
 
@@ -5,9 +6,8 @@ import pytest
 
 import psbe
 from psbe.algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap, load_algebra
-from psbe.classify import (Verdict, _check_pseudo_mv,
-                           check_pseudo_be, check_pseudo_bck, classify,
-                           first_failure, first_failure_of, pseudo_product_table)
+from psbe.classify import (Verdict, check_pseudo_be, check_pseudo_bck, classify,
+                           pseudo_product_table)
 from psbe.deduction import (DeductiveSystem, _closures_disagree, _is_normal,
                             generated_ds)
 from psbe.laws import (SearchResult, _is_canonical, _law_counterexample,
@@ -146,6 +146,55 @@ def search_outcome(search, spec):
     return found, result.visited_by_size, result.exhausted
 
 
+# ------------------------------------------------ the plain scanner
+# first_failure's reference: one predicate call per tuple of
+# itertools.product, with no generated code.
+
+def plain_first_failure(n, arity, preds):
+    """First failing (name, tuple, instances) over range(n)**arity, or
+    None: each (name, predicate) of preds called on each tuple in turn."""
+    for count, tup in enumerate(product(range(n), repeat=arity), 1):
+        for name, pred in preds:
+            if not pred(*tup):
+                return name, tup, count
+    return None
+
+
+def plain_first_failure_of(n, groups):
+    for arity, preds in groups:
+        hit = plain_first_failure(n, arity, preds)
+        if hit is not None:
+            return hit
+    return None
+
+
+@cache
+def _predicate_code(arity, expr):
+    """The code of `lambda x, ...: expr` and the tables expr names."""
+    tables = set(compile(expr, "<check>", "eval").co_names) - {"len", "x", "y", "z"}
+    return compile(f"lambda {', '.join('xyz'[:arity])}: {expr}", "<check>", "eval"), tables
+
+
+def predicate(arity, expr, source):
+    """expr as a function of the elements, its tables read off source."""
+    code, tables = _predicate_code(arity, expr)
+    return eval(code, {t: getattr(source, t) for t in tables})
+
+
+def reference_first_failure(n, arity, checks, source):
+    """first_failure by the plain scanner, each expression a predicate."""
+    return plain_first_failure(n, arity, [(name, predicate(arity, expr, source))
+                                          for name, expr in checks])
+
+
+def reference_first_failure_of(n, groups, source):
+    for arity, checks in groups:
+        hit = reference_first_failure(n, arity, checks, source)
+        if hit is not None:
+            return hit
+    return None
+
+
 # ------------------------------------------------ the eager classification
 # classify's reference: every flag and derived table computed in one pass,
 # in the order the flags depend on each other.
@@ -168,7 +217,7 @@ def eager_classify(alg):
     leq = tuple(tuple(arr[x][y] == one for y in rng) for x in rng)
 
     def axiom(name, arity, pred):
-        flags[name] = Verdict.of(first_failure(n, arity, [(name, pred)]), name)
+        flags[name] = Verdict.of(plain_first_failure(n, arity, [(name, pred)]), name)
 
     axiom("condition_A", 3, lambda x, y, z:
           not leq[x][y] or (leq[arr[y][z]][arr[x][z]] and leq[sq[y][z]][sq[x][z]]))
@@ -215,7 +264,7 @@ def eager_classify(alg):
         flags["involutive"] = Verdict.na("involutive")
 
     # order structure
-    antisym = first_failure(n, 2, [("antisymmetric", lambda x, y:
+    antisym = plain_first_failure(n, 2, [("antisymmetric", lambda x, y:
                                     not (leq[x][y] and leq[y][x]) or x == y)])
     if antisym is None and flags["condition_T"]:
         flags["poset"] = Verdict.holds("poset")
@@ -257,7 +306,7 @@ def eager_classify(alg):
     # pseudo-hoop: psH1-psH5 with the computed product
     if odot is not None:
         od = odot
-        psh = first_failure_of(n, [
+        psh = plain_first_failure_of(n, [
             (1, [("psH1", lambda x: od[x][one] == x and od[one][x] == x)]),
             (3, [("psH3", lambda x, y, z: arr[od[x][y]][z] == arr[x][arr[y][z]])]),
             (3, [("psH4", lambda x, y, z: sq[od[x][y]][z] == sq[y][sq[x][z]])]),
@@ -273,7 +322,7 @@ def eager_classify(alg):
 
     # pseudo MV structure of a bounded commutative algebra
     if zero is not None and flags["commutative"] and oplus is not None and odot is not None:
-        flags["pseudo_mv"] = _check_pseudo_mv(alg, oplus, odot, neg_minus, neg_sim, zero)
+        flags["pseudo_mv"] = eager_pseudo_mv(alg, oplus, odot, neg_minus, neg_sim, zero)
     else:
         flags["pseudo_mv"] = Verdict.na("pseudo_mv")
 
@@ -281,6 +330,22 @@ def eager_classify(alg):
                   odot=odot, oplus=oplus, cup1=cup1, cup2=cup2,
                   meet=meet, join=join)
     return flags, tables
+
+
+def eager_pseudo_mv(alg, oplus, odot, nm, ns, zero):
+    """psMV1-psMV8 on ((+), (.), -, ~, 0, 1), by the plain scanner."""
+    one = alg.one
+    return Verdict.of(plain_first_failure_of(alg.size, [
+        (3, [("psMV1", lambda x, y, z: oplus[x][oplus[y][z]] == oplus[oplus[x][y]][z])]),
+        (1, [("psMV2", lambda x: oplus[x][zero] == x and oplus[zero][x] == x),
+             ("psMV3", lambda x: oplus[x][one] == one and oplus[one][x] == one)]),
+        (0, [("psMV4", lambda: nm[one] == zero and ns[one] == zero)]),
+        (2, [("psMV5", lambda x, y: ns[oplus[nm[x]][nm[y]]] == nm[oplus[ns[x]][ns[y]]]),
+             ("psMV6", lambda x, y: len({oplus[x][odot[ns[x]][y]], oplus[y][odot[ns[y]][x]],
+                                         oplus[odot[x][nm[y]]][y], oplus[odot[y][nm[x]]][x]}) == 1),
+             ("psMV7", lambda x, y: odot[x][oplus[nm[x]][y]] == odot[oplus[x][ns[y]]][y])]),
+        (1, [("psMV8", lambda x: ns[nm[x]] == x)]),
+    ]), "pseudo_mv")
 
 
 def _eager_bound_table(leq, n: int, lower: bool):

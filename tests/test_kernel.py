@@ -1,0 +1,211 @@
+"""The compiled scan kernel, `classify.first_failure`, against the plain
+scanner of conftest, and its whitelist.
+
+The reference scanner makes each check expression a predicate and calls
+it once per tuple of `itertools.product`; it shares nothing with the
+kernel but the expression text.  With it patched in wherever the package
+binds the kernel, every law, flag and monadic check must give the same
+status, witness and instance count.
+"""
+
+import importlib
+import os
+import subprocess
+import sys
+from itertools import product
+from pathlib import Path
+
+import pytest
+
+from psbe.algebra import UnaryMap
+from psbe.classify import InvariantViolated, classify, first_failure, first_failure_of
+from psbe.deduction import enumerate_ds, generated_ds
+from psbe.laws import Ctx, LawVerdict, _least_ds, _models, catalog, evaluate_law
+from psbe.quantifiers import (MonadicPair, check_monadic, declared_pairs, enumerate_mop,
+                              fixed_set)
+
+from conftest import (FIXTURE_NAMES, load, model_algebra, reference_first_failure,
+                      reference_first_failure_of, times_c2)
+from test_law_pin import with_least_zero
+from test_quantifiers import MODES, times_c2_pair
+
+classify_module = importlib.import_module("psbe.classify")
+KERNEL = {first_failure: reference_first_failure, first_failure_of: reference_first_failure_of}
+
+
+def reference_scanner(monkeypatch):
+    """Rebind every binding of the kernel in the package to the reference."""
+    for name, module in list(sys.modules.items()):
+        if name == "psbe" or name.startswith("psbe."):
+            for attr, value in list(vars(module).items()):
+                for kernel, reference in KERNEL.items():
+                    if value is kernel:
+                        monkeypatch.setattr(module, attr, reference)
+
+
+def both(monkeypatch, run):
+    """run() by the kernel, then by the reference scanner."""
+    kernel = run()
+    with monkeypatch.context() as patch:
+        reference_scanner(patch)
+        reference = run()
+    return kernel, reference
+
+
+def outcome(run, *args):
+    try:
+        return run(*args)
+    except Exception as exc:        # e.g. a law reading an undefined table
+        return "raised", type(exc).__name__, str(exc)
+
+
+def law_outcomes(alg, pairs):
+    """Every law of the catalog, probes included, on a fresh copy of alg:
+    once without a pair and once per pair for the laws that read one."""
+    alg = alg._replace()
+    base = Ctx(alg)
+    ctxs = [base.with_pair(pair) for pair in pairs]
+    return [[outcome(evaluate_law, law, ctx) for ctx in (ctxs if law.uses_pair else [base])]
+            for law in catalog()]
+
+
+# every labelled pseudo BE-algebra with n <= 3 (1 = element 0); SMALL adds the fixtures
+MODELS = [model_algebra(n, arrow, squig) for n in (1, 2, 3) for _, arrow, squig in _models(n)]
+SMALL = [*(pytest.param(load(name), id=name) for name in FIXTURE_NAMES),
+         *(pytest.param(alg, id=f"m{alg.size}-{i}") for i, alg in enumerate(MODELS))]
+SUITE_INPUTS = [
+    *(pytest.param(load(name), "declared and mop", id=name) for name in FIXTURE_NAMES),
+    *(pytest.param(with_least_zero(times_c2(load(name))), name, id=f"{name}xC2")
+      for name in ("bc4", "psbe4")),
+    *(pytest.param(alg, "mop", id=f"m{alg.size}-{i}") for i, alg in enumerate(MODELS)),
+]
+
+
+def suite_pairs(alg, which):
+    if which == "mop":
+        return enumerate_mop(alg)
+    if which == "declared and mop":
+        return [pair for _, pair in declared_pairs(alg)] + enumerate_mop(alg)
+    return [times_c2_pair(pair) for pair in enumerate_mop(load(which))]
+
+
+@pytest.mark.parametrize("alg, which", SUITE_INPUTS)
+def test_every_law_matches_the_plain_scanner(alg, which, monkeypatch):
+    pairs = suite_pairs(alg, which)
+    kernel, reference = both(monkeypatch, lambda: law_outcomes(alg, pairs))
+    assert kernel == reference
+
+
+@pytest.mark.parametrize("alg", SMALL)
+def test_every_flag_matches_the_plain_scanner(alg, monkeypatch):
+    kernel, reference = both(monkeypatch, lambda: outcome(
+        lambda: classify(alg._replace())[0].to_json()))
+    assert kernel == reference
+
+
+def monadic_outcomes(alg):
+    """check_monadic of every pair of self-maps, in every mode."""
+    maps = [UnaryMap(images) for images in product(range(alg.size), repeat=alg.size)]
+    return [outcome(check_monadic, alg, MonadicPair(e, f), mode)
+            for e in maps for f in maps for mode in MODES]
+
+
+@pytest.mark.parametrize("alg", SMALL[len(FIXTURE_NAMES):])
+def test_check_monadic_matches_the_plain_scanner_on_every_map_pair(alg, monkeypatch):
+    kernel, reference = both(monkeypatch, lambda: monadic_outcomes(alg))
+    assert kernel == reference
+
+
+def test_the_scans_compared_fail_somewhere():
+    # the differential covers failing branches, not only holding ones
+    laws = {v.status for alg in MODELS for row in law_outcomes(alg, enumerate_mop(alg))
+            for v in row if isinstance(v, LawVerdict)}
+    monadic = {v.status for alg in MODELS for v in monadic_outcomes(alg) if v[0] != "raised"}
+    assert laws == {"holds", "fails", "not_applicable"} and monadic == {"holds", "fails"}
+
+
+# ------------------------------------------------------------ the kernel
+
+TABLES = type("Tables", (), {"a": ((0, 1), (0, 0)), "one": 0})()
+
+
+def test_witness_and_instances_follow_the_order_contract():
+    checks = (("first", "a[x][y] == one or x > z"), ("second", "x != 1"))
+    assert first_failure(2, 3, checks, TABLES) == ("first", (0, 1, 0), 3)
+    assert first_failure(2, 1, (("unit", "x < 1"),), TABLES) == ("unit", (1,), 2)
+    assert first_failure(2, 0, (("none", "one == 1"),), TABLES) == ("none", (), 1)
+    assert first_failure(2, 2, (("fine", "len({a[x][y], one}) >= 1"),), TABLES) is None
+
+
+def test_a_scan_is_compiled_once_per_text():
+    expr = "a[x][x] == one and x in {0, 1}"
+    first_failure(2, 1, (("A", expr),), TABLES)
+    first_failure(2, 1, (("B", expr),), TABLES)
+    scans = classify_module._SCANS
+    assert scans[1, (("A", expr),)] is scans[1, (("B", expr),)]
+    assert scans[1, (("A", expr),)].tables == ("a", "one")
+
+
+@pytest.mark.parametrize("expr", [
+    "a.count(x) == 1",                      # attribute access
+    "abs(x) == one",                        # a call other than len
+    "max(a[x]) == one",
+    "len(lambda: 0) == 0",                  # a lambda
+    "len([v for v in a]) == 2",             # comprehensions
+    "len({v for v in a}) == 2",
+    "len(list(v for v in a)) == 2",
+    "__import__('os') == one",
+    "a[x][y] == 'one'",                     # constants other than integers
+    "a[x][x] == True",
+    "_r == one",                            # names the scan function keeps
+    "a[x][z] == one",                       # a variable beyond the arity
+    "a[x][y:] == one",                      # slices, tuples, arithmetic
+    "a[x, y] == one",
+    "a[x][y] + 1 == one",
+    "(v := one) == one",
+    "a[x][y] is one",
+])
+def test_the_whitelist_rejects_before_anything_is_compiled(expr, monkeypatch):
+    calls = []
+
+    def parse_only(source, filename, mode, flags=0, *args):
+        calls.append(flags)
+        return compile(source, filename, mode, flags, *args)
+
+    monkeypatch.setattr(classify_module, "compile", parse_only, raising=False)
+    monkeypatch.setattr(classify_module, "exec", lambda *args: calls.append("exec"),
+                        raising=False)
+    scans = dict(classify_module._SCANS)
+    with pytest.raises(InvariantViolated, match="is not allowed in the scan expression"):
+        first_failure(2, 2, (("ok", "a[x][y] == one"), ("bad", expr)), TABLES)
+    assert calls and all(flags == classify_module._ast.PyCF_ONLY_AST for flags in calls)
+    assert classify_module._SCANS == scans
+
+
+def test_no_scan_is_compiled_at_import_or_by_the_catalog():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, psbe; psbe.catalog(); "
+            "print(len(sys.modules['psbe.classify']._SCANS), 'ast' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True).stdout
+    assert out.split() == ["0", "False"]
+
+
+# ------------------------------------- <D ∩ fixed> read off the DS list
+
+def assert_least_ds_is_generated(alg):
+    """For every monadic or declared pair and every DS D, the system
+    P6.monadic_ds_generated reads for D ∩ fixed is generated_ds's."""
+    ctx = Ctx(alg)
+    pairs = enumerate_mop(alg) + [pair for _, pair in declared_pairs(alg)]
+    assert pairs
+    for pair in pairs:
+        fixed, _, _ = fixed_set(alg, pair)
+        for ds in enumerate_ds(alg):
+            part = ds.members & fixed
+            assert _least_ds(ctx, part) == generated_ds(alg, part).members, (pair, ds)
+
+
+@pytest.mark.parametrize("alg", SMALL)
+def test_least_ds_is_the_generated_ds(alg):
+    assert_least_ds_is_generated(alg)
