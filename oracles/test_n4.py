@@ -10,9 +10,9 @@ scans 16.8M table pairs; it is built once), so they live outside its
 The references are the tier-1 ones: the brute-force scan for `_models`
 and `search_counterexample`, the candidate cross product for
 `enumerate_mop`, the Bell(n) partition scan for `enumerate_congruences`,
-the subset scan for `enumerate_ds`, the eager one-pass classification
-for `classify` and `generated_ds` for the deductive system that the
-law P6.monadic_ds_generated reads off the list of systems.
+the subset scan for `enumerate_ds` and for `generated_ds` (the system
+that P6.monadic_ds_generated reads off the list of systems) and the
+eager one-pass classification for `classify`.
 """
 
 import sys
@@ -23,10 +23,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
-from conftest import brute_models, brute_search, model_algebra, scan_ds, search_outcome
+from conftest import (assert_generated_ds_matches_references, brute_models, brute_search,
+                      model_algebra, scan_ds, search_outcome)
 from test_classify import assert_matches_eager
 from test_deduction import scan_congruences
-from test_kernel import assert_least_ds_is_generated
 from test_law_pin import digest, with_least_zero
 from test_quantifiers import MODES, cross_product_mop, outcome
 
@@ -93,7 +93,7 @@ def test_classify_matches_eager(alg):
 
 @pytest.mark.parametrize("alg", N4)
 def test_least_ds_is_the_generated_ds(alg):
-    assert_least_ds_is_generated(alg)
+    assert_generated_ds_matches_references(alg)
 
 
 # the carrier size of the per-model audit: the first models in scan order

@@ -32,14 +32,22 @@ class InvariantViolated(RuntimeError):
 
 
 class Verdict(NamedTuple):
-    """Outcome of one check: holds, fails(witness) or not_applicable."""
+    """Outcome of one check: holds, fails(witness) or not_applicable; a law
+    verdict (`laws.evaluate_law`) also carries its instance count and the
+    name of its pair.  Callers read `status`, never the verdict's truth."""
 
     name: str
     status: str
-    witness: tuple[int, ...] | None = None
+    witness: tuple | None = None
+    instances: int | None = None    # set on law verdicts only
+    pair: str | None = None
 
     def __bool__(self) -> bool:
+        """True when the check holds; perfbench/workloads.py is its only user."""
         return self.status == HOLDS
+
+    law_id = property(lambda self: self.name)       # perfbench reads these two
+    pair_name = property(lambda self: self.pair)
 
     @staticmethod
     def holds(name: str) -> "Verdict":
@@ -59,11 +67,16 @@ class Verdict(NamedTuple):
         return Verdict.holds(name) if hit is None else Verdict.fails(hit[0], hit[1])
 
     def to_json(self, alg: FiniteAlgebra | None = None) -> dict:
-        doc: dict = {"name": self.name, "status": self.status}
-        if self.witness is not None:
-            doc["witness"] = (list(self.witness) if alg is None else
-                              [alg.element_names[i] for i in self.witness])
-        return doc
+        """{law, pair, status, witness, instances} for a law verdict, else
+        {name, status} and the witness when there is one; with alg, the
+        witness's element indices are given as names."""
+        w = self.witness
+        if w is not None:
+            w = [alg.element_names[x] if alg is not None and isinstance(x, int) else x for x in w]
+        if self.instances is not None:
+            return {"law": self.name, "pair": self.pair, "status": self.status,
+                    "witness": w, "instances": self.instances}
+        return {"name": self.name, "status": self.status} | ({} if w is None else {"witness": w})
 
 
 def first_failure(n: int, arity: int, checks, source):
@@ -315,11 +328,13 @@ class ClassificationReport:
                                 tuple(row[self._zero] for row in self.arrow))   # x -> 0
     neg_sim = cached_property(lambda self: None if self._zero is None else
                               tuple(row[self._zero] for row in self.squig))     # x ~> 0
-    meet = cached_property(lambda self: _bound_table(self.leq, lower=True) if self.poset else None)
-    join = cached_property(lambda self: _bound_table(self.leq, lower=False) if self.poset else None)
+    meet = cached_property(lambda self: _bound_table(self.leq, lower=True)
+                           if self.poset.status == HOLDS else None)
+    join = cached_property(lambda self: _bound_table(self.leq, lower=False)
+                           if self.poset.status == HOLDS else None)
     # (odot, None), or (None, the first pair without a product)
     _pseudo_product = cached_property(lambda self: pseudo_product_table(self.alg, self.leq)
-                                      if self.poset else (None, None))
+                                      if self.poset.status == HOLDS else (None, None))
     odot = cached_property(lambda self: self._pseudo_product[0])
 
     @cached_property
@@ -351,12 +366,12 @@ class ClassificationReport:
     def poset(self):
         antisym = first_failure(self.alg.size, 2, (
             ("antisymmetric", "not (leq[x][y] and leq[y][x]) or x == y"),), self)
-        if antisym is None and self.condition_T:
+        if antisym is None and self.condition_T.status == HOLDS:
             return Verdict.holds("poset")
         return Verdict.fails("poset", antisym[1] if antisym else self.condition_T.witness)
 
     def _order_flag(self, name, tables, witness=()) -> Verdict:
-        if not self.poset:
+        if self.poset.status != HOLDS:
             return Verdict.na(name)
         return Verdict.holds(name) if None not in tables else Verdict.fails(name, witness)
 
@@ -377,7 +392,7 @@ class ClassificationReport:
 
     @cached_property
     def pseudo_mv(self):    # of a bounded commutative algebra
-        if (self._zero is None or not self.commutative or self.oplus is None
+        if (self._zero is None or self.commutative.status != HOLDS or self.oplus is None
                 or self.odot is None):
             return Verdict.na("pseudo_mv")
         return _check_pseudo_mv(self.alg, self.oplus, self.odot, self.neg_minus,

@@ -18,7 +18,7 @@ import sys
 from . import __version__
 from .algebra import (FiniteAlgebra, ParseError, PreconditionUnmet, load_algebra,
                       serialize_algebra)
-from .classify import classify
+from .classify import HOLDS, classify
 from .quantifiers import declared_pairs, enumerate_mop, pair_from_unary_blocks, require_monadic
 from . import deduction as ded
 from . import laws as lawmod
@@ -58,7 +58,7 @@ def _load_psbe(path, command: str) -> FiniteAlgebra:
     not a pseudo BE-algebra."""
     alg = _load(path)
     verdict = classify(alg)[0]["pseudo_be"]
-    if not verdict:
+    if verdict.status != HOLDS:
         raise PreconditionUnmet(
             f"{command} needs a pseudo BE-algebra: {verdict.name} fails at "
             f"({', '.join(alg.element_names[x] for x in verdict.witness)})",
@@ -77,12 +77,6 @@ def _monadic_pair(alg, command: str, label: str, pair=None):
 
 def _parse_set(alg, spec: str) -> frozenset:
     return frozenset(alg.index(tok) for tok in spec.split(",") if tok)
-
-
-def _generated(alg, xs):
-    """The least deductive system holding xs, read off the full list so
-    that tables whose two closures disagree raise PreconditionUnmet."""
-    return next(d for d in ded.enumerate_ds(alg) if xs <= d.members)
 
 
 # ------------------------------------------------------------- subcommands
@@ -150,7 +144,7 @@ def _cmd_ds(args):
 def _cmd_gen(args):
     alg = _load(args.algebra)
     xs = _parse_set(alg, args.set)
-    gen = _generated(alg, xs)
+    gen = ded.generated_ds(alg, xs)
     payload = {
         "algebra": alg.name,
         "set": _names(alg, xs),
@@ -163,7 +157,7 @@ def _cmd_gen(args):
 def _cmd_quotient(args):
     alg = _load(args.algebra)
     xs = _parse_set(alg, args.set)
-    d = _generated(alg, xs)
+    d = ded.generated_ds(alg, xs)
     if d.members != xs:
         raise PreconditionUnmet(
             f"--set is not a deductive system (it generates "
@@ -202,7 +196,7 @@ def _cmd_verify(args):
         "failures": len(failures),
         "verdicts": [v.to_json(alg) for v in verdicts],
     }
-    lines = [f"{v.law_id:32s} pair={v.pair_name or '-':16s} {v.status}"
+    lines = [f"{v.name:32s} pair={v.pair or '-':16s} {v.status}"
              + (f" witness={v.witness}" if v.witness is not None else "")
              for v in verdicts if v.status != lawmod.NOT_APPLICABLE]
     lines.append(f"{len(verdicts)} verdicts, {len(failures)} failures, "

@@ -14,7 +14,7 @@ from itertools import product
 from typing import NamedTuple
 
 from .algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap
-from .classify import (ClassificationReport, InvariantViolated, Verdict,
+from .classify import (HOLDS, ClassificationReport, InvariantViolated, Verdict,
                        check_pseudo_be, check_pseudo_bck, classify, closed_sets)
 from .quantifiers import MonadicPair, check_monadic, require_monadic
 
@@ -61,7 +61,7 @@ def _closures_disagree(alg: FiniteAlgebra, members: frozenset):
 
     where = f"arrow and squig closures disagree on {{{tokens(sorted(members))}}}"
     verdict = check_pseudo_be(alg)
-    if verdict:
+    if verdict.status == HOLDS:
         raise InvariantViolated(f"{where} of a pseudo BE-algebra")
     raise PreconditionUnmet(f"deductive systems need a pseudo BE-algebra: "
                             f"{where}; {verdict.name} fails at "
@@ -85,9 +85,9 @@ def _enumerate_ds(alg: FiniteAlgebra) -> list[DeductiveSystem]:
     one = alg.one
 
     def family(table):
-        return closed_sets(_closure(alg, (), (table,)), alg.elements(),
+        return closed_sets(_closure(alg, (), table), alg.elements(),
                            lambda members, x: members if x in members
-                           else _closure(alg, members | {x}, (table,)))
+                           else _closure(alg, members | {x}, table))
 
     by_arrow, by_squig = family(alg.arrow), family(alg.squig)
     if by_arrow != by_squig:
@@ -107,16 +107,14 @@ def monadic_ds(alg: FiniteAlgebra, pair: MonadicPair,
             if is_monadic_ds(d, pair)]
 
 
-def _closure(alg: FiniteAlgebra, seed, tables) -> frozenset:
-    """The least set holding 1 and seed in which x and t[x][y] put y,
-    for each table t of tables."""
+def _closure(alg: FiniteAlgebra, seed, table) -> frozenset:
+    """The least set holding 1 and seed in which x and table[x][y] put y."""
     members = {alg.one, *seed}
     grown = True
     while grown:
         grown = False
         for y in alg.elements():
-            if y not in members and any(t[x][y] in members
-                                        for t in tables for x in members):
+            if y not in members and any(table[x][y] in members for x in members):
                 members.add(y)
                 grown = True
     return frozenset(members)
@@ -124,13 +122,13 @@ def _closure(alg: FiniteAlgebra, seed, tables) -> frozenset:
 
 def generated_ds(alg: FiniteAlgebra, xs,
                  report: ClassificationReport | None = None) -> DeductiveSystem:
-    """Least deductive system containing xs: the modus-ponens closure of
-    xs for -> and ~> together.  On tables whose two closures disagree it
-    is the least set closed for both; `enumerate_ds` rejects such tables."""
+    """Least deductive system containing xs (element names or indices):
+    the first listed one holding xs, as the systems are closed under
+    intersection and listed by size (`enumerate_ds`, whose kept list it
+    reads, and whose PreconditionUnmet it raises)."""
     # report is unused; perfbench/workloads.py passes it positionally
     xs = frozenset(alg.index(x) if isinstance(x, str) else x for x in xs)
-    members = _closure(alg, xs, (alg.arrow, alg.squig))
-    return DeductiveSystem(members, _is_normal(alg, members))
+    return next(d for d in alg.kept("ds", _enumerate_ds) if xs <= d.members)
 
 
 class Congruence(NamedTuple):
@@ -165,6 +163,14 @@ def _canonical(cls) -> Congruence:
     return Congruence(tuple(seen.setdefault(c, len(seen)) for c in cls))
 
 
+def _links(classes) -> list:
+    """(x, r) for each x of a partition (classes[x] its block) that is not
+    its block's first element r, its leader."""
+    first = {}
+    leaders = [first.setdefault(c, x) for x, c in enumerate(classes)]
+    return [(x, r) for x, r in enumerate(leaders) if r != x]
+
+
 def _related_pairs(cong: Congruence):
     """Every (x, y, u, v) with x ~ y and u ~ v, in lexicographic order."""
     blocks = cong.blocks()
@@ -179,13 +185,12 @@ def is_compatible(alg: FiniteAlgebra, cong: Congruence) -> tuple[int, ...] | Non
     Only related pairs x ~ y, u ~ v are visited, in lexicographic order,
     so the witness is the lexicographically first one over all of A^4."""
     cls, a, s = cong.classes, alg.arrow, alg.squig
-    first = {}
-    lead = [first.setdefault(c, x) for x, c in enumerate(cls)]
+    links = _links(cls)
 
-    def agrees(t):    # class of t[x][u] and of t[u][x] unchanged by x -> lead[x]
+    def agrees(t):    # class of t[x][u] and of t[u][x] unchanged by x -> its leader r
         rows = [list(map(cls.__getitem__, row)) for row in t]
         cols = list(zip(*rows))
-        return all(rows[x] == rows[r] and cols[x] == cols[r] for x, r in enumerate(lead))
+        return all(rows[x] == rows[r] and cols[x] == cols[r] for x, r in links)
 
     # Compatible iff every element agrees with its block's leader r:
     # t[x][u] ~ t[r][u] and t[u][x] ~ t[u][r] are the instances (x, r, u, u)
@@ -202,9 +207,7 @@ def is_monadic_congruence(cong: Congruence, pair: MonadicPair) -> bool:
     """x ~ y implies forall x ~ forall y, checked against the first
     element of each block."""
     cls, f = cong.classes, pair.forall.images
-    first = {}
-    return all(cls[f[x]] == cls[f[first.setdefault(c, x)]]
-               for x, c in enumerate(cls))
+    return all(cls[f[x]] == cls[f[r]] for x, r in _links(cls))
 
 
 def is_meet_compatible(alg: FiniteAlgebra, cong: Congruence) -> bool:
@@ -218,7 +221,7 @@ def is_meet_compatible(alg: FiniteAlgebra, cong: Congruence) -> bool:
 def is_relative_congruence(alg: FiniteAlgebra, cong: Congruence) -> bool:
     """A congruence is relative when its quotient is a pseudo BCK-algebra."""
     q = quotient(alg, cong)
-    return bool(check_pseudo_bck(q.algebra))
+    return check_pseudo_bck(q.algebra).status == HOLDS
 
 
 def _merge(lab: list, members: list, x: int, y: int) -> None:
@@ -290,9 +293,7 @@ def _enumerate_congruences(alg: FiniteAlgebra) -> list[Congruence]:
 
     principals = {_principal(n, a, b, translates)
                   for a in range(n) for b in range(a + 1, n)}
-    # p.index(c) is the first element of the block numbered c
-    links = [[(x, p.index(c)) for x, c in enumerate(p) if p.index(c) != x]
-             for p in principals]
+    links = [_links(p) for p in principals]
     return [Congruence(c) for c in sorted(closed_sets(tuple(range(n)), links, _join))]
 
 
@@ -390,7 +391,7 @@ def quotient(alg: FiniteAlgebra, cong: Congruence,
 
         q_pair = MonadicPair(push(pair.exists), push(pair.forall))
         verdict = check_monadic(q, q_pair)
-        if not verdict:
+        if verdict.status != HOLDS:
             raise InvariantViolated(f"quotient pair fails {verdict.name} at {verdict.witness}")
     return QuotientAlgebra(q, tuple(proj), q_pair)
 

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from .algebra import FiniteAlgebra, PreconditionUnmet
 from .classify import (FAILS, FLAG_ALIASES, FLAG_NAMES, HOLDS, NOT_APPLICABLE,
-                       InvariantViolated, backtrack, classify, first_failure)
+                       InvariantViolated, Verdict, backtrack, classify, first_failure)
 from .quantifiers import MonadicPair, enumerate_mop, fixed_set
 from . import deduction as _ded
 
@@ -45,8 +45,8 @@ class Ctx:
     one, zero.  `report` is the algebra's one ClassificationReport
     (`classify`); the derived tables are read from it on first use.
     `ds`, `congruences`, the congruences' tables and each law hypothesis
-    are computed once (`once`) and shared by every context derived by
-    `with_pair`: none reads the pair."""
+    read no pair, so each is computed once per algebra object (`once`)
+    and shared by every context on it, `with_pair` copies included."""
 
     def __init__(self, alg: FiniteAlgebra, pair: MonadicPair | None = None):
         self.alg = alg
@@ -56,14 +56,12 @@ class Ctx:
         self.zero = alg.zero
         self.a = alg.arrow
         self.s = alg.squig
-        self._known = {}        # what `once` computed, shared by every with_pair copy
         self._bind(pair)
 
     def once(self, fn):
-        """fn(self), computed on the first call for this context or a copy."""
-        if fn not in self._known:
-            self._known[fn] = fn(self)
-        return self._known[fn]
+        """fn(self), kept on the algebra object (`FiniteAlgebra.kept`): computed
+        once for it, whatever context or copy asks; fn must not read the pair."""
+        return self.alg.kept(fn, lambda alg: fn(self))
 
     ds = property(lambda self: self.once(_all_ds))
     congruences = property(lambda self: self.once(_all_congruences))
@@ -121,25 +119,6 @@ class Law(NamedTuple):
                                   # exists so search can adjudicate it
 
 
-class LawVerdict(NamedTuple):
-    law_id: str
-    pair_name: str | None
-    status: str
-    witness: tuple | None
-    instances: int
-
-    def __bool__(self):
-        return self.status != FAILS
-
-    def to_json(self, alg: FiniteAlgebra | None = None) -> dict:
-        w = self.witness
-        if w is not None:
-            w = [alg.element_names[x] if alg is not None and isinstance(x, int) else x for x in w]
-        return {"law": self.law_id, "pair": self.pair_name,
-                "status": self.status, "witness": w,
-                "instances": self.instances}
-
-
 # ---------------------------------------------------------------- catalog
 
 def _congruence_tables(ctx):
@@ -147,8 +126,7 @@ def _congruence_tables(ctx):
     classes), one_cls (the class of 1) and links, each x paired with the
     first element of its block where the two differ."""
     return [SimpleNamespace(a=ctx.a, s=ctx.s, cls=c.classes, one_cls=c.one_class(ctx.alg),
-                            links=[(x, c.classes.index(b)) for x, b in enumerate(c.classes)
-                                   if c.classes.index(b) != x])
+                            links=_ded._links(c.classes))
             for c in ctx.congruences]
 
 
@@ -210,17 +188,11 @@ def _p6_distributive_normal(ctx):
     return bad is None, bad and tuple(sorted(bad.members)), len(ctx.ds)
 
 
-def _least_ds(ctx, xs) -> frozenset:
-    """The members of the deductive system generated by xs: those of the
-    first listed system holding xs, as the systems form a closure system
-    listed by size."""
-    return next(d.members for d in ctx.ds if xs <= d.members)
-
-
 def _p6_monadic_ds_generated(ctx):
     fixed, _, _ = fixed_set(ctx.alg, ctx.pair)
     for count, ds in enumerate(ctx.ds, 1):
-        if _ded.is_monadic_ds(ds, ctx.pair) != (_least_ds(ctx, ds.members & fixed) == ds.members):
+        generated = _ded.generated_ds(ctx.alg, ds.members & fixed)
+        if _ded.is_monadic_ds(ds, ctx.pair) != (generated == ds):
             return False, tuple(sorted(ds.members)), count
     return True, None, len(ctx.ds)
 
@@ -526,23 +498,24 @@ def catalog_json() -> list[dict]:
 
 # ------------------------------------------------------------- suite runner
 
-def evaluate_law(law: Law, ctx: Ctx) -> LawVerdict:
-    if law.uses_pair and ctx.pair is None:
-        return LawVerdict(law.id, None, NOT_APPLICABLE, None, 0)
-    pair_name = ctx.pair_name if law.uses_pair else None
-    if not ctx.once(law.hypothesis):
-        return LawVerdict(law.id, pair_name, NOT_APPLICABLE, None, 0)
+def evaluate_law(law: Law, ctx: Ctx) -> Verdict:
+    """The law's verdict on ctx, with its instance count and, for a law
+    that reads the pair, the pair's name: not applicable without a pair
+    or when the hypothesis does not hold."""
+    pair = ctx.pair_name if law.uses_pair else None
+    if (law.uses_pair and ctx.pair is None) or not ctx.once(law.hypothesis):
+        return Verdict(law.id, NOT_APPLICABLE, None, 0, pair)
     if law.arity == 0:
         ok, witness, instances = law.check(ctx)
-        return LawVerdict(law.id, pair_name, HOLDS if ok else FAILS, witness, instances)
+        return Verdict(law.id, HOLDS if ok else FAILS, witness, instances, pair)
     hit = first_failure(ctx.n, law.arity, ((law.id, law.check),), ctx)
     if hit is None:
-        return LawVerdict(law.id, pair_name, HOLDS, None, ctx.n ** law.arity)
-    return LawVerdict(law.id, pair_name, FAILS, hit[1], hit[2])
+        return Verdict(law.id, HOLDS, None, ctx.n ** law.arity, pair)
+    return Verdict(law.id, FAILS, hit[1], hit[2], pair)
 
 
 def verify_suite(alg: FiniteAlgebra, pairs, law_ids=None,
-                 include_probes: bool = False) -> list[LawVerdict]:
+                 include_probes: bool = False) -> list[Verdict]:
     """Evaluate the catalog over the algebra and the given monadic pairs.
 
     Pair-independent laws are evaluated once; pair laws once per pair.
@@ -781,7 +754,7 @@ def search_counterexample(spec: SearchSpec) -> SearchResult:
                 result.found = hit
                 return result
         if total > remaining:
-            result.visited_by_size[n] = remaining + 1
+            result.visited_by_size[n] = remaining
             return result
         result.visited_by_size[n] = total
     result.exhausted = True

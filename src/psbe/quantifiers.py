@@ -13,7 +13,7 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 from .algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap
-from .classify import (InvariantViolated, Verdict, backtrack, classify,
+from .classify import (HOLDS, InvariantViolated, Verdict, backtrack, classify,
                        closed_sets, first_failure_of)
 
 PLAIN = "plain"
@@ -74,14 +74,14 @@ def check_monadic(alg: FiniteAlgebra, pair: MonadicPair, mode: str = PLAIN) -> V
 
 
 def is_monadic(alg: FiniteAlgebra, pair: MonadicPair, mode: str = PLAIN) -> bool:
-    return bool(check_monadic(alg, pair, mode))
+    return check_monadic(alg, pair, mode).status == HOLDS
 
 
 def require_monadic(alg: FiniteAlgebra, pair: MonadicPair, what: str) -> MonadicPair:
     """pair, when it is monadic; else PreconditionUnmet saying that `what`
     needs a monadic pair and naming the first axiom it fails."""
     verdict = check_monadic(alg, pair)
-    if not verdict:
+    if verdict.status != HOLDS:
         raise PreconditionUnmet(
             f"{what} needs a monadic pair: {verdict.name} fails at "
             f"({', '.join(alg.element_names[x] for x in verdict.witness)})", verdict.witness)
@@ -236,7 +236,7 @@ def _build(alg, m, from_forall: bool) -> MonadicPair:
     else:
         mode = PLAIN
     verdict = check_monadic(alg, pair, mode)
-    if not verdict:
+    if verdict.status != HOLDS:
         raise InvariantViolated(f"{what} produced a non-monadic pair: "
                                 f"{verdict.name} fails at {verdict.witness}")
     return pair
@@ -293,7 +293,7 @@ def compose_pairs(alg: FiniteAlgebra, p1: MonadicPair, p2: MonadicPair) -> Compo
     pair = None
     if commute:
         pair = MonadicPair(e12, f12)
-        if not check_monadic(alg, pair):
+        if check_monadic(alg, pair).status != HOLDS:
             raise InvariantViolated("commuting composition failed monadic validation")
     return CompositionResult(pair, commute, forall_le, exists_le)
 

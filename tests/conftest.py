@@ -6,7 +6,7 @@ import pytest
 
 import psbe
 from psbe.algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap, load_algebra
-from psbe.classify import (Verdict, check_pseudo_be, check_pseudo_bck, classify,
+from psbe.classify import (HOLDS, Verdict, check_pseudo_be, check_pseudo_bck, classify,
                            pseudo_product_table)
 from psbe.deduction import (DeductiveSystem, _closures_disagree, _is_normal,
                             generated_ds)
@@ -16,6 +16,20 @@ from psbe.quantifiers import PLAIN, MonadicPair, check_monadic
 
 FIXDIR = Path(psbe.__file__).resolve().parent / "fixtures"
 FIXTURE_NAMES = ("psbe4", "psbe5", "bc4", "inv6")
+
+VERDICT_BOOL = Verdict.__bool__     # the real truth of a verdict: it holds
+
+
+def _truth_tested(verdict):
+    raise TypeError(f"truth test of {verdict!r}: read its status")
+
+
+@pytest.fixture(autouse=True)
+def verdict_truth_tests_raise(monkeypatch):
+    """Every test runs with a verdict's truth forbidden, in the package and
+    in the tests: a caller reads `status`, so that a failure cannot pass
+    for a default (`v or default`) or a not-applicable law for a failure."""
+    monkeypatch.setattr(Verdict, "__bool__", _truth_tested)
 
 
 def fixture_path(name: str) -> Path:
@@ -117,7 +131,7 @@ def brute_search(spec, pairs=brute_pairs):
     for n in range(spec.min_size, spec.max_size + 1):
         for rank, arrow, squig in pairs(n):
             if spec.budget is not None and result.visited + rank > spec.budget:
-                result.visited_by_size[n] = rank
+                result.visited_by_size[n] = rank - 1
                 return result
             if not _psbe4_psbe5_ok(n, arrow, squig):
                 continue
@@ -266,14 +280,12 @@ def eager_classify(alg):
     # order structure
     antisym = plain_first_failure(n, 2, [("antisymmetric", lambda x, y:
                                     not (leq[x][y] and leq[y][x]) or x == y)])
-    if antisym is None and flags["condition_T"]:
-        flags["poset"] = Verdict.holds("poset")
-    else:
-        flags["poset"] = Verdict.fails("poset", antisym[1] if antisym
-                                       else flags["condition_T"].witness)
+    poset = antisym is None and flags["condition_T"].status == HOLDS
+    flags["poset"] = (Verdict.holds("poset") if poset else Verdict.fails(
+        "poset", antisym[1] if antisym else flags["condition_T"].witness))
 
     meet = join = None
-    if flags["poset"]:
+    if poset:
         meet = _eager_bound_table(leq, n, lower=True)
         join = _eager_bound_table(leq, n, lower=False)
         flags["meet_semilattice"] = (Verdict.holds("meet_semilattice") if meet is not None
@@ -289,7 +301,7 @@ def eager_classify(alg):
 
     # pseudo-product
     odot = None
-    if flags["poset"]:
+    if poset:
         odot, bad_pair = pseudo_product_table(alg, leq)
         flags["has_pP"] = (Verdict.holds("has_pP") if odot is not None
                            else Verdict.fails("has_pP", bad_pair))
@@ -321,7 +333,8 @@ def eager_classify(alg):
         flags["pseudo_hoop"] = Verdict.na("pseudo_hoop")
 
     # pseudo MV structure of a bounded commutative algebra
-    if zero is not None and flags["commutative"] and oplus is not None and odot is not None:
+    if (zero is not None and flags["commutative"].status == HOLDS
+            and oplus is not None and odot is not None):
         flags["pseudo_mv"] = eager_pseudo_mv(alg, oplus, odot, neg_minus, neg_sim, zero)
     else:
         flags["pseudo_mv"] = Verdict.na("pseudo_mv")
@@ -444,7 +457,7 @@ def unpruned_mop(alg, mode=PLAIN):
     down = [[y for y in range(n) if arr[y][x] == one and sq[y][x] == one] for x in range(n)]
     foralls = [UnaryMap(F) for F in product(*down)]
     pairs = (MonadicPair(UnaryMap(E), f) for E in product(*up) for f in foralls)
-    return sorted((p for p in pairs if check_monadic(alg, p, mode)),
+    return sorted((p for p in pairs if check_monadic(alg, p, mode).status == HOLDS),
                   key=MonadicPair.sort_key)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from psbe.algebra import PreconditionUnmet
-from psbe.classify import (FLAG_NAMES, ClassificationReport, check_pseudo_be,
+from psbe.classify import (FAILS, FLAG_NAMES, HOLDS, ClassificationReport, check_pseudo_be,
                            check_pseudo_bck, classify)
 from psbe.laws import SearchSpec, search_counterexample
 
@@ -23,18 +23,18 @@ def names(alg, verdict):
 
 
 def test_all_fixtures_are_pseudo_be(any_fixture):
-    assert bool(check_pseudo_be(any_fixture))
+    assert check_pseudo_be(any_fixture).status == HOLDS
 
 
 def test_psbe4_not_bck_witness(psbe4):
     v = check_pseudo_bck(psbe4)
-    assert not v
+    assert v.status == FAILS
     assert names(psbe4, v) == ("a", "b")
 
 
 def test_psbe5_not_bck_witness(psbe5):
     v = check_pseudo_bck(psbe5)
-    assert not v
+    assert v.status == FAILS
     assert names(psbe5, v) == ("b", "c")
 
 

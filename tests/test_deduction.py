@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from psbe import deduction
 from psbe.algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap
-from psbe.classify import check_pseudo_be, classify
+from psbe.classify import HOLDS, check_pseudo_be, classify
 from psbe.deduction import (Congruence, correspondence_report,
                             enumerate_congruences, enumerate_ds, generated_ds,
                             is_compatible, is_meet_compatible,
@@ -86,7 +86,8 @@ def test_enumerate_ds_matches_subset_scan(alg):
 def test_enumerate_ds_matches_subset_scan_on_any_tables(data):
     # arbitrary tables and any element as 1, the row of 1 made the
     # identity half of the time: mostly not pseudo BE-algebras, where the
-    # two closures may disagree and the scan names the first subset
+    # two closures may disagree and the scan names the first subset;
+    # generated_ds, read off the same list, raises the same error
     n = data.draw(st.integers(1, 6))
     one = data.draw(st.integers(0, n - 1))
     cells = st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(tuple)
@@ -97,6 +98,10 @@ def test_enumerate_ds_matches_subset_scan_on_any_tables(data):
     alg = FiniteAlgebra("any", tuple(f"e{i}" for i in range(n)), one,
                         tuple(arrow), tuple(squig))
     assert ds_outcome(enumerate_ds, alg) == ds_outcome(scan_ds, alg)
+    xs = data.draw(st.frozensets(st.sampled_from(alg.elements())))
+    assert (ds_outcome(lambda alg: generated_ds(alg, xs).members, alg)
+            == ds_outcome(lambda alg: frozenset.intersection(
+                *(d.members for d in scan_ds(alg) if xs <= d.members)), alg))
 
 
 def test_theta_from_ds(psbe5):
@@ -127,7 +132,7 @@ def test_theta_from_ds_rejects_a_non_transitive_relation():
     # e2 ~ e1 (e2 -> e1 = e1 -> e2 = 1) and e1 ~ e3, but e3 -> e2 = e1
     t = ((0, 1, 2, 3), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 1, 0))
     alg = FiniteAlgebra("m4", ("1", "e1", "e2", "e3"), 0, t, t)
-    assert check_pseudo_be(alg)
+    assert check_pseudo_be(alg).status == HOLDS
     with pytest.raises(PreconditionUnmet) as err:
         theta_from_ds(alg, enumerate_ds(alg)[0])
     assert (str(err.value), err.value.witness) == ("relation not transitive at (2, 1, 3)",
@@ -299,7 +304,7 @@ def test_compatibility_witnesses_match_full_scan(alg):
                                          ("psbe5", 19), ("inv6", 4)])
 def test_product_congruence_counts(name, count):
     alg = times_c2(load(name))
-    assert check_pseudo_be(alg)
+    assert check_pseudo_be(alg).status == HOLDS
     congs = enumerate_congruences(alg)
     assert len(congs) == count
     assert all(is_compatible(alg, c) is None for c in congs)
@@ -362,12 +367,12 @@ def test_quotient_identity_and_full(psbe5):
 
 def test_correspondence_be_variant(bc4):
     for pair in enumerate_mop(bc4):
-        assert bool(correspondence_report(bc4, pair, variant="be"))
+        assert correspondence_report(bc4, pair, variant="be").status == HOLDS
 
 
 def test_correspondence_bck_meet_variant(inv6):
     for pair in enumerate_mop(inv6):
-        assert bool(correspondence_report(inv6, pair, variant="bck_meet"))
+        assert correspondence_report(inv6, pair, variant="bck_meet").status == HOLDS
 
 
 def test_correspondence_computes_theta_once_per_ds(inv6, monkeypatch):
@@ -382,7 +387,7 @@ def test_correspondence_computes_theta_once_per_ds(inv6, monkeypatch):
         return real(alg, ds)
 
     monkeypatch.setattr(deduction, "theta_from_ds", counted)
-    assert bool(correspondence_report(inv6, pair, variant="bck_meet"))
+    assert correspondence_report(inv6, pair, variant="bck_meet").status == HOLDS
     assert sorted(calls, key=sorted) == sorted((d.members for d in normal), key=sorted)
 
 

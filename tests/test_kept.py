@@ -2,7 +2,8 @@
 congruences and monadic pairs are computed on the first call for the
 object, later calls get the kept result (a new list each time), a
 `_replace` copy computes afresh and a raised PreconditionUnmet is never
-kept.  Law hypotheses read no pair, so each is decided once."""
+kept.  Law hypotheses read no pair, so each is decided once; what a law
+context computes once (`Ctx.once`) is kept on the object too."""
 
 import importlib
 from collections import Counter
@@ -14,7 +15,7 @@ from psbe import laws as laws_module
 from psbe import quantifiers as quantifiers_module
 from psbe.algebra import PreconditionUnmet, parse_algebra
 from psbe.classify import check_pseudo_be, check_pseudo_bck
-from psbe.deduction import enumerate_congruences, enumerate_ds
+from psbe.deduction import enumerate_congruences, enumerate_ds, generated_ds
 from psbe.laws import Ctx, SearchSpec, catalog, search_counterexample
 from psbe.quantifiers import BOUNDED_COMMUTATIVE, HOOP, PLAIN, enumerate_mop
 
@@ -132,12 +133,31 @@ def test_unavailable_mode_raises_on_every_call(psbe4, monkeypatch):
 
 
 def test_disagreeing_closures_raise_on_every_call(monkeypatch):
+    # generated_ds reads enumerate_ds's list, so it raises the same error
     alg = parse_algebra(CLOSURES_DISAGREE)
     calls = count_scans(monkeypatch)
     for _ in range(3):
-        with pytest.raises(PreconditionUnmet, match="closures disagree on {1, b}"):
-            enumerate_ds(alg)
-    assert calls[("enumerate_ds", alg.arrow, alg.squig)] == 3
+        for compute in (enumerate_ds, lambda alg: generated_ds(alg, ["1"])):
+            with pytest.raises(PreconditionUnmet, match="closures disagree on {1, b}"):
+                compute(alg)
+    assert calls[("enumerate_ds", alg.arrow, alg.squig)] == 6
+
+
+def test_generated_ds_and_ctx_once_read_what_the_object_keeps(psbe5, monkeypatch):
+    alg = psbe5._replace()
+    calls = count_scans(monkeypatch)
+    systems = enumerate_ds(alg)
+    assert [generated_ds(alg, d.members) for d in systems] == systems
+    assert calls[("enumerate_ds", alg.arrow, alg.squig)] == 1
+    computed = []
+
+    def fn(ctx):
+        computed.append(ctx)
+        return object()
+
+    first = Ctx(alg).once(fn)
+    assert Ctx(alg).with_pair(enumerate_mop(alg)[0]).once(fn) is first and len(computed) == 1
+    assert Ctx(alg._replace()).once(fn) is not first and len(computed) == 2
 
 
 @pytest.mark.parametrize("law_id, max_size, scanner", [

@@ -18,14 +18,13 @@ from pathlib import Path
 import pytest
 
 from psbe.algebra import UnaryMap
-from psbe.classify import InvariantViolated, classify, first_failure, first_failure_of
-from psbe.deduction import enumerate_ds, generated_ds
-from psbe.laws import Ctx, LawVerdict, _least_ds, _models, catalog, evaluate_law
-from psbe.quantifiers import (MonadicPair, check_monadic, declared_pairs, enumerate_mop,
-                              fixed_set)
+from psbe.classify import InvariantViolated, Verdict, classify, first_failure, first_failure_of
+from psbe.laws import Ctx, _models, catalog, evaluate_law
+from psbe.quantifiers import MonadicPair, check_monadic, declared_pairs, enumerate_mop
 
-from conftest import (FIXTURE_NAMES, load, model_algebra, reference_first_failure,
-                      reference_first_failure_of, times_c2)
+from conftest import (FIXTURE_NAMES, assert_generated_ds_matches_references, load,
+                      model_algebra, reference_first_failure, reference_first_failure_of,
+                      times_c2)
 from test_law_pin import with_least_zero
 from test_quantifiers import MODES, times_c2_pair
 
@@ -119,7 +118,7 @@ def test_check_monadic_matches_the_plain_scanner_on_every_map_pair(alg, monkeypa
 def test_the_scans_compared_fail_somewhere():
     # the differential covers failing branches, not only holding ones
     laws = {v.status for alg in MODELS for row in law_outcomes(alg, enumerate_mop(alg))
-            for v in row if isinstance(v, LawVerdict)}
+            for v in row if isinstance(v, Verdict)}
     monadic = {v.status for alg in MODELS for v in monadic_outcomes(alg) if v[0] != "raised"}
     assert laws == {"holds", "fails", "not_applicable"} and monadic == {"holds", "fails"}
 
@@ -191,21 +190,9 @@ def test_no_scan_is_compiled_at_import_or_by_the_catalog():
     assert out.split() == ["0", "False"]
 
 
-# ------------------------------------- <D ∩ fixed> read off the DS list
-
-def assert_least_ds_is_generated(alg):
-    """For every monadic or declared pair and every DS D, the system
-    P6.monadic_ds_generated reads for D ∩ fixed is generated_ds's."""
-    ctx = Ctx(alg)
-    pairs = enumerate_mop(alg) + [pair for _, pair in declared_pairs(alg)]
-    assert pairs
-    for pair in pairs:
-        fixed, _, _ = fixed_set(alg, pair)
-        for ds in enumerate_ds(alg):
-            part = ds.members & fixed
-            assert _least_ds(ctx, part) == generated_ds(alg, part).members, (pair, ds)
-
+# ------------------------- generated_ds, read off the kept list of systems
 
 @pytest.mark.parametrize("alg", SMALL)
 def test_least_ds_is_the_generated_ds(alg):
-    assert_least_ds_is_generated(alg)
+    # the lookup P6.monadic_ds_generated reads, against the subset scan
+    assert_generated_ds_matches_references(alg)

@@ -17,7 +17,7 @@ import json
 import random
 
 from psbe.algebra import FiniteAlgebra, UnaryMap
-from psbe.classify import check_pseudo_be
+from psbe.classify import HOLDS, check_pseudo_be
 from psbe.laws import Ctx, _models, catalog, evaluate_law, verify_suite
 from psbe.quantifiers import MonadicPair, enumerate_mop
 
@@ -83,7 +83,7 @@ def law_outcomes():
         base = Ctx(alg)
         pairs = [MonadicPair(_random_map(rng, alg, d), _random_map(rng, alg, -d))
                  for d in (1, 1, 0)]
-        if check_pseudo_be(alg):
+        if check_pseudo_be(alg).status == HOLDS:
             pairs += enumerate_mop(alg)[:2]
         ctxs = [base.with_pair(p) for p in pairs]
         out.append([alg.arrow, alg.squig, alg.zero, [p.exists.images for p in pairs],

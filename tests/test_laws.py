@@ -55,8 +55,8 @@ def test_suite_zero_failures_all_fixtures():
 def test_probe_laws_skipped_by_default():
     alg = load("psbe5")
     pairs = enumerate_mop(alg)
-    default_ids = {v.law_id for v in verify_suite(alg, pairs)}
-    with_probes = {v.law_id for v in verify_suite(alg, pairs,
+    default_ids = {v.name for v in verify_suite(alg, pairs)}
+    with_probes = {v.name for v in verify_suite(alg, pairs,
                                                   include_probes=True)}
     assert "AX.psbck6_antisym" not in default_ids
     assert "AX.psbck6_antisym" in with_probes
@@ -75,7 +75,7 @@ def test_hypothesis_gating_yields_not_applicable():
     # psbe5 is unbounded: every bounded law must be skipped, not failed
     alg = load("psbe5")
     verdicts = verify_suite(alg, enumerate_mop(alg))
-    bnd = [v for v in verdicts if v.law_id.startswith(("BND.", "P3b."))]
+    bnd = [v for v in verdicts if v.name.startswith(("BND.", "P3b."))]
     assert bnd and all(v.status == NOT_APPLICABLE for v in bnd)
 
 

@@ -47,7 +47,7 @@ def cross_product_mop(alg, mode=PLAIN):
         for F, image in foralls:
             if image <= fix:
                 pair = MonadicPair(UnaryMap(E), UnaryMap(F))
-                if check_monadic(alg, pair, mode):
+                if check_monadic(alg, pair, mode).status == HOLDS:
                     found.append(pair)
     found.sort(key=MonadicPair.sort_key)
     return found
@@ -167,7 +167,7 @@ def test_enumerate_mop_decides_pairs_without_check_monadic(alg, monkeypatch):
         found = {mode: outcome(enumerate_mop, alg, mode) for mode in MODES}
     for mode, pairs in found.items():
         if pairs is not PreconditionUnmet:
-            assert all(check_monadic(alg, p, mode) for p in pairs), mode
+            assert all(check_monadic(alg, p, mode).status == HOLDS for p in pairs), mode
 
 
 def test_enumerate_mop_filters_closed_images_on_x_to_x():
@@ -232,7 +232,7 @@ def test_mop_bc4_bounded_commutative_mode(bc4):
 def test_check_monadic_reports_failing_axiom(psbe5):
     bad = MonadicPair(UnaryMap((0, 0, 0, 0, 0)), UnaryMap((0, 1, 2, 3, 4)))
     verdict = check_monadic(psbe5, bad)
-    assert not verdict and not is_monadic(psbe5, bad)
+    assert verdict.status == FAILS and not is_monadic(psbe5, bad)
     assert verdict == Verdict("M5", FAILS, (1,))
     identity = UnaryMap.identity(psbe5.size)
     assert check_monadic(psbe5, MonadicPair(identity, identity)) == Verdict("monadic", HOLDS)
@@ -318,8 +318,8 @@ def test_compose_requires_transitivity(psbe4):
 
 def test_mv_quantifier_transfer(bc4):
     for pair in enumerate_mop(bc4, mode=BOUNDED_COMMUTATIVE):
-        assert bool(check_mv_quantifier(bc4, pair.forall, "universal"))
-        assert bool(check_mv_quantifier(bc4, pair.exists, "existential"))
+        assert check_mv_quantifier(bc4, pair.forall, "universal").status == HOLDS
+        assert check_mv_quantifier(bc4, pair.exists, "existential").status == HOLDS
 
 
 @settings(max_examples=60, deadline=None)

@@ -15,10 +15,12 @@ import pytest
 
 import psbe
 from psbe.algebra import FiniteAlgebra, UnaryMap
-from psbe.classify import FAILS, HOLDS, Verdict
+from psbe.classify import FAILS, HOLDS, NOT_APPLICABLE, Verdict
 from psbe.deduction import Congruence, DeductiveSystem, QuotientAlgebra
-from psbe.laws import Law, LawVerdict, SearchResult, SearchSpec
+from psbe.laws import Law, SearchResult, SearchSpec
 from psbe.quantifiers import CompositionResult, MonadicPair
+
+from conftest import VERDICT_BOOL
 
 T = ((0, 1), (0, 0))           # -> and ~> of the 2-element chain 1 > e
 E, F = UnaryMap((0, 1)), UnaryMap((0, 0))
@@ -37,8 +39,8 @@ def check_law(ctx):
 # and 1 differ in one field
 RECORDS = {
     "UnaryMap": (lambda v: UnaryMap((0, v)), ("images",)),
-    "Verdict": (lambda v: Verdict("psBE1", (HOLDS, FAILS)[v], (v,)),
-                ("name", "status", "witness")),
+    "Verdict": (lambda v: Verdict("psBE1", (HOLDS, FAILS)[v], (v,), v, "0,1"),
+                ("name", "status", "witness", "instances", "pair")),
     "MonadicPair": (lambda v: MonadicPair(E, (E, F)[v]), ("exists", "forall")),
     "CompositionResult": (lambda v: CompositionResult(None, bool(v), None, None),
                           ("pair", "commute", "forall_le", "exists_le")),
@@ -49,8 +51,6 @@ RECORDS = {
                         ("algebra", "projection", "pair")),
     "Law": (lambda v: Law("X.law", "x = x", v, bool, check_law),
             ("id", "anchor", "arity", "hypothesis", "check", "uses_pair", "probe")),
-    "LawVerdict": (lambda v: LawVerdict("X.law", None, HOLDS, None, v),
-                   ("law_id", "pair_name", "status", "witness", "instances")),
     "SearchSpec": (lambda v: SearchSpec("AX.refl", 3 + v),
                    ("law", "max_size", "min_size", "require", "iso_reject",
                     "budget")),
@@ -137,8 +137,15 @@ def test_record_protocols():
     assert len(m) == 3 and m(2) == 1 and m._replace(images=(0, 1, 2)).is_identity()
     assert 2 in DeductiveSystem(frozenset({0, 2}), False)
     assert 1 not in DeductiveSystem(frozenset({0, 2}), False)
-    assert Verdict.holds("x") and not Verdict.fails("x", (0,)) and not Verdict.na("x")
-    assert LawVerdict("l", None, HOLDS, None, 1) and not LawVerdict("l", None, FAILS, (0,), 1)
+    truth = [VERDICT_BOOL(v) for v in (Verdict.holds("x"), Verdict.fails("x", (0,)),
+                                       Verdict.na("x"), Verdict("l", HOLDS, None, 1, "0"),
+                                       Verdict("l", NOT_APPLICABLE, None, 0, "0"))]
+    assert truth == [True, False, False, True, False]
+    for verdict in (Verdict.holds("x"), Verdict.fails("x", (0,))):
+        with pytest.raises(TypeError, match="read its status"):
+            bool(verdict)
+    law_verdict = Verdict("l", FAILS, (0,), 3, "0,1")
+    assert (law_verdict.law_id, law_verdict.pair_name) == ("l", "0,1")
     law = Law(id="X.law", anchor="x = x", arity=0, hypothesis=bool, check=check_law)
     assert law.uses_pair and not law.probe
     assert Verdict("x", HOLDS).witness is None

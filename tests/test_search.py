@@ -8,7 +8,7 @@ import pytest
 
 import psbe.laws
 from psbe.algebra import PreconditionUnmet
-from psbe.classify import ClassificationReport, InvariantViolated, check_pseudo_bck
+from psbe.classify import FAILS, ClassificationReport, InvariantViolated, check_pseudo_bck
 from psbe.laws import (Ctx, SearchSpec, _is_canonical,
                        _models, candidate_count, catalog, evaluate_law,
                        free_cells, search_counterexample)
@@ -145,7 +145,7 @@ def test_finds_non_antisymmetric_algebra():
     alg, pair, witness = result.found
     assert alg.size <= 4
     assert pair is None                 # algebra-level law
-    assert not check_pseudo_bck(alg)    # fails antisymmetry, as targeted
+    assert check_pseudo_bck(alg).status == FAILS    # fails antisymmetry, as targeted
     # the witness re-verifies against a fresh evaluation
     law = next(l for l in catalog() if l.id == "AX.psbck6_antisym")
     assert evaluate_law(law, Ctx(alg)).status == "fails"
@@ -161,11 +161,11 @@ def test_iso_reject_still_finds():
 
 def test_budget_enforced():
     # the stop is returned, not raised: nothing found, not exhausted, and
-    # the count stops at the first candidate past the budget
+    # the count stops at the budget: the candidates tested, none past it
     result = search_counterexample(SearchSpec(law="AX.refl",
                                               min_size=3, max_size=3, budget=10))
     assert result.found is None and not result.exhausted
-    assert result.visited_by_size == {3: 11}
+    assert result.visited_by_size == {3: 10}
 
 
 def test_unknown_law_rejected():

@@ -14,7 +14,7 @@ import random
 from itertools import product
 
 from psbe.algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap
-from psbe.classify import (_check_pseudo_mv, check_pseudo_be, check_pseudo_bck,
+from psbe.classify import (HOLDS, _check_pseudo_mv, check_pseudo_be, check_pseudo_bck,
                            classify)
 from psbe.laws import Ctx, catalog, evaluate_law, verify_suite
 from psbe.quantifiers import (MonadicPair, build_from_sigma, build_from_tau,
@@ -104,7 +104,7 @@ def _small_models():
             tables.append(tuple(tuple(r) for r in t))
         for arrow, squig in product(tables, repeat=2):
             alg = _algebra(f"m{n}", arrow, squig)
-            if check_pseudo_be(alg):
+            if check_pseudo_be(alg).status == HOLDS:
                 least = [z for z in range(n) if all(arrow[z][x] == 0 for x in range(n))]
                 out.append(_algebra(f"m{n}", arrow, squig,
                                     least[0] if least else None))
