@@ -82,14 +82,14 @@ class FiniteAlgebra:
         for tbl, label in ((arrow, "arrow"), (squig, "squig")):
             if len(tbl) != n or any(len(row) != n for row in tbl):
                 raise ValueError(f"{label} table is not {n}x{n}")
-            if any(not (0 <= v < n) for row in tbl for v in row):
+            if not set().union(*tbl).issubset(range(n)):
                 raise ValueError(f"{label} table entry out of range")
         if not (0 <= one < n):
             raise ValueError("constant 1 out of range")
         if zero is not None and not (0 <= zero < n):
             raise ValueError("constant 0 out of range")
         for opname, m in self.unary.items():
-            if len(m) != n or any(not (0 <= v < n) for v in m.images):
+            if len(m) != n or not set(m.images).issubset(range(n)):
                 raise ValueError(f"unary map {opname!r} is not a self-map")
 
     @property

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import product
+from operator import itemgetter
 from typing import NamedTuple
 
 from .algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap
@@ -125,10 +126,15 @@ def generated_ds(alg: FiniteAlgebra, xs,
     """Least deductive system containing xs (element names or indices):
     the first listed one holding xs, as the systems are closed under
     intersection and listed by size (`enumerate_ds`, whose kept list it
-    reads, and whose PreconditionUnmet it raises)."""
+    reads, and whose PreconditionUnmet it raises).  An index outside the
+    carrier raises PreconditionUnmet with the least such as witness."""
     # report is unused; perfbench/workloads.py passes it positionally
     xs = frozenset(alg.index(x) if isinstance(x, str) else x for x in xs)
-    return next(d for d in alg.kept("ds", _enumerate_ds) if xs <= d.members)
+    found = next((d for d in alg.kept("ds", _enumerate_ds) if xs <= d.members), None)
+    if found is None:       # the carrier is a system, so xs leaves the carrier
+        raise _unmet("element not in the carrier",
+                     (min(x for x in xs if x not in alg.elements()),))
+    return found
 
 
 class Congruence(NamedTuple):
@@ -171,51 +177,63 @@ def _links(classes) -> list:
     return [(x, r) for x, r in enumerate(leaders) if r != x]
 
 
-def _related_pairs(cong: Congruence):
-    """Every (x, y, u, v) with x ~ y and u ~ v, in lexicographic order."""
-    blocks = cong.blocks()
-    related = [blocks[c] for c in cong.classes]      # x's block, ascending
-    return ((x, y, u, v) for x, ys in enumerate(related) for y in ys
-            for u, vs in enumerate(related) for v in vs)
+def _disagreement(cls, links, tables=(), maps=()) -> tuple[int, int] | None:
+    """The first link (x, r) at which x and its block's leader r disagree,
+    or None: under a table t some t[x][u] and t[r][u], or t[u][x] and
+    t[u][r], lie in different blocks (cls[x] is x's block); under a map f,
+    given by its images, f(x) and f(r) do.
+
+    None decides compatibility in O(n^2).  Compatibility implies it:
+    the disagreements are its instances (x, r, u, u) and (u, u, x, r)
+    for a table and (x, r) for a map.  Conversely, for x ~ y and u ~ v
+    with leaders r and r', t[x][u] ~ t[r][u] ~ t[y][u] ~ t[y][r'] ~
+    t[y][v] and f(x) ~ f(r) ~ f(y), as ~ is transitive."""
+    if not links:       # also n = 1, where itemgetter of one index gives no tuple
+        return None
+    # view[x] is the blocks of x's image, row or column under one operation
+    views = [itemgetter(*f)(cls) for f in maps]
+    for t in tables:
+        rows = [itemgetter(*row)(cls) for row in t]
+        views += rows, list(zip(*rows))
+    for x, r in links:
+        for view in views:
+            if view[x] != view[r]:
+                return x, r
+    return None
+
+
+def _incompatibility(alg: FiniteAlgebra, cls, links) -> tuple[int, ...] | None:
+    """is_compatible over the given links; the n^4 order of the related
+    pairs x ~ y, u ~ v is walked only to name a failure."""
+    a, s = alg.arrow, alg.squig
+    if _disagreement(cls, links, (a, s)) is None:
+        return None
+    blocks = Congruence(cls).blocks()
+    related = [blocks[c] for c in cls]      # x's block, ascending
+    return next(((x, y, u, v) for x, ys in enumerate(related) for y in ys
+                 for u, vs in enumerate(related) for v in vs
+                 if cls[a[x][u]] != cls[a[y][v]] or cls[s[x][u]] != cls[s[y][v]]), None)
 
 
 def is_compatible(alg: FiniteAlgebra, cong: Congruence) -> tuple[int, ...] | None:
     """First 4-tuple (x,y,u,v) breaking compatibility, or None.
 
-    Only related pairs x ~ y, u ~ v are visited, in lexicographic order,
+    Decided by the leader test (`_disagreement`); only related pairs
+    x ~ y, u ~ v are visited to name a failure, in lexicographic order,
     so the witness is the lexicographically first one over all of A^4."""
-    cls, a, s = cong.classes, alg.arrow, alg.squig
-    links = _links(cls)
-
-    def agrees(t):    # class of t[x][u] and of t[u][x] unchanged by x -> its leader r
-        rows = [list(map(cls.__getitem__, row)) for row in t]
-        cols = list(zip(*rows))
-        return all(rows[x] == rows[r] and cols[x] == cols[r] for x, r in links)
-
-    # Compatible iff every element agrees with its block's leader r:
-    # t[x][u] ~ t[r][u] and t[u][x] ~ t[u][r] are the instances (x, r, u, u)
-    # and (u, u, x, r); conversely, for x ~ y and u ~ v with leaders r and
-    # r', t[x][u] ~ t[r][u] ~ t[y][u] ~ t[y][r'] ~ t[y][v] and ~ is
-    # transitive.  This O(n^2) test decides; the walk only names a failure.
-    if agrees(a) and agrees(s):
-        return None
-    return next(((x, y, u, v) for x, y, u, v in _related_pairs(cong)
-                 if cls[a[x][u]] != cls[a[y][v]] or cls[s[x][u]] != cls[s[y][v]]), None)
+    return _incompatibility(alg, cong.classes, _links(cong.classes))
 
 
 def is_monadic_congruence(cong: Congruence, pair: MonadicPair) -> bool:
-    """x ~ y implies forall x ~ forall y, checked against the first
-    element of each block."""
-    cls, f = cong.classes, pair.forall.images
-    return all(cls[f[x]] == cls[f[r]] for x, r in _links(cls))
+    """x ~ y implies forall x ~ forall y (the leader test)."""
+    return _disagreement(cong.classes, _links(cong.classes), maps=(pair.forall.images,)) is None
 
 
 def is_meet_compatible(alg: FiniteAlgebra, cong: Congruence) -> bool:
-    """x ~ y and u ~ v imply x ^ u ~ y ^ v.  Checked only when every meet
-    exists; true, unchecked, when some pair has no meet."""
+    """x ~ y and u ~ v imply x ^ u ~ y ^ v (the leader test).  Checked only
+    when every meet exists; true, unchecked, when some pair has no meet."""
     meet, cls = classify(alg)[0].meet, cong.classes
-    return meet is None or all(cls[meet[x][u]] == cls[meet[y][v]]
-                               for x, y, u, v in _related_pairs(cong))
+    return meet is None or _disagreement(cls, _links(cls), (meet,)) is None
 
 
 def is_relative_congruence(alg: FiniteAlgebra, cong: Congruence) -> bool:
@@ -334,66 +352,46 @@ def quotient(alg: FiniteAlgebra, cong: Congruence,
              name: str | None = None) -> QuotientAlgebra:
     """Quotient algebra over the congruence classes.
 
-    Classes are ordered (and named) by their least-index
-    representative.  Well-definedness of the class operations is
-    verified elementwise, never assumed.  A pair that is not monadic
-    raises PreconditionUnmet, naming the first axiom it fails.
+    Classes are ordered (and named) by their least-index representative,
+    their leader.  The leader test (`_disagreement`) decides, never
+    assumes, that the tables respect the partition, then exists, then
+    forall; each class operation is then read off the leaders.
+    PreconditionUnmet names what fails: the pair's first failing axiom
+    when it is not monadic, `is_compatible`'s witness for the tables, or
+    the map and the first x whose image is not related to the image of
+    its leader r, as (x, r).
     """
     if pair is not None:
         require_monadic(alg, pair, "quotient")
-    n = alg.size
-    blocks = sorted(cong.blocks(), key=min)
-    proj = [None] * n
-    for i, b in enumerate(blocks):
-        for x in b:
-            proj[x] = i
-    m = len(blocks)
-    reps = [min(b) for b in blocks]
+    proj = _canonical(cong.classes).classes      # element -> class index
+    links = _links(proj)
+    bad = _incompatibility(alg, proj, links)
+    if bad is not None:
+        raise _unmet("class operation disagrees", bad)
+    for label, f in zip(MonadicPair._fields, pair or ()):
+        bad = _disagreement(proj, links, maps=(f.images,))
+        if bad is not None:
+            raise _unmet(f"{label} does not respect the congruence", bad)
+    reps = [proj.index(c) for c in range(max(proj) + 1)]      # the leaders
 
-    def build(table):
-        out = [[None] * m for _ in range(m)]
-        for x, y in product(range(n), repeat=2):
-            v = proj[table[x][y]]
-            cur = out[proj[x]][proj[y]]
-            if cur is None:
-                out[proj[x]][proj[y]] = v
-            elif cur != v:
-                # locate a concrete witness 4-tuple for the report
-                for a, b in product(blocks[proj[x]], blocks[proj[y]]):
-                    if proj[table[a][b]] != v:
-                        raise _unmet("class operation disagrees", (x, a, y, b))
-        return tuple(tuple(r) for r in out)
+    def read(t):
+        return tuple(tuple(proj[t[x][y]] for y in reps) for x in reps)
 
-    q_arrow = build(alg.arrow)
-    q_squig = build(alg.squig)
-    q_zero = proj[alg.zero] if alg.zero is not None else None
     q = FiniteAlgebra(
         name=name or f"{alg.name}_quotient",
         element_names=tuple(alg.element_names[r] for r in reps),
         one=proj[alg.one],
-        arrow=q_arrow,
-        squig=q_squig,
-        zero=q_zero,
+        arrow=read(alg.arrow),
+        squig=read(alg.squig),
+        zero=proj[alg.zero] if alg.zero is not None else None,
     )
     q_pair = None
     if pair is not None:
-        def push(um):
-            images = [None] * m
-            for x in range(n):
-                v = proj[um(x)]
-                if images[proj[x]] is None:
-                    images[proj[x]] = v
-                elif images[proj[x]] != v:
-                    for a in blocks[proj[x]]:
-                        if proj[um(a)] != images[proj[x]]:
-                            raise _unmet("class operation disagrees", (x, a, x, a))
-            return UnaryMap(tuple(images))
-
-        q_pair = MonadicPair(push(pair.exists), push(pair.forall))
+        q_pair = MonadicPair(*(UnaryMap(tuple(proj[f(r)] for r in reps)) for f in pair))
         verdict = check_monadic(q, q_pair)
         if verdict.status != HOLDS:
             raise InvariantViolated(f"quotient pair fails {verdict.name} at {verdict.witness}")
-    return QuotientAlgebra(q, tuple(proj), q_pair)
+    return QuotientAlgebra(q, proj, q_pair)
 
 
 VARIANT_BE = "be"

@@ -132,7 +132,9 @@ def _congruence_tables(ctx):
 
 def _over_congruences(body):
     """Wrap body(ctx, tables of a congruence) -> witness or None into a
-    global check."""
+    global check.  Its instance count is n^2 per congruence visited, up
+    to and including a failing one: a fixed measure, not the tuples the
+    body scanned (which may be none)."""
     def check(ctx):
         congs = ctx.once(_congruence_tables)
         for count, c in enumerate(congs, 1):
@@ -153,9 +155,8 @@ def _each_congruence(expr):
     return _over_congruences(lambda ctx, c: _first_pair(ctx, expr, c))
 
 
-def _monadic(ctx, c):    # x ~ y implies Fx ~ Fy, checked against each block's first element
-    F, cls = ctx.F, c.cls
-    return all(cls[F[x]] == cls[F[r]] for x, r in c.links)
+def _monadic(ctx, c):    # x ~ y implies Fx ~ Fy: the leader test over the kept links
+    return _ded._disagreement(c.cls, c.links, maps=(ctx.F,)) is None
 
 
 def _p6_cong_exists(ctx, c):

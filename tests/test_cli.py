@@ -287,6 +287,7 @@ EXIT_TWO = {
     "verify_non_monadic_pair": "verify {non_monadic}",
     "set_not_a_ds": "quotient {psbe5} --set 1,d",
     "not_a_congruence": "quotient {psbe4} --set 1",
+    "pair_breaks_congruence": "quotient {bc4} --set 1,a --pair 2",
     "mode_unavailable": "mop {psbe4} --mode bc",
     "verify_unknown_law": "verify {bc4} --law NO.such_law",
     "search_unknown_law": "search --law NO.such_law --max-size 2",
@@ -295,6 +296,12 @@ EXIT_TWO = {
     "gen_without_set": "gen {psbe5}",
     "quotient_without_set": "quotient {psbe5}",
     "search_without_law": "search",
+}
+
+
+# the exact stderr of some of them
+EXIT_TWO_MESSAGES = {
+    "pair_breaks_congruence": "psbe: error: exists does not respect the congruence at (3, 2)\n",
 }
 
 
@@ -323,6 +330,7 @@ def test_input_and_usage_errors_exit_two(tmp_path, capsys, case):
     assert "Traceback" not in out.err
     assert out.err.splitlines()[-1].startswith(
         ("psbe: error: ", f"psbe {argv[0]}: error: "))
+    assert out.err == EXIT_TWO_MESSAGES.get(case, out.err)
 
 
 def test_reports_are_deterministic(capsys):

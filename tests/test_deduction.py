@@ -1,3 +1,4 @@
+from functools import cache
 from itertools import product
 
 import pytest
@@ -18,6 +19,11 @@ from psbe.quantifiers import (MonadicPair, check_mv_quantifier, enumerate_mop,
 
 from conftest import (ORACLE_ALGEBRAS, assert_generated_ds_matches_references,
                       labelled_models, load, scan_ds, times_c2)
+
+
+@cache
+def _product(name):
+    return times_c2(load(name))
 
 
 def member_names(alg, ds):
@@ -298,6 +304,78 @@ def test_compatibility_witnesses_match_full_scan(alg):
         assert is_compatible(alg, cong) == scan_compatible(alg, cong)
         assert is_meet_compatible(alg, cong) == (
             meet is None or scan_meet_compatible(alg, cong, meet))
+
+
+@pytest.mark.parametrize("alg", ORACLE_ALGEBRAS)
+def test_quotient_decides_by_is_compatible_and_reads_the_leaders(alg):
+    n = alg.size
+    for cong in all_partitions(n):
+        bad = scan_compatible(alg, cong)
+        if bad is not None:
+            with pytest.raises(PreconditionUnmet) as err:
+                quotient(alg, cong)
+            assert str(err.value) == f"class operation disagrees at {bad}"
+            assert err.value.witness == bad
+            continue
+        q, proj = quotient(alg, cong)[:2]
+        blocks = sorted(cong.blocks(), key=min)
+        assert all(x in blocks[proj[x]] for x in range(n))
+        assert q.element_names == tuple(alg.element_names[min(b)] for b in blocks)
+        for x, y in product(range(n), repeat=2):
+            assert q.arrow[proj[x]][proj[y]] == proj[alg.arrow[x][y]]
+            assert q.squig[proj[x]][proj[y]] == proj[alg.squig[x][y]]
+
+
+def _bc4_theta_pair_2(members):
+    alg = load("bc4")
+    d = next(ds for ds in enumerate_ds(alg) if member_names(alg, ds) == members)
+    return alg, theta_from_ds(alg, d), pair_from_unary_blocks(alg, "2")
+
+
+def _chain3_forall_breaks():
+    # e1 <= e2 <= 1 for both implications; exists respects the classes
+    # {1, e2}, {e1}, forall sends e2 to e1 but 1 to 1
+    t = ((0, 1, 2), (0, 0, 0), (0, 1, 0))
+    alg = FiniteAlgebra("chain3", ("1", "e1", "e2"), 0, t, t)
+    return alg, Congruence((0, 1, 0)), MonadicPair(UnaryMap((0, 1, 0)), UnaryMap((0, 1, 1)))
+
+
+@pytest.mark.parametrize("make, witness, message", [
+    (lambda: _bc4_theta_pair_2({"1", "a"}), (3, 2),
+     "exists does not respect the congruence at (3, 2)"),
+    (lambda: _bc4_theta_pair_2({"1", "b"}), (3, 1),
+     "exists does not respect the congruence at (3, 1)"),
+    (_chain3_forall_breaks, (2, 0), "forall does not respect the congruence at (2, 0)"),
+], ids=["bc4-1a-pair2", "bc4-1b-pair2", "chain3-forall"])
+def test_quotient_rejects_a_pair_whose_maps_break_the_congruence(make, witness, message):
+    alg, cong, pair = make()
+    with pytest.raises(PreconditionUnmet) as err:
+        quotient(alg, cong, pair=pair)
+    assert str(err.value) == message
+    assert err.value.witness == witness
+
+
+@pytest.mark.parametrize("name", ["bc4", "inv6"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_leader_tests_match_references_on_products(name, data):
+    # inv6xC2 has a pair without a meet, so is_meet_compatible holds unchecked
+    alg = _product(name)
+    meet = classify(alg)[0].meet
+    for cong in [data.draw(partitions(alg.size)), *enumerate_congruences(alg)]:
+        assert is_meet_compatible(alg, cong) == (
+            meet is None or scan_meet_compatible(alg, cong, meet))
+        for pair in enumerate_mop(alg):
+            assert (is_monadic_congruence(cong, pair)
+                    == monadic_congruence_reference(cong, pair))
+
+
+@pytest.mark.parametrize("bad", [99, -1])
+def test_generated_ds_rejects_an_element_outside_the_carrier(psbe5, bad):
+    with pytest.raises(PreconditionUnmet) as err:
+        generated_ds(psbe5, [1, bad])
+    assert str(err.value) == f"element not in the carrier at ({bad},)"
+    assert err.value.witness == (bad,)
 
 
 @pytest.mark.parametrize("name, count", [("bc4", 8), ("psbe4", 4),

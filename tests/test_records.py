@@ -92,9 +92,12 @@ def test_finite_algebra_ignores_unary_and_validates():
            (dict(element_names=("1", "1")), "duplicate element names"),
            (dict(arrow=((0, 1),)), "arrow table is not 2x2"),
            (dict(squig=((0, 1), (0, 2))), "squig table entry out of range"),
+           (dict(arrow=((0, -1), (0, 0))), "arrow table entry out of range"),
            (dict(one=2), "constant 1 out of range"),
            (dict(zero=-1), "constant 0 out of range"),
-           (dict(unary={"m": UnaryMap((0,))}), "unary map 'm' is not a self-map")]
+           (dict(unary={"m": UnaryMap((0,))}), "unary map 'm' is not a self-map"),
+           (dict(unary={"m": UnaryMap((0, 2))}), "unary map 'm' is not a self-map"),
+           (dict(unary={"m": UnaryMap((-1, 0))}), "unary map 'm' is not a self-map")]
     for changes, message in bad:
         for make in (lambda: chain(**changes), lambda: plain._replace(**changes)):
             with pytest.raises(ValueError) as exc:
