@@ -27,7 +27,7 @@ from conftest import (assert_generated_ds_matches_references, brute_models, brut
                       model_algebra, scan_ds, search_outcome)
 from test_classify import assert_matches_eager
 from test_deduction import scan_congruences
-from test_law_pin import digest, with_least_zero
+from test_law_pin import applicability, digest, with_least_zero
 from test_quantifiers import MODES, cross_product_mop, outcome
 
 from psbe.deduction import enumerate_congruences, enumerate_ds
@@ -37,6 +37,8 @@ from psbe.quantifiers import enumerate_mop
 # sha256 over verify_suite(include_probes=True) on every model with its
 # monadic pairs, the least element declared as zero where there is one
 VERDICT_DIGEST = "d520e371f571fc9d82ff049925f98973dc9fdd7aa3c36b1f59b610ca24171bde"
+# sha256 over each model's law applicability and flag statuses (`applicability`)
+APPLICABILITY_DIGEST = "98032de99d89b8fab4623bf48aa4c483785966aaf16a158ff2ee36a7a4bcb2a0"
 
 RANKED = brute_models(4)
 MODELS = [model_algebra(4, arrow, squig, "m4") for _, arrow, squig in RANKED]
@@ -67,6 +69,11 @@ def test_suite_verdicts_are_pinned():
         verdicts.append([v.to_json(alg) for v in verify_suite(
             alg, enumerate_mop(alg), include_probes=True)])
     assert digest(verdicts) == VERDICT_DIGEST
+
+
+def test_applicability_is_pinned():
+    assert (digest([applicability(with_least_zero(alg)) for alg in MODELS])
+            == APPLICABILITY_DIGEST)
 
 
 @pytest.mark.parametrize("alg", N4)

@@ -16,8 +16,7 @@ compiled on first use (`_scan`).
 from __future__ import annotations
 
 import _ast    # the parser's node classes, without the import cost of `ast`
-from functools import cached_property
-from types import SimpleNamespace
+from functools import cached_property, partial
 from typing import NamedTuple
 
 from .algebra import FiniteAlgebra, PreconditionUnmet
@@ -200,10 +199,6 @@ def closed_sets(start, atoms, join) -> set:
     return found
 
 
-PSBE_AXIOMS = ("psBE1", "psBE2", "psBE3", "psBE4", "psBE5")
-PSBCK_AXIOMS = ("psBCK1", "psBCK2", "psBCK3", "psBCK4", "psBCK5", "psBCK6")
-
-
 def check_pseudo_be(alg: FiniteAlgebra) -> Verdict:
     """psBE1-psBE5 over all tuples; first violated axiom wins.  Kept per
     algebra object (`FiniteAlgebra.kept`)."""
@@ -255,6 +250,8 @@ FLAG_NAMES = (
     "has_pP", "pseudo_hoop", "pseudo_mv",
 )
 FLAG_ALIASES = {"distributive": "distributive_i"}   # read as its condition (i)
+_FLAG_OF = {**{name: name for name in FLAG_NAMES}, **FLAG_ALIASES}
+DERIVED_TABLES = ("odot", "oplus", "meet", "join", "neg_minus", "neg_sim")
 
 
 def least_elements(alg: FiniteAlgebra) -> list[int]:
@@ -277,17 +274,26 @@ def _cup(first, then):    # the table of (x first y) then y
     return tuple(tuple(then[first[x][y]][y] for y in rng) for x in rng)
 
 
-def _axiom(arity: int, expr: str, bounded: bool = False):
-    """A flag computed on first read: expr at every t in range(n)**arity,
-    over the report's tables; not_applicable if `bounded` and the algebra
-    is not, as its negations are then undefined."""
+def _flag(hypothesis, compute):
+    """A flag computed on first read: compute(report, its name), or
+    not_applicable where the report does not meet hypothesis (`unmet`)."""
     def verdict(report):
         name = flag.attrname
-        if bounded and report._zero is None:
-            return Verdict.na(name)
-        return Verdict.of(first_failure(report.alg.size, arity, ((name, expr),), report), name)
+        return Verdict.na(name) if report.unmet(hypothesis) else compute(report, name)
     flag = cached_property(verdict)
     return flag
+
+
+def _axiom(arity: int, expr: str, hypothesis=()):
+    """A flag: expr at every t in range(n)**arity, over the report's tables."""
+    return _flag(hypothesis, lambda report, name: Verdict.of(
+        first_failure(report.alg.size, arity, ((name, expr),), report), name))
+
+
+def _exists(*tables, witness=lambda report: ()):
+    """A flag of a poset: holds when the derived tables exist."""
+    return _flag(("poset",), lambda report, name: Verdict.fails(name, witness(report))
+                 if report.unmet(tables) else Verdict.holds(name))
 
 
 class ClassificationReport:
@@ -298,7 +304,7 @@ class ClassificationReport:
         self.alg = alg
         self.one, self.arrow, self.squig = alg.one, alg.arrow, alg.squig
         least = least_elements(alg)
-        self._zero = least[0] if len(least) == 1 else None
+        self.zero = least[0] if len(least) == 1 else None     # the derived least element
         self.bounded = (Verdict.holds("bounded") if len(least) == 1
                         else Verdict.fails("bounded", tuple(least[:2])))
 
@@ -307,13 +313,25 @@ class ClassificationReport:
         return {name: getattr(self, name) for name in FLAG_NAMES}
 
     def __getitem__(self, name: str) -> Verdict:
-        name = FLAG_ALIASES.get(name, name)
-        if name not in FLAG_NAMES:
-            raise KeyError(name)
-        return getattr(self, name)
+        return getattr(self, _FLAG_OF[name])    # KeyError unless a flag or an alias
 
-    def holds(self, name: str) -> bool:
-        return self[name].status == HOLDS
+    def unmet(self, names) -> str | None:
+        """The first of names not met, or None: a flag (FLAG_NAMES, or an
+        alias) is met when it holds, a table of DERIVED_TABLES when it
+        exists.  The one applicability test of the package: hypotheses,
+        search requirements and preconditions are such names."""
+        for name in names:
+            if name in _FLAG_OF:
+                met = getattr(self, _FLAG_OF[name]).status == HOLDS
+            elif name in DERIVED_TABLES:
+                met = getattr(self, name) is not None
+            else:
+                raise InvariantViolated(f"{name!r} is neither a flag nor a derived table")
+            if not met:
+                return name
+        return None
+
+    holds = lambda self, name: self.unmet((name,)) is None
 
     def to_json(self, alg: FiniteAlgebra | None = None) -> dict:
         return {name: v.to_json(alg) for name, v in self.flags.items()}
@@ -324,17 +342,17 @@ class ClassificationReport:
                                              for row in self.arrow))
     cup1 = cached_property(lambda self: _cup(self.arrow, self.squig))    # (x -> y) ~> y
     cup2 = cached_property(lambda self: _cup(self.squig, self.arrow))    # (x ~> y) -> y
-    neg_minus = cached_property(lambda self: None if self._zero is None else
-                                tuple(row[self._zero] for row in self.arrow))   # x -> 0
-    neg_sim = cached_property(lambda self: None if self._zero is None else
-                              tuple(row[self._zero] for row in self.squig))     # x ~> 0
+    neg_minus = cached_property(lambda self: None if self.zero is None else
+                                tuple(row[self.zero] for row in self.arrow))    # x -> 0
+    neg_sim = cached_property(lambda self: None if self.zero is None else
+                              tuple(row[self.zero] for row in self.squig))      # x ~> 0
     meet = cached_property(lambda self: _bound_table(self.leq, lower=True)
-                           if self.poset.status == HOLDS else None)
+                           if self.holds("poset") else None)
     join = cached_property(lambda self: _bound_table(self.leq, lower=False)
-                           if self.poset.status == HOLDS else None)
+                           if self.holds("poset") else None)
     # (odot, None), or (None, the first pair without a product)
     _pseudo_product = cached_property(lambda self: pseudo_product_table(self.alg, self.leq)
-                                      if self.poset.status == HOLDS else (None, None))
+                                      if self.holds("poset") else (None, None))
     odot = cached_property(lambda self: self._pseudo_product[0])
 
     @cached_property
@@ -358,45 +376,31 @@ class ClassificationReport:
     distributive_i = _axiom(3, "arrow[x][squig[y][z]] == squig[arrow[x][y]][arrow[x][z]]")
     distributive_ii = _axiom(3, "squig[x][arrow[y][z]] == arrow[squig[x][y]][squig[x][z]]")
     commutative = _axiom(2, "cup1[x][y] == cup1[y][x] and cup2[x][y] == cup2[y][x]")
-    good = _axiom(1, "neg_sim[neg_minus[x]] == neg_minus[neg_sim[x]]", bounded=True)
+    good = _axiom(1, "neg_sim[neg_minus[x]] == neg_minus[neg_sim[x]]", ("bounded",))
     involutive = _axiom(1, "neg_sim[neg_minus[x]] == x and neg_minus[neg_sim[x]] == x",
-                        bounded=True)
+                        ("bounded",))
 
     @cached_property
     def poset(self):
         antisym = first_failure(self.alg.size, 2, (
             ("antisymmetric", "not (leq[x][y] and leq[y][x]) or x == y"),), self)
-        if antisym is None and self.condition_T.status == HOLDS:
+        if antisym is None and self.holds("condition_T"):
             return Verdict.holds("poset")
         return Verdict.fails("poset", antisym[1] if antisym else self.condition_T.witness)
 
-    def _order_flag(self, name, tables, witness=()) -> Verdict:
-        if self.poset.status != HOLDS:
-            return Verdict.na(name)
-        return Verdict.holds(name) if None not in tables else Verdict.fails(name, witness)
+    meet_semilattice = _exists("meet")
+    join_semilattice = _exists("join")
+    lattice = _exists("meet", "join")
+    has_pP = _exists("odot", witness=lambda self: self._pseudo_product[1])
 
-    meet_semilattice = cached_property(
-        lambda self: self._order_flag("meet_semilattice", [self.meet]))
-    join_semilattice = cached_property(
-        lambda self: self._order_flag("join_semilattice", [self.join]))
-    lattice = cached_property(lambda self: self._order_flag("lattice", [self.meet, self.join]))
-    has_pP = cached_property(lambda self: self._order_flag(
-        "has_pP", self._pseudo_product[:1], self._pseudo_product[1]))
-
-    @cached_property
-    def pseudo_hoop(self):    # psH1-psH5 with the computed product
-        if self.odot is None:
-            return Verdict.na("pseudo_hoop")
+    @partial(_flag, ("has_pP",))
+    def pseudo_hoop(self, name):    # psH1-psH5 with the computed product
         psh = first_failure_of(self.alg.size, _PSH, self)
-        return Verdict.holds("pseudo_hoop") if psh is None else Verdict.fails("pseudo_hoop", psh[1])
+        return Verdict.holds(name) if psh is None else Verdict.fails(name, psh[1])
 
-    @cached_property
-    def pseudo_mv(self):    # of a bounded commutative algebra
-        if (self._zero is None or self.commutative.status != HOLDS or self.oplus is None
-                or self.odot is None):
-            return Verdict.na("pseudo_mv")
-        return _check_pseudo_mv(self.alg, self.oplus, self.odot, self.neg_minus,
-                                self.neg_sim, self._zero)
+    # psMV1-psMV8 on ((+), (.), -, ~, 0, 1) of a bounded commutative algebra
+    pseudo_mv = _flag(("bounded", "commutative", "oplus", "odot"), lambda self, name:
+                      Verdict.of(first_failure_of(self.alg.size, _PSMV, self), name))
 
 
 _PSH = (
@@ -421,60 +425,56 @@ def classify(alg: FiniteAlgebra) -> tuple[ClassificationReport, ClassificationRe
     return report, report
 
 
-def _unique_minimum(candidates: list[int], leq) -> int | None:
-    mins = [m for m in candidates if all(leq[m][z] for z in candidates)]
-    return mins[0] if len(mins) == 1 else None
+def _least(candidates: list[int], le) -> int | None:
+    """The one m of candidates with le[m][z] for every candidate z, or None."""
+    best = [m for m in candidates if all(le[m][z] for z in candidates)]
+    return best[0] if len(best) == 1 else None
 
 
-def pseudo_product_table(alg: FiniteAlgebra, leq):
-    """(table, None) or (None, first failing pair).  Assumes leq is a poset."""
-    n = alg.size
+def _table(n: int, cell):
+    """(the n x n table of cell(x, y), None), or (None, the first (x, y)
+    in lexicographic order where cell gives None)."""
     rows = []
     for x in range(n):
         row = []
         for y in range(n):
-            s1 = [z for z in range(n) if leq[x][alg.arrow[y][z]]]
-            s2 = [z for z in range(n) if leq[y][alg.squig[x][z]]]
-            m1 = _unique_minimum(s1, leq)
-            m2 = _unique_minimum(s2, leq)
-            if m1 is None or m2 is None or m1 != m2:
+            v = cell(x, y)
+            if v is None:
                 return None, (x, y)
-            row.append(m1)
+            row.append(v)
         rows.append(tuple(row))
     return tuple(rows), None
 
 
+def pseudo_product_table(alg: FiniteAlgebra, leq):
+    """(table, None) or (None, first failing pair).  Assumes leq is a poset."""
+    rng, arrow, squig = alg.elements(), alg.arrow, alg.squig
+
+    def cell(x, y):    # the least z with x <= y -> z, if it is the least z with y <= x ~> z
+        m = _least([z for z in rng if leq[x][arrow[y][z]]], leq)
+        return m if m == _least([z for z in rng if leq[y][squig[x][z]]], leq) else None
+    return _table(alg.size, cell)
+
+
 def _bound_table(leq, lower: bool):
     """Meet (lower=True) or join table from the order, or None if some pair lacks one."""
-    n = len(leq)
-    le = leq if lower else tuple(zip(*leq))     # a join is a meet of the dual
-    rows = []
-    for x in range(n):
-        row = []
-        for y in range(n):
-            bounds = [z for z in range(n) if le[z][x] and le[z][y]]
-            best = [m for m in bounds if all(le[z][m] for z in bounds)]
-            if len(best) != 1:
-                return None
-            row.append(best[0])
-        rows.append(tuple(row))
-    return tuple(rows)
+    rng, geq = range(len(leq)), tuple(zip(*leq))
+    le, ge = (leq, geq) if lower else (geq, leq)     # a join is a meet of the dual
+
+    def cell(x, y):    # the greatest common lower bound under le
+        return _least([z for z in rng if le[z][x] and le[z][y]], ge)
+    return _table(len(leq), cell)[0]
 
 
 _PSMV = (
     (3, (("psMV1", "oplus[x][oplus[y][z]] == oplus[oplus[x][y]][z]"),)),
     (1, (("psMV2", "oplus[x][zero] == x and oplus[zero][x] == x"),
          ("psMV3", "oplus[x][one] == one and oplus[one][x] == one"))),
-    (0, (("psMV4", "nm[one] == zero and ns[one] == zero"),)),
-    (2, (("psMV5", "ns[oplus[nm[x]][nm[y]]] == nm[oplus[ns[x]][ns[y]]]"),
-         ("psMV6", "len({oplus[x][odot[ns[x]][y]], oplus[y][odot[ns[y]][x]],"
-                   " oplus[odot[x][nm[y]]][y], oplus[odot[y][nm[x]]][x]}) == 1"),
-         ("psMV7", "odot[x][oplus[nm[x]][y]] == odot[oplus[x][ns[y]]][y]"))),
-    (1, (("psMV8", "ns[nm[x]] == x"),)),
+    (0, (("psMV4", "neg_minus[one] == zero and neg_sim[one] == zero"),)),
+    (2, (("psMV5", "neg_sim[oplus[neg_minus[x]][neg_minus[y]]]"
+                   " == neg_minus[oplus[neg_sim[x]][neg_sim[y]]]"),
+         ("psMV6", "len({oplus[x][odot[neg_sim[x]][y]], oplus[y][odot[neg_sim[y]][x]],"
+                   " oplus[odot[x][neg_minus[y]]][y], oplus[odot[y][neg_minus[x]]][x]}) == 1"),
+         ("psMV7", "odot[x][oplus[neg_minus[x]][y]] == odot[oplus[x][neg_sim[y]]][y]"))),
+    (1, (("psMV8", "neg_sim[neg_minus[x]] == x"),)),
 )
-
-
-def _check_pseudo_mv(alg, oplus, odot, nm, ns, zero) -> Verdict:
-    """psMV1-psMV8 on the structure ((+), (.), -, ~, 0, 1)."""
-    tables = SimpleNamespace(oplus=oplus, odot=odot, nm=nm, ns=ns, zero=zero, one=alg.one)
-    return Verdict.of(first_failure_of(alg.size, _PSMV, tables), "pseudo_mv")

@@ -414,7 +414,7 @@ def correspondence_report(alg: FiniteAlgebra, pair: MonadicPair,
     m_cons = [c for c in enumerate_congruences(alg) if is_monadic_congruence(c, pair)]
 
     if variant == VARIANT_BE:
-        if not (report.holds("distributive_i") and report.holds("commutative")):
+        if report.unmet(("distributive_i", "commutative")) is not None:
             raise PreconditionUnmet("variant 'be' needs a distributive commutative algebra")
         left = m_cons
         right = monadic_ds(alg, pair)

@@ -1,14 +1,14 @@
 """Executable law catalog, suite runner and bounded counterexample search.
 
 Every law carries an anchor (the identity it encodes, in plain
-notation), a hypothesis expressed as classification flags / derived-op
-availability, and a check.  `psbe laws` shows the anchor; the check
-runs.  A pointwise law's check is an expression over the `Ctx` tables
-and x, y, z, such as "a[x][s[y][z]] == s[y][a[x][z]]" for
-x -> (y ~> z) = y ~> (x -> z), compiled by `classify.first_failure`;
+notation), a hypothesis (the flags and tables its algebra's report must
+meet, `ClassificationReport.unmet`) and a check.  `psbe laws` shows the
+anchor; the check runs.  A pointwise law's check is an expression over
+the `Ctx` tables and x, y, z, such as "a[x][s[y][z]] == s[y][a[x][z]]"
+for x -> (y ~> z) = y ~> (x -> z), compiled by `classify.first_failure`;
 nothing yet checks it against the anchor.  A global law's check is a
-function of the context.  `verify_suite` evaluates the
-catalog against an algebra and a set of monadic pairs; `search_counterexample`
+function of the context.  `verify_suite` evaluates the catalog against
+an algebra and a set of monadic pairs; `search_counterexample`
 enumerates small algebras looking for a failure of one law.
 
 Notation in anchors: -> and ~> are the two implications, x- and x~ the
@@ -36,6 +36,7 @@ from . import deduction as _ded
 _all_ds = lambda ctx: _ded.enumerate_ds(ctx.alg)
 _all_congruences = lambda ctx: _ded.enumerate_congruences(ctx.alg)
 _ds_by_members = lambda ctx: {d.members: d for d in ctx.ds}
+_decisions = lambda ctx: {}     # law hypothesis -> whether the report meets it
 
 
 class Ctx:
@@ -44,6 +45,7 @@ class Ctx:
     a, s (-> and ~>), E, F, nm, ns, od, op, meet, join and the constants
     one, zero.  `report` is the algebra's one ClassificationReport
     (`classify`); the derived tables are read from it on first use.
+    `zero` is the declared zero, not `report.zero`, until ROADMAP item 2.
     `ds`, `congruences`, the congruences' tables and each law hypothesis
     read no pair, so each is computed once per algebra object (`once`)
     and shared by every context on it, `with_pair` copies included."""
@@ -56,12 +58,20 @@ class Ctx:
         self.zero = alg.zero
         self.a = alg.arrow
         self.s = alg.squig
+        self.decided = self.once(_decisions)
         self._bind(pair)
 
     def once(self, fn):
         """fn(self), kept on the algebra object (`FiniteAlgebra.kept`): computed
         once for it, whatever context or copy asks; fn must not read the pair."""
         return self.alg.kept(fn, lambda alg: fn(self))
+
+    def applies(self, hypothesis) -> bool:
+        """Whether the report meets hypothesis, decided once per algebra (`once`)."""
+        met = self.decided.get(hypothesis)
+        if met is None:
+            met = self.decided[hypothesis] = self.report.unmet(hypothesis) is None
+        return met
 
     ds = property(lambda self: self.once(_all_ds))
     congruences = property(lambda self: self.once(_all_congruences))
@@ -85,31 +95,21 @@ class Ctx:
         return ctx
 
 
-def _flags(*names):
-    return lambda ctx: all(ctx.report.holds(f) for f in names)
-
-
-def _and(*hyps):
-    return lambda ctx: all(h(ctx) for h in hyps)
-
-
-def _has(*attrs):
-    return lambda ctx: all(getattr(ctx, a) is not None for a in attrs)
-
-
-_BE = _flags("pseudo_be")
-_BCK = _flags("pseudo_bck")
-_BND = _flags("pseudo_be", "bounded")
+_BE = ("pseudo_be",)
+_BCK = ("pseudo_bck",)
+_BND = ("pseudo_be", "bounded")
 
 
 class Law(NamedTuple):
-    """A catalog entry.  `hypothesis` reads only algebra-level state (flags
-    and derived tables), never E, F or the pair: `Ctx.once` decides it."""
+    """A catalog entry.  `hypothesis` names the flags that must hold and
+    the derived tables that must exist (`ClassificationReport.unmet`),
+    leaving out a table that a listed flag decides: odot exists iff
+    has_pP holds, meet iff meet_semilattice, join iff join_semilattice."""
 
     id: str
     anchor: str
     arity: int                    # 0 means a global (whole-structure) law
-    hypothesis: object            # Ctx -> bool
+    hypothesis: tuple             # names the report decides; () always applies
     check: object                 # arity >= 1: an expression over Ctx tables
                                   # (a, s, E, ...) and x, y, z, which must hold
                                   # at every tuple (`first_failure`); arity 0:
@@ -256,7 +256,7 @@ def catalog() -> tuple[Law, ...]:
     add(Law("BE.exchange", "x -> (y ~> z) = y ~> (x -> z)", 3, _BE,
             "a[x][s[y][z]] == s[y][a[x][z]]", uses_pair=False))
     add(Law("BE.transitive_T", "under (T): x <= y and y <= z imply x <= z", 3,
-            _flags("pseudo_be", "condition_T"),
+            ("pseudo_be", "condition_T"),
             "not (a[x][y] == one and a[y][z] == one) or a[x][z] == one", uses_pair=False))
     add(Law("BE.const_upper_mixed", "x -> (y ~> x) = 1 and x ~> (y -> x) = 1", 2, _BE,
             "a[x][s[y][x]] == one and s[x][a[y][x]] == one", uses_pair=False))
@@ -268,12 +268,12 @@ def catalog() -> tuple[Law, ...]:
     monotone = "a[x][y] != one or (a[a[z][x]][a[z][y]] == one and a[s[z][x]][s[z][y]] == one)"
     add(Law("A.antitone_first",
             "under (A): x <= y implies y -> z <= x -> z and y ~> z <= x ~> z",
-            3, _flags("pseudo_be", "condition_A"), antitone, uses_pair=False))
+            3, ("pseudo_be", "condition_A"), antitone, uses_pair=False))
     add(Law("M.monotone_second",
             "under (M): x <= y implies z -> x <= z -> y and z ~> x <= z ~> y",
-            3, _flags("pseudo_be", "condition_M"), monotone, uses_pair=False))
+            3, ("pseudo_be", "condition_M"), monotone, uses_pair=False))
     add(Law("BE.distributive_i", "x -> (y ~> z) = (x -> y) ~> (x -> z)",
-            3, _flags("pseudo_be", "distributive_i"),
+            3, ("pseudo_be", "distributive_i"),
             "a[x][s[y][z]] == s[a[x][y]][a[x][z]]", uses_pair=False))
     add(Law("BCK.antitone", "x <= y implies y -> z <= x -> z and y ~> z <= x ~> z",
             3, _BCK, antitone, uses_pair=False))
@@ -291,7 +291,7 @@ def catalog() -> tuple[Law, ...]:
             lambda c: (c.nm[c.one] == c.ns[c.one] == c.zero
                        and c.nm[c.zero] == c.ns[c.zero] == c.one,
                        None, 4), uses_pair=False))
-    _BBCK = _flags("pseudo_bck", "bounded")
+    _BBCK = ("pseudo_bck", "bounded")
     add(Law("BND.double_neg_ge", "x <= x-~ and x <= x~-", 1, _BBCK,
             "a[x][ns[nm[x]]] == one and a[x][nm[ns[x]]] == one", uses_pair=False))
     add(Law("BND.neg_antitone", "x <= y implies y- <= x- and y~ <= x~", 2, _BBCK,
@@ -301,7 +301,7 @@ def catalog() -> tuple[Law, ...]:
             "nm[ns[nm[x]]] == nm[x] and ns[nm[ns[x]]] == ns[x]", uses_pair=False))
 
     # -------- pseudo-product laws
-    _PP = _and(_flags("pseudo_bck", "has_pP"), _has("od"))
+    _PP = ("pseudo_bck", "has_pP")
     add(Law("PP.le_both", "x*y <= x and x*y <= y", 2, _PP,
             "a[od[x][y]][x] == one and a[od[x][y]][y] == one", uses_pair=False))
     add(Law("PP.residual_le", "(x -> y)*x <= x,y and x*(x ~> y) <= x,y", 2, _PP,
@@ -345,12 +345,12 @@ def catalog() -> tuple[Law, ...]:
     add(Law("P3.forall_one", "Fx = 1 iff x = 1", 1, _BE, "(F[x] == one) == (x == one)"))
     isotone = "a[x][y] != one or (a[E[x]][E[y]] == one and a[F[x]][F[y]] == one)"
     add(Law("P3.isotone_T", "under (T): x <= y implies Ex <= Ey and Fx <= Fy",
-            2, _flags("pseudo_be", "condition_T"), isotone))
+            2, ("pseudo_be", "condition_T"), isotone))
     add(Law("P3.isotone_unconditional",
             "x <= y implies Ex <= Ey and Fx <= Fy (no (T) hypothesis; probe)",
             2, _BE, isotone, probe=True))
     add(Law("P3.residuated_T", "under (T): Ex <= y iff x <= Fy", 2,
-            _flags("pseudo_be", "condition_T"), "(a[E[x]][y] == one) == (a[x][F[y]] == one)"))
+            ("pseudo_be", "condition_T"), "(a[E[x]][y] == one) == (a[x][F[y]] == one)"))
 
     # -------- fixed-set laws
     add(Law("P3f.subalgebra", "the fixed set contains 1 and is closed under -> and ~>",
@@ -375,11 +375,11 @@ def catalog() -> tuple[Law, ...]:
 
     # -------- involutive duality
     add(Law("INV.dual_formulas", "Ex = (F(x-))~ = (F(x~))- and Fx = (E(x-))~ = (E(x~))-",
-            1, _flags("pseudo_be", "involutive"),
+            1, ("pseudo_be", "involutive"),
             "E[x] == ns[F[nm[x]]] == nm[F[ns[x]]] and F[x] == ns[E[nm[x]]] == nm[E[ns[x]]]"))
 
     # -------- bounded commutative exchange laws
-    _BC = _and(_flags("pseudo_be", "bounded", "commutative"), _has("od", "op", "meet", "join"))
+    _BC = ("pseudo_be", "bounded", "commutative", "has_pP", "lattice", "oplus")
     add(Law("L4.oplus_demorgan", "x (+) y = (y- * x-)~ = (y~ * x~)-", 2, _BC,
             "op[x][y] == ns[od[nm[y]][nm[x]]] == nm[od[ns[y]][ns[x]]]", uses_pair=False))
     add(Law("P4.meet_join_equiv",
@@ -408,8 +408,8 @@ def catalog() -> tuple[Law, ...]:
             " and F[a[F[x]][F[y]]] == a[F[x]][F[y]] and F[s[F[x]][F[y]]] == s[F[x]][F[y]]"))
 
     # -------- semilattice laws
-    _MEET = _and(_flags("pseudo_bck", "meet_semilattice"), _has("meet"))
-    _JOIN = _and(_flags("pseudo_bck", "join_semilattice"), _has("join"))
+    _MEET = ("pseudo_bck", "meet_semilattice")
+    _JOIN = ("pseudo_bck", "join_semilattice")
     add(Law("P5.meet_forall", "F(x^y) = Fx ^ Fy", 2, _MEET, "F[meet[x][y]] == meet[F[x]][F[y]]"))
     add(Law("P5.meet_exists_le", "E(x^y) <= Ex ^ Ey", 2, _MEET,
             "a[E[meet[x][y]]][meet[E[x]][E[y]]] == one"))
@@ -437,7 +437,7 @@ def catalog() -> tuple[Law, ...]:
             "E[od[x][F[y]]] == od[E[x]][F[y]] and E[od[F[x]][y]] == od[F[x]][E[y]]"))
 
     # -------- bounded commutative BCK oplus laws
-    _BCBCK = _and(_flags("pseudo_bck", "bounded", "commutative"), _has("op"))
+    _BCBCK = ("pseudo_bck", "bounded", "commutative", "oplus")
     add(Law("P5.oplus_stable", "F(Fx(+)Fy) = Fx(+)Fy", 2, _BCBCK,
             "F[op[F[x]][F[y]]] == op[F[x]][F[y]]"))
     add(Law("P5.oplus_le", "Fx(+)Fy <= F(x(+)y)", 2, _BCBCK,
@@ -445,7 +445,7 @@ def catalog() -> tuple[Law, ...]:
 
     # -------- monadic pseudo-hoop law
     add(Law("P5.hoop_meet", "F(x -> y)*x <= Ex ^ Ey and x*F(x ~> y) <= Ex ^ Ey", 2,
-            _and(_flags("pseudo_hoop", "meet_semilattice"), _has("od", "meet")),
+            ("pseudo_hoop", "meet_semilattice"),
             "a[od[F[a[x][y]]][x]][meet[E[x]][E[y]]] == one"
             " and a[od[x][F[s[x][y]]]][meet[E[x]][E[y]]] == one"))
 
@@ -459,23 +459,22 @@ def catalog() -> tuple[Law, ...]:
                              " <= one_cls"), uses_pair=False))
     add(Law("L6.commutative_converse",
             "commutative: x -> y, y -> x in [1] implies (x,y) related", 0,
-            _flags("pseudo_be", "commutative"),
+            ("pseudo_be", "commutative"),
             _each_congruence("not (a[x][y] in one_cls and a[y][x] in one_cls)"
                              " or cls[x] == cls[y]"), uses_pair=False))
     add(Law("P6.ds_upward", "D a deductive system, x in D, x <= y imply y in D",
             0, _BE, _p6_ds_upward, uses_pair=False))
     add(Law("P6.distributive_normal", "distributive: every deductive system is normal",
-            0, _flags("pseudo_be", "distributive_i"), _p6_distributive_normal,
-            uses_pair=False))
+            0, ("pseudo_be", "distributive_i"), _p6_distributive_normal, uses_pair=False))
     add(Law("P6.monadic_ds_generated",
             "under (M): D monadic iff D is generated by its fixed part", 0,
-            _flags("pseudo_be", "condition_M"), _p6_monadic_ds_generated))
+            ("pseudo_be", "condition_M"), _p6_monadic_ds_generated))
     add(Law("P6.monadic_con_one_class",
             "monadic congruence: [1] is a monadic deductive system", 0, _BE,
             _over_congruences(_p6_cong_one_class_mds)))
     add(Law("P6.commutative_exists_cong",
             "commutative: monadic congruence relates Ex and Ey when it relates x,y",
-            0, _flags("pseudo_be", "commutative"), _over_congruences(_p6_cong_exists)))
+            0, ("pseudo_be", "commutative"), _over_congruences(_p6_cong_exists)))
 
     # -------- axiom probes for the search module
     add(Law("AX.refl", "x <= x", 1, _BE, "a[x][x] == one", uses_pair=False))
@@ -504,7 +503,7 @@ def evaluate_law(law: Law, ctx: Ctx) -> Verdict:
     that reads the pair, the pair's name: not applicable without a pair
     or when the hypothesis does not hold."""
     pair = ctx.pair_name if law.uses_pair else None
-    if (law.uses_pair and ctx.pair is None) or not ctx.once(law.hypothesis):
+    if (law.uses_pair and ctx.pair is None) or not ctx.applies(law.hypothesis):
         return Verdict(law.id, NOT_APPLICABLE, None, 0, pair)
     if law.arity == 0:
         ok, witness, instances = law.check(ctx)
@@ -515,6 +514,23 @@ def evaluate_law(law: Law, ctx: Ctx) -> Verdict:
     return Verdict(law.id, FAILS, hit[1], hit[2], pair)
 
 
+def _names(value, what: str, known, unknown: str) -> tuple:
+    """value read once into a tuple of names; PreconditionUnmet unless it is
+    an iterable, not a string, of strings all in known (else listed, sorted)."""
+    if isinstance(value, str):
+        raise PreconditionUnmet(f"{what}, not the string {value!r}")
+    try:
+        names = tuple(value)
+    except TypeError:           # not iterable
+        names = (None,)
+    if not all(isinstance(name, str) for name in names):
+        raise PreconditionUnmet(f"{what}, got {value!r}")
+    bad = sorted({name for name in names if name not in known})
+    if bad:
+        raise PreconditionUnmet(f"{unknown}: {bad}")
+    return names
+
+
 def verify_suite(alg: FiniteAlgebra, pairs, law_ids=None,
                  include_probes: bool = False) -> list[Verdict]:
     """Evaluate the catalog over the algebra and the given monadic pairs.
@@ -522,15 +538,13 @@ def verify_suite(alg: FiniteAlgebra, pairs, law_ids=None,
     Pair-independent laws are evaluated once; pair laws once per pair.
     Probe laws (documented open questions) are skipped unless requested.
     Hypotheses read the algebra's one classification (`classify`), and
-    each distinct hypothesis is decided once (`Ctx.once`).
+    each distinct hypothesis is decided once (`Ctx.applies`).  law_ids, when
+    given, is an iterable of law ids, read once (`_names`).
     """
     base = Ctx(alg)
     laws = catalog()
     if law_ids is not None:
-        wanted = set(law_ids)
-        unknown = wanted - _law_by_id().keys()
-        if unknown:
-            raise PreconditionUnmet(f"unknown law ids: {sorted(unknown)}")
+        wanted = _names(law_ids, "law_ids must list law ids", _law_by_id(), "unknown law ids")
         laws = [l for l in laws if l.id in wanted]
     pair_ctxs = [base.with_pair(pair) for pair in pairs]
     out = []
@@ -564,17 +578,8 @@ class SearchSpec(_SearchFields):
             raise PreconditionUnmet("search sizes must satisfy 2 <= min <= max <= 5")
         if spec.budget is not None and spec.budget < 0:
             raise PreconditionUnmet(f"search budget must be >= 0, got {spec.budget}")
-        if isinstance(spec.require, str):
-            raise PreconditionUnmet(f"require must list flag names, not the string "
-                                    f"{spec.require!r}")
-        try:        # a one-pass iterable is read once, into the stored tuple
-            require = tuple(spec.require)
-            unknown = [f for f in require if FLAG_ALIASES.get(f, f) not in FLAG_NAMES]
-        except TypeError:           # not iterable, or an unhashable entry
-            raise PreconditionUnmet(f"require must list flag names, got "
-                                    f"{spec.require!r}") from None
-        if unknown:
-            raise PreconditionUnmet(f"unknown classification flags in require: {unknown}")
+        require = _names(spec.require, "require must list flag names",
+                         {*FLAG_NAMES, *FLAG_ALIASES}, "unknown classification flags in require")
         return super().__new__(cls, **{**spec._asdict(), "require": require})
 
     @classmethod
@@ -691,15 +696,9 @@ def _law_counterexample(law: Law, alg: FiniteAlgebra, spec: SearchSpec):
         raise InvariantViolated(
             f"search model {alg.arrow}, {alg.squig} is not a pseudo "
             f"BE-algebra: {report['pseudo_be']}")
-    if any(not report.holds(f) for f in spec.require):
-        return None
-    if not law.uses_pair:
-        pairs = [None]
-    elif ctx.once(law.hypothesis):
-        pairs = enumerate_mop(alg)
-    else:
-        return None     # every pair's verdict would be not applicable
-    for pair in pairs:
+    if report.unmet(spec.require) is not None or not ctx.applies(law.hypothesis):
+        return None     # filtered out, or every verdict would be not applicable
+    for pair in enumerate_mop(alg) if law.uses_pair else [None]:
         v = evaluate_law(law, ctx.with_pair(pair) if pair else ctx)
         if v.status == FAILS:
             return (alg, pair, v.witness)

@@ -23,6 +23,7 @@ HOOP = "hoop"
 
 # perfbench/workloads.py catches this name, and perfbench changes only on its own
 ModeUnavailable = PreconditionUnmet
+_NEEDS = {"odot": "the pseudo-product table", "oplus": "the oplus table"}   # in messages
 
 
 class MonadicPair(NamedTuple):
@@ -42,10 +43,10 @@ def _mode_tables(alg: FiniteAlgebra, mode: str):
     if mode == PLAIN:
         return None, None
     report, _ = classify(alg)
-    if report.odot is None:
-        raise PreconditionUnmet(f"mode {mode!r} needs the pseudo-product table")
-    if mode == BOUNDED_COMMUTATIVE and report.oplus is None:
-        raise PreconditionUnmet("bounded-commutative mode needs the oplus table")
+    missing = report.unmet(("odot", "oplus") if mode == BOUNDED_COMMUTATIVE else ("odot",))
+    if missing is not None:
+        who = "bounded-commutative mode" if missing == "oplus" else f"mode {mode!r}"
+        raise PreconditionUnmet(f"{who} needs {_NEEDS[missing]}")
     return report.odot, report.oplus if mode == BOUNDED_COMMUTATIVE else None
 
 
@@ -199,13 +200,11 @@ def _build(alg, m, from_forall: bool) -> MonadicPair:
     # the other map of the pair is (m x-)~ = (m x~)- either way.
     what = "build_from_tau" if from_forall else "build_from_sigma"
     report, _ = classify(alg)
-    for flag in ("bounded", "good"):
-        if not report.holds(flag):
-            raise PreconditionUnmet(f"{what} needs a {flag} algebra")
-    t = report.oplus if from_forall else report.odot
-    if t is None:
-        raise PreconditionUnmet(f"{what} needs the "
-                                + ("oplus table" if from_forall else "pseudo-product table"))
+    table = "oplus" if from_forall else "odot"
+    missing = report.unmet(("bounded", "good", table))
+    if missing is not None:
+        raise PreconditionUnmet(f"{what} needs " + _NEEDS.get(missing, f"a {missing} algebra"))
+    t = getattr(report, table)
     n, f, nm, ns = alg.size, m.images, report.neg_minus, report.neg_sim
     p, q = (nm, ns) if from_forall else (ns, nm)
     tables = SimpleNamespace(a=alg.arrow, one=alg.one, f=f, t=t, nm=nm, ns=ns, p=p, q=q)
@@ -229,9 +228,9 @@ def _build(alg, m, from_forall: bool) -> MonadicPair:
     # the construction theorems promise a monadic pair; verify, never
     # assume.  M7 is checked only on commutative algebras, matching the
     # U6/E6 gating above.
-    if report.holds("commutative") and report.oplus is not None and report.odot is not None:
+    if report.unmet(("commutative", "oplus", "odot")) is None:
         mode = BOUNDED_COMMUTATIVE
-    elif report.odot is not None:
+    elif report.unmet(("odot",)) is None:
         mode = HOOP
     else:
         mode = PLAIN
@@ -315,7 +314,7 @@ def check_mv_quantifier(alg: FiniteAlgebra, m: UnaryMap, kind: str) -> Verdict:
     """MVU1-MVU6 (kind='universal') or MVE1-MVE6 (kind='existential')
     on the multi-valued structure of a bounded commutative algebra."""
     report, _ = classify(alg)
-    if not (report.holds("bounded") and report.holds("commutative")):
+    if report.unmet(("bounded", "commutative")) is not None:
         raise PreconditionUnmet("MV quantifier axioms need a bounded commutative algebra")
     if kind not in ("universal", "existential"):
         raise PreconditionUnmet("kind must be 'universal' or 'existential'")

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from psbe.algebra import PreconditionUnmet
-from psbe.classify import (FAILS, FLAG_NAMES, HOLDS, ClassificationReport, check_pseudo_be,
-                           check_pseudo_bck, classify)
+from psbe.classify import (FAILS, FLAG_NAMES, HOLDS, ClassificationReport, InvariantViolated,
+                           check_pseudo_be, check_pseudo_bck, classify)
 from psbe.laws import SearchSpec, search_counterexample
 
 from conftest import (FIXTURE_NAMES, ORACLE_ALGEBRAS, TABLE_NAMES,
@@ -174,6 +174,27 @@ def test_classify_matches_eager_off_psbe(name, data):
     rows[x][y] = v
     alg = alg._replace(zero=None, **{which: tuple(map(tuple, rows))})
     assert_matches_eager(alg, seed=data.draw(st.integers(0, 2**16)))
+
+
+def test_unmet_names_the_first_name_not_met(bc4, inv6, psbe5):
+    report, _ = classify(inv6)
+    assert report.unmet(()) is None
+    assert report.unmet(("pseudo_bck", "distributive", "odot")) == "distributive"   # an alias
+    assert report.unmet(("bounded", "has_pP", "odot", "neg_minus", "meet", "bogus")) == "meet"
+    assert classify(bc4)[0].unmet(("lattice", "oplus", "odot", "meet", "join")) is None
+    assert classify(psbe5)[0].unmet(("pseudo_be", "distributive", "neg_sim")) == "neg_sim"
+
+
+@pytest.mark.parametrize("names", [("bogus",), ("pseudo_be", "leq"), ("zero",)])
+def test_unmet_raises_on_an_unknown_name(bc4, names):
+    with pytest.raises(InvariantViolated, match="neither a flag nor a derived table"):
+        classify(bc4)[0].unmet(names)
+
+
+def test_report_zero_is_the_derived_least_element(any_fixture):
+    report, _ = classify(any_fixture)
+    assert report.zero == any_fixture.zero      # a fixture declares its least element, if any
+    assert classify(any_fixture._replace(zero=None))[0].zero == any_fixture.zero
 
 
 def test_unknown_flag_is_a_key_error(bc4):

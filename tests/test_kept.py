@@ -2,8 +2,9 @@
 congruences and monadic pairs are computed on the first call for the
 object, later calls get the kept result (a new list each time), a
 `_replace` copy computes afresh and a raised PreconditionUnmet is never
-kept.  Law hypotheses read no pair, so each is decided once; what a law
-context computes once (`Ctx.once`) is kept on the object too."""
+kept.  Law hypotheses are names the report decides, so they read no pair
+and each is decided once; what a law context computes once (`Ctx.once`)
+is kept on the object too."""
 
 import importlib
 from collections import Counter
@@ -175,12 +176,15 @@ def test_counterexample_recheck_scans_again(law_id, max_size, scanner, monkeypat
 
 @pytest.mark.parametrize("alg", ALGEBRAS)
 def test_hypotheses_read_no_pair(alg):
-    ctx = Ctx(alg)
+    report = Ctx(alg).report
     pairs = enumerate_mop(alg)
     for law in catalog():
-        want = law.hypothesis(ctx)
+        assert type(law.hypothesis) is tuple, law.id
+        assert all(type(name) is str for name in law.hypothesis), law.id
+        want = report.unmet(law.hypothesis) is None
         for pair in pairs:
-            assert law.hypothesis(Ctx(alg).with_pair(pair)) == want, law.id
+            ctx = Ctx(alg).with_pair(pair)
+            assert ctx.applies(law.hypothesis) == want, law.id
 
 
 @pytest.mark.parametrize("law_id", ["P4.meet_join_equiv", "P5.meet_forall"])
@@ -198,6 +202,7 @@ def test_search_lists_pairs_only_where_the_hypothesis_holds(law_id, monkeypatch)
     law = laws_module._law_by_id()[law_id]
     models = [model_algebra(n, arrow, squig)
               for n in (2, 3) for _, arrow, squig in laws_module._models(n)]
-    holds = Counter((m.arrow, m.squig) for m in models if law.hypothesis(Ctx(m)))
+    holds = Counter((m.arrow, m.squig) for m in models
+                    if Ctx(m).report.unmet(law.hypothesis) is None)
     assert 0 < len(holds) < len(models)     # the hypothesis fails somewhere
     assert listed == holds

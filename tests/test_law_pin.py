@@ -1,15 +1,18 @@
 """Pin every law's outcome, hypotheses bypassed, and the suite's verdicts.
 
 `test_law_outcomes_are_pinned` runs each law of the catalog with its
-hypothesis replaced by "always" on seeded random table pairs with n <= 4
-(pseudo BE-algebras and arbitrary tables) and random E/F maps, so laws
-whose hypotheses (condition_A, has_pP, pseudo_hoop, ...) rarely hold
-still report a verdict, witness and instance count, or raise; an
-exception is recorded by its type.  `test_suite_verdicts_are_pinned`
+hypothesis replaced by (), which always applies, on seeded random table
+pairs with n <= 4 (pseudo BE-algebras and arbitrary tables) and random
+E/F maps, so laws whose hypotheses (condition_A, has_pP, pseudo_hoop,
+...) rarely hold still report a verdict, witness and instance count, or
+raise; an exception is recorded by its type.  `test_suite_verdicts_are_pinned`
 runs `verify_suite(include_probes=True)` on bc4, psbe4 and psbe5 x C2
 with their product pairs and on every model of size 2 and 3 with its
 monadic pairs.  A changed digest means some law now reports a different
-verdict, witness or instance count.
+verdict, witness or instance count.  `test_applicability_is_pinned`
+records whether each law's hypothesis holds and each flag's status on
+the fixtures, bc4 x C2, psbe4 x C2, every model of size 2 and 3 and
+seeded random tables with n <= 4, pseudo BE-algebras or not.
 """
 
 import hashlib
@@ -17,15 +20,16 @@ import json
 import random
 
 from psbe.algebra import FiniteAlgebra, UnaryMap
-from psbe.classify import HOLDS, check_pseudo_be
+from psbe.classify import FLAG_NAMES, HOLDS, check_pseudo_be
 from psbe.laws import Ctx, _models, catalog, evaluate_law, verify_suite
 from psbe.quantifiers import MonadicPair, enumerate_mop
 
-from conftest import labelled_models, load, times_c2
+from conftest import FIXTURE_NAMES, labelled_models, load, times_c2
 from test_quantifiers import times_c2_pair
 
 LAW_DIGEST = "1eee5b939e7763b9040b0a19305ad8ec3a30c26226b638a7bbb127536163b32d"
 SUITE_DIGEST = "28c51aca69dd5147a826be64776cc89b59aa4f2d050e35e461fe740c1636d51a"
+APPLICABILITY_DIGEST = "1728ab84184328f22980e8da7caf3b8e96cb956efac1ff0c817c49283dccf9b3"
 
 
 def with_least_zero(alg):
@@ -77,7 +81,7 @@ def _outcome(law, ctx):
 
 def law_outcomes():
     rng = random.Random(19111996)
-    laws = [law._replace(hypothesis=lambda c: True) for law in catalog()]
+    laws = [law._replace(hypothesis=()) for law in catalog()]
     out = []
     for alg in _algebras(rng):
         base = Ctx(alg)
@@ -109,6 +113,24 @@ def suite_outcomes():
     return out
 
 
+def applicability(alg):
+    """alg's tables and zero, whether each law's hypothesis holds on it and
+    the status of each classification flag."""
+    report = Ctx(alg).report
+    return [alg.arrow, alg.squig, alg.zero,
+            [report.unmet(law.hypothesis) is None for law in catalog()],
+            [report[name].status for name in FLAG_NAMES]]
+
+
+def applicability_outcomes():
+    rng = random.Random(20191019)
+    algs = [load(name) for name in FIXTURE_NAMES]
+    algs += [times_c2(load(name)) for name in ("bc4", "psbe4")]
+    algs += labelled_models(2) + labelled_models(3)
+    algs += [_random_algebra(rng, n) for n in (2, 3, 4) for _ in range(150)]
+    return [applicability(with_least_zero(alg)) for alg in algs]
+
+
 def digest(outcomes):
     doc = json.dumps(outcomes, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(doc.encode()).hexdigest()
@@ -120,3 +142,7 @@ def test_law_outcomes_are_pinned():
 
 def test_suite_verdicts_are_pinned():
     assert digest(suite_outcomes()) == SUITE_DIGEST
+
+
+def test_applicability_is_pinned():
+    assert digest(applicability_outcomes()) == APPLICABILITY_DIGEST

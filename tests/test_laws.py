@@ -92,6 +92,22 @@ def test_unknown_law_id_rejected():
         verify_suite(alg, [], law_ids=["NO.such_law"])
 
 
+@pytest.mark.parametrize("law_ids, message", [
+    ("AX.refl", "law_ids must list law ids, not the string 'AX.refl'"),
+    ([["AX.refl"]], "law_ids must list law ids, got [['AX.refl']]"),
+    (5, "law_ids must list law ids, got 5"),
+])
+def test_law_ids_must_be_an_iterable_of_ids(law_ids, message):
+    with pytest.raises(PreconditionUnmet) as info:
+        verify_suite(load("bc4"), [], law_ids=law_ids)
+    assert str(info.value) == message
+
+
+def test_law_ids_are_read_once():
+    verdicts = verify_suite(load("bc4"), [], law_ids=(i for i in ["AX.refl", "BE.exchange"]))
+    assert [v.name for v in verdicts] == ["AX.refl", "BE.exchange"]
+
+
 def test_witness_is_reported():
     # evaluate a poset-only expectation on the preorder fixture directly
     alg = load("psbe5")

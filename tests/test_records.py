@@ -149,7 +149,7 @@ def test_record_protocols():
             bool(verdict)
     law_verdict = Verdict("l", FAILS, (0,), 3, "0,1")
     assert (law_verdict.law_id, law_verdict.pair_name) == ("l", "0,1")
-    law = Law(id="X.law", anchor="x = x", arity=0, hypothesis=bool, check=check_law)
+    law = Law(id="X.law", anchor="x = x", arity=0, hypothesis=(), check=check_law)
     assert law.uses_pair and not law.probe
     assert Verdict("x", HOLDS).witness is None
 

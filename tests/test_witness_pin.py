@@ -14,7 +14,7 @@ import random
 from itertools import product
 
 from psbe.algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap
-from psbe.classify import (HOLDS, _check_pseudo_mv, check_pseudo_be, check_pseudo_bck,
+from psbe.classify import (HOLDS, ClassificationReport, check_pseudo_be, check_pseudo_bck,
                            classify)
 from psbe.laws import Ctx, catalog, evaluate_law, verify_suite
 from psbe.quantifiers import (MonadicPair, build_from_sigma, build_from_tau,
@@ -120,7 +120,8 @@ def _classified(alg):
 
 def _nudged_mv(rng, alg, report):
     """psMV1-psMV8 on the derived structure with one cell of (+), (.) or a
-    negation changed."""
+    negation changed: the pseudo_mv flag of a new report of alg whose
+    tables are the changed ones."""
     n = alg.size
     tables = {"oplus": [list(r) for r in report.oplus],
               "odot": [list(r) for r in report.odot],
@@ -129,10 +130,10 @@ def _nudged_mv(rng, alg, report):
     row = rng.choice(tables[key])
     y = rng.randrange(n)
     row[y] = (row[y] + rng.randrange(1, n)) % n
-    t = {k: tuple(tuple(r) for r in v) for k, v in tables.items()}
-    zero = report.neg_minus[alg.one]
-    return [key, _check_pseudo_mv(alg, t["oplus"], t["odot"], t["neg_minus"][0],
-                                  t["neg_sim"][0], zero).to_json(alg)]
+    nudged = ClassificationReport(alg)
+    for k, v in tables.items():     # a table read on first use; set here, never computed
+        setattr(nudged, k, tuple(tuple(r) for r in v) if k in ("oplus", "odot") else tuple(v[0]))
+    return [key, nudged.pseudo_mv.to_json(alg)]
 
 
 def _built(build, alg, m):
