@@ -12,7 +12,8 @@ and `search_counterexample`, the candidate cross product for
 `enumerate_mop`, the Bell(n) partition scan for `enumerate_congruences`,
 the subset scan for `enumerate_ds` and for `generated_ds` (the system
 that P6.monadic_ds_generated reads off the list of systems) and the
-eager one-pass classification for `classify`.
+eager one-pass classification for `classify`; `verify_suite`'s fused
+scans are checked against the laws evaluated one at a time.
 """
 
 import sys
@@ -27,6 +28,7 @@ from conftest import (assert_generated_ds_matches_references, brute_models, brut
                       model_algebra, scan_ds, search_outcome)
 from test_classify import assert_matches_eager
 from test_deduction import scan_congruences
+from test_kernel import one_law_at_a_time
 from test_law_pin import applicability, digest, with_least_zero
 from test_quantifiers import MODES, cross_product_mop, outcome
 
@@ -74,6 +76,14 @@ def test_suite_verdicts_are_pinned():
 def test_applicability_is_pinned():
     assert (digest([applicability(with_least_zero(alg)) for alg in MODELS])
             == APPLICABILITY_DIGEST)
+
+
+@pytest.mark.parametrize("alg", N4)
+def test_verify_suite_matches_one_law_at_a_time(alg, monkeypatch):
+    alg = with_least_zero(alg)
+    pairs = enumerate_mop(alg)
+    assert (verify_suite(alg, pairs, include_probes=True)
+            == one_law_at_a_time(alg, pairs, monkeypatch))
 
 
 @pytest.mark.parametrize("alg", N4)

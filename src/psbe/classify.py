@@ -10,12 +10,14 @@ in the order they are listed; the first one that fails names the
 failure and the tuple is its witness.  Checks made of several axioms
 scan them one after another (`first_failure_of`), so failing output is
 deterministic.  Each group of expressions runs as one generated loop,
-compiled on first use (`_scan`).
+compiled on first use (`_scan`).  `first_failures` gives each check of a
+group the rank of its first failing tuple, testing each until it fails.
 """
 
 from __future__ import annotations
 
 import _ast    # the parser's node classes, without the import cost of `ast`
+from collections import Counter
 from functools import cached_property, partial
 from typing import NamedTuple
 
@@ -48,22 +50,13 @@ class Verdict(NamedTuple):
     law_id = property(lambda self: self.name)       # perfbench reads these two
     pair_name = property(lambda self: self.pair)
 
-    @staticmethod
-    def holds(name: str) -> "Verdict":
-        return Verdict(name, HOLDS)
+    holds = staticmethod(lambda name: Verdict(name, HOLDS))
+    fails = staticmethod(lambda name, witness: Verdict(name, FAILS, witness))
+    na = staticmethod(lambda name: Verdict(name, NOT_APPLICABLE))
 
-    @staticmethod
-    def fails(name: str, witness: tuple[int, ...]) -> "Verdict":
-        return Verdict(name, FAILS, witness)
-
-    @staticmethod
-    def na(name: str) -> "Verdict":
-        return Verdict(name, NOT_APPLICABLE)
-
-    @staticmethod
-    def of(hit, name: str) -> "Verdict":
-        """Verdict from a first_failure result: holds(name) when it is None."""
-        return Verdict.holds(name) if hit is None else Verdict.fails(hit[0], hit[1])
+    # the verdict of a first_failure result: holds(name) when it is None
+    of = staticmethod(lambda hit, name: Verdict(name, HOLDS) if hit is None
+                      else Verdict(hit[0], FAILS, hit[1]))
 
     def to_json(self, alg: FiniteAlgebra | None = None) -> dict:
         """{law, pair, status, witness, instances} for a law verdict, else
@@ -95,59 +88,88 @@ def first_failure(n: int, arity: int, checks, source):
     return None if hit is None else (checks[hit[0]][0], hit[1], hit[2])
 
 
+def first_failures(n: int, arity: int, exprs, source) -> dict:
+    """{expression: first_failure(n, arity, ((expression, expression),),
+    source)} for exprs (some, arity >= 1), from one loop (`_scan`).  A read
+    whose indices an outer loop binds moves to that loop, and one made twice
+    in the innermost body is bound once per tuple: each read must be total."""
+    exprs = tuple(dict.fromkeys(exprs))
+    scan = _SCANS.get((arity, exprs, "ranks")) or _scan(arity, exprs, fused=True)
+    return {e: (e, tuple((r - 1) // n ** d % n for d in reversed(range(arity))), r) if r else None
+            for e, r in zip(exprs, scan(n, *[getattr(source, t) for t in scan.tables]))}
+
+
 def first_failure_of(n: int, groups, source):
     """first_failure over the (arity, checks) groups, one group after
     another; the first group with a failure decides."""
-    for arity, checks in groups:
-        hit = first_failure(n, arity, checks, source)
-        if hit is not None:
-            return hit
-    return None
+    hits = (first_failure(n, arity, checks, source) for arity, checks in groups)
+    return next((hit for hit in hits if hit is not None), None)
 
 
 _VARS = ("x", "y", "z")
 _CMP = (_ast.Eq, _ast.NotEq, _ast.Lt, _ast.LtE, _ast.Gt, _ast.GtE, _ast.In, _ast.NotIn)
-_SCANS = {}     # (arity, checks) -> scan; generated text -> scan
+_SCANS = {}     # (arity, checks) or (arity, exprs, "ranks") -> scan; generated text -> scan
 
 
-def _scan(arity: int, checks):
+def _scan(arity: int, checks, fused: bool = False):
     """first_failure's function for one group of checks, cached by its text:
     a loop per variable, x outermost, and in the innermost one `if not
     (expression): return index, tuple, rank` per check, rank counting the
     tuples from 1 in lexicographic order.  Its parameters are n and
     the tables named (`scan.tables`).  Nothing is compiled unless every
-    expression passes `_whitelist`."""
-    tables = set()
-    for _, expr in checks:
+    expression passes `_whitelist`.  fused gives first_failures' function on
+    expressions, `if not _fK and not (expr): _fK = rank` with reads hoisted."""
+    exprs = checks if fused else [expr for _, expr in checks]
+    tables, spans, names, level = set(), [[] for _ in exprs], {}, [[] for _ in range(arity + 1)]
+    for expr, reads in zip(exprs, spans):
         tree = compile(expr, "<check>", "eval", _ast.PyCF_ONLY_AST)    # the scan kernel
-        _whitelist(tree.body, expr, arity, tables)
-    tables = tuple(sorted(tables))
-    pad = "    " * (arity + 1)
+        _whitelist(tree.body, expr, arity, tables, reads)
+    tables, bodies = tuple(sorted(tables)), []
+    texts = Counter(expr[s:e] for expr, reads in zip(exprs, spans) for s, e, _ in reads)
+    for expr, reads in zip(exprs, spans):
+        chars = list(expr)
+        for s, e, d in reads if fused else ():    # inner reads first
+            read = expr[s:e]
+            if read not in names and (d < arity or texts[read] > 1):    # bound in loop d
+                level[d].append((e - s, f"_h{len(names)} = {''.join(chars[s:e])}"))
+                names[read] = f"_h{len(names)}"
+            if read in names:
+                chars[s:e] = [names[read]] + [""] * (e - s - 1)
+        bodies.append("".join(chars))
+    pad, flags = "    " * (arity + 1), ", ".join(f"_f{i}" for i in range(len(exprs)))
     witness = "(" + ", ".join(_VARS[:arity]) + ("," if arity == 1 else "") + ")"
     rank = "".join(v + " * _n" * (arity - 1 - d) + " + " for d, v in enumerate(_VARS[:arity])) + "1"
-    text = "\n".join([f"def scan({', '.join(('_n',) + tables)}):", "    _r = _range(_n)"]
-                     + [f"{'    ' * (d + 1)}for {v} in _r:" for d, v in enumerate(_VARS[:arity])]
-                     + [f"{pad}if not ({expr}):\n{pad}    return {i}, {witness}, {rank}"
-                        for i, (_, expr) in enumerate(checks)])
+    lines = [f"def scan({', '.join(('_n',) + tables)}):", "    _r = _range(_n)"]
+    lines += [f"    {flags.replace(',', ' =')} = 0"] * fused
+    for d in range(arity + 1):
+        lines += [f"{'    ' * d}for {_VARS[d - 1]} in _r:"] * (d > 0)
+        lines += ["    " * (d + 1) + line for _, line in sorted(level[d])]
+    lines += [f"{pad}if not _f{i} and not ({body}): _f{i} = {rank}" if fused
+              else f"{pad}if not ({body}): return {i}, {witness}, {rank}"
+              for i, body in enumerate(bodies)]
+    lines += [f"        if {flags.replace(',', ' and')}: break", f"    return {flags},"] * fused
+    text = "\n".join(lines)
     if text not in _SCANS:
         env = {"__builtins__": {}, "len": len, "_range": range}
         exec(compile(text, "<first_failure scan>", "exec"), env)    # the scan kernel
         _SCANS[text] = env["scan"]
         _SCANS[text].tables = tables
-    _SCANS[arity, checks] = _SCANS[text]
+    _SCANS[(arity, checks, "ranks") if fused else (arity, checks)] = _SCANS[text]
     return _SCANS[text]
 
 
-def _whitelist(node, expr: str, arity: int, tables: set) -> None:
-    """Add the tables node names to tables; InvariantViolated unless node
-    and all its parts are names, subscripts, comparisons, and/or/not, set
-    displays, integer constants or len(...).  The names are tables and
-    the first `arity` of x, y, z; none starts with an underscore."""
+def _whitelist(node, expr: str, arity: int, tables: set, reads: list) -> int:
+    """node's depth (the loop binding the last variable it reads; 0: none),
+    with each subscript's (start, end, depth) added to reads, inner ones
+    first, and each table named to tables.  InvariantViolated unless node and
+    its parts are names (tables and the first `arity` of x, y, z; none starts
+    with _), subscripts, comparisons, and/or/not, set displays, integers or len(...)."""
     kind = type(node)
     if kind is _ast.Name and node.id not in ("len",) + _VARS[arity:] and node.id[0] != "_":
-        if node.id not in _VARS:
-            tables.add(node.id)
-        return
+        if node.id in _VARS:
+            return _VARS.index(node.id) + 1
+        tables.add(node.id)
+        return 0
     if kind is _ast.Subscript:
         parts = (node.value, node.slice)
     elif kind is _ast.Compare and all(type(op) in _CMP for op in node.ops):
@@ -162,11 +184,13 @@ def _whitelist(node, expr: str, arity: int, tables: set) -> None:
           and len(node.args) == 1 and not node.keywords):
         parts = node.args
     elif kind is _ast.Constant and type(node.value) is int:
-        return
+        return 0
     else:
         raise InvariantViolated(f"{kind.__name__} is not allowed in the scan expression {expr!r}")
-    for part in parts:
-        _whitelist(part, expr, arity, tables)
+    depth = max([_whitelist(part, expr, arity, tables, reads) for part in parts], default=0)
+    if kind is _ast.Subscript:
+        reads.append((node.col_offset, node.end_col_offset, depth))
+    return depth
 
 
 def backtrack(cells, cands, ok, d=0):

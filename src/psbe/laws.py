@@ -26,8 +26,8 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 from .algebra import FiniteAlgebra, PreconditionUnmet
-from .classify import (FAILS, FLAG_ALIASES, FLAG_NAMES, HOLDS, NOT_APPLICABLE,
-                       InvariantViolated, Verdict, backtrack, classify, first_failure)
+from .classify import (FAILS, FLAG_ALIASES, FLAG_NAMES, HOLDS, NOT_APPLICABLE, Verdict,
+                       InvariantViolated, backtrack, classify, first_failure, first_failures)
 from .quantifiers import MonadicPair, enumerate_mop, fixed_set
 from . import deduction as _ded
 
@@ -48,16 +48,14 @@ class Ctx:
     `zero` is the declared zero, not `report.zero`, until ROADMAP item 2.
     `ds`, `congruences`, the congruences' tables and each law hypothesis
     read no pair, so each is computed once per algebra object (`once`)
-    and shared by every context on it, `with_pair` copies included."""
+    and shared by every context on it, `with_pair` copies included.
+    `failures` holds the first failures `verify_suite` found here, by expression."""
 
     def __init__(self, alg: FiniteAlgebra, pair: MonadicPair | None = None):
         self.alg = alg
         self.report, _ = classify(alg)
-        self.n = alg.size
-        self.one = alg.one
-        self.zero = alg.zero
-        self.a = alg.arrow
-        self.s = alg.squig
+        self.n, self.one, self.zero, self.a, self.s = (alg.size, alg.one, alg.zero,
+                                                       alg.arrow, alg.squig)
         self.decided = self.once(_decisions)
         self._bind(pair)
 
@@ -85,9 +83,9 @@ class Ctx:
 
     def _bind(self, pair):
         self.pair = pair
-        self.E = pair.exists.images if pair else None
-        self.F = pair.forall.images if pair else None
+        self.E, self.F = (pair.exists.images, pair.forall.images) if pair else (None, None)
         self.pair_name = ",".join(map(str, self.F)) if pair else None
+        self.failures = {}
 
     def with_pair(self, pair):
         ctx = copy.copy(self)
@@ -202,19 +200,15 @@ def _fixed_subalgebra(ctx):
     fixed = frozenset(x for x in range(ctx.n) if ctx.E[x] == x)
     if ctx.one not in fixed:
         return False, (ctx.one,), 1
-    count = 0
-    for x, y in product(fixed, repeat=2):
-        count += 1
+    for count, (x, y) in enumerate(product(fixed, repeat=2), 1):
         if ctx.a[x][y] not in fixed or ctx.s[x][y] not in fixed:
             return False, (x, y), count
-    return True, None, max(count, 1)
+    return True, None, count    # fixed holds one, so count = len(fixed) ** 2
 
 
 def _fixed_images(ctx):
     fixed = frozenset(x for x in range(ctx.n) if ctx.E[x] == x)
-    im_f = frozenset(ctx.F)
-    im_e = frozenset(ctx.E)
-    ok = fixed == im_f == im_e
+    ok = fixed == frozenset(ctx.F) == frozenset(ctx.E)
     return ok, (None if ok else tuple(sorted(fixed))), ctx.n
 
 
@@ -501,14 +495,16 @@ def catalog_json() -> list[dict]:
 def evaluate_law(law: Law, ctx: Ctx) -> Verdict:
     """The law's verdict on ctx, with its instance count and, for a law
     that reads the pair, the pair's name: not applicable without a pair
-    or when the hypothesis does not hold."""
+    or when the hypothesis does not hold.  A pointwise law's first failure
+    is read from `ctx.failures`, else found by scanning the law alone."""
     pair = ctx.pair_name if law.uses_pair else None
     if (law.uses_pair and ctx.pair is None) or not ctx.applies(law.hypothesis):
         return Verdict(law.id, NOT_APPLICABLE, None, 0, pair)
     if law.arity == 0:
         ok, witness, instances = law.check(ctx)
         return Verdict(law.id, HOLDS if ok else FAILS, witness, instances, pair)
-    hit = first_failure(ctx.n, law.arity, ((law.id, law.check),), ctx)
+    hit = (ctx.failures[law.check] if law.check in ctx.failures
+           else first_failure(ctx.n, law.arity, ((law.id, law.check),), ctx))
     if hit is None:
         return Verdict(law.id, HOLDS, None, ctx.n ** law.arity, pair)
     return Verdict(law.id, FAILS, hit[1], hit[2], pair)
@@ -539,23 +535,29 @@ def verify_suite(alg: FiniteAlgebra, pairs, law_ids=None,
     Probe laws (documented open questions) are skipped unless requested.
     Hypotheses read the algebra's one classification (`classify`), and
     each distinct hypothesis is decided once (`Ctx.applies`).  law_ids, when
-    given, is an iterable of law ids, read once (`_names`).
+    given, is an iterable of law ids, read once (`_names`).  Each pair must
+    be two self-maps of the carrier; each context is scanned once per arity
+    (`first_failures`).
     """
     base = Ctx(alg)
-    laws = catalog()
+    laws = [l for l in catalog() if include_probes or not l.probe]
     if law_ids is not None:
         wanted = _names(law_ids, "law_ids must list law ids", _law_by_id(), "unknown law ids")
         laws = [l for l in laws if l.id in wanted]
     pair_ctxs = [base.with_pair(pair) for pair in pairs]
-    out = []
-    for law in laws:
-        if law.probe and not include_probes:
-            continue
-        if not law.uses_pair:
-            out.append(evaluate_law(law, base))
-        else:
-            out.extend(evaluate_law(law, ctx) for ctx in pair_ctxs)
-    return out
+    for ctx in pair_ctxs:
+        if ctx.pair is None or not all(len(m) == ctx.n and set(m.images).issubset(range(ctx.n))
+                                       for m in ctx.pair):
+            raise PreconditionUnmet(f"verify_suite needs self-maps of the carrier, got {ctx.pair}")
+    groups = {}     # (uses_pair, arity) -> the applicable pointwise laws' expressions
+    for l in [l for l in laws if l.arity and base.applies(l.hypothesis)]:
+        groups.setdefault((l.uses_pair, l.arity), []).append(l.check)
+    for ctx in [base, *pair_ctxs]:
+        for (uses_pair, arity), group in groups.items():
+            if uses_pair == (ctx.pair is not None):
+                ctx.failures.update(first_failures(ctx.n, arity, group, ctx))
+    return [evaluate_law(law, ctx) for law in laws
+            for ctx in (pair_ctxs if law.uses_pair else [base])]
 
 
 # ------------------------------------------------------------------ search

@@ -264,6 +264,7 @@ def compose_pairs(alg: FiniteAlgebra, p1: MonadicPair, p2: MonadicPair) -> Compo
     report, _ = classify(alg)
     if not report.holds("condition_T"):
         raise PreconditionUnmet("compose_pairs needs a transitive induced order")
+    p1, p2 = (require_monadic(alg, p, "compose_pairs") for p in (p1, p2))
     one = alg.one
     e12 = p1.exists.compose(p2.exists)
     e21 = p2.exists.compose(p1.exists)
@@ -314,13 +315,16 @@ def check_mv_quantifier(alg: FiniteAlgebra, m: UnaryMap, kind: str) -> Verdict:
     """MVU1-MVU6 (kind='universal') or MVE1-MVE6 (kind='existential')
     on the multi-valued structure of a bounded commutative algebra."""
     report, _ = classify(alg)
-    if report.unmet(("bounded", "commutative")) is not None:
-        raise PreconditionUnmet("MV quantifier axioms need a bounded commutative algebra")
     if kind not in ("universal", "existential"):
         raise PreconditionUnmet("kind must be 'universal' or 'existential'")
+    lat = "meet" if kind == "universal" else "join"
+    missing = report.unmet(("bounded", "commutative", "odot", "oplus", lat))
+    if missing is not None:
+        raise PreconditionUnmet("MV quantifier axioms need a bounded commutative algebra with "
+                                f"its odot, oplus and {lat} tables: {missing} is not met")
     tables = SimpleNamespace(a=alg.arrow, one=alg.one, f=m.images, nm=report.neg_minus,
                              ns=report.neg_sim, od=report.odot, op=report.oplus,
-                             lat=report.meet if kind == "universal" else report.join)
+                             lat=getattr(report, lat))
     return Verdict.of(first_failure_of(alg.size, _MV[kind], tables), f"mv_{kind}")
 
 

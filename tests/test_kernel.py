@@ -1,11 +1,15 @@
 """The compiled scan kernel, `classify.first_failure`, against the plain
-scanner of conftest, and its whitelist.
+scanner of conftest, and its whitelist; `verify_suite`'s fused scans
+(`classify.first_failures`) against the laws evaluated one at a time.
 
 The reference scanner makes each check expression a predicate and calls
 it once per tuple of `itertools.product`; it shares nothing with the
 kernel but the expression text.  With it patched in wherever the package
 binds the kernel, every law, flag and monadic check must give the same
-status, witness and instance count.
+status, witness and instance count.  `verify_suite` scans each context
+once per arity, its laws in one loop with hoisted reads; evaluated one
+law at a time on a fresh context, each law is scanned alone by
+`first_failure`, and every verdict must be the same.
 """
 
 import importlib
@@ -18,17 +22,19 @@ from pathlib import Path
 import pytest
 
 from psbe.algebra import UnaryMap
-from psbe.classify import InvariantViolated, Verdict, classify, first_failure, first_failure_of
-from psbe.laws import Ctx, _models, catalog, evaluate_law
+from psbe.classify import (InvariantViolated, Verdict, classify, first_failure, first_failure_of,
+                           first_failures)
+from psbe.laws import Ctx, _models, catalog, evaluate_law, verify_suite
 from psbe.quantifiers import MonadicPair, check_monadic, declared_pairs, enumerate_mop
 
 from conftest import (FIXTURE_NAMES, assert_generated_ds_matches_references, load,
-                      model_algebra, reference_first_failure, reference_first_failure_of,
-                      times_c2)
+                      model_algebra, predicate, reference_first_failure,
+                      reference_first_failure_of, times_c2)
 from test_law_pin import with_least_zero
 from test_quantifiers import MODES, times_c2_pair
 
 classify_module = importlib.import_module("psbe.classify")
+laws_module = importlib.import_module("psbe.laws")
 KERNEL = {first_failure: reference_first_failure, first_failure_of: reference_first_failure_of}
 
 
@@ -123,6 +129,73 @@ def test_the_scans_compared_fail_somewhere():
     assert laws == {"holds", "fails", "not_applicable"} and monadic == {"holds", "fails"}
 
 
+# ------------------------------------------- verify_suite's fused scans
+
+def one_law_at_a_time(alg, pairs, monkeypatch):
+    """verify_suite(alg, pairs, include_probes=True) as evaluate_law gives
+    it law by law on fresh contexts, where nothing is registered, so that
+    each pointwise law is scanned alone by first_failure."""
+    base = Ctx(alg)
+    ctxs = [base.with_pair(pair) for pair in pairs]
+    with monkeypatch.context() as patch:
+        patch.setattr(laws_module, "first_failures", None)     # not called here
+        return [evaluate_law(law, ctx) for law in catalog()
+                for ctx in (ctxs if law.uses_pair else [base])]
+
+
+def zero_declared(alg, which):      # the Ctx.zero defect is out of scope here
+    return with_least_zero(alg) if which == "mop" else alg
+
+
+@pytest.mark.parametrize("alg, which", SUITE_INPUTS)
+def test_verify_suite_matches_one_law_at_a_time(alg, which, monkeypatch):
+    alg = zero_declared(alg, which)
+    pairs = suite_pairs(alg, which)
+    fused = verify_suite(alg, pairs, include_probes=True)
+    assert fused == one_law_at_a_time(alg, pairs, monkeypatch)
+
+
+def test_the_fused_comparison_meets_a_law_failing_at_several_tuples():
+    # where a law fails more than once, dropping the failed-law guard
+    # would report its last failure: psbe5 is among the inputs compared
+    alg = load("psbe5")
+    law = next(law for law in catalog() if law.id == "AX.psbck6_antisym")
+    holds = predicate(law.arity, law.check, Ctx(alg))
+    assert sum(not holds(*t) for t in product(range(alg.size), repeat=law.arity)) > 1
+
+
+def scans_by_context(monkeypatch):
+    """Spy on verify_suite's fused scans: (context, arity) per call."""
+    calls = []
+
+    def spy(n, arity, exprs, source):
+        calls.append((id(source), arity))
+        return first_failures(n, arity, exprs, source)
+    monkeypatch.setattr(laws_module, "first_failures", spy)
+    return calls
+
+
+def test_verify_suite_scans_each_context_once_per_arity(monkeypatch):
+    alg = load("bc4")
+    pairs = enumerate_mop(alg)
+    calls = scans_by_context(monkeypatch)
+    verify_suite(alg, pairs)
+    assert len(calls) == len(set(calls))
+    assert len({ctx for ctx, _ in calls}) == 1 + len(pairs)
+    # nothing is kept across calls: a second call scans as much again
+    first = len(calls)
+    verify_suite(alg, pairs)
+    assert len(calls) == 2 * first
+
+
+def test_a_law_ids_subset_reads_the_same_verdicts():
+    alg = load("psbe5")
+    pairs = enumerate_mop(alg)
+    full = verify_suite(alg, pairs)
+    ids = ["P3.forall_arrow", "BE.exchange", "P6.ds_upward", "P3.exists_idem"]
+    assert verify_suite(alg, pairs, law_ids=ids) == [v for v in full if v.name in ids]
+
+
 # ------------------------------------------------------------ the kernel
 
 TABLES = type("Tables", (), {"a": ((0, 1), (0, 0)), "one": 0})()
@@ -134,6 +207,25 @@ def test_witness_and_instances_follow_the_order_contract():
     assert first_failure(2, 1, (("unit", "x < 1"),), TABLES) == ("unit", (1,), 2)
     assert first_failure(2, 0, (("none", "one == 1"),), TABLES) == ("none", (), 1)
     assert first_failure(2, 2, (("fine", "len({a[x][y], one}) >= 1"),), TABLES) is None
+
+
+def test_first_failures_is_first_failure_per_expression():
+    exprs = ("a[x][y] == one or x > z", "x != 1", "a[y][x] == one", "x != 1", "one == 0 or z < 2")
+    got = first_failures(2, 3, exprs, TABLES)
+    assert list(got) == list(dict.fromkeys(exprs))
+    for expr in exprs:
+        assert got[expr] == first_failure(2, 3, ((expr, expr),), TABLES)
+
+
+def test_a_fused_scan_reads_each_row_in_the_loop_that_binds_it():
+    exprs = ("a[x][a[y][z]] == a[y][a[x][z]]", "a[y][z] != one or a[x][z] == one")
+    first_failures(2, 3, exprs, TABLES)
+    scan = classify_module._SCANS[3, exprs, "ranks"]
+    text = next(key for key, value in classify_module._SCANS.items()
+                if value is scan and isinstance(key, str))
+    loops = text.split("for ")
+    assert "_h0 = a[x]" in loops[1] and "= a[y]" in loops[2] and "= a[z]" not in text
+    assert "_h0[z]" in loops[3] and "if _f0 and _f1: break" in text
 
 
 def test_a_scan_is_compiled_once_per_text():
@@ -177,6 +269,8 @@ def test_the_whitelist_rejects_before_anything_is_compiled(expr, monkeypatch):
     scans = dict(classify_module._SCANS)
     with pytest.raises(InvariantViolated, match="is not allowed in the scan expression"):
         first_failure(2, 2, (("ok", "a[x][y] == one"), ("bad", expr)), TABLES)
+    with pytest.raises(InvariantViolated, match="is not allowed in the scan expression"):
+        first_failures(2, 2, ("a[x][y] == one", expr), TABLES)
     assert calls and all(flags == classify_module._ast.PyCF_ONLY_AST for flags in calls)
     assert classify_module._SCANS == scans
 

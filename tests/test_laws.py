@@ -1,13 +1,16 @@
+import importlib
 import time
 
 import pytest
 
-from psbe.algebra import PreconditionUnmet
+from psbe.algebra import PreconditionUnmet, UnaryMap
 from psbe.laws import (FAILS, HOLDS, NOT_APPLICABLE, Ctx, catalog,
                        catalog_json, evaluate_law, verify_suite)
-from psbe.quantifiers import enumerate_mop
+from psbe.quantifiers import MonadicPair, enumerate_mop
 
 from conftest import FIXTURE_NAMES, load
+
+laws_module = importlib.import_module("psbe.laws")
 
 
 def test_catalog_size_and_required_ids():
@@ -138,3 +141,15 @@ def test_instances_counted():
     verdicts = verify_suite(alg, enumerate_mop(alg))
     evaluated = [v for v in verdicts if v.status == HOLDS]
     assert all(v.instances > 0 for v in evaluated)
+
+
+@pytest.mark.parametrize("pair", [
+    MonadicPair(UnaryMap((0, 7, 0, 0)), UnaryMap((0, 0, 0, 0))),    # an image off the carrier
+    MonadicPair(UnaryMap((0, 1, 2)), UnaryMap((0, 1, 2))),          # three images, four elements
+    None,
+])
+def test_pairs_of_maps_off_the_carrier_are_rejected_before_any_scan(pair, monkeypatch):
+    # every read the fused scans hoist must be total: E and F map the carrier into itself
+    monkeypatch.setattr(laws_module, "first_failures", None)
+    with pytest.raises(PreconditionUnmet, match="verify_suite needs self-maps of the carrier"):
+        verify_suite(load("bc4"), [*enumerate_mop(load("bc4")), pair])

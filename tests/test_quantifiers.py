@@ -316,6 +316,28 @@ def test_compose_requires_transitivity(psbe4):
         compose_pairs(psbe4, pairs[0], pairs[0])
 
 
+@pytest.mark.parametrize("first", [True, False])
+def test_compose_rejects_a_pair_that_is_not_monadic(bc4, first):
+    # E = F = constantly 1 fails M2; it used to surface as a broken ordering theorem
+    bad = MonadicPair(UnaryMap((bc4.one,) * 4), UnaryMap((bc4.one,) * 4))
+    pairs = (bad, enumerate_mop(bc4)[0]) if first else (enumerate_mop(bc4)[0], bad)
+    with pytest.raises(PreconditionUnmet,
+                       match=r"^compose_pairs needs a monadic pair: M2\(arrow\) fails at"):
+        compose_pairs(bc4, *pairs)
+
+
+@pytest.mark.parametrize("kind, table", [("universal", "meet"), ("existential", "join")])
+def test_mv_quantifier_needs_every_table_it_reads(kind, table):
+    # bounded and commutative, but without a pseudo-product: odot, oplus
+    # and the lattice table are named in the precondition, not read as None
+    alg = FiniteAlgebra("no_odot", ("1", "a", "b"), 0, ((0, 1, 2), (1, 0, 1), (0, 0, 0)),
+                        ((0, 1, 2), (0, 0, 1), (0, 0, 0)))
+    report, _ = classify(alg)
+    assert report.unmet(("bounded", "commutative")) is None and report.odot is None
+    with pytest.raises(PreconditionUnmet, match=f"and {table} tables: odot is not met"):
+        check_mv_quantifier(alg, UnaryMap.identity(3), kind)
+
+
 def test_mv_quantifier_transfer(bc4):
     for pair in enumerate_mop(bc4, mode=BOUNDED_COMMUTATIVE):
         assert check_mv_quantifier(bc4, pair.forall, "universal").status == HOLDS
