@@ -13,7 +13,8 @@ and `search_counterexample`, the candidate cross product for
 the subset scan for `enumerate_ds` and for `generated_ds` (the system
 that P6.monadic_ds_generated reads off the list of systems) and the
 eager one-pass classification for `classify`; `verify_suite`'s fused
-scans are checked against the laws evaluated one at a time.
+scans are checked against the laws evaluated one at a time.  The duality
+tests of `tests/test_duality.py` run on every model with its monadic pairs.
 """
 
 import sys
@@ -28,6 +29,8 @@ from conftest import (assert_generated_ds_matches_references, brute_models, brut
                       model_algebra, scan_ds, search_outcome)
 from test_classify import assert_matches_eager
 from test_deduction import scan_congruences
+from test_duality import (assert_flags_dual, assert_laws_dual, assert_structure_dual,
+                          assert_tables_dual, assert_written_once_closed, duality_orbits)
 from test_kernel import one_law_at_a_time
 from test_law_pin import applicability, digest, with_least_zero
 from test_quantifiers import MODES, cross_product_mop, outcome
@@ -111,6 +114,23 @@ def test_classify_matches_eager(alg):
 @pytest.mark.parametrize("alg", N4)
 def test_least_ds_is_the_generated_ds(alg):
     assert_generated_ds_matches_references(alg)
+
+
+def test_duality_orbit_count():
+    # 77 classes up to isomorphism fixing 1; 12 pairs of them are each
+    # other's duals, the other 53 are self-dual up to isomorphism
+    assert duality_orbits(4) == (77, 65)
+
+
+@pytest.mark.parametrize("alg", N4)
+def test_duality(alg):
+    alg = with_least_zero(alg)
+    pairs = enumerate_mop(alg)
+    assert_laws_dual(alg, pairs)
+    assert_written_once_closed(alg, pairs)
+    assert_flags_dual(alg)
+    assert_structure_dual(alg)
+    assert_tables_dual(alg)
 
 
 # the carrier size of the per-model audit: the first models in scan order

@@ -142,6 +142,11 @@ class FiniteAlgebra:
         return self._replace(unary={**self.unary, **maps})
 
 
+def dual(alg: FiniteAlgebra) -> FiniteAlgebra:
+    """The dual algebra A^op: -> and ~> swapped; names, 1, zero and unary maps kept."""
+    return alg._replace(arrow=alg.squig, squig=alg.arrow)
+
+
 def _tokenize(text: str):
     """Yield (lineno, tokens) for every non-blank, non-comment line."""
     for lineno, raw in enumerate(text.splitlines(), start=1):

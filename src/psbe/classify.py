@@ -12,11 +12,14 @@ scan them one after another (`first_failure_of`), so failing output is
 deterministic.  Each group of expressions runs as one generated loop,
 compiled on first use (`_scan`).  `first_failures` gives each check of a
 group the rank of its first failing tuple, testing each until it fails.
+`dual(expr)` is expr read on the dual algebra, -> and ~> swapped; an axiom
+for both arrows is written once, as `both(X)`: "X and dual(X)".
 """
 
 from __future__ import annotations
 
 import _ast    # the parser's node classes, without the import cost of `ast`
+import re
 from collections import Counter
 from functools import cached_property, partial
 from typing import NamedTuple
@@ -106,6 +109,11 @@ def first_failure_of(n: int, groups, source):
     return next((hit for hit in hits if hit is not None), None)
 
 
+# dual(expr) is expr on the dual algebra: each name here swapped with its pair; x_t is x transposed
+_PAIRED = "a s arrow squig nm ns neg_minus neg_sim cup1 cup2 od od_t op op_t".split()
+_DUAL = {name: _PAIRED[i ^ 1] for i, name in enumerate(_PAIRED)}
+dual = lambda expr: re.sub(r"[A-Za-z_]\w*", lambda name: _DUAL.get(name[0], name[0]), expr)
+both = lambda expr: f"{expr} and {dual(expr)}"      # expr for -> and then for ~>
 _VARS = ("x", "y", "z")
 _CMP = (_ast.Eq, _ast.NotEq, _ast.Lt, _ast.LtE, _ast.Gt, _ast.GtE, _ast.In, _ast.NotIn)
 _SCANS = {}     # (arity, checks) or (arity, exprs, "ranks") -> scan; generated text -> scan
@@ -230,9 +238,9 @@ def check_pseudo_be(alg: FiniteAlgebra) -> Verdict:
 
 
 _PSBE = (
-    (1, (("psBE1", "arrow[x][x] == one and squig[x][x] == one"),)),
-    (1, (("psBE2", "arrow[x][one] == one and squig[x][one] == one"),)),
-    (1, (("psBE3", "arrow[one][x] == x and squig[one][x] == x"),)),
+    (1, (("psBE1", both("arrow[x][x] == one")),)),
+    (1, (("psBE2", both("arrow[x][one] == one")),)),
+    (1, (("psBE3", both("arrow[one][x] == x")),)),
     (3, (("psBE4", "arrow[x][squig[y][z]] == squig[y][arrow[x][z]]"),)),
     (2, (("psBE5", "(arrow[x][y] == one) == (squig[x][y] == one)"),)),
 )
@@ -249,14 +257,15 @@ def check_pseudo_bck(alg: FiniteAlgebra) -> Verdict:
     return alg.kept("pseudo_bck", _scan_pseudo_bck)
 
 
+_BCK3, _BCK1 = "arrow[one][x] == x", "squig[arrow[x][y]][squig[arrow[y][z]][arrow[x][z]]] == one"
 _PSBCK = (
-    (1, (("psBCK3", "arrow[one][x] == x"),)),
-    (1, (("psBCK4", "squig[one][x] == x"),)),
+    (1, (("psBCK3", _BCK3),)),
+    (1, (("psBCK4", dual(_BCK3)),)),
     (1, (("psBCK5", "arrow[x][one] == one"),)),
     # unordered pairs y < x, scanned larger element first, reported as (y, x)
     (2, (("psBCK6", "y >= x or arrow[y][x] != one or arrow[x][y] != one"),)),
-    (3, (("psBCK1", "squig[arrow[x][y]][squig[arrow[y][z]][arrow[x][z]]] == one"),)),
-    (3, (("psBCK2", "arrow[squig[x][y]][arrow[squig[y][z]][squig[x][z]]] == one"),)),
+    (3, (("psBCK1", _BCK1),)),
+    (3, (("psBCK2", dual(_BCK1)),)),
 )
 
 
@@ -276,17 +285,18 @@ FLAG_NAMES = (
 FLAG_ALIASES = {"distributive": "distributive_i"}   # read as its condition (i)
 _FLAG_OF = {**{name: name for name in FLAG_NAMES}, **FLAG_ALIASES}
 DERIVED_TABLES = ("odot", "oplus", "meet", "join", "neg_minus", "neg_sim")
+_DISTRIBUTIVE_I = "arrow[x][squig[y][z]] == squig[arrow[x][y]][arrow[x][z]]"
 
 
 def least_elements(alg: FiniteAlgebra) -> list[int]:
     """The elements z with z -> x = z ~> x = 1 for every x.  Raises
-    PreconditionUnmet when the algebra declares a zero that is not its
-    only least element (with several, none is singled out)."""
+    PreconditionUnmet when the algebra declares a zero that is not among
+    them; one of several is accepted, though none is then the zero."""
     one, rng = alg.one, alg.elements()
     least = [z for z in rng
              if all(alg.arrow[z][x] == one and alg.squig[z][x] == one for x in rng)]
-    if alg.zero is not None and len(least) < 2 and least != [alg.zero]:
-        what = (f"the least element ({alg.element_names[least[0]]!r} is)" if least
+    if alg.zero is not None and alg.zero not in least:
+        what = (f"the least element ({alg.element_names[least[0]]!r} is)" if len(least) == 1
                 else "a least element")
         raise PreconditionUnmet(
             f"declared zero {alg.element_names[alg.zero]!r} is not {what}", (alg.zero,))
@@ -362,7 +372,7 @@ class ClassificationReport:
 
     # ------------------------------------------- tables (None if undefined)
 
-    leq = cached_property(lambda self: tuple(tuple(v == self.alg.one for v in row)
+    leq = cached_property(lambda self: tuple(tuple(v == self.one for v in row)
                                              for row in self.arrow))
     cup1 = cached_property(lambda self: _cup(self.arrow, self.squig))    # (x -> y) ~> y
     cup2 = cached_property(lambda self: _cup(self.squig, self.arrow))    # (x ~> y) -> y
@@ -392,17 +402,14 @@ class ClassificationReport:
 
     pseudo_be = cached_property(lambda self: check_pseudo_be(self.alg))
     pseudo_bck = cached_property(lambda self: check_pseudo_bck(self.alg))
-    condition_A = _axiom(3, "not leq[x][y] or "
-                         "(leq[arrow[y][z]][arrow[x][z]] and leq[squig[y][z]][squig[x][z]])")
-    condition_M = _axiom(3, "not leq[x][y] or "
-                         "(leq[arrow[z][x]][arrow[z][y]] and leq[squig[z][x]][squig[z][y]])")
+    condition_A = _axiom(3, f"not leq[x][y] or ({both('leq[arrow[y][z]][arrow[x][z]]')})")
+    condition_M = _axiom(3, f"not leq[x][y] or ({both('leq[arrow[z][x]][arrow[z][y]]')})")
     condition_T = _axiom(3, "not (leq[x][y] and leq[y][z]) or leq[x][z]")
-    distributive_i = _axiom(3, "arrow[x][squig[y][z]] == squig[arrow[x][y]][arrow[x][z]]")
-    distributive_ii = _axiom(3, "squig[x][arrow[y][z]] == arrow[squig[x][y]][squig[x][z]]")
-    commutative = _axiom(2, "cup1[x][y] == cup1[y][x] and cup2[x][y] == cup2[y][x]")
+    distributive_i = _axiom(3, _DISTRIBUTIVE_I)
+    distributive_ii = _axiom(3, dual(_DISTRIBUTIVE_I))
+    commutative = _axiom(2, both("cup1[x][y] == cup1[y][x]"))
     good = _axiom(1, "neg_sim[neg_minus[x]] == neg_minus[neg_sim[x]]", ("bounded",))
-    involutive = _axiom(1, "neg_sim[neg_minus[x]] == x and neg_minus[neg_sim[x]] == x",
-                        ("bounded",))
+    involutive = _axiom(1, both("neg_sim[neg_minus[x]] == x"), ("bounded",))
 
     @cached_property
     def poset(self):
@@ -494,7 +501,7 @@ _PSMV = (
     (3, (("psMV1", "oplus[x][oplus[y][z]] == oplus[oplus[x][y]][z]"),)),
     (1, (("psMV2", "oplus[x][zero] == x and oplus[zero][x] == x"),
          ("psMV3", "oplus[x][one] == one and oplus[one][x] == one"))),
-    (0, (("psMV4", "neg_minus[one] == zero and neg_sim[one] == zero"),)),
+    (0, (("psMV4", both("neg_minus[one] == zero")),)),
     (2, (("psMV5", "neg_sim[oplus[neg_minus[x]][neg_minus[y]]]"
                    " == neg_minus[oplus[neg_sim[x]][neg_sim[y]]]"),
          ("psMV6", "len({oplus[x][odot[neg_sim[x]][y]], oplus[y][odot[neg_sim[y]][x]],"

@@ -6,10 +6,11 @@ meet, `ClassificationReport.unmet`) and a check.  `psbe laws` shows the
 anchor; the check runs.  A pointwise law's check is an expression over
 the `Ctx` tables and x, y, z, such as "a[x][s[y][z]] == s[y][a[x][z]]"
 for x -> (y ~> z) = y ~> (x -> z), compiled by `classify.first_failure`;
-nothing yet checks it against the anchor.  A global law's check is a
-function of the context.  `verify_suite` evaluates the catalog against
-an algebra and a set of monadic pairs; `search_counterexample`
-enumerates small algebras looking for a failure of one law.
+x <= y is leq[x][y], and a check for both arrows is written once, as
+both(X): X and dual(X).  Nothing yet checks a check against its anchor.
+A global law's check is a function of the context.  `verify_suite`
+evaluates the catalog against an algebra and a set of monadic pairs;
+`search_counterexample` enumerates small algebras for a failure of one law.
 
 Notation in anchors: -> and ~> are the two implications, x- and x~ the
 two negations, * the pseudo-product, (+) its dual, ^ meet, v join,
@@ -26,7 +27,7 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 from .algebra import FiniteAlgebra, PreconditionUnmet
-from .classify import (FAILS, FLAG_ALIASES, FLAG_NAMES, HOLDS, NOT_APPLICABLE, Verdict,
+from .classify import (FAILS, FLAG_ALIASES, FLAG_NAMES, HOLDS, NOT_APPLICABLE, Verdict, both, dual,
                        InvariantViolated, backtrack, classify, first_failure, first_failures)
 from .quantifiers import MonadicPair, enumerate_mop, fixed_set
 from . import deduction as _ded
@@ -42,9 +43,9 @@ _decisions = lambda ctx: {}     # law hypothesis -> whether the report meets it
 class Ctx:
     """Evaluation context: one algebra, its classification and
     (optionally) one monadic pair, with the tables a law expression names:
-    a, s (-> and ~>), E, F, nm, ns, od, op, meet, join and the constants
-    one, zero.  `report` is the algebra's one ClassificationReport
-    (`classify`); the derived tables are read from it on first use.
+    a, s (-> and ~>), leq, E, F, nm, ns, od, op, od_t, op_t (od and op
+    transposed), meet, join, one and zero.  `report` is the algebra's one
+    ClassificationReport (`classify`); tables are read from it on first use.
     `zero` is the declared zero, not `report.zero`, until ROADMAP item 2.
     `ds`, `congruences`, the congruences' tables and each law hypothesis
     read no pair, so each is computed once per algebra object (`once`)
@@ -80,6 +81,9 @@ class Ctx:
     op = cached_property(lambda self: self.report.oplus)
     meet = cached_property(lambda self: self.report.meet)
     join = cached_property(lambda self: self.report.join)
+    leq = cached_property(lambda self: self.report.leq)
+    od_t = cached_property(lambda self: self.od and tuple(zip(*self.od)))
+    op_t = cached_property(lambda self: self.op and tuple(zip(*self.op)))
 
     def _bind(self, pair):
         self.pair = pair
@@ -245,21 +249,21 @@ def catalog() -> tuple[Law, ...]:
     add = L.append
 
     # -------- structural laws of the two implications
-    add(Law("BE.exchange_dual", "x ~> (y -> z) = y -> (x ~> z)", 3, _BE,
-            "s[x][a[y][z]] == a[y][s[x][z]]", uses_pair=False))
-    add(Law("BE.exchange", "x -> (y ~> z) = y ~> (x -> z)", 3, _BE,
-            "a[x][s[y][z]] == s[y][a[x][z]]", uses_pair=False))
+    exchange = "a[x][s[y][z]] == s[y][a[x][z]]"
+    add(Law("BE.exchange_dual", "x ~> (y -> z) = y -> (x ~> z)", 3, _BE, dual(exchange),
+            uses_pair=False))
+    add(Law("BE.exchange", "x -> (y ~> z) = y ~> (x -> z)", 3, _BE, exchange, uses_pair=False))
     add(Law("BE.transitive_T", "under (T): x <= y and y <= z imply x <= z", 3,
-            ("pseudo_be", "condition_T"),
-            "not (a[x][y] == one and a[y][z] == one) or a[x][z] == one", uses_pair=False))
+            ("pseudo_be", "condition_T"), "not (leq[x][y] and leq[y][z]) or leq[x][z]",
+            uses_pair=False))
     add(Law("BE.const_upper_mixed", "x -> (y ~> x) = 1 and x ~> (y -> x) = 1", 2, _BE,
-            "a[x][s[y][x]] == one and s[x][a[y][x]] == one", uses_pair=False))
+            both("a[x][s[y][x]] == one"), uses_pair=False))
     add(Law("BE.const_upper", "x -> (y -> x) = 1 and x ~> (y ~> x) = 1", 2, _BE,
-            "a[x][a[y][x]] == one and s[x][s[y][x]] == one", uses_pair=False))
+            both("a[x][a[y][x]] == one"), uses_pair=False))
     add(Law("BE.cup_upper", "x -> ((x -> y) ~> y) = 1 and x ~> ((x ~> y) -> y) = 1", 2, _BE,
-            "a[x][s[a[x][y]][y]] == one and s[x][a[s[x][y]][y]] == one", uses_pair=False))
-    antitone = "a[x][y] != one or (a[a[y][z]][a[x][z]] == one and a[s[y][z]][s[x][z]] == one)"
-    monotone = "a[x][y] != one or (a[a[z][x]][a[z][y]] == one and a[s[z][x]][s[z][y]] == one)"
+            both("a[x][s[a[x][y]][y]] == one"), uses_pair=False))
+    antitone = f"not leq[x][y] or ({both('leq[a[y][z]][a[x][z]]')})"
+    monotone = f"not leq[x][y] or ({both('leq[a[z][x]][a[z][y]]')})"
     add(Law("A.antitone_first",
             "under (A): x <= y implies y -> z <= x -> z and y ~> z <= x ~> z",
             3, ("pseudo_be", "condition_A"), antitone, uses_pair=False))
@@ -275,10 +279,9 @@ def catalog() -> tuple[Law, ...]:
             3, _BCK, monotone, uses_pair=False))
     add(Law("BCK.inner_monotone",
             "x -> y <= (z -> x) -> (z -> y) and x ~> y <= (z ~> x) ~> (z ~> y)", 3, _BCK,
-            "a[a[x][y]][a[a[z][x]][a[z][y]]] == one"
-            " and a[s[x][y]][s[s[z][x]][s[z][y]]] == one", uses_pair=False))
+            both("leq[a[x][y]][a[a[z][x]][a[z][y]]]"), uses_pair=False))
     add(Law("BCK.cup_ge", "x <= (x -> y) ~> y and x <= (x ~> y) -> y", 2, _BCK,
-            "a[x][s[a[x][y]][y]] == one and a[x][a[s[x][y]][y]] == one", uses_pair=False))
+            both("leq[x][s[a[x][y]][y]]"), uses_pair=False))
 
     # -------- bounded negation laws
     add(Law("BND.neg_constants", "1- = 1~ = 0 and 0- = 0~ = 1", 0, _BND,
@@ -287,64 +290,56 @@ def catalog() -> tuple[Law, ...]:
                        None, 4), uses_pair=False))
     _BBCK = ("pseudo_bck", "bounded")
     add(Law("BND.double_neg_ge", "x <= x-~ and x <= x~-", 1, _BBCK,
-            "a[x][ns[nm[x]]] == one and a[x][nm[ns[x]]] == one", uses_pair=False))
+            both("leq[x][ns[nm[x]]]"), uses_pair=False))
     add(Law("BND.neg_antitone", "x <= y implies y- <= x- and y~ <= x~", 2, _BBCK,
-            "a[x][y] != one or (a[nm[y]][nm[x]] == one and a[ns[y]][ns[x]] == one)",
-            uses_pair=False))
+            f"not leq[x][y] or ({both('leq[nm[y]][nm[x]]')})", uses_pair=False))
     add(Law("BND.triple_neg", "x-~- = x- and x~-~ = x~", 1, _BBCK,
-            "nm[ns[nm[x]]] == nm[x] and ns[nm[ns[x]]] == ns[x]", uses_pair=False))
+            both("nm[ns[nm[x]]] == nm[x]"), uses_pair=False))
 
     # -------- pseudo-product laws
     _PP = ("pseudo_bck", "has_pP")
     add(Law("PP.le_both", "x*y <= x and x*y <= y", 2, _PP,
-            "a[od[x][y]][x] == one and a[od[x][y]][y] == one", uses_pair=False))
+            "leq[od[x][y]][x] and leq[od[x][y]][y]", uses_pair=False))
     add(Law("PP.residual_le", "(x -> y)*x <= x,y and x*(x ~> y) <= x,y", 2, _PP,
-            "a[od[a[x][y]][x]][x] == one and a[od[a[x][y]][x]][y] == one"
-            " and a[od[x][s[x][y]]][x] == one and a[od[x][s[x][y]]][y] == one",
-            uses_pair=False))
+            both("leq[od[a[x][y]][x]][x] and leq[od[a[x][y]][x]][y]"), uses_pair=False))
     add(Law("PP.monotone", "x <= y implies x*z <= y*z and z*x <= z*y", 3, _PP,
-            "a[x][y] != one or (a[od[x][z]][od[y][z]] == one and a[od[z][x]][od[z][y]] == one)",
-            uses_pair=False))
+            f"not leq[x][y] or ({both('leq[od[x][z]][od[y][z]]')})", uses_pair=False))
     add(Law("PP.curry", "x -> (y -> z) = x*y -> z and x ~> (y ~> z) = y*x ~> z", 3, _PP,
-            "a[x][a[y][z]] == a[od[x][y]][z] and s[x][s[y][z]] == s[od[y][x]][z]",
-            uses_pair=False))
+            both("a[x][a[y][z]] == a[od[x][y]][z]"), uses_pair=False))
 
     # -------- monadic pair laws (any monadic pseudo BE-algebra)
     add(Law("P3.exists_one", "E1 = 1", 0, _BE, lambda c: (c.E[c.one] == c.one, None, 1)))
     add(Law("P3.forall_one_const", "F1 = 1", 0, _BE,
             lambda c: (c.F[c.one] == c.one, None, 1)))
     add(Law("P3.increasing_decreasing", "x <= Ex and Fx <= x", 1, _BE,
-            "a[x][E[x]] == one and a[F[x]][x] == one"))
+            "leq[x][E[x]] and leq[F[x]][x]"))
     add(Law("P3.forall_exists", "FEx = Ex", 1, _BE, "F[E[x]] == E[x]"))
     add(Law("P3.fixed_iff", "Fx = x iff Ex = x", 1, _BE, "(F[x] == x) == (E[x] == x)"))
     add(Law("P3.exists_idem", "EEx = Ex", 1, _BE, "E[E[x]] == E[x]"))
     add(Law("P3.forall_idem", "FFx = Fx", 1, _BE, "F[F[x]] == F[x]"))
     add(Law("P3.stable_exists", "F(Ex -> Ey) = Ex -> Ey (both arrows)", 2, _BE,
-            "F[a[E[x]][E[y]]] == a[E[x]][E[y]] and F[s[E[x]][E[y]]] == s[E[x]][E[y]]"))
-    add(Law("P3.leq_exists_iff", "x <= Ey iff Ex <= Ey", 2, _BE,
-            "(a[x][E[y]] == one) == (a[E[x]][E[y]] == one)"))
-    add(Law("P3.forall_leq_iff", "Fx <= y iff Fx <= Fy", 2, _BE,
-            "(a[F[x]][y] == one) == (a[F[x]][F[y]] == one)"))
+            both("F[a[E[x]][E[y]]] == a[E[x]][E[y]]")))
+    add(Law("P3.leq_exists_iff", "x <= Ey iff Ex <= Ey", 2, _BE, "leq[x][E[y]] == leq[E[x]][E[y]]"))
+    add(Law("P3.forall_leq_iff", "Fx <= y iff Fx <= Fy", 2, _BE, "leq[F[x]][y] == leq[F[x]][F[y]]"))
     add(Law("P3.forall_arrow", "F(Fx -> y) = Fx -> Fy (both arrows)", 2, _BE,
-            "F[a[F[x]][y]] == a[F[x]][F[y]] and F[s[F[x]][y]] == s[F[x]][F[y]]"))
+            both("F[a[F[x]][y]] == a[F[x]][F[y]]")))
     add(Law("P3.forall_arrow_exists", "F(Fx -> Ey) = Fx -> Ey (both arrows)", 2, _BE,
-            "F[a[F[x]][E[y]]] == a[F[x]][E[y]] and F[s[F[x]][E[y]]] == s[F[x]][E[y]]"))
+            both("F[a[F[x]][E[y]]] == a[F[x]][E[y]]")))
     add(Law("P3.arrow_forall", "F(x -> Fy) = Ex -> Fy (both arrows)", 2, _BE,
-            "F[a[x][F[y]]] == a[E[x]][F[y]] and F[s[x][F[y]]] == s[E[x]][F[y]]"))
+            both("F[a[x][F[y]]] == a[E[x]][F[y]]")))
     add(Law("P3.forall_forall", "F(Fx -> Fy) = Fx -> Fy (both arrows)", 2, _BE,
-            "F[a[F[x]][F[y]]] == a[F[x]][F[y]] and F[s[F[x]][F[y]]] == s[F[x]][F[y]]"))
+            both("F[a[F[x]][F[y]]] == a[F[x]][F[y]]")))
     add(Law("P3.exists_le_stable", "E(Ex -> Ey) <= Ex -> Ey (both arrows)", 2, _BE,
-            "a[E[a[E[x]][E[y]]]][a[E[x]][E[y]]] == one"
-            " and a[E[s[E[x]][E[y]]]][s[E[x]][E[y]]] == one"))
+            both("leq[E[a[E[x]][E[y]]]][a[E[x]][E[y]]]")))
     add(Law("P3.forall_one", "Fx = 1 iff x = 1", 1, _BE, "(F[x] == one) == (x == one)"))
-    isotone = "a[x][y] != one or (a[E[x]][E[y]] == one and a[F[x]][F[y]] == one)"
+    isotone = "not leq[x][y] or (leq[E[x]][E[y]] and leq[F[x]][F[y]])"
     add(Law("P3.isotone_T", "under (T): x <= y implies Ex <= Ey and Fx <= Fy",
             2, ("pseudo_be", "condition_T"), isotone))
     add(Law("P3.isotone_unconditional",
             "x <= y implies Ex <= Ey and Fx <= Fy (no (T) hypothesis; probe)",
             2, _BE, isotone, probe=True))
     add(Law("P3.residuated_T", "under (T): Ex <= y iff x <= Fy", 2,
-            ("pseudo_be", "condition_T"), "(a[E[x]][y] == one) == (a[x][F[y]] == one)"))
+            ("pseudo_be", "condition_T"), "leq[E[x]][y] == leq[x][F[y]]"))
 
     # -------- fixed-set laws
     add(Law("P3f.subalgebra", "the fixed set contains 1 and is closed under -> and ~>",
@@ -358,13 +353,13 @@ def catalog() -> tuple[Law, ...]:
     add(Law("P3b.zero_fixed", "E0 = 0 and F0 = 0", 0, _BND,
             lambda c: (c.E[c.zero] == c.zero and c.F[c.zero] == c.zero, None, 2)))
     add(Law("P3b.neg_exchange", "(Ex)- = F(x-) and (Ex)~ = F(x~)", 1, _BND,
-            "nm[E[x]] == F[nm[x]] and ns[E[x]] == F[ns[x]]"))
+            both("nm[E[x]] == F[nm[x]]")))
     add(Law("P3b.forall_neg_stable", "F((Ex)-) = (Ex)- and F((Ex)~) = (Ex)~", 1, _BND,
-            "F[nm[E[x]]] == nm[E[x]] and F[ns[E[x]]] == ns[E[x]]"))
+            both("F[nm[E[x]]] == nm[E[x]]")))
     add(Law("P3b.forall_forall_neg", "F((Fx)-) = (Fx)- and F((Fx)~) = (Fx)~", 1, _BND,
-            "F[nm[F[x]]] == nm[F[x]] and F[ns[F[x]]] == ns[F[x]]"))
+            both("F[nm[F[x]]] == nm[F[x]]")))
     add(Law("P3b.exists_exists_neg", "E((Ex)-) = (Ex)- and E((Ex)~) = (Ex)~", 1, _BND,
-            "E[nm[E[x]]] == nm[E[x]] and E[ns[E[x]]] == ns[E[x]]"))
+            both("E[nm[E[x]]] == nm[E[x]]")))
     add(Law("P3b.exists_zero_iff", "Ex = 0 iff x = 0", 1, _BND, "(E[x] == zero) == (x == zero)"))
 
     # -------- involutive duality
@@ -390,41 +385,40 @@ def catalog() -> tuple[Law, ...]:
     # -------- monadic pseudo BCK laws
     add(Law("P5.forall_arrow_compat",
             "F(x -> y) ~> (Fx -> Fy) = 1 and F(x ~> y) -> (Fx ~> Fy) = 1", 2, _BCK,
-            "s[F[a[x][y]]][a[F[x]][F[y]]] == one and a[F[s[x][y]]][s[F[x]][F[y]]] == one"))
+            both("s[F[a[x][y]]][a[F[x]][F[y]]] == one")))
     add(Law("P5.forall_to_exists",
             "F(x -> y) ~> (Ex -> Ey) = 1 and F(x ~> y) -> (Ex ~> Ey) = 1", 2, _BCK,
-            "s[F[a[x][y]]][a[E[x]][E[y]]] == one and a[F[s[x][y]]][s[E[x]][E[y]]] == one"))
+            both("s[F[a[x][y]]][a[E[x]][E[y]]] == one")))
     add(Law("P5.exists_stable", "E(Ex -> Ey) = Ex -> Ey (both arrows)", 2, _BCK,
-            "E[a[E[x]][E[y]]] == a[E[x]][E[y]] and E[s[E[x]][E[y]]] == s[E[x]][E[y]]"))
+            both("E[a[E[x]][E[y]]] == a[E[x]][E[y]]")))
     add(Law("P5.forall_image_stable",
             "E(Fx -> Fy) = Fx -> Fy and F(Fx -> Fy) = Fx -> Fy (both arrows)", 2, _BCK,
-            "E[a[F[x]][F[y]]] == a[F[x]][F[y]] and E[s[F[x]][F[y]]] == s[F[x]][F[y]]"
-            " and F[a[F[x]][F[y]]] == a[F[x]][F[y]] and F[s[F[x]][F[y]]] == s[F[x]][F[y]]"))
+            both("E[a[F[x]][F[y]]] == a[F[x]][F[y]] and F[a[F[x]][F[y]]] == a[F[x]][F[y]]")))
 
     # -------- semilattice laws
     _MEET = ("pseudo_bck", "meet_semilattice")
     _JOIN = ("pseudo_bck", "join_semilattice")
     add(Law("P5.meet_forall", "F(x^y) = Fx ^ Fy", 2, _MEET, "F[meet[x][y]] == meet[F[x]][F[y]]"))
     add(Law("P5.meet_exists_le", "E(x^y) <= Ex ^ Ey", 2, _MEET,
-            "a[E[meet[x][y]]][meet[E[x]][E[y]]] == one"))
+            "leq[E[meet[x][y]]][meet[E[x]][E[y]]]"))
     add(Law("P5.meet_mixed_le", "F(x^y) <= Ex ^ Ey", 2, _MEET,
-            "a[F[meet[x][y]]][meet[E[x]][E[y]]] == one"))
+            "leq[F[meet[x][y]]][meet[E[x]][E[y]]]"))
     add(Law("P5.meet_stable", "E(Ex^Ey) = Ex^Ey and F(Ex^Ey) = Ex^Ey", 2, _MEET,
             "E[meet[E[x]][E[y]]] == meet[E[x]][E[y]] and F[meet[E[x]][E[y]]] == meet[E[x]][E[y]]"))
     add(Law("P5.join_exists", "E(xvy) = Ex v Ey", 2, _JOIN, "E[join[x][y]] == join[E[x]][E[y]]"))
     add(Law("P5.join_stable", "F(ExvEy) = ExvEy and E(ExvEy) = ExvEy", 2, _JOIN,
             "F[join[E[x]][E[y]]] == join[E[x]][E[y]] and E[join[E[x]][E[y]]] == join[E[x]][E[y]]"))
     add(Law("P5.join_mixed_le", "Fx v Ey <= F(x v Ey)", 2, _JOIN,
-            "a[join[F[x]][E[y]]][F[join[x][E[y]]]] == one"))
+            "leq[join[F[x]][E[y]]][F[join[x][E[y]]]]"))
 
     # -------- monadic pseudo-product laws
     add(Law("P5.pp_exists_stable", "E(Ex*Ey) = Ex*Ey", 2, _PP,
             "E[od[E[x]][E[y]]] == od[E[x]][E[y]]"))
-    add(Law("P5.pp_exists_le", "E(x*y) <= Ex*Ey", 2, _PP, "a[E[od[x][y]]][od[E[x]][E[y]]] == one"))
+    add(Law("P5.pp_exists_le", "E(x*y) <= Ex*Ey", 2, _PP, "leq[E[od[x][y]]][od[E[x]][E[y]]]"))
     add(Law("P5.pp_forall_stable", "F(Fx*Fy) = Fx*Fy", 2, _PP,
             "F[od[F[x]][F[y]]] == od[F[x]][F[y]]"))
     add(Law("P5.pp_forall_le", "Fx*Fy <= F(x*y) and Fx*Fy <= E(x*y)", 2, _PP,
-            "a[od[F[x]][F[y]]][F[od[x][y]]] == one and a[od[F[x]][F[y]]][E[od[x][y]]] == one"))
+            "leq[od[F[x]][F[y]]][F[od[x][y]]] and leq[od[F[x]][F[y]]][E[od[x][y]]]"))
     add(Law("P5.pp_transfer", "E(Ex*y) = Ex*Ey = E(x*Ey)", 2, _PP,
             "E[od[E[x]][y]] == od[E[x]][E[y]] == E[od[x][E[y]]]"))
     add(Law("P5.pp_mixed", "E(x*Fy) = Ex*Fy and E(Fx*y) = Fx*Ey", 2, _PP,
@@ -434,14 +428,12 @@ def catalog() -> tuple[Law, ...]:
     _BCBCK = ("pseudo_bck", "bounded", "commutative", "oplus")
     add(Law("P5.oplus_stable", "F(Fx(+)Fy) = Fx(+)Fy", 2, _BCBCK,
             "F[op[F[x]][F[y]]] == op[F[x]][F[y]]"))
-    add(Law("P5.oplus_le", "Fx(+)Fy <= F(x(+)y)", 2, _BCBCK,
-            "a[op[F[x]][F[y]]][F[op[x][y]]] == one"))
+    add(Law("P5.oplus_le", "Fx(+)Fy <= F(x(+)y)", 2, _BCBCK, "leq[op[F[x]][F[y]]][F[op[x][y]]]"))
 
     # -------- monadic pseudo-hoop law
     add(Law("P5.hoop_meet", "F(x -> y)*x <= Ex ^ Ey and x*F(x ~> y) <= Ex ^ Ey", 2,
             ("pseudo_hoop", "meet_semilattice"),
-            "a[od[F[a[x][y]]][x]][meet[E[x]][E[y]]] == one"
-            " and a[od[x][F[s[x][y]]]][meet[E[x]][E[y]]] == one"))
+            both("leq[od[F[a[x][y]]][x]][meet[E[x]][E[y]]]")))
 
     # -------- congruence / deductive-system laws
     add(Law("L6.arrow_iff_squig_one_class",
@@ -471,9 +463,9 @@ def catalog() -> tuple[Law, ...]:
             0, ("pseudo_be", "commutative"), _over_congruences(_p6_cong_exists)))
 
     # -------- axiom probes for the search module
-    add(Law("AX.refl", "x <= x", 1, _BE, "a[x][x] == one", uses_pair=False))
+    add(Law("AX.refl", "x <= x", 1, _BE, "leq[x][x]", uses_pair=False))
     add(Law("AX.psbck6_antisym", "x <= y and y <= x imply x = y (probe)", 2, _BE,
-            "not (a[x][y] == one and a[y][x] == one) or x == y", uses_pair=False, probe=True))
+            "not (leq[x][y] and leq[y][x]) or x == y", uses_pair=False, probe=True))
 
     if len({law.id for law in L}) != len(L):
         raise InvariantViolated("law ids must be unique")

@@ -13,8 +13,8 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 from .algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap
-from .classify import (HOLDS, InvariantViolated, Verdict, backtrack, classify,
-                       closed_sets, first_failure_of)
+from .classify import (HOLDS, InvariantViolated, Verdict, backtrack, both, classify,
+                       closed_sets, dual, first_failure_of)
 
 PLAIN = "plain"
 BOUNDED_COMMUTATIVE = "bc"
@@ -50,15 +50,11 @@ def _mode_tables(alg: FiniteAlgebra, mode: str):
     return report.odot, report.oplus if mode == BOUNDED_COMMUTATIVE else None
 
 
-_M1_M5 = (
-    (1, (("M1(arrow)", "a[x][E[x]] == one"), ("M1(squig)", "s[x][E[x]] == one"))),
-    (1, (("M2(arrow)", "a[F[x]][x] == one"), ("M2(squig)", "s[F[x]][x] == one"))),
-    (2, (("M3(arrow)", "F[a[x][E[y]]] == a[E[x]][E[y]]"),
-         ("M3(squig)", "F[s[x][E[y]]] == s[E[x]][E[y]]"))),
-    (2, (("M4(arrow)", "F[a[E[x]][y]] == a[E[x]][F[y]]"),
-         ("M4(squig)", "F[s[E[x]][y]] == s[E[x]][F[y]]"))),
-    (1, (("M5", "E[F[x]] == F[x]"),)),
-)
+# M1-M4 for -> and then, read on the dual (`dual`), for ~>
+_M1_M5 = tuple((arity, ((f"{m}(arrow)", expr), (f"{m}(squig)", dual(expr)))) for m, arity, expr in (
+    ("M1", 1, "a[x][E[x]] == one"), ("M2", 1, "a[F[x]][x] == one"),
+    ("M3", 2, "F[a[x][E[y]]] == a[E[x]][E[y]]"), ("M4", 2, "F[a[E[x]][y]] == a[E[x]][F[y]]"),
+)) + ((1, (("M5", "E[F[x]] == F[x]"),)),)
 _M6 = (1, (("M6", "F[od[x][x]] == od[F[x]][F[x]]"),))
 _M7 = (1, (("M7", "F[op[x][x]] == op[F[x]][F[x]]"),))
 
@@ -303,7 +299,7 @@ def compose_pairs(alg: FiniteAlgebra, p1: MonadicPair, p2: MonadicPair) -> Compo
 _MV = {kind: (
     (1, ((tag + "1", mv1),)),
     (2, ((tag + "2", "f[lat[x][y]] == lat[f[x]][f[y]]"),)),
-    (1, ((tag + "3", "f[nm[f[x]]] == nm[f[x]] and f[ns[f[x]]] == ns[f[x]]"),)),
+    (1, ((tag + "3", both("f[nm[f[x]]] == nm[f[x]]")),)),
     (2, ((tag + "4", "f[od[f[x]][f[y]]] == od[f[x]][f[y]]"),)),
     (1, ((tag + "5", "f[od[x][x]] == od[f[x]][f[x]]"),)),
     (1, ((tag + "6", "f[op[x][x]] == op[f[x]][f[x]]"),)),

@@ -264,6 +264,9 @@ def eager_classify(alg):
         flags["bounded"] = Verdict.fails("bounded", ())
     else:
         zero = None
+        if alg.zero is not None and alg.zero not in least:
+            raise PreconditionUnmet(
+                f"declared zero {alg.element_names[alg.zero]!r} is not a least element")
         flags["bounded"] = Verdict.fails("bounded", tuple(least[:2]))
 
     neg_minus = neg_sim = None

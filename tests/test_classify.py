@@ -152,6 +152,17 @@ def test_classify_matches_eager(alg):
     assert_matches_eager(alg)
 
 
+def test_a_declared_zero_must_be_among_several_least_elements(psbe4):
+    # psbe4 has two least elements, b and c: either may be declared as the
+    # zero (none is then the zero), its top 1 may not
+    b, c = psbe4.index("b"), psbe4.index("c")
+    assert classify_module.least_elements(psbe4._replace(zero=b)) == [b, c]
+    report, _ = classify(psbe4._replace(zero=c))
+    assert report.zero is None and report.bounded.status == FAILS
+    with pytest.raises(PreconditionUnmet, match="^declared zero '1' is not a least element$"):
+        classify(psbe4._replace(zero=psbe4.one))
+
+
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_declared_zero_checked_up_front(name):
     # every element declared as the zero: classify raises exactly when,

@@ -211,6 +211,19 @@ def test_bad_declared_zero_exits_two(tmp_path):
                               "least element ('0' is)\n"), command
 
 
+def test_declared_zero_outside_several_least_elements_exits_two(tmp_path):
+    # psbe4's least elements are b and c; its top declared as zero is neither
+    text = fixture_path("psbe4").read_text()
+    bad, good = tmp_path / "psbe4_zero_1.alg", tmp_path / "psbe4_zero_b.alg"
+    bad.write_text(text.replace("one 1\n", "one 1\nzero 1\n"))
+    good.write_text(text.replace("one 1\n", "one 1\nzero b\n"))
+    for command in ("check", "verify", "mop", "ds"):
+        out = _psbe_process(command, str(bad))
+        assert (out.returncode, out.stdout) == (2, ""), command
+        assert out.stderr == "psbe: error: declared zero '1' is not a least element\n", command
+    assert _psbe_process("check", str(good)).returncode == 0
+
+
 def test_ds_on_non_psbe_tables_exits_two(tmp_path):
     bad = tmp_path / "psbe5_broken.alg"
     bad.write_text(CLOSURES_DISAGREE)
