@@ -13,6 +13,8 @@ verdict, witness or instance count.  `test_applicability_is_pinned`
 records whether each law's hypothesis holds and each flag's status on
 the fixtures, bc4 x C2, psbe4 x C2, every model of size 2 and 3 and
 seeded random tables with n <= 4, pseudo BE-algebras or not.
+`test_law_metadata_is_pinned` records each law's (id, arity, uses_pair,
+probe, hypothesis), which for a pointwise law are derived from its anchor.
 """
 
 import hashlib
@@ -30,6 +32,7 @@ from test_quantifiers import times_c2_pair
 LAW_DIGEST = "1eee5b939e7763b9040b0a19305ad8ec3a30c26226b638a7bbb127536163b32d"
 SUITE_DIGEST = "28c51aca69dd5147a826be64776cc89b59aa4f2d050e35e461fe740c1636d51a"
 APPLICABILITY_DIGEST = "1728ab84184328f22980e8da7caf3b8e96cb956efac1ff0c817c49283dccf9b3"
+METADATA_DIGEST = "b5a49352184f86ebab0249d4fd1be0f5bf85bf625c3f447051671b432b08b634"
 
 
 def with_least_zero(alg):
@@ -146,3 +149,9 @@ def test_suite_verdicts_are_pinned():
 
 def test_applicability_is_pinned():
     assert digest(applicability_outcomes()) == APPLICABILITY_DIGEST
+
+
+def test_law_metadata_is_pinned():
+    rows = [[l.id, l.arity, l.uses_pair, l.probe, list(l.hypothesis)] for l in catalog()]
+    assert len(rows) == 86
+    assert digest(rows) == METADATA_DIGEST
