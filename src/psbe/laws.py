@@ -1,33 +1,36 @@
 """Executable law catalog, suite runner and bounded counterexample search.
 
-Every law carries an anchor (the identity it encodes, in plain
-notation), a hypothesis (the flags and tables its algebra's report must
-meet, `ClassificationReport.unmet`) and a check.  `psbe laws` shows the
-anchor; the check runs.  A pointwise law's check is an expression over
-the `Ctx` tables and x, y, z, such as "a[x][s[y][z]] == s[y][a[x][z]]"
-for x -> (y ~> z) = y ~> (x -> z), compiled by `classify.first_failure`;
-x <= y is leq[x][y], and a check for both arrows is written once, as
-both(X): X and dual(X).  Nothing yet checks a check against its anchor.
-A global law's check is a function of the context.  `verify_suite`
-evaluates the catalog against an algebra and a set of monadic pairs;
-`search_counterexample` enumerates small algebras for a failure of one law.
-
-Notation in anchors: -> and ~> are the two implications, x- and x~ the
-two negations, * the pseudo-product, (+) its dual, ^ meet, v join,
-E/F the existential/universal operators.
+Every law carries an anchor (the statement `psbe laws` shows), a
+hypothesis (the flags and tables its algebra's report must meet,
+`ClassificationReport.unmet`) and a check.  A pointwise law is written
+once, as its anchor, which `pointwise_law` compiles into its check: an
+expression over the `Ctx` tables and x, y, z that `classify.first_failure`
+scans, "a[x][s[y][z]] == s[y][a[x][z]]" for x -> (y ~> z) = y ~> (x -> z).
+The grammar, tightest first: x, y, z, 0, 1 and (t); the negations x- and
+x~; E and F, the existential and universal operators; * (pseudo-product);
+(+) (its dual); ^ and v (meet, join); -> and ~>; the relations t <= u and
+t = u = ...; `and`; `implies` (or `imply`) and `iff`.  Only =, `and`, *,
+(+), ^ and v repeat (from the left), and two operators of one level need
+parentheses.  A leading "under (X):" names the condition (X) the hypothesis
+holds; a trailing "(both arrows)" states formula X for -> and its dual for
+~>: both(X), X and dual(X).  A global law's check is a function of the
+context.  `verify_suite` evaluates the catalog against an algebra and a set
+of monadic pairs; `search_counterexample` enumerates small algebras for a
+failure of one law.
 """
 
 from __future__ import annotations
 
 import copy
-from functools import cache, cached_property
+import re
+from functools import cache, cached_property, partial
 from itertools import permutations, product
 from math import inf
 from types import SimpleNamespace
 from typing import NamedTuple
 
 from .algebra import FiniteAlgebra, PreconditionUnmet
-from .classify import (FAILS, FLAG_ALIASES, FLAG_NAMES, HOLDS, NOT_APPLICABLE, Verdict, both, dual,
+from .classify import (FAILS, FLAG_ALIASES, FLAG_NAMES, HOLDS, NOT_APPLICABLE, Verdict, both,
                        InvariantViolated, backtrack, classify, first_failure, first_failures)
 from .quantifiers import MonadicPair, enumerate_mop, fixed_set
 from . import deduction as _ded
@@ -97,25 +100,24 @@ class Ctx:
         return ctx
 
 
-_BE = ("pseudo_be",)
-_BCK = ("pseudo_bck",)
-_BND = ("pseudo_be", "bounded")
+_BE, _BCK, _BND = ("pseudo_be",), ("pseudo_bck",), ("pseudo_be", "bounded")
+_A, _M, _T = (("pseudo_be", f"condition_{c}") for c in "AMT")
 
 
 class Law(NamedTuple):
     """A catalog entry.  `hypothesis` names the flags that must hold and
     the derived tables that must exist (`ClassificationReport.unmet`),
     leaving out a table that a listed flag decides: odot exists iff
-    has_pP holds, meet iff meet_semilattice, join iff join_semilattice."""
+    has_pP holds, meet iff meet_semilattice, join iff join_semilattice.
+    A pointwise law's check, arity and uses_pair are derived from its
+    anchor (`pointwise_law`); a global law's check (arity 0) is a function
+    Ctx -> (ok, witness, instances)."""
 
     id: str
     anchor: str
     arity: int                    # 0 means a global (whole-structure) law
     hypothesis: tuple             # names the report decides; () always applies
-    check: object                 # arity >= 1: an expression over Ctx tables
-                                  # (a, s, E, ...) and x, y, z, which must hold
-                                  # at every tuple (`first_failure`); arity 0:
-                                  # Ctx -> (ok, witness, instances)
+    check: object                 # pointwise: an expression that must hold at every tuple
     uses_pair: bool = True
     probe: bool = False           # excluded from verify_suite by default;
                                   # exists so search can adjudicate it
@@ -233,113 +235,136 @@ def _surjective_id(ctx):
     return ok, (None if ok else ()), ctx.n
 
 
-def _iff_pointwise(lhs, rhs):
-    """Global law: (for all x,y: lhs) iff (for all x,y: rhs), each side an
-    expression over Ctx tables and x, y as a law's check is."""
-    def check(ctx):
-        l, r = (first_failure(ctx.n, 2, ((None, side),), ctx) is None for side in (lhs, rhs))
-        return l == r, (None if l == r else ()), 2 * ctx.n * ctx.n
-    return check
+_LEVELS = (("implies", "imply", "iff"), ("and",), ("<=", "="), ("->", "~>"), ("^", "v"),
+           ("(+)",), ("*",))    # loosest first; under them E, F and then - and ~
+_RANK = {op: rank for rank, ops in enumerate(_LEVELS) for op in ops}
+_CHAINS = ("and", "=", "^", "v", "(+)", "*")
+_FORM = {"implies": "(not ({}) or ({}))", "imply": "(not ({}) or ({}))", "iff": "({}) == ({})",
+         "and": "{} and {}", "<=": "leq[{}][{}]", "=": "{} == {}", "->": "a[{}][{}]",
+         "~>": "s[{}][{}]", "^": "meet[{}][{}]", "v": "join[{}][{}]", "(+)": "op[{}][{}]",
+         "*": "od[{}][{}]", "E": "E[{}]", "F": "F[{}]", "-": "nm[{}]", "~": "ns[{}]",
+         "x": "x", "y": "y", "z": "z", "0": "zero", "1": "one"}
+_TOKEN = r"\s*(under \([AMT]\):|\(both arrows\)|\(\+\)|and|implies|imply|iff|->|~>|<=|\S)"
+
+
+def pointwise_law(law_id: str, anchor: str, hypothesis=(), probe: bool = False) -> Law:
+    """The law that anchor states (grammar in the module docstring): its check is
+    the expression the kernel scans, its arity the highest of x, y, z named, and
+    it uses the pair when it names E or F.  InvariantViolated, naming the law and
+    the position, on a malformed anchor or a condition the hypothesis does not name."""
+    toks = [(m[1], m.start(1)) for m in re.finditer(_TOKEN, anchor)]
+    names, toks = {tok for tok, _ in toks}, [("", len(anchor))] + toks[::-1]    # next one last
+    peek = lambda: toks[-1][0]
+    under = toks.pop()[0][7] if peek().startswith("under") else None    # A, M or T
+
+    def fail(tok, pos):
+        raise InvariantViolated(f"{law_id}: unexpected {tok or 'end'!r} at position {pos} "
+                                f"of {anchor!r}")
+
+    def take(*want):
+        tok, pos = toks.pop()
+        return tok if tok in want else fail(tok, pos)
+
+    def parse(level):       # (text, rank of its outer operator) with operators of _LEVELS[level:]
+        left, top, last = unary(), len(_LEVELS), None
+        while _RANK.get(peek(), -1) >= level:
+            op, pos = toks.pop()
+            rank = _RANK[op]
+            right, inner = parse(rank + 1)      # `and`, `implies`, `iff` join formulas, not terms
+            if rank == top and (op != last or op not in _CHAINS) or rank < 2 < max(top, inner):
+                fail(op, pos)
+            left, top, last = _FORM[op].format(left, right), rank, op
+        return left, top
+
+    def unary():            # E t or F t, else x, y, z, 0, 1 or (t), then - and ~
+        tok = take("E", "F", "(", "x", "y", "z", "0", "1")
+        if tok in ("E", "F"):
+            return _FORM[tok].format(unary())
+        t = (parse(3)[0], take(")"))[0] if tok == "(" else _FORM[tok]
+        while peek() in ("-", "~"):
+            t = _FORM[take(peek())].format(t)
+        return t
+
+    check, top = parse(0)
+    if top <= 2 and peek() == "(both arrows)":
+        check = both(check)
+        toks.pop()
+    if top > 2 or peek():       # a term, not a formula, or text after the formula
+        fail(*toks[-1])
+    if {h[10:] for h in hypothesis if h.startswith("condition_")} != {under} - {None}:
+        raise InvariantViolated(f"{law_id}: {anchor!r} and its hypothesis {hypothesis} "
+                                "name different conditions")
+    arity = max(map(" xyz".find, names))     # 1, 2, 3 for x, y, z; -1 for other tokens
+    if arity < 1:
+        raise InvariantViolated(f"{law_id}: {anchor!r} names none of x, y, z")
+    return Law(law_id, anchor, arity, hypothesis, check, bool(names & {"E", "F"}), probe)
+
+
+def _iff_pointwise(lhs, rhs, ctx):
+    """Global law: (for all x,y: lhs) iff (for all x,y: rhs), each side a pointwise check."""
+    l, r = (first_failure(ctx.n, 2, ((None, side),), ctx) is None for side in (lhs, rhs))
+    return l == r, (None if l == r else ()), 2 * ctx.n * ctx.n
 
 
 @cache
 def catalog() -> tuple[Law, ...]:
     """Every law, sorted by id: one immutable tuple, built on the first call."""
     L = []
-    add = L.append
+    add, law = L.append, lambda *spec: L.append(pointwise_law(*spec))
 
     # -------- structural laws of the two implications
-    exchange = "a[x][s[y][z]] == s[y][a[x][z]]"
-    add(Law("BE.exchange_dual", "x ~> (y -> z) = y -> (x ~> z)", 3, _BE, dual(exchange),
-            uses_pair=False))
-    add(Law("BE.exchange", "x -> (y ~> z) = y ~> (x -> z)", 3, _BE, exchange, uses_pair=False))
-    add(Law("BE.transitive_T", "under (T): x <= y and y <= z imply x <= z", 3,
-            ("pseudo_be", "condition_T"), "not (leq[x][y] and leq[y][z]) or leq[x][z]",
-            uses_pair=False))
-    add(Law("BE.const_upper_mixed", "x -> (y ~> x) = 1 and x ~> (y -> x) = 1", 2, _BE,
-            both("a[x][s[y][x]] == one"), uses_pair=False))
-    add(Law("BE.const_upper", "x -> (y -> x) = 1 and x ~> (y ~> x) = 1", 2, _BE,
-            both("a[x][a[y][x]] == one"), uses_pair=False))
-    add(Law("BE.cup_upper", "x -> ((x -> y) ~> y) = 1 and x ~> ((x ~> y) -> y) = 1", 2, _BE,
-            both("a[x][s[a[x][y]][y]] == one"), uses_pair=False))
-    antitone = f"not leq[x][y] or ({both('leq[a[y][z]][a[x][z]]')})"
-    monotone = f"not leq[x][y] or ({both('leq[a[z][x]][a[z][y]]')})"
-    add(Law("A.antitone_first",
-            "under (A): x <= y implies y -> z <= x -> z and y ~> z <= x ~> z",
-            3, ("pseudo_be", "condition_A"), antitone, uses_pair=False))
-    add(Law("M.monotone_second",
-            "under (M): x <= y implies z -> x <= z -> y and z ~> x <= z ~> y",
-            3, ("pseudo_be", "condition_M"), monotone, uses_pair=False))
-    add(Law("BE.distributive_i", "x -> (y ~> z) = (x -> y) ~> (x -> z)",
-            3, ("pseudo_be", "distributive_i"),
-            "a[x][s[y][z]] == s[a[x][y]][a[x][z]]", uses_pair=False))
-    add(Law("BCK.antitone", "x <= y implies y -> z <= x -> z and y ~> z <= x ~> z",
-            3, _BCK, antitone, uses_pair=False))
-    add(Law("BCK.monotone", "x <= y implies z -> x <= z -> y and z ~> x <= z ~> y",
-            3, _BCK, monotone, uses_pair=False))
-    add(Law("BCK.inner_monotone",
-            "x -> y <= (z -> x) -> (z -> y) and x ~> y <= (z ~> x) ~> (z ~> y)", 3, _BCK,
-            both("leq[a[x][y]][a[a[z][x]][a[z][y]]]"), uses_pair=False))
-    add(Law("BCK.cup_ge", "x <= (x -> y) ~> y and x <= (x ~> y) -> y", 2, _BCK,
-            both("leq[x][s[a[x][y]][y]]"), uses_pair=False))
+    law("BE.exchange_dual", "x ~> (y -> z) = y -> (x ~> z)", _BE)
+    law("BE.exchange", "x -> (y ~> z) = y ~> (x -> z)", _BE)
+    law("BE.transitive_T", "under (T): x <= y and y <= z imply x <= z", _T)
+    law("BE.const_upper_mixed", "x -> (y ~> x) = 1 and x ~> (y -> x) = 1", _BE)
+    law("BE.const_upper", "x -> (y -> x) = 1 and x ~> (y ~> x) = 1", _BE)
+    law("BE.cup_upper", "x -> ((x -> y) ~> y) = 1 and x ~> ((x ~> y) -> y) = 1", _BE)
+    law("A.antitone_first", "under (A): x <= y implies y -> z <= x -> z and y ~> z <= x ~> z", _A)
+    law("M.monotone_second", "under (M): x <= y implies z -> x <= z -> y and z ~> x <= z ~> y", _M)
+    law("BE.distributive_i", "x -> (y ~> z) = (x -> y) ~> (x -> z)",
+        ("pseudo_be", "distributive_i"))
+    law("BCK.antitone", "x <= y implies y -> z <= x -> z and y ~> z <= x ~> z", _BCK)
+    law("BCK.monotone", "x <= y implies z -> x <= z -> y and z ~> x <= z ~> y", _BCK)
+    law("BCK.inner_monotone",
+        "x -> y <= (z -> x) -> (z -> y) and x ~> y <= (z ~> x) ~> (z ~> y)", _BCK)
+    law("BCK.cup_ge", "x <= (x -> y) ~> y and x <= (x ~> y) -> y", _BCK)
 
     # -------- bounded negation laws
-    add(Law("BND.neg_constants", "1- = 1~ = 0 and 0- = 0~ = 1", 0, _BND,
-            lambda c: (c.nm[c.one] == c.ns[c.one] == c.zero
-                       and c.nm[c.zero] == c.ns[c.zero] == c.one,
-                       None, 4), uses_pair=False))
+    add(Law("BND.neg_constants", "1- = 1~ = 0 and 0- = 0~ = 1", 0, _BND, lambda c: (
+        c.nm[c.one] == c.ns[c.one] == c.zero and c.nm[c.zero] == c.ns[c.zero] == c.one, None, 4),
+        uses_pair=False))
     _BBCK = ("pseudo_bck", "bounded")
-    add(Law("BND.double_neg_ge", "x <= x-~ and x <= x~-", 1, _BBCK,
-            both("leq[x][ns[nm[x]]]"), uses_pair=False))
-    add(Law("BND.neg_antitone", "x <= y implies y- <= x- and y~ <= x~", 2, _BBCK,
-            f"not leq[x][y] or ({both('leq[nm[y]][nm[x]]')})", uses_pair=False))
-    add(Law("BND.triple_neg", "x-~- = x- and x~-~ = x~", 1, _BBCK,
-            both("nm[ns[nm[x]]] == nm[x]"), uses_pair=False))
+    law("BND.double_neg_ge", "x <= x-~ and x <= x~-", _BBCK)
+    law("BND.neg_antitone", "x <= y implies y- <= x- and y~ <= x~", _BBCK)
+    law("BND.triple_neg", "x-~- = x- and x~-~ = x~", _BBCK)
 
     # -------- pseudo-product laws
     _PP = ("pseudo_bck", "has_pP")
-    add(Law("PP.le_both", "x*y <= x and x*y <= y", 2, _PP,
-            "leq[od[x][y]][x] and leq[od[x][y]][y]", uses_pair=False))
-    add(Law("PP.residual_le", "(x -> y)*x <= x,y and x*(x ~> y) <= x,y", 2, _PP,
-            both("leq[od[a[x][y]][x]][x] and leq[od[a[x][y]][x]][y]"), uses_pair=False))
-    add(Law("PP.monotone", "x <= y implies x*z <= y*z and z*x <= z*y", 3, _PP,
-            f"not leq[x][y] or ({both('leq[od[x][z]][od[y][z]]')})", uses_pair=False))
-    add(Law("PP.curry", "x -> (y -> z) = x*y -> z and x ~> (y ~> z) = y*x ~> z", 3, _PP,
-            both("a[x][a[y][z]] == a[od[x][y]][z]"), uses_pair=False))
+    law("PP.le_both", "x*y <= x and x*y <= y", _PP)
+    law("PP.residual_le", "(x -> y)*x <= x and (x -> y)*x <= y (both arrows)", _PP)
+    law("PP.monotone", "x <= y implies x*z <= y*z and z*x <= z*y", _PP)
+    law("PP.curry", "x -> (y -> z) = x*y -> z and x ~> (y ~> z) = y*x ~> z", _PP)
 
     # -------- monadic pair laws (any monadic pseudo BE-algebra)
     add(Law("P3.exists_one", "E1 = 1", 0, _BE, lambda c: (c.E[c.one] == c.one, None, 1)))
-    add(Law("P3.forall_one_const", "F1 = 1", 0, _BE,
-            lambda c: (c.F[c.one] == c.one, None, 1)))
-    add(Law("P3.increasing_decreasing", "x <= Ex and Fx <= x", 1, _BE,
-            "leq[x][E[x]] and leq[F[x]][x]"))
-    add(Law("P3.forall_exists", "FEx = Ex", 1, _BE, "F[E[x]] == E[x]"))
-    add(Law("P3.fixed_iff", "Fx = x iff Ex = x", 1, _BE, "(F[x] == x) == (E[x] == x)"))
-    add(Law("P3.exists_idem", "EEx = Ex", 1, _BE, "E[E[x]] == E[x]"))
-    add(Law("P3.forall_idem", "FFx = Fx", 1, _BE, "F[F[x]] == F[x]"))
-    add(Law("P3.stable_exists", "F(Ex -> Ey) = Ex -> Ey (both arrows)", 2, _BE,
-            both("F[a[E[x]][E[y]]] == a[E[x]][E[y]]")))
-    add(Law("P3.leq_exists_iff", "x <= Ey iff Ex <= Ey", 2, _BE, "leq[x][E[y]] == leq[E[x]][E[y]]"))
-    add(Law("P3.forall_leq_iff", "Fx <= y iff Fx <= Fy", 2, _BE, "leq[F[x]][y] == leq[F[x]][F[y]]"))
-    add(Law("P3.forall_arrow", "F(Fx -> y) = Fx -> Fy (both arrows)", 2, _BE,
-            both("F[a[F[x]][y]] == a[F[x]][F[y]]")))
-    add(Law("P3.forall_arrow_exists", "F(Fx -> Ey) = Fx -> Ey (both arrows)", 2, _BE,
-            both("F[a[F[x]][E[y]]] == a[F[x]][E[y]]")))
-    add(Law("P3.arrow_forall", "F(x -> Fy) = Ex -> Fy (both arrows)", 2, _BE,
-            both("F[a[x][F[y]]] == a[E[x]][F[y]]")))
-    add(Law("P3.forall_forall", "F(Fx -> Fy) = Fx -> Fy (both arrows)", 2, _BE,
-            both("F[a[F[x]][F[y]]] == a[F[x]][F[y]]")))
-    add(Law("P3.exists_le_stable", "E(Ex -> Ey) <= Ex -> Ey (both arrows)", 2, _BE,
-            both("leq[E[a[E[x]][E[y]]]][a[E[x]][E[y]]]")))
-    add(Law("P3.forall_one", "Fx = 1 iff x = 1", 1, _BE, "(F[x] == one) == (x == one)"))
-    isotone = "not leq[x][y] or (leq[E[x]][E[y]] and leq[F[x]][F[y]])"
-    add(Law("P3.isotone_T", "under (T): x <= y implies Ex <= Ey and Fx <= Fy",
-            2, ("pseudo_be", "condition_T"), isotone))
-    add(Law("P3.isotone_unconditional",
-            "x <= y implies Ex <= Ey and Fx <= Fy (no (T) hypothesis; probe)",
-            2, _BE, isotone, probe=True))
-    add(Law("P3.residuated_T", "under (T): Ex <= y iff x <= Fy", 2,
-            ("pseudo_be", "condition_T"), "leq[E[x]][y] == leq[x][F[y]]"))
+    add(Law("P3.forall_one_const", "F1 = 1", 0, _BE, lambda c: (c.F[c.one] == c.one, None, 1)))
+    law("P3.increasing_decreasing", "x <= Ex and Fx <= x", _BE)
+    law("P3.forall_exists", "FEx = Ex", _BE)
+    law("P3.fixed_iff", "Fx = x iff Ex = x", _BE)
+    law("P3.exists_idem", "EEx = Ex", _BE)
+    law("P3.forall_idem", "FFx = Fx", _BE)
+    law("P3.stable_exists", "F(Ex -> Ey) = Ex -> Ey (both arrows)", _BE)
+    law("P3.leq_exists_iff", "x <= Ey iff Ex <= Ey", _BE)
+    law("P3.forall_leq_iff", "Fx <= y iff Fx <= Fy", _BE)
+    law("P3.forall_arrow", "F(Fx -> y) = Fx -> Fy (both arrows)", _BE)
+    law("P3.forall_arrow_exists", "F(Fx -> Ey) = Fx -> Ey (both arrows)", _BE)
+    law("P3.arrow_forall", "F(x -> Fy) = Ex -> Fy (both arrows)", _BE)
+    law("P3.forall_forall", "F(Fx -> Fy) = Fx -> Fy (both arrows)", _BE)
+    law("P3.exists_le_stable", "E(Ex -> Ey) <= Ex -> Ey (both arrows)", _BE)
+    law("P3.forall_one", "Fx = 1 iff x = 1", _BE)
+    law("P3.isotone_T", "under (T): x <= y implies Ex <= Ey and Fx <= Fy", _T)
+    law("P3.isotone_unconditional", "x <= y implies Ex <= Ey and Fx <= Fy", _BE, True)
+    law("P3.residuated_T", "under (T): Ex <= y iff x <= Fy", _T)
 
     # -------- fixed-set laws
     add(Law("P3f.subalgebra", "the fixed set contains 1 and is closed under -> and ~>",
@@ -352,88 +377,62 @@ def catalog() -> tuple[Law, ...]:
     # -------- bounded monadic laws
     add(Law("P3b.zero_fixed", "E0 = 0 and F0 = 0", 0, _BND,
             lambda c: (c.E[c.zero] == c.zero and c.F[c.zero] == c.zero, None, 2)))
-    add(Law("P3b.neg_exchange", "(Ex)- = F(x-) and (Ex)~ = F(x~)", 1, _BND,
-            both("nm[E[x]] == F[nm[x]]")))
-    add(Law("P3b.forall_neg_stable", "F((Ex)-) = (Ex)- and F((Ex)~) = (Ex)~", 1, _BND,
-            both("F[nm[E[x]]] == nm[E[x]]")))
-    add(Law("P3b.forall_forall_neg", "F((Fx)-) = (Fx)- and F((Fx)~) = (Fx)~", 1, _BND,
-            both("F[nm[F[x]]] == nm[F[x]]")))
-    add(Law("P3b.exists_exists_neg", "E((Ex)-) = (Ex)- and E((Ex)~) = (Ex)~", 1, _BND,
-            both("E[nm[E[x]]] == nm[E[x]]")))
-    add(Law("P3b.exists_zero_iff", "Ex = 0 iff x = 0", 1, _BND, "(E[x] == zero) == (x == zero)"))
+    law("P3b.neg_exchange", "(Ex)- = F(x-) and (Ex)~ = F(x~)", _BND)
+    law("P3b.forall_neg_stable", "F((Ex)-) = (Ex)- and F((Ex)~) = (Ex)~", _BND)
+    law("P3b.forall_forall_neg", "F((Fx)-) = (Fx)- and F((Fx)~) = (Fx)~", _BND)
+    law("P3b.exists_exists_neg", "E((Ex)-) = (Ex)- and E((Ex)~) = (Ex)~", _BND)
+    law("P3b.exists_zero_iff", "Ex = 0 iff x = 0", _BND)
 
     # -------- involutive duality
-    add(Law("INV.dual_formulas", "Ex = (F(x-))~ = (F(x~))- and Fx = (E(x-))~ = (E(x~))-",
-            1, ("pseudo_be", "involutive"),
-            "E[x] == ns[F[nm[x]]] == nm[F[ns[x]]] and F[x] == ns[E[nm[x]]] == nm[E[ns[x]]]"))
+    law("INV.dual_formulas", "Ex = (F(x-))~ = (F(x~))- and Fx = (E(x-))~ = (E(x~))-",
+        ("pseudo_be", "involutive"))
 
     # -------- bounded commutative exchange laws
     _BC = ("pseudo_be", "bounded", "commutative", "has_pP", "lattice", "oplus")
-    add(Law("L4.oplus_demorgan", "x (+) y = (y- * x-)~ = (y~ * x~)-", 2, _BC,
-            "op[x][y] == ns[od[nm[y]][nm[x]]] == nm[od[ns[y]][ns[x]]]", uses_pair=False))
-    add(Law("P4.meet_join_equiv",
-            "F(x^y) = Fx^Fy (all x,y) iff E(xvy) = Ex v Ey (all x,y)", 0, _BC,
-            _iff_pointwise("F[meet[x][y]] == meet[F[x]][F[y]]",
-                           "E[join[x][y]] == join[E[x]][E[y]]")))
-    add(Law("P4.odot_oplus_equiv",
-            "F(x*y) = Fx*Fy (all x,y) iff E(x(+)y) = Ex(+)Ey (all x,y)", 0, _BC,
-            _iff_pointwise("F[od[x][y]] == od[F[x]][F[y]]", "E[op[x][y]] == op[E[x]][E[y]]")))
-    add(Law("P4.oplus_odot_equiv",
-            "F(x(+)y) = Fx(+)Fy (all x,y) iff E(x*y) = Ex*Ey (all x,y)", 0, _BC,
-            _iff_pointwise("F[op[x][y]] == op[F[x]][F[y]]", "E[od[x][y]] == od[E[x]][E[y]]")))
+    law("L4.oplus_demorgan", "x (+) y = (y- * x-)~ = (y~ * x~)-", _BC)
+    for law_id, anchor in (
+            ("P4.meet_join_equiv", "F(x^y) = Fx^Fy (all x,y) iff E(xvy) = Ex v Ey (all x,y)"),
+            ("P4.odot_oplus_equiv", "F(x*y) = Fx*Fy (all x,y) iff E(x(+)y) = Ex(+)Ey (all x,y)"),
+            ("P4.oplus_odot_equiv", "F(x(+)y) = Fx(+)Fy (all x,y) iff E(x*y) = Ex*Ey (all x,y)")):
+        sides = anchor.replace(" (all x,y)", "").split(" iff ")    # compiled as anchors are
+        lhs, rhs = (pointwise_law(law_id, side).check for side in sides)
+        add(Law(law_id, anchor, 0, _BC, partial(_iff_pointwise, lhs, rhs)))
 
     # -------- monadic pseudo BCK laws
-    add(Law("P5.forall_arrow_compat",
-            "F(x -> y) ~> (Fx -> Fy) = 1 and F(x ~> y) -> (Fx ~> Fy) = 1", 2, _BCK,
-            both("s[F[a[x][y]]][a[F[x]][F[y]]] == one")))
-    add(Law("P5.forall_to_exists",
-            "F(x -> y) ~> (Ex -> Ey) = 1 and F(x ~> y) -> (Ex ~> Ey) = 1", 2, _BCK,
-            both("s[F[a[x][y]]][a[E[x]][E[y]]] == one")))
-    add(Law("P5.exists_stable", "E(Ex -> Ey) = Ex -> Ey (both arrows)", 2, _BCK,
-            both("E[a[E[x]][E[y]]] == a[E[x]][E[y]]")))
-    add(Law("P5.forall_image_stable",
-            "E(Fx -> Fy) = Fx -> Fy and F(Fx -> Fy) = Fx -> Fy (both arrows)", 2, _BCK,
-            both("E[a[F[x]][F[y]]] == a[F[x]][F[y]] and F[a[F[x]][F[y]]] == a[F[x]][F[y]]")))
+    law("P5.forall_arrow_compat",
+        "F(x -> y) ~> (Fx -> Fy) = 1 and F(x ~> y) -> (Fx ~> Fy) = 1", _BCK)
+    law("P5.forall_to_exists", "F(x -> y) ~> (Ex -> Ey) = 1 and F(x ~> y) -> (Ex ~> Ey) = 1", _BCK)
+    law("P5.exists_stable", "E(Ex -> Ey) = Ex -> Ey (both arrows)", _BCK)
+    law("P5.forall_image_stable",
+        "E(Fx -> Fy) = Fx -> Fy and F(Fx -> Fy) = Fx -> Fy (both arrows)", _BCK)
 
     # -------- semilattice laws
     _MEET = ("pseudo_bck", "meet_semilattice")
     _JOIN = ("pseudo_bck", "join_semilattice")
-    add(Law("P5.meet_forall", "F(x^y) = Fx ^ Fy", 2, _MEET, "F[meet[x][y]] == meet[F[x]][F[y]]"))
-    add(Law("P5.meet_exists_le", "E(x^y) <= Ex ^ Ey", 2, _MEET,
-            "leq[E[meet[x][y]]][meet[E[x]][E[y]]]"))
-    add(Law("P5.meet_mixed_le", "F(x^y) <= Ex ^ Ey", 2, _MEET,
-            "leq[F[meet[x][y]]][meet[E[x]][E[y]]]"))
-    add(Law("P5.meet_stable", "E(Ex^Ey) = Ex^Ey and F(Ex^Ey) = Ex^Ey", 2, _MEET,
-            "E[meet[E[x]][E[y]]] == meet[E[x]][E[y]] and F[meet[E[x]][E[y]]] == meet[E[x]][E[y]]"))
-    add(Law("P5.join_exists", "E(xvy) = Ex v Ey", 2, _JOIN, "E[join[x][y]] == join[E[x]][E[y]]"))
-    add(Law("P5.join_stable", "F(ExvEy) = ExvEy and E(ExvEy) = ExvEy", 2, _JOIN,
-            "F[join[E[x]][E[y]]] == join[E[x]][E[y]] and E[join[E[x]][E[y]]] == join[E[x]][E[y]]"))
-    add(Law("P5.join_mixed_le", "Fx v Ey <= F(x v Ey)", 2, _JOIN,
-            "leq[join[F[x]][E[y]]][F[join[x][E[y]]]]"))
+    law("P5.meet_forall", "F(x^y) = Fx ^ Fy", _MEET)
+    law("P5.meet_exists_le", "E(x^y) <= Ex ^ Ey", _MEET)
+    law("P5.meet_mixed_le", "F(x^y) <= Ex ^ Ey", _MEET)
+    law("P5.meet_stable", "E(Ex^Ey) = Ex^Ey and F(Ex^Ey) = Ex^Ey", _MEET)
+    law("P5.join_exists", "E(xvy) = Ex v Ey", _JOIN)
+    law("P5.join_stable", "F(ExvEy) = ExvEy and E(ExvEy) = ExvEy", _JOIN)
+    law("P5.join_mixed_le", "Fx v Ey <= F(x v Ey)", _JOIN)
 
     # -------- monadic pseudo-product laws
-    add(Law("P5.pp_exists_stable", "E(Ex*Ey) = Ex*Ey", 2, _PP,
-            "E[od[E[x]][E[y]]] == od[E[x]][E[y]]"))
-    add(Law("P5.pp_exists_le", "E(x*y) <= Ex*Ey", 2, _PP, "leq[E[od[x][y]]][od[E[x]][E[y]]]"))
-    add(Law("P5.pp_forall_stable", "F(Fx*Fy) = Fx*Fy", 2, _PP,
-            "F[od[F[x]][F[y]]] == od[F[x]][F[y]]"))
-    add(Law("P5.pp_forall_le", "Fx*Fy <= F(x*y) and Fx*Fy <= E(x*y)", 2, _PP,
-            "leq[od[F[x]][F[y]]][F[od[x][y]]] and leq[od[F[x]][F[y]]][E[od[x][y]]]"))
-    add(Law("P5.pp_transfer", "E(Ex*y) = Ex*Ey = E(x*Ey)", 2, _PP,
-            "E[od[E[x]][y]] == od[E[x]][E[y]] == E[od[x][E[y]]]"))
-    add(Law("P5.pp_mixed", "E(x*Fy) = Ex*Fy and E(Fx*y) = Fx*Ey", 2, _PP,
-            "E[od[x][F[y]]] == od[E[x]][F[y]] and E[od[F[x]][y]] == od[F[x]][E[y]]"))
+    law("P5.pp_exists_stable", "E(Ex*Ey) = Ex*Ey", _PP)
+    law("P5.pp_exists_le", "E(x*y) <= Ex*Ey", _PP)
+    law("P5.pp_forall_stable", "F(Fx*Fy) = Fx*Fy", _PP)
+    law("P5.pp_forall_le", "Fx*Fy <= F(x*y) and Fx*Fy <= E(x*y)", _PP)
+    law("P5.pp_transfer", "E(Ex*y) = Ex*Ey = E(x*Ey)", _PP)
+    law("P5.pp_mixed", "E(x*Fy) = Ex*Fy and E(Fx*y) = Fx*Ey", _PP)
 
     # -------- bounded commutative BCK oplus laws
     _BCBCK = ("pseudo_bck", "bounded", "commutative", "oplus")
-    add(Law("P5.oplus_stable", "F(Fx(+)Fy) = Fx(+)Fy", 2, _BCBCK,
-            "F[op[F[x]][F[y]]] == op[F[x]][F[y]]"))
-    add(Law("P5.oplus_le", "Fx(+)Fy <= F(x(+)y)", 2, _BCBCK, "leq[op[F[x]][F[y]]][F[op[x][y]]]"))
+    law("P5.oplus_stable", "F(Fx(+)Fy) = Fx(+)Fy", _BCBCK)
+    law("P5.oplus_le", "Fx(+)Fy <= F(x(+)y)", _BCBCK)
 
     # -------- monadic pseudo-hoop law
-    add(Law("P5.hoop_meet", "F(x -> y)*x <= Ex ^ Ey and x*F(x ~> y) <= Ex ^ Ey", 2,
-            ("pseudo_hoop", "meet_semilattice"),
-            both("leq[od[F[a[x][y]]][x]][meet[E[x]][E[y]]]")))
+    law("P5.hoop_meet", "F(x -> y)*x <= Ex ^ Ey and x*F(x ~> y) <= Ex ^ Ey",
+        ("pseudo_hoop", "meet_semilattice"))
 
     # -------- congruence / deductive-system laws
     add(Law("L6.arrow_iff_squig_one_class",
@@ -463,9 +462,8 @@ def catalog() -> tuple[Law, ...]:
             0, ("pseudo_be", "commutative"), _over_congruences(_p6_cong_exists)))
 
     # -------- axiom probes for the search module
-    add(Law("AX.refl", "x <= x", 1, _BE, "leq[x][x]", uses_pair=False))
-    add(Law("AX.psbck6_antisym", "x <= y and y <= x imply x = y (probe)", 2, _BE,
-            "not (leq[x][y] and leq[y][x]) or x == y", uses_pair=False, probe=True))
+    law("AX.refl", "x <= x", _BE)
+    law("AX.psbck6_antisym", "x <= y and y <= x imply x = y", _BE, True)
 
     if len({law.id for law in L}) != len(L):
         raise InvariantViolated("law ids must be unique")

@@ -4,8 +4,9 @@ import time
 import pytest
 
 from psbe.algebra import PreconditionUnmet, UnaryMap
+from psbe.classify import InvariantViolated, both
 from psbe.laws import (FAILS, HOLDS, NOT_APPLICABLE, Ctx, catalog,
-                       catalog_json, evaluate_law, verify_suite)
+                       catalog_json, evaluate_law, pointwise_law, verify_suite)
 from psbe.quantifiers import MonadicPair, enumerate_mop
 
 from conftest import FIXTURE_NAMES, load
@@ -153,3 +154,106 @@ def test_pairs_of_maps_off_the_carrier_are_rejected_before_any_scan(pair, monkey
     monkeypatch.setattr(laws_module, "first_failures", None)
     with pytest.raises(PreconditionUnmet, match="verify_suite needs self-maps of the carrier"):
         verify_suite(load("bc4"), [*enumerate_mop(load("bc4")), pair])
+
+
+# ------------------------------------------------- anchors compiled into checks
+
+compiled = lambda anchor, hypothesis=(): pointwise_law("t", anchor, hypothesis).check
+
+
+@pytest.mark.parametrize("anchor, check", [
+    # postfix negations bind before E and F, which bind before *
+    ("Ex- = x", "E[nm[x]] == x"),
+    ("(Ex)~ = x", "ns[E[x]] == x"),
+    ("x-~- = x~", "nm[ns[nm[x]]] == ns[x]"),
+    ("FEx*y = x", "od[F[E[x]]][y] == x"),
+    # then *, (+), ^ and v, -> and ~>, each looser than the one before
+    ("x*y (+) z = x", "op[od[x][y]][z] == x"),
+    ("x (+) y*z = x", "op[x][od[y][z]] == x"),
+    ("x (+) y ^ z = x", "meet[op[x][y]][z] == x"),
+    ("x v y (+) z = x", "join[x][op[y][z]] == x"),
+    ("x ^ y -> z = x ~> y*z", "a[meet[x][y]][z] == s[x][od[y][z]]"),
+    # one operator repeats from the left
+    ("x*y*z = x", "od[od[x][y]][z] == x"),
+    ("xvyvz = x", "join[join[x][y]][z] == x"),
+    # then the relations, <= once and = as a chain
+    ("x -> y <= z", "leq[a[x][y]][z]"),
+    ("x = y = 1 = 0", "x == y == one == zero"),
+    # then and, then implies and iff
+    ("x <= y and y <= z and z = 1", "leq[x][y] and leq[y][z] and z == one"),
+    ("x <= y and y <= z imply x <= z", "(not (leq[x][y] and leq[y][z]) or (leq[x][z]))"),
+    ("x <= y implies Fx <= Fy and Ex = Ey", "(not (leq[x][y]) or (leq[F[x]][F[y]] and E[x] == E[y]))"),
+    ("Fx = x iff Ex = x and x <= 1", "(F[x] == x) == (E[x] == x and leq[x][one])"),
+])
+def test_anchor_grammar_and_precedence(anchor, check):
+    assert compiled(anchor) == check
+
+
+@pytest.mark.parametrize("anchor", [
+    "x -> (y ~> z) = y ~> (x -> z)",
+    "E(Fx -> Fy) = Fx -> Fy and F(Fx -> Fy) = Fx -> Fy",
+    "x <= y implies y -> z <= x -> z",
+    "Ex <= y iff x <= Fy",
+])
+def test_both_arrows_is_both(anchor):
+    check = compiled(anchor + " (both arrows)")
+    assert check == both(compiled(anchor))
+    assert check.count(" and ") == 2 * compiled(anchor).count(" and ") + 1
+
+
+@pytest.mark.parametrize("anchor, hypothesis", [
+    ("under (T): x <= y implies Ex <= Ey", ("pseudo_be",)),
+    ("x <= y implies Ex <= Ey", ("pseudo_be", "condition_T")),
+    ("under (A): x <= y implies Ex <= Ey", ("pseudo_be", "condition_T")),
+    ("under (T): x <= y implies Ex <= Ey", ("pseudo_be", "condition_T", "condition_M")),
+])
+def test_under_must_name_the_hypothesis_condition(anchor, hypothesis):
+    with pytest.raises(InvariantViolated, match="name different conditions"):
+        compiled(anchor, hypothesis)
+
+
+def test_under_agrees_with_every_pointwise_hypothesis():
+    for law in catalog():
+        if law.arity:
+            conditions = [h[-1] for h in law.hypothesis if h.startswith("condition_")]
+            assert law.anchor.startswith("under (") == bool(conditions), law.id
+            assert [law.anchor[7:8]] == conditions or not conditions, law.id
+    assert compiled("under (M): x <= y implies Ex <= Ey", ("pseudo_be", "condition_M")) \
+        == compiled("x <= y implies Ex <= Ey")
+
+
+@pytest.mark.parametrize("anchor, message", [
+    ("(x -> y)*x <= x,y", "unexpected ',' at position 15"),
+    ("x <= y (probe)", "unexpected '\\(' at position 7"),
+    ("x -> y -> z = x", "unexpected '->' at position 7"),
+    ("x ~> y -> z = x", "unexpected '->' at position 7"),
+    ("x <= y <= z", "unexpected '<=' at position 7"),
+    ("x = y <= z", "unexpected '<=' at position 6"),
+    ("x ^ y v z = x", "unexpected 'v' at position 6"),
+    ("x = y iff y = x iff x = x", "unexpected 'iff' at position 16"),
+    ("x and y", "unexpected 'and' at position 2"),
+    ("x", "unexpected 'end' at position 1"),
+    ("(x <= y)", "unexpected '<=' at position 3"),
+    ("x = ", "unexpected 'end' at position 4"),
+    ("", "unexpected 'end' at position 0"),
+    ("x = w", "unexpected 'w' at position 4"),
+    ("E = x", "unexpected '=' at position 2"),
+    ("under (Q): x = x", "unexpected 'u' at position 0"),
+    ("x = x and under (T): x <= y", "unexpected 'under \\(T\\):' at position 10"),
+    ("1 = 0", "names none of x, y, z"),
+])
+def test_malformed_anchors_are_rejected(anchor, message):
+    with pytest.raises(InvariantViolated, match=f"^t: .*{message}"):
+        compiled(anchor)
+
+
+def test_every_pointwise_check_is_its_compiled_anchor():
+    # no law carries a hand-written check, arity or uses_pair
+    pointwise = [law for law in catalog() if law.arity]
+    assert len(pointwise) == 66
+    for law in pointwise:
+        assert law == pointwise_law(law.id, law.anchor, law.hypothesis, law.probe)
+    for law in catalog():
+        if law.id.startswith("P4."):
+            sides = law.anchor.replace(" (all x,y)", "").split(" iff ")
+            assert law.check.args == tuple(compiled(side) for side in sides)
