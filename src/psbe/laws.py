@@ -32,7 +32,7 @@ from typing import NamedTuple
 from .algebra import FiniteAlgebra, PreconditionUnmet
 from .classify import (FAILS, FLAG_ALIASES, FLAG_NAMES, HOLDS, NOT_APPLICABLE, Verdict, both,
                        InvariantViolated, backtrack, classify, first_failure, first_failures)
-from .quantifiers import MonadicPair, enumerate_mop, fixed_set
+from .quantifiers import MonadicPair, enumerate_mop, fixed_set, require_monadic
 from . import deduction as _ded
 
 
@@ -526,8 +526,8 @@ def verify_suite(alg: FiniteAlgebra, pairs, law_ids=None,
     Hypotheses read the algebra's one classification (`classify`), and
     each distinct hypothesis is decided once (`Ctx.applies`).  law_ids, when
     given, is an iterable of law ids, read once (`_names`).  Each pair must
-    be two self-maps of the carrier; each context is scanned once per arity
-    (`first_failures`).
+    be two self-maps of the carrier and monadic (`require_monadic`, kept per
+    algebra); each context is scanned once per arity (`first_failures`).
     """
     base = Ctx(alg)
     laws = [l for l in catalog() if include_probes or not l.probe]
@@ -539,6 +539,7 @@ def verify_suite(alg: FiniteAlgebra, pairs, law_ids=None,
         if ctx.pair is None or not all(len(m) == ctx.n and set(m.images).issubset(range(ctx.n))
                                        for m in ctx.pair):
             raise PreconditionUnmet(f"verify_suite needs self-maps of the carrier, got {ctx.pair}")
+        alg.kept(("monadic", ctx.pair), lambda alg: require_monadic(alg, ctx.pair, "verify_suite"))
     groups = {}     # (uses_pair, arity) -> the applicable pointwise laws' expressions
     for l in [l for l in laws if l.arity and base.applies(l.hypothesis)]:
         groups.setdefault((l.uses_pair, l.arity), []).append(l.check)

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from psbe.algebra import PreconditionUnmet, UnaryMap
+from psbe.algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap
 from psbe.classify import InvariantViolated, both
 from psbe.laws import (FAILS, HOLDS, NOT_APPLICABLE, Ctx, catalog,
                        catalog_json, evaluate_law, pointwise_law, verify_suite)
@@ -154,6 +154,19 @@ def test_pairs_of_maps_off_the_carrier_are_rejected_before_any_scan(pair, monkey
     monkeypatch.setattr(laws_module, "first_failures", None)
     with pytest.raises(PreconditionUnmet, match="verify_suite needs self-maps of the carrier"):
         verify_suite(load("bc4"), [*enumerate_mop(load("bc4")), pair])
+
+
+@pytest.mark.parametrize("exists, forall, axiom", [
+    ((0, 1, 0), (2, 2, 2), r"M3\(arrow\) fails at \(1, 1\)"),    # E and F fix different sets
+    ((0, 0, 0), (0, 0, 0), r"M2\(arrow\) fails at \(a\)"),       # E and F fix the same set
+])
+def test_pairs_that_are_not_monadic_are_rejected(exists, forall, axiom):
+    constant = ((0, 1, 2), (0, 0, 0), (0, 0, 0))
+    alg = FiniteAlgebra("m3", ("1", "a", "b"), 0, constant, constant)
+    pair = MonadicPair(UnaryMap(exists), UnaryMap(forall))
+    for _ in range(2):      # a rejection is not kept on the algebra
+        with pytest.raises(PreconditionUnmet, match=f"verify_suite needs a monadic pair: {axiom}"):
+            verify_suite(alg, [*enumerate_mop(alg), pair], include_probes=True)
 
 
 # ------------------------------------------------- anchors compiled into checks
