@@ -209,9 +209,7 @@ def test_anchor_grammar_and_precedence(anchor, check):
     "Ex <= y iff x <= Fy",
 ])
 def test_both_arrows_is_both(anchor):
-    check = compiled(anchor + " (both arrows)")
-    assert check == both(compiled(anchor))
-    assert check.count(" and ") == 2 * compiled(anchor).count(" and ") + 1
+    assert compiled(anchor + " (both arrows)") == both(compiled(anchor))
 
 
 @pytest.mark.parametrize("anchor, hypothesis", [
