@@ -11,9 +11,9 @@ x~; E and F, the existential and universal operators; * (pseudo-product);
 (+) (its dual); ^ and v (meet, join); -> and ~>; the relations t <= u and
 t = u = ...; `and`; `implies` (or `imply`) and `iff`.  Only =, `and`, *,
 (+), ^ and v repeat (from the left), and two operators of one level need
-parentheses.  A leading "under (X):" names the condition (X) the hypothesis
-holds; a trailing "(both arrows)" states formula X for -> and its dual for
-~>: both(X), X and dual(X).  A global law's check is a function of the
+parentheses.  A leading "under (X):" adds condition (X) to the law's
+hypothesis; a trailing "(both arrows)" states formula X for -> and its dual
+for ~>: both(X), X and dual(X).  A global law's check is a function of the
 context.  `verify_suite` evaluates the catalog against an algebra and a set
 of monadic pairs; `search_counterexample` enumerates small algebras for a
 failure of one law.
@@ -101,7 +101,6 @@ class Ctx:
 
 
 _BE, _BCK, _BND = ("pseudo_be",), ("pseudo_bck",), ("pseudo_be", "bounded")
-_A, _M, _T = (("pseudo_be", f"condition_{c}") for c in "AMT")
 
 
 class Law(NamedTuple):
@@ -250,8 +249,9 @@ _TOKEN = r"\s*(under \([AMT]\):|\(both arrows\)|\(\+\)|and|implies|imply|iff|->|
 def pointwise_law(law_id: str, anchor: str, hypothesis=(), probe: bool = False) -> Law:
     """The law that anchor states (grammar in the module docstring): its check is
     the expression the kernel scans, its arity the highest of x, y, z named, and
-    it uses the pair when it names E or F.  InvariantViolated, naming the law and
-    the position, on a malformed anchor or a condition the hypothesis does not name."""
+    it uses the pair when it names E or F; a leading "under (X):" appends condition_X
+    to the hypothesis.  InvariantViolated, naming the law and the position, on a
+    malformed anchor."""
     toks = [(m[1], m.start(1)) for m in re.finditer(_TOKEN, anchor)]
     names, toks = {tok for tok, _ in toks}, [("", len(anchor))] + toks[::-1]    # next one last
     peek = lambda: toks[-1][0]
@@ -291,9 +291,7 @@ def pointwise_law(law_id: str, anchor: str, hypothesis=(), probe: bool = False) 
         toks.pop()
     if top > 2 or peek():       # a term, not a formula, or text after the formula
         fail(*toks[-1])
-    if {h[10:] for h in hypothesis if h.startswith("condition_")} != {under} - {None}:
-        raise InvariantViolated(f"{law_id}: {anchor!r} and its hypothesis {hypothesis} "
-                                "name different conditions")
+    hypothesis = (*hypothesis, f"condition_{under}") if under else hypothesis
     arity = max(map(" xyz".find, names))     # 1, 2, 3 for x, y, z; -1 for other tokens
     if arity < 1:
         raise InvariantViolated(f"{law_id}: {anchor!r} names none of x, y, z")
@@ -315,12 +313,12 @@ def catalog() -> tuple[Law, ...]:
     # -------- structural laws of the two implications
     law("BE.exchange_dual", "x ~> (y -> z) = y -> (x ~> z)", _BE)
     law("BE.exchange", "x -> (y ~> z) = y ~> (x -> z)", _BE)
-    law("BE.transitive_T", "under (T): x <= y and y <= z imply x <= z", _T)
+    law("BE.transitive_T", "under (T): x <= y and y <= z imply x <= z", _BE)
     law("BE.const_upper_mixed", "x -> (y ~> x) = 1 and x ~> (y -> x) = 1", _BE)
     law("BE.const_upper", "x -> (y -> x) = 1 and x ~> (y ~> x) = 1", _BE)
     law("BE.cup_upper", "x -> ((x -> y) ~> y) = 1 and x ~> ((x ~> y) -> y) = 1", _BE)
-    law("A.antitone_first", "under (A): x <= y implies y -> z <= x -> z and y ~> z <= x ~> z", _A)
-    law("M.monotone_second", "under (M): x <= y implies z -> x <= z -> y and z ~> x <= z ~> y", _M)
+    law("A.antitone_first", "under (A): x <= y implies y -> z <= x -> z and y ~> z <= x ~> z", _BE)
+    law("M.monotone_second", "under (M): x <= y implies z -> x <= z -> y and z ~> x <= z ~> y", _BE)
     law("BE.distributive_i", "x -> (y ~> z) = (x -> y) ~> (x -> z)",
         ("pseudo_be", "distributive_i"))
     law("BCK.antitone", "x <= y implies y -> z <= x -> z and y ~> z <= x ~> z", _BCK)
@@ -362,9 +360,9 @@ def catalog() -> tuple[Law, ...]:
     law("P3.forall_forall", "F(Fx -> Fy) = Fx -> Fy (both arrows)", _BE)
     law("P3.exists_le_stable", "E(Ex -> Ey) <= Ex -> Ey (both arrows)", _BE)
     law("P3.forall_one", "Fx = 1 iff x = 1", _BE)
-    law("P3.isotone_T", "under (T): x <= y implies Ex <= Ey and Fx <= Fy", _T)
+    law("P3.isotone_T", "under (T): x <= y implies Ex <= Ey and Fx <= Fy", _BE)
     law("P3.isotone_unconditional", "x <= y implies Ex <= Ey and Fx <= Fy", _BE, True)
-    law("P3.residuated_T", "under (T): Ex <= y iff x <= Fy", _T)
+    law("P3.residuated_T", "under (T): Ex <= y iff x <= Fy", _BE)
 
     # -------- fixed-set laws
     add(Law("P3f.subalgebra", "the fixed set contains 1 and is closed under -> and ~>",
@@ -526,8 +524,8 @@ def verify_suite(alg: FiniteAlgebra, pairs, law_ids=None,
     Hypotheses read the algebra's one classification (`classify`), and
     each distinct hypothesis is decided once (`Ctx.applies`).  law_ids, when
     given, is an iterable of law ids, read once (`_names`).  Each pair must
-    be two self-maps of the carrier and monadic (`require_monadic`, kept per
-    algebra); each context is scanned once per arity (`first_failures`).
+    be two self-maps of the carrier and monadic (`require_monadic`); each
+    context is scanned once per arity (`first_failures`).
     """
     base = Ctx(alg)
     laws = [l for l in catalog() if include_probes or not l.probe]
@@ -539,7 +537,7 @@ def verify_suite(alg: FiniteAlgebra, pairs, law_ids=None,
         if ctx.pair is None or not all(len(m) == ctx.n and set(m.images).issubset(range(ctx.n))
                                        for m in ctx.pair):
             raise PreconditionUnmet(f"verify_suite needs self-maps of the carrier, got {ctx.pair}")
-        alg.kept(("monadic", ctx.pair), lambda alg: require_monadic(alg, ctx.pair, "verify_suite"))
+        require_monadic(alg, ctx.pair, "verify_suite")
     groups = {}     # (uses_pair, arity) -> the applicable pointwise laws' expressions
     for l in [l for l in laws if l.arity and base.applies(l.hypothesis)]:
         groups.setdefault((l.uses_pair, l.arity), []).append(l.check)
