@@ -9,6 +9,7 @@ boundary.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple
 
 
@@ -60,6 +61,10 @@ class UnaryMap(NamedTuple):
 UnaryMap._make = classmethod(lambda cls, fields: cls(*fields))
 
 
+# whether each value is an element index, an int in range(n) (1.0 and True are not)
+_indices = lambda values, n: set(map(type, values)) <= {int} and set(values).issubset(range(n))
+
+
 class FiniteAlgebra:
     """An immutable record whose fields are ordinary instance attributes,
     read in every inner loop.  Equality and hash ignore `unary`.  What is
@@ -82,14 +87,14 @@ class FiniteAlgebra:
         for tbl, label in ((arrow, "arrow"), (squig, "squig")):
             if len(tbl) != n or any(len(row) != n for row in tbl):
                 raise ValueError(f"{label} table is not {n}x{n}")
-            if not set().union(*tbl).issubset(range(n)):
+            if not _indices(tuple(chain.from_iterable(tbl)), n):
                 raise ValueError(f"{label} table entry out of range")
-        if not (0 <= one < n):
+        if not _indices((one,), n):
             raise ValueError("constant 1 out of range")
-        if zero is not None and not (0 <= zero < n):
+        if zero is not None and not _indices((zero,), n):
             raise ValueError("constant 0 out of range")
         for opname, m in self.unary.items():
-            if len(m) != n or not set(m.images).issubset(range(n)):
+            if len(m) != n or not _indices(m.images, n):
                 raise ValueError(f"unary map {opname!r} is not a self-map")
 
     @property

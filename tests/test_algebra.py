@@ -46,6 +46,22 @@ def test_duplicate_elements_rejected():
                       "squig\n1 a a\n1 1 1\n1 1 1\nend\n")
 
 
+@pytest.mark.parametrize("fields, message", [
+    (dict(arrow=((0, 1.0), (0, 0))), "arrow table entry out of range"),
+    (dict(squig=((0, 1), (True, 0))), "squig table entry out of range"),
+    (dict(arrow=((0, 1), (1.0, 0))), "arrow table entry out of range"),     # after an int 1
+    (dict(one=0.0), "constant 1 out of range"),
+    (dict(one=False), "constant 1 out of range"),
+    (dict(zero=1.0), "constant 0 out of range"),
+    (dict(unary={"m": UnaryMap((0, True))}), "unary map 'm' is not a self-map"),
+])
+def test_entries_that_are_not_exactly_ints_are_rejected(fields, message):
+    # each is equal to an index in range(2), and each broke every later scan
+    table = ((0, 1), (0, 0))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FiniteAlgebra("t", ("1", "a"), **{"one": 0, "arrow": table, "squig": table, **fields})
+
+
 def test_unary_map_compose_identity():
     m = UnaryMap((0, 2, 1))
     assert m.compose(m).is_identity()
