@@ -12,8 +12,19 @@ scan them one after another (`first_failure_of`), so failing output is
 deterministic.  Each group of expressions runs as one generated loop,
 compiled on first use (`_scan`).  `first_failures` gives each check of a
 group the rank of its first failing tuple, testing each until it fails.
-`dual(expr)` is expr read on the dual algebra, -> and ~> swapped; an axiom
-for both arrows is written once, as `both(X)`: "X and dual(X)".
+
+Every law, flag and axiom is a formula (`formula`), compiled into the
+expression the kernel scans over the tables as the algebra and its report
+name them (`expression`): x -> y = 1 is "arrow[x][y] == one".  Tightest
+first: x, y, z, 0, 1 and (t); the negations x- and x~; E and F, the
+existential and universal operators; * (pseudo-product); (+) (its dual);
+^ and v (meet, join); -> and ~>; the relations t <= u and t = u = ...;
+`and`; `implies` (or `imply`) and `iff`.  Only =, `and`, *, (+), ^ and v
+repeat (from the left); two operators of one level need parentheses.  The
+dual of X, X read on the dual algebra A^op (`opposite`), swaps -> with ~>,
+- with ~ and the operands of * and (+); a trailing "(dual)" states it, and
+"(both arrows)" states X and its dual.  A leading "under (X):" names
+condition (X).  The arity is the highest of x, y, z named, 0 for none.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ from __future__ import annotations
 import _ast    # the parser's node classes, without the import cost of `ast`
 import re
 from collections import Counter
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import NamedTuple
 
 from .algebra import FiniteAlgebra, PreconditionUnmet
@@ -84,8 +95,8 @@ def first_failure(n: int, arity: int, checks, source):
     The group is compiled into one nested-loop function on its first use
     and cached (`_scan`).  The expressions are the package's own
     constants, and a whitelist admits only names, subscripts, comparisons,
-    and/or/not, set displays, integer constants and len(...): text from a
-    user must be parsed into such an expression, never passed through."""
+    and/or/not, set displays and integer constants: text from a user must
+    be parsed into such an expression, never passed through."""
     scan = _SCANS.get((arity, checks)) or _scan(arity, checks)
     hit = scan(n, *[getattr(source, t) for t in scan.tables])
     return None if hit is None else (checks[hit[0]][0], hit[1], hit[2])
@@ -109,11 +120,6 @@ def first_failure_of(n: int, groups, source):
     return next((hit for hit in hits if hit is not None), None)
 
 
-# dual(expr) is expr on the dual algebra: each name here swapped with its pair; x_t is x transposed
-_PAIRED = "a s arrow squig nm ns neg_minus neg_sim cup1 cup2 od od_t op op_t".split()
-_DUAL = {name: _PAIRED[i ^ 1] for i, name in enumerate(_PAIRED)}
-dual = lambda expr: re.sub(r"[A-Za-z_]\w*", lambda name: _DUAL.get(name[0], name[0]), expr)
-both = lambda expr: f"{expr} and {dual(expr)}"      # expr for -> and then for ~>
 _VARS = ("x", "y", "z")
 _CMP = (_ast.Eq, _ast.NotEq, _ast.Lt, _ast.LtE, _ast.Gt, _ast.GtE, _ast.In, _ast.NotIn)
 _SCANS = {}     # (arity, checks) or (arity, exprs, "ranks") -> scan; generated text -> scan
@@ -158,7 +164,7 @@ def _scan(arity: int, checks, fused: bool = False):
     lines += [f"        if {flags.replace(',', ' and')}: break", f"    return {flags},"] * fused
     text = "\n".join(lines)
     if text not in _SCANS:
-        env = {"__builtins__": {}, "len": len, "_range": range}
+        env = {"__builtins__": {}, "_range": range}
         exec(compile(text, "<first_failure scan>", "exec"), env)    # the scan kernel
         _SCANS[text] = env["scan"]
         _SCANS[text].tables = tables
@@ -171,9 +177,9 @@ def _whitelist(node, expr: str, arity: int, tables: set, reads: list) -> int:
     with each subscript's (start, end, depth) added to reads, inner ones
     first, and each table named to tables.  InvariantViolated unless node and
     its parts are names (tables and the first `arity` of x, y, z; none starts
-    with _), subscripts, comparisons, and/or/not, set displays, integers or len(...)."""
+    with _), subscripts, comparisons, and/or/not, set displays or integers."""
     kind = type(node)
-    if kind is _ast.Name and node.id not in ("len",) + _VARS[arity:] and node.id[0] != "_":
+    if kind is _ast.Name and node.id not in _VARS[arity:] and node.id[0] != "_":
         if node.id in _VARS:
             return _VARS.index(node.id) + 1
         tables.add(node.id)
@@ -188,9 +194,6 @@ def _whitelist(node, expr: str, arity: int, tables: set, reads: list) -> int:
         parts = (node.operand,)
     elif kind is _ast.Set:
         parts = node.elts
-    elif (kind is _ast.Call and type(node.func) is _ast.Name and node.func.id == "len"
-          and len(node.args) == 1 and not node.keywords):
-        parts = node.args
     elif kind is _ast.Constant and type(node.value) is int:
         return 0
     else:
@@ -199,6 +202,89 @@ def _whitelist(node, expr: str, arity: int, tables: set, reads: list) -> int:
     if kind is _ast.Subscript:
         reads.append((node.col_offset, node.end_col_offset, depth))
     return depth
+
+
+_LEVELS = (("implies", "imply", "iff"), ("and",), ("<=", "="), ("->", "~>"), ("^", "v"),
+           ("(+)",), ("*",))    # loosest first; under them E, F and then - and ~
+_RANK = {op: rank for rank, ops in enumerate(_LEVELS) for op in ops}
+_CHAINS = ("and", "=", "^", "v", "(+)", "*")
+_FORM = {"implies": "(not ({}) or ({}))", "imply": "(not ({}) or ({}))", "iff": "({}) == ({})",
+         "and": "{} and {}", "<=": "leq[{}][{}]", "=": "{} == {}", "->": "arrow[{}][{}]",
+         "~>": "squig[{}][{}]", "^": "meet[{}][{}]", "v": "join[{}][{}]", "(+)": "oplus[{}][{}]",
+         "*": "odot[{}][{}]", "E": "E[{}]", "F": "F[{}]", "-": "neg_minus[{}]",
+         "~": "neg_sim[{}]", "x": "x", "y": "y", "z": "z", "0": "zero", "1": "one"}
+_OPPOSITE = {"->": "~>", "~>": "->", "-": "~", "~": "-"}    # and * and (+) swap operands
+_TOKEN = r"\s*(under \([AMT]\):|\(both arrows\)|\(dual\)|\(\+\)|and|implies|imply|iff|->|~>|<=|\S)"
+_FORMULAS = {}      # formula text -> (tree, arity, names E or F, condition)
+
+
+def formula(text: str, name: str = "") -> tuple:
+    """(tree, arity, whether it names E or F, X of "under (X):" or None) of text,
+    kept by it; InvariantViolated, naming name and the position, if malformed."""
+    if text in _FORMULAS:
+        return _FORMULAS[text]
+    toks = [(m[1], m.start(1)) for m in re.finditer(_TOKEN, text)]
+    names, toks = {tok for tok, _ in toks}, [("", len(text))] + toks[::-1]    # next one last
+    peek = lambda: toks[-1][0]
+    under = toks.pop()[0][7] if peek().startswith("under") else None    # A, M or T
+
+    def fail(tok, pos):
+        raise InvariantViolated(f"{name}: unexpected {tok or 'end'!r} at position {pos} "
+                                f"of {text!r}")
+
+    def take(*want):
+        tok, pos = toks.pop()
+        return tok if tok in want else fail(tok, pos)
+
+    def parse(level):       # (tree, rank of its outer operator) with operators of _LEVELS[level:]
+        left, top, last = unary(), len(_LEVELS), None
+        while _RANK.get(peek(), -1) >= level:
+            op, pos = toks.pop()
+            rank = _RANK[op]
+            right, inner = parse(rank + 1)      # `and`, `implies`, `iff` join formulas, not terms
+            if rank == top and (op != last or op not in _CHAINS) or rank < 2 < max(top, inner):
+                fail(op, pos)
+            left, top, last = (op, left, right), rank, op
+        return left, top
+
+    def unary():            # E t or F t, else x, y, z, 0, 1 or (t), then - and ~
+        tok = take("E", "F", "(", "x", "y", "z", "0", "1")
+        if tok in ("E", "F"):
+            return tok, unary()
+        t = (parse(3)[0], take(")"))[0] if tok == "(" else (tok,)
+        while peek() in ("-", "~"):
+            t = take(peek()), t
+        return t
+
+    tree, top = parse(0)
+    if top <= 2 and peek() in ("(both arrows)", "(dual)"):
+        tree = ("and", tree, opposite(tree)) if toks.pop()[0] == "(both arrows)" else opposite(tree)
+    if top > 2 or peek():       # a term, not a formula, or text after the formula
+        fail(*toks[-1])
+    _FORMULAS[text] = tree, max(0, *map(" xyz".find, names)), bool(names & {"E", "F"}), under
+    return _FORMULAS[text]
+
+
+def expression(tree) -> str:
+    """The expression the kernel scans for a formula's tree."""
+    return _FORM[tree[0]].format(*map(expression, tree[1:]))
+
+
+def opposite(tree) -> tuple:
+    """The dual of a formula's tree: the formula read on A^op."""
+    op, *operands = tree
+    operands = [opposite(t) for t in operands]
+    return (_OPPOSITE.get(op, op), *(operands[::-1] if op in ("*", "(+)") else operands))
+
+
+@cache
+def axioms(groups) -> tuple:
+    """first_failure_of's (arity, checks) groups from groups of (name, formula)
+    checks, compiled on first use and kept; an (arity, checks) group is kept."""
+    return tuple(group if type(group[0]) is int else (
+        max(formula(text)[1] for _, text in group),
+        tuple((name, expression(formula(text)[0])) for name, text in group))
+        for group in groups)
 
 
 def backtrack(cells, cands, ok, d=0):
@@ -238,16 +324,16 @@ def check_pseudo_be(alg: FiniteAlgebra) -> Verdict:
 
 
 _PSBE = (
-    (1, (("psBE1", both("arrow[x][x] == one")),)),
-    (1, (("psBE2", both("arrow[x][one] == one")),)),
-    (1, (("psBE3", both("arrow[one][x] == x")),)),
-    (3, (("psBE4", "arrow[x][squig[y][z]] == squig[y][arrow[x][z]]"),)),
-    (2, (("psBE5", "(arrow[x][y] == one) == (squig[x][y] == one)"),)),
+    (("psBE1", "x -> x = 1 (both arrows)"),),
+    (("psBE2", "x -> 1 = 1 (both arrows)"),),
+    (("psBE3", "1 -> x = x (both arrows)"),),
+    (("psBE4", "x -> (y ~> z) = y ~> (x -> z)"),),
+    (("psBE5", "x -> y = 1 iff x ~> y = 1"),),
 )
 
 
 def _scan_pseudo_be(alg: FiniteAlgebra) -> Verdict:
-    return Verdict.of(first_failure_of(alg.size, _PSBE, alg), "pseudo_be")
+    return Verdict.of(first_failure_of(alg.size, axioms(_PSBE), alg), "pseudo_be")
 
 
 def check_pseudo_bck(alg: FiniteAlgebra) -> Verdict:
@@ -257,20 +343,19 @@ def check_pseudo_bck(alg: FiniteAlgebra) -> Verdict:
     return alg.kept("pseudo_bck", _scan_pseudo_bck)
 
 
-_BCK3, _BCK1 = "arrow[one][x] == x", "squig[arrow[x][y]][squig[arrow[y][z]][arrow[x][z]]] == one"
 _PSBCK = (
-    (1, (("psBCK3", _BCK3),)),
-    (1, (("psBCK4", dual(_BCK3)),)),
-    (1, (("psBCK5", "arrow[x][one] == one"),)),
+    (("psBCK3", "1 -> x = x"),),
+    (("psBCK4", "1 -> x = x (dual)"),),
+    (("psBCK5", "x -> 1 = 1"),),
     # unordered pairs y < x, scanned larger element first, reported as (y, x)
     (2, (("psBCK6", "y >= x or arrow[y][x] != one or arrow[x][y] != one"),)),
-    (3, (("psBCK1", _BCK1),)),
-    (3, (("psBCK2", dual(_BCK1)),)),
+    (("psBCK1", "(x -> y) ~> ((y -> z) ~> (x -> z)) = 1"),),
+    (("psBCK2", "(x -> y) ~> ((y -> z) ~> (x -> z)) = 1 (dual)"),),
 )
 
 
 def _scan_pseudo_bck(alg: FiniteAlgebra) -> Verdict:
-    hit = first_failure_of(alg.size, _PSBCK, alg)
+    hit = first_failure_of(alg.size, axioms(_PSBCK), alg)
     if hit is not None and hit[0] == "psBCK6":
         hit = ("psBCK6", hit[1][::-1])     # reported as (x, y)
     return Verdict.of(hit, "pseudo_bck")
@@ -285,7 +370,6 @@ FLAG_NAMES = (
 FLAG_ALIASES = {"distributive": "distributive_i"}   # read as its condition (i)
 _FLAG_OF = {**{name: name for name in FLAG_NAMES}, **FLAG_ALIASES}
 DERIVED_TABLES = ("odot", "oplus", "meet", "join", "neg_minus", "neg_sim")
-_DISTRIBUTIVE_I = "arrow[x][squig[y][z]] == squig[arrow[x][y]][arrow[x][z]]"
 
 
 def least_elements(alg: FiniteAlgebra) -> list[int]:
@@ -303,11 +387,6 @@ def least_elements(alg: FiniteAlgebra) -> list[int]:
     return least
 
 
-def _cup(first, then):    # the table of (x first y) then y
-    rng = range(len(first))
-    return tuple(tuple(then[first[x][y]][y] for y in rng) for x in rng)
-
-
 def _flag(hypothesis, compute):
     """A flag computed on first read: compute(report, its name), or
     not_applicable where the report does not meet hypothesis (`unmet`)."""
@@ -318,10 +397,12 @@ def _flag(hypothesis, compute):
     return flag
 
 
-def _axiom(arity: int, expr: str, hypothesis=()):
-    """A flag: expr at every t in range(n)**arity, over the report's tables."""
-    return _flag(hypothesis, lambda report, name: Verdict.of(
-        first_failure(report.alg.size, arity, ((name, expr),), report), name))
+def _axiom(*texts, hypothesis=()):
+    """A flag: formulas at every tuple, one after another (kept as `formulas`)."""
+    flag = _flag(hypothesis, lambda report, name: Verdict.of(first_failure_of(
+        report.alg.size, axioms(tuple(((name, text),) for text in texts)), report), name))
+    flag.formulas = texts
+    return flag
 
 
 def _exists(*tables, witness=lambda report: ()):
@@ -374,8 +455,6 @@ class ClassificationReport:
 
     leq = cached_property(lambda self: tuple(tuple(v == self.one for v in row)
                                              for row in self.arrow))
-    cup1 = cached_property(lambda self: _cup(self.arrow, self.squig))    # (x -> y) ~> y
-    cup2 = cached_property(lambda self: _cup(self.squig, self.arrow))    # (x ~> y) -> y
     neg_minus = cached_property(lambda self: None if self.zero is None else
                                 tuple(row[self.zero] for row in self.arrow))    # x -> 0
     neg_sim = cached_property(lambda self: None if self.zero is None else
@@ -402,22 +481,15 @@ class ClassificationReport:
 
     pseudo_be = cached_property(lambda self: check_pseudo_be(self.alg))
     pseudo_bck = cached_property(lambda self: check_pseudo_bck(self.alg))
-    condition_A = _axiom(3, f"not leq[x][y] or ({both('leq[arrow[y][z]][arrow[x][z]]')})")
-    condition_M = _axiom(3, f"not leq[x][y] or ({both('leq[arrow[z][x]][arrow[z][y]]')})")
-    condition_T = _axiom(3, "not (leq[x][y] and leq[y][z]) or leq[x][z]")
-    distributive_i = _axiom(3, _DISTRIBUTIVE_I)
-    distributive_ii = _axiom(3, dual(_DISTRIBUTIVE_I))
-    commutative = _axiom(2, both("cup1[x][y] == cup1[y][x]"))
-    good = _axiom(1, "neg_sim[neg_minus[x]] == neg_minus[neg_sim[x]]", ("bounded",))
-    involutive = _axiom(1, both("neg_sim[neg_minus[x]] == x"), ("bounded",))
-
-    @cached_property
-    def poset(self):
-        antisym = first_failure(self.alg.size, 2, (
-            ("antisymmetric", "not (leq[x][y] and leq[y][x]) or x == y"),), self)
-        if antisym is None and self.holds("condition_T"):
-            return Verdict.holds("poset")
-        return Verdict.fails("poset", antisym[1] if antisym else self.condition_T.witness)
+    condition_A = _axiom("x <= y implies y -> z <= x -> z and y ~> z <= x ~> z")
+    condition_M = _axiom("x <= y implies z -> x <= z -> y and z ~> x <= z ~> y")
+    condition_T = _axiom("x <= y and y <= z imply x <= z")
+    distributive_i = _axiom("x -> (y ~> z) = (x -> y) ~> (x -> z)")
+    distributive_ii = _axiom("x -> (y ~> z) = (x -> y) ~> (x -> z) (dual)")
+    commutative = _axiom("(x -> y) ~> y = (y -> x) ~> x (both arrows)")
+    good = _axiom("x-~ = x~-", hypothesis=("bounded",))
+    involutive = _axiom("x-~ = x (both arrows)", hypothesis=("bounded",))
+    poset = _axiom("x <= y and y <= x imply x = y", condition_T.formulas[0])
 
     meet_semilattice = _exists("meet")
     join_semilattice = _exists("join")
@@ -426,21 +498,19 @@ class ClassificationReport:
 
     @partial(_flag, ("has_pP",))
     def pseudo_hoop(self, name):    # psH1-psH5 with the computed product
-        psh = first_failure_of(self.alg.size, _PSH, self)
+        psh = first_failure_of(self.alg.size, axioms(_PSH), self)
         return Verdict.holds(name) if psh is None else Verdict.fails(name, psh[1])
 
     # psMV1-psMV8 on ((+), (.), -, ~, 0, 1) of a bounded commutative algebra
     pseudo_mv = _flag(("bounded", "commutative", "oplus", "odot"), lambda self, name:
-                      Verdict.of(first_failure_of(self.alg.size, _PSMV, self), name))
+                      Verdict.of(first_failure_of(self.alg.size, axioms(_PSMV), self), name))
 
 
 _PSH = (
-    (1, (("psH1", "odot[x][one] == x and odot[one][x] == x"),)),
-    (3, (("psH3", "arrow[odot[x][y]][z] == arrow[x][arrow[y][z]]"),)),
-    (3, (("psH4", "squig[odot[x][y]][z] == squig[y][squig[x][z]]"),)),
-    (2, (("psH5", "odot[arrow[x][y]][x] == odot[arrow[y][x]][y]"
-                  " and odot[arrow[x][y]][x] == odot[x][squig[x][y]]"
-                  " and odot[x][squig[x][y]] == odot[y][squig[y][x]]"),)),
+    (("psH1", "x * 1 = x and 1 * x = x"),),
+    (("psH3", "x * y -> z = x -> (y -> z)"),),
+    (("psH4", "x * y ~> z = y ~> (x ~> z)"),),
+    (("psH5", "(x -> y) * x = (y -> x) * y = x * (x ~> y) = y * (y ~> x)"),),
 )
 
 
@@ -498,14 +568,11 @@ def _bound_table(leq, lower: bool):
 
 
 _PSMV = (
-    (3, (("psMV1", "oplus[x][oplus[y][z]] == oplus[oplus[x][y]][z]"),)),
-    (1, (("psMV2", "oplus[x][zero] == x and oplus[zero][x] == x"),
-         ("psMV3", "oplus[x][one] == one and oplus[one][x] == one"))),
-    (0, (("psMV4", both("neg_minus[one] == zero")),)),
-    (2, (("psMV5", "neg_sim[oplus[neg_minus[x]][neg_minus[y]]]"
-                   " == neg_minus[oplus[neg_sim[x]][neg_sim[y]]]"),
-         ("psMV6", "len({oplus[x][odot[neg_sim[x]][y]], oplus[y][odot[neg_sim[y]][x]],"
-                   " oplus[odot[x][neg_minus[y]]][y], oplus[odot[y][neg_minus[x]]][x]}) == 1"),
-         ("psMV7", "odot[x][oplus[neg_minus[x]][y]] == odot[oplus[x][neg_sim[y]]][y]"))),
-    (1, (("psMV8", "neg_sim[neg_minus[x]] == x"),)),
+    (("psMV1", "x (+) (y (+) z) = (x (+) y) (+) z"),),
+    (("psMV2", "x (+) 0 = x and 0 (+) x = x"), ("psMV3", "x (+) 1 = 1 and 1 (+) x = 1")),
+    (("psMV4", "1- = 0 (both arrows)"),),
+    (("psMV5", "(x- (+) y-)~ = (x~ (+) y~)-"),
+     ("psMV6", "x (+) (x~ * y) = y (+) (y~ * x) = (x * y-) (+) y = (y * x-) (+) x"),
+     ("psMV7", "x * (x- (+) y) = (x (+) y~) * y")),
+    (("psMV8", "x-~ = x"),),
 )

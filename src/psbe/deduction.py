@@ -51,21 +51,15 @@ def _is_normal(alg: FiniteAlgebra, members: frozenset) -> bool:
     return True
 
 
-def _closures_disagree(alg: FiniteAlgebra, members: frozenset):
-    # On a pseudo BE-algebra modus ponens for -> and for ~> close the same
-    # sets: x -> ((x -> y) ~> y) = (x -> y) ~> (x -> y) = 1 (psBE4, psBE1),
-    # so x ~> ((x -> y) ~> y) = 1 (psBE5), and two ~> steps take x and
-    # x -> y to y; symmetrically for ~>.  So a disagreement names the
-    # pseudo BE axiom that fails.
-    def tokens(xs):
-        return ", ".join(alg.element_names[x] for x in xs)
-
-    where = f"arrow and squig closures disagree on {{{tokens(sorted(members))}}}"
+def _theorem_fails(alg: FiniteAlgebra, needs: str, where: str, members):
+    """A theorem of pseudo BE-algebras fails on alg: InvariantViolated when
+    alg is one, else PreconditionUnmet naming the axiom that fails."""
+    tokens = lambda xs: ", ".join(alg.element_names[x] for x in xs)
+    where = f"{where} {{{tokens(sorted(members))}}}"
     verdict = check_pseudo_be(alg)
     if verdict.status == HOLDS:
         raise InvariantViolated(f"{where} of a pseudo BE-algebra")
-    raise PreconditionUnmet(f"deductive systems need a pseudo BE-algebra: "
-                            f"{where}; {verdict.name} fails at "
+    raise PreconditionUnmet(f"{needs} a pseudo BE-algebra: {where}; {verdict.name} fails at "
                             f"({tokens(verdict.witness)})", verdict.witness)
 
 
@@ -90,10 +84,15 @@ def _enumerate_ds(alg: FiniteAlgebra) -> list[DeductiveSystem]:
                            lambda members, x: members if x in members
                            else _closure(alg, members | {x}, table))
 
+    # On a pseudo BE-algebra modus ponens for -> and for ~> close the same
+    # sets: x -> ((x -> y) ~> y) = (x -> y) ~> (x -> y) = 1 (psBE4, psBE1),
+    # so x ~> ((x -> y) ~> y) = 1 (psBE5), and two ~> steps take x and
+    # x -> y to y; symmetrically for ~>.
     by_arrow, by_squig = family(alg.arrow), family(alg.squig)
     if by_arrow != by_squig:
-        _closures_disagree(alg, min(by_arrow ^ by_squig, key=lambda members: sum(
-            1 << (x - (x > one)) for x in members if x != one)))
+        _theorem_fails(alg, "deductive systems need", "arrow and squig closures disagree on",
+                       min(by_arrow ^ by_squig, key=lambda members: sum(
+                           1 << (x - (x > one)) for x in members if x != one)))
     return sorted((DeductiveSystem(m, _is_normal(alg, m)) for m in by_arrow),
                   key=DeductiveSystem.sort_key)
 
@@ -336,8 +335,8 @@ def theta_from_ds(alg: FiniteAlgebra, ds: DeductiveSystem) -> Congruence:
     bad = is_compatible(alg, cong)
     if bad is not None:
         raise _unmet("relation not compatible with the operations", bad)
-    if cong.one_class(alg) != d:
-        raise InvariantViolated("[1]_Theta differs from D")
+    if cong.one_class(alg) != d:      # [1]_Theta = D by psBE2 and psBE3
+        _theorem_fails(alg, "Theta_D needs", "[1]_Theta differs from D =", d)
     return cong
 
 

@@ -3,35 +3,29 @@
 Every law carries an anchor (the statement `psbe laws` shows), a
 hypothesis (the flags and tables its algebra's report must meet,
 `ClassificationReport.unmet`) and a check.  A pointwise law is written
-once, as its anchor, which `pointwise_law` compiles into its check: an
-expression over the `Ctx` tables and x, y, z that `classify.first_failure`
-scans, "a[x][s[y][z]] == s[y][a[x][z]]" for x -> (y ~> z) = y ~> (x -> z).
-The grammar, tightest first: x, y, z, 0, 1 and (t); the negations x- and
-x~; E and F, the existential and universal operators; * (pseudo-product);
-(+) (its dual); ^ and v (meet, join); -> and ~>; the relations t <= u and
-t = u = ...; `and`; `implies` (or `imply`) and `iff`.  Only =, `and`, *,
-(+), ^ and v repeat (from the left), and two operators of one level need
-parentheses.  A leading "under (X):" adds condition (X) to the law's
-hypothesis; a trailing "(both arrows)" states formula X for -> and its dual
-for ~>: both(X), X and dual(X).  A global law's check is a function of the
-context.  `verify_suite` evaluates the catalog against an algebra and a set
-of monadic pairs; `search_counterexample` enumerates small algebras for a
-failure of one law.
+once, as its anchor, a formula (notation in `classify`) that
+`pointwise_law` compiles into its check, the expression over the `Ctx`
+tables that `classify.first_failure` scans; a leading "under (X):" adds
+condition (X) to its hypothesis.  A global law's check is a function of
+the context.  `verify_suite` evaluates the catalog against an algebra and
+a set of monadic pairs; `search_counterexample` enumerates small algebras
+for a failure of one law.
 """
 
 from __future__ import annotations
 
 import copy
-import re
-from functools import cache, cached_property, partial
+from functools import cache, partial
 from itertools import permutations, product
 from math import inf
+from operator import attrgetter
 from types import SimpleNamespace
 from typing import NamedTuple
 
 from .algebra import FiniteAlgebra, PreconditionUnmet
-from .classify import (FAILS, FLAG_ALIASES, FLAG_NAMES, HOLDS, NOT_APPLICABLE, Verdict, both,
-                       InvariantViolated, backtrack, classify, first_failure, first_failures)
+from .classify import (FAILS, FLAG_ALIASES, FLAG_NAMES, HOLDS, NOT_APPLICABLE, Verdict,
+                       InvariantViolated, backtrack, classify, expression, first_failure,
+                       first_failures, formula)
 from .quantifiers import MonadicPair, enumerate_mop, fixed_set, require_monadic
 from . import deduction as _ded
 
@@ -45,10 +39,11 @@ _decisions = lambda ctx: {}     # law hypothesis -> whether the report meets it
 
 class Ctx:
     """Evaluation context: one algebra, its classification and
-    (optionally) one monadic pair, with the tables a law expression names:
-    a, s (-> and ~>), leq, E, F, nm, ns, od, op, od_t, op_t (od and op
-    transposed), meet, join, one and zero.  `report` is the algebra's one
-    ClassificationReport (`classify`); tables are read from it on first use.
+    (optionally) one monadic pair, with the tables a compiled formula names,
+    under the names the algebra and its report carry: arrow, squig, leq,
+    neg_minus, neg_sim, odot, oplus, meet, join, one and zero, and the
+    pair's E and F.  `report` is the algebra's one ClassificationReport
+    (`classify`), whose tables are read off it on each use.
     `zero` is the declared zero, not `report.zero`, until ROADMAP item 2.
     `ds`, `congruences`, the congruences' tables and each law hypothesis
     read no pair, so each is computed once per algebra object (`once`)
@@ -58,8 +53,8 @@ class Ctx:
     def __init__(self, alg: FiniteAlgebra, pair: MonadicPair | None = None):
         self.alg = alg
         self.report, _ = classify(alg)
-        self.n, self.one, self.zero, self.a, self.s = (alg.size, alg.one, alg.zero,
-                                                       alg.arrow, alg.squig)
+        self.n, self.one, self.zero, self.arrow, self.squig = (alg.size, alg.one, alg.zero,
+                                                               alg.arrow, alg.squig)
         self.decided = self.once(_decisions)
         self._bind(pair)
 
@@ -78,15 +73,8 @@ class Ctx:
     ds = property(lambda self: self.once(_all_ds))
     congruences = property(lambda self: self.once(_all_congruences))
 
-    nm = cached_property(lambda self: self.report.neg_minus)
-    ns = cached_property(lambda self: self.report.neg_sim)
-    od = cached_property(lambda self: self.report.odot)
-    op = cached_property(lambda self: self.report.oplus)
-    meet = cached_property(lambda self: self.report.meet)
-    join = cached_property(lambda self: self.report.join)
-    leq = cached_property(lambda self: self.report.leq)
-    od_t = cached_property(lambda self: self.od and tuple(zip(*self.od)))
-    op_t = cached_property(lambda self: self.op and tuple(zip(*self.op)))
+    leq, neg_minus, neg_sim, odot, oplus, meet, join = (property(attrgetter("report." + t))
+        for t in ("leq", "neg_minus", "neg_sim", "odot", "oplus", "meet", "join"))
 
     def _bind(self, pair):
         self.pair = pair
@@ -109,8 +97,8 @@ class Law(NamedTuple):
     leaving out a table that a listed flag decides: odot exists iff
     has_pP holds, meet iff meet_semilattice, join iff join_semilattice.
     A pointwise law's check, arity and uses_pair are derived from its
-    anchor (`pointwise_law`); a global law's check (arity 0) is a function
-    Ctx -> (ok, witness, instances)."""
+    anchor, a formula (`pointwise_law`); a global law's check (arity 0) is
+    a function Ctx -> (ok, witness, instances)."""
 
     id: str
     anchor: str
@@ -125,11 +113,11 @@ class Law(NamedTuple):
 # ---------------------------------------------------------------- catalog
 
 def _congruence_tables(ctx):
-    """Per congruence, in order, the tables its laws read: a, s, cls (its
-    classes), one_cls (the class of 1) and links, each x paired with the
-    first element of its block where the two differ."""
-    return [SimpleNamespace(a=ctx.a, s=ctx.s, cls=c.classes, one_cls=c.one_class(ctx.alg),
-                            links=_ded._links(c.classes))
+    """Per congruence, in order, the tables its laws read: arrow, squig, cls
+    (its classes), one_cls (the class of 1) and links, each x paired with
+    the first element of its block where the two differ."""
+    return [SimpleNamespace(arrow=ctx.arrow, squig=ctx.squig, cls=c.classes,
+                            one_cls=c.one_class(ctx.alg), links=_ded._links(c.classes))
             for c in ctx.congruences]
 
 
@@ -179,7 +167,7 @@ def _p6_ds_upward(ctx):
     count = 0
     for ds in ctx.ds:
         for x in ds.members:
-            ax = ctx.a[x]
+            ax = ctx.arrow[x]
             for y in range(ctx.n):
                 count += 1
                 if ax[y] == ctx.one and y not in ds.members:
@@ -206,7 +194,7 @@ def _fixed_subalgebra(ctx):
     if ctx.one not in fixed:
         return False, (ctx.one,), 1
     for count, (x, y) in enumerate(product(fixed, repeat=2), 1):
-        if ctx.a[x][y] not in fixed or ctx.s[x][y] not in fixed:
+        if ctx.arrow[x][y] not in fixed or ctx.squig[x][y] not in fixed:
             return False, (x, y), count
     return True, None, count    # fixed holds one, so count = len(fixed) ** 2
 
@@ -234,68 +222,16 @@ def _surjective_id(ctx):
     return ok, (None if ok else ()), ctx.n
 
 
-_LEVELS = (("implies", "imply", "iff"), ("and",), ("<=", "="), ("->", "~>"), ("^", "v"),
-           ("(+)",), ("*",))    # loosest first; under them E, F and then - and ~
-_RANK = {op: rank for rank, ops in enumerate(_LEVELS) for op in ops}
-_CHAINS = ("and", "=", "^", "v", "(+)", "*")
-_FORM = {"implies": "(not ({}) or ({}))", "imply": "(not ({}) or ({}))", "iff": "({}) == ({})",
-         "and": "{} and {}", "<=": "leq[{}][{}]", "=": "{} == {}", "->": "a[{}][{}]",
-         "~>": "s[{}][{}]", "^": "meet[{}][{}]", "v": "join[{}][{}]", "(+)": "op[{}][{}]",
-         "*": "od[{}][{}]", "E": "E[{}]", "F": "F[{}]", "-": "nm[{}]", "~": "ns[{}]",
-         "x": "x", "y": "y", "z": "z", "0": "zero", "1": "one"}
-_TOKEN = r"\s*(under \([AMT]\):|\(both arrows\)|\(\+\)|and|implies|imply|iff|->|~>|<=|\S)"
-
-
 def pointwise_law(law_id: str, anchor: str, hypothesis=(), probe: bool = False) -> Law:
-    """The law that anchor states (grammar in the module docstring): its check is
-    the expression the kernel scans, its arity the highest of x, y, z named, and
-    it uses the pair when it names E or F; a leading "under (X):" appends condition_X
-    to the hypothesis.  InvariantViolated, naming the law and the position, on a
-    malformed anchor."""
-    toks = [(m[1], m.start(1)) for m in re.finditer(_TOKEN, anchor)]
-    names, toks = {tok for tok, _ in toks}, [("", len(anchor))] + toks[::-1]    # next one last
-    peek = lambda: toks[-1][0]
-    under = toks.pop()[0][7] if peek().startswith("under") else None    # A, M or T
-
-    def fail(tok, pos):
-        raise InvariantViolated(f"{law_id}: unexpected {tok or 'end'!r} at position {pos} "
-                                f"of {anchor!r}")
-
-    def take(*want):
-        tok, pos = toks.pop()
-        return tok if tok in want else fail(tok, pos)
-
-    def parse(level):       # (text, rank of its outer operator) with operators of _LEVELS[level:]
-        left, top, last = unary(), len(_LEVELS), None
-        while _RANK.get(peek(), -1) >= level:
-            op, pos = toks.pop()
-            rank = _RANK[op]
-            right, inner = parse(rank + 1)      # `and`, `implies`, `iff` join formulas, not terms
-            if rank == top and (op != last or op not in _CHAINS) or rank < 2 < max(top, inner):
-                fail(op, pos)
-            left, top, last = _FORM[op].format(left, right), rank, op
-        return left, top
-
-    def unary():            # E t or F t, else x, y, z, 0, 1 or (t), then - and ~
-        tok = take("E", "F", "(", "x", "y", "z", "0", "1")
-        if tok in ("E", "F"):
-            return _FORM[tok].format(unary())
-        t = (parse(3)[0], take(")"))[0] if tok == "(" else _FORM[tok]
-        while peek() in ("-", "~"):
-            t = _FORM[take(peek())].format(t)
-        return t
-
-    check, top = parse(0)
-    if top <= 2 and peek() == "(both arrows)":
-        check = both(check)
-        toks.pop()
-    if top > 2 or peek():       # a term, not a formula, or text after the formula
-        fail(*toks[-1])
-    hypothesis = (*hypothesis, f"condition_{under}") if under else hypothesis
-    arity = max(map(" xyz".find, names))     # 1, 2, 3 for x, y, z; -1 for other tokens
+    """The law that anchor states (`classify.formula`): it uses the pair when
+    it names E or F, and "under (X):" appends condition_X to its hypothesis.
+    InvariantViolated, naming the law, on a malformed anchor or one that
+    names none of x, y, z."""
+    tree, arity, uses_pair, under = formula(anchor, law_id)
     if arity < 1:
         raise InvariantViolated(f"{law_id}: {anchor!r} names none of x, y, z")
-    return Law(law_id, anchor, arity, hypothesis, check, bool(names & {"E", "F"}), probe)
+    hypothesis = (*hypothesis, f"condition_{under}") if under else hypothesis
+    return Law(law_id, anchor, arity, hypothesis, expression(tree), uses_pair, probe)
 
 
 def _iff_pointwise(lhs, rhs, ctx):
@@ -329,8 +265,8 @@ def catalog() -> tuple[Law, ...]:
 
     # -------- bounded negation laws
     add(Law("BND.neg_constants", "1- = 1~ = 0 and 0- = 0~ = 1", 0, _BND, lambda c: (
-        c.nm[c.one] == c.ns[c.one] == c.zero and c.nm[c.zero] == c.ns[c.zero] == c.one, None, 4),
-        uses_pair=False))
+        c.neg_minus[c.one] == c.neg_sim[c.one] == c.zero
+        and c.neg_minus[c.zero] == c.neg_sim[c.zero] == c.one, None, 4), uses_pair=False))
     _BBCK = ("pseudo_bck", "bounded")
     law("BND.double_neg_ge", "x <= x-~ and x <= x~-", _BBCK)
     law("BND.neg_antitone", "x <= y implies y- <= x- and y~ <= x~", _BBCK)
@@ -435,15 +371,16 @@ def catalog() -> tuple[Law, ...]:
     # -------- congruence / deductive-system laws
     add(Law("L6.arrow_iff_squig_one_class",
             "for every congruence: x -> y in [1] iff x ~> y in [1]", 0, _BE,
-            _each_congruence("(a[x][y] in one_cls) == (s[x][y] in one_cls)"), uses_pair=False))
+            _each_congruence("(arrow[x][y] in one_cls) == (squig[x][y] in one_cls)"),
+            uses_pair=False))
     add(Law("L6.class_implications",
             "(x,y) related implies x -> y, y -> x, x ~> y, y ~> x in [1]", 0, _BE,
-            _each_congruence("cls[x] != cls[y] or {a[x][y], a[y][x], s[x][y], s[y][x]}"
-                             " <= one_cls"), uses_pair=False))
+            _each_congruence("cls[x] != cls[y] or {arrow[x][y], arrow[y][x], squig[x][y],"
+                             " squig[y][x]} <= one_cls"), uses_pair=False))
     add(Law("L6.commutative_converse",
             "commutative: x -> y, y -> x in [1] implies (x,y) related", 0,
             ("pseudo_be", "commutative"),
-            _each_congruence("not (a[x][y] in one_cls and a[y][x] in one_cls)"
+            _each_congruence("not (arrow[x][y] in one_cls and arrow[y][x] in one_cls)"
                              " or cls[x] == cls[y]"), uses_pair=False))
     add(Law("P6.ds_upward", "D a deductive system, x in D, x <= y imply y in D",
             0, _BE, _p6_ds_upward, uses_pair=False))

@@ -13,8 +13,8 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 from .algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap
-from .classify import (HOLDS, InvariantViolated, Verdict, backtrack, both, classify,
-                       closed_sets, dual, first_failure_of)
+from .classify import (HOLDS, InvariantViolated, Verdict, axioms, backtrack, classify,
+                       closed_sets, first_failure_of)
 
 PLAIN = "plain"
 BOUNDED_COMMUTATIVE = "bc"
@@ -50,24 +50,23 @@ def _mode_tables(alg: FiniteAlgebra, mode: str):
     return report.odot, report.oplus if mode == BOUNDED_COMMUTATIVE else None
 
 
-# M1-M4 for -> and then, read on the dual (`dual`), for ~>
-_M1_M5 = tuple((arity, ((f"{m}(arrow)", expr), (f"{m}(squig)", dual(expr)))) for m, arity, expr in (
-    ("M1", 1, "a[x][E[x]] == one"), ("M2", 1, "a[F[x]][x] == one"),
-    ("M3", 2, "F[a[x][E[y]]] == a[E[x]][E[y]]"), ("M4", 2, "F[a[E[x]][y]] == a[E[x]][F[y]]"),
-)) + ((1, (("M5", "E[F[x]] == F[x]"),)),)
-_M6 = (1, (("M6", "F[od[x][x]] == od[F[x]][F[x]]"),))
-_M7 = (1, (("M7", "F[op[x][x]] == op[F[x]][F[x]]"),))
+# M1-M4 for -> and then, read on the dual algebra, for ~>
+_M1_M5 = tuple(((f"{m}(arrow)", text), (f"{m}(squig)", f"{text} (dual)")) for m, text in (
+    ("M1", "x -> Ex = 1"), ("M2", "Fx -> x = 1"),
+    ("M3", "F(x -> Ey) = Ex -> Ey"), ("M4", "F(Ex -> y) = Ex -> Fy"),
+)) + ((("M5", "EFx = Fx"),),)
+_M6, _M7 = (("M6", "F(x * x) = Fx * Fx"),), (("M7", "F(x (+) x) = Fx (+) Fx"),)
 
 
 def check_monadic(alg: FiniteAlgebra, pair: MonadicPair, mode: str = PLAIN) -> Verdict:
     """M1-M5 (plus M6/M7 per mode), axiom after axiom over all elements
     or element pairs: the first failing instance, such as M3(squig) with
     its witness, or Verdict("monadic", HOLDS)."""
-    od, op = _mode_tables(alg, mode)
-    tables = SimpleNamespace(a=alg.arrow, s=alg.squig, one=alg.one, od=od, op=op,
-                             E=pair.exists.images, F=pair.forall.images)
-    groups = _M1_M5 + ((_M6,) if od is not None else ()) + ((_M7,) if op is not None else ())
-    return Verdict.of(first_failure_of(alg.size, groups, tables), "monadic")
+    odot, oplus = _mode_tables(alg, mode)
+    tables = SimpleNamespace(arrow=alg.arrow, squig=alg.squig, one=alg.one, odot=odot,
+                             oplus=oplus, E=pair.exists.images, F=pair.forall.images)
+    groups = _M1_M5 + ((_M6,) if odot is not None else ()) + ((_M7,) if oplus is not None else ())
+    return Verdict.of(first_failure_of(alg.size, axioms(groups), tables), "monadic")
 
 
 def is_monadic(alg: FiniteAlgebra, pair: MonadicPair, mode: str = PLAIN) -> bool:
@@ -175,45 +174,42 @@ def build_from_sigma(alg: FiniteAlgebra, sigma: UnaryMap) -> MonadicPair:
     return _build(alg, sigma, from_forall=False)
 
 
-# _build's conditions over f (tau or sigma), its table t and the negations p, q
-_U1 = (1, ((1, "a[f[x]][x] == one"),))
-_E1 = (1, ((1, "a[x][f[x]] == one"),))
-_UE2_UE5 = (
-    (1, ((2, "ns[f[nm[x]]] == nm[f[ns[x]]]"),)),
-    (2, ((3, "f[t[x][p[f[y]]]] == t[f[x]][p[f[y]]]"),
-         (3, "f[t[q[f[x]]][y]] == t[q[f[x]]][f[y]]"))),
-    (2, ((4, "f[t[x][f[y]]] == f[t[f[x]][y]] == t[f[x]][f[y]]"),)),
-    (1, ((5, "f[ns[t[nm[x]][nm[x]]]] == ns[t[nm[f[x]]][nm[f[x]]]]"),
-         (5, "f[nm[t[ns[x]][ns[x]]]] == nm[t[ns[f[x]]][ns[f[x]]]]"))),
-)
-_UE6 = (1, ((6, "f[t[x][x]] == t[f[x]][f[x]]"),))
+def _numbered(tag: str, *texts) -> tuple:     # one group per axiom: tag1, tag2, ...
+    return tuple(((f"{tag}{i}", text),) for i, text in enumerate(texts, 1))
+
+
+# _build's conditions on tau (F) and on sigma (E)
+_U = _numbered(
+    "U", "Fx -> x = 1", "(F(x-))~ = (F(x~))-",
+    "F(x (+) (Fy)-) = Fx (+) (Fy)- and F((Fx)~ (+) y) = (Fx)~ (+) Fy",
+    "F(x (+) Fy) = F(Fx (+) y) = Fx (+) Fy", "F((x- (+) x-)~) = ((Fx)- (+) (Fx)-)~ (both arrows)",
+    "F(x (+) x) = Fx (+) Fx")
+_E = _numbered(
+    "E", "x -> Ex = 1", "(E(x-))~ = (E(x~))-",
+    "E(x * (Ey)~) = Ex * (Ey)~ and E((Ex)- * y) = (Ex)- * Ey",
+    "E(x * Ey) = E(Ex * y) = Ex * Ey", "E((x- * x-)~) = ((Ex)- * (Ex)-)~ (both arrows)",
+    "E(x * x) = Ex * Ex")
 
 
 def _build(alg, m, from_forall: bool) -> MonadicPair:
-    # U1-U6 (tau, over the oplus table) and E1-E6 (sigma, over the
-    # pseudo-product) differ in condition 1 (tau decreasing, sigma
-    # increasing) and in the negation each side of condition 3 reads;
-    # the other map of the pair is (m x-)~ = (m x~)- either way.
+    # the other map of the pair is (m x-)~ = (m x~)- either way
     what = "build_from_tau" if from_forall else "build_from_sigma"
     report, _ = classify(alg)
     table = "oplus" if from_forall else "odot"
     missing = report.unmet(("bounded", "good", table))
     if missing is not None:
         raise PreconditionUnmet(f"{what} needs " + _NEEDS.get(missing, f"a {missing} algebra"))
-    t = getattr(report, table)
     n, f, nm, ns = alg.size, m.images, report.neg_minus, report.neg_sim
-    p, q = (nm, ns) if from_forall else (ns, nm)
-    tables = SimpleNamespace(a=alg.arrow, one=alg.one, f=f, t=t, nm=nm, ns=ns, p=p, q=q)
+    tables = SimpleNamespace(arrow=alg.arrow, one=alg.one, neg_minus=nm, neg_sim=ns,
+                             **{table: getattr(report, table), "F" if from_forall else "E": f})
     # U6 is exactly M7 (E6 mirrors it), which belongs to the commutative
     # theory; on a non-commutative (e.g. merely involutive) algebra it can
     # fail even for maps the construction is meant for, so it is only
     # enforced when the algebra is commutative.
-    groups = ((_U1 if from_forall else _E1),) + _UE2_UE5 + (
-        (_UE6,) if report.holds("commutative") else ())
-    hit = first_failure_of(n, groups, tables)
+    groups = (_U if from_forall else _E)[:6 if report.holds("commutative") else 5]
+    hit = first_failure_of(n, axioms(groups), tables)
     if hit is not None:
-        raise PreconditionUnmet(f"condition {'U' if from_forall else 'E'}{hit[0]} fails "
-                                f"at {hit[1]}", hit[1])
+        raise PreconditionUnmet(f"condition {hit[0]} fails at {hit[1]}", hit[1])
 
     other = tuple(ns[f[nm[x]]] for x in range(n))
     if other != tuple(nm[f[ns[x]]] for x in range(n)):
@@ -294,17 +290,12 @@ def compose_pairs(alg: FiniteAlgebra, p1: MonadicPair, p2: MonadicPair) -> Compo
     return CompositionResult(pair, commute, forall_le, exists_le)
 
 
-# the two kinds differ in MV1 (f decreasing vs increasing) and MV2 (f
-# preserves meets vs joins: lat is the meet or the join table)
-_MV = {kind: (
-    (1, ((tag + "1", mv1),)),
-    (2, ((tag + "2", "f[lat[x][y]] == lat[f[x]][f[y]]"),)),
-    (1, ((tag + "3", both("f[nm[f[x]]] == nm[f[x]]")),)),
-    (2, ((tag + "4", "f[od[f[x]][f[y]]] == od[f[x]][f[y]]"),)),
-    (1, ((tag + "5", "f[od[x][x]] == od[f[x]][f[x]]"),)),
-    (1, ((tag + "6", "f[op[x][x]] == op[f[x]][f[x]]"),)),
-) for kind, tag, mv1 in (("universal", "MVU", "a[f[x]][x] == one"),
-                         ("existential", "MVE", "a[x][f[x]] == one"))}
+_MV = {"universal": _numbered(
+    "MVU", "Fx -> x = 1", "F(x ^ y) = Fx ^ Fy", "F((Fx)-) = (Fx)- (both arrows)",
+    "F(Fx * Fy) = Fx * Fy", "F(x * x) = Fx * Fx", "F(x (+) x) = Fx (+) Fx"),
+       "existential": _numbered(
+    "MVE", "x -> Ex = 1", "E(x v y) = Ex v Ey", "E((Ex)-) = (Ex)- (both arrows)",
+    "E(Ex * Ey) = Ex * Ey", "E(x * x) = Ex * Ex", "E(x (+) x) = Ex (+) Ex")}
 
 
 def check_mv_quantifier(alg: FiniteAlgebra, m: UnaryMap, kind: str) -> Verdict:
@@ -318,10 +309,10 @@ def check_mv_quantifier(alg: FiniteAlgebra, m: UnaryMap, kind: str) -> Verdict:
     if missing is not None:
         raise PreconditionUnmet("MV quantifier axioms need a bounded commutative algebra with "
                                 f"its odot, oplus and {lat} tables: {missing} is not met")
-    tables = SimpleNamespace(a=alg.arrow, one=alg.one, f=m.images, nm=report.neg_minus,
-                             ns=report.neg_sim, od=report.odot, op=report.oplus,
-                             lat=getattr(report, lat))
-    return Verdict.of(first_failure_of(alg.size, _MV[kind], tables), f"mv_{kind}")
+    tables = SimpleNamespace(**{t: getattr(report, t) for t in (
+        "arrow", "one", "neg_minus", "neg_sim", "odot", "oplus", lat)},
+        **{"F" if kind == "universal" else "E": m.images})
+    return Verdict.of(first_failure_of(alg.size, axioms(_MV[kind]), tables), f"mv_{kind}")
 
 
 def declared_pairs(alg: FiniteAlgebra) -> list[tuple[str, MonadicPair]]:

@@ -8,7 +8,7 @@ import psbe
 from psbe.algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap, load_algebra
 from psbe.classify import (HOLDS, Verdict, check_pseudo_be, check_pseudo_bck, classify,
                            pseudo_product_table)
-from psbe.deduction import (DeductiveSystem, _closures_disagree, _is_normal,
+from psbe.deduction import (DeductiveSystem, _is_normal, _theorem_fails,
                             generated_ds)
 from psbe.laws import (SearchResult, _is_canonical, _law_counterexample,
                        candidate_count, catalog, free_cells)
@@ -213,8 +213,15 @@ def reference_first_failure_of(n, groups, source):
 # classify's reference: every flag and derived table computed in one pass,
 # in the order the flags depend on each other.
 
-TABLE_NAMES = ("leq", "neg_minus", "neg_sim", "odot", "oplus", "cup1",
-               "cup2", "meet", "join")
+TABLE_NAMES = ("leq", "neg_minus", "neg_sim", "odot", "oplus", "meet", "join")
+
+
+def cups(alg):
+    """{cup1: (x -> y) ~> y, cup2: (x ~> y) -> y}, the tables on which the
+    commutative axiom reads its two halves."""
+    arr, sq, rng = alg.arrow, alg.squig, alg.elements()
+    return {"cup1": tuple(tuple(sq[arr[x][y]][y] for y in rng) for x in rng),
+            "cup2": tuple(tuple(arr[sq[x][y]][y] for y in rng) for x in rng)}
 
 
 def eager_classify(alg):
@@ -242,8 +249,7 @@ def eager_classify(alg):
     axiom("distributive_i", 3, lambda x, y, z: arr[x][sq[y][z]] == sq[arr[x][y]][arr[x][z]])
     axiom("distributive_ii", 3, lambda x, y, z: sq[x][arr[y][z]] == arr[sq[x][y]][sq[x][z]])
 
-    cup1 = tuple(tuple(sq[arr[x][y]][y] for y in rng) for x in rng)
-    cup2 = tuple(tuple(arr[sq[x][y]][y] for y in rng) for x in rng)
+    cup1, cup2 = cups(alg).values()
     axiom("commutative", 2, lambda x, y:
           cup1[x][y] == cup1[y][x] and cup2[x][y] == cup2[y][x])
 
@@ -343,8 +349,7 @@ def eager_classify(alg):
         flags["pseudo_mv"] = Verdict.na("pseudo_mv")
 
     tables = dict(leq=leq, neg_minus=neg_minus, neg_sim=neg_sim,
-                  odot=odot, oplus=oplus, cup1=cup1, cup2=cup2,
-                  meet=meet, join=join)
+                  odot=odot, oplus=oplus, meet=meet, join=join)
     return flags, tables
 
 
@@ -410,7 +415,8 @@ def scan_ds(alg):
         arrow_closed = _mp_closed(alg, members, alg.arrow)
         squig_closed = _mp_closed(alg, members, alg.squig)
         if arrow_closed != squig_closed:
-            _closures_disagree(alg, members)
+            _theorem_fails(alg, "deductive systems need",
+                           "arrow and squig closures disagree on", members)
         if arrow_closed:
             out.append(DeductiveSystem(members, _is_normal(alg, members)))
     out.sort(key=DeductiveSystem.sort_key)

@@ -31,6 +31,10 @@ NON_MONADIC_PAIR = fixture_path("psbe5").read_text().replace(
 CLOSURES_DISAGREE = ("algebra broken\nelements 1 a b\none 1\n"
                      "arrow\n1 a b\n1 1 1\n1 1 1\n"
                      "squig\n1 a b\n1 1 1\n1 a 1\nend\n")
+# psBE1 fails at e1; {1, e1} is a deductive system whose Theta has [1] = {1}
+THETA_NOT_PSBE = ("algebra bad\nelements 1 e1 e2\none 1\n"
+                  "arrow\n1 e2 e2\ne2 e1 e2\ne1 e2 1\n"
+                  "squig\n1 e1 e2\ne2 e1 e2\n1 e2 e1\nend\n")
 
 
 def invoke(capsys, *argv):
@@ -294,6 +298,7 @@ EXIT_TWO = {
     "ds_closures_disagree": "ds {closures_disagree}",
     "gen_closures_disagree": "gen {closures_disagree} --set 1",
     "quotient_closures_disagree": "quotient {closures_disagree} --set 1",
+    "quotient_theta_not_psbe": "quotient {theta_not_psbe} --set 1,e1",
     "unknown_element": "gen {bc4} --set 1,q",
     "unknown_pair": "ds {bc4} --pair 9",
     "ds_non_monadic_pair": "ds {non_monadic} --pair 1",
@@ -315,6 +320,8 @@ EXIT_TWO = {
 # the exact stderr of some of them
 EXIT_TWO_MESSAGES = {
     "pair_breaks_congruence": "psbe: error: exists does not respect the congruence at (3, 2)\n",
+    "quotient_theta_not_psbe": "psbe: error: Theta_D needs a pseudo BE-algebra: [1]_Theta "
+                               "differs from D = {1, e1}; psBE1 fails at (e1)\n",
 }
 
 
@@ -322,7 +329,7 @@ def _exit_two_inputs(tmp_path):
     texts = {"parse_error": "algebra t\nelements 1 a\none 1\nbogus\nend\n",
              "bad_zero": fixture_path("bc4").read_text().replace("zero 0", "zero a"),
              "not_psbe": NOT_PSBE, "closures_disagree": CLOSURES_DISAGREE,
-             "non_monadic": NON_MONADIC_PAIR}
+             "theta_not_psbe": THETA_NOT_PSBE, "non_monadic": NON_MONADIC_PAIR}
     paths = {name: tmp_path / f"{name}.alg" for name in texts}
     for name, text in texts.items():
         paths[name].write_text(text)

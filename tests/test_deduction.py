@@ -145,6 +145,23 @@ def test_theta_from_ds_rejects_a_non_transitive_relation():
                                                    (2, 1, 3))
 
 
+# not a pseudo BE-algebra (psBE1 fails at e1, as e1 -> e1 = e1), on which
+# {1, e1} is a deductive system whose relation Theta has [1] = {1}
+THETA_NOT_PSBE = FiniteAlgebra("bad", ("1", "e1", "e2"), 0, ((0, 2, 2), (2, 1, 2), (1, 2, 0)),
+                               ((0, 1, 2), (2, 1, 2), (0, 2, 1)))
+
+
+def test_theta_from_ds_names_the_failing_axiom_off_pseudo_be_algebras():
+    alg = THETA_NOT_PSBE
+    d = generated_ds(alg, {0, 1})
+    assert d.members == {0, 1}
+    with pytest.raises(PreconditionUnmet) as err:
+        theta_from_ds(alg, d)
+    assert (str(err.value), err.value.witness) == (
+        "Theta_D needs a pseudo BE-algebra: [1]_Theta differs from D = {1, e1}; "
+        "psBE1 fails at (e1)", (1,))
+
+
 def test_congruence_count_psbe5(psbe5):
     assert len(enumerate_congruences(psbe5)) == 7
 

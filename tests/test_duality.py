@@ -1,6 +1,6 @@
 """Duality: swapping -> and ~> (`algebra.dual`) gives the dual algebra
-A^op, again a pseudo BE-algebra with the same order, and a check read on
-A^op is its dual (`classify.dual`) read on A.
+A^op, again a pseudo BE-algebra with the same order, and a formula read on
+A^op is its dual (`classify.opposite`) read on A.
 
 On the fixtures and every model with n <= 3 (`oracles/` does n = 4), each
 with its monadic pairs and its least element declared as zero, and on
@@ -11,19 +11,22 @@ BE-algebras, each with random pairs of maps (`one_order_tables`):
   hypothesis, has on (A, pair) the verdict that the law has on
   (A^op, pair): status, witness and instances; a pointwise law's does so
   with its hypothesis dropped too, where reading a missing table raises;
-- the laws whose check is written once with its dual (`both`) give the
-  same verdict on A and on A^op, with their hypotheses dropped;
+- the laws whose check is written once with its dual ("(both arrows)")
+  give the same verdict on A and on A^op, with their hypotheses dropped;
 - every flag has the same status on A and A^op, except that
   distributive_i and distributive_ii swap;
 - A and A^op have the same deductive systems, congruences and monadic
   pairs, in every mode;
-- the report of A^op has the swapped negations and cups, odot and oplus
+- the report of A^op has the swapped negations, odot and oplus
   transposed, and the same leq, meet and join.
 
-On random tables under every name a check reads, with no algebra behind
-them, a law's dual reads what the law reads on the tables with each dual
-pair of names swapped, and a check written once with its dual reads the
-same on both.  A generated half dropped from any law fails these tests.
+On random tables under every name a formula reads, with no algebra behind
+them, the dual of every formula of the package (catalog anchors and axiom
+groups alike) reads what the formula reads on the opposite tables: arrow
+and squig swapped, neg_minus and neg_sim swapped, odot and oplus
+transposed; a formula stated for both arrows reads the same on both, and
+a hand-edited second half of one does not.  Dualizing twice gives back
+the formula.
 """
 
 import random
@@ -33,10 +36,11 @@ from types import SimpleNamespace
 import pytest
 
 from psbe.algebra import dual as dual_algebra
-from psbe.classify import _PSBE, _PSMV, FLAG_NAMES, classify, dual, first_failure
+from psbe.classify import (_PSBCK, _PSBE, _PSH, _PSMV, FLAG_NAMES, ClassificationReport,
+                           classify, expression, first_failure, formula, opposite)
 from psbe.deduction import enumerate_congruences, enumerate_ds
 from psbe.laws import Ctx, _is_canonical, _models, catalog
-from psbe.quantifiers import _M1_M5, _MV, MonadicPair, enumerate_mop
+from psbe.quantifiers import _E, _M1_M5, _M6, _M7, _MV, _U, MonadicPair, enumerate_mop
 
 from conftest import FIXTURE_NAMES, labelled_models, load, model_algebra
 from test_law_pin import _outcome, _random_map, with_least_zero
@@ -89,9 +93,14 @@ def _one_order_inputs():
 ONE_ORDER = _one_order_inputs()
 
 
+def dual_check(text):
+    """The kernel expression of the dual of formula text."""
+    return expression(opposite(formula(text)[0]))
+
+
 def dual_law(law):
-    """law read on the dual: its check's dual, distributive_i and ii swapped."""
-    return law._replace(check=dual(law.check) if law.arity else law.check,
+    """law read on the dual: its anchor's dual, distributive_i and ii swapped."""
+    return law._replace(check=dual_check(law.anchor) if law.arity else law.check,
                         hypothesis=tuple(SWAP.get(name, name) for name in law.hypothesis))
 
 
@@ -106,14 +115,14 @@ def contexts(alg, pairs):
 def assert_laws_dual(alg, pairs):
     for law, ctx, ctx_op in contexts(alg, pairs):
         assert _outcome(dual_law(law), ctx) == _outcome(law, ctx_op), law.id
-        if law.arity:       # a global law's check is not a text that dual() reads
+        if law.arity:       # a global law's check is not a formula
             bare = law._replace(hypothesis=())
             assert _outcome(dual_law(bare), ctx) == _outcome(bare, ctx_op), (law.id, "bare")
 
 
 def assert_written_once_closed(alg, pairs):
     closed = set(WRITTEN_ONCE) | {law.id for law in catalog()
-                                  if law.arity and dual(law.check) == law.check}
+                                  if law.arity and dual_check(law.anchor) == law.check}
     for law, ctx, ctx_op in contexts(alg, pairs):
         if law.id in closed:
             bare = law._replace(hypothesis=())
@@ -138,7 +147,6 @@ def assert_tables_dual(alg):
     report, report_op = classify(alg)[0], classify(dual_algebra(alg))[0]
     transpose = lambda table: table and tuple(zip(*table))
     assert (report_op.neg_minus, report_op.neg_sim) == (report.neg_sim, report.neg_minus)
-    assert (report_op.cup1, report_op.cup2) == (report.cup2, report.cup1)
     assert report_op.odot == transpose(report.odot)
     assert report_op.oplus == transpose(report.oplus)
     for name in ("leq", "meet", "join"):
@@ -178,10 +186,32 @@ def test_duality_on_tables_with_one_order(alg, pairs):
     assert_tables_dual(alg)
 
 
+def package_formulas():
+    """Every formula of the package: the pointwise laws' anchors, the sides
+    of the P4 laws, the formula flags and every axiom group's formulas."""
+    texts = [law.anchor for law in catalog() if law.arity]
+    texts += [side for law in catalog() if law.id.startswith("P4.")
+              for side in law.anchor.replace(" (all x,y)", "").split(" iff ")]
+    texts += [text for flag in vars(ClassificationReport).values()
+              for text in getattr(flag, "formulas", ())]
+    groups = (_PSBE + _PSBCK + _PSH + _PSMV + _M1_M5 + (_M6, _M7) + _U + _E
+              + _MV["universal"] + _MV["existential"])
+    texts += [text for group in groups if type(group[0]) is not int for _, text in group]
+    return texts
+
+
+FORMULAS = list(dict.fromkeys(package_formulas()))     # a text some share once
+
+
+def test_the_formulas_cover_the_catalog_flags_and_axioms():
+    # 66 anchors, 6 P4 sides, 8 flags and poset's 2, 57 axioms (not psBCK6)
+    assert len(package_formulas()) == 66 + 6 + 10 + 57
+
+
 def test_dual_is_an_involution():
-    for law in catalog():
-        if law.arity:
-            assert dual(dual(law.check)) == law.check, law.id
+    for text in FORMULAS:
+        tree = formula(text)[0]
+        assert opposite(opposite(tree)) == tree, text
     alg = load("psbe5")
     op = dual_algebra(alg)
     assert (op.arrow, op.squig) == (alg.squig, alg.arrow)
@@ -190,62 +220,68 @@ def test_dual_is_an_involution():
     assert dual_algebra(op) == alg
 
 
-def test_dual_renames_tables_only():
-    assert dual("a[x][s[y][z]] == s[y][a[x][z]]") == "s[x][a[y][z]] == a[y][s[x][z]]"
-    assert (dual("leq[od[x][nm[y]]][op_t[E[x]][one]] and cup1[x][y] == zero")
-            == "leq[od_t[x][ns[y]]][op[E[x]][one]] and cup2[x][y] == zero")
-    assert dual("arrow[x][x] == one and len({neg_sim[x]}) == 1") == (
-        "squig[x][x] == one and len({neg_minus[x]}) == 1")
-
-
-# the table names that duality swaps, pairwise; od_t and op_t are od and op transposed
-DUAL_NAMES = (("a", "s"), ("arrow", "squig"), ("nm", "ns"), ("neg_minus", "neg_sim"),
-              ("od", "od_t"), ("op", "op_t"))
-
-
 def random_tables(rng, n):
-    """Random tables on n elements under every name a check reads."""
+    """Random tables on n elements under every name a formula reads."""
     table = lambda: tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n))
     unary = lambda: tuple(rng.randrange(n) for _ in range(n))
-    t = SimpleNamespace(one=0, zero=n - 1, meet=table(), join=table(), od=table(), op=table(),
-                        leq=tuple(tuple(rng.random() < 0.8 for _ in range(n)) for _ in range(n)),
-                        E=unary(), F=unary(), f=unary())
-    t.od_t, t.op_t = tuple(zip(*t.od)), tuple(zip(*t.op))
-    for name, twin in DUAL_NAMES[:4]:
-        setattr(t, name, table() if name in ("a", "arrow") else unary())
-        setattr(t, twin, table() if name in ("a", "arrow") else unary())
-    return t
+    return SimpleNamespace(one=0, zero=n - 1, arrow=table(), squig=table(), odot=table(),
+                           oplus=table(), meet=table(), join=table(), neg_minus=unary(),
+                           neg_sim=unary(), E=unary(), F=unary(),
+                           leq=tuple(tuple(rng.random() < 0.8 for _ in range(n))
+                                     for _ in range(n)))
 
 
-def renamed(t):
-    """t's tables, each pair of DUAL_NAMES swapped: what the dual reads."""
-    return SimpleNamespace(**{**vars(t), **{name: getattr(t, twin) for pair in DUAL_NAMES
-                                            for name, twin in (pair, pair[::-1])}})
+def opposite_tables(t):
+    """t as the dual reads it: arrow and squig swapped, neg_minus and
+    neg_sim swapped, odot and oplus transposed."""
+    return SimpleNamespace(**{**vars(t), "arrow": t.squig, "squig": t.arrow,
+                              "neg_minus": t.neg_sim, "neg_sim": t.neg_minus,
+                              "odot": tuple(zip(*t.odot)), "oplus": tuple(zip(*t.oplus))})
 
 
-# outside the catalog, the (arity, check) written as both(X)
-BOTH = ([(arity, expr) for arity, checks in _PSBE + _PSMV for name, expr in checks
-         if name in ("psBE1", "psBE2", "psBE3", "psMV4")]
-        + [(1, _MV[kind][2][1][0][1]) for kind in ("universal", "existential")])
+TABLES = [(n, t, opposite_tables(t)) for seed in range(40) for n in [2 + seed % 3]
+          for t in [random_tables(random.Random(seed), n)]]
+
+
+def scan(n, arity, expr, tables):
+    return first_failure(n, arity, (("", expr),), tables)
+
+
+def reads_the_same_on_both(arity, expr):
+    """Whether expr reads the same on every random t and its opposite."""
+    return all(scan(n, arity, expr, t) == scan(n, arity, expr, t_op) for n, t, t_op in TABLES)
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_checks_read_on_renamed_tables(seed):
-    # a pointwise law's dual reads on t what the law reads on the renamed
-    # tables; a check written once with its dual reads the same on both
-    n = 2 + seed % 3
-    t = random_tables(random.Random(seed), n)
-    t_op = renamed(t)
-    scan = lambda arity, expr, tables: first_failure(n, arity, (("", expr),), tables)
-    for law in catalog():
-        if law.arity:
-            assert scan(law.arity, dual(law.check), t) == scan(law.arity, law.check, t_op), law.id
-            if law.id in WRITTEN_ONCE:
-                assert scan(law.arity, law.check, t) == scan(law.arity, law.check, t_op), law.id
-    for arity, expr in BOTH:
-        assert scan(arity, expr, t) == scan(arity, expr, t_op), expr
-    for arity, ((name, arrow), (_, squig)) in _M1_M5[:4]:      # M1-M4: squig is arrow's dual
-        assert scan(arity, squig, t) == scan(arity, arrow, t_op), name
+    # each formula's dual reads on t what the formula reads on the opposite
+    # tables; a formula stated for both arrows reads the same on both
+    n, t, t_op = TABLES[seed]
+    for text in FORMULAS:
+        tree, arity = formula(text)[:2]
+        expr = expression(tree)
+        assert scan(n, arity, dual_check(text), t) == scan(n, arity, expr, t_op), text
+        if text.endswith("(both arrows)"):
+            assert scan(n, arity, expr, t) == scan(n, arity, expr, t_op), text
+
+
+def test_the_dual_swaps_arrows_negations_and_the_operands_of_products():
+    assert dual_check("x -> (y ~> z) = y ~> (x -> z)") == (
+        "squig[x][arrow[y][z]] == arrow[y][squig[x][z]]")
+    assert dual_check("(x -> y)*x <= x-") == "leq[odot[x][squig[x][y]]][neg_sim[x]]"
+    assert dual_check("x (+) y~ = E(x*y)") == "oplus[neg_minus[y]][x] == E[odot[y][x]]"
+    assert dual_check("(x ^ y) v 1- <= F0") == "leq[join[meet[x][y]][neg_sim[one]]][F[zero]]"
+
+
+def test_a_hand_edited_half_of_a_both_arrows_formula_is_caught():
+    # the ~> half of PP.residual_le with its arrows swapped but the
+    # product's operands kept: x*(x ~> y) is what the dual reads
+    law = next(law for law in catalog() if law.id == "PP.residual_le")
+    _, arrow_half, squig_half = formula(law.anchor)[0]
+    edited = formula("(x ~> y)*x <= x and (x ~> y)*x <= y")[0]
+    assert squig_half != edited
+    assert reads_the_same_on_both(law.arity, law.check)
+    assert not reads_the_same_on_both(law.arity, expression(("and", arrow_half, edited)))
 
 
 def relabellings(n, arrow, squig):

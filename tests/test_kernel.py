@@ -12,7 +12,9 @@ law at a time on a fresh context, each law is scanned alone by
 `first_failure`, and every verdict must be the same.
 """
 
+import contextlib
 import importlib
+import io
 import os
 import subprocess
 import sys
@@ -22,13 +24,15 @@ from pathlib import Path
 import pytest
 
 from psbe.algebra import UnaryMap
-from psbe.classify import (InvariantViolated, Verdict, classify, first_failure, first_failure_of,
-                           first_failures)
+from psbe.classify import (InvariantViolated, Verdict, classify, expression, first_failure,
+                           first_failure_of, first_failures)
+from psbe.cli import run
 from psbe.laws import Ctx, _models, catalog, evaluate_law, verify_suite
-from psbe.quantifiers import MonadicPair, check_monadic, declared_pairs, enumerate_mop
+from psbe.quantifiers import (MonadicPair, build_from_sigma, build_from_tau, check_monadic,
+                              check_mv_quantifier, declared_pairs, enumerate_mop)
 
-from conftest import (FIXTURE_NAMES, assert_generated_ds_matches_references, load,
-                      model_algebra, predicate, reference_first_failure,
+from conftest import (FIXTURE_NAMES, assert_generated_ds_matches_references, fixture_path,
+                      load, model_algebra, predicate, reference_first_failure,
                       reference_first_failure_of, times_c2)
 from test_law_pin import with_least_zero
 from test_quantifiers import MODES, times_c2_pair
@@ -206,7 +210,7 @@ def test_witness_and_instances_follow_the_order_contract():
     assert first_failure(2, 3, checks, TABLES) == ("first", (0, 1, 0), 3)
     assert first_failure(2, 1, (("unit", "x < 1"),), TABLES) == ("unit", (1,), 2)
     assert first_failure(2, 0, (("none", "one == 1"),), TABLES) == ("none", (), 1)
-    assert first_failure(2, 2, (("fine", "len({a[x][y], one}) >= 1"),), TABLES) is None
+    assert first_failure(2, 2, (("fine", "{a[x][y], one} <= {0, 1}"),), TABLES) is None
 
 
 def test_first_failures_is_first_failure_per_expression():
@@ -239,8 +243,9 @@ def test_a_scan_is_compiled_once_per_text():
 
 @pytest.mark.parametrize("expr", [
     "a.count(x) == 1",                      # attribute access
-    "abs(x) == one",                        # a call other than len
+    "abs(x) == one",                        # calls
     "max(a[x]) == one",
+    "len(a) == 2",
     "len(lambda: 0) == 0",                  # a lambda
     "len([v for v in a]) == 2",             # comprehensions
     "len({v for v in a}) == 2",
@@ -282,6 +287,40 @@ def test_no_scan_is_compiled_at_import_or_by_the_catalog():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}, check=True).stdout
     assert out.split() == ["0", "False"]
+
+
+# the scans that are not formulas: psBCK6 compares elements, and the three L6
+# laws and P6.commutative_exists_cong read a congruence's classes
+NOT_FORMULAS = {
+    "y >= x or arrow[y][x] != one or arrow[x][y] != one",
+    "(arrow[x][y] in one_cls) == (squig[x][y] in one_cls)",
+    "cls[x] != cls[y] or {arrow[x][y], arrow[y][x], squig[x][y], squig[y][x]} <= one_cls",
+    "not (arrow[x][y] in one_cls and arrow[y][x] in one_cls) or cls[x] == cls[y]",
+    "cls[x] != cls[y] or cls[E[x]] == cls[E[y]]",
+}
+
+
+def test_every_scan_is_a_compiled_formula(monkeypatch):
+    scanned, scan = set(), classify_module._scan
+
+    def spy(arity, checks, fused=False):
+        scanned.update(checks if fused else [expr for _, expr in checks])
+        return scan(arity, checks, fused)
+    monkeypatch.setattr(classify_module, "_SCANS", {})      # so that every group is scanned anew
+    monkeypatch.setattr(classify_module, "_scan", spy)
+    for name in FIXTURE_NAMES:
+        for argv in (["check"], *(["mop", "--mode", mode] for mode in MODES), ["ds"], ["verify"]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+                run([argv[0], str(fixture_path(name)), *argv[1:], "--text"])
+    bc4 = load("bc4")
+    for pair in enumerate_mop(bc4):
+        build_from_tau(bc4, pair.forall)
+        build_from_sigma(bc4, pair.exists)
+        for kind, m in (("universal", pair.forall), ("existential", pair.exists)):
+            check_mv_quantifier(bc4, m, kind)
+    formulas = {expression(tree) for tree, *_ in classify_module._FORMULAS.values()}
+    assert scanned - formulas == NOT_FORMULAS
 
 
 # ------------------------- generated_ds, read off the kept list of systems

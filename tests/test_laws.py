@@ -4,7 +4,7 @@ import time
 import pytest
 
 from psbe.algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap
-from psbe.classify import InvariantViolated, both
+from psbe.classify import InvariantViolated, expression, formula, opposite
 from psbe.laws import (FAILS, HOLDS, NOT_APPLICABLE, Ctx, catalog,
                        catalog_json, evaluate_law, pointwise_law, verify_suite)
 from psbe.quantifiers import MonadicPair, enumerate_mop
@@ -176,21 +176,21 @@ compiled = lambda anchor, hypothesis=(): pointwise_law("t", anchor, hypothesis).
 
 @pytest.mark.parametrize("anchor, check", [
     # postfix negations bind before E and F, which bind before *
-    ("Ex- = x", "E[nm[x]] == x"),
-    ("(Ex)~ = x", "ns[E[x]] == x"),
-    ("x-~- = x~", "nm[ns[nm[x]]] == ns[x]"),
-    ("FEx*y = x", "od[F[E[x]]][y] == x"),
+    ("Ex- = x", "E[neg_minus[x]] == x"),
+    ("(Ex)~ = x", "neg_sim[E[x]] == x"),
+    ("x-~- = x~", "neg_minus[neg_sim[neg_minus[x]]] == neg_sim[x]"),
+    ("FEx*y = x", "odot[F[E[x]]][y] == x"),
     # then *, (+), ^ and v, -> and ~>, each looser than the one before
-    ("x*y (+) z = x", "op[od[x][y]][z] == x"),
-    ("x (+) y*z = x", "op[x][od[y][z]] == x"),
-    ("x (+) y ^ z = x", "meet[op[x][y]][z] == x"),
-    ("x v y (+) z = x", "join[x][op[y][z]] == x"),
-    ("x ^ y -> z = x ~> y*z", "a[meet[x][y]][z] == s[x][od[y][z]]"),
+    ("x*y (+) z = x", "oplus[odot[x][y]][z] == x"),
+    ("x (+) y*z = x", "oplus[x][odot[y][z]] == x"),
+    ("x (+) y ^ z = x", "meet[oplus[x][y]][z] == x"),
+    ("x v y (+) z = x", "join[x][oplus[y][z]] == x"),
+    ("x ^ y -> z = x ~> y*z", "arrow[meet[x][y]][z] == squig[x][odot[y][z]]"),
     # one operator repeats from the left
-    ("x*y*z = x", "od[od[x][y]][z] == x"),
+    ("x*y*z = x", "odot[odot[x][y]][z] == x"),
     ("xvyvz = x", "join[join[x][y]][z] == x"),
     # then the relations, <= once and = as a chain
-    ("x -> y <= z", "leq[a[x][y]][z]"),
+    ("x -> y <= z", "leq[arrow[x][y]][z]"),
     ("x = y = 1 = 0", "x == y == one == zero"),
     # then and, then implies and iff
     ("x <= y and y <= z and z = 1", "leq[x][y] and leq[y][z] and z == one"),
@@ -209,7 +209,16 @@ def test_anchor_grammar_and_precedence(anchor, check):
     "Ex <= y iff x <= Fy",
 ])
 def test_both_arrows_is_both(anchor):
-    assert compiled(anchor + " (both arrows)") == both(compiled(anchor))
+    tree = formula(anchor)[0]
+    assert compiled(anchor + " (dual)") == expression(opposite(tree))
+    assert compiled(anchor + " (both arrows)") == (
+        f"{expression(tree)} and {expression(opposite(tree))}")
+
+
+def test_an_axiom_on_constants_has_arity_0():
+    tree, arity, uses_pair, under = formula("1- = 0 (both arrows)")
+    assert (expression(tree), arity, uses_pair, under) == (
+        "neg_minus[one] == zero and neg_sim[one] == zero", 0, False, None)
 
 
 def test_under_adds_its_condition_to_the_hypothesis():

@@ -20,7 +20,7 @@ from psbe.laws import Ctx, catalog, evaluate_law, verify_suite
 from psbe.quantifiers import (MonadicPair, build_from_sigma, build_from_tau,
                               check_monadic, check_mv_quantifier, enumerate_mop, is_monadic)
 
-from conftest import FIXTURE_NAMES, TABLE_NAMES, load
+from conftest import FIXTURE_NAMES, TABLE_NAMES, cups, load
 
 DIGEST = "22cb5240388928f1daaae976c55b48d0f89eab2219239dc8b3c3f8d1ecc8c0cf"
 RESIDUATED = next(law for law in catalog() if law.id == "P3.residuated_T")
@@ -115,7 +115,7 @@ def _classified(alg):
     report, _ = classify(alg)
     return [alg.arrow, alg.squig, check_pseudo_be(alg).to_json(alg),
             check_pseudo_bck(alg).to_json(alg), report.to_json(alg),
-            {name: getattr(report, name) for name in TABLE_NAMES}]
+            {name: getattr(report, name) for name in TABLE_NAMES} | cups(alg)]
 
 
 def _nudged_mv(rng, alg, report):
