@@ -304,14 +304,14 @@ def check_mv_quantifier(alg: FiniteAlgebra, m: UnaryMap, kind: str) -> Verdict:
     report, _ = classify(alg)
     if kind not in ("universal", "existential"):
         raise PreconditionUnmet("kind must be 'universal' or 'existential'")
-    lat = "meet" if kind == "universal" else "join"
-    missing = report.unmet(("bounded", "commutative", "odot", "oplus", lat))
+    lattice, quantifier = ("meet", "F") if kind == "universal" else ("join", "E")
+    missing = report.unmet(("bounded", "commutative", "odot", "oplus", lattice))
     if missing is not None:
         raise PreconditionUnmet("MV quantifier axioms need a bounded commutative algebra with "
-                                f"its odot, oplus and {lat} tables: {missing} is not met")
+                                f"its odot, oplus and {lattice} tables: {missing} is not met")
     tables = SimpleNamespace(**{t: getattr(report, t) for t in (
-        "arrow", "one", "neg_minus", "neg_sim", "odot", "oplus", lat)},
-        **{"F" if kind == "universal" else "E": m.images})
+        "arrow", "one", "neg_minus", "neg_sim", "odot", "oplus", lattice)},
+        **{quantifier: m.images})
     return Verdict.of(first_failure_of(alg.size, axioms(_MV[kind]), tables), f"mv_{kind}")
 
 
