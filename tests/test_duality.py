@@ -255,7 +255,8 @@ def reads_the_same_on_both(arity, expr):
 @pytest.mark.parametrize("seed", range(40))
 def test_checks_read_on_renamed_tables(seed):
     # each formula's dual reads on t what the formula reads on the opposite
-    # tables; a formula stated for both arrows reads the same on both
+    # tables; a formula stated for both arrows, and a law written once with
+    # its dual, reads the same on both
     n, t, t_op = TABLES[seed]
     for text in FORMULAS:
         tree, arity = formula(text)[:2]
@@ -263,6 +264,9 @@ def test_checks_read_on_renamed_tables(seed):
         assert scan(n, arity, dual_check(text), t) == scan(n, arity, expr, t_op), text
         if text.endswith("(both arrows)"):
             assert scan(n, arity, expr, t) == scan(n, arity, expr, t_op), text
+    for law in catalog():
+        if law.id in WRITTEN_ONCE:
+            assert scan(n, law.arity, law.check, t) == scan(n, law.arity, law.check, t_op), law.id
 
 
 def test_the_dual_swaps_arrows_negations_and_the_operands_of_products():
