@@ -64,6 +64,9 @@ class Verdict(NamedTuple):
     law_id = property(lambda self: self.name)       # perfbench reads these two
     pair_name = property(lambda self: self.pair)
 
+    def failed_at(self, alg: FiniteAlgebra) -> str:     # "psBE2 fails at (a)", for messages
+        return f"{self.name} fails at ({', '.join(alg.element_names[x] for x in self.witness)})"
+
     holds = staticmethod(lambda name: Verdict(name, HOLDS))
     fails = staticmethod(lambda name, witness: Verdict(name, FAILS, witness))
     na = staticmethod(lambda name: Verdict(name, NOT_APPLICABLE))
@@ -321,6 +324,16 @@ def check_pseudo_be(alg: FiniteAlgebra) -> Verdict:
     """psBE1-psBE5 over all tuples; first violated axiom wins.  Kept per
     algebra object (`FiniteAlgebra.kept`)."""
     return alg.kept("pseudo_be", _scan_pseudo_be)
+
+
+def theorem_fails(alg: FiniteAlgebra, needs: str, where: str):
+    """A theorem of pseudo BE-algebras fails on alg, as `where` says: InvariantViolated
+    when alg is one, else PreconditionUnmet naming the axiom that fails."""
+    verdict = check_pseudo_be(alg)
+    if verdict.status == HOLDS:
+        raise InvariantViolated(f"{where} in a pseudo BE-algebra")
+    raise PreconditionUnmet(f"{needs} a pseudo BE-algebra: {where}; {verdict.failed_at(alg)}",
+                            verdict.witness)
 
 
 _PSBE = (

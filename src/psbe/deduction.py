@@ -16,11 +16,12 @@ from typing import NamedTuple
 
 from .algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap
 from .classify import (HOLDS, ClassificationReport, InvariantViolated, Verdict,
-                       check_pseudo_be, check_pseudo_bck, classify, closed_sets)
+                       check_pseudo_bck, classify, closed_sets, theorem_fails)
 from .quantifiers import MonadicPair, check_monadic, require_monadic
 
 # perfbench/workloads.py catches this name, and perfbench changes only on its own
 NotACongruence = PreconditionUnmet
+_braces = lambda alg, xs: "{" + ", ".join(alg.element_names[x] for x in sorted(xs)) + "}"
 
 
 def _unmet(reason: str, witness: tuple[int, ...]) -> PreconditionUnmet:
@@ -51,18 +52,6 @@ def _is_normal(alg: FiniteAlgebra, members: frozenset) -> bool:
     return True
 
 
-def _theorem_fails(alg: FiniteAlgebra, needs: str, where: str, members):
-    """A theorem of pseudo BE-algebras fails on alg: InvariantViolated when
-    alg is one, else PreconditionUnmet naming the axiom that fails."""
-    tokens = lambda xs: ", ".join(alg.element_names[x] for x in xs)
-    where = f"{where} {{{tokens(sorted(members))}}}"
-    verdict = check_pseudo_be(alg)
-    if verdict.status == HOLDS:
-        raise InvariantViolated(f"{where} of a pseudo BE-algebra")
-    raise PreconditionUnmet(f"{needs} a pseudo BE-algebra: {where}; {verdict.name} fails at "
-                            f"({tokens(verdict.witness)})", verdict.witness)
-
-
 def enumerate_ds(alg: FiniteAlgebra) -> list[DeductiveSystem]:
     """All deductive systems, ascending by size then lexicographically.
 
@@ -90,9 +79,9 @@ def _enumerate_ds(alg: FiniteAlgebra) -> list[DeductiveSystem]:
     # x -> y to y; symmetrically for ~>.
     by_arrow, by_squig = family(alg.arrow), family(alg.squig)
     if by_arrow != by_squig:
-        _theorem_fails(alg, "deductive systems need", "arrow and squig closures disagree on",
-                       min(by_arrow ^ by_squig, key=lambda members: sum(
-                           1 << (x - (x > one)) for x in members if x != one)))
+        theorem_fails(alg, "deductive systems need", "arrow and squig closures disagree on "
+                      + _braces(alg, min(by_arrow ^ by_squig, key=lambda members: sum(
+                          1 << (x - (x > one)) for x in members if x != one))))
     return sorted((DeductiveSystem(m, _is_normal(alg, m)) for m in by_arrow),
                   key=DeductiveSystem.sort_key)
 
@@ -336,7 +325,7 @@ def theta_from_ds(alg: FiniteAlgebra, ds: DeductiveSystem) -> Congruence:
     if bad is not None:
         raise _unmet("relation not compatible with the operations", bad)
     if cong.one_class(alg) != d:      # [1]_Theta = D by psBE2 and psBE3
-        _theorem_fails(alg, "Theta_D needs", "[1]_Theta differs from D =", d)
+        theorem_fails(alg, "Theta_D needs", f"[1]_Theta differs from D = {_braces(alg, d)}")
     return cong
 
 

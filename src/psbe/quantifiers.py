@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap
 from .classify import (HOLDS, InvariantViolated, Verdict, axioms, backtrack, classify,
-                       closed_sets, first_failure_of)
+                       closed_sets, first_failure_of, theorem_fails)
 
 PLAIN = "plain"
 BOUNDED_COMMUTATIVE = "bc"
@@ -79,8 +79,7 @@ def require_monadic(alg: FiniteAlgebra, pair: MonadicPair, what: str) -> Monadic
     verdict = check_monadic(alg, pair)
     if verdict.status != HOLDS:
         raise PreconditionUnmet(
-            f"{what} needs a monadic pair: {verdict.name} fails at "
-            f"({', '.join(alg.element_names[x] for x in verdict.witness)})", verdict.witness)
+            f"{what} needs a monadic pair: {verdict.failed_at(alg)}", verdict.witness)
     return pair
 
 
@@ -228,8 +227,8 @@ def _build(alg, m, from_forall: bool) -> MonadicPair:
         mode = PLAIN
     verdict = check_monadic(alg, pair, mode)
     if verdict.status != HOLDS:
-        raise InvariantViolated(f"{what} produced a non-monadic pair: "
-                                f"{verdict.name} fails at {verdict.witness}")
+        theorem_fails(alg, "the construction needs",
+                      f"{what} built a non-monadic pair, {verdict.failed_at(alg)}")
     return pair
 
 

@@ -7,9 +7,8 @@ import pytest
 import psbe
 from psbe.algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap, load_algebra
 from psbe.classify import (HOLDS, Verdict, check_pseudo_be, check_pseudo_bck, classify,
-                           pseudo_product_table)
-from psbe.deduction import (DeductiveSystem, _is_normal, _theorem_fails,
-                            generated_ds)
+                           pseudo_product_table, theorem_fails)
+from psbe.deduction import DeductiveSystem, _braces, _is_normal, generated_ds
 from psbe.laws import (SearchResult, _is_canonical, _law_counterexample,
                        candidate_count, catalog, free_cells)
 from psbe.quantifiers import PLAIN, MonadicPair, check_monadic
@@ -415,8 +414,8 @@ def scan_ds(alg):
         arrow_closed = _mp_closed(alg, members, alg.arrow)
         squig_closed = _mp_closed(alg, members, alg.squig)
         if arrow_closed != squig_closed:
-            _theorem_fails(alg, "deductive systems need",
-                           "arrow and squig closures disagree on", members)
+            theorem_fails(alg, "deductive systems need",
+                          "arrow and squig closures disagree on " + _braces(alg, members))
         if arrow_closed:
             out.append(DeductiveSystem(members, _is_normal(alg, members)))
     out.sort(key=DeductiveSystem.sort_key)

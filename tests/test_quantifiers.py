@@ -276,6 +276,20 @@ def test_build_from_tau_bc4(bc4):
     assert ident.exists.is_identity() and ident.forall.is_identity()
 
 
+def test_a_non_monadic_build_on_a_non_psbe_algebra_names_the_failing_axiom():
+    # bounded and good, so the builder's own preconditions pass, but a ~> 1 = a:
+    # the construction theorem assumes a pseudo BE-algebra, so this is the
+    # input's fault, not a bug (InvariantViolated)
+    bad = FiniteAlgebra("bad", ("1", "a"), 0, ((0, 0), (0, 0)), ((0, 0), (1, 0)))
+    for tau in ((0, 0), (0, 1)):
+        with pytest.raises(PreconditionUnmet) as exc:
+            build_from_tau(bad, UnaryMap(tau))
+        assert str(exc.value) == (
+            "the construction needs a pseudo BE-algebra: build_from_tau built a non-monadic "
+            "pair, M1(squig) fails at (a); psBE2 fails at (a)")
+        assert exc.value.witness == (1,)
+
+
 def test_dual_roundtrip(bc4, inv6):
     # INV.dual_formulas: Ex = (F(x-))~ = (F(x~))- and Fx = (E(x-))~ = (E(x~))-
     law = next(l for l in catalog() if l.id == "INV.dual_formulas")
