@@ -19,9 +19,7 @@ from . import __version__
 from .algebra import (FiniteAlgebra, ParseError, PreconditionUnmet, load_algebra,
                       serialize_algebra)
 from .classify import HOLDS, classify
-from .quantifiers import declared_pairs, enumerate_mop, pair_from_unary_blocks, require_monadic
-from . import deduction as ded
-from . import laws as lawmod
+from . import deduction as ded, laws as lawmod, quantifiers as q
 
 EXIT_OK = 0
 EXIT_FAILURE_FOUND = 1
@@ -60,9 +58,7 @@ def _load_psbe(path, command: str) -> FiniteAlgebra:
     verdict = classify(alg)[0]["pseudo_be"]
     if verdict.status != HOLDS:
         raise PreconditionUnmet(
-            f"{command} needs a pseudo BE-algebra: {verdict.name} fails at "
-            f"({', '.join(alg.element_names[x] for x in verdict.witness)})",
-            verdict.witness)
+            f"{command} needs a pseudo BE-algebra: {verdict.failed_at(alg)}", verdict.witness)
     return alg
 
 
@@ -71,8 +67,8 @@ def _monadic_pair(alg, command: str, label: str, pair=None):
     PreconditionUnmet (exit 2) unless it is monadic.  A given pair was not
     named by --pair, so the message names its label."""
     if pair is None:
-        return require_monadic(alg, pair_from_unary_blocks(alg, label), command)
-    return require_monadic(alg, pair, f"{command} (declared pair {label!r})")
+        return q.require_monadic(alg, q.pair_from_unary_blocks(alg, label), command)
+    return q.require_monadic(alg, pair, f"{command} (declared pair {label!r})")
 
 
 def _parse_set(alg, spec: str) -> frozenset:
@@ -103,7 +99,7 @@ def _cmd_check(args):
 
 def _cmd_mop(args):
     alg = _load_psbe(args.algebra, "mop")
-    pairs = enumerate_mop(alg, mode=args.mode)
+    pairs = q.enumerate_mop(alg, mode=args.mode)
     payload = {
         "algebra": alg.name,
         "mode": args.mode,
@@ -182,9 +178,9 @@ def _cmd_quotient(args):
 
 def _cmd_verify(args):
     alg = _load_psbe(args.algebra, "verify")
-    pairs = [_monadic_pair(alg, "verify", label, p) for label, p in declared_pairs(alg)]
+    pairs = [_monadic_pair(alg, "verify", label, p) for label, p in q.declared_pairs(alg)]
     if not pairs:
-        pairs = enumerate_mop(alg)
+        pairs = q.enumerate_mop(alg)
     law_ids = args.law.split(",") if args.law else None
     verdicts = lawmod.verify_suite(alg, pairs, law_ids=law_ids)
     failures = [v for v in verdicts if v.status == lawmod.FAILS]

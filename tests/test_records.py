@@ -7,6 +7,7 @@ validates with fixed messages, and `_replace` gives a changed copy that
 is validated too.  `SearchResult` alone is mutable.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -20,7 +21,7 @@ from psbe.deduction import Congruence, DeductiveSystem, QuotientAlgebra
 from psbe.laws import Law, SearchResult, SearchSpec
 from psbe.quantifiers import CompositionResult, MonadicPair
 
-from conftest import VERDICT_BOOL
+from conftest import VERDICT_BOOL, fixture_path
 
 T = ((0, 1), (0, 0))           # -> and ~> of the 2-element chain 1 > e
 E, F = UnaryMap((0, 1)), UnaryMap((0, 0))
@@ -154,14 +155,81 @@ def test_record_protocols():
     assert Verdict("x", HOLDS).witness is None
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # a fresh interpreter, so that this process's imports do not count;
-    # the difference leaves out what site loaded before the import
+# the modules each subcommand runs on bc4; every other psbe module stays
+# unexecuted in sys.modules (psbe/__init__.py loads it lazily)
+RUNS = {"check": {"psbe.algebra", "psbe.classify", "psbe.cli"}}
+RUNS["mop"] = RUNS["check"] | {"psbe.quantifiers"}
+RUNS["ds"] = RUNS["mop"] | {"psbe.deduction"}
+RUNS["verify"] = RUNS["ds"] | {"psbe.laws"}
+
+# a fresh interpreter, so that this process's imports do not count; it
+# prints the modules imported after site, those of psbe that have run (a
+# lazily loaded module is of a ModuleType subclass until then) and, after
+# psbe.cli.run(ARGV) when ARGV is not empty, those that have run then
+FRESH = """
+import contextlib, io, json, sys, types
+before = set(sys.modules)
+sys.path.insert(0, {src!r})
+import psbe.cli
+ran = lambda: sorted(n for n, m in sys.modules.items()
+                     if n.startswith("psbe.") and type(m) is types.ModuleType)
+out = {{"imported": sorted(set(sys.modules) - before), "ran": ran()}}
+if {argv!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        out["code"] = psbe.cli.run({argv!r})
+    out["ran_after"] = ran()
+print(json.dumps(out))
+"""
+
+
+def fresh(argv=()):
     src = Path(psbe.__file__).resolve().parents[1]
-    code = ("import sys; before = set(sys.modules); "
-            f"sys.path.insert(0, {str(src)!r}); import psbe.cli; "
-            "print(' '.join(sorted(set(sys.modules) - before)))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True).stdout.split()
-    assert "psbe.cli" in out
-    assert "dataclasses" not in out and "inspect" not in out
+    code = FRESH.format(src=str(src), argv=list(argv))
+    return json.loads(subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                     text=True, check=True).stdout)
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    out = fresh()
+    assert "psbe.cli" in out["imported"]
+    assert "dataclasses" not in out["imported"] and "inspect" not in out["imported"]
+    # every submodule is in sys.modules, where perfbench's tracer finds it,
+    # but only those the CLI needs to start have run
+    assert {"psbe.algebra", "psbe.classify", "psbe.quantifiers", "psbe.deduction",
+            "psbe.laws"} <= set(out["imported"])
+    assert set(out["ran"]) == RUNS["check"]
+
+
+@pytest.mark.parametrize("command", RUNS)
+def test_a_subcommand_runs_only_the_modules_it_calls(command):
+    out = fresh([command, str(fixture_path("bc4"))])
+    assert out["code"] == 0
+    assert set(out["ran_after"]) == RUNS[command]
+
+
+EXPORTS = {
+    "quantifiers": ("MonadicPair", "build_from_sigma", "build_from_tau", "check_monadic",
+                    "compose_pairs", "enumerate_mop", "fixed_set"),
+    "deduction": ("Congruence", "DeductiveSystem", "correspondence_report",
+                  "enumerate_congruences", "enumerate_ds", "generated_ds", "quotient",
+                  "theta_from_ds"),
+    "laws": ("SearchSpec", "catalog", "search_counterexample", "verify_suite"),
+}
+
+
+def test_the_package_reexports_the_submodules_objects_without_storing_them():
+    from psbe import (Congruence, DeductiveSystem, MonadicPair, SearchSpec, build_from_sigma,
+                      build_from_tau, catalog, check_monadic, compose_pairs,
+                      correspondence_report, enumerate_congruences, enumerate_ds,
+                      enumerate_mop, fixed_set, generated_ds, quotient,
+                      search_counterexample, theta_from_ds, verify_suite)
+    imported = locals()
+    assert sum(map(len, EXPORTS.values())) == len(imported) == 19
+    for module, names in EXPORTS.items():
+        for name in names:
+            owner = getattr(sys.modules[f"psbe.{module}"], name)
+            assert getattr(psbe, name) is owner and imported[name] is owner
+            assert name not in vars(psbe)
+    assert psbe.quantifiers is sys.modules["psbe.quantifiers"]
+    with pytest.raises(AttributeError, match="module 'psbe' has no attribute 'nope'"):
+        psbe.nope
