@@ -14,7 +14,10 @@ pairs listed in under 0.5 s together.  The monadic pairs of bc4×bc4 and
 psbe5×psbe4 are pinned by count and by the sha256 of their list, both
 recorded while `enumerate_mop` still re-checked each pair with
 `check_monadic`, and every pair of both passes `check_monadic` (about
-0.6 s):
+0.6 s).  The classification of bc4×bc4 and inv6×inv6, pseudo-product,
+meet and join tables included, is compared with the eager one-pass
+classification, whose tables scan candidate lists cell by cell (about
+0.6 s together), and their pair counts in each mode are pinned:
 
     PYTHONPATH=src python -m pytest oracles
 """
@@ -29,6 +32,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from conftest import direct_product, load, scan_ds, times_c2
+from test_classify import assert_matches_eager
 from test_deduction import unionfind_congruences
 from test_quantifiers import cross_product_mop, times_c2_pair
 
@@ -46,6 +50,11 @@ def test_product_congruences_match_unionfind(left, right, count):
     assert congs == unionfind_congruences(alg)
     assert len(congs) == count
     assert all(is_compatible(alg, c) is None for c in congs)
+
+
+@pytest.mark.parametrize("left, right", [("bc4", "bc4"), ("inv6", "inv6")])
+def test_product_classification_matches_eager(left, right):
+    assert_matches_eager(direct_product(load(left), load(right)))
 
 
 @pytest.mark.parametrize("left, right, count", [("bc4", "bc4", 16),
@@ -82,6 +91,13 @@ PRODUCT_MOP = {
          (0, 11, 11, 11, 11, 11, 11, 11, 11, 11, 11, 11)),
     ],
 }
+
+
+@pytest.mark.parametrize("left, right, counts", [("bc4", "bc4", (15, 15, 15)),
+                                                 ("inv6", "inv6", (5, 1, 5))])
+def test_product_mop_counts_per_mode(left, right, counts):
+    alg = direct_product(load(left), load(right))
+    assert tuple(len(enumerate_mop(alg, mode)) for mode in ("plain", "bc", "hoop")) == counts
 
 
 def test_psbe4_product_mop_matches_cross_product():

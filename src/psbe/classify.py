@@ -539,10 +539,19 @@ def classify(alg: FiniteAlgebra) -> tuple[ClassificationReport, ClassificationRe
     return report, report
 
 
-def _least(candidates: list[int], le) -> int | None:
-    """The one m of candidates with le[m][z] for every candidate z, or None."""
-    best = [m for m in candidates if all(le[m][z] for z in candidates)]
-    return best[0] if len(best) == 1 else None
+def _least(c: int, up) -> int | None:
+    """The least element of the set c, a bitmask: the m in c with c a subset
+    of up[m] (at most one in a poset), or None."""
+    bits = c
+    while bits:     # each m in c, lowest first
+        m = (bits & -bits).bit_length() - 1
+        if not c & ~up[m]:
+            return m
+        bits &= bits - 1
+    return None
+
+
+_bits = lambda row: sum(1 << z for z, v in enumerate(row) if v)    # a row of leq as a bitmask
 
 
 def _table(n: int, cell):
@@ -561,23 +570,32 @@ def _table(n: int, cell):
 
 
 def pseudo_product_table(alg: FiniteAlgebra, leq):
-    """(table, None) or (None, first failing pair).  Assumes leq is a poset."""
-    rng, arrow, squig = alg.elements(), alg.arrow, alg.squig
+    """(table, None) or (None, the first (x, y) without a product).  Assumes
+    leq is a poset.  x * y is the least z of {z : x <= y -> z}, when it is
+    also the least of {z : y <= x ~> z}.  Each set is a bitmask, the union of
+    the z with y -> z = v over the v above x (with x ~> z = v over those
+    above y): O(n) integer operations a cell, not an O(n^2) list scan."""
+    rng, up = alg.elements(), list(map(_bits, leq))     # up[x]: the z with x <= z
+    above = [[v for v in rng if row[v]] for row in leq]
+    pa, ps = ([[0] * alg.size for _ in rng] for _ in range(2))  # [y][v]: the z with y t z = v
+    for y in rng:
+        for z in rng:
+            pa[y][alg.arrow[y][z]] |= 1 << z
+            ps[y][alg.squig[y][z]] |= 1 << z
 
-    def cell(x, y):    # the least z with x <= y -> z, if it is the least z with y <= x ~> z
-        m = _least([z for z in rng if leq[x][arrow[y][z]]], leq)
-        return m if m == _least([z for z in rng if leq[y][squig[x][z]]], leq) else None
+    def cell(x, y):     # the sets of one row are disjoint: sum is their union
+        m = _least(sum(map(pa[y].__getitem__, above[x])), up)
+        c = sum(map(ps[x].__getitem__, above[y]))
+        return m if m is not None and c >> m & 1 and not c & ~up[m] else None
     return _table(alg.size, cell)
 
 
 def _bound_table(leq, lower: bool):
-    """Meet (lower=True) or join table from the order, or None if some pair lacks one."""
-    rng, geq = range(len(leq)), tuple(zip(*leq))
-    le, ge = (leq, geq) if lower else (geq, leq)     # a join is a meet of the dual
-
-    def cell(x, y):    # the greatest common lower bound under le
-        return _least([z for z in rng if le[z][x] and le[z][y]], ge)
-    return _table(len(leq), cell)[0]
+    """Meet (lower=True) or join table from the order, or None if some pair
+    lacks one: meet(x, y) is the greatest element of down[x] & down[y], the
+    bitmasks of the z below x and y, join(x, y) the least of up[x] & up[y]."""
+    bounds = list(map(_bits, zip(*leq) if lower else leq))
+    return _table(len(leq), lambda x, y: _least(bounds[x] & bounds[y], bounds))[0]
 
 
 _PSMV = (

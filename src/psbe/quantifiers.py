@@ -35,19 +35,21 @@ class MonadicPair(NamedTuple):
 
 
 def _mode_tables(alg: FiniteAlgebra, mode: str):
-    """(odot, oplus) for M6/M7, None where the mode does not check them;
-    raises PreconditionUnmet for an unknown mode or when the mode needs a
-    table the algebra lacks."""
+    """(the groups of axioms the mode adds to M1-M5, M6 and M7 in bc mode
+    and M6 in hoop mode, {name: table} of the tables they read); raises
+    PreconditionUnmet for an unknown mode or when the mode needs a table
+    the algebra lacks."""
     if mode not in (PLAIN, BOUNDED_COMMUTATIVE, HOOP):
         raise PreconditionUnmet(f"unknown mode {mode!r}")
     if mode == PLAIN:
-        return None, None
+        return (), {}
     report, _ = classify(alg)
-    missing = report.unmet(("odot", "oplus") if mode == BOUNDED_COMMUTATIVE else ("odot",))
+    names = ("odot", "oplus") if mode == BOUNDED_COMMUTATIVE else ("odot",)
+    missing = report.unmet(names)
     if missing is not None:
         who = "bounded-commutative mode" if missing == "oplus" else f"mode {mode!r}"
         raise PreconditionUnmet(f"{who} needs {_NEEDS[missing]}")
-    return report.odot, report.oplus if mode == BOUNDED_COMMUTATIVE else None
+    return (_M6, _M7)[:len(names)], {name: getattr(report, name) for name in names}
 
 
 # M1-M4 for -> and then, read on the dual algebra, for ~>
@@ -62,11 +64,10 @@ def check_monadic(alg: FiniteAlgebra, pair: MonadicPair, mode: str = PLAIN) -> V
     """M1-M5 (plus M6/M7 per mode), axiom after axiom over all elements
     or element pairs: the first failing instance, such as M3(squig) with
     its witness, or Verdict("monadic", HOLDS)."""
-    odot, oplus = _mode_tables(alg, mode)
-    tables = SimpleNamespace(arrow=alg.arrow, squig=alg.squig, one=alg.one, odot=odot,
-                             oplus=oplus, E=pair.exists.images, F=pair.forall.images)
-    groups = _M1_M5 + ((_M6,) if odot is not None else ()) + ((_M7,) if oplus is not None else ())
-    return Verdict.of(first_failure_of(alg.size, axioms(groups), tables), "monadic")
+    groups, tables = _mode_tables(alg, mode)
+    tables = SimpleNamespace(arrow=alg.arrow, squig=alg.squig, one=alg.one,
+                             E=pair.exists.images, F=pair.forall.images, **tables)
+    return Verdict.of(first_failure_of(alg.size, axioms(_M1_M5 + groups), tables), "monadic")
 
 
 def is_monadic(alg: FiniteAlgebra, pair: MonadicPair, mode: str = PLAIN) -> bool:
@@ -86,33 +87,39 @@ def require_monadic(alg: FiniteAlgebra, pair: MonadicPair, what: str) -> Monadic
 def enumerate_mop(alg: FiniteAlgebra, mode: str = PLAIN) -> list[MonadicPair]:
     """All monadic pairs, sorted by (forall images, exists images).
 
-    The maps are built on their image, cell by cell, by a search that
-    decides each pair: M1 and M2 bound each cell's candidates, and M3,
-    M4 (at every e in the image), M6 and M7 are tested once both cells
-    they read are set.  Where 1 -> y = y for all y, as on a pseudo
-    BE-algebra, M1 and M3 at x = 1 and M5 make both maps the identity
-    on one image S, closed under ->, ~> and the mode's squares, so M3-M7
-    hold on S; M1 and M2 there read x -> x = x ~> x = 1, on which S is
-    filtered.  Elsewhere E need not be idempotent (on constant tables it
-    may swap two elements): each image is tried, E onto it and M5 checked.
+    The plain pairs are built on their image, cell by cell, by a search
+    that decides each pair: M1 and M2 bound each cell's candidates, and
+    M3 and M4 (at every e in the image) are tested once both cells they
+    read are set.  Where 1 -> y = y for all y, as on a pseudo BE-algebra,
+    M1 and M3 at x = 1 and M5 make both maps the identity on one image S,
+    closed under -> and ~>, so M3 and M4 hold on S; M1 and M2 there read
+    x -> x = x ~> x = 1, on which S is filtered.  Elsewhere E need not be
+    idempotent (on constant tables it may swap two elements): each image
+    is tried, E onto it and M5 checked.  A bc (hoop) pair is by definition
+    a plain pair that satisfies M6 and M7 (M6): as the plain list holds
+    every plain pair in sort order, the mode's list is that list filtered
+    by a scan of M6 (and M7) per pair, once the mode's tables are read
+    (PreconditionUnmet before anything is listed, where one is missing).
     Kept per algebra object and mode; each call gets a new list.
     """
     return list(alg.kept(("mop", mode), lambda alg: _enumerate_mop(alg, mode)))
 
 
 def _enumerate_mop(alg: FiniteAlgebra, mode: str) -> list[MonadicPair]:
+    groups, tables = _mode_tables(alg, mode)
+    if groups:
+        return [p for p in enumerate_mop(alg) if first_failure_of(
+            alg.size, axioms(groups), SimpleNamespace(**tables, F=p.forall.images)) is None]
     n, one, arr, sq, rng = alg.size, alg.one, alg.arrow, alg.squig, range(alg.size)
-    # M6 and M7 read F at x and at x (.) x, x (+) x; PreconditionUnmet here
-    squares = [tuple(t[x][x] for x in rng) for t in _mode_tables(alg, mode) if t]
     up = [{y for y in rng if arr[x][y] == one and sq[x][y] == one} for x in rng]     # M1
     down = [{y for y in rng if arr[y][x] == one and sq[y][x] == one} for x in rng]   # M2
     cols = [tuple(zip(*t)) for t in (arr, sq)]
 
     def pairs(image, fixed):
         # E x then F x for x outside fixed, valued in image (M1, M2, M5).
-        # M3 at E z = e (F(y t e) = E y t e), M4 at E x = e (F(e t y) =
-        # e t F y), M6 and M7 are F(r y) = r(m y), m = E or F, each tested
-        # once both cells are set; a non-empty fixed is closed under all r.
+        # M3 at E z = e (F(y t e) = E y t e) and M4 at E x = e (F(e t y) =
+        # e t F y) are F(r y) = r(m y), m = E or F, each tested once both
+        # cells are set; a non-empty fixed is closed under all r.
         E, F = list(rng), list(rng)
         free = [x for x in rng if x not in fixed]
         cells = [(m, x) for x in free for m in (E, F)]
@@ -123,8 +130,7 @@ def _enumerate_mop(alg: FiniteAlgebra, mode: str) -> list[MonadicPair]:
         df = [d + (d >= 0) for d in de]
         checks = [[] for _ in cells]
         for r, m, dm in ([(c[e], E, de) for c in cols for e in image]
-                         + [(t[e], F, df) for t in (arr, sq) for e in image]
-                         + [(r, F, df) for r in squares]):
+                         + [(t[e], F, df) for t in (arr, sq) for e in image]):
             for y in free:
                 checks[max(dm[y], df[r[y]])].append((r, m, y))
         for _ in backtrack(cells, cands, lambda d: all(
@@ -134,12 +140,12 @@ def _enumerate_mop(alg: FiniteAlgebra, mode: str) -> list[MonadicPair]:
 
     if all(arr[one][y] == y for y in rng):
         # S holds E x and F x for all x (M1, M2), so any singleton up[x] or
-        # down[x], and r x for x in S
+        # down[x]
         def close(S, new):      # the least closed set holding S and new
             while new:
                 S = S | new
-                new = ({row[y] for z in new for row in (arr[z], sq[z], cols[0][z], cols[1][z])
-                        for y in S} | {r[z] for r in squares for z in new}) - S
+                new = {row[y] for z in new for row in (arr[z], sq[z], cols[0][z], cols[1][z])
+                       for y in S} - S
             return S
 
         seeds = {one}.union(*(c for c in up + down if len(c) == 1))

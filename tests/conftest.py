@@ -7,7 +7,7 @@ import pytest
 import psbe
 from psbe.algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap, load_algebra
 from psbe.classify import (HOLDS, Verdict, check_pseudo_be, check_pseudo_bck, classify,
-                           pseudo_product_table, theorem_fails)
+                           theorem_fails)
 from psbe.deduction import DeductiveSystem, _braces, _is_normal, generated_ds
 from psbe.laws import (SearchResult, _is_canonical, _law_counterexample,
                        candidate_count, catalog, free_cells)
@@ -310,7 +310,7 @@ def eager_classify(alg):
     # pseudo-product
     odot = None
     if poset:
-        odot, bad_pair = pseudo_product_table(alg, leq)
+        odot, bad_pair = _eager_pseudo_product(alg, leq)
         flags["has_pP"] = (Verdict.holds("has_pP") if odot is not None
                            else Verdict.fails("has_pP", bad_pair))
     else:
@@ -366,6 +366,29 @@ def eager_pseudo_mv(alg, oplus, odot, nm, ns, zero):
              ("psMV7", lambda x, y: odot[x][oplus[nm[x]][y]] == odot[oplus[x][ns[y]]][y])]),
         (1, [("psMV8", lambda x: ns[nm[x]] == x)]),
     ]), "pseudo_mv")
+
+
+def _eager_least(candidates, leq):
+    """The one m of candidates below every candidate, or None."""
+    best = [m for m in candidates if all(leq[m][z] for z in candidates)]
+    return best[0] if len(best) == 1 else None
+
+
+def _eager_pseudo_product(alg, leq):
+    """(odot, None), or (None, the first (x, y) in lexicographic order without
+    a product): x * y is the least z with x <= y -> z, when it is also the
+    least z with y <= x ~> z.  Each cell scans its candidate lists whole."""
+    n, arr, sq = alg.size, alg.arrow, alg.squig
+    rows = []
+    for x in range(n):
+        row = []
+        for y in range(n):
+            m = _eager_least([z for z in range(n) if leq[x][arr[y][z]]], leq)
+            if m is None or m != _eager_least([z for z in range(n) if leq[y][sq[x][z]]], leq):
+                return None, (x, y)
+            row.append(m)
+        rows.append(tuple(row))
+    return tuple(rows), None
 
 
 def _eager_bound_table(leq, n: int, lower: bool):

@@ -223,6 +223,30 @@ def test_mop_on_products_with_c2(name):
         assert times_c2_pair(pair) in pairs
 
 
+def raised(compute, *args):
+    """compute(*args), or the type and message of the PreconditionUnmet raised."""
+    try:
+        return compute(*args)
+    except PreconditionUnmet as exc:
+        return PreconditionUnmet, str(exc)
+
+
+def filtered_mop(alg, mode):
+    """The plain pairs that is_monadic accepts in mode; it raises as is_monadic
+    raises on the identity pair."""
+    identity = UnaryMap.identity(alg.size)
+    is_monadic(alg, MonadicPair(identity, identity), mode)
+    return [p for p in enumerate_mop(alg) if is_monadic(alg, p, mode)]
+
+
+@pytest.mark.parametrize("mode", [BOUNDED_COMMUTATIVE, HOOP])
+@pytest.mark.parametrize("alg", ORACLE_ALGEBRAS + [
+    pytest.param(times_c2(load(name)), id=f"{name}xC2") for name in ("bc4", "psbe4")])
+def test_mode_list_is_the_plain_list_filtered(alg, mode):
+    alg = alg._replace()        # nothing kept: the mode's list is asked for first
+    assert raised(enumerate_mop, alg, mode) == raised(filtered_mop, alg, mode)
+
+
 def test_mop_bc4_bounded_commutative_mode(bc4):
     pairs = enumerate_mop(bc4, mode=BOUNDED_COMMUTATIVE)
     assert len(pairs) == 2
