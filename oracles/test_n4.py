@@ -25,8 +25,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
-from conftest import (assert_generated_ds_matches_references, brute_models, brute_search,
-                      model_algebra, scan_ds, search_outcome)
+from conftest import (EVERY_LAW, assert_generated_ds_matches_references, brute_models,
+                      brute_search, model_algebra, scan_ds, search_outcome)
 from test_classify import assert_matches_eager
 from test_deduction import scan_congruences
 from test_duality import (assert_flags_dual, assert_laws_dual, assert_structure_dual,
@@ -39,7 +39,7 @@ from psbe.deduction import enumerate_congruences, enumerate_ds
 from psbe.laws import SearchSpec, _models, search_counterexample, verify_suite
 from psbe.quantifiers import enumerate_mop
 
-# sha256 over verify_suite(include_probes=True) on every model with its
+# sha256 over verify_suite(law_ids=EVERY_LAW) on every model with its
 # monadic pairs, the least element declared as zero where there is one
 VERDICT_DIGEST = "d520e371f571fc9d82ff049925f98973dc9fdd7aa3c36b1f59b610ca24171bde"
 # sha256 over each model's law applicability and flag statuses (`applicability`)
@@ -72,7 +72,7 @@ def test_suite_verdicts_are_pinned():
     verdicts = []
     for alg in map(with_least_zero, MODELS):
         verdicts.append([v.to_json(alg) for v in verify_suite(
-            alg, enumerate_mop(alg), include_probes=True)])
+            alg, enumerate_mop(alg), law_ids=EVERY_LAW)])
     assert digest(verdicts) == VERDICT_DIGEST
 
 
@@ -85,7 +85,7 @@ def test_applicability_is_pinned():
 def test_verify_suite_matches_one_law_at_a_time(alg, monkeypatch):
     alg = with_least_zero(alg)
     pairs = enumerate_mop(alg)
-    assert (verify_suite(alg, pairs, include_probes=True)
+    assert (verify_suite(alg, pairs, law_ids=EVERY_LAW)
             == one_law_at_a_time(alg, pairs, monkeypatch))
 
 

@@ -63,6 +63,8 @@ UnaryMap._make = classmethod(lambda cls, fields: cls(*fields))
 
 # whether each value is an element index, an int in range(n) (1.0 and True are not)
 _indices = lambda values, n: set(map(type, values)) <= {int} and set(values).issubset(range(n))
+# whether m is a self-map of the carrier: a UnaryMap of n element indices
+is_self_map = lambda m, n: isinstance(m, UnaryMap) and len(m) == n and _indices(m.images, n)
 
 
 class FiniteAlgebra:
@@ -94,7 +96,7 @@ class FiniteAlgebra:
         if zero is not None and not _indices((zero,), n):
             raise ValueError("constant 0 out of range")
         for opname, m in self.unary.items():
-            if len(m) != n or not _indices(m.images, n):
+            if not is_self_map(m, n):
                 raise ValueError(f"unary map {opname!r} is not a self-map")
 
     @property

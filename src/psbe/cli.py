@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the law suite")
     common(p)
-    p.add_argument("--law", help="comma-separated law ids (default: all)")
+    p.add_argument("--law", help="comma-separated law ids (default: every law but the probes)")
 
     p = sub.add_parser("search", help="bounded counterexample search")
     common(p, algebra=False)

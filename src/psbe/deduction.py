@@ -14,10 +14,10 @@ from itertools import product
 from operator import itemgetter
 from typing import NamedTuple
 
-from .algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap
+from .algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap, _indices, is_self_map
 from .classify import (HOLDS, ClassificationReport, InvariantViolated, Verdict,
                        check_pseudo_bck, classify, closed_sets, theorem_fails)
-from .quantifiers import MonadicPair, check_monadic, require_monadic
+from .quantifiers import MonadicPair, check_monadic, require_monadic, require_self_maps
 
 # perfbench/workloads.py catches this name, and perfbench changes only on its own
 NotACongruence = PreconditionUnmet
@@ -306,6 +306,8 @@ def _enumerate_congruences(alg: FiniteAlgebra) -> list[Congruence]:
 def theta_from_ds(alg: FiniteAlgebra, ds: DeductiveSystem) -> Congruence:
     """Theta_D: x ~ y iff x->y and y->x both in D; verified to be a
     congruence with [1] = D before being returned."""
+    if not (isinstance(ds, DeductiveSystem) and _indices(ds.members, alg.size)):
+        raise PreconditionUnmet(f"theta_from_ds needs a set of elements of the carrier, got {ds!r}")
     n, d, a = alg.size, ds.members, alg.arrow
     # related[x] = {y : x ~ y}, a symmetric relation by definition
     related = [frozenset(y for y in range(n) if a[x][y] in d and a[y][x] in d)
@@ -349,6 +351,8 @@ def quotient(alg: FiniteAlgebra, cong: Congruence,
     the map and the first x whose image is not related to the image of
     its leader r, as (x, r).
     """
+    if not (isinstance(cong, Congruence) and is_self_map(UnaryMap(cong.classes), alg.size)):
+        raise PreconditionUnmet(f"quotient needs a partition of the carrier, got {cong!r}")
     if pair is not None:
         require_monadic(alg, pair, "quotient")
     proj = _canonical(cong.classes).classes      # element -> class index
@@ -398,6 +402,7 @@ def correspondence_report(alg: FiniteAlgebra, pair: MonadicPair,
     but meets need not be total here: meet compatibility is checked only
     when every meet exists, and not at all otherwise.
     """
+    require_self_maps(alg, pair, "correspondence_report")
     report, _ = classify(alg)
     m_cons = [c for c in enumerate_congruences(alg) if is_monadic_congruence(c, pair)]
 

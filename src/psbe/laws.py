@@ -30,11 +30,7 @@ from .quantifiers import MonadicPair, enumerate_mop, fixed_set, require_monadic
 from . import deduction as _ded
 
 
-# per algebra (`Ctx.once`); read through the module, where perfbench traces them
-_all_ds = lambda ctx: _ded.enumerate_ds(ctx.alg)
-_all_congruences = lambda ctx: _ded.enumerate_congruences(ctx.alg)
-_ds_by_members = lambda ctx: {d.members: d for d in ctx.ds}
-_decisions = lambda ctx: {}     # law hypothesis -> whether the report meets it
+_ds_by_members = lambda ctx: {d.members: d for d in ctx.ds}     # per algebra (`Ctx.once`)
 
 
 class Ctx:
@@ -45,9 +41,8 @@ class Ctx:
     pair's E and F.  `report` is the algebra's one ClassificationReport
     (`classify`), whose tables are read off it on each use.
     `zero` is the declared zero, not `report.zero`, until ROADMAP item 2.
-    `ds`, `congruences`, the congruences' tables and each law hypothesis
-    read no pair, so each is computed once per algebra object (`once`)
-    and shared by every context on it, `with_pair` copies included.
+    `ds` and `congruences` are deduction's kept lists; `applies` and `once`
+    keep what reads no pair on the algebra object, for every context on it.
     `failures` holds the first failures `verify_suite` found here, by expression."""
 
     def __init__(self, alg: FiniteAlgebra, pair: MonadicPair | None = None):
@@ -55,7 +50,6 @@ class Ctx:
         self.report, _ = classify(alg)
         self.n, self.one, self.zero, self.arrow, self.squig = (alg.size, alg.one, alg.zero,
                                                                alg.arrow, alg.squig)
-        self.decided = self.once(_decisions)
         self._bind(pair)
 
     def once(self, fn):
@@ -64,14 +58,13 @@ class Ctx:
         return self.alg.kept(fn, lambda alg: fn(self))
 
     def applies(self, hypothesis) -> bool:
-        """Whether the report meets hypothesis, decided once per algebra (`once`)."""
-        met = self.decided.get(hypothesis)
-        if met is None:
-            met = self.decided[hypothesis] = self.report.unmet(hypothesis) is None
-        return met
+        """Whether the report meets hypothesis, kept on the algebra object."""
+        return self.alg.kept(("applies", hypothesis),
+                             lambda alg: self.report.unmet(hypothesis) is None)
 
-    ds = property(lambda self: self.once(_all_ds))
-    congruences = property(lambda self: self.once(_all_congruences))
+    # read through the module, where perfbench traces them
+    ds = property(lambda self: _ded.enumerate_ds(self.alg))
+    congruences = property(lambda self: _ded.enumerate_congruences(self.alg))
 
     leq, neg_minus, neg_sim, odot, oplus, meet, join = (property(attrgetter("report." + t))
         for t in ("leq", "neg_minus", "neg_sim", "odot", "oplus", "meet", "join"))
@@ -106,7 +99,7 @@ class Law(NamedTuple):
     hypothesis: tuple             # names the report decides; () always applies
     check: object                 # pointwise: an expression that must hold at every tuple
     uses_pair: bool = True
-    probe: bool = False           # excluded from verify_suite by default;
+    probe: bool = False           # run by verify_suite only when named;
                                   # exists so search can adjudicate it
 
 
@@ -452,29 +445,23 @@ def _names(value, what: str, known, unknown: str) -> tuple:
     return names
 
 
-def verify_suite(alg: FiniteAlgebra, pairs, law_ids=None,
-                 include_probes: bool = False) -> list[Verdict]:
+def verify_suite(alg: FiniteAlgebra, pairs, law_ids=None) -> list[Verdict]:
     """Evaluate the catalog over the algebra and the given monadic pairs.
 
     Pair-independent laws are evaluated once; pair laws once per pair.
-    Probe laws (documented open questions) are skipped unless requested.
-    Hypotheses read the algebra's one classification (`classify`), and
-    each distinct hypothesis is decided once (`Ctx.applies`).  law_ids, when
-    given, is an iterable of law ids, read once (`_names`).  Each pair must
-    be two self-maps of the carrier and monadic (`require_monadic`); each
+    law_ids, when given, is an iterable of law ids, read once (`_names`),
+    and exactly those laws run, probes included; without it every law but
+    the probes (documented open questions) runs.  Hypotheses read the
+    algebra's one classification (`classify`), and each distinct
+    hypothesis is decided once (`Ctx.applies`).  Each pair passes the pair
+    gate (`require_monadic`), in order, before any law is scanned; each
     context is scanned once per arity (`first_failures`).
     """
     base = Ctx(alg)
-    laws = [l for l in catalog() if include_probes or not l.probe]
-    if law_ids is not None:
-        wanted = _names(law_ids, "law_ids must list law ids", _law_by_id(), "unknown law ids")
-        laws = [l for l in laws if l.id in wanted]
-    pair_ctxs = [base.with_pair(pair) for pair in pairs]
-    for ctx in pair_ctxs:
-        if ctx.pair is None or not all(len(m) == ctx.n and set(m.images).issubset(range(ctx.n))
-                                       for m in ctx.pair):
-            raise PreconditionUnmet(f"verify_suite needs self-maps of the carrier, got {ctx.pair}")
-        require_monadic(alg, ctx.pair, "verify_suite")
+    wanted = None if law_ids is None else _names(
+        law_ids, "law_ids must list law ids", _law_by_id(), "unknown law ids")
+    laws = [l for l in catalog() if (not l.probe if wanted is None else l.id in wanted)]
+    pair_ctxs = [base.with_pair(require_monadic(alg, pair, "verify_suite")) for pair in pairs]
     groups = {}     # (uses_pair, arity) -> the applicable pointwise laws' expressions
     for l in [l for l in laws if l.arity and base.applies(l.hypothesis)]:
         groups.setdefault((l.uses_pair, l.arity), []).append(l.check)
@@ -619,12 +606,11 @@ def _is_canonical(n, arrow, squig):
 
 def _law_counterexample(law: Law, alg: FiniteAlgebra, spec: SearchSpec):
     ctx = Ctx(alg)
-    report = ctx.report
-    if not report.holds("pseudo_be"):
+    if not ctx.report.holds("pseudo_be"):
         raise InvariantViolated(
             f"search model {alg.arrow}, {alg.squig} is not a pseudo "
-            f"BE-algebra: {report['pseudo_be']}")
-    if report.unmet(spec.require) is not None or not ctx.applies(law.hypothesis):
+            f"BE-algebra: {ctx.report['pseudo_be']}")
+    if not ctx.applies((*spec.require, *law.hypothesis)):
         return None     # filtered out, or every verdict would be not applicable
     for pair in enumerate_mop(alg) if law.uses_pair else [None]:
         v = evaluate_law(law, ctx.with_pair(pair) if pair else ctx)

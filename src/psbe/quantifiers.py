@@ -12,7 +12,7 @@ from itertools import combinations
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from .algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap
+from .algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap, is_self_map
 from .classify import (HOLDS, InvariantViolated, Verdict, axioms, backtrack, classify,
                        closed_sets, first_failure_of, theorem_fails)
 
@@ -60,10 +60,20 @@ _M1_M5 = tuple(((f"{m}(arrow)", text), (f"{m}(squig)", f"{text} (dual)")) for m,
 _M6, _M7 = (("M6", "F(x * x) = Fx * Fx"),), (("M7", "F(x (+) x) = Fx (+) Fx"),)
 
 
+def require_self_maps(alg: FiniteAlgebra, value, what: str, pair: bool = True):
+    """value, when a MonadicPair (a UnaryMap, pair false) of self-maps of the
+    carrier, shape only; else PreconditionUnmet saying what needs them."""
+    maps = (value if isinstance(value, MonadicPair) else (None,)) if pair else (value,)
+    if not all(is_self_map(m, alg.size) for m in maps):
+        raise PreconditionUnmet(f"{what} needs self-maps of the carrier, got {value!r}")
+    return value
+
+
 def check_monadic(alg: FiniteAlgebra, pair: MonadicPair, mode: str = PLAIN) -> Verdict:
-    """M1-M5 (plus M6/M7 per mode), axiom after axiom over all elements
-    or element pairs: the first failing instance, such as M3(squig) with
-    its witness, or Verdict("monadic", HOLDS)."""
+    """The pair gate (`require_self_maps`, then the mode's tables), then M1-M5
+    (plus M6/M7 per mode) axiom after axiom over all elements or element pairs:
+    the first failing instance, such as M3(squig) with its witness, or Verdict("monadic", HOLDS)."""
+    require_self_maps(alg, pair, "check_monadic")
     groups, tables = _mode_tables(alg, mode)
     tables = SimpleNamespace(arrow=alg.arrow, squig=alg.squig, one=alg.one,
                              E=pair.exists.images, F=pair.forall.images, **tables)
@@ -75,9 +85,9 @@ def is_monadic(alg: FiniteAlgebra, pair: MonadicPair, mode: str = PLAIN) -> bool
 
 
 def require_monadic(alg: FiniteAlgebra, pair: MonadicPair, what: str) -> MonadicPair:
-    """pair, when it is monadic; else PreconditionUnmet saying that `what`
-    needs a monadic pair and naming the first axiom it fails."""
-    verdict = check_monadic(alg, pair)
+    """pair, when it is monadic (`check_monadic`); else PreconditionUnmet
+    saying what `what` needs: self-maps, or a pair that passes M1-M5."""
+    verdict = check_monadic(alg, require_self_maps(alg, pair, what))
     if verdict.status != HOLDS:
         raise PreconditionUnmet(
             f"{what} needs a monadic pair: {verdict.failed_at(alg)}", verdict.witness)
@@ -159,14 +169,12 @@ def _enumerate_mop(alg: FiniteAlgebra, mode: str) -> list[MonadicPair]:
 
 def fixed_set(alg: FiniteAlgebra, pair: MonadicPair):
     """(fixed elements, image of forall, kernel of forall) as frozensets."""
-    n = alg.size
-    fixed_e = frozenset(x for x in range(n) if pair.exists(x) == x)
-    fixed_f = frozenset(x for x in range(n) if pair.forall(x) == x)
+    E, F = require_self_maps(alg, pair, "fixed_set")
+    fixed_e, fixed_f = (frozenset(x for x, v in enumerate(m.images) if v == x) for m in (E, F))
     if fixed_e != fixed_f:
         raise PreconditionUnmet("fixed sets of exists and forall disagree; pair is not monadic")
-    image = frozenset(pair.forall(x) for x in range(n))
-    kernel = frozenset(x for x in range(n) if pair.forall(x) == alg.one)
-    return fixed_e, image, kernel
+    kernel = frozenset(x for x, v in enumerate(F.images) if v == alg.one)
+    return fixed_e, frozenset(F.images), kernel
 
 
 def build_from_tau(alg: FiniteAlgebra, tau: UnaryMap) -> MonadicPair:
@@ -199,6 +207,7 @@ _E = _numbered(
 def _build(alg, m, from_forall: bool) -> MonadicPair:
     # the other map of the pair is (m x-)~ = (m x~)- either way
     what = "build_from_tau" if from_forall else "build_from_sigma"
+    require_self_maps(alg, m, what, pair=False)
     report, _ = classify(alg)
     table = "oplus" if from_forall else "odot"
     missing = report.unmet(("bounded", "good", table))
@@ -225,12 +234,8 @@ def _build(alg, m, from_forall: bool) -> MonadicPair:
     # the construction theorems promise a monadic pair; verify, never
     # assume.  M7 is checked only on commutative algebras, matching the
     # U6/E6 gating above.
-    if report.unmet(("commutative", "oplus", "odot")) is None:
-        mode = BOUNDED_COMMUTATIVE
-    elif report.unmet(("odot",)) is None:
-        mode = HOOP
-    else:
-        mode = PLAIN
+    mode = (BOUNDED_COMMUTATIVE if report.unmet(("commutative", "oplus", "odot")) is None
+            else HOOP if report.holds("odot") else PLAIN)
     verdict = check_monadic(alg, pair, mode)
     if verdict.status != HOLDS:
         theorem_fails(alg, "the construction needs",
@@ -306,6 +311,7 @@ _MV = {"universal": _numbered(
 def check_mv_quantifier(alg: FiniteAlgebra, m: UnaryMap, kind: str) -> Verdict:
     """MVU1-MVU6 (kind='universal') or MVE1-MVE6 (kind='existential')
     on the multi-valued structure of a bounded commutative algebra."""
+    require_self_maps(alg, m, "check_mv_quantifier", pair=False)
     report, _ = classify(alg)
     if kind not in ("universal", "existential"):
         raise PreconditionUnmet("kind must be 'universal' or 'existential'")

@@ -15,6 +15,8 @@ from psbe.quantifiers import PLAIN, MonadicPair, check_monadic
 
 FIXDIR = Path(psbe.__file__).resolve().parent / "fixtures"
 FIXTURE_NAMES = ("psbe4", "psbe5", "bc4", "inv6")
+# verify_suite's law_ids for the whole catalog, probes included (named laws all run)
+EVERY_LAW = tuple(law.id for law in catalog())
 
 VERDICT_BOOL = Verdict.__bool__     # the real truth of a verdict: it holds
 

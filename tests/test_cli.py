@@ -134,6 +134,26 @@ def test_verify_law_filter(capsys):
     assert {v["law"] for v in report["payload"]["verdicts"]} == {"P3.forall_one"}
 
 
+def test_verify_runs_a_probe_law_it_names(capsys):
+    # psbe5 is a preorder: a <= d and d <= a
+    code, report = invoke_json(capsys, "verify", str(fixture_path("psbe5")),
+                               "--law", "AX.psbck6_antisym")
+    assert code == 1
+    (verdict,) = report["payload"]["verdicts"]
+    assert (verdict["law"], verdict["status"], verdict["witness"]) == (
+        "AX.psbck6_antisym", "fails", ["a", "d"])
+    assert report["payload"]["failures"] == 1
+
+
+def test_verify_law_naming_the_default_laws_reads_the_default_payload(capsys):
+    path = str(fixture_path("psbe5"))
+    _, default = invoke_json(capsys, "verify", path)
+    ids = [law.id for law in catalog() if not law.probe]
+    assert sorted({v["law"] for v in default["payload"]["verdicts"]}) == ids
+    code, named = invoke_json(capsys, "verify", path, "--law", ",".join(ids))
+    assert (code, named["payload"]) == (0, default["payload"])
+
+
 def test_search_counterexample_exits_one(capsys):
     code, report = invoke_json(capsys, "search", "--law", "AX.psbck6_antisym",
                                "--max-size", "3")

@@ -7,15 +7,15 @@ from hypothesis import given, settings, strategies as st
 from psbe import deduction
 from psbe.algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap
 from psbe.classify import HOLDS, check_pseudo_be, classify
-from psbe.deduction import (Congruence, correspondence_report,
+from psbe.deduction import (Congruence, DeductiveSystem, correspondence_report,
                             enumerate_congruences, enumerate_ds, generated_ds,
                             is_compatible, is_meet_compatible,
                             is_monadic_congruence,
                             is_monadic_ds, monadic_ds, quotient,
                             theta_from_ds)
 from psbe.laws import SearchSpec
-from psbe.quantifiers import (MonadicPair, check_mv_quantifier, enumerate_mop,
-                              fixed_set, pair_from_unary_blocks)
+from psbe.quantifiers import (MonadicPair, build_from_sigma, build_from_tau, check_mv_quantifier,
+                              enumerate_mop, fixed_set, pair_from_unary_blocks)
 
 from conftest import (ORACLE_ALGEBRAS, assert_generated_ds_matches_references,
                       labelled_models, load, scan_ds, times_c2)
@@ -393,6 +393,41 @@ def test_generated_ds_rejects_an_element_outside_the_carrier(psbe5, bad):
         generated_ds(psbe5, [1, bad])
     assert str(err.value) == f"element not in the carrier at ({bad},)"
     assert err.value.witness == (bad,)
+
+
+# on bc4, a four-element carrier: a map of three images, and one with an image off it
+SHORT, OFF = UnaryMap((0, 1, 2)), UnaryMap((0, 7, 0, 0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda alg: build_from_tau(alg, SHORT),
+     f"build_from_tau needs self-maps of the carrier, got {SHORT}"),
+    (lambda alg: build_from_tau(alg, OFF),
+     f"build_from_tau needs self-maps of the carrier, got {OFF}"),
+    (lambda alg: build_from_sigma(alg, SHORT),
+     f"build_from_sigma needs self-maps of the carrier, got {SHORT}"),
+    (lambda alg: build_from_sigma(alg, MonadicPair(OFF, OFF)),
+     f"build_from_sigma needs self-maps of the carrier, got {MonadicPair(OFF, OFF)}"),
+    (lambda alg: check_mv_quantifier(alg, OFF, "existential"),
+     f"check_mv_quantifier needs self-maps of the carrier, got {OFF}"),
+    (lambda alg: fixed_set(alg, MonadicPair(SHORT, SHORT)),
+     f"fixed_set needs self-maps of the carrier, got {MonadicPair(SHORT, SHORT)}"),
+    (lambda alg: correspondence_report(alg, MonadicPair(UnaryMap.identity(4), OFF), "bck_meet"),
+     f"correspondence_report needs self-maps of the carrier, got "
+     f"{MonadicPair(UnaryMap.identity(4), OFF)}"),
+    (lambda alg: theta_from_ds(alg, DeductiveSystem(frozenset({0, 9}), False)),
+     "theta_from_ds needs a set of elements of the carrier, got "
+     "DeductiveSystem(members=frozenset({0, 9}), normal=False)"),
+    (lambda alg: quotient(alg, Congruence((0, 1))),
+     "quotient needs a partition of the carrier, got Congruence(classes=(0, 1))"),
+    (lambda alg: quotient(alg, (0, 1, 2, 3)),
+     "quotient needs a partition of the carrier, got (0, 1, 2, 3)"),
+])
+def test_malformed_maps_systems_and_partitions_are_rejected_at_entry(bc4, call, message):
+    # shape only, before any read of a table by the given indices
+    with pytest.raises(PreconditionUnmet) as err:
+        call(bc4)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("name, count", [("bc4", 8), ("psbe4", 4),

@@ -15,7 +15,7 @@ from psbe import deduction as deduction_module
 from psbe import laws as laws_module
 from psbe import quantifiers as quantifiers_module
 from psbe.algebra import PreconditionUnmet, parse_algebra
-from psbe.classify import check_pseudo_be, check_pseudo_bck
+from psbe.classify import ClassificationReport, check_pseudo_be, check_pseudo_bck
 from psbe.deduction import enumerate_congruences, enumerate_ds, generated_ds
 from psbe.laws import Ctx, SearchSpec, catalog, search_counterexample
 from psbe.quantifiers import BOUNDED_COMMUTATIVE, HOOP, PLAIN, enumerate_mop
@@ -165,6 +165,17 @@ def test_generated_ds_and_ctx_once_read_what_the_object_keeps(psbe5, monkeypatch
     first = Ctx(alg).once(fn)
     assert Ctx(alg).with_pair(enumerate_mop(alg)[0]).once(fn) is first and len(computed) == 1
     assert Ctx(alg._replace()).once(fn) is not first and len(computed) == 2
+    # a hypothesis is decided once per object, and a context's systems are the kept list
+    decided = Counter()
+    unmet = ClassificationReport.unmet
+    monkeypatch.setattr(ClassificationReport, "unmet",
+                        lambda report, names: decided.update([names]) or unmet(report, names))
+    hypothesis = ("pseudo_be", "bounded")
+    assert {Ctx(alg).applies(hypothesis), Ctx(alg).with_pair(enumerate_mop(alg)[0]).applies(
+        hypothesis)} == {unmet(Ctx(alg).report, hypothesis) is None}
+    assert decided[hypothesis] == 1
+    assert Ctx(alg).ds == systems and Ctx(alg).ds is not Ctx(alg).ds
+    assert calls[("enumerate_ds", alg.arrow, alg.squig)] == 1
 
 
 @pytest.mark.parametrize("law_id, max_size, scanner", [

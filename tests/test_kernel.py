@@ -31,8 +31,8 @@ from psbe.laws import Ctx, _models, catalog, evaluate_law, verify_suite
 from psbe.quantifiers import (MonadicPair, build_from_sigma, build_from_tau, check_monadic,
                               check_mv_quantifier, declared_pairs, enumerate_mop)
 
-from conftest import (FIXTURE_NAMES, assert_generated_ds_matches_references, fixture_path,
-                      load, model_algebra, predicate, reference_first_failure,
+from conftest import (EVERY_LAW, FIXTURE_NAMES, assert_generated_ds_matches_references,
+                      fixture_path, load, model_algebra, predicate, reference_first_failure,
                       reference_first_failure_of, times_c2)
 from test_law_pin import with_least_zero
 from test_quantifiers import MODES, times_c2_pair
@@ -136,7 +136,7 @@ def test_the_scans_compared_fail_somewhere():
 # ------------------------------------------- verify_suite's fused scans
 
 def one_law_at_a_time(alg, pairs, monkeypatch):
-    """verify_suite(alg, pairs, include_probes=True) as evaluate_law gives
+    """verify_suite(alg, pairs, law_ids=EVERY_LAW) as evaluate_law gives
     it law by law on fresh contexts, where nothing is registered, so that
     each pointwise law is scanned alone by first_failure."""
     base = Ctx(alg)
@@ -155,7 +155,7 @@ def zero_declared(alg, which):      # the Ctx.zero defect is out of scope here
 def test_verify_suite_matches_one_law_at_a_time(alg, which, monkeypatch):
     alg = zero_declared(alg, which)
     pairs = suite_pairs(alg, which)
-    fused = verify_suite(alg, pairs, include_probes=True)
+    fused = verify_suite(alg, pairs, law_ids=EVERY_LAW)
     assert fused == one_law_at_a_time(alg, pairs, monkeypatch)
 
 

@@ -6,7 +6,7 @@ pairs with n <= 4 (pseudo BE-algebras and arbitrary tables) and random
 E/F maps, so laws whose hypotheses (condition_A, has_pP, pseudo_hoop,
 ...) rarely hold still report a verdict, witness and instance count, or
 raise; an exception is recorded by its type.  `test_suite_verdicts_are_pinned`
-runs `verify_suite(include_probes=True)` on bc4, psbe4 and psbe5 x C2
+runs `verify_suite(law_ids=EVERY_LAW)` on bc4, psbe4 and psbe5 x C2
 with their product pairs and on every model of size 2 and 3 with its
 monadic pairs.  A changed digest means some law now reports a different
 verdict, witness or instance count.  `test_applicability_is_pinned`
@@ -26,7 +26,7 @@ from psbe.classify import FLAG_NAMES, HOLDS, check_pseudo_be
 from psbe.laws import Ctx, _models, catalog, evaluate_law, verify_suite
 from psbe.quantifiers import MonadicPair, enumerate_mop
 
-from conftest import FIXTURE_NAMES, labelled_models, load, times_c2
+from conftest import EVERY_LAW, FIXTURE_NAMES, labelled_models, load, times_c2
 from test_quantifiers import times_c2_pair
 
 LAW_DIGEST = "1eee5b939e7763b9040b0a19305ad8ec3a30c26226b638a7bbb127536163b32d"
@@ -107,12 +107,12 @@ def suite_outcomes():
         alg = with_least_zero(times_c2(factor))
         pairs = [times_c2_pair(p) for p in enumerate_mop(factor)]
         out.append([alg.name] + [v.to_json(alg) for v in
-                                 verify_suite(alg, pairs, include_probes=True)])
+                                 verify_suite(alg, pairs, law_ids=EVERY_LAW)])
     for n in (2, 3):
         for alg in map(with_least_zero, labelled_models(n)):
             out.append([alg.arrow, alg.squig] + [
                 v.to_json(alg) for v in
-                verify_suite(alg, enumerate_mop(alg), include_probes=True)])
+                verify_suite(alg, enumerate_mop(alg), law_ids=EVERY_LAW)])
     return out
 
 

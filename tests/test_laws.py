@@ -5,13 +5,16 @@ import pytest
 
 from psbe.algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap
 from psbe.classify import InvariantViolated, expression, formula, opposite
+from psbe.deduction import Congruence, correspondence_report, quotient
 from psbe.laws import (FAILS, HOLDS, NOT_APPLICABLE, Ctx, catalog,
                        catalog_json, evaluate_law, pointwise_law, verify_suite)
-from psbe.quantifiers import MonadicPair, enumerate_mop
+from psbe.quantifiers import (BOUNDED_COMMUTATIVE, MonadicPair, check_monadic, compose_pairs,
+                              enumerate_mop, fixed_set, is_monadic, require_monadic)
 
-from conftest import FIXTURE_NAMES, load
+from conftest import EVERY_LAW, FIXTURE_NAMES, load
 
 laws_module = importlib.import_module("psbe.laws")
+quantifiers_module = importlib.import_module("psbe.quantifiers")
 
 
 def test_catalog_size_and_required_ids():
@@ -33,8 +36,8 @@ def test_laws_hold_no_per_call_state():
     # the same algebra gives the same verdicts
     alg = load("inv6")
     pairs = enumerate_mop(alg)
-    first = verify_suite(alg, pairs, include_probes=True)
-    assert verify_suite(alg, pairs, include_probes=True) == first
+    first = verify_suite(alg, pairs, law_ids=EVERY_LAW)
+    assert verify_suite(alg, pairs, law_ids=EVERY_LAW) == first
 
 
 def test_catalog_sorted_and_anchored():
@@ -60,16 +63,14 @@ def test_probe_laws_skipped_by_default():
     alg = load("psbe5")
     pairs = enumerate_mop(alg)
     default_ids = {v.name for v in verify_suite(alg, pairs)}
-    with_probes = {v.name for v in verify_suite(alg, pairs,
-                                                  include_probes=True)}
+    with_probes = {v.name for v in verify_suite(alg, pairs, law_ids=EVERY_LAW)}
     assert "AX.psbck6_antisym" not in default_ids
     assert "AX.psbck6_antisym" in with_probes
 
 
 def test_antisymmetry_probe_fails_on_preorder():
     alg = load("psbe5")
-    verdicts = verify_suite(alg, [], law_ids=["AX.psbck6_antisym"],
-                            include_probes=True)
+    verdicts = verify_suite(alg, [], law_ids=["AX.psbck6_antisym"])
     (v,) = verdicts
     assert v.status == FAILS
     assert v.witness is not None
@@ -144,16 +145,49 @@ def test_instances_counted():
     assert all(v.instances > 0 for v in evaluated)
 
 
+# every export that takes a pair, as (call on bc4 and the pair, the name its message gives):
+# each goes through the pair gate, check_monadic, or its shape test alone
+PAIR_TAKERS = [
+    (lambda alg, p: check_monadic(alg, p), "check_monadic"),
+    (lambda alg, p: check_monadic(alg, p, BOUNDED_COMMUTATIVE), "check_monadic"),
+    (lambda alg, p: is_monadic(alg, p), "check_monadic"),
+    (lambda alg, p: require_monadic(alg, p, "the caller"), "the caller"),
+    (lambda alg, p: fixed_set(alg, p), "fixed_set"),
+    (lambda alg, p: compose_pairs(alg, enumerate_mop(alg)[0], p), "compose_pairs"),
+    (lambda alg, p: compose_pairs(alg, p, enumerate_mop(alg)[0]), "compose_pairs"),
+    (lambda alg, p: quotient(alg, Congruence((0, 1, 2, 3)), p), "quotient"),   # None: no pair
+    (lambda alg, p: correspondence_report(alg, p), "correspondence_report"),
+    (lambda alg, p: verify_suite(alg, [*enumerate_mop(alg), p]), "verify_suite"),
+]
+
+
 @pytest.mark.parametrize("pair", [
     MonadicPair(UnaryMap((0, 7, 0, 0)), UnaryMap((0, 0, 0, 0))),    # an image off the carrier
     MonadicPair(UnaryMap((0, 1, 2)), UnaryMap((0, 1, 2))),          # three images, four elements
     None,
+    (UnaryMap((0, 1, 2, 3)), UnaryMap((0, 1, 2, 3))),               # not a MonadicPair
+    MonadicPair((0, 1, 2, 3), (0, 1, 2, 3)),                        # tuples, not UnaryMaps
+    MonadicPair(UnaryMap((0, 1.0, 2, 3)), UnaryMap((0, 1, 2, 3))),  # 1.0 is not an index
 ])
 def test_pairs_of_maps_off_the_carrier_are_rejected_before_any_scan(pair, monkeypatch):
-    # every read the fused scans hoist must be total: E and F map the carrier into itself
-    monkeypatch.setattr(laws_module, "first_failures", None)
-    with pytest.raises(PreconditionUnmet, match="verify_suite needs self-maps of the carrier"):
-        verify_suite(load("bc4"), [*enumerate_mop(load("bc4")), pair])
+    # every read the scans hoist must be total: each E and F scanned maps the carrier into itself
+    def total_maps_only(scan):
+        def spy(n, *args):
+            for m in (getattr(args[-1], name, None) for name in "EF"):   # args[-1] is the source
+                assert m is None or (len(m) == n and {type(v) for v in m} <= {int}
+                                     and set(m) <= set(range(n))), m
+            return scan(n, *args)
+        return spy
+
+    for module, name in ((laws_module, "first_failures"), (quantifiers_module, "first_failure_of")):
+        monkeypatch.setattr(module, name, total_maps_only(getattr(module, name)))
+    alg = load("bc4")
+    for call, what in PAIR_TAKERS:
+        if pair is None and what == "quotient":
+            continue
+        with pytest.raises(PreconditionUnmet,
+                           match=f"^{what} needs self-maps of the carrier, got "):
+            call(alg, pair)
 
 
 @pytest.mark.parametrize("exists, forall, axiom", [
@@ -166,7 +200,7 @@ def test_pairs_that_are_not_monadic_are_rejected(exists, forall, axiom):
     pair = MonadicPair(UnaryMap(exists), UnaryMap(forall))
     for _ in range(2):      # a rejection is not kept on the algebra
         with pytest.raises(PreconditionUnmet, match=f"verify_suite needs a monadic pair: {axiom}"):
-            verify_suite(alg, [*enumerate_mop(alg), pair], include_probes=True)
+            verify_suite(alg, [*enumerate_mop(alg), pair], law_ids=EVERY_LAW)
 
 
 # ------------------------------------------------- anchors compiled into checks

@@ -20,7 +20,7 @@ from psbe.laws import Ctx, catalog, evaluate_law, verify_suite
 from psbe.quantifiers import (MonadicPair, build_from_sigma, build_from_tau,
                               check_monadic, check_mv_quantifier, enumerate_mop, is_monadic)
 
-from conftest import FIXTURE_NAMES, TABLE_NAMES, cups, load
+from conftest import EVERY_LAW, FIXTURE_NAMES, TABLE_NAMES, cups, load
 
 DIGEST = "22cb5240388928f1daaae976c55b48d0f89eab2219239dc8b3c3f8d1ecc8c0cf"
 RESIDUATED = next(law for law in catalog() if law.id == "P3.residuated_T")
@@ -170,11 +170,11 @@ def outcomes():
         suite_pairs = enumerate_mop(alg) + same_fixed[:6]
         try:
             out.append([v.to_json(alg) for v in
-                        verify_suite(alg, suite_pairs, include_probes=True)])
+                        verify_suite(alg, suite_pairs, law_ids=EVERY_LAW)])
         except PreconditionUnmet as exc:    # some pair is not monadic
             out.append(str(exc))
             out.append([v.to_json(alg) for v in verify_suite(
-                alg, [p for p in suite_pairs if is_monadic(alg, p)], include_probes=True)])
+                alg, [p for p in suite_pairs if is_monadic(alg, p)], law_ids=EVERY_LAW)])
     models = _small_models()
     for alg in [fixtures["bc4"]] + models:
         report, _ = classify(alg)
@@ -200,7 +200,7 @@ def outcomes():
     for alg in models:
         out.append([alg.arrow, alg.squig] +
                    [v.to_json(alg) for v in
-                    verify_suite(alg, enumerate_mop(alg), include_probes=True)])
+                    verify_suite(alg, enumerate_mop(alg), law_ids=EVERY_LAW)])
     return out
 
 
