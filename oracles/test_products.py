@@ -17,7 +17,10 @@ recorded while `enumerate_mop` still re-checked each pair with
 0.6 s).  The classification of bc4×bc4 and inv6×inv6, pseudo-product,
 meet and join tables included, is compared with the eager one-pass
 classification, whose tables scan candidate lists cell by cell (about
-0.6 s together), and their pair counts in each mode are pinned:
+0.6 s together), and their pair counts in each mode are pinned.
+`verify_suite` over psbe5×psbe4 and its 603 pairs (34,400 verdicts, about
+0.4 s) is compared with `evaluate_law` one law at a time on fresh
+contexts, and the sha256 of its verdicts is pinned:
 
     PYTHONPATH=src python -m pytest oracles
 """
@@ -31,13 +34,16 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
-from conftest import direct_product, load, scan_ds, times_c2
+from conftest import EVERY_LAW, direct_product, load, scan_ds, times_c2
 from test_classify import assert_matches_eager
 from test_deduction import unionfind_congruences
+from test_kernel import one_law_at_a_time
+from test_law_pin import digest
 from test_quantifiers import cross_product_mop, times_c2_pair
 
 from psbe.algebra import UnaryMap
 from psbe.deduction import enumerate_congruences, enumerate_ds, is_compatible
+from psbe.laws import verify_suite
 from psbe.quantifiers import MonadicPair, check_monadic, declared_pairs, enumerate_mop
 
 
@@ -124,3 +130,16 @@ def test_product_mop_list_is_pinned(left, right, count, digest):
     images = repr([(p.exists.images, p.forall.images) for p in pairs])
     assert (len(pairs), hashlib.sha256(images.encode()).hexdigest()) == (count, digest)
     assert all(check_monadic(alg, p) for p in pairs)
+
+
+# sha256 over the to_json of verify_suite(psbe5×psbe4, its plain pairs, EVERY_LAW)
+MANY_PAIR_SUITE_DIGEST = "31ffc0e7a4150263b57836177b31bf76454699bc6db431ab53dd4e230e5c0d8b"
+
+
+def test_many_pair_suite_matches_one_law_at_a_time(monkeypatch):
+    alg = direct_product(load("psbe5"), load("psbe4"))
+    pairs = enumerate_mop(alg)
+    verdicts = verify_suite(alg, pairs, law_ids=EVERY_LAW)
+    assert (len(pairs), len(verdicts)) == (603, 34400)
+    assert digest([v.to_json(alg) for v in verdicts]) == MANY_PAIR_SUITE_DIGEST
+    assert verdicts == one_law_at_a_time(alg._replace(), pairs, monkeypatch)
