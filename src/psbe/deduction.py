@@ -87,11 +87,14 @@ def _enumerate_ds(alg: FiniteAlgebra) -> list[DeductiveSystem]:
 
 
 def is_monadic_ds(ds: DeductiveSystem, pair: MonadicPair) -> bool:
+    if not _indices(ds.members, len(pair.forall)):      # shape only
+        raise PreconditionUnmet(f"is_monadic_ds needs members in the forall map's domain, got {ds!r}")
     return all(pair.forall(x) in ds.members for x in ds.members)
 
 
 def monadic_ds(alg: FiniteAlgebra, pair: MonadicPair,
                ds_list: list[DeductiveSystem] | None = None) -> list[DeductiveSystem]:
+    require_self_maps(alg, pair, "monadic_ds")
     return [d for d in (enumerate_ds(alg) if ds_list is None else ds_list)
             if is_monadic_ds(d, pair)]
 
@@ -214,6 +217,8 @@ def is_compatible(alg: FiniteAlgebra, cong: Congruence) -> tuple[int, ...] | Non
 
 def is_monadic_congruence(cong: Congruence, pair: MonadicPair) -> bool:
     """x ~ y implies forall x ~ forall y (the leader test)."""
+    if not is_self_map(pair.forall, len(cong.classes)):     # shape only
+        raise PreconditionUnmet(f"is_monadic_congruence needs self-maps of the carrier, got {pair!r}")
     return _disagreement(cong.classes, _links(cong.classes), maps=(pair.forall.images,)) is None
 
 

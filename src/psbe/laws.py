@@ -14,7 +14,6 @@ for a failure of one law.
 
 from __future__ import annotations
 
-import copy
 from functools import cache, partial
 from itertools import permutations, product
 from math import inf
@@ -30,9 +29,6 @@ from .quantifiers import MonadicPair, enumerate_mop, fixed_set, require_monadic
 from . import deduction as _ded
 
 
-_ds_by_members = lambda ctx: {d.members: d for d in ctx.ds}     # per algebra (`Ctx.once`)
-
-
 class Ctx:
     """Evaluation context: one algebra, its classification and
     (optionally) one monadic pair, with the tables a compiled formula names,
@@ -41,26 +37,28 @@ class Ctx:
     pair's E and F.  `report` is the algebra's one ClassificationReport
     (`classify`), whose tables are read off it on each use.
     `zero` is the declared zero, not `report.zero`, until ROADMAP item 2.
-    `ds` and `congruences` are deduction's kept lists; `applies` and `once`
-    keep what reads no pair on the algebra object, for every context on it.
-    `failures` holds the first failures `verify_suite` found here, by expression."""
+    `ds`, `congruences`, `hypotheses` (the decided ones) and `once` are kept
+    on the algebra object; `failures` (`verify_suite`'s first failures, by
+    expression) and `monadic_members` (its monadic DS's members) per pair."""
 
     def __init__(self, alg: FiniteAlgebra, pair: MonadicPair | None = None):
         self.alg = alg
         self.report, _ = classify(alg)
+        self.hypotheses = alg.kept("hypotheses", lambda alg: {})
         self.n, self.one, self.zero, self.arrow, self.squig = (alg.size, alg.one, alg.zero,
                                                                alg.arrow, alg.squig)
         self._bind(pair)
 
     def once(self, fn):
-        """fn(self), kept on the algebra object (`FiniteAlgebra.kept`): computed
-        once for it, whatever context or copy asks; fn must not read the pair."""
+        """fn(self), once per algebra object (`FiniteAlgebra.kept`); fn reads no pair."""
         return self.alg.kept(fn, lambda alg: fn(self))
 
     def applies(self, hypothesis) -> bool:
-        """Whether the report meets hypothesis, kept on the algebra object."""
-        return self.alg.kept(("applies", hypothesis),
-                             lambda alg: self.report.unmet(hypothesis) is None)
+        """Whether the report meets hypothesis, decided on a miss (`unmet`)."""
+        met = self.hypotheses.get(hypothesis)
+        if met is None:
+            met = self.hypotheses[hypothesis] = self.report.unmet(hypothesis) is None
+        return met
 
     # read through the module, where perfbench traces them
     ds = property(lambda self: _ded.enumerate_ds(self.alg))
@@ -69,14 +67,21 @@ class Ctx:
     leq, neg_minus, neg_sim, odot, oplus, meet, join = (property(attrgetter("report." + t))
         for t in ("leq", "neg_minus", "neg_sim", "odot", "oplus", "meet", "join"))
 
+    @property
+    def monadic_members(self) -> set:       # D is monadic when F maps D into D
+        if self._mds is None:
+            self._mds = {d.members for d in self.ds if {self.F[x] for x in d.members} <= d.members}
+        return self._mds
+
     def _bind(self, pair):
         self.pair = pair
         self.E, self.F = (pair.exists.images, pair.forall.images) if pair else (None, None)
         self.pair_name = ",".join(map(str, self.F)) if pair else None
-        self.failures = {}
+        self.failures, self._mds = {}, None
 
     def with_pair(self, pair):
-        ctx = copy.copy(self)
+        ctx = object.__new__(Ctx)
+        ctx.__dict__.update(self.__dict__)
         ctx._bind(pair)
         return ctx
 
@@ -140,7 +145,8 @@ def _each_congruence(expr):
 
 
 def _monadic(ctx, c):    # x ~ y implies Fx ~ Fy: the leader test over the kept links
-    return _ded._disagreement(c.cls, c.links, maps=(ctx.F,)) is None
+    cls, F = c.cls, ctx.F
+    return all(cls[F[x]] == cls[F[r]] for x, r in c.links)
 
 
 def _p6_cong_exists(ctx, c):
@@ -150,10 +156,8 @@ def _p6_cong_exists(ctx, c):
 
 
 def _p6_cong_one_class_mds(ctx, c):    # None when [1] is a monadic DS
-    if _monadic(ctx, c):
-        d = ctx.once(_ds_by_members).get(c.one_cls)
-        if d is None or not _ded.is_monadic_ds(d, ctx.pair):
-            return tuple(sorted(c.one_cls))
+    if _monadic(ctx, c) and c.one_cls not in ctx.monadic_members:
+        return tuple(sorted(c.one_cls))
 
 
 def _p6_ds_upward(ctx):
@@ -177,9 +181,9 @@ def _p6_monadic_ds_generated(ctx):
     fixed, _, _ = fixed_set(ctx.alg, ctx.pair)
     for count, ds in enumerate(ctx.ds, 1):
         generated = _ded.generated_ds(ctx.alg, ds.members & fixed)
-        if _ded.is_monadic_ds(ds, ctx.pair) != (generated == ds):
+        if (ds.members in ctx.monadic_members) != (generated == ds):
             return False, tuple(sorted(ds.members)), count
-    return True, None, len(ctx.ds)
+    return True, None, count      # the carrier is a system, so count = len(ctx.ds)
 
 
 def _fixed_subalgebra(ctx):
@@ -412,20 +416,22 @@ def catalog_json() -> list[dict]:
 
 def evaluate_law(law: Law, ctx: Ctx) -> Verdict:
     """The law's verdict on ctx, with its instance count and, for a law
-    that reads the pair, the pair's name: not applicable without a pair
-    or when the hypothesis does not hold.  A pointwise law's first failure
-    is read from `ctx.failures`, else found by scanning the law alone."""
-    pair = ctx.pair_name if law.uses_pair else None
-    if (law.uses_pair and ctx.pair is None) or not ctx.applies(law.hypothesis):
-        return Verdict(law.id, NOT_APPLICABLE, None, 0, pair)
-    if law.arity == 0:
-        ok, witness, instances = law.check(ctx)
-        return Verdict(law.id, HOLDS if ok else FAILS, witness, instances, pair)
-    hit = (ctx.failures[law.check] if law.check in ctx.failures
-           else first_failure(ctx.n, law.arity, ((law.id, law.check),), ctx))
+    that reads the pair, the pair's name: not applicable without a pair,
+    else unless `ctx.applies` its hypothesis.  A pointwise law's first
+    failure is read from `ctx.failures`, else found by scanning it alone."""
+    law_id, _, arity, hypothesis, check, uses_pair, _ = law
+    pair = ctx.pair_name if uses_pair else None
+    if (uses_pair and ctx.pair is None) or not ctx.applies(hypothesis):
+        return Verdict(law_id, NOT_APPLICABLE, None, 0, pair)
+    if arity == 0:
+        ok, witness, instances = check(ctx)
+        return Verdict(law_id, HOLDS if ok else FAILS, witness, instances, pair)
+    hit = ctx.failures.get(check, False)
+    if hit is False:
+        hit = first_failure(ctx.n, arity, ((law_id, check),), ctx)
     if hit is None:
-        return Verdict(law.id, HOLDS, None, ctx.n ** law.arity, pair)
-    return Verdict(law.id, FAILS, hit[1], hit[2], pair)
+        return Verdict(law_id, HOLDS, None, ctx.n ** arity, pair)
+    return Verdict(law_id, FAILS, hit[1], hit[2], pair)
 
 
 def _names(value, what: str, known, unknown: str) -> tuple:
@@ -451,11 +457,11 @@ def verify_suite(alg: FiniteAlgebra, pairs, law_ids=None) -> list[Verdict]:
     Pair-independent laws are evaluated once; pair laws once per pair.
     law_ids, when given, is an iterable of law ids, read once (`_names`),
     and exactly those laws run, probes included; without it every law but
-    the probes (documented open questions) runs.  Hypotheses read the
-    algebra's one classification (`classify`), and each distinct
-    hypothesis is decided once (`Ctx.applies`).  Each pair passes the pair
-    gate (`require_monadic`), in order, before any law is scanned; each
-    context is scanned once per arity (`first_failures`).
+    the probes (documented open questions) runs.  Each hypothesis is
+    decided once per algebra object and then read (`Ctx.applies`), each
+    pair's monadic deductive systems are listed once (`monadic_members`).
+    Each pair passes the pair gate (`require_monadic`), in order, before
+    any law is scanned; each context is scanned once per arity (`first_failures`).
     """
     base = Ctx(alg)
     wanted = None if law_ids is None else _names(

@@ -395,8 +395,11 @@ def test_generated_ds_rejects_an_element_outside_the_carrier(psbe5, bad):
     assert err.value.witness == (bad,)
 
 
-# on bc4, a four-element carrier: a map of three images, and one with an image off it
+# on bc4, a four-element carrier: a map of three images, and one with an image off it;
+# a pair of two-element maps, and the carrier as a deductive system they do not reach
 SHORT, OFF = UnaryMap((0, 1, 2)), UnaryMap((0, 7, 0, 0))
+PAIR2 = MonadicPair(UnaryMap((0, 1)), UnaryMap((0, 1)))
+CARRIER = DeductiveSystem(frozenset(range(4)), True)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -422,6 +425,14 @@ SHORT, OFF = UnaryMap((0, 1, 2)), UnaryMap((0, 7, 0, 0))
      "quotient needs a partition of the carrier, got Congruence(classes=(0, 1))"),
     (lambda alg: quotient(alg, (0, 1, 2, 3)),
      "quotient needs a partition of the carrier, got (0, 1, 2, 3)"),
+    (lambda alg: monadic_ds(alg, PAIR2), f"monadic_ds needs self-maps of the carrier, got {PAIR2}"),
+    (lambda alg: monadic_ds(alg, PAIR2, [CARRIER]),
+     f"monadic_ds needs self-maps of the carrier, got {PAIR2}"),
+    (lambda alg: is_monadic_ds(CARRIER, PAIR2),
+     "is_monadic_ds needs members in the forall map's domain, got "
+     "DeductiveSystem(members=frozenset({0, 1, 2, 3}), normal=True)"),
+    (lambda alg: is_monadic_congruence(Congruence((0, 0, 1, 1)), PAIR2),
+     f"is_monadic_congruence needs self-maps of the carrier, got {PAIR2}"),
 ])
 def test_malformed_maps_systems_and_partitions_are_rejected_at_entry(bc4, call, message):
     # shape only, before any read of a table by the given indices

@@ -3,8 +3,9 @@ congruences and monadic pairs are computed on the first call for the
 object, later calls get the kept result (a new list each time), a
 `_replace` copy computes afresh and a raised PreconditionUnmet is never
 kept.  Law hypotheses are names the report decides, so they read no pair
-and each is decided once; what a law context computes once (`Ctx.once`)
-is kept on the object too."""
+and each is decided once, into the one dict of decided hypotheses that
+the object keeps; what a law context computes once (`Ctx.once`) is kept
+on the object too, and what it finds per pair on the context."""
 
 import importlib
 from collections import Counter
@@ -16,8 +17,8 @@ from psbe import laws as laws_module
 from psbe import quantifiers as quantifiers_module
 from psbe.algebra import PreconditionUnmet, parse_algebra
 from psbe.classify import ClassificationReport, check_pseudo_be, check_pseudo_bck
-from psbe.deduction import enumerate_congruences, enumerate_ds, generated_ds
-from psbe.laws import Ctx, SearchSpec, catalog, search_counterexample
+from psbe.deduction import enumerate_congruences, enumerate_ds, generated_ds, is_monadic_ds
+from psbe.laws import Ctx, SearchSpec, catalog, search_counterexample, verify_suite
 from psbe.quantifiers import BOUNDED_COMMUTATIVE, HOOP, PLAIN, enumerate_mop
 
 from conftest import FIXTURE_NAMES, load, model_algebra, times_c2
@@ -176,6 +177,25 @@ def test_generated_ds_and_ctx_once_read_what_the_object_keeps(psbe5, monkeypatch
     assert decided[hypothesis] == 1
     assert Ctx(alg).ds == systems and Ctx(alg).ds is not Ctx(alg).ds
     assert calls[("enumerate_ds", alg.arrow, alg.squig)] == 1
+    # the decided hypotheses are one dict per object, which every context on it
+    # reads and a second verify_suite call finds filled; a copy starts empty
+    base, pairs = Ctx(alg), enumerate_mop(alg)
+    hypotheses = base.hypotheses
+    assert all(base.with_pair(pair).hypotheses is hypotheses for pair in pairs)
+    verify_suite(alg, pairs)
+    assert Ctx(alg).hypotheses is hypotheses
+    assert set(hypotheses) == {law.hypothesis for law in catalog() if not law.probe}
+    before = Counter(decided)
+    verify_suite(alg, pairs)
+    assert decided == before and Ctx(alg).hypotheses is hypotheses
+    assert Ctx(alg._replace()).hypotheses == {} and Ctx(alg._replace()).hypotheses is not hypotheses
+    # a pair's context shares the algebra and report, not what it finds per pair
+    ctx = base.with_pair(pairs[0])
+    assert ctx.alg is base.alg and ctx.report is base.report
+    assert ctx.failures is not base.failures and ctx.failures == {}
+    assert ctx.monadic_members is not base.with_pair(pairs[0]).monadic_members
+    assert ctx.with_pair(pairs[-1]).monadic_members is not ctx.monadic_members
+    assert ctx.monadic_members == {d.members for d in systems if is_monadic_ds(d, pairs[0])}
 
 
 @pytest.mark.parametrize("law_id, max_size, scanner", [
