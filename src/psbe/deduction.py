@@ -22,6 +22,7 @@ from .quantifiers import MonadicPair, check_monadic, require_monadic, require_se
 # perfbench/workloads.py catches this name, and perfbench changes only on its own
 NotACongruence = PreconditionUnmet
 _braces = lambda alg, xs: "{" + ", ".join(alg.element_names[x] for x in sorted(xs)) + "}"
+_maps_into = lambda members, f: {f[x] for x in members} <= members    # monadic DS: F[D] ⊆ D
 
 
 def _unmet(reason: str, witness: tuple[int, ...]) -> PreconditionUnmet:
@@ -89,7 +90,7 @@ def _enumerate_ds(alg: FiniteAlgebra) -> list[DeductiveSystem]:
 def is_monadic_ds(ds: DeductiveSystem, pair: MonadicPair) -> bool:
     if not _indices(ds.members, len(pair.forall)):      # shape only
         raise PreconditionUnmet(f"is_monadic_ds needs members in the forall map's domain, got {ds!r}")
-    return all(pair.forall(x) in ds.members for x in ds.members)
+    return _maps_into(ds.members, pair.forall.images)
 
 
 def monadic_ds(alg: FiniteAlgebra, pair: MonadicPair,
@@ -169,23 +170,25 @@ def _links(classes) -> list:
 
 
 def _disagreement(cls, links, tables=(), maps=()) -> tuple[int, int] | None:
-    """The first link (x, r) at which x and its block's leader r disagree,
-    or None: under a table t some t[x][u] and t[r][u], or t[u][x] and
-    t[u][r], lie in different blocks (cls[x] is x's block); under a map f,
-    given by its images, f(x) and f(r) do.
+    """The first link (x, r), under each map in turn and then the tables,
+    at which x and its block's leader r disagree, or None: under a map f,
+    given by its images, f(x) and f(r) lie in different blocks (cls[x] is
+    x's block); under a table t some t[x][u] and t[r][u], or t[u][x] and t[u][r], do.
 
     None decides compatibility in O(n^2).  Compatibility implies it:
     the disagreements are its instances (x, r, u, u) and (u, u, x, r)
     for a table and (x, r) for a map.  Conversely, for x ~ y and u ~ v
     with leaders r and r', t[x][u] ~ t[r][u] ~ t[y][u] ~ t[y][r'] ~
     t[y][v] and f(x) ~ f(r) ~ f(y), as ~ is transitive."""
-    if not links:       # also n = 1, where itemgetter of one index gives no tuple
+    for f in maps:
+        for x, r in links:
+            if cls[f[x]] != cls[f[r]]:
+                return x, r
+    if not (links and tables):      # no links also at n = 1, where itemgetter gives no tuple
         return None
-    # view[x] is the blocks of x's image, row or column under one operation
-    views = [itemgetter(*f)(cls) for f in maps]
-    for t in tables:
-        rows = [itemgetter(*row)(cls) for row in t]
-        views += rows, list(zip(*rows))
+    # view[x] is the blocks of x's row or column under one table
+    rows = [[itemgetter(*row)(cls) for row in t] for t in tables]
+    views = [view for t_rows in rows for view in (t_rows, list(zip(*t_rows)))]
     for x, r in links:
         for view in views:
             if view[x] != view[r]:

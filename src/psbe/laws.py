@@ -68,9 +68,9 @@ class Ctx:
         for t in ("leq", "neg_minus", "neg_sim", "odot", "oplus", "meet", "join"))
 
     @property
-    def monadic_members(self) -> set:       # D is monadic when F maps D into D
+    def monadic_members(self) -> set:
         if self._mds is None:
-            self._mds = {d.members for d in self.ds if {self.F[x] for x in d.members} <= d.members}
+            self._mds = {d.members for d in self.ds if _ded._maps_into(d.members, self.F)}
         return self._mds
 
     def _bind(self, pair):
@@ -145,8 +145,7 @@ def _each_congruence(expr):
 
 
 def _monadic(ctx, c):    # x ~ y implies Fx ~ Fy: the leader test over the kept links
-    cls, F = c.cls, ctx.F
-    return all(cls[F[x]] == cls[F[r]] for x, r in c.links)
+    return _ded._disagreement(c.cls, c.links, maps=(ctx.F,)) is None
 
 
 def _p6_cong_exists(ctx, c):
@@ -183,7 +182,7 @@ def _p6_monadic_ds_generated(ctx):
         generated = _ded.generated_ds(ctx.alg, ds.members & fixed)
         if (ds.members in ctx.monadic_members) != (generated == ds):
             return False, tuple(sorted(ds.members)), count
-    return True, None, count      # the carrier is a system, so count = len(ctx.ds)
+    return True, None, len(ctx.ds)
 
 
 def _fixed_subalgebra(ctx):
@@ -419,19 +418,18 @@ def evaluate_law(law: Law, ctx: Ctx) -> Verdict:
     that reads the pair, the pair's name: not applicable without a pair,
     else unless `ctx.applies` its hypothesis.  A pointwise law's first
     failure is read from `ctx.failures`, else found by scanning it alone."""
-    law_id, _, arity, hypothesis, check, uses_pair, _ = law
-    pair = ctx.pair_name if uses_pair else None
-    if (uses_pair and ctx.pair is None) or not ctx.applies(hypothesis):
-        return Verdict(law_id, NOT_APPLICABLE, None, 0, pair)
-    if arity == 0:
-        ok, witness, instances = check(ctx)
-        return Verdict(law_id, HOLDS if ok else FAILS, witness, instances, pair)
-    hit = ctx.failures.get(check, False)
+    pair = ctx.pair_name if law.uses_pair else None
+    if (law.uses_pair and ctx.pair is None) or not ctx.applies(law.hypothesis):
+        return Verdict(law.id, NOT_APPLICABLE, None, 0, pair)
+    if law.arity == 0:
+        ok, witness, instances = law.check(ctx)
+        return Verdict(law.id, HOLDS if ok else FAILS, witness, instances, pair)
+    hit = ctx.failures.get(law.check, False)      # False: not scanned here
     if hit is False:
-        hit = first_failure(ctx.n, arity, ((law_id, check),), ctx)
+        hit = first_failure(ctx.n, law.arity, ((law.id, law.check),), ctx)
     if hit is None:
-        return Verdict(law_id, HOLDS, None, ctx.n ** arity, pair)
-    return Verdict(law_id, FAILS, hit[1], hit[2], pair)
+        return Verdict(law.id, HOLDS, None, ctx.n ** law.arity, pair)
+    return Verdict(law.id, FAILS, hit[1], hit[2], pair)
 
 
 def _names(value, what: str, known, unknown: str) -> tuple:
