@@ -67,6 +67,14 @@ _indices = lambda values, n: set(map(type, values)) <= {int} and set(values).iss
 is_self_map = lambda m, n: isinstance(m, UnaryMap) and len(m) == n and _indices(m.images, n)
 
 
+def _listed(value, what: str) -> tuple:
+    """value read once into a tuple; PreconditionUnmet saying what needs it, unless iterable."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise PreconditionUnmet(f"{what}, got {value!r}") from None
+
+
 class FiniteAlgebra:
     """An immutable record whose fields are ordinary instance attributes,
     read in every inner loop.  Equality and hash ignore `unary`.  What is
@@ -234,10 +242,7 @@ def parse_algebra(text: str) -> FiniteAlgebra:
             opname = toks[1]
             if opname in unary:
                 raise ParseError(lineno, f"duplicate unary map {opname!r}")
-            at, row = take()
-            if len(row) != n:
-                raise ParseError(at, f"unary row has {len(row)} entries, expected {n}")
-            unary[opname] = UnaryMap(tuple(element(t, at) for t in row))
+            unary[opname] = UnaryMap(read_rows(1, "unary")[0])
         else:
             raise ParseError(lineno, f"unknown section {head!r}")
 

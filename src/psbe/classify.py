@@ -18,13 +18,16 @@ expression the kernel scans over the tables as the algebra and its report
 name them (`expression`): x -> y = 1 is "arrow[x][y] == one".  Tightest
 first: x, y, z, 0, 1 and (t); the negations x- and x~; E and F, the
 existential and universal operators; * (pseudo-product); (+) (its dual);
-^ and v (meet, join); -> and ~>; the relations t <= u and t = u = ...;
-`and`; `implies` (or `imply`) and `iff`.  Only =, `and`, *, (+), ^ and v
-repeat (from the left); two operators of one level need parentheses.  The
-dual of X, X read on the dual algebra A^op (`opposite`), swaps -> with ~>,
-- with ~ and the operands of * and (+); a trailing "(dual)" states it, and
-"(both arrows)" states X and its dual.  A leading "under (X):" names
-condition (X).  The arity is the highest of x, y, z named, 0 for none.
+^ and v (meet, join); -> and ~>; the relations t <= u, t = u = ..., t ~C u
+("cls[t] == cls[u]") and t in [1]_C ("t in one_cls"); `and`; `implies` (or
+`imply`) and `iff`.  Only =, `and`, *, (+), ^ and v repeat (from the left);
+two operators of one level need parentheses.  The dual of X, X read on the
+dual algebra A^op (`opposite`), swaps -> with ~>, - with ~ and the operands
+of * and (+); a trailing "(dual)" states it, and "(both arrows)" states X
+and its dual.  A leading "under (X):" names condition (X); "for every
+[monadic] congruence C:" states X of each such C, whose classes ~C and [1]_C
+read (tree: (quantifier, X), which the dual keeps).  E, F and "monadic" read
+the pair.  The arity is the highest of x, y, z named, 0 for none.
 """
 
 from __future__ import annotations
@@ -207,29 +210,33 @@ def _whitelist(node, expr: str, arity: int, tables: set, reads: list) -> int:
     return depth
 
 
-_LEVELS = (("implies", "imply", "iff"), ("and",), ("<=", "="), ("->", "~>"), ("^", "v"),
-           ("(+)",), ("*",))    # loosest first; under them E, F and then - and ~
+_LEVELS = (("implies", "imply", "iff"), ("and",), ("<=", "=", "~C", "in"), ("->", "~>"),
+           ("^", "v"), ("(+)",), ("*",))    # loosest first; under them E, F and then - and ~
 _RANK = {op: rank for rank, ops in enumerate(_LEVELS) for op in ops}
 _CHAINS = ("and", "=", "^", "v", "(+)", "*")
 _FORM = {"implies": "(not ({}) or ({}))", "imply": "(not ({}) or ({}))", "iff": "({}) == ({})",
          "and": "{} and {}", "<=": "leq[{}][{}]", "=": "{} == {}", "->": "arrow[{}][{}]",
          "~>": "squig[{}][{}]", "^": "meet[{}][{}]", "v": "join[{}][{}]", "(+)": "oplus[{}][{}]",
          "*": "odot[{}][{}]", "E": "E[{}]", "F": "F[{}]", "-": "neg_minus[{}]",
-         "~": "neg_sim[{}]", "x": "x", "y": "y", "z": "z", "0": "zero", "1": "one"}
+         "~": "neg_sim[{}]", "x": "x", "y": "y", "z": "z", "0": "zero", "1": "one",
+         "~C": "cls[{}] == cls[{}]", "in": "{} in {}", "[1]_C": "one_cls",
+         "for every congruence C:": "{}", "for every monadic congruence C:": "{}"}
 _OPPOSITE = {"->": "~>", "~>": "->", "-": "~", "~": "-"}    # and * and (+) swap operands
-_TOKEN = r"\s*(under \([AMT]\):|\(both arrows\)|\(dual\)|\(\+\)|and|implies|imply|iff|->|~>|<=|\S)"
-_FORMULAS = {}      # formula text -> (tree, arity, names E or F, condition)
+_TOKEN = (r"\s*(under \([AMT]\):|for every (?:monadic )?congruence C:|\(both arrows\)|\(dual\)"
+          r"|\(\+\)|and|implies|imply|iff|in|->|~>|~C|<=|\[1\]_C|\S)")
+_FORMULAS = {}      # formula text -> (tree, arity, reads the pair, condition)
 
 
 def formula(text: str, name: str = "") -> tuple:
-    """(tree, arity, whether it names E or F, X of "under (X):" or None) of text,
+    """(tree, arity, whether it reads the pair, X of "under (X):" or None) of text,
     kept by it; InvariantViolated, naming name and the position, if malformed."""
     if text in _FORMULAS:
         return _FORMULAS[text]
     toks = [(m[1], m.start(1)) for m in re.finditer(_TOKEN, text)]
     names, toks = {tok for tok, _ in toks}, [("", len(text))] + toks[::-1]    # next one last
     peek = lambda: toks[-1][0]
-    under = toks.pop()[0][7] if peek().startswith("under") else None    # A, M or T
+    lead = toks.pop()[0] if peek().startswith(("under", "for every")) else ""    # one at most
+    under, over = (lead[7], "") if lead[:1] == "u" else (None, lead)    # A, M or T; a quantifier
 
     def fail(tok, pos):
         raise InvariantViolated(f"{name}: unexpected {tok or 'end'!r} at position {pos} "
@@ -243,8 +250,9 @@ def formula(text: str, name: str = "") -> tuple:
         left, top, last = unary(), len(_LEVELS), None
         while _RANK.get(peek(), -1) >= level:
             op, pos = toks.pop()
-            rank = _RANK[op]
-            right, inner = parse(rank + 1)      # `and`, `implies`, `iff` join formulas, not terms
+            # `and`, `implies`, `iff` join formulas, not terms; C is the quantifier's congruence
+            rank = _RANK[op] if over or op not in ("~C", "in") else fail(op, pos)
+            right, inner = ((take("[1]_C"),), len(_LEVELS)) if op == "in" else parse(rank + 1)
             if rank == top and (op != last or op not in _CHAINS) or rank < 2 < max(top, inner):
                 fail(op, pos)
             left, top, last = (op, left, right), rank, op
@@ -264,7 +272,8 @@ def formula(text: str, name: str = "") -> tuple:
         tree = ("and", tree, opposite(tree)) if toks.pop()[0] == "(both arrows)" else opposite(tree)
     if top > 2 or peek():       # a term, not a formula, or text after the formula
         fail(*toks[-1])
-    _FORMULAS[text] = tree, max(0, *map(" xyz".find, names)), bool(names & {"E", "F"}), under
+    _FORMULAS[text] = ((over, tree) if over else tree, max(0, *map(" xyz".find, names)),
+                       bool(names & {"E", "F", "for every monadic congruence C:"}), under)
     return _FORMULAS[text]
 
 

@@ -14,7 +14,7 @@ from itertools import product
 from operator import itemgetter
 from typing import NamedTuple
 
-from .algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap, _indices, is_self_map
+from .algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap, _indices, _listed, is_self_map
 from .classify import (HOLDS, ClassificationReport, InvariantViolated, Verdict,
                        check_pseudo_bck, classify, closed_sets, theorem_fails)
 from .quantifiers import MonadicPair, check_monadic, require_monadic, require_self_maps
@@ -121,6 +121,7 @@ def generated_ds(alg: FiniteAlgebra, xs,
     reads, and whose PreconditionUnmet it raises).  An index outside the
     carrier raises PreconditionUnmet with the least such as witness."""
     # report is unused; perfbench/workloads.py passes it positionally
+    xs = _listed(xs, "generated_ds needs an iterable of elements")
     xs = frozenset(alg.index(x) if isinstance(x, str) else x for x in xs)
     found = next((d for d in alg.kept("ds", _enumerate_ds) if xs <= d.members), None)
     if found is None:       # the carrier is a system, so xs leaves the carrier

@@ -7,9 +7,10 @@ once, as its anchor, a formula (notation in `classify`) that
 `pointwise_law` compiles into its check, the expression over the `Ctx`
 tables that `classify.first_failure` scans; a leading "under (X):" adds
 condition (X) to its hypothesis.  A global law's check is a function of
-the context.  `verify_suite` evaluates the catalog against an algebra and
-a set of monadic pairs; `search_counterexample` enumerates small algebras
-for a failure of one law.
+the context: compiled from its anchor too when "for every [monadic]
+congruence C:" leads it, else written by hand.  `verify_suite` evaluates
+the catalog against an algebra and a set of monadic pairs;
+`search_counterexample` enumerates small algebras for a failure of one law.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from operator import attrgetter
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from .algebra import FiniteAlgebra, PreconditionUnmet
+from .algebra import FiniteAlgebra, PreconditionUnmet, _indices, _listed
 from .classify import (FAILS, FLAG_ALIASES, FLAG_NAMES, HOLDS, NOT_APPLICABLE, Verdict,
                        InvariantViolated, backtrack, classify, expression, first_failure,
                        first_failures, formula)
@@ -34,7 +35,8 @@ class Ctx:
     (optionally) one monadic pair, with the tables a compiled formula names,
     under the names the algebra and its report carry: arrow, squig, leq,
     neg_minus, neg_sim, odot, oplus, meet, join, one and zero, and the
-    pair's E and F.  `report` is the algebra's one ClassificationReport
+    pair's E and F (and a congruence's cls and one_cls on a copy,
+    `with_classes`).  `report` is the algebra's one ClassificationReport
     (`classify`), whose tables are read off it on each use.
     `zero` is the declared zero, not `report.zero`, until ROADMAP item 2.
     `ds`, `congruences`, `hypotheses` (the decided ones) and `once` are kept
@@ -85,6 +87,11 @@ class Ctx:
         ctx._bind(pair)
         return ctx
 
+    def with_classes(self, c):     # a copy that also reads congruence c's cls and one_cls
+        ctx = object.__new__(Ctx)
+        ctx.__dict__.update(self.__dict__, cls=c.cls, one_cls=c.one_cls)
+        return ctx
+
 
 _BE, _BCK, _BND = ("pseudo_be",), ("pseudo_bck",), ("pseudo_be", "bounded")
 
@@ -111,12 +118,11 @@ class Law(NamedTuple):
 # ---------------------------------------------------------------- catalog
 
 def _congruence_tables(ctx):
-    """Per congruence, in order, the tables its laws read: arrow, squig, cls
-    (its classes), one_cls (the class of 1) and links, each x paired with
-    the first element of its block where the two differ."""
-    return [SimpleNamespace(arrow=ctx.arrow, squig=ctx.squig, cls=c.classes,
-                            one_cls=c.one_class(ctx.alg), links=_ded._links(c.classes))
-            for c in ctx.congruences]
+    """Per congruence, in order, the tables its laws read: cls (its classes),
+    one_cls (the class of 1) and links, each x paired with the first element
+    of its block where the two differ."""
+    return [SimpleNamespace(cls=c.classes, one_cls=c.one_class(ctx.alg),
+                            links=_ded._links(c.classes)) for c in ctx.congruences]
 
 
 def _over_congruences(body):
@@ -134,24 +140,20 @@ def _over_congruences(body):
     return check
 
 
-def _first_pair(ctx, expr, source):    # the first (x, y) failing expr, or None
-    hit = first_failure(ctx.n, 2, ((None, expr),), source)
-    return hit and hit[1]
-
-
-def _each_congruence(expr):
-    """Global law: expr at every (x, y) over each congruence's tables."""
-    return _over_congruences(lambda ctx, c: _first_pair(ctx, expr, c))
-
-
 def _monadic(ctx, c):    # x ~ y implies Fx ~ Fy: the leader test over the kept links
     return _ded._disagreement(c.cls, c.links, maps=(ctx.F,)) is None
 
 
-def _p6_cong_exists(ctx, c):
-    if _monadic(ctx, c):
-        return _first_pair(ctx, "cls[x] != cls[y] or cls[E[x]] == cls[E[y]]",
-                           SimpleNamespace(E=ctx.E, cls=c.cls))
+@cache
+def _over_classes(tree, arity: int):
+    """The check of a "for every [monadic] congruence C:" formula's tree (`_over_congruences`)."""
+    checks, monadic = ((None, expression(tree)),), "monadic" in tree[0]
+
+    def body(ctx, c):
+        if not monadic or _monadic(ctx, c):
+            hit = first_failure(ctx.n, arity, checks, ctx.with_classes(c))
+            return hit and hit[1]
+    return _over_congruences(body)
 
 
 def _p6_cong_one_class_mds(ctx, c):    # None when [1] is a monadic DS
@@ -220,13 +222,15 @@ def _surjective_id(ctx):
 
 def pointwise_law(law_id: str, anchor: str, hypothesis=(), probe: bool = False) -> Law:
     """The law that anchor states (`classify.formula`): it uses the pair when
-    it names E or F, and "under (X):" appends condition_X to its hypothesis.
-    InvariantViolated, naming the law, on a malformed anchor or one that
-    names none of x, y, z."""
+    the formula reads it, "under (X):" appends condition_X to its hypothesis
+    and a congruence quantifier makes it global (`_over_classes`).  InvariantViolated,
+    naming the law, on a malformed anchor or one that names none of x, y, z."""
     tree, arity, uses_pair, under = formula(anchor, law_id)
     if arity < 1:
         raise InvariantViolated(f"{law_id}: {anchor!r} names none of x, y, z")
     hypothesis = (*hypothesis, f"condition_{under}") if under else hypothesis
+    if tree[0].startswith("for every"):
+        return Law(law_id, anchor, 0, hypothesis, _over_classes(tree, arity), uses_pair, probe)
     return Law(law_id, anchor, arity, hypothesis, expression(tree), uses_pair, probe)
 
 
@@ -365,19 +369,13 @@ def catalog() -> tuple[Law, ...]:
         ("pseudo_hoop", "meet_semilattice"))
 
     # -------- congruence / deductive-system laws
-    add(Law("L6.arrow_iff_squig_one_class",
-            "for every congruence: x -> y in [1] iff x ~> y in [1]", 0, _BE,
-            _each_congruence("(arrow[x][y] in one_cls) == (squig[x][y] in one_cls)"),
-            uses_pair=False))
-    add(Law("L6.class_implications",
-            "(x,y) related implies x -> y, y -> x, x ~> y, y ~> x in [1]", 0, _BE,
-            _each_congruence("cls[x] != cls[y] or {arrow[x][y], arrow[y][x], squig[x][y],"
-                             " squig[y][x]} <= one_cls"), uses_pair=False))
-    add(Law("L6.commutative_converse",
-            "commutative: x -> y, y -> x in [1] implies (x,y) related", 0,
-            ("pseudo_be", "commutative"),
-            _each_congruence("not (arrow[x][y] in one_cls and arrow[y][x] in one_cls)"
-                             " or cls[x] == cls[y]"), uses_pair=False))
+    _BCOM = ("pseudo_be", "commutative")
+    law("L6.arrow_iff_squig_one_class",
+        "for every congruence C: x -> y in [1]_C iff x ~> y in [1]_C", _BE)
+    law("L6.class_implications", "for every congruence C: x ~C y implies x -> y in [1]_C"
+        " and y -> x in [1]_C and x ~> y in [1]_C and y ~> x in [1]_C", _BE)
+    law("L6.commutative_converse",
+        "for every congruence C: x -> y in [1]_C and y -> x in [1]_C implies x ~C y", _BCOM)
     add(Law("P6.ds_upward", "D a deductive system, x in D, x <= y imply y in D",
             0, _BE, _p6_ds_upward, uses_pair=False))
     add(Law("P6.distributive_normal", "distributive: every deductive system is normal",
@@ -388,9 +386,8 @@ def catalog() -> tuple[Law, ...]:
     add(Law("P6.monadic_con_one_class",
             "monadic congruence: [1] is a monadic deductive system", 0, _BE,
             _over_congruences(_p6_cong_one_class_mds)))
-    add(Law("P6.commutative_exists_cong",
-            "commutative: monadic congruence relates Ex and Ey when it relates x,y",
-            0, ("pseudo_be", "commutative"), _over_congruences(_p6_cong_exists)))
+    law("P6.commutative_exists_cong",
+        "for every monadic congruence C: x ~C y implies Ex ~C Ey", _BCOM)
 
     # -------- axiom probes for the search module
     law("AX.refl", "x <= x", _BE)
@@ -437,10 +434,7 @@ def _names(value, what: str, known, unknown: str) -> tuple:
     an iterable, not a string, of strings all in known (else listed, sorted)."""
     if isinstance(value, str):
         raise PreconditionUnmet(f"{what}, not the string {value!r}")
-    try:
-        names = tuple(value)
-    except TypeError:           # not iterable
-        names = (None,)
+    names = _listed(value, what)
     if not all(isinstance(name, str) for name in names):
         raise PreconditionUnmet(f"{what}, got {value!r}")
     bad = sorted({name for name in names if name not in known})
@@ -461,7 +455,7 @@ def verify_suite(alg: FiniteAlgebra, pairs, law_ids=None) -> list[Verdict]:
     Each pair passes the pair gate (`require_monadic`), in order, before
     any law is scanned; each context is scanned once per arity (`first_failures`).
     """
-    base = Ctx(alg)
+    pairs, base = _listed(pairs, "verify_suite needs an iterable of monadic pairs"), Ctx(alg)
     wanted = None if law_ids is None else _names(
         law_ids, "law_ids must list law ids", _law_by_id(), "unknown law ids")
     laws = [l for l in catalog() if (not l.probe if wanted is None else l.id in wanted)]
@@ -493,8 +487,10 @@ class SearchSpec(_SearchFields):
 
     def __new__(cls, *args, **kwargs):
         spec = super().__new__(cls, *args, **kwargs)
-        if not (2 <= spec.min_size <= spec.max_size <= 5):
+        if not (_indices((spec.min_size, spec.max_size), 6) and 2 <= spec.min_size <= spec.max_size):
             raise PreconditionUnmet("search sizes must satisfy 2 <= min <= max <= 5")
+        if spec.budget is not None and type(spec.budget) is not int:
+            raise PreconditionUnmet(f"search budget must be an int or None, got {spec.budget!r}")
         if spec.budget is not None and spec.budget < 0:
             raise PreconditionUnmet(f"search budget must be >= 0, got {spec.budget}")
         require = _names(spec.require, "require must list flag names",

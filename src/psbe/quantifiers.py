@@ -112,6 +112,8 @@ def enumerate_mop(alg: FiniteAlgebra, mode: str = PLAIN) -> list[MonadicPair]:
     (PreconditionUnmet before anything is listed, where one is missing).
     Kept per algebra object and mode; each call gets a new list.
     """
+    if mode not in (PLAIN, BOUNDED_COMMUTATIVE, HOOP):
+        _mode_tables(alg, mode)     # raises PreconditionUnmet before the mode is hashed in a key
     return list(alg.kept(("mop", mode), lambda alg: _enumerate_mop(alg, mode)))
 
 

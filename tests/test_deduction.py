@@ -13,7 +13,7 @@ from psbe.deduction import (Congruence, DeductiveSystem, correspondence_report,
                             is_monadic_congruence,
                             is_monadic_ds, monadic_ds, quotient,
                             theta_from_ds)
-from psbe.laws import SearchSpec
+from psbe.laws import SearchSpec, verify_suite
 from psbe.quantifiers import (MonadicPair, build_from_sigma, build_from_tau, check_mv_quantifier,
                               enumerate_mop, fixed_set, pair_from_unary_blocks)
 
@@ -491,6 +491,18 @@ def test_quotient_rejects_a_pair_that_is_not_monadic():
      "require must list flag names, got (['poset'],)"),
     ("bc4", lambda alg: enumerate_mop(alg, "bounded_commutative"),
      "unknown mode 'bounded_commutative'"),
+    # a value of the wrong type, before it is hashed, iterated or compared
+    ("bc4", lambda alg: enumerate_mop(alg, [1]), "unknown mode [1]"),
+    ("bc4", lambda alg: verify_suite(alg, 5),
+     "verify_suite needs an iterable of monadic pairs, got 5"),
+    ("bc4", lambda alg: verify_suite(alg, None),
+     "verify_suite needs an iterable of monadic pairs, got None"),
+    ("bc4", lambda alg: generated_ds(alg, 5), "generated_ds needs an iterable of elements, got 5"),
+    *(("psbe4", lambda alg, size=size: SearchSpec(law="AX.refl", **size),
+       "search sizes must satisfy 2 <= min <= max <= 5")
+      for size in ({"max_size": "4"}, {"max_size": 3.5}, {"min_size": 2.0}, {"max_size": None})),
+    *(("psbe4", lambda alg, budget=budget: SearchSpec(law="AX.refl", budget=budget),
+       f"search budget must be an int or None, got {budget!r}") for budget in ("5", 2.5, False)),
 ])
 def test_unknown_keyword_values_are_rejected(name, call, message):
     with pytest.raises(PreconditionUnmet) as err:

@@ -9,8 +9,10 @@ BE-algebras, each with random pairs of maps (`one_order_tables`):
 
 - each law's dual, with distributive_i and distributive_ii swapped in its
   hypothesis, has on (A, pair) the verdict that the law has on
-  (A^op, pair): status, witness and instances; a pointwise law's does so
-  with its hypothesis dropped too, where reading a missing table raises;
+  (A^op, pair): status, witness and instances; a law that is a formula
+  (pointwise, or over congruences, which A and A^op share, with its body
+  dualized) does so with its hypothesis dropped too, where reading a
+  missing table raises;
 - the laws whose check is written once with its dual ("(both arrows)")
   give the same verdict on A and on A^op, with their hypotheses dropped;
 - every flag has the same status on A and A^op, except that
@@ -39,7 +41,7 @@ from psbe.algebra import dual as dual_algebra
 from psbe.classify import (_PSBCK, _PSBE, _PSH, _PSMV, FLAG_NAMES, ClassificationReport,
                            classify, expression, first_failure, formula, opposite)
 from psbe.deduction import enumerate_congruences, enumerate_ds
-from psbe.laws import Ctx, _is_canonical, _models, catalog
+from psbe.laws import Ctx, _is_canonical, _models, _over_classes, catalog
 from psbe.quantifiers import _E, _M1_M5, _M6, _M7, _MV, _U, MonadicPair, enumerate_mop
 
 from conftest import FIXTURE_NAMES, labelled_models, load, model_algebra
@@ -98,9 +100,19 @@ def dual_check(text):
     return expression(opposite(formula(text)[0]))
 
 
+def over_congruences(law):
+    """Whether law is a formula over congruences: a global law with a compiled anchor."""
+    return law.anchor.startswith("for every")
+
+
 def dual_law(law):
-    """law read on the dual: its anchor's dual, distributive_i and ii swapped."""
-    return law._replace(check=dual_check(law.anchor) if law.arity else law.check,
+    """law read on the dual: its anchor's dual (the body's, under a congruence
+    quantifier), distributive_i and ii swapped."""
+    check = dual_check(law.anchor) if law.arity else law.check
+    if over_congruences(law):
+        tree, arity = formula(law.anchor)[:2]
+        check = _over_classes(opposite(tree), arity)
+    return law._replace(check=check,
                         hypothesis=tuple(SWAP.get(name, name) for name in law.hypothesis))
 
 
@@ -115,7 +127,7 @@ def contexts(alg, pairs):
 def assert_laws_dual(alg, pairs):
     for law, ctx, ctx_op in contexts(alg, pairs):
         assert _outcome(dual_law(law), ctx) == _outcome(law, ctx_op), law.id
-        if law.arity:       # a global law's check is not a formula
+        if law.arity or over_congruences(law):      # the other global laws are not formulas
             bare = law._replace(hypothesis=())
             assert _outcome(dual_law(bare), ctx) == _outcome(bare, ctx_op), (law.id, "bare")
 
@@ -187,9 +199,10 @@ def test_duality_on_tables_with_one_order(alg, pairs):
 
 
 def package_formulas():
-    """Every formula of the package: the pointwise laws' anchors, the sides
-    of the P4 laws, the formula flags and every axiom group's formulas."""
-    texts = [law.anchor for law in catalog() if law.arity]
+    """Every formula of the package: the anchors of the pointwise laws and the
+    laws over congruences, the sides of the P4 laws, the formula flags and
+    every axiom group's formulas."""
+    texts = [law.anchor for law in catalog() if law.arity or over_congruences(law)]
     texts += [side for law in catalog() if law.id.startswith("P4.")
               for side in law.anchor.replace(" (all x,y)", "").split(" iff ")]
     texts += [text for flag in vars(ClassificationReport).values()
@@ -204,8 +217,8 @@ FORMULAS = list(dict.fromkeys(package_formulas()))     # a text some share once
 
 
 def test_the_formulas_cover_the_catalog_flags_and_axioms():
-    # 66 anchors, 6 P4 sides, 8 flags and poset's 2, 57 axioms (not psBCK6)
-    assert len(package_formulas()) == 66 + 6 + 10 + 57
+    # 66 anchors, 6 P4 sides, 8 flags and poset's 2, 57 axioms (not psBCK6), 4 over congruences
+    assert len(package_formulas()) == 66 + 6 + 10 + 57 + 4
 
 
 def test_dual_is_an_involution():
@@ -221,14 +234,17 @@ def test_dual_is_an_involution():
 
 
 def random_tables(rng, n):
-    """Random tables on n elements under every name a formula reads."""
+    """Random tables on n elements under every name a formula reads, a
+    congruence's classes cls and the class of 1 (0), one_cls, among them."""
     table = lambda: tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n))
     unary = lambda: tuple(rng.randrange(n) for _ in range(n))
-    return SimpleNamespace(one=0, zero=n - 1, arrow=table(), squig=table(), odot=table(),
-                           oplus=table(), meet=table(), join=table(), neg_minus=unary(),
-                           neg_sim=unary(), E=unary(), F=unary(),
-                           leq=tuple(tuple(rng.random() < 0.8 for _ in range(n))
-                                     for _ in range(n)))
+    t = SimpleNamespace(one=0, zero=n - 1, arrow=table(), squig=table(), odot=table(),
+                        oplus=table(), meet=table(), join=table(), neg_minus=unary(),
+                        neg_sim=unary(), E=unary(), F=unary(),
+                        leq=tuple(tuple(rng.random() < 0.8 for _ in range(n))
+                                  for _ in range(n)), cls=unary())
+    t.one_cls = frozenset(x for x in range(n) if t.cls[x] == t.cls[0])
+    return t
 
 
 def opposite_tables(t):
