@@ -91,21 +91,21 @@ class FiniteAlgebra:
         object.__setattr__(self, "_store", {})
         n = self.size
         if n == 0:
-            raise ValueError("empty carrier")
+            raise PreconditionUnmet("empty carrier")
         if len(set(element_names)) != n:
-            raise ValueError("duplicate element names")
+            raise PreconditionUnmet("duplicate element names")
         for tbl, label in ((arrow, "arrow"), (squig, "squig")):
             if len(tbl) != n or any(len(row) != n for row in tbl):
-                raise ValueError(f"{label} table is not {n}x{n}")
+                raise PreconditionUnmet(f"{label} table is not {n}x{n}")
             if not _indices(tuple(chain.from_iterable(tbl)), n):
-                raise ValueError(f"{label} table entry out of range")
+                raise PreconditionUnmet(f"{label} table entry out of range")
         if not _indices((one,), n):
-            raise ValueError("constant 1 out of range")
+            raise PreconditionUnmet("constant 1 out of range")
         if zero is not None and not _indices((zero,), n):
-            raise ValueError("constant 0 out of range")
+            raise PreconditionUnmet("constant 0 out of range")
         for opname, m in self.unary.items():
             if not is_self_map(m, n):
-                raise ValueError(f"unary map {opname!r} is not a self-map")
+                raise PreconditionUnmet(f"unary map {opname!r} is not a self-map")
 
     @property
     def size(self) -> int:

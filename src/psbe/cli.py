@@ -203,8 +203,7 @@ def _cmd_verify(args):
 
 def _cmd_search(args):
     spec = lawmod.SearchSpec(law=args.law, max_size=args.max_size,
-                             min_size=args.min_size, iso_reject=args.iso_reject,
-                             budget=args.budget)
+                             min_size=args.min_size, budget=args.budget)
     result = lawmod.search_counterexample(spec)
     payload = {
         "law": args.law,
@@ -300,8 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--law", required=True, help="target law id")
     p.add_argument("--max-size", type=int, default=4)
     p.add_argument("--min-size", type=int, default=2)
-    p.add_argument("--iso-reject", action="store_true",
-                   help="skip non-canonical table pairs")
     p.add_argument("--budget", type=int, default=None,
                    help="maximum number of candidate table pairs to visit")
 

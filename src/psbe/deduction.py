@@ -118,11 +118,15 @@ def generated_ds(alg: FiniteAlgebra, xs,
     """Least deductive system containing xs (element names or indices):
     the first listed one holding xs, as the systems are closed under
     intersection and listed by size (`enumerate_ds`, whose kept list it
-    reads, and whose PreconditionUnmet it raises).  An index outside the
-    carrier raises PreconditionUnmet with the least such as witness."""
+    reads, and whose PreconditionUnmet it raises).  An element that is
+    neither a name nor an int raises PreconditionUnmet, and so does an
+    index outside the carrier, with the least such as witness."""
     # report is unused; perfbench/workloads.py passes it positionally
-    xs = _listed(xs, "generated_ds needs an iterable of elements")
-    xs = frozenset(alg.index(x) if isinstance(x, str) else x for x in xs)
+    listed = [alg.index(x) if isinstance(x, str) else x
+              for x in _listed(xs, "generated_ds needs an iterable of elements")]
+    if not set(map(type, listed)) <= {int}:     # before any is hashed
+        raise PreconditionUnmet(f"generated_ds needs element names or indices, got {xs!r}")
+    xs = frozenset(listed)
     found = next((d for d in alg.kept("ds", _enumerate_ds) if xs <= d.members), None)
     if found is None:       # the carrier is a system, so xs leaves the carrier
         raise _unmet("element not in the carrier",

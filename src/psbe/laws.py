@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import cache, partial
 from itertools import permutations, product
 from math import inf
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -41,7 +41,8 @@ class Ctx:
     `zero` is the declared zero, not `report.zero`, until ROADMAP item 2.
     `ds`, `congruences`, `hypotheses` (the decided ones) and `once` are kept
     on the algebra object; `failures` (`verify_suite`'s first failures, by
-    expression) and `monadic_members` (its monadic DS's members) per pair."""
+    expression), `monadic_members` (its monadic DS's members) and
+    `monadic_congruences` (its monadic congruences' cls) per pair."""
 
     def __init__(self, alg: FiniteAlgebra, pair: MonadicPair | None = None):
         self.alg = alg
@@ -75,11 +76,18 @@ class Ctx:
             self._mds = {d.members for d in self.ds if _ded._maps_into(d.members, self.F)}
         return self._mds
 
+    @property
+    def monadic_congruences(self) -> set:   # x ~ y implies Fx ~ Fy, by one leader test each
+        if self._mcs is None:
+            self._mcs = {c.cls for c in self.once(_congruence_tables)
+                         if _ded._disagreement(c.cls, c.links, maps=(self.F,)) is None}
+        return self._mcs
+
     def _bind(self, pair):
         self.pair = pair
         self.E, self.F = (pair.exists.images, pair.forall.images) if pair else (None, None)
         self.pair_name = ",".join(map(str, self.F)) if pair else None
-        self.failures, self._mds = {}, None
+        self.failures, self._mds, self._mcs = {}, None, None
 
     def with_pair(self, pair):
         ctx = object.__new__(Ctx)
@@ -140,24 +148,20 @@ def _over_congruences(body):
     return check
 
 
-def _monadic(ctx, c):    # x ~ y implies Fx ~ Fy: the leader test over the kept links
-    return _ded._disagreement(c.cls, c.links, maps=(ctx.F,)) is None
-
-
 @cache
 def _over_classes(tree, arity: int):
     """The check of a "for every [monadic] congruence C:" formula's tree (`_over_congruences`)."""
     checks, monadic = ((None, expression(tree)),), "monadic" in tree[0]
 
     def body(ctx, c):
-        if not monadic or _monadic(ctx, c):
+        if not monadic or c.cls in ctx.monadic_congruences:
             hit = first_failure(ctx.n, arity, checks, ctx.with_classes(c))
             return hit and hit[1]
     return _over_congruences(body)
 
 
 def _p6_cong_one_class_mds(ctx, c):    # None when [1] is a monadic DS
-    if _monadic(ctx, c) and c.one_cls not in ctx.monadic_members:
+    if c.cls in ctx.monadic_congruences and c.one_cls not in ctx.monadic_members:
         return tuple(sorted(c.one_cls))
 
 
@@ -478,7 +482,6 @@ class _SearchFields(NamedTuple):
     max_size: int = 4
     min_size: int = 2
     require: tuple = ()            # classification flags the algebra must hold
-    iso_reject: bool = False
     budget: int | None = None
 
 
@@ -588,28 +591,39 @@ def _models(n):
                    + 1, arrow, tuple(map(tuple, s)))
 
 
-def _is_canonical(n, arrow, squig):
-    # lexicographically minimal table pair under carrier permutations
-    # fixing element 0 (the constant 1)
-    key = (arrow, squig)
-    for perm in permutations(range(1, n)):
-        p = (0,) + perm
-        inv = [0] * n
-        for i, v in enumerate(p):
-            inv[v] = i
-        ra = tuple(tuple(inv[arrow[p[x]][p[y]]] for y in range(n)) for x in range(n))
-        rs = tuple(tuple(inv[squig[p[x]][p[y]]] for y in range(n)) for x in range(n))
-        if (ra, rs) < key:
-            return False
+@cache
+def _relabellings(n):
+    """Each relabelling p of range(n) that fixes 0 but the identity, as (the
+    source of each row of arrow + squig, p's column picker, p's inverse)."""
+    perms = [(0, *p) for p in permutations(range(1, n))][1:]     # the identity comes first
+    return [((*p, *(n + v for v in p)), itemgetter(*p),
+             sorted(range(n), key=p.__getitem__).__getitem__) for p in perms]
+
+
+def _is_canonical(n, arrow, squig) -> bool:
+    """Whether (arrow, squig) is the least of its relabellings that fix
+    element 0 (the constant 1), compared row by row: arrow's, then squig's."""
+    rows = arrow + squig
+    for sources, pick, relabel in _relabellings(n):
+        for row, source in zip(rows, sources):
+            image = tuple(map(relabel, pick(rows[source])))
+            if image != row:
+                if image < row:
+                    return False
+                break
     return True
 
 
+def _psbe_checked(alg: FiniteAlgebra) -> FiniteAlgebra:
+    """alg, once its report shows the pseudo BE-algebra a search model is."""
+    if (verdict := classify(alg)[0]["pseudo_be"]).status != HOLDS:
+        raise InvariantViolated(f"search model {alg.arrow}, {alg.squig} is not a pseudo "
+                                f"BE-algebra: {verdict}")
+    return alg
+
+
 def _law_counterexample(law: Law, alg: FiniteAlgebra, spec: SearchSpec):
-    ctx = Ctx(alg)
-    if not ctx.report.holds("pseudo_be"):
-        raise InvariantViolated(
-            f"search model {alg.arrow}, {alg.squig} is not a pseudo "
-            f"BE-algebra: {ctx.report['pseudo_be']}")
+    ctx = Ctx(_psbe_checked(alg))
     if not ctx.applies((*spec.require, *law.hypothesis)):
         return None     # filtered out, or every verdict would be not applicable
     for pair in enumerate_mop(alg) if law.uses_pair else [None]:
@@ -628,9 +642,16 @@ def search_counterexample(spec: SearchSpec) -> SearchResult:
     cell at a time and tests psBE4/psBE5 as soon as the cells they read
     are set, so a failing prefix prunes every candidate that extends it.
     Arrow tables are also pruned on y -> (x -> y) = 1, a consequence of
-    psBE4 and psBE5.  Each pseudo BE-algebra found is then filtered by
-    the required classification flags (and by `_is_canonical` under
-    `iso_reject`), and the target law is evaluated on every monadic pair.
+    psBE4 and psBE5.  Each pseudo BE-algebra found is checked for psBE
+    again, and only the least of its isomorphism class (`_is_canonical`)
+    goes on to be filtered by the required classification flags and to
+    have the law evaluated on every monadic pair.  The rank order is the
+    lexicographic order of the full tables, as the row of 1 and the
+    forced cells are the same under every relabelling that fixes 1, and
+    such a relabelling keeps psBE, the `require` flags and a law's
+    status.  So the first failing model is the least of its class: ranks,
+    `visited`, budget stops and the counterexample are those of the scan
+    that evaluates every labelled model.
 
     `visited_by_size[n]` counts the candidates covered in scan order,
     pruned subtrees included: the rank of the counterexample, or
@@ -647,16 +668,13 @@ def search_counterexample(spec: SearchSpec) -> SearchResult:
     for n in range(spec.min_size, spec.max_size + 1):
         remaining = (inf if spec.budget is None
                      else max(spec.budget - result.visited, 0))
-        total = candidate_count(n) ** 2
+        total, names = candidate_count(n) ** 2, ("1", *(f"e{i}" for i in range(1, n)))
         for rank, arrow, squig in _models(n):
             if rank > remaining:
                 break
-            if spec.iso_reject and not _is_canonical(n, arrow, squig):
+            alg = _psbe_checked(FiniteAlgebra(f"search_{n}", names, 0, arrow, squig))
+            if not _is_canonical(n, arrow, squig):
                 continue
-            alg = FiniteAlgebra(
-                name=f"search_{n}",
-                element_names=("1",) + tuple(f"e{i}" for i in range(1, n)),
-                one=0, arrow=arrow, squig=squig)
             hit = _law_counterexample(law, alg, spec)
             if hit is not None:
                 result.visited_by_size[n] = rank

@@ -9,8 +9,7 @@ from psbe.algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap, load_algebr
 from psbe.classify import (HOLDS, Verdict, check_pseudo_be, check_pseudo_bck, classify,
                            theorem_fails)
 from psbe.deduction import DeductiveSystem, _braces, _is_normal, generated_ds
-from psbe.laws import (SearchResult, _is_canonical, _law_counterexample,
-                       candidate_count, catalog, free_cells)
+from psbe.laws import SearchResult, _law_counterexample, candidate_count, catalog, free_cells
 from psbe.quantifiers import PLAIN, MonadicPair, check_monadic
 
 FIXDIR = Path(psbe.__file__).resolve().parent / "fixtures"
@@ -125,8 +124,9 @@ def labelled_models(n):
 
 def brute_search(spec, pairs=brute_pairs):
     """search_counterexample by testing every candidate of pairs(n) in
-    turn, the budget checked before each one.  `pairs` may leave out
-    non-psBE candidates when no budget is set."""
+    turn, the budget checked before each one, and evaluating the law on
+    every labelled model, none skipped as isomorphic to another.  `pairs`
+    may leave out non-psBE candidates when no budget is set."""
     law = next(l for l in catalog() if l.id == spec.law)
     result = SearchResult(found=None)
     for n in range(spec.min_size, spec.max_size + 1):
@@ -135,8 +135,6 @@ def brute_search(spec, pairs=brute_pairs):
                 result.visited_by_size[n] = rank - 1
                 return result
             if not _psbe4_psbe5_ok(n, arrow, squig):
-                continue
-            if spec.iso_reject and not _is_canonical(n, arrow, squig):
                 continue
             hit = _law_counterexample(law, model_algebra(n, arrow, squig), spec)
             if hit is not None:

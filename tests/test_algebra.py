@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from psbe.algebra import (FiniteAlgebra, ParseError, UnaryMap, parse_algebra,
-                          serialize_algebra)
+from psbe.algebra import (FiniteAlgebra, ParseError, PreconditionUnmet, UnaryMap,
+                          parse_algebra, serialize_algebra)
 
 
 def test_roundtrip_fixture(any_fixture):
@@ -58,8 +58,20 @@ def test_duplicate_elements_rejected():
 def test_entries_that_are_not_exactly_ints_are_rejected(fields, message):
     # each is equal to an index in range(2), and each broke every later scan
     table = ((0, 1), (0, 0))
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(PreconditionUnmet, match=f"^{message}$"):
         FiniteAlgebra("t", ("1", "a"), **{"one": 0, "arrow": table, "squig": table, **fields})
+
+
+@pytest.mark.parametrize("args, message", [
+    (("x", ("a",), 0, ((5,),), ((0,),)), "arrow table entry out of range"),
+    (("x", (), 0, (), ()), "empty carrier"),
+    (("x", ("a", "a"), 0, ((0, 0), (0, 0)), ((0, 0), (0, 0))), "duplicate element names"),
+    (("x", ("a", "b"), 0, ((0, 0), (0, 0)), ((0, 0),)), "squig table is not 2x2"),
+])
+def test_malformed_algebras_are_rejected(args, message):
+    # the library's one error for a rejected input, a ValueError as before
+    with pytest.raises(PreconditionUnmet, match=f"^{message}$"):
+        FiniteAlgebra(*args)
 
 
 def test_unary_map_compose_identity():

@@ -433,6 +433,7 @@ CARRIER = DeductiveSystem(frozenset(range(4)), True)
      "DeductiveSystem(members=frozenset({0, 1, 2, 3}), normal=True)"),
     (lambda alg: is_monadic_congruence(Congruence((0, 0, 1, 1)), PAIR2),
      f"is_monadic_congruence needs self-maps of the carrier, got {PAIR2}"),
+    (lambda alg: generated_ds(alg, [[1]]), "generated_ds needs element names or indices, got [[1]]"),
 ])
 def test_malformed_maps_systems_and_partitions_are_rejected_at_entry(bc4, call, message):
     # shape only, before any read of a table by the given indices

@@ -16,7 +16,7 @@ from psbe import deduction as deduction_module
 from psbe import laws as laws_module
 from psbe import quantifiers as quantifiers_module
 from psbe.algebra import PreconditionUnmet, parse_algebra
-from psbe.classify import ClassificationReport, check_pseudo_be, check_pseudo_bck
+from psbe.classify import HOLDS, ClassificationReport, check_pseudo_be, check_pseudo_bck
 from psbe.deduction import enumerate_congruences, enumerate_ds, generated_ds, is_monadic_ds
 from psbe.laws import Ctx, SearchSpec, catalog, search_counterexample, verify_suite
 from psbe.quantifiers import BOUNDED_COMMUTATIVE, HOOP, PLAIN, enumerate_mop
@@ -198,6 +198,30 @@ def test_generated_ds_and_ctx_once_read_what_the_object_keeps(psbe5, monkeypatch
     assert ctx.monadic_members == {d.members for d in systems if is_monadic_ds(d, pairs[0])}
 
 
+def test_leader_test_runs_once_per_pair_and_congruence(bc4, monkeypatch):
+    # both monadic-congruence laws read the pair context's one set of monadic
+    # congruences: on bc4, 4 congruences and 2 pairs make 8 leader tests
+    alg = bc4._replace()
+    tested = Counter()
+    real = deduction_module._disagreement
+
+    def counted(cls, links, tables=(), maps=()):
+        if maps:        # a leader test under the pair's forall map
+            tested[maps, cls] += 1
+        return real(cls, links, tables, maps)
+
+    monkeypatch.setattr(deduction_module, "_disagreement", counted)
+    pairs = enumerate_mop(alg)
+    verdicts = verify_suite(alg, pairs, law_ids=["P6.monadic_con_one_class",
+                                                 "P6.commutative_exists_cong"])
+    assert [v.status for v in verdicts] == [HOLDS] * 4
+    assert len(pairs) == 2 and len(enumerate_congruences(alg)) == 4
+    assert sum(tested.values()) == 8 and set(tested.values()) == {1}
+    ctx = Ctx(alg).with_pair(pairs[0])
+    assert ctx.monadic_congruences is ctx.monadic_congruences
+    assert ctx.with_pair(pairs[0]).monadic_congruences is not ctx.monadic_congruences
+
+
 @pytest.mark.parametrize("law_id, max_size, scanner", [
     ("AX.psbck6_antisym", 3, "check_pseudo_be"),
     ("P3.isotone_unconditional", 4, "enumerate_mop"),
@@ -237,8 +261,9 @@ def test_search_lists_pairs_only_where_the_hypothesis_holds(law_id, monkeypatch)
     result = search_counterexample(SearchSpec(law=law_id, max_size=3))
     assert result.found is None and result.exhausted
     law = laws_module._law_by_id()[law_id]
-    models = [model_algebra(n, arrow, squig)
-              for n in (2, 3) for _, arrow, squig in laws_module._models(n)]
+    models = [model_algebra(n, arrow, squig) for n in (2, 3)
+              for _, arrow, squig in laws_module._models(n)
+              if laws_module._is_canonical(n, arrow, squig)]    # the least of each class
     holds = Counter((m.arrow, m.squig) for m in models
                     if Ctx(m).report.unmet(law.hypothesis) is None)
     assert 0 < len(holds) < len(models)     # the hypothesis fails somewhere

@@ -53,8 +53,7 @@ RECORDS = {
     "Law": (lambda v: Law("X.law", "x = x", v, bool, check_law),
             ("id", "anchor", "arity", "hypothesis", "check", "uses_pair", "probe")),
     "SearchSpec": (lambda v: SearchSpec("AX.refl", 3 + v),
-                   ("law", "max_size", "min_size", "require", "iso_reject",
-                    "budget")),
+                   ("law", "max_size", "min_size", "require", "budget")),
     "FiniteAlgebra": (lambda v: chain(zero=(None, 1)[v]),
                       ("name", "element_names", "one", "arrow", "squig", "zero")),
 }
@@ -110,7 +109,9 @@ def test_finite_algebra_ignores_unary_and_validates():
 
 def test_search_spec_validates_on_construction_and_replace():
     spec = SearchSpec(law="AX.refl")
-    assert spec == ("AX.refl", 4, 2, (), False, None)
+    assert spec == ("AX.refl", 4, 2, (), None)
+    with pytest.raises(TypeError):
+        SearchSpec("AX.refl", iso_reject=True)   # every search skips isomorphic copies
     assert spec._replace(budget=0).budget == 0
     for make in (lambda: SearchSpec("AX.refl", 6), lambda: spec._replace(min_size=1),
                  lambda: SearchSpec("AX.refl", 3, 4)):
