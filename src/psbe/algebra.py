@@ -63,6 +63,7 @@ UnaryMap._make = classmethod(lambda cls, fields: cls(*fields))
 
 # whether each value is an element index, an int in range(n) (1.0 and True are not)
 _indices = lambda values, n: set(map(type, values)) <= {int} and set(values).issubset(range(n))
+_sized = lambda value: hasattr(type(value), "__len__")     # whether len(value) is defined
 # whether m is a self-map of the carrier: a UnaryMap of n element indices
 is_self_map = lambda m, n: isinstance(m, UnaryMap) and len(m) == n and _indices(m.images, n)
 
@@ -89,13 +90,15 @@ class FiniteAlgebra:
         for key, value in zip(self._fields, values):
             object.__setattr__(self, key, value)
         object.__setattr__(self, "_store", {})
+        if not _sized(element_names):
+            raise PreconditionUnmet(f"element names must be a sequence, got {element_names!r}")
         n = self.size
         if n == 0:
             raise PreconditionUnmet("empty carrier")
         if len(set(element_names)) != n:
             raise PreconditionUnmet("duplicate element names")
         for tbl, label in ((arrow, "arrow"), (squig, "squig")):
-            if len(tbl) != n or any(len(row) != n for row in tbl):
+            if not _sized(tbl) or len(tbl) != n or not all(_sized(r) and len(r) == n for r in tbl):
                 raise PreconditionUnmet(f"{label} table is not {n}x{n}")
             if not _indices(tuple(chain.from_iterable(tbl)), n):
                 raise PreconditionUnmet(f"{label} table entry out of range")
@@ -103,6 +106,8 @@ class FiniteAlgebra:
             raise PreconditionUnmet("constant 1 out of range")
         if zero is not None and not _indices((zero,), n):
             raise PreconditionUnmet("constant 0 out of range")
+        if not hasattr(self.unary, "items"):
+            raise PreconditionUnmet(f"unary maps must be given by name in a dict, got {unary!r}")
         for opname, m in self.unary.items():
             if not is_self_map(m, n):
                 raise PreconditionUnmet(f"unary map {opname!r} is not a self-map")

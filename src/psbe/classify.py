@@ -26,8 +26,10 @@ dual algebra A^op (`opposite`), swaps -> with ~>, - with ~ and the operands
 of * and (+); a trailing "(dual)" states it, and "(both arrows)" states X
 and its dual.  A leading "under (X):" names condition (X); "for every
 [monadic] congruence C:" states X of each such C, whose classes ~C and [1]_C
-read (tree: (quantifier, X), which the dual keeps).  E, F and "monadic" read
-the pair.  The arity is the highest of x, y, z named, 0 for none.
+read (tree: (quantifier, X), which the dual keeps).  Elsewhere, naming no z, a
+relation X then "(all x,y)" is closed over x and y (tree: ("(all x,y)", X)),
+and only `iff` takes one, joining two.  E, F and "monadic" read the pair.  The
+arity is the highest of x, y, z named, 0 for none.
 """
 
 from __future__ import annotations
@@ -223,7 +225,7 @@ _FORM = {"implies": "(not ({}) or ({}))", "imply": "(not ({}) or ({}))", "iff": 
          "for every congruence C:": "{}", "for every monadic congruence C:": "{}"}
 _OPPOSITE = {"->": "~>", "~>": "->", "-": "~", "~": "-"}    # and * and (+) swap operands
 _TOKEN = (r"\s*(under \([AMT]\):|for every (?:monadic )?congruence C:|\(both arrows\)|\(dual\)"
-          r"|\(\+\)|and|implies|imply|iff|in|->|~>|~C|<=|\[1\]_C|\S)")
+          r"|\(all x,y\)|\(\+\)|and|implies|imply|iff|in|->|~>|~C|<=|\[1\]_C|\S)")
 _FORMULAS = {}      # formula text -> (tree, arity, reads the pair, condition)
 
 
@@ -253,9 +255,13 @@ def formula(text: str, name: str = "") -> tuple:
             # `and`, `implies`, `iff` join formulas, not terms; C is the quantifier's congruence
             rank = _RANK[op] if over or op not in ("~C", "in") else fail(op, pos)
             right, inner = ((take("[1]_C"),), len(_LEVELS)) if op == "in" else parse(rank + 1)
-            if rank == top and (op != last or op not in _CHAINS) or rank < 2 < max(top, inner):
+            shut = (left[0], right[0]).count("(all x,y)")     # `iff` joins two closed parts
+            if (rank == top and (op != last or op not in _CHAINS) or rank < 2 < max(top, inner)
+                    or shut and (op, shut) != ("iff", 2)):
                 fail(op, pos)
             left, top, last = (op, left, right), rank, op
+            if rank == 2 and peek() == "(all x,y)" and not over and "z" not in names:
+                left = toks.pop()[0], left
         return left, top
 
     def unary():            # E t or F t, else x, y, z, 0, 1 or (t), then - and ~
@@ -268,9 +274,9 @@ def formula(text: str, name: str = "") -> tuple:
         return t
 
     tree, top = parse(0)
-    if top <= 2 and peek() in ("(both arrows)", "(dual)"):
+    if top <= 2 and peek() in ("(both arrows)", "(dual)") and "(all x,y)" not in names:
         tree = ("and", tree, opposite(tree)) if toks.pop()[0] == "(both arrows)" else opposite(tree)
-    if top > 2 or peek():       # a term, not a formula, or text after the formula
+    if top > 2 or peek() or tree[0] == "(all x,y)":    # a term, text after it, a part alone
         fail(*toks[-1])
     _FORMULAS[text] = ((over, tree) if over else tree, max(0, *map(" xyz".find, names)),
                        bool(names & {"E", "F", "for every monadic congruence C:"}), under)
@@ -278,7 +284,9 @@ def formula(text: str, name: str = "") -> tuple:
 
 
 def expression(tree) -> str:
-    """The expression the kernel scans for a formula's tree."""
+    """The expression the kernel scans for a formula's tree, which closes no part."""
+    if tree[0] == "(all x,y)":
+        raise InvariantViolated(f"{tree} closes x and y: the kernel scans each part alone")
     return _FORM[tree[0]].format(*map(expression, tree[1:]))
 
 

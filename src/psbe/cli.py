@@ -31,10 +31,6 @@ def _digest(path) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _names(alg, xs):
-    return [alg.element_names[x] for x in sorted(xs)]
-
-
 def _load(path) -> FiniteAlgebra:
     """The algebra in path; raises PreconditionUnmet (exit 2) when the file
     cannot be read or parsed, or when its declared zero is not the least
@@ -121,17 +117,12 @@ def _cmd_ds(args):
     payload = {
         "algebra": alg.name,
         "pair": args.pair,
-        "systems": [{
-            "members": _names(alg, d.members),
-            "normal": d.normal,
-            "monadic": (ded.is_monadic_ds(d, pair) if pair else None),
-        } for d in systems],
+        "systems": [{**d.to_json(alg), "monadic": ded.is_monadic_ds(d, pair) if pair else None}
+                    for d in systems],
     }
     lines = []
     for entry in payload["systems"]:
-        tags = ["normal"] if entry["normal"] else []
-        if entry["monadic"]:
-            tags.append("monadic")
+        tags = [tag for tag in ("normal", "monadic") if entry[tag]]
         suffix = f"   # {', '.join(tags)}" if tags else ""
         lines.append("ds " + " ".join(entry["members"]) + suffix)
     return EXIT_OK, payload, "\n".join(lines)
@@ -143,8 +134,8 @@ def _cmd_gen(args):
     gen = ded.generated_ds(alg, xs)
     payload = {
         "algebra": alg.name,
-        "set": _names(alg, xs),
-        "generated": _names(alg, gen.members),
+        "set": [alg.element_names[x] for x in sorted(xs)],
+        "generated": gen.tokens(alg),
         "normal": gen.normal,
     }
     return EXIT_OK, payload, "ds " + " ".join(payload["generated"])
@@ -156,8 +147,7 @@ def _cmd_quotient(args):
     d = ded.generated_ds(alg, xs)
     if d.members != xs:
         raise PreconditionUnmet(
-            f"--set is not a deductive system (it generates "
-            f"{{{', '.join(_names(alg, d.members))}}})")
+            f"--set is not a deductive system (it generates {ded._braces(alg, d.members)})")
     pair = _monadic_pair(alg, "quotient", args.pair) if args.pair is not None else None
     cong = ded.theta_from_ds(alg, d)
     quot = ded.quotient(alg, cong, pair=pair, name=f"{alg.name}_quot")
@@ -167,8 +157,8 @@ def _cmd_quotient(args):
     text = serialize_algebra(qalg).rstrip("\n")
     payload = {
         "algebra": alg.name,
-        "ds": _names(alg, d.members),
-        "classes": [_names(alg, b) for b in sorted(cong.blocks(), key=min)],
+        "ds": d.tokens(alg),
+        "classes": cong.to_json(alg),
         "projection": [alg.element_names[x] + "->" + qalg.element_names[c]
                        for x, c in enumerate(quot.projection)],
         "quotient": text,
@@ -178,9 +168,8 @@ def _cmd_quotient(args):
 
 def _cmd_verify(args):
     alg = _load_psbe(args.algebra, "verify")
-    pairs = [_monadic_pair(alg, "verify", label, p) for label, p in q.declared_pairs(alg)]
-    if not pairs:
-        pairs = q.enumerate_mop(alg)
+    pairs = ([_monadic_pair(alg, "verify", label, p) for label, p in q.declared_pairs(alg)]
+             or q.enumerate_mop(alg))     # every monadic pair where the file declares none
     law_ids = args.law.split(",") if args.law else None
     verdicts = lawmod.verify_suite(alg, pairs, law_ids=law_ids)
     failures = [v for v in verdicts if v.status == lawmod.FAILS]
@@ -329,8 +318,7 @@ def run(argv=None) -> int:
         "exit_status": code,
     }
     if args.json:
-        print(json.dumps(report, sort_keys=True, indent=2,
-                         separators=(",", ": ")))
+        print(json.dumps(report, sort_keys=True, indent=2))
     else:
         print(text)
     return code

@@ -8,14 +8,14 @@ once, as its anchor, a formula (notation in `classify`) that
 tables that `classify.first_failure` scans; a leading "under (X):" adds
 condition (X) to its hypothesis.  A global law's check is a function of
 the context: compiled from its anchor too when "for every [monadic]
-congruence C:" leads it, else written by hand.  `verify_suite` evaluates
-the catalog against an algebra and a set of monadic pairs;
+congruence C:" leads it or "(all x,y)" closes its parts, else by hand.
+`verify_suite` evaluates the catalog against an algebra and monadic pairs;
 `search_counterexample` enumerates small algebras for a failure of one law.
 """
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import cache
 from itertools import permutations, product
 from math import inf
 from operator import attrgetter, itemgetter
@@ -160,6 +160,17 @@ def _over_classes(tree, arity: int):
     return _over_congruences(body)
 
 
+@cache
+def _closed_parts(tree):
+    """The check of "X (all x,y) iff Y (all x,y)": X, then Y, scanned alone (n^2 each)."""
+    scans = [((None, expression(part)),) for _, part in tree[1:]]
+
+    def check(ctx):
+        left, right = (first_failure(ctx.n, 2, checks, ctx) is None for checks in scans)
+        return left == right, (None if left == right else ()), 2 * ctx.n * ctx.n
+    return check
+
+
 def _p6_cong_one_class_mds(ctx, c):    # None when [1] is a monadic DS
     if c.cls in ctx.monadic_congruences and c.one_cls not in ctx.monadic_members:
         return tuple(sorted(c.one_cls))
@@ -225,23 +236,19 @@ def _surjective_id(ctx):
 
 
 def pointwise_law(law_id: str, anchor: str, hypothesis=(), probe: bool = False) -> Law:
-    """The law that anchor states (`classify.formula`): it uses the pair when
-    the formula reads it, "under (X):" appends condition_X to its hypothesis
-    and a congruence quantifier makes it global (`_over_classes`).  InvariantViolated,
-    naming the law, on a malformed anchor or one that names none of x, y, z."""
+    """The law that anchor states (`classify.formula`): it uses the pair when the
+    formula reads it, "under (X):" appends condition_X to its hypothesis and a congruence
+    quantifier or closed parts make it global (`_over_classes`, `_closed_parts`).
+    InvariantViolated, naming the law, on a malformed anchor or one naming none of x, y, z."""
     tree, arity, uses_pair, under = formula(anchor, law_id)
     if arity < 1:
         raise InvariantViolated(f"{law_id}: {anchor!r} names none of x, y, z")
     hypothesis = (*hypothesis, f"condition_{under}") if under else hypothesis
     if tree[0].startswith("for every"):
         return Law(law_id, anchor, 0, hypothesis, _over_classes(tree, arity), uses_pair, probe)
+    if tree[1][0] == "(all x,y)":
+        return Law(law_id, anchor, 0, hypothesis, _closed_parts(tree), uses_pair, probe)
     return Law(law_id, anchor, arity, hypothesis, expression(tree), uses_pair, probe)
-
-
-def _iff_pointwise(lhs, rhs, ctx):
-    """Global law: (for all x,y: lhs) iff (for all x,y: rhs), each side a pointwise check."""
-    l, r = (first_failure(ctx.n, 2, ((None, side),), ctx) is None for side in (lhs, rhs))
-    return l == r, (None if l == r else ()), 2 * ctx.n * ctx.n
 
 
 @cache
@@ -328,13 +335,9 @@ def catalog() -> tuple[Law, ...]:
     # -------- bounded commutative exchange laws
     _BC = ("pseudo_be", "bounded", "commutative", "has_pP", "lattice", "oplus")
     law("L4.oplus_demorgan", "x (+) y = (y- * x-)~ = (y~ * x~)-", _BC)
-    for law_id, anchor in (
-            ("P4.meet_join_equiv", "F(x^y) = Fx^Fy (all x,y) iff E(xvy) = Ex v Ey (all x,y)"),
-            ("P4.odot_oplus_equiv", "F(x*y) = Fx*Fy (all x,y) iff E(x(+)y) = Ex(+)Ey (all x,y)"),
-            ("P4.oplus_odot_equiv", "F(x(+)y) = Fx(+)Fy (all x,y) iff E(x*y) = Ex*Ey (all x,y)")):
-        sides = anchor.replace(" (all x,y)", "").split(" iff ")    # compiled as anchors are
-        lhs, rhs = (pointwise_law(law_id, side).check for side in sides)
-        add(Law(law_id, anchor, 0, _BC, partial(_iff_pointwise, lhs, rhs)))
+    law("P4.meet_join_equiv", "F(x^y) = Fx^Fy (all x,y) iff E(xvy) = Ex v Ey (all x,y)", _BC)
+    law("P4.odot_oplus_equiv", "F(x*y) = Fx*Fy (all x,y) iff E(x(+)y) = Ex(+)Ey (all x,y)", _BC)
+    law("P4.oplus_odot_equiv", "F(x(+)y) = Fx(+)Fy (all x,y) iff E(x*y) = Ex*Ey (all x,y)", _BC)
 
     # -------- monadic pseudo BCK laws
     law("P5.forall_arrow_compat",

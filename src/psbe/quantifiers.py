@@ -269,14 +269,13 @@ def compose_pairs(alg: FiniteAlgebra, p1: MonadicPair, p2: MonadicPair) -> Compo
     if not report.holds("condition_T"):
         raise PreconditionUnmet("compose_pairs needs a transitive induced order")
     p1, p2 = (require_monadic(alg, p, "compose_pairs") for p in (p1, p2))
-    one = alg.one
     e12 = p1.exists.compose(p2.exists)
     e21 = p2.exists.compose(p1.exists)
     f12 = p1.forall.compose(p2.forall)
     f21 = p2.forall.compose(p1.forall)
     commute = e12 == e21 and f12 == f21
 
-    le = lambda a, b: all(alg.arrow[a(x)][b(x)] == one for x in alg.elements())
+    le = lambda a, b: all(alg.arrow[a(x)][b(x)] == alg.one for x in alg.elements())
     # forall1 forall2 = forall1 forces forall1 <= forall2 even on a mere
     # preorder (forall1 x = forall1(forall2 x) <= forall2 x by M2)
     if f12 == p1.forall and not le(p1.forall, p2.forall):

@@ -208,6 +208,12 @@ def reference_first_failure_of(n, groups, source):
     return None
 
 
+def scanned_parts(tree):
+    """The trees of a formula the kernel scans: each closed part's body, left
+    first, when "(all x,y)" closes its parts, else the formula's tree."""
+    return [part for _, part in tree[1:]] if tree[1][0] == "(all x,y)" else [tree]
+
+
 # ------------------------------------------------ the eager classification
 # classify's reference: every flag and derived table computed in one pass,
 # in the order the flags depend on each other.

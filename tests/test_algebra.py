@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from psbe.algebra import (FiniteAlgebra, ParseError, PreconditionUnmet, UnaryMap,
                           parse_algebra, serialize_algebra)
+from psbe.cli import run
 
 
 def test_roundtrip_fixture(any_fixture):
@@ -32,6 +33,37 @@ def test_parse_error_row_width():
     with pytest.raises(ParseError) as exc:
         parse_algebra(doc)
     assert exc.value.line == 6
+
+
+HEAD = "algebra t\nelements 1 a\none 1\n"
+TABLES = "arrow\n1 a\n1 1\nsquig\n1 a\n1 1\n"
+
+
+@pytest.mark.parametrize("doc, line, reason", [
+    ("", 1, "unexpected end of document"),
+    ("# nothing but a comment\n\n", 1, "unexpected end of document"),
+    (HEAD + "arrow\n1 a\n", 5, "unexpected end of document"),
+    ("algebra\n", 1, "expected 'algebra <name>'"),
+    ("name t\n", 1, "expected 'algebra <name>'"),
+    ("algebra t\nelements\n", 2, "expected 'elements <tok1> ... <tokn>'"),
+    ("algebra t\nelements 1 a\none\n", 3, "expected 'one <tok>'"),
+    (HEAD + "zero\n" + TABLES + "end\n", 4, "expected 'zero <tok>'"),
+    (HEAD + "zero a\n" + TABLES + "zero a\nend\n", 11, "duplicate 'zero' section"),
+    (HEAD + TABLES + "arrow\n1 a\n1 1\nend\n", 10, "duplicate 'arrow' section"),
+    (HEAD + TABLES + "unary\n1 a\nend\n", 10, "expected 'unary <opname>'"),
+    (HEAD + TABLES + "unary m\n1 a\nunary m\n1 1\nend\n", 12, "duplicate unary map 'm'"),
+    (HEAD + TABLES + "end\n\nend\n", 12, "content after 'end'"),
+])
+def test_each_parse_error_names_its_line(doc, line, reason, tmp_path, capsys):
+    # the library raises ParseError at the line; the CLI exits 2 and says so
+    with pytest.raises(ParseError) as exc:
+        parse_algebra(doc)
+    assert (exc.value.line, exc.value.reason, str(exc.value)) == (
+        line, reason, f"line {line}: {reason}")
+    path = tmp_path / "bad.alg"
+    path.write_text(doc)
+    assert run(["check", str(path)]) == 2
+    assert capsys.readouterr().err == f"psbe: error: {path}: line {line}: {reason}\n"
 
 
 def test_missing_section():
@@ -67,6 +99,12 @@ def test_entries_that_are_not_exactly_ints_are_rejected(fields, message):
     (("x", (), 0, (), ()), "empty carrier"),
     (("x", ("a", "a"), 0, ((0, 0), (0, 0)), ((0, 0), (0, 0))), "duplicate element names"),
     (("x", ("a", "b"), 0, ((0, 0), (0, 0)), ((0, 0),)), "squig table is not 2x2"),
+    # fields of the wrong type, checked before len() or .items() is called on them
+    (("x", 5, 0, (), ()), "element names must be a sequence, got 5"),
+    (("x", ("a",), 0, None, ((0,),)), "arrow table is not 1x1"),
+    (("x", ("a",), 0, (5,), ((0,),)), "arrow table is not 1x1"),
+    (("x", ("1", "a"), 0, ((0, 1), (0, 0)), ((0, 1), (0, 0)), None, 5),
+     "unary maps must be given by name in a dict, got 5"),
 ])
 def test_malformed_algebras_are_rejected(args, message):
     # the library's one error for a rejected input, a ValueError as before

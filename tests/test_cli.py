@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +10,10 @@ from jsonschema import Draft7Validator
 
 import psbe
 from psbe import cli as cli_module
+from psbe.algebra import load_algebra, parse_algebra
 from psbe.cli import run
-from psbe.laws import catalog
+from psbe.laws import catalog, verify_suite
+from psbe.quantifiers import enumerate_mop, pair_from_unary_blocks
 
 from conftest import fixture_path
 
@@ -161,6 +164,20 @@ def test_search_counterexample_exits_one(capsys):
     assert report["payload"]["counterexample"] is not None
 
 
+def test_search_counterexample_declares_its_pair(capsys):
+    # the probe fails on a pair at n = 4: the document lists it as exists and
+    # forall, and the law fails on the re-parsed document at the same witness
+    code, report = invoke_json(capsys, "search", "--law", "P3.isotone_unconditional",
+                               "--max-size", "4")
+    found = report["payload"]["counterexample"]
+    assert (code, found["witness"]) == (1, ["e3", "e1"])
+    alg = parse_algebra(found["algebra"])
+    assert (alg.size, list(alg.unary)) == (4, ["exists", "forall"])
+    [verdict] = verify_suite(alg, [pair_from_unary_blocks(alg, "")],
+                             law_ids=["P3.isotone_unconditional"])
+    assert (verdict.status, verdict.witness) == ("fails", (3, 1))
+
+
 def test_search_exhausted_exits_zero(capsys):
     code, report = invoke_json(capsys, "search", "--law", "AX.refl",
                                "--max-size", "3")
@@ -196,6 +213,19 @@ def test_verify_reads_suffix_named_pair(tmp_path, capsys):
     assert report["payload"]["verdicts"] == original["payload"]["verdicts"]
     code, report = invoke_json(capsys, "ds", str(renamed), "--pair", "x")
     assert code == 0
+
+
+def test_verify_without_a_declared_pair_runs_every_monadic_pair(tmp_path, capsys):
+    # bc4 with its unary blocks stripped declares no pair: verify lists them
+    bare = tmp_path / "bc4_bare.alg"
+    bare.write_text(re.sub(r"unary \S+\n.*\n", "", fixture_path("bc4").read_text()))
+    alg = load_algebra(bare)
+    assert alg.unary == {}
+    code, report = invoke_json(capsys, "verify", str(bare))
+    payload = report["payload"]
+    assert (code, payload["pairs"], payload["laws_evaluated"], payload["failures"]) == (
+        0, 2, 140, 0)
+    assert payload["verdicts"] == [v.to_json(alg) for v in verify_suite(alg, enumerate_mop(alg))]
 
 
 def test_version(capsys):

@@ -10,9 +10,9 @@ BE-algebras, each with random pairs of maps (`one_order_tables`):
 - each law's dual, with distributive_i and distributive_ii swapped in its
   hypothesis, has on (A, pair) the verdict that the law has on
   (A^op, pair): status, witness and instances; a law that is a formula
-  (pointwise, or over congruences, which A and A^op share, with its body
-  dualized) does so with its hypothesis dropped too, where reading a
-  missing table raises;
+  (pointwise, over congruences, which A and A^op share, with its body
+  dualized, or with closed parts, each dualized) does so with its hypothesis
+  dropped too, where reading a missing table raises;
 - the laws whose check is written once with its dual ("(both arrows)")
   give the same verdict on A and on A^op, with their hypotheses dropped;
 - every flag has the same status on A and A^op, except that
@@ -41,10 +41,10 @@ from psbe.algebra import dual as dual_algebra
 from psbe.classify import (_PSBCK, _PSBE, _PSH, _PSMV, FLAG_NAMES, ClassificationReport,
                            classify, expression, first_failure, formula, opposite)
 from psbe.deduction import enumerate_congruences, enumerate_ds
-from psbe.laws import Ctx, _is_canonical, _models, _over_classes, catalog
+from psbe.laws import Ctx, _closed_parts, _is_canonical, _models, _over_classes, catalog
 from psbe.quantifiers import _E, _M1_M5, _M6, _M7, _MV, _U, MonadicPair, enumerate_mop
 
-from conftest import FIXTURE_NAMES, labelled_models, load, model_algebra
+from conftest import FIXTURE_NAMES, labelled_models, load, model_algebra, scanned_parts
 from test_law_pin import _outcome, _random_map, with_least_zero
 from test_quantifiers import MODES, outcome
 
@@ -105,13 +105,20 @@ def over_congruences(law):
     return law.anchor.startswith("for every")
 
 
+def closed(law):
+    """Whether law is a formula with closed parts: a global law with a compiled anchor."""
+    return law.anchor.endswith("(all x,y)")
+
+
 def dual_law(law):
     """law read on the dual: its anchor's dual (the body's, under a congruence
-    quantifier), distributive_i and ii swapped."""
+    quantifier; each part's, where they are closed), distributive_i and ii swapped."""
     check = dual_check(law.anchor) if law.arity else law.check
     if over_congruences(law):
         tree, arity = formula(law.anchor)[:2]
         check = _over_classes(opposite(tree), arity)
+    if closed(law):
+        check = _closed_parts(opposite(formula(law.anchor)[0]))
     return law._replace(check=check,
                         hypothesis=tuple(SWAP.get(name, name) for name in law.hypothesis))
 
@@ -127,7 +134,7 @@ def contexts(alg, pairs):
 def assert_laws_dual(alg, pairs):
     for law, ctx, ctx_op in contexts(alg, pairs):
         assert _outcome(dual_law(law), ctx) == _outcome(law, ctx_op), law.id
-        if law.arity or over_congruences(law):      # the other global laws are not formulas
+        if law.arity or over_congruences(law) or closed(law):   # the other global laws are not formulas
             bare = law._replace(hypothesis=())
             assert _outcome(dual_law(bare), ctx) == _outcome(bare, ctx_op), (law.id, "bare")
 
@@ -198,13 +205,19 @@ def test_duality_on_tables_with_one_order(alg, pairs):
     assert_tables_dual(alg)
 
 
+def test_the_closed_laws_hold_and_fail_on_tables_with_one_order():
+    # so the P4 laws' dual verdicts above compare failures too
+    statuses = {_outcome(law, ctx)["status"] for param in ONE_ORDER
+                for law, ctx, _ in contexts(*param.values) if closed(law)}
+    assert statuses == {"holds", "fails", "not_applicable"}
+
+
 def package_formulas():
-    """Every formula of the package: the anchors of the pointwise laws and the
-    laws over congruences, the sides of the P4 laws, the formula flags and
+    """Every formula of the package: the anchors of the pointwise laws, the
+    laws over congruences and the laws with closed parts, the formula flags and
     every axiom group's formulas."""
-    texts = [law.anchor for law in catalog() if law.arity or over_congruences(law)]
-    texts += [side for law in catalog() if law.id.startswith("P4.")
-              for side in law.anchor.replace(" (all x,y)", "").split(" iff ")]
+    texts = [law.anchor for law in catalog()
+             if law.arity or over_congruences(law) or closed(law)]
     texts += [text for flag in vars(ClassificationReport).values()
               for text in getattr(flag, "formulas", ())]
     groups = (_PSBE + _PSBCK + _PSH + _PSMV + _M1_M5 + (_M6, _M7) + _U + _E
@@ -217,8 +230,9 @@ FORMULAS = list(dict.fromkeys(package_formulas()))     # a text some share once
 
 
 def test_the_formulas_cover_the_catalog_flags_and_axioms():
-    # 66 anchors, 6 P4 sides, 8 flags and poset's 2, 57 axioms (not psBCK6), 4 over congruences
-    assert len(package_formulas()) == 66 + 6 + 10 + 57 + 4
+    # 66 anchors, 3 with closed parts, 8 flags and poset's 2, 57 axioms (not psBCK6),
+    # 4 over congruences
+    assert len(package_formulas()) == 66 + 3 + 10 + 57 + 4
 
 
 def test_dual_is_an_involution():
@@ -270,16 +284,17 @@ def reads_the_same_on_both(arity, expr):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_checks_read_on_renamed_tables(seed):
-    # each formula's dual reads on t what the formula reads on the opposite
-    # tables; a formula stated for both arrows, and a law written once with
-    # its dual, reads the same on both
+    # each formula's dual (each closed part's) reads on t what the formula
+    # reads on the opposite tables; a formula stated for both arrows, and a
+    # law written once with its dual, reads the same on both
     n, t, t_op = TABLES[seed]
     for text in FORMULAS:
         tree, arity = formula(text)[:2]
-        expr = expression(tree)
-        assert scan(n, arity, dual_check(text), t) == scan(n, arity, expr, t_op), text
-        if text.endswith("(both arrows)"):
-            assert scan(n, arity, expr, t) == scan(n, arity, expr, t_op), text
+        for part, dual in zip(scanned_parts(tree), scanned_parts(opposite(tree))):
+            expr = expression(part)
+            assert scan(n, arity, expression(dual), t) == scan(n, arity, expr, t_op), text
+            if text.endswith("(both arrows)"):
+                assert scan(n, arity, expr, t) == scan(n, arity, expr, t_op), text
     for law in catalog():
         if law.id in WRITTEN_ONCE:
             assert scan(n, law.arity, law.check, t) == scan(n, law.arity, law.check, t_op), law.id

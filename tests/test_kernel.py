@@ -33,7 +33,7 @@ from psbe.quantifiers import (MonadicPair, build_from_sigma, build_from_tau, che
 
 from conftest import (EVERY_LAW, FIXTURE_NAMES, assert_generated_ds_matches_references,
                       fixture_path, load, model_algebra, predicate, reference_first_failure,
-                      reference_first_failure_of, times_c2)
+                      reference_first_failure_of, scanned_parts, times_c2)
 from test_law_pin import with_least_zero
 from test_quantifiers import MODES, times_c2_pair
 
@@ -312,7 +312,8 @@ def test_every_scan_is_a_compiled_formula(monkeypatch):
         build_from_sigma(bc4, pair.exists)
         for kind, m in (("universal", pair.forall), ("existential", pair.exists)):
             check_mv_quantifier(bc4, m, kind)
-    formulas = {expression(tree) for tree, *_ in classify_module._FORMULAS.values()}
+    formulas = {expression(part) for tree, *_ in classify_module._FORMULAS.values()
+                for part in scanned_parts(tree)}
     assert scanned - formulas == NOT_FORMULAS
 
 

@@ -1,5 +1,7 @@
 import importlib
+import random
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,7 +14,7 @@ from psbe.laws import (FAILS, HOLDS, NOT_APPLICABLE, Ctx, catalog,
 from psbe.quantifiers import (BOUNDED_COMMUTATIVE, MonadicPair, check_monadic, compose_pairs,
                               enumerate_mop, fixed_set, is_monadic, require_monadic)
 
-from conftest import EVERY_LAW, FIXTURE_NAMES, load, times_c2
+from conftest import EVERY_LAW, FIXTURE_NAMES, load, scanned_parts, times_c2
 
 laws_module = importlib.import_module("psbe.laws")
 quantifiers_module = importlib.import_module("psbe.quantifiers")
@@ -311,6 +313,24 @@ def test_under_agrees_with_every_pointwise_hypothesis():
      "unexpected 'for every congruence C:' at position 10"),
     ("under (A): for every congruence C: x ~C y",
      "unexpected 'for every congruence C:' at position 11"),
+    # (all x,y) closes a relation, and iff joins two closed parts only
+    ("x = y (all x,y) iff x = y", "unexpected 'iff' at position 16"),
+    ("x = y iff x = y (all x,y)", "unexpected 'iff' at position 6"),
+    ("x = z (all x,y) iff x = y (all x,y)", "unexpected '\\(all x,y\\)' at position 6"),
+    ("x = y (all x,y) (all x,y) iff x = y (all x,y)", "unexpected '\\(all x,y\\)' at position 16"),
+    ("x = y (all x,y) iff y = x (all x,y) (all x,y)", "unexpected '\\(all x,y\\)' at position 36"),
+    ("Fx (all x,y) iff x = y (all x,y)", "unexpected '\\(all x,y\\)' at position 3"),
+    ("F(x (all x,y)) = x", "unexpected '\\(all x,y\\)' at position 4"),
+    ("x = y (all x,y) and y = x (all x,y)", "unexpected 'and' at position 16"),
+    ("x = y (all x,y) implies y = x (all x,y)", "unexpected 'implies' at position 16"),
+    ("x = y (all x,y) -> y = x (all x,y)", "unexpected '->' at position 16"),
+    ("x = y (all x,y) = x", "unexpected '=' at position 16"),
+    ("x = y (all x,y)", "unexpected 'end' at position 15"),
+    ("for every congruence C: x ~C y (all x,y) iff x ~C y (all x,y)",
+     "unexpected '\\(all x,y\\)' at position 31"),
+    ("x = y (all x,y) iff y = x (all x,y) (both arrows)",
+     "unexpected '\\(both arrows\\)' at position 36"),
+    ("x = y (all x,y) iff y = x (all x,y) (dual)", "unexpected '\\(dual\\)' at position 36"),
 ])
 def test_malformed_anchors_are_rejected(anchor, message):
     with pytest.raises(InvariantViolated, match=f"^t: .*{message}"):
@@ -324,18 +344,14 @@ def test_every_pointwise_check_is_its_compiled_anchor():
     for law in pointwise:
         base = tuple(h for h in law.hypothesis if not h.startswith("condition_"))  # under (X) adds
         assert law == pointwise_law(law.id, law.anchor, base, law.probe)
-    for law in catalog():
-        if law.id.startswith("P4."):
-            sides = law.anchor.replace(" (all x,y)", "").split(" iff ")
-            assert law.check.args == tuple(compiled(side) for side in sides)
 
 
 # the laws whose check is written by hand, not compiled from their anchor
 HAND_WRITTEN = {
     "BND.neg_constants", "P3.exists_one", "P3.forall_one_const", "P3b.zero_fixed",
     "P3f.full_iff_id", "P3f.images", "P3f.kernel", "P3f.subalgebra", "P3f.surjective_id",
-    "P4.meet_join_equiv", "P4.odot_oplus_equiv", "P4.oplus_odot_equiv", "P6.distributive_normal",
-    "P6.ds_upward", "P6.monadic_con_one_class", "P6.monadic_ds_generated",
+    "P6.distributive_normal", "P6.ds_upward", "P6.monadic_con_one_class",
+    "P6.monadic_ds_generated",
 }
 
 
@@ -352,6 +368,66 @@ def test_only_the_listed_laws_carry_a_hand_written_check():
     assert [(law.id, law.arity) for law in quantified] == [
         ("L6.arrow_iff_squig_one_class", 0), ("L6.class_implications", 0),
         ("L6.commutative_converse", 0), ("P6.commutative_exists_cong", 0)]
+    closed = [law for law in catalog() if law.anchor.endswith("(all x,y)")]
+    assert [(law.id, law.arity, law.uses_pair) for law in closed] == [
+        ("P4.meet_join_equiv", 0, True), ("P4.odot_oplus_equiv", 0, True),
+        ("P4.oplus_odot_equiv", 0, True)]
+
+
+P4 = {"P4.meet_join_equiv": ("F[meet[x][y]] == meet[F[x]][F[y]]",
+                             "E[join[x][y]] == join[E[x]][E[y]]"),
+      "P4.odot_oplus_equiv": ("F[odot[x][y]] == odot[F[x]][F[y]]",
+                              "E[oplus[x][y]] == oplus[E[x]][E[y]]"),
+      "P4.oplus_odot_equiv": ("F[oplus[x][y]] == oplus[F[x]][F[y]]",
+                              "E[odot[x][y]] == odot[E[x]][E[y]]")}
+
+
+def test_a_closed_formula_is_scanned_part_by_part():
+    # each P4 anchor parses: its closed parts are the expressions the law scans,
+    # the kernel is never given the whole formula, and recompiling gives the same check
+    for law in catalog():
+        if law.id in P4:
+            tree, arity, uses_pair, under = formula(law.anchor)
+            assert tuple(map(expression, scanned_parts(tree))) == P4[law.id]
+            assert (arity, uses_pair, under) == (2, True, None)
+            with pytest.raises(InvariantViolated, match="closes x and y"):
+                expression(tree)
+            assert pointwise_law(law.id, law.anchor, law.hypothesis).check is law.check
+    # the left part is scanned first, so a missing meet raises before a bad join is read
+    law = next(law for law in catalog() if law.id == "P4.meet_join_equiv")
+    with pytest.raises(TypeError):
+        law.check(SimpleNamespace(n=2, E=(0, 1), F=(0, 1), meet=None, join={}))
+    with pytest.raises(KeyError):
+        law.check(SimpleNamespace(n=2, E=(0, 1), F=(0, 1), meet=((0, 0), (0, 1)), join={}))
+
+
+def closed_reference(n, left, right):
+    """A P4 verdict by plain loops: left and right each tested at every (x, y)."""
+    truths = [all(side(x, y) for x in range(n) for y in range(n)) for side in (left, right)]
+    return (HOLDS, None) if truths[0] == truths[1] else (FAILS, ()), 2 * n * n
+
+
+def test_closed_laws_against_plain_loops():
+    # on bc4 and bc4 x C2 with their pairs and on random pairs of maps, which
+    # make one part fail where the other holds; F preserves s iff E preserves t
+    rng, statuses = random.Random(32), set()
+    for alg in (load("bc4"), times_c2(load("bc4"))):
+        r = Ctx(alg).report
+        ops = {"P4.meet_join_equiv": (r.meet, r.join), "P4.odot_oplus_equiv": (r.odot, r.oplus),
+               "P4.oplus_odot_equiv": (r.oplus, r.odot)}
+        random_map = lambda: UnaryMap(tuple(rng.randrange(alg.size) for _ in alg.elements()))
+        for pair in enumerate_mop(alg) + [MonadicPair(random_map(), random_map())
+                                          for _ in range(30)]:
+            E, F = pair.exists.images, pair.forall.images
+            for law in catalog():
+                if law.id in ops:
+                    s, t = ops[law.id]
+                    want = closed_reference(alg.size, lambda x, y: F[s[x][y]] == s[F[x]][F[y]],
+                                            lambda x, y: E[t[x][y]] == t[E[x]][E[y]])
+                    got = evaluate_law(law, Ctx(alg).with_pair(pair))
+                    assert ((got.status, got.witness), got.instances) == want, law.id
+                    statuses.add(got.status)
+    assert statuses == {HOLDS, FAILS}
 
 
 def congruence_law_reference(alg, pair, monadic, holds):
