@@ -95,6 +95,8 @@ class FiniteAlgebra:
         n = self.size
         if n == 0:
             raise PreconditionUnmet("empty carrier")
+        if not all(isinstance(name, str) for name in element_names):   # before they are hashed
+            raise PreconditionUnmet(f"element names must be strings, got {element_names!r}")
         if len(set(element_names)) != n:
             raise PreconditionUnmet("duplicate element names")
         for tbl, label in ((arrow, "arrow"), (squig, "squig")):

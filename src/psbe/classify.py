@@ -343,6 +343,16 @@ def check_pseudo_be(alg: FiniteAlgebra) -> Verdict:
     return alg.kept("pseudo_be", _scan_pseudo_be)
 
 
+def require_pseudo_be(alg: FiniteAlgebra, what: str) -> FiniteAlgebra:
+    """alg, when it is a pseudo BE-algebra (`check_pseudo_be`); else
+    PreconditionUnmet saying what needs one, at the first failing axiom."""
+    verdict = check_pseudo_be(alg)
+    if verdict.status != HOLDS:
+        raise PreconditionUnmet(f"{what} needs a pseudo BE-algebra: {verdict.failed_at(alg)}",
+                                verdict.witness)
+    return alg
+
+
 def theorem_fails(alg: FiniteAlgebra, needs: str, where: str):
     """A theorem of pseudo BE-algebras fails on alg, as `where` says: InvariantViolated
     when alg is one, else PreconditionUnmet naming the axiom that fails."""

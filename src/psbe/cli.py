@@ -18,7 +18,7 @@ import sys
 from . import __version__
 from .algebra import (FiniteAlgebra, ParseError, PreconditionUnmet, load_algebra,
                       serialize_algebra)
-from .classify import HOLDS, classify
+from .classify import classify, require_pseudo_be
 from . import deduction as ded, laws as lawmod, quantifiers as q
 
 EXIT_OK = 0
@@ -44,17 +44,6 @@ def _load(path) -> FiniteAlgebra:
     except (UnicodeDecodeError, ParseError) as exc:
         raise PreconditionUnmet(f"{path}: {exc}")
     classify(alg)
-    return alg
-
-
-def _load_psbe(path, command: str) -> FiniteAlgebra:
-    """The algebra in path; raises PreconditionUnmet (exit 2) when it is
-    not a pseudo BE-algebra."""
-    alg = _load(path)
-    verdict = classify(alg)[0]["pseudo_be"]
-    if verdict.status != HOLDS:
-        raise PreconditionUnmet(
-            f"{command} needs a pseudo BE-algebra: {verdict.failed_at(alg)}", verdict.witness)
     return alg
 
 
@@ -94,7 +83,7 @@ def _cmd_check(args):
 
 
 def _cmd_mop(args):
-    alg = _load_psbe(args.algebra, "mop")
+    alg = require_pseudo_be(_load(args.algebra), "mop")
     pairs = q.enumerate_mop(alg, mode=args.mode)
     payload = {
         "algebra": alg.name,
@@ -167,7 +156,7 @@ def _cmd_quotient(args):
 
 
 def _cmd_verify(args):
-    alg = _load_psbe(args.algebra, "verify")
+    alg = require_pseudo_be(_load(args.algebra), "verify")
     pairs = ([_monadic_pair(alg, "verify", label, p) for label, p in q.declared_pairs(alg)]
              or q.enumerate_mop(alg))     # every monadic pair where the file declares none
     law_ids = args.law.split(",") if args.law else None

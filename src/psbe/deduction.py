@@ -23,6 +23,8 @@ from .quantifiers import MonadicPair, check_monadic, require_monadic, require_se
 NotACongruence = PreconditionUnmet
 _braces = lambda alg, xs: "{" + ", ".join(alg.element_names[x] for x in sorted(xs)) + "}"
 _maps_into = lambda members, f: {f[x] for x in members} <= members    # monadic DS: F[D] ⊆ D
+# whether members is a set of element indices, as a DeductiveSystem's are
+_element_set = lambda members, n: isinstance(members, (set, frozenset)) and _indices(members, n)
 
 
 def _unmet(reason: str, witness: tuple[int, ...]) -> PreconditionUnmet:
@@ -88,7 +90,7 @@ def _enumerate_ds(alg: FiniteAlgebra) -> list[DeductiveSystem]:
 
 
 def is_monadic_ds(ds: DeductiveSystem, pair: MonadicPair) -> bool:
-    if not _indices(ds.members, len(pair.forall)):      # shape only
+    if not _element_set(ds.members, len(pair.forall)):      # shape only
         raise PreconditionUnmet(f"is_monadic_ds needs members in the forall map's domain, got {ds!r}")
     return _maps_into(ds.members, pair.forall.images)
 
@@ -319,7 +321,7 @@ def _enumerate_congruences(alg: FiniteAlgebra) -> list[Congruence]:
 def theta_from_ds(alg: FiniteAlgebra, ds: DeductiveSystem) -> Congruence:
     """Theta_D: x ~ y iff x->y and y->x both in D; verified to be a
     congruence with [1] = D before being returned."""
-    if not (isinstance(ds, DeductiveSystem) and _indices(ds.members, alg.size)):
+    if not (isinstance(ds, DeductiveSystem) and _element_set(ds.members, alg.size)):
         raise PreconditionUnmet(f"theta_from_ds needs a set of elements of the carrier, got {ds!r}")
     n, d, a = alg.size, ds.members, alg.arrow
     # related[x] = {y : x ~ y}, a symmetric relation by definition

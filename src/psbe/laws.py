@@ -493,6 +493,8 @@ class SearchSpec(_SearchFields):
 
     def __new__(cls, *args, **kwargs):
         spec = super().__new__(cls, *args, **kwargs)
+        if not isinstance(spec.law, str):
+            raise PreconditionUnmet(f"search law must be a law id, got {spec.law!r}")
         if not (_indices((spec.min_size, spec.max_size), 6) and 2 <= spec.min_size <= spec.max_size):
             raise PreconditionUnmet("search sizes must satisfy 2 <= min <= max <= 5")
         if spec.budget is not None and type(spec.budget) is not int:

@@ -2,19 +2,19 @@
 
 A pair is monadic when M1-M5 hold; the bounded-commutative mode adds
 M6/M7 and the hoop mode adds M6 only.  `enumerate_mop` lists every
-monadic pair in a canonical order; the tau/sigma builders construct a
-pair from a single interior-like or closure-like map.
+monadic pair of a pseudo BE-algebra in a canonical order; the tau/sigma
+builders construct a pair from a single interior-like or closure-like map.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import product
 from types import SimpleNamespace
 from typing import NamedTuple
 
 from .algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap, is_self_map
 from .classify import (HOLDS, InvariantViolated, Verdict, axioms, backtrack, classify,
-                       closed_sets, first_failure_of, theorem_fails)
+                       closed_sets, first_failure_of, require_pseudo_be, theorem_fails)
 
 PLAIN = "plain"
 BOUNDED_COMMUTATIVE = "bc"
@@ -95,22 +95,24 @@ def require_monadic(alg: FiniteAlgebra, pair: MonadicPair, what: str) -> Monadic
 
 
 def enumerate_mop(alg: FiniteAlgebra, mode: str = PLAIN) -> list[MonadicPair]:
-    """All monadic pairs, sorted by (forall images, exists images).
+    """All monadic pairs of a pseudo BE-algebra, sorted by (forall images,
+    exists images); elsewhere PreconditionUnmet names the first failing
+    psBE axiom, once the mode's own checks pass.
 
-    The plain pairs are built on their image, cell by cell, by a search
-    that decides each pair: M1 and M2 bound each cell's candidates, and
-    M3 and M4 (at every e in the image) are tested once both cells they
-    read are set.  Where 1 -> y = y for all y, as on a pseudo BE-algebra,
-    M1 and M3 at x = 1 and M5 make both maps the identity on one image S,
-    closed under -> and ~>, so M3 and M4 hold on S; M1 and M2 there read
-    x -> x = x ~> x = 1, on which S is filtered.  Elsewhere E need not be
-    idempotent (on constant tables it may swap two elements): each image
-    is tried, E onto it and M5 checked.  A bc (hoop) pair is by definition
-    a plain pair that satisfies M6 and M7 (M6): as the plain list holds
-    every plain pair in sort order, the mode's list is that list filtered
-    by a scan of M6 (and M7) per pair, once the mode's tables are read
-    (PreconditionUnmet before anything is listed, where one is missing).
-    Kept per algebra object and mode; each call gets a new list.
+    M1 and M3 at x = 1 and M5 give E 1 = 1, F E = E and E F = F, so both
+    maps are the identity on one image S that holds 1 and is closed under
+    -> and ~>; the closed sets are listed as closures from {1} up.  E is
+    onto S, so M3 and M4 need only e in S, hold at the points of S, and M5
+    holds by construction.  For each S a search assigns F alone outside S,
+    valued in S below x (M2), and tests M4, F(e t y) = e t F y for e in S
+    and t -> or ~>, once both cells are set.  Each E x is then read off F:
+    any v in S above x (M1) with v t e = F(x t e) for all such e and t
+    (M3); the pairs are the product of those choices.  A bc (hoop) pair
+    is a plain pair that satisfies M6 and M7 (M6), so the mode's list is
+    the plain list, which is in sort order, filtered by a scan of M6 (and
+    M7) per pair once the mode's tables are read (PreconditionUnmet before
+    anything is listed, where one is missing).  Kept per algebra object
+    and mode; each call gets a new list.
     """
     if mode not in (PLAIN, BOUNDED_COMMUTATIVE, HOOP):
         _mode_tables(alg, mode)     # raises PreconditionUnmet before the mode is hashed in a key
@@ -119,54 +121,43 @@ def enumerate_mop(alg: FiniteAlgebra, mode: str = PLAIN) -> list[MonadicPair]:
 
 def _enumerate_mop(alg: FiniteAlgebra, mode: str) -> list[MonadicPair]:
     groups, tables = _mode_tables(alg, mode)
+    require_pseudo_be(alg, "enumerate_mop")
     if groups:
         return [p for p in enumerate_mop(alg) if first_failure_of(
             alg.size, axioms(groups), SimpleNamespace(**tables, F=p.forall.images)) is None]
-    n, one, arr, sq, rng = alg.size, alg.one, alg.arrow, alg.squig, range(alg.size)
+    one, arr, sq, rng = alg.one, alg.arrow, alg.squig, range(alg.size)
     up = [{y for y in rng if arr[x][y] == one and sq[x][y] == one} for x in rng]     # M1
     down = [{y for y in rng if arr[y][x] == one and sq[y][x] == one} for x in rng]   # M2
     cols = [tuple(zip(*t)) for t in (arr, sq)]
 
-    def pairs(image, fixed):
-        # E x then F x for x outside fixed, valued in image (M1, M2, M5).
-        # M3 at E z = e (F(y t e) = E y t e) and M4 at E x = e (F(e t y) =
-        # e t F y) are F(r y) = r(m y), m = E or F, each tested once both
-        # cells are set; a non-empty fixed is closed under all r.
-        E, F = list(rng), list(rng)
-        free = [x for x in rng if x not in fixed]
-        cells = [(m, x) for x in free for m in (E, F)]
-        cands = [[v for v in image if v in (up if m is E else down)[x]] for m, x in cells]
+    def pairs(S):
+        free = [x for x in rng if x not in S]
+        cands = [[v for v in S if v in down[x]] for x in free]
         if not all(cands):
             return
-        de = [-1 if x in fixed else 2 * free.index(x) for x in rng]
-        df = [d + (d >= 0) for d in de]
-        checks = [[] for _ in cells]
-        for r, m, dm in ([(c[e], E, de) for c in cols for e in image]
-                         + [(t[e], F, df) for t in (arr, sq) for e in image]):
-            for y in free:
-                checks[max(dm[y], df[r[y]])].append((r, m, y))
-        for _ in backtrack(cells, cands, lambda d: all(
-                F[r[y]] == r[m[y]] for r, m, y in checks[d])):
-            if fixed or (len(set(E)) == len(image) and all(E[v] == v for v in F)):
-                yield MonadicPair(UnaryMap(tuple(E)), UnaryMap(tuple(F)))
+        depth = {x: d for d, x in enumerate(free)}
+        checks = [[] for _ in free]     # M4 at (e, y), tested at the later of y, e t y
+        for row, y in product((t[e] for t in (arr, sq) for e in S), free):
+            checks[max(depth[y], depth.get(row[y], -1))].append((row, y))
+        F = list(rng)
+        for _ in backtrack([(F, x) for x in free], cands,
+                           lambda d: all(F[row[y]] == row[F[y]] for row, y in checks[d])):
+            exists = [[x] if x in S else [v for v in S if v in up[x] and all(
+                t[v][e] == F[t[x][e]] for t in (arr, sq) for e in S)] for x in rng]
+            forall = UnaryMap(tuple(F))
+            yield from (MonadicPair(UnaryMap(E), forall) for E in product(*exists))
 
-    if all(arr[one][y] == y for y in rng):
-        # S holds E x and F x for all x (M1, M2), so any singleton up[x] or
-        # down[x]
-        def close(S, new):      # the least closed set holding S and new
-            while new:
-                S = S | new
-                new = {row[y] for z in new for row in (arr[z], sq[z], cols[0][z], cols[1][z])
-                       for y in S} - S
-            return S
+    def close(S, new):      # the least closed set holding S and new
+        while new:
+            S = S | new
+            new = {row[y] for z in new for row in (arr[z], sq[z], cols[0][z], cols[1][z])
+                   for y in S} - S
+        return S
 
-        seeds = {one}.union(*(c for c in up + down if len(c) == 1))
-        shapes = closed_sets(close(frozenset(), seeds), rng, lambda S, x: close(S, {x} - S))
-        candidates = (p for S in shapes if all(x in up[x] for x in S) for p in pairs(S, S))
-    else:
-        candidates = (p for k in range(1, n + 1) for image in combinations(rng, k)
-                      for p in pairs(set(image), ()))
-    return sorted(candidates, key=MonadicPair.sort_key)
+    # S holds E x and F x for all x (M1, M2), so any singleton up[x] or down[x]
+    seeds = {one}.union(*(c for c in up + down if len(c) == 1))
+    shapes = closed_sets(close(frozenset(), seeds), rng, lambda S, x: close(S, {x} - S))
+    return sorted((p for S in shapes for p in pairs(S)), key=MonadicPair.sort_key)
 
 
 def fixed_set(alg: FiniteAlgebra, pair: MonadicPair):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -105,6 +107,10 @@ def test_entries_that_are_not_exactly_ints_are_rejected(fields, message):
     (("x", ("a",), 0, (5,), ((0,),)), "arrow table is not 1x1"),
     (("x", ("1", "a"), 0, ((0, 1), (0, 0)), ((0, 1), (0, 0)), None, 5),
      "unary maps must be given by name in a dict, got 5"),
+    # names that are not strings, checked before they are hashed or written out
+    (("x", ([0],), 0, ((0,),), ((0,),)), re.escape("element names must be strings, got ([0],)")),
+    (("x", ((1, 2),), 0, ((0,),), ((0,),)),
+     re.escape("element names must be strings, got ((1, 2),)")),
 ])
 def test_malformed_algebras_are_rejected(args, message):
     # the library's one error for a rejected input, a ValueError as before

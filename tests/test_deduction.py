@@ -421,6 +421,13 @@ CARRIER = DeductiveSystem(frozenset(range(4)), True)
     (lambda alg: theta_from_ds(alg, DeductiveSystem(frozenset({0, 9}), False)),
      "theta_from_ds needs a set of elements of the carrier, got "
      "DeductiveSystem(members=frozenset({0, 9}), normal=False)"),
+    # members that are not a set: [1]_Theta, a frozenset, never equalled them
+    (lambda alg: theta_from_ds(alg, DeductiveSystem([0], True)),
+     "theta_from_ds needs a set of elements of the carrier, got "
+     "DeductiveSystem(members=[0], normal=True)"),
+    (lambda alg: theta_from_ds(alg, DeductiveSystem((0,), True)),
+     "theta_from_ds needs a set of elements of the carrier, got "
+     "DeductiveSystem(members=(0,), normal=True)"),
     (lambda alg: quotient(alg, Congruence((0, 1))),
      "quotient needs a partition of the carrier, got Congruence(classes=(0, 1))"),
     (lambda alg: quotient(alg, (0, 1, 2, 3)),
@@ -431,6 +438,9 @@ CARRIER = DeductiveSystem(frozenset(range(4)), True)
     (lambda alg: is_monadic_ds(CARRIER, PAIR2),
      "is_monadic_ds needs members in the forall map's domain, got "
      "DeductiveSystem(members=frozenset({0, 1, 2, 3}), normal=True)"),
+    (lambda alg: is_monadic_ds(DeductiveSystem([0], True), enumerate_mop(alg)[0]),
+     "is_monadic_ds needs members in the forall map's domain, got "
+     "DeductiveSystem(members=[0], normal=True)"),
     (lambda alg: is_monadic_congruence(Congruence((0, 0, 1, 1)), PAIR2),
      f"is_monadic_congruence needs self-maps of the carrier, got {PAIR2}"),
     (lambda alg: generated_ds(alg, [[1]]), "generated_ds needs element names or indices, got [[1]]"),
@@ -480,6 +490,7 @@ def test_quotient_rejects_a_pair_that_is_not_monadic():
     ("psbe4", lambda alg: fixed_set(alg, MonadicPair(UnaryMap.identity(alg.size),
                                                      UnaryMap((alg.one,) * alg.size))),
      "fixed sets of exists and forall disagree; pair is not monadic"),
+    ("psbe4", lambda alg: SearchSpec(law=5), "search law must be a law id, got 5"),
     ("psbe4", lambda alg: SearchSpec(law="AX.refl", require=("poset", "bogus")),
      "unknown classification flags in require: ['bogus']"),
     ("psbe4", lambda alg: SearchSpec(law="AX.refl", require="bounded"),

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from psbe import quantifiers as quantifiers_module
 from psbe.algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap
-from psbe.classify import FAILS, HOLDS, Verdict, classify
+from psbe.classify import FAILS, HOLDS, Verdict, check_pseudo_be, classify
 from psbe.laws import Ctx, catalog, evaluate_law
 from psbe.quantifiers import (BOUNDED_COMMUTATIVE, HOOP, PLAIN, MonadicPair,
                               build_from_sigma, build_from_tau, check_monadic,
@@ -61,6 +61,29 @@ def outcome(enumerator, alg, mode):
         return PreconditionUnmet
 
 
+def answer(enumerator, alg, mode):
+    """The list of pairs, or the message and witness of the PreconditionUnmet raised."""
+    try:
+        return enumerator(alg, mode=mode)
+    except PreconditionUnmet as exc:
+        return str(exc), exc.witness
+
+
+def psbe_gated(reference):
+    """reference, raising off a pseudo BE-algebra as enumerate_mop does: the
+    mode's own PreconditionUnmet (check_monadic raises it on the identity
+    pair), else check_pseudo_be's first failing axiom and its witness."""
+    def gated(alg, mode):
+        verdict = check_pseudo_be(alg)
+        if verdict.status == HOLDS:
+            return reference(alg, mode)
+        identity = UnaryMap.identity(alg.size)
+        check_monadic(alg, MonadicPair(identity, identity), mode)
+        raise PreconditionUnmet(f"enumerate_mop needs a pseudo BE-algebra: "
+                                f"{verdict.failed_at(alg)}", verdict.witness)
+    return gated
+
+
 def times_c2_pair(pair):
     """pair x the identity pair of C2, indexed as `times_c2` does."""
     def lift(m):
@@ -109,9 +132,9 @@ def test_enumerate_mop_matches_cross_product(alg, mode):
        st.data())
 def test_enumerate_mop_matches_cross_product_off_psbe(name, mode, data):
     # one cell of one table changed: mostly not a pseudo BE-algebra any
-    # more (1 -> x = x or x -> x = 1 may fail), where no shortcut that
-    # relies on the psBE axioms may be taken; the declared zero is
-    # dropped, as it need not stay least
+    # more (1 -> x = x or x -> x = 1 may fail), where enumerate_mop
+    # refuses the tables; the declared zero is dropped, as it need not
+    # stay least
     alg = load(name)
     n = alg.size
     which = data.draw(st.sampled_from(["arrow", "squig"]))
@@ -119,18 +142,17 @@ def test_enumerate_mop_matches_cross_product_off_psbe(name, mode, data):
     rows = [list(row) for row in getattr(alg, which)]
     rows[x][y] = v
     alg = alg._replace(zero=None, **{which: tuple(map(tuple, rows))})
-    assert (outcome(enumerate_mop, alg, mode)
-            == outcome(cross_product_mop, alg, mode))
+    assert (answer(enumerate_mop, alg, mode)
+            == answer(psbe_gated(cross_product_mop), alg, mode))
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_enumerate_mop_matches_unpruned_on_any_tables(data):
-    # arbitrary tables and any element as 1: monadic pairs need not be
-    # idempotent here (on constant tables E may swap two elements), so
-    # the reference is the raw scan, not the cross product of idempotent
-    # candidates; the row of 1 is made the identity half of the time,
-    # where the pruned path takes each map's image to be a subalgebra
+    # arbitrary tables and any element as 1, refused unless they form a
+    # pseudo BE-algebra; the reference is the raw scan, not the cross
+    # product of idempotent candidates, and the row of 1 is made the
+    # identity half of the time, so that psBE3 holds more often
     n = data.draw(st.integers(1, 3))
     one = data.draw(st.integers(0, n - 1))
     cells = st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(tuple)
@@ -141,18 +163,19 @@ def test_enumerate_mop_matches_unpruned_on_any_tables(data):
     alg = FiniteAlgebra("any", tuple(f"e{i}" for i in range(n)), one,
                         tuple(arrow), tuple(squig))
     for mode in MODES:
-        assert (outcome(enumerate_mop, alg, mode)
-                == outcome(unpruned_mop, alg, mode)), mode
+        assert (answer(enumerate_mop, alg, mode)
+                == answer(psbe_gated(unpruned_mop), alg, mode)), mode
 
 
-def test_enumerate_mop_on_constant_tables_finds_non_idempotent_pairs():
-    # x -> y = x ~> y = 1 everywhere: any F with F 1 = 1 and any E fixing
-    # Im F is monadic, e.g. E swapping the other two elements
+def test_enumerate_mop_refuses_tables_that_are_not_pseudo_be():
+    # x -> y = x ~> y = 1 everywhere: 1 -> a = 1, so psBE3 fails at a; off
+    # a poset the bc and hoop modes find no pseudo-product, and say so first
     ones = ((0, 0, 0),) * 3
     alg = FiniteAlgebra("ones", ("1", "a", "b"), 0, ones, ones)
-    pairs = enumerate_mop(alg)
-    assert MonadicPair(UnaryMap((0, 2, 1)), UnaryMap((0, 0, 0))) in pairs
-    assert pairs == unpruned_mop(alg)
+    assert [answer(enumerate_mop, alg, mode) for mode in MODES] == [
+        ("enumerate_mop needs a pseudo BE-algebra: psBE3 fails at (a)", (1,)),
+        ("mode 'bc' needs the pseudo-product table", None),
+        ("mode 'hoop' needs the pseudo-product table", None)]
 
 
 @pytest.mark.parametrize("alg", ORACLE_ALGEBRAS)
@@ -168,16 +191,6 @@ def test_enumerate_mop_decides_pairs_without_check_monadic(alg, monkeypatch):
     for mode, pairs in found.items():
         if pairs is not PreconditionUnmet:
             assert all(check_monadic(alg, p, mode).status == HOLDS for p in pairs), mode
-
-
-def test_enumerate_mop_filters_closed_images_on_x_to_x():
-    # 1 -> y = y, so each image is a closed set, and {1, e1} is one; but
-    # e1 ~> e1 = e1, so the identity pair fails M1(squig) at e1
-    alg = FiniteAlgebra("two", ("1", "e1"), 0, ((0, 1), (0, 0)), ((0, 1), (0, 1)))
-    identity = UnaryMap.identity(2)
-    assert (check_monadic(alg, MonadicPair(identity, identity))
-            == Verdict("M1(squig)", FAILS, (1,)))
-    assert enumerate_mop(alg) == unpruned_mop(alg) == []
 
 
 # per family of instances the search tests, the first model in scan
