@@ -2,9 +2,11 @@
 
 Without a bytecode cache a process compiles each module it loads, so only `algebra` and
 `classify` load with the package; `quantifiers`, `deduction` and `laws` sit in `sys.modules`
-through `importlib.util.LazyLoader` and run on the first read of an attribute (`psbe check`
-runs none, `mop` runs `quantifiers`, `ds`, `gen` and `quotient` add `deduction`).  Names
-re-exported from them are looked up by `__getattr__` on each read, never stored here."""
+through `importlib.util.LazyLoader` and run on the first read of an attribute, which `laws` and
+`deduction` make of `quantifiers` only for a pair (`catalog()` runs `laws` alone, `psbe check`
+none, `mop` `quantifiers`, `ds`, `gen` and `quotient` `deduction` and with `--pair` `quantifiers`,
+`search` `laws` and for a pair law `quantifiers`).  Names re-exported from them are looked up
+by `__getattr__` on each read, never stored here."""
 
 import importlib.util
 import sys

@@ -64,8 +64,9 @@ UnaryMap._make = classmethod(lambda cls, fields: cls(*fields))
 # whether each value is an element index, an int in range(n) (1.0 and True are not)
 _indices = lambda values, n: set(map(type, values)) <= {int} and set(values).issubset(range(n))
 _sized = lambda value: hasattr(type(value), "__len__")     # whether len(value) is defined
-# whether m is a self-map of the carrier: a UnaryMap of n element indices
-is_self_map = lambda m, n: isinstance(m, UnaryMap) and len(m) == n and _indices(m.images, n)
+# whether m is a self-map of the carrier: a UnaryMap of n element indices, sized before len()
+is_self_map = lambda m, n: (isinstance(m, UnaryMap) and _sized(m.images) and len(m) == n
+                            and _indices(m.images, n))
 
 
 def _listed(value, what: str) -> tuple:

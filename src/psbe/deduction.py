@@ -14,10 +14,11 @@ from itertools import product
 from operator import itemgetter
 from typing import NamedTuple
 
-from .algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap, _indices, _listed, is_self_map
+from .algebra import (FiniteAlgebra, PreconditionUnmet, UnaryMap, _indices, _listed, _sized,
+                      is_self_map)
 from .classify import (HOLDS, ClassificationReport, InvariantViolated, Verdict,
                        check_pseudo_bck, classify, closed_sets, theorem_fails)
-from .quantifiers import MonadicPair, check_monadic, require_monadic, require_self_maps
+from . import quantifiers as _q
 
 # perfbench/workloads.py catches this name, and perfbench changes only on its own
 NotACongruence = PreconditionUnmet
@@ -89,17 +90,21 @@ def _enumerate_ds(alg: FiniteAlgebra) -> list[DeductiveSystem]:
                   key=DeductiveSystem.sort_key)
 
 
-def is_monadic_ds(ds: DeductiveSystem, pair: MonadicPair) -> bool:
-    if not _element_set(ds.members, len(pair.forall)):      # shape only
+def is_monadic_ds(ds: DeductiveSystem, pair: _q.MonadicPair) -> bool:
+    f = pair.forall if isinstance(pair, _q.MonadicPair) else None      # shape only
+    if not (isinstance(f, UnaryMap) and _sized(f.images) and is_self_map(f, len(f))):
+        raise PreconditionUnmet(f"is_monadic_ds needs a pair of self-maps, got {pair!r}")
+    if not (isinstance(ds, DeductiveSystem) and _element_set(ds.members, len(f))):
         raise PreconditionUnmet(f"is_monadic_ds needs members in the forall map's domain, got {ds!r}")
-    return _maps_into(ds.members, pair.forall.images)
+    return _maps_into(ds.members, f.images)
 
 
-def monadic_ds(alg: FiniteAlgebra, pair: MonadicPair,
+def monadic_ds(alg: FiniteAlgebra, pair: _q.MonadicPair,
                ds_list: list[DeductiveSystem] | None = None) -> list[DeductiveSystem]:
-    require_self_maps(alg, pair, "monadic_ds")
-    return [d for d in (enumerate_ds(alg) if ds_list is None else ds_list)
-            if is_monadic_ds(d, pair)]
+    _q.require_self_maps(alg, pair, "monadic_ds")
+    listed = enumerate_ds(alg) if ds_list is None else _listed(
+        ds_list, "monadic_ds needs an iterable of deductive systems")
+    return [d for d in listed if is_monadic_ds(d, pair)]
 
 
 def _closure(alg: FiniteAlgebra, seed, table) -> frozenset:
@@ -225,9 +230,11 @@ def is_compatible(alg: FiniteAlgebra, cong: Congruence) -> tuple[int, ...] | Non
     return _incompatibility(alg, cong.classes, _links(cong.classes))
 
 
-def is_monadic_congruence(cong: Congruence, pair: MonadicPair) -> bool:
+def is_monadic_congruence(cong: Congruence, pair: _q.MonadicPair) -> bool:
     """x ~ y implies forall x ~ forall y (the leader test)."""
-    if not is_self_map(pair.forall, len(cong.classes)):     # shape only
+    if not (isinstance(cong, Congruence) and _sized(cong.classes)):     # shape only
+        raise PreconditionUnmet(f"is_monadic_congruence needs a partition, got {cong!r}")
+    if not (isinstance(pair, _q.MonadicPair) and is_self_map(pair.forall, len(cong.classes))):
         raise PreconditionUnmet(f"is_monadic_congruence needs self-maps of the carrier, got {pair!r}")
     return _disagreement(cong.classes, _links(cong.classes), maps=(pair.forall.images,)) is None
 
@@ -348,12 +355,12 @@ def theta_from_ds(alg: FiniteAlgebra, ds: DeductiveSystem) -> Congruence:
 
 class QuotientAlgebra(NamedTuple):
     algebra: FiniteAlgebra
-    projection: tuple          # element index -> class index
-    pair: MonadicPair | None   # quotient quantifiers, when supplied
+    projection: tuple             # element index -> class index
+    pair: _q.MonadicPair | None   # quotient quantifiers, when supplied
 
 
 def quotient(alg: FiniteAlgebra, cong: Congruence,
-             pair: MonadicPair | None = None,
+             pair: _q.MonadicPair | None = None,
              name: str | None = None) -> QuotientAlgebra:
     """Quotient algebra over the congruence classes.
 
@@ -369,13 +376,13 @@ def quotient(alg: FiniteAlgebra, cong: Congruence,
     if not (isinstance(cong, Congruence) and is_self_map(UnaryMap(cong.classes), alg.size)):
         raise PreconditionUnmet(f"quotient needs a partition of the carrier, got {cong!r}")
     if pair is not None:
-        require_monadic(alg, pair, "quotient")
+        _q.require_monadic(alg, pair, "quotient")
     proj = _canonical(cong.classes).classes      # element -> class index
     links = _links(proj)
     bad = _incompatibility(alg, proj, links)
     if bad is not None:
         raise _unmet("class operation disagrees", bad)
-    for label, f in zip(MonadicPair._fields, pair or ()):
+    for label, f in zip(pair._fields, pair) if pair else ():
         bad = _disagreement(proj, links, maps=(f.images,))
         if bad is not None:
             raise _unmet(f"{label} does not respect the congruence", bad)
@@ -394,8 +401,8 @@ def quotient(alg: FiniteAlgebra, cong: Congruence,
     )
     q_pair = None
     if pair is not None:
-        q_pair = MonadicPair(*(UnaryMap(tuple(proj[f(r)] for r in reps)) for f in pair))
-        verdict = check_monadic(q, q_pair)
+        q_pair = _q.MonadicPair(*(UnaryMap(tuple(proj[f(r)] for r in reps)) for f in pair))
+        verdict = _q.check_monadic(q, q_pair)
         if verdict.status != HOLDS:
             raise InvariantViolated(f"quotient pair fails {verdict.name} at {verdict.witness}")
     return QuotientAlgebra(q, proj, q_pair)
@@ -405,7 +412,7 @@ VARIANT_BE = "be"
 VARIANT_BCK_MEET = "bck_meet"
 
 
-def correspondence_report(alg: FiniteAlgebra, pair: MonadicPair,
+def correspondence_report(alg: FiniteAlgebra, pair: _q.MonadicPair,
                           variant: str = VARIANT_BE) -> Verdict:
     """Round-trip check of the congruence/deductive-system bijection.
 
@@ -417,7 +424,7 @@ def correspondence_report(alg: FiniteAlgebra, pair: MonadicPair,
     but meets need not be total here: meet compatibility is checked only
     when every meet exists, and not at all otherwise.
     """
-    require_self_maps(alg, pair, "correspondence_report")
+    _q.require_self_maps(alg, pair, "correspondence_report")
     report, _ = classify(alg)
     m_cons = [c for c in enumerate_congruences(alg) if is_monadic_congruence(c, pair)]
 

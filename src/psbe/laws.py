@@ -26,8 +26,7 @@ from .algebra import FiniteAlgebra, PreconditionUnmet, _indices, _listed
 from .classify import (FAILS, FLAG_ALIASES, FLAG_NAMES, HOLDS, NOT_APPLICABLE, Verdict,
                        InvariantViolated, backtrack, classify, expression, first_failure,
                        first_failures, formula)
-from .quantifiers import MonadicPair, enumerate_mop, fixed_set, require_monadic
-from . import deduction as _ded
+from . import deduction as _ded, quantifiers as _q
 
 
 class Ctx:
@@ -44,7 +43,7 @@ class Ctx:
     expression), `monadic_members` (its monadic DS's members) and
     `monadic_congruences` (its monadic congruences' cls) per pair."""
 
-    def __init__(self, alg: FiniteAlgebra, pair: MonadicPair | None = None):
+    def __init__(self, alg: FiniteAlgebra, pair: _q.MonadicPair | None = None):
         self.alg = alg
         self.report, _ = classify(alg)
         self.hypotheses = alg.kept("hypotheses", lambda alg: {})
@@ -194,7 +193,7 @@ def _p6_distributive_normal(ctx):
 
 
 def _p6_monadic_ds_generated(ctx):
-    fixed, _, _ = fixed_set(ctx.alg, ctx.pair)
+    fixed, _, _ = _q.fixed_set(ctx.alg, ctx.pair)
     for count, ds in enumerate(ctx.ds, 1):
         generated = _ded.generated_ds(ctx.alg, ds.members & fixed)
         if (ds.members in ctx.monadic_members) != (generated == ds):
@@ -466,7 +465,7 @@ def verify_suite(alg: FiniteAlgebra, pairs, law_ids=None) -> list[Verdict]:
     wanted = None if law_ids is None else _names(
         law_ids, "law_ids must list law ids", _law_by_id(), "unknown law ids")
     laws = [l for l in catalog() if (not l.probe if wanted is None else l.id in wanted)]
-    pair_ctxs = [base.with_pair(require_monadic(alg, pair, "verify_suite")) for pair in pairs]
+    pair_ctxs = [base.with_pair(_q.require_monadic(alg, pair, "verify_suite")) for pair in pairs]
     groups = {}     # (uses_pair, arity) -> the applicable pointwise laws' expressions
     for l in [l for l in laws if l.arity and base.applies(l.hypothesis)]:
         groups.setdefault((l.uses_pair, l.arity), []).append(l.check)
@@ -631,7 +630,7 @@ def _law_counterexample(law: Law, alg: FiniteAlgebra, spec: SearchSpec):
     ctx = Ctx(_psbe_checked(alg))
     if not ctx.applies((*spec.require, *law.hypothesis)):
         return None     # filtered out, or every verdict would be not applicable
-    for pair in enumerate_mop(alg) if law.uses_pair else [None]:
+    for pair in _q.enumerate_mop(alg) if law.uses_pair else [None]:
         v = evaluate_law(law, ctx.with_pair(pair) if pair else ctx)
         if v.status == FAILS:
             return (alg, pair, v.witness)

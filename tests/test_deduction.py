@@ -14,8 +14,8 @@ from psbe.deduction import (Congruence, DeductiveSystem, correspondence_report,
                             is_monadic_ds, monadic_ds, quotient,
                             theta_from_ds)
 from psbe.laws import SearchSpec, verify_suite
-from psbe.quantifiers import (MonadicPair, build_from_sigma, build_from_tau, check_mv_quantifier,
-                              enumerate_mop, fixed_set, pair_from_unary_blocks)
+from psbe.quantifiers import (MonadicPair, build_from_sigma, build_from_tau, check_monadic,
+                              check_mv_quantifier, enumerate_mop, fixed_set, pair_from_unary_blocks)
 
 from conftest import (ORACLE_ALGEBRAS, assert_generated_ds_matches_references,
                       labelled_models, load, scan_ds, times_c2)
@@ -444,6 +444,28 @@ CARRIER = DeductiveSystem(frozenset(range(4)), True)
     (lambda alg: is_monadic_congruence(Congruence((0, 0, 1, 1)), PAIR2),
      f"is_monadic_congruence needs self-maps of the carrier, got {PAIR2}"),
     (lambda alg: generated_ds(alg, [[1]]), "generated_ds needs element names or indices, got [[1]]"),
+    # a system, a pair, a list or a partition of another type: each broke a read of its fields
+    (lambda alg: is_monadic_ds(frozenset({0}), enumerate_mop(alg)[0]),
+     "is_monadic_ds needs members in the forall map's domain, got frozenset({0})"),
+    (lambda alg: is_monadic_ds(CARRIER, 5), "is_monadic_ds needs a pair of self-maps, got 5"),
+    (lambda alg: monadic_ds(alg, enumerate_mop(alg)[0], [5]),
+     "is_monadic_ds needs members in the forall map's domain, got 5"),
+    (lambda alg: monadic_ds(alg, enumerate_mop(alg)[0], 5),
+     "monadic_ds needs an iterable of deductive systems, got 5"),
+    (lambda alg: is_monadic_congruence(Congruence(5), enumerate_mop(alg)[0]),
+     "is_monadic_congruence needs a partition, got Congruence(classes=5)"),
+    (lambda alg: is_monadic_congruence(Congruence((0, 0, 1, 1)), 5),
+     "is_monadic_congruence needs self-maps of the carrier, got 5"),
+    # maps and partitions whose images have no len(): the shape is tested first
+    (lambda alg: quotient(alg, Congruence(5)),
+     "quotient needs a partition of the carrier, got Congruence(classes=5)"),
+    (lambda alg: check_monadic(alg, MonadicPair(UnaryMap(5), UnaryMap(5))),
+     "check_monadic needs self-maps of the carrier, got "
+     "MonadicPair(exists=UnaryMap(images=5), forall=UnaryMap(images=5))"),
+    (lambda alg: verify_suite(alg, [MonadicPair(UnaryMap(None), UnaryMap(None))]),
+     "verify_suite needs self-maps of the carrier, got "
+     "MonadicPair(exists=UnaryMap(images=None), forall=UnaryMap(images=None))"),
+    (lambda alg: alg.with_unary(e=UnaryMap(5)), "unary map 'e' is not a self-map"),
 ])
 def test_malformed_maps_systems_and_partitions_are_rejected_at_entry(bc4, call, message):
     # shape only, before any read of a table by the given indices

@@ -251,13 +251,13 @@ def test_hypotheses_read_no_pair(alg):
 @pytest.mark.parametrize("law_id", ["P4.meet_join_equiv", "P5.meet_forall"])
 def test_search_lists_pairs_only_where_the_hypothesis_holds(law_id, monkeypatch):
     listed = Counter()
-    real = laws_module.enumerate_mop
+    real = quantifiers_module.enumerate_mop
 
     def counted(alg, *args):
         listed[alg.arrow, alg.squig] += 1
         return real(alg, *args)
 
-    monkeypatch.setattr(laws_module, "enumerate_mop", counted)
+    monkeypatch.setattr(quantifiers_module, "enumerate_mop", counted)
     result = search_counterexample(SearchSpec(law=law_id, max_size=3))
     assert result.found is None and result.exhausted
     law = laws_module._law_by_id()[law_id]

@@ -156,12 +156,15 @@ def test_record_protocols():
     assert Verdict("x", HOLDS).witness is None
 
 
-# the modules each subcommand runs on bc4; every other psbe module stays
-# unexecuted in sys.modules (psbe/__init__.py loads it lazily)
-RUNS = {"check": {"psbe.algebra", "psbe.classify", "psbe.cli"}}
-RUNS["mop"] = RUNS["check"] | {"psbe.quantifiers"}
-RUNS["ds"] = RUNS["mop"] | {"psbe.deduction"}
-RUNS["verify"] = RUNS["ds"] | {"psbe.laws"}
+# the modules each command line runs on bc4, whose file follows the subcommand;
+# every other psbe module stays unexecuted in sys.modules (psbe/__init__.py
+# loads it lazily), and only a pair (--pair, or each pair verify reads) runs quantifiers
+CHECK = {"psbe.algebra", "psbe.classify", "psbe.cli"}
+DS = CHECK | {"psbe.deduction"}
+PAIR = DS | {"psbe.quantifiers"}
+RUNS = {"check": CHECK, "mop": CHECK | {"psbe.quantifiers"}, "ds": DS, "gen --set a": DS,
+        "quotient --set 1,a": DS, "ds --pair 1": PAIR, "quotient --set 1,a --pair 1": PAIR,
+        "verify": PAIR | {"psbe.laws"}}
 
 # a fresh interpreter, so that this process's imports do not count; it
 # prints the modules imported after site, those of psbe that have run (a
@@ -171,7 +174,7 @@ FRESH = """
 import contextlib, io, json, sys, types
 before = set(sys.modules)
 sys.path.insert(0, {src!r})
-import psbe.cli
+{entry}
 ran = lambda: sorted(n for n, m in sys.modules.items()
                      if n.startswith("psbe.") and type(m) is types.ModuleType)
 out = {{"imported": sorted(set(sys.modules) - before), "ran": ran()}}
@@ -183,10 +186,11 @@ print(json.dumps(out))
 """
 
 
-def fresh(argv=()):
+def fresh(argv=(), entry="import psbe.cli"):
     src = Path(psbe.__file__).resolve().parents[1]
-    code = FRESH.format(src=str(src), argv=list(argv))
-    return json.loads(subprocess.run([sys.executable, "-c", code], capture_output=True,
+    code = FRESH.format(src=str(src), argv=list(argv), entry=entry)
+    # -B, as the benchmark runs psbe: no bytecode is written
+    return json.loads(subprocess.run([sys.executable, "-B", "-c", code], capture_output=True,
                                      text=True, check=True).stdout)
 
 
@@ -203,9 +207,21 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
 
 @pytest.mark.parametrize("command", RUNS)
 def test_a_subcommand_runs_only_the_modules_it_calls(command):
-    out = fresh([command, str(fixture_path("bc4"))])
+    name, *options = command.split()
+    out = fresh([name, str(fixture_path("bc4")), *options])
     assert out["code"] == 0
     assert set(out["ran_after"]) == RUNS[command]
+
+
+def test_a_search_for_a_pair_free_law_runs_neither_quantifiers_nor_deduction():
+    out = fresh(["search", "--law", "AX.psbck6_antisym", "--max-size", "3"])
+    assert out["code"] == 1     # a counterexample
+    assert set(out["ran_after"]) == CHECK | {"psbe.laws"}
+
+
+def test_the_law_catalog_runs_laws_alone():
+    out = fresh(entry="import psbe; psbe.catalog()")
+    assert set(out["ran"]) == {"psbe.algebra", "psbe.classify", "psbe.laws"}
 
 
 EXPORTS = {
