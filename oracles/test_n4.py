@@ -26,25 +26,20 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
-from conftest import (EVERY_LAW, assert_generated_ds_matches_references, brute_models,
-                      brute_search, model_algebra, scan_ds, search_outcome)
+from conftest import (EVERY_LAW, assert_generated_ds_matches_references, assert_pinned,
+                      brute_models, brute_search, by_law, keyed, model_algebra, scan_ds,
+                      search_outcome)
 from test_classify import assert_matches_eager
 from test_deduction import scan_congruences
 from test_duality import (assert_flags_dual, assert_laws_dual, assert_structure_dual,
                           assert_tables_dual, assert_written_once_closed, duality_orbits)
 from test_kernel import one_law_at_a_time
-from test_law_pin import applicability, digest, with_least_zero
+from test_law_pin import applicability, with_least_zero
 from test_quantifiers import MODES, cross_product_mop, outcome
 
 from psbe.deduction import enumerate_congruences, enumerate_ds
 from psbe.laws import SearchSpec, _models, search_counterexample, verify_suite
 from psbe.quantifiers import enumerate_mop
-
-# sha256 over verify_suite(law_ids=EVERY_LAW) on every model with its
-# monadic pairs, the least element declared as zero where there is one
-VERDICT_DIGEST = "d520e371f571fc9d82ff049925f98973dc9fdd7aa3c36b1f59b610ca24171bde"
-# sha256 over each model's law applicability and flag statuses (`applicability`)
-APPLICABILITY_DIGEST = "98032de99d89b8fab4623bf48aa4c483785966aaf16a158ff2ee36a7a4bcb2a0"
 
 RANKED = brute_models(4)
 MODELS = [model_algebra(4, arrow, squig, "m4") for _, arrow, squig in RANKED]
@@ -70,16 +65,14 @@ def test_search_matches_brute_force(law_id):
 
 
 def test_suite_verdicts_are_pinned():
-    verdicts = []
-    for alg in map(with_least_zero, MODELS):
-        verdicts.append([v.to_json(alg) for v in verify_suite(
-            alg, enumerate_mop(alg), law_ids=EVERY_LAW)])
-    assert digest(verdicts) == VERDICT_DIGEST
+    # verify_suite(law_ids=EVERY_LAW) on every model with its monadic pairs,
+    # the least element declared as zero where there is one, keyed by law id
+    assert_pinned("n4_verdicts", keyed(by_law(alg, verify_suite(
+        alg, enumerate_mop(alg), law_ids=EVERY_LAW)) for alg in map(with_least_zero, MODELS)))
 
 
 def test_applicability_is_pinned():
-    assert (digest([applicability(with_least_zero(alg)) for alg in MODELS])
-            == APPLICABILITY_DIGEST)
+    assert_pinned("n4_applicability", keyed(applicability(with_least_zero(alg)) for alg in MODELS))
 
 
 @pytest.mark.parametrize("alg", N4)

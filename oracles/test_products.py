@@ -11,7 +11,7 @@ subset scan on bc4×bc4 and psbe5×psbe4 (2^15 and 2^19 subsets, about
 0.3 s and 5 s); inv6×inv6 (2^35) is out of the scan's reach, so its
 counts are pinned, with its deductive systems, congruences and monadic
 pairs listed in under 0.5 s together.  The monadic pairs of bc4×bc4 and
-psbe5×psbe4 are pinned by count and by the sha256 of their list, both
+psbe5×psbe4 (15 and 603) are pinned, keyed by product, both
 recorded while `enumerate_mop` still re-checked each pair with
 `check_monadic`, and every pair of both passes `check_monadic` (about
 0.6 s).  The classification of bc4×bc4 and inv6×inv6, pseudo-product,
@@ -20,12 +20,11 @@ classification, whose tables scan candidate lists cell by cell (about
 0.6 s together), and their pair counts in each mode are pinned.
 `verify_suite` over psbe5×psbe4 and its 603 pairs (34,400 verdicts, about
 0.4 s) is compared with `evaluate_law` one law at a time on fresh
-contexts, and the sha256 of its verdicts is pinned:
+contexts, and its verdicts are pinned by law id:
 
     PYTHONPATH=src python -m pytest oracles
 """
 
-import hashlib
 import sys
 import time
 from pathlib import Path
@@ -34,14 +33,14 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
-from conftest import EVERY_LAW, direct_product, load, scan_ds, times_c2
+from conftest import EVERY_LAW, assert_pinned, by_law, direct_product, load, scan_ds, times_c2
 from test_classify import assert_matches_eager
 from test_deduction import unionfind_congruences
 from test_kernel import one_law_at_a_time
-from test_law_pin import digest
 from test_quantifiers import cross_product_mop, times_c2_pair
 
 from psbe.algebra import UnaryMap
+from psbe.classify import HOLDS
 from psbe.deduction import enumerate_congruences, enumerate_ds, is_compatible
 from psbe.laws import verify_suite
 from psbe.quantifiers import MonadicPair, check_monadic, declared_pairs, enumerate_mop
@@ -121,19 +120,15 @@ def test_product_mop_is_pinned(name):
         assert times_c2_pair(pair) in pairs
 
 
-@pytest.mark.parametrize("left, right, count, digest", [
-    ("bc4", "bc4", 15, "27f8e7832091cb9bd1b6f531a6759b8e46bfe2e9375817a80963d71ce99ef2ee"),
-    ("psbe5", "psbe4", 603, "b34f577676da21e9144d44164ba5bb5e512690e20074c57ac3ec34df0ff57570")])
-def test_product_mop_list_is_pinned(left, right, count, digest):
-    alg = direct_product(load(left), load(right))
-    pairs = enumerate_mop(alg)
-    images = repr([(p.exists.images, p.forall.images) for p in pairs])
-    assert (len(pairs), hashlib.sha256(images.encode()).hexdigest()) == (count, digest)
-    assert all(check_monadic(alg, p) for p in pairs)
-
-
-# sha256 over the to_json of verify_suite(psbe5×psbe4, its plain pairs, EVERY_LAW)
-MANY_PAIR_SUITE_DIGEST = "31ffc0e7a4150263b57836177b31bf76454699bc6db431ab53dd4e230e5c0d8b"
+def test_product_mop_list_is_pinned():
+    # each list in enumerate_mop's order, keyed by the product's name
+    lists = {}
+    for left, right in (("bc4", "bc4"), ("psbe5", "psbe4")):
+        alg = direct_product(load(left), load(right))
+        pairs = enumerate_mop(alg)
+        assert all(check_monadic(alg, p).status == HOLDS for p in pairs)
+        lists[alg.name] = [[p.exists.images, p.forall.images] for p in pairs]
+    assert_pinned("product_mop_lists", lists)
 
 
 def test_many_pair_suite_matches_one_law_at_a_time(monkeypatch):
@@ -141,5 +136,5 @@ def test_many_pair_suite_matches_one_law_at_a_time(monkeypatch):
     pairs = enumerate_mop(alg)
     verdicts = verify_suite(alg, pairs, law_ids=EVERY_LAW)
     assert (len(pairs), len(verdicts)) == (603, 34400)
-    assert digest([v.to_json(alg) for v in verdicts]) == MANY_PAIR_SUITE_DIGEST
+    assert_pinned("many_pair_suite", by_law(alg, verdicts))
     assert verdicts == one_law_at_a_time(alg._replace(), pairs, monkeypatch)

@@ -64,9 +64,11 @@ UnaryMap._make = classmethod(lambda cls, fields: cls(*fields))
 # whether each value is an element index, an int in range(n) (1.0 and True are not)
 _indices = lambda values, n: set(map(type, values)) <= {int} and set(values).issubset(range(n))
 _sized = lambda value: hasattr(type(value), "__len__")     # whether len(value) is defined
-# whether m is a self-map of the carrier: a UnaryMap of n element indices, sized before len()
-is_self_map = lambda m, n: (isinstance(m, UnaryMap) and _sized(m.images) and len(m) == n
-                            and _indices(m.images, n))
+# whether m is a self-map (of an n-element carrier, unless n is None): a tuple of element indices
+is_self_map = lambda m, n=None: (isinstance(m, UnaryMap) and isinstance(m.images, tuple)
+                                 and n in (None, len(m)) and _indices(m.images, len(m)))
+# whether value is one token of the document format, which serialize_algebra can write back
+_token = lambda value: isinstance(value, str) and value.split() == [value] and "#" not in value
 
 
 def _listed(value, what: str) -> tuple:
@@ -96,8 +98,12 @@ class FiniteAlgebra:
         n = self.size
         if n == 0:
             raise PreconditionUnmet("empty carrier")
-        if not all(isinstance(name, str) for name in element_names):   # before they are hashed
-            raise PreconditionUnmet(f"element names must be strings, got {element_names!r}")
+        if not hasattr(self.unary, "items"):
+            raise PreconditionUnmet(f"unary maps must be given by name in a dict, got {unary!r}")
+        bad = [v for v in (name, *element_names, *self.unary) if not _token(v)]
+        if bad:     # before the element names are hashed
+            raise PreconditionUnmet(f"names must be non-empty strings without whitespace or '#', "
+                                    f"got {bad[0]!r}")
         if len(set(element_names)) != n:
             raise PreconditionUnmet("duplicate element names")
         for tbl, label in ((arrow, "arrow"), (squig, "squig")):
@@ -109,8 +115,6 @@ class FiniteAlgebra:
             raise PreconditionUnmet("constant 1 out of range")
         if zero is not None and not _indices((zero,), n):
             raise PreconditionUnmet("constant 0 out of range")
-        if not hasattr(self.unary, "items"):
-            raise PreconditionUnmet(f"unary maps must be given by name in a dict, got {unary!r}")
         for opname, m in self.unary.items():
             if not is_self_map(m, n):
                 raise PreconditionUnmet(f"unary map {opname!r} is not a self-map")

@@ -14,8 +14,7 @@ from itertools import product
 from operator import itemgetter
 from typing import NamedTuple
 
-from .algebra import (FiniteAlgebra, PreconditionUnmet, UnaryMap, _indices, _listed, _sized,
-                      is_self_map)
+from .algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap, _indices, _listed, is_self_map
 from .classify import (HOLDS, ClassificationReport, InvariantViolated, Verdict,
                        check_pseudo_bck, classify, closed_sets, theorem_fails)
 from . import quantifiers as _q
@@ -91,8 +90,8 @@ def _enumerate_ds(alg: FiniteAlgebra) -> list[DeductiveSystem]:
 
 
 def is_monadic_ds(ds: DeductiveSystem, pair: _q.MonadicPair) -> bool:
-    f = pair.forall if isinstance(pair, _q.MonadicPair) else None      # shape only
-    if not (isinstance(f, UnaryMap) and _sized(f.images) and is_self_map(f, len(f))):
+    f = pair.forall if isinstance(pair, _q.MonadicPair) else None
+    if not is_self_map(f):
         raise PreconditionUnmet(f"is_monadic_ds needs a pair of self-maps, got {pair!r}")
     if not (isinstance(ds, DeductiveSystem) and _element_set(ds.members, len(f))):
         raise PreconditionUnmet(f"is_monadic_ds needs members in the forall map's domain, got {ds!r}")
@@ -232,7 +231,7 @@ def is_compatible(alg: FiniteAlgebra, cong: Congruence) -> tuple[int, ...] | Non
 
 def is_monadic_congruence(cong: Congruence, pair: _q.MonadicPair) -> bool:
     """x ~ y implies forall x ~ forall y (the leader test)."""
-    if not (isinstance(cong, Congruence) and _sized(cong.classes)):     # shape only
+    if not (isinstance(cong, Congruence) and is_self_map(UnaryMap(cong.classes))):
         raise PreconditionUnmet(f"is_monadic_congruence needs a partition, got {cong!r}")
     if not (isinstance(pair, _q.MonadicPair) and is_self_map(pair.forall, len(cong.classes))):
         raise PreconditionUnmet(f"is_monadic_congruence needs self-maps of the carrier, got {pair!r}")

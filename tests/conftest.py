@@ -1,3 +1,5 @@
+import hashlib
+import json
 from functools import cache
 from itertools import combinations, product
 from pathlib import Path
@@ -30,6 +32,46 @@ def verdict_truth_tests_raise(monkeypatch):
     in the tests: a caller reads `status`, so that a failure cannot pass
     for a default (`v or default`) or a not-applicable law for a failure."""
     monkeypatch.setattr(Verdict, "__bool__", _truth_tested)
+
+
+def assert_pinned(name, rows, pins=Path(__file__).resolve().parent / "pins"):
+    """rows, {key: JSON-able rows}, against pins/<name>.txt: one `key<TAB>sha256`
+    line per key, the sha256 of its rows as canonical JSON.  A missing file is
+    written and the test fails (to re-record a pin, delete its file, rerun and
+    read `git diff tests/pins`); a mismatch names every key that was added,
+    removed or changed, with the new rows of the first, truncated."""
+    path = pins / f"{name}.txt"
+    got = {key: hashlib.sha256(json.dumps(value, sort_keys=True, separators=(",", ":"))
+                               .encode()).hexdigest() for key, value in rows.items()}
+    if not path.exists():
+        path.write_text("".join(f"{key}\t{digest}\n" for key, digest in got.items()), "utf-8")
+        pytest.fail(f"{path} was missing: written with {len(got)} keys; rerun to check it")
+    pinned = dict(line.split("\t") for line in path.read_text("utf-8").splitlines())
+    moved = [key for key in got if got[key] != pinned.get(key)]
+    removed = [key for key in pinned if key not in got]
+    if moved or removed:
+        shown = json.dumps(rows[moved[0]], sort_keys=True) if moved else ""
+        pytest.fail(f"pin {name} moved; changed: {[k for k in moved if k in pinned]}, added: "
+                    f"{[k for k in moved if k not in pinned]}, removed: {removed}" + (
+                        f"; new rows of {moved[0]!r}: {shown[:300]}{'...' * (len(shown) > 300)}"
+                        if moved else ""))
+
+
+def keyed(inputs):
+    """{key: [its rows for each input]} from one {key: rows} per input."""
+    out = {}
+    for rows in inputs:
+        for key, value in rows.items():
+            out.setdefault(key, []).append(value)
+    return out
+
+
+def by_law(alg, verdicts):
+    """Each law's verdicts as JSON, under its id, a key for every law in catalog order."""
+    out = {law: [] for law in EVERY_LAW}
+    for v in verdicts:
+        out[v.name].append(v.to_json(alg))
+    return out
 
 
 def fixture_path(name: str) -> Path:

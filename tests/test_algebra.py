@@ -96,6 +96,9 @@ def test_entries_that_are_not_exactly_ints_are_rejected(fields, message):
         FiniteAlgebra("t", ("1", "a"), **{"one": 0, "arrow": table, "squig": table, **fields})
 
 
+NOT_A_TOKEN, T1 = "names must be non-empty strings without whitespace or '#', got ", ((0,),)
+
+
 @pytest.mark.parametrize("args, message", [
     (("x", ("a",), 0, ((5,),), ((0,),)), "arrow table entry out of range"),
     (("x", (), 0, (), ()), "empty carrier"),
@@ -108,9 +111,15 @@ def test_entries_that_are_not_exactly_ints_are_rejected(fields, message):
     (("x", ("1", "a"), 0, ((0, 1), (0, 0)), ((0, 1), (0, 0)), None, 5),
      "unary maps must be given by name in a dict, got 5"),
     # names that are not strings, checked before they are hashed or written out
-    (("x", ([0],), 0, ((0,),), ((0,),)), re.escape("element names must be strings, got ([0],)")),
-    (("x", ((1, 2),), 0, ((0,),), ((0,),)),
-     re.escape("element names must be strings, got ((1, 2),)")),
+    (("x", ([0],), 0, ((0,),), ((0,),)), NOT_A_TOKEN + re.escape("[0]")),
+    (("x", ((1, 2),), 0, ((0,),), ((0,),)), NOT_A_TOKEN + re.escape("(1, 2)")),
+    # names that serialize_algebra cannot write back as one token
+    (("x", ("a b",), 0, T1, T1), NOT_A_TOKEN + "'a b'"),
+    (("x", ("#",), 0, T1, T1), NOT_A_TOKEN + "'#'"),
+    (("x", ("",), 0, T1, T1), NOT_A_TOKEN + "''"),
+    (("my alg", ("1",), 0, T1, T1), NOT_A_TOKEN + "'my alg'"),
+    (("x", ("1",), 0, T1, T1, None, {"e f": UnaryMap((0,))}), NOT_A_TOKEN + "'e f'"),
+    ((5, ("1",), 0, T1, T1), NOT_A_TOKEN + "5"),
 ])
 def test_malformed_algebras_are_rejected(args, message):
     # the library's one error for a rejected input, a ValueError as before
@@ -145,5 +154,23 @@ def random_algebras(draw):
 def test_roundtrip_random(alg):
     # serialization is lossless for arbitrary well-formed tables,
     # independent of any axioms
+    again = parse_algebra(serialize_algebra(alg))
+    assert again == alg and again.unary == alg.unary
+
+
+# half the drawn names are tokens; the others are empty, or hold '#' or whitespace as
+# str.split reads it, a line separator of str.splitlines among them
+NAME = st.text("1aé", min_size=1, max_size=3) | st.sampled_from(
+    ["", "#", "a#1", "a b", "\t", "1\n", "\x1c", "é\u2028"])
+
+
+@given(NAME, st.lists(NAME, min_size=1, max_size=3, unique=True), NAME)
+def test_every_name_the_constructor_accepts_round_trips(name, element_names, opname):
+    n = len(element_names)
+    try:
+        alg = FiniteAlgebra(name, tuple(element_names), 0, ((0,) * n,) * n, ((0,) * n,) * n,
+                            unary={opname: UnaryMap((0,) * n)})
+    except PreconditionUnmet:
+        return
     again = parse_algebra(serialize_algebra(alg))
     assert again == alg and again.unary == alg.unary

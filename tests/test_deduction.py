@@ -400,6 +400,7 @@ def test_generated_ds_rejects_an_element_outside_the_carrier(psbe5, bad):
 SHORT, OFF = UnaryMap((0, 1, 2)), UnaryMap((0, 7, 0, 0))
 PAIR2 = MonadicPair(UnaryMap((0, 1)), UnaryMap((0, 1)))
 CARRIER = DeductiveSystem(frozenset(range(4)), True)
+SET_PAIR = MonadicPair(UnaryMap({0, 1, 2, 3}), UnaryMap({0, 1, 2, 3}))   # sized, in range
 
 
 @pytest.mark.parametrize("call, message", [
@@ -456,16 +457,29 @@ CARRIER = DeductiveSystem(frozenset(range(4)), True)
      "is_monadic_congruence needs a partition, got Congruence(classes=5)"),
     (lambda alg: is_monadic_congruence(Congruence((0, 0, 1, 1)), 5),
      "is_monadic_congruence needs self-maps of the carrier, got 5"),
-    # maps and partitions whose images have no len(): the shape is tested first
+    # maps and partitions whose images have no len(), or are a set: the shape is
+    # tested first, and a self-map's images and a partition's classes are a tuple
     (lambda alg: quotient(alg, Congruence(5)),
      "quotient needs a partition of the carrier, got Congruence(classes=5)"),
-    (lambda alg: check_monadic(alg, MonadicPair(UnaryMap(5), UnaryMap(5))),
-     "check_monadic needs self-maps of the carrier, got "
-     "MonadicPair(exists=UnaryMap(images=5), forall=UnaryMap(images=5))"),
-    (lambda alg: verify_suite(alg, [MonadicPair(UnaryMap(None), UnaryMap(None))]),
-     "verify_suite needs self-maps of the carrier, got "
-     "MonadicPair(exists=UnaryMap(images=None), forall=UnaryMap(images=None))"),
     (lambda alg: alg.with_unary(e=UnaryMap(5)), "unary map 'e' is not a self-map"),
+    *((lambda alg, call=call, pair=pair: call(alg, pair),
+       f"{what} needs self-maps of the carrier, got {pair}")
+      for pair in (MonadicPair(UnaryMap(5), UnaryMap(5)), SET_PAIR,
+                   MonadicPair(UnaryMap(None), UnaryMap(None)))
+      for what, call in (
+          ("check_monadic", check_monadic), ("monadic_ds", monadic_ds), ("fixed_set", fixed_set),
+          ("verify_suite", lambda alg, pair: verify_suite(alg, [pair])),
+          ("is_monadic_congruence", lambda alg, pair: is_monadic_congruence(
+              Congruence((0, 0, 1, 1)), pair)))),
+    (lambda alg: is_monadic_ds(CARRIER, SET_PAIR),
+     f"is_monadic_ds needs a pair of self-maps, got {SET_PAIR}"),
+    (lambda alg: build_from_tau(alg, SET_PAIR.forall),
+     f"build_from_tau needs self-maps of the carrier, got {SET_PAIR.forall}"),
+    (lambda alg: alg.with_unary(e=SET_PAIR.forall), "unary map 'e' is not a self-map"),
+    (lambda alg: quotient(alg, Congruence({0, 1, 2, 3})),
+     "quotient needs a partition of the carrier, got Congruence(classes={0, 1, 2, 3})"),
+    (lambda alg: is_monadic_congruence(Congruence({0, 1, 2, 3}), enumerate_mop(alg)[0]),
+     "is_monadic_congruence needs a partition, got Congruence(classes={0, 1, 2, 3})"),
 ])
 def test_malformed_maps_systems_and_partitions_are_rejected_at_entry(bc4, call, message):
     # shape only, before any read of a table by the given indices

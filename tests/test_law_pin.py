@@ -8,17 +8,14 @@ E/F maps, so laws whose hypotheses (condition_A, has_pP, pseudo_hoop,
 raise; an exception is recorded by its type.  `test_suite_verdicts_are_pinned`
 runs `verify_suite(law_ids=EVERY_LAW)` on bc4, psbe4 and psbe5 x C2
 with their product pairs and on every model of size 2 and 3 with its
-monadic pairs.  A changed digest means some law now reports a different
-verdict, witness or instance count.  `test_applicability_is_pinned`
-records whether each law's hypothesis holds and each flag's status on
-the fixtures, bc4 x C2, psbe4 x C2, every model of size 2 and 3 and
-seeded random tables with n <= 4, pseudo BE-algebras or not.
-`test_law_metadata_is_pinned` records each law's (id, arity, uses_pair,
-probe, hypothesis), which for a pointwise law are derived from its anchor.
+monadic pairs.  `test_applicability_is_pinned` records whether each
+law's hypothesis holds and each flag's status on the fixtures, bc4 x C2,
+psbe4 x C2, every model of size 2 and 3 and seeded random tables with
+n <= 4.  `test_law_metadata_is_pinned` records each law's (arity,
+uses_pair, probe, hypothesis).  Each pin is keyed by law id (and flag
+name), and `inputs` holds each input's tables and maps.
 """
 
-import hashlib
-import json
 import random
 
 from psbe.algebra import FiniteAlgebra, UnaryMap
@@ -26,13 +23,9 @@ from psbe.classify import FLAG_NAMES, HOLDS, check_pseudo_be
 from psbe.laws import Ctx, _models, catalog, evaluate_law, verify_suite
 from psbe.quantifiers import MonadicPair, enumerate_mop
 
-from conftest import EVERY_LAW, FIXTURE_NAMES, labelled_models, load, times_c2
+from conftest import (EVERY_LAW, FIXTURE_NAMES, assert_pinned, by_law, keyed, labelled_models,
+                      load, times_c2)
 from test_quantifiers import times_c2_pair
-
-LAW_DIGEST = "1eee5b939e7763b9040b0a19305ad8ec3a30c26226b638a7bbb127536163b32d"
-SUITE_DIGEST = "28c51aca69dd5147a826be64776cc89b59aa4f2d050e35e461fe740c1636d51a"
-APPLICABILITY_DIGEST = "1728ab84184328f22980e8da7caf3b8e96cb956efac1ff0c817c49283dccf9b3"
-METADATA_DIGEST = "b5a49352184f86ebab0249d4fd1be0f5bf85bf625c3f447051671b432b08b634"
 
 
 def with_least_zero(alg):
@@ -83,9 +76,9 @@ def _outcome(law, ctx):
 
 
 def law_outcomes():
+    """Per algebra: its tables, zero and maps, and each law's outcome on each context."""
     rng = random.Random(19111996)
     laws = [law._replace(hypothesis=()) for law in catalog()]
-    out = []
     for alg in _algebras(rng):
         base = Ctx(alg)
         pairs = [MonadicPair(_random_map(rng, alg, d), _random_map(rng, alg, -d))
@@ -93,36 +86,32 @@ def law_outcomes():
         if check_pseudo_be(alg).status == HOLDS:
             pairs += enumerate_mop(alg)[:2]
         ctxs = [base.with_pair(p) for p in pairs]
-        out.append([alg.arrow, alg.squig, alg.zero, [p.exists.images for p in pairs],
-                    [p.forall.images for p in pairs]])
-        for law in laws:
-            out.append([_outcome(law, c) for c in (ctxs if law.uses_pair else [base])])
-    return out
+        yield {"inputs": [alg.arrow, alg.squig, alg.zero, [p.exists.images for p in pairs],
+                          [p.forall.images for p in pairs]],
+               **{law.id: [_outcome(law, c) for c in (ctxs if law.uses_pair else [base])]
+                  for law in laws}}
 
 
 def suite_outcomes():
-    out = []
+    """Per algebra: its name or tables, and each law's verdicts."""
     for name in ("bc4", "psbe4", "psbe5"):
         factor = load(name)
         alg = with_least_zero(times_c2(factor))
         pairs = [times_c2_pair(p) for p in enumerate_mop(factor)]
-        out.append([alg.name] + [v.to_json(alg) for v in
-                                 verify_suite(alg, pairs, law_ids=EVERY_LAW)])
+        yield {"inputs": [alg.name], **by_law(alg, verify_suite(alg, pairs, law_ids=EVERY_LAW))}
     for n in (2, 3):
         for alg in map(with_least_zero, labelled_models(n)):
-            out.append([alg.arrow, alg.squig] + [
-                v.to_json(alg) for v in
-                verify_suite(alg, enumerate_mop(alg), law_ids=EVERY_LAW)])
-    return out
+            yield {"inputs": [alg.arrow, alg.squig], **by_law(alg, verify_suite(
+                alg, enumerate_mop(alg), law_ids=EVERY_LAW))}
 
 
 def applicability(alg):
     """alg's tables and zero, whether each law's hypothesis holds on it and
-    the status of each classification flag."""
+    the status of each classification flag, keyed by law id and flag name."""
     report = Ctx(alg).report
-    return [alg.arrow, alg.squig, alg.zero,
-            [report.unmet(law.hypothesis) is None for law in catalog()],
-            [report[name].status for name in FLAG_NAMES]]
+    return {"inputs": [alg.arrow, alg.squig, alg.zero],
+            **{law.id: report.unmet(law.hypothesis) is None for law in catalog()},
+            **{name: report[name].status for name in FLAG_NAMES}}
 
 
 def applicability_outcomes():
@@ -134,24 +123,19 @@ def applicability_outcomes():
     return [applicability(with_least_zero(alg)) for alg in algs]
 
 
-def digest(outcomes):
-    doc = json.dumps(outcomes, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(doc.encode()).hexdigest()
-
-
 def test_law_outcomes_are_pinned():
-    assert digest(law_outcomes()) == LAW_DIGEST
+    assert_pinned("law_outcomes", keyed(law_outcomes()))
 
 
 def test_suite_verdicts_are_pinned():
-    assert digest(suite_outcomes()) == SUITE_DIGEST
+    assert_pinned("suite_verdicts", keyed(suite_outcomes()))
 
 
 def test_applicability_is_pinned():
-    assert digest(applicability_outcomes()) == APPLICABILITY_DIGEST
+    assert_pinned("applicability", keyed(applicability_outcomes()))
 
 
 def test_law_metadata_is_pinned():
-    rows = [[l.id, l.arity, l.uses_pair, l.probe, list(l.hypothesis)] for l in catalog()]
+    rows = {l.id: [l.arity, l.uses_pair, l.probe, list(l.hypothesis)] for l in catalog()}
     assert len(rows) == 86
-    assert digest(rows) == METADATA_DIGEST
+    assert_pinned("law_metadata", rows)

@@ -3,33 +3,26 @@
 The fixture goldens are mostly "holds", so they say little about which
 tuple a failing check reports first.  This test runs the checks on
 seeded random tables, random self-maps and one-cell perturbations of the
-fixtures, and compares one sha256 over all outcomes with the digest
-below.  A changed digest means some check now reports a different
-verdict, witness or instance count.
+fixtures, and pins the outcomes keyed by check and input (`assert_pinned`):
+a moved key names the check, and the fixture or carrier size, whose
+verdict, witness or instance count changed.  The key `inputs` holds the
+random tables and maps in the order they are drawn.
 """
 
-import hashlib
-import json
 import random
 from itertools import product
 
 from psbe.algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap
-from psbe.classify import (HOLDS, ClassificationReport, check_pseudo_be, check_pseudo_bck,
-                           classify)
+from psbe.classify import ClassificationReport, check_pseudo_be, check_pseudo_bck, classify
 from psbe.laws import Ctx, catalog, evaluate_law, verify_suite
 from psbe.quantifiers import (MonadicPair, build_from_sigma, build_from_tau,
                               check_monadic, check_mv_quantifier, enumerate_mop, is_monadic)
 
-from conftest import EVERY_LAW, FIXTURE_NAMES, TABLE_NAMES, cups, load
+from conftest import (EVERY_LAW, FIXTURE_NAMES, TABLE_NAMES, assert_pinned, cups, labelled_models,
+                      load, model_algebra)
+from test_law_pin import _random_map
 
-DIGEST = "22cb5240388928f1daaae976c55b48d0f89eab2219239dc8b3c3f8d1ecc8c0cf"
 RESIDUATED = next(law for law in catalog() if law.id == "P3.residuated_T")
-
-
-def _algebra(name, arrow, squig, zero=None):
-    n = len(arrow)
-    return FiniteAlgebra(name, ("1",) + tuple(f"e{i}" for i in range(1, n)),
-                         0, arrow, squig, zero)
 
 
 def _random_table(rng, n, full_units):
@@ -52,20 +45,6 @@ def _perturbed(rng, alg):
         t[x][y] = (t[x][y] + rng.randrange(1, n)) % n
     return FiniteAlgebra(alg.name, alg.element_names, alg.one,
                          *(tuple(tuple(r) for r in t) for t in tables))
-
-
-def _random_map(rng, alg, direction):
-    """Self-map sending x above it (direction 1), below it (-1) or anywhere (0)."""
-    n, one = alg.size, alg.one
-    out = []
-    for x in range(n):
-        if direction == 0:
-            out.append(rng.randrange(n))
-            continue
-        cands = [y for y in range(n)
-                 if (alg.arrow[x][y] if direction > 0 else alg.arrow[y][x]) == one]
-        out.append(rng.choice(cands))
-    return UnaryMap(tuple(out))
 
 
 def _nudged(rng, alg, m):
@@ -91,30 +70,15 @@ def _random_pairs(rng, alg, count):
 
 def _small_models():
     """Every pseudo BE-algebra on 2 or 3 labelled elements with 1 = element 0,
-    declaring its least element as zero when it has one."""
-    out = []
-    for n in (2, 3):
-        cells = [(x, y) for x in range(1, n) for y in range(1, n) if x != y]
-        tables = []
-        for vals in product(range(n), repeat=len(cells)):
-            t = [[0] * n for _ in range(n)]
-            t[0] = list(range(n))
-            for (x, y), v in zip(cells, vals):
-                t[x][y] = v
-            tables.append(tuple(tuple(r) for r in t))
-        for arrow, squig in product(tables, repeat=2):
-            alg = _algebra(f"m{n}", arrow, squig)
-            if check_pseudo_be(alg).status == HOLDS:
-                least = [z for z in range(n) if all(arrow[z][x] == 0 for x in range(n))]
-                out.append(_algebra(f"m{n}", arrow, squig,
-                                    least[0] if least else None))
-    return out
+    declaring its first least element as zero when it has one."""
+    return [alg._replace(zero=next((z for z, row in enumerate(alg.arrow) if set(row) == {0}), None))
+            for n in (2, 3) for alg in labelled_models(n)]
 
 
 def _classified(alg):
     report, _ = classify(alg)
-    return [alg.arrow, alg.squig, check_pseudo_be(alg).to_json(alg),
-            check_pseudo_bck(alg).to_json(alg), report.to_json(alg),
+    return [check_pseudo_be(alg).to_json(alg), check_pseudo_bck(alg).to_json(alg),
+            report.to_json(alg),
             {name: getattr(report, name) for name in TABLE_NAMES} | cups(alg)]
 
 
@@ -146,46 +110,55 @@ def _built(build, alg, m):
 
 def outcomes():
     rng = random.Random(20191026)
-    out = []
+    out = {"inputs": []}
+
+    def add(key, row):
+        out.setdefault(key, []).append(row)
+
     for n in range(2, 6):
         for i in range(60):
-            alg = _algebra("r", _random_table(rng, n, i % 2),
-                           _random_table(rng, n, i % 2))
-            out.append(_classified(alg))
+            alg = model_algebra(n, _random_table(rng, n, i % 2), _random_table(rng, n, i % 2), "r")
+            add("inputs", [alg.arrow, alg.squig])
+            add(f"classify random n={n}", _classified(alg))
     fixtures = {name: load(name) for name in FIXTURE_NAMES}
-    for alg in fixtures.values():
+    for name, alg in fixtures.items():
         for _ in range(30):
-            out.append(_classified(_perturbed(rng, alg)))
-    for alg in fixtures.values():
+            perturbed = _perturbed(rng, alg)
+            add("inputs", [perturbed.arrow, perturbed.squig])
+            add(f"classify perturbed {name}", _classified(perturbed))
+    for name, alg in fixtures.items():
         pairs = _random_pairs(rng, alg, 24)
+        add("inputs", [[p.exists.images, p.forall.images] for p in pairs])
         for pair in pairs:
+            checked = []
             for mode in ("plain", "bc", "hoop"):
                 try:
-                    out.append(check_monadic(alg, pair, mode).to_json(alg))
+                    checked.append(check_monadic(alg, pair, mode).to_json(alg))
                 except PreconditionUnmet as exc:
-                    out.append(str(exc))
-            out.append(evaluate_law(RESIDUATED, Ctx(alg, pair)).to_json(alg))
+                    checked.append(str(exc))
+            add(f"check_monadic {name}", checked)
+            add(f"P3.residuated_T {name}", evaluate_law(RESIDUATED, Ctx(alg, pair)).to_json(alg))
         same_fixed = [p for p in pairs if all(
             (p.exists(x) == x) == (p.forall(x) == x) for x in range(alg.size))]
         suite_pairs = enumerate_mop(alg) + same_fixed[:6]
         try:
-            out.append([v.to_json(alg) for v in
-                        verify_suite(alg, suite_pairs, law_ids=EVERY_LAW)])
+            add(f"verify_suite {name}", [v.to_json(alg) for v in
+                                         verify_suite(alg, suite_pairs, law_ids=EVERY_LAW)])
         except PreconditionUnmet as exc:    # some pair is not monadic
-            out.append(str(exc))
-            out.append([v.to_json(alg) for v in verify_suite(
+            add(f"verify_suite {name}", str(exc))
+            add(f"verify_suite {name}", [v.to_json(alg) for v in verify_suite(
                 alg, [p for p in suite_pairs if is_monadic(alg, p)], law_ids=EVERY_LAW)])
     models = _small_models()
     for alg in [fixtures["bc4"]] + models:
         report, _ = classify(alg)
         if not (report.holds("bounded") and report.holds("commutative")):
             continue
-        for m in map(UnaryMap, product(range(alg.size), repeat=alg.size)):
-            for kind in ("universal", "existential"):
-                out.append(check_mv_quantifier(alg, m, kind).to_json(alg))
-        if report.oplus is not None and report.odot is not None:
-            for _ in range(20):
-                out.append(_nudged_mv(rng, alg, report))
+        add(f"check_mv_quantifier {alg.name}", [
+            check_mv_quantifier(alg, m, kind).to_json(alg)
+            for m in map(UnaryMap, product(range(alg.size), repeat=alg.size))
+            for kind in ("universal", "existential")])
+        add(f"pseudo_mv nudged {alg.name}", [_nudged_mv(rng, alg, report) for _ in range(20)]
+            if report.oplus is not None and report.odot is not None else [])
     for name in ("bc4", "inv6"):
         alg = fixtures[name]
         downs = product(*([y for y in range(alg.size) if alg.arrow[y][x] == alg.one]
@@ -193,21 +166,16 @@ def outcomes():
         ups = product(*([y for y in range(alg.size) if alg.arrow[x][y] == alg.one]
                         for x in range(alg.size)))
         anywhere = [pair.exists.images for pair in _random_pairs(rng, alg, 32)]
+        add("inputs", anywhere)
         for images in list(downs) + anywhere:
-            out.append(_built(build_from_tau, alg, UnaryMap(images)))
+            add(f"build_from_tau {name}", _built(build_from_tau, alg, UnaryMap(images)))
         for images in list(ups) + anywhere:
-            out.append(_built(build_from_sigma, alg, UnaryMap(images)))
+            add(f"build_from_sigma {name}", _built(build_from_sigma, alg, UnaryMap(images)))
     for alg in models:
-        out.append([alg.arrow, alg.squig] +
-                   [v.to_json(alg) for v in
-                    verify_suite(alg, enumerate_mop(alg), law_ids=EVERY_LAW)])
+        add(f"verify_suite {alg.name}", [alg.arrow, alg.squig] + [
+            v.to_json(alg) for v in verify_suite(alg, enumerate_mop(alg), law_ids=EVERY_LAW)])
     return out
 
 
-def digest():
-    doc = json.dumps(outcomes(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(doc.encode()).hexdigest()
-
-
 def test_witnesses_are_pinned():
-    assert digest() == DIGEST
+    assert_pinned("witnesses", outcomes())
