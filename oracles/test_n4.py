@@ -1,5 +1,7 @@
 """Differential oracles on every labelled pseudo BE-algebra of size 4
-(and, for `enumerate_mop`, on the first 300 of size 5).
+(and, for `enumerate_mop`, on the first 300 of size 5), and the n = 5 file
+of the class library regenerated from `_models(5)`, every labelled model
+psBE-checked.
 
 Too slow for the tier-1 suite (the brute-force list of the 388 models
 scans 16.8M table pairs; it is built once), so they live outside its
@@ -26,9 +28,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
-from conftest import (EVERY_LAW, assert_generated_ds_matches_references, assert_pinned,
-                      brute_models, brute_search, by_law, keyed, model_algebra, scan_ds,
-                      search_outcome)
+from conftest import (EVERY_LAW, assert_generated_ds_matches_references, assert_library,
+                      assert_pinned, brute_models, brute_search, by_law, keyed, model_algebra,
+                      scan_ds, search_outcome)
 from test_classify import assert_matches_eager
 from test_deduction import scan_congruences
 from test_duality import (assert_flags_dual, assert_laws_dual, assert_structure_dual,
@@ -137,3 +139,9 @@ def test_enumerate_mop_matches_cross_product_n5(alg):
     for mode in MODES:
         assert (outcome(enumerate_mop, alg, mode)
                 == outcome(cross_product_mop, alg, mode)), mode
+
+
+def test_library_n5_regenerates():
+    # the 221,729 labelled models of size 5 psBE-checked, the 9,698 that
+    # _is_canonical accepts written out and compared byte for byte
+    assert_library(5)

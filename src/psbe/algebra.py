@@ -63,7 +63,6 @@ UnaryMap._make = classmethod(lambda cls, fields: cls(*fields))
 
 # whether each value is an element index, an int in range(n) (1.0 and True are not)
 _indices = lambda values, n: set(map(type, values)) <= {int} and set(values).issubset(range(n))
-_sized = lambda value: hasattr(type(value), "__len__")     # whether len(value) is defined
 # whether m is a self-map (of an n-element carrier, unless n is None): a tuple of element indices
 is_self_map = lambda m, n=None: (isinstance(m, UnaryMap) and isinstance(m.images, tuple)
                                  and n in (None, len(m)) and _indices(m.images, len(m)))
@@ -83,7 +82,8 @@ class FiniteAlgebra:
     """An immutable record whose fields are ordinary instance attributes,
     read in every inner loop.  Equality and hash ignore `unary`.  What is
     computed of the algebra is kept on it (`kept`); a `_replace` copy
-    starts without any of it."""
+    starts without any of it.  Element names, tables and their rows are
+    tuples, as `parse_algebra` reads them back (a list would not be equal)."""
 
     _fields = ("name", "element_names", "one", "arrow", "squig", "zero", "unary")
 
@@ -93,8 +93,8 @@ class FiniteAlgebra:
         for key, value in zip(self._fields, values):
             object.__setattr__(self, key, value)
         object.__setattr__(self, "_store", {})
-        if not _sized(element_names):
-            raise PreconditionUnmet(f"element names must be a sequence, got {element_names!r}")
+        if not isinstance(element_names, tuple):
+            raise PreconditionUnmet(f"element names must be a tuple, got {element_names!r}")
         n = self.size
         if n == 0:
             raise PreconditionUnmet("empty carrier")
@@ -107,8 +107,9 @@ class FiniteAlgebra:
         if len(set(element_names)) != n:
             raise PreconditionUnmet("duplicate element names")
         for tbl, label in ((arrow, "arrow"), (squig, "squig")):
-            if not _sized(tbl) or len(tbl) != n or not all(_sized(r) and len(r) == n for r in tbl):
-                raise PreconditionUnmet(f"{label} table is not {n}x{n}")
+            if not (isinstance(tbl, tuple) and len(tbl) == n
+                    and all(isinstance(r, tuple) and len(r) == n for r in tbl)):
+                raise PreconditionUnmet(f"{label} table is not a {n}x{n} tuple of tuples")
             if not _indices(tuple(chain.from_iterable(tbl)), n):
                 raise PreconditionUnmet(f"{label} table entry out of range")
         if not _indices((one,), n):

@@ -15,6 +15,7 @@ congruence C:" leads it or "(all x,y)" closes its parts, else by hand.
 
 from __future__ import annotations
 
+import os
 from functools import cache
 from itertools import permutations, product
 from math import inf
@@ -539,7 +540,8 @@ def _models(n):
     (rank, arrow, squig), in the order of the scan over all candidate
     pairs: arrow cell values lexicographic in `free_cells` order, then
     squig values the same way.  `rank` is the pair's 1-based position
-    in that scan, so candidates in pruned subtrees are counted."""
+    in that scan, so candidates in pruned subtrees are counted.  With
+    `_is_canonical` it builds the class library that `_classes` reads."""
     cells = free_cells(n)
     k = len(cells)
     weight = [n ** (k - 1 - i) for i in range(k)]
@@ -618,6 +620,26 @@ def _is_canonical(n, arrow, squig) -> bool:
     return True
 
 
+@cache
+def _class_lines(n) -> list[str]:
+    """The library file of size n (`classes/<n>.txt`), read on the first search that reaches n."""
+    with open(f"{os.path.dirname(__file__)}/classes/{n}.txt", encoding="ascii") as fh:
+        return fh.read().splitlines()
+
+
+def _classes(n):
+    """The least model of each isomorphism class on n elements (`_is_canonical`), as
+    `_models` yields it, from the library: a line holds the base-n digits of the
+    arrow's free cells, then the squig's (`free_cells`), so its rank is int(line, n) + 1."""
+    cells = free_cells(n)
+    for line in _class_lines(n):
+        t = [[[y if x == 0 else 0 for y in range(n)] for x in range(n)] for _ in range(2)]
+        for i, digit in enumerate(line):        # the arrow's cells, then the squig's
+            x, y = cells[i % len(cells)]
+            t[i // len(cells)][x][y] = int(digit)
+        yield (int(line or "0", n) + 1, *(tuple(map(tuple, table)) for table in t))
+
+
 def _psbe_checked(alg: FiniteAlgebra) -> FiniteAlgebra:
     """alg, once its report shows the pseudo BE-algebra a search model is."""
     if (verdict := classify(alg)[0]["pseudo_be"]).status != HOLDS:
@@ -642,14 +664,11 @@ def search_counterexample(spec: SearchSpec) -> SearchResult:
 
     The candidates are all (arrow, squig) table pairs consistent with
     the forced unit rows/columns, in a fixed scan order (see `_models`).
-    They are not built one by one: a backtracking search assigns one
-    cell at a time and tests psBE4/psBE5 as soon as the cells they read
-    are set, so a failing prefix prunes every candidate that extends it.
-    Arrow tables are also pruned on y -> (x -> y) = 1, a consequence of
-    psBE4 and psBE5.  Each pseudo BE-algebra found is checked for psBE
-    again, and only the least of its isomorphism class (`_is_canonical`)
-    goes on to be filtered by the required classification flags and to
-    have the law evaluated on every monadic pair.  The rank order is the
+    The law is evaluated on the least model of each isomorphism class
+    (`_is_canonical`) only, in that order, read off the shipped library
+    (`_classes`) that `_models` and `_is_canonical` build.  Each model is
+    checked for psBE, filtered by the required classification flags and
+    has the law evaluated on every monadic pair.  The rank order is the
     lexicographic order of the full tables, as the row of 1 and the
     forced cells are the same under every relabelling that fixes 1, and
     such a relabelling keeps psBE, the `require` flags and a law's
@@ -673,12 +692,10 @@ def search_counterexample(spec: SearchSpec) -> SearchResult:
         remaining = (inf if spec.budget is None
                      else max(spec.budget - result.visited, 0))
         total, names = candidate_count(n) ** 2, ("1", *(f"e{i}" for i in range(1, n)))
-        for rank, arrow, squig in _models(n):
+        for rank, arrow, squig in _classes(n):
             if rank > remaining:
                 break
-            alg = _psbe_checked(FiniteAlgebra(f"search_{n}", names, 0, arrow, squig))
-            if not _is_canonical(n, arrow, squig):
-                continue
+            alg = FiniteAlgebra(f"search_{n}", names, 0, arrow, squig)
             hit = _law_counterexample(law, alg, spec)
             if hit is not None:
                 result.visited_by_size[n] = rank

@@ -11,10 +11,12 @@ from psbe.algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap, load_algebr
 from psbe.classify import (HOLDS, Verdict, check_pseudo_be, check_pseudo_bck, classify,
                            theorem_fails)
 from psbe.deduction import DeductiveSystem, _braces, _is_normal, generated_ds
-from psbe.laws import SearchResult, _law_counterexample, candidate_count, catalog, free_cells
+from psbe.laws import (SearchResult, _is_canonical, _law_counterexample, _models, _psbe_checked,
+                       candidate_count, catalog, free_cells)
 from psbe.quantifiers import PLAIN, MonadicPair, check_monadic
 
 FIXDIR = Path(psbe.__file__).resolve().parent / "fixtures"
+CLASSES = FIXDIR.parent / "classes"
 FIXTURE_NAMES = ("psbe4", "psbe5", "bc4", "inv6")
 # verify_suite's law_ids for the whole catalog, probes included (named laws all run)
 EVERY_LAW = tuple(law.id for law in catalog())
@@ -186,6 +188,29 @@ def brute_search(spec, pairs=brute_pairs):
         result.visited_by_size[n] = candidate_count(n) ** 2
     result.exhausted = True
     return result
+
+
+def library_text(n):
+    """classes/<n>.txt as `_models` and `_is_canonical` build it, each labelled model
+    psBE-checked: a line per class, the digits of its least model's free cells."""
+    cells, lines = free_cells(n), []
+    for _, arrow, squig in _models(n):
+        _psbe_checked(model_algebra(n, arrow, squig))
+        if _is_canonical(n, arrow, squig):
+            lines.append("".join(str(t[x][y]) for t in (arrow, squig) for x, y in cells) + "\n")
+    return "".join(lines).encode("ascii")
+
+
+def assert_library(n):
+    """classes/<n>.txt against `library_text(n)`, byte for byte.  A missing file is
+    written and the test fails, as `assert_pinned` does; rerun to check it."""
+    path, text = CLASSES / f"{n}.txt", library_text(n)
+    if not path.exists():
+        path.write_bytes(text)
+        pytest.fail(f"{path} was missing: written with {len(text.splitlines())} classes; "
+                    "rerun to check it")
+    if path.read_bytes() != text:
+        pytest.fail(f"{path} is not the classes that _models and _is_canonical give")
 
 
 def search_outcome(search, spec):

@@ -103,11 +103,24 @@ NOT_A_TOKEN, T1 = "names must be non-empty strings without whitespace or '#', go
     (("x", ("a",), 0, ((5,),), ((0,),)), "arrow table entry out of range"),
     (("x", (), 0, (), ()), "empty carrier"),
     (("x", ("a", "a"), 0, ((0, 0), (0, 0)), ((0, 0), (0, 0))), "duplicate element names"),
-    (("x", ("a", "b"), 0, ((0, 0), (0, 0)), ((0, 0),)), "squig table is not 2x2"),
+    (("x", ("a", "b"), 0, ((0, 0), (0, 0)), ((0, 0),)),
+     "squig table is not a 2x2 tuple of tuples"),
     # fields of the wrong type, checked before len() or .items() is called on them
-    (("x", 5, 0, (), ()), "element names must be a sequence, got 5"),
-    (("x", ("a",), 0, None, ((0,),)), "arrow table is not 1x1"),
-    (("x", ("a",), 0, (5,), ((0,),)), "arrow table is not 1x1"),
+    (("x", 5, 0, (), ()), "element names must be a tuple, got 5"),
+    (("x", ("a",), 0, None, ((0,),)), "arrow table is not a 1x1 tuple of tuples"),
+    (("x", ("a",), 0, (5,), ((0,),)), "arrow table is not a 1x1 tuple of tuples"),
+    # lists and strings, which serialize_algebra would write back as tuples or as one name
+    (("x", ["1", "a"], 0, ((0, 1), (0, 0)), ((0, 1), (0, 0))),
+     re.escape("element names must be a tuple, got ['1', 'a']")),
+    (("x", "1a", 0, ((0, 1), (0, 0)), ((0, 1), (0, 0))), "element names must be a tuple, got '1a'"),
+    (("x", ("1", "a"), 0, [[0, 1], [0, 0]], ((0, 1), (0, 0))),
+     "arrow table is not a 2x2 tuple of tuples"),
+    (("x", ("1", "a"), 0, ((0, 1), (0, 0)), [(0, 1), (0, 0)]),
+     "squig table is not a 2x2 tuple of tuples"),
+    (("x", ("1", "a"), 0, ((0, 1), [0, 0]), ((0, 1), (0, 0))),
+     "arrow table is not a 2x2 tuple of tuples"),
+    (("x", ("1", "a"), 0, ((0, 1), (0, 0)), ((0, 1), "10")),
+     "squig table is not a 2x2 tuple of tuples"),
     (("x", ("1", "a"), 0, ((0, 1), (0, 0)), ((0, 1), (0, 0)), None, 5),
      "unary maps must be given by name in a dict, got 5"),
     # names that are not strings, checked before they are hashed or written out

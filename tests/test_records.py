@@ -90,7 +90,7 @@ def test_finite_algebra_ignores_unary_and_validates():
                            "unary={})")
     bad = [(dict(element_names=()), "empty carrier"),
            (dict(element_names=("1", "1")), "duplicate element names"),
-           (dict(arrow=((0, 1),)), "arrow table is not 2x2"),
+           (dict(arrow=((0, 1),)), "arrow table is not a 2x2 tuple of tuples"),
            (dict(squig=((0, 1), (0, 2))), "squig table entry out of range"),
            (dict(arrow=((0, -1), (0, 0))), "arrow table entry out of range"),
            (dict(one=2), "constant 1 out of range"),

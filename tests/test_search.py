@@ -85,12 +85,14 @@ NOT_PSBE = (((0, 1, 2), (0, 0, 2), (0, 0, 0)),
             ((0, 1, 2), (0, 0, 0), (0, 0, 0)))
 
 
-def _fake_models(n):
+def _fake_classes(n):
     yield (1,) + NOT_PSBE
 
 
 def test_non_psbe_model_raises(monkeypatch):
-    monkeypatch.setattr(psbe.laws, "_models", _fake_models)
+    # the library reader yields a class that is not psBE: search checks each
+    # model it evaluates, whatever the library holds
+    monkeypatch.setattr(psbe.laws, "_classes", _fake_classes)
     with pytest.raises(InvariantViolated, match="not a pseudo BE-algebra"):
         search_counterexample(SearchSpec(law="AX.refl", min_size=3,
                                          max_size=3))
@@ -101,7 +103,7 @@ def test_non_psbe_model_raises_under_optimize():
     script = (
         "import psbe.laws as laws\n"
         "from psbe.classify import InvariantViolated\n"
-        f"laws._models = lambda n: iter([(1,) + {NOT_PSBE!r}])\n"
+        f"laws._classes = lambda n: iter([(1,) + {NOT_PSBE!r}])\n"
         "try:\n"
         "    laws.search_counterexample(laws.SearchSpec('AX.refl', 3, 3))\n"
         "except InvariantViolated:\n"
