@@ -109,18 +109,6 @@ NOT_A_TOKEN, T1 = "names must be non-empty strings without whitespace or '#', go
     (("x", 5, 0, (), ()), "element names must be a tuple, got 5"),
     (("x", ("a",), 0, None, ((0,),)), "arrow table is not a 1x1 tuple of tuples"),
     (("x", ("a",), 0, (5,), ((0,),)), "arrow table is not a 1x1 tuple of tuples"),
-    # lists and strings, which serialize_algebra would write back as tuples or as one name
-    (("x", ["1", "a"], 0, ((0, 1), (0, 0)), ((0, 1), (0, 0))),
-     re.escape("element names must be a tuple, got ['1', 'a']")),
-    (("x", "1a", 0, ((0, 1), (0, 0)), ((0, 1), (0, 0))), "element names must be a tuple, got '1a'"),
-    (("x", ("1", "a"), 0, [[0, 1], [0, 0]], ((0, 1), (0, 0))),
-     "arrow table is not a 2x2 tuple of tuples"),
-    (("x", ("1", "a"), 0, ((0, 1), (0, 0)), [(0, 1), (0, 0)]),
-     "squig table is not a 2x2 tuple of tuples"),
-    (("x", ("1", "a"), 0, ((0, 1), [0, 0]), ((0, 1), (0, 0))),
-     "arrow table is not a 2x2 tuple of tuples"),
-    (("x", ("1", "a"), 0, ((0, 1), (0, 0)), ((0, 1), "10")),
-     "squig table is not a 2x2 tuple of tuples"),
     (("x", ("1", "a"), 0, ((0, 1), (0, 0)), ((0, 1), (0, 0)), None, 5),
      "unary maps must be given by name in a dict, got 5"),
     # names that are not strings, checked before they are hashed or written out
@@ -133,6 +121,18 @@ NOT_A_TOKEN, T1 = "names must be non-empty strings without whitespace or '#', go
     (("my alg", ("1",), 0, T1, T1), NOT_A_TOKEN + "'my alg'"),
     (("x", ("1",), 0, T1, T1, None, {"e f": UnaryMap((0,))}), NOT_A_TOKEN + "'e f'"),
     ((5, ("1",), 0, T1, T1), NOT_A_TOKEN + "5"),
+    # lists and strings, which serialize_algebra would write back as tuples or as one name
+    (("x", ["1", "a"], 0, ((0, 1), (0, 0)), ((0, 1), (0, 0))),
+     re.escape("element names must be a tuple, got ['1', 'a']")),
+    (("x", "1a", 0, ((0, 1), (0, 0)), ((0, 1), (0, 0))), "element names must be a tuple, got '1a'"),
+    (("x", ("1", "a"), 0, [[0, 1], [0, 0]], ((0, 1), (0, 0))),
+     "arrow table is not a 2x2 tuple of tuples"),
+    (("x", ("1", "a"), 0, ((0, 1), (0, 0)), [(0, 1), (0, 0)]),
+     "squig table is not a 2x2 tuple of tuples"),
+    (("x", ("1", "a"), 0, ((0, 1), [0, 0]), ((0, 1), (0, 0))),
+     "arrow table is not a 2x2 tuple of tuples"),
+    (("x", ("1", "a"), 0, ((0, 1), (0, 0)), ((0, 1), "10")),
+     "squig table is not a 2x2 tuple of tuples"),
 ])
 def test_malformed_algebras_are_rejected(args, message):
     # the library's one error for a rejected input, a ValueError as before
