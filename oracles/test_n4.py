@@ -16,7 +16,9 @@ Bell(n) partition scan for `enumerate_congruences`, the subset scan for
 `enumerate_ds` and for `generated_ds` (the system
 that P6.monadic_ds_generated reads off the list of systems) and the
 eager one-pass classification for `classify`; `verify_suite`'s fused
-scans are checked against the laws evaluated one at a time.  The duality
+scans are checked against the laws evaluated one at a time, and the
+congruence laws' one mask scan against the scan of each congruence in
+turn.  The duality
 tests of `tests/test_duality.py` run on every model with its monadic pairs.
 """
 
@@ -29,8 +31,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from conftest import (EVERY_LAW, assert_generated_ds_matches_references, assert_library,
-                      assert_pinned, brute_models, brute_search, by_law, keyed, model_algebra,
-                      scan_ds, search_outcome)
+                      assert_pinned, brute_models, brute_search, by_law,
+                      congruence_law_outcomes, keyed, model_algebra, scan_ds, search_outcome)
 from test_classify import assert_matches_eager
 from test_deduction import scan_congruences
 from test_duality import (assert_flags_dual, assert_laws_dual, assert_structure_dual,
@@ -83,6 +85,12 @@ def test_verify_suite_matches_one_law_at_a_time(alg, monkeypatch):
     pairs = enumerate_mop(alg)
     assert (verify_suite(alg, pairs, law_ids=EVERY_LAW)
             == one_law_at_a_time(alg, pairs, monkeypatch))
+
+
+@pytest.mark.parametrize("alg", N4)
+def test_congruence_laws_match_the_per_congruence_scan(alg):
+    for law_id, pair, got, want in congruence_law_outcomes(alg):
+        assert got == want, (law_id, pair)
 
 
 @pytest.mark.parametrize("alg", N4)

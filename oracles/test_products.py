@@ -20,7 +20,9 @@ classification, whose tables scan candidate lists cell by cell (about
 0.6 s together), and their pair counts in each mode are pinned.
 `verify_suite` over psbe5×psbe4 and its 603 pairs (34,400 verdicts, about
 0.4 s) is compared with `evaluate_law` one law at a time on fresh
-contexts, and its verdicts are pinned by law id:
+contexts, and its verdicts are pinned by law id.  The verdicts of
+psbe5×psbe5 (n = 25, 4,669 congruences) with its 706 pairs, where the
+congruence laws do most of the work, are pinned under the product's name:
 
     PYTHONPATH=src python -m pytest oracles
 """
@@ -138,3 +140,11 @@ def test_many_pair_suite_matches_one_law_at_a_time(monkeypatch):
     assert (len(pairs), len(verdicts)) == (603, 34400)
     assert_pinned("many_pair_suite", by_law(alg, verdicts))
     assert verdicts == one_law_at_a_time(alg._replace(), pairs, monkeypatch)
+
+
+def test_congruence_heavy_suite_is_pinned():
+    alg = direct_product(load("psbe5"), load("psbe5"))
+    pairs = enumerate_mop(alg)
+    verdicts = verify_suite(alg, pairs, law_ids=EVERY_LAW)
+    assert (len(pairs), len(enumerate_congruences(alg))) == (706, 4669)
+    assert_pinned("product_suites", {alg.name: [v.to_json(alg) for v in verdicts]})

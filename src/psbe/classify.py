@@ -26,7 +26,9 @@ dual algebra A^op (`opposite`), swaps -> with ~>, - with ~ and the operands
 of * and (+); a trailing "(dual)" states it, and "(both arrows)" states X
 and its dual.  A leading "under (X):" names condition (X); "for every
 [monadic] congruence C:" states X of each such C, whose classes ~C and [1]_C
-read (tree: (quantifier, X), which the dual keeps).  Elsewhere, naming no z, a
+read (tree: (quantifier, X), which the dual keeps); the kernel scans X over
+every congruence at once, one bit of an int per congruence
+(`first_failing_bit`).  Elsewhere, naming no z, a
 relation X then "(all x,y)" is closed over x and y (tree: ("(all x,y)", X)),
 and only `iff` takes one, joining two.  E, F and "monadic" read the pair.  The
 arity is the highest of x, y, z named, 0 for none.
@@ -116,9 +118,20 @@ def first_failures(n: int, arity: int, exprs, source) -> dict:
     whose indices an outer loop binds moves to that loop, and one made twice
     in the innermost body is bound once per tuple: each read must be total."""
     exprs = tuple(dict.fromkeys(exprs))
-    scan = _SCANS.get((arity, exprs, "ranks")) or _scan(arity, exprs, fused=True)
+    scan = _SCANS.get((arity, exprs, "ranks")) or _scan(arity, exprs, "ranks")
     return {e: (e, tuple((r - 1) // n ** d % n for d in reversed(range(arity))), r) if r else None
             for e, r in zip(exprs, scan(n, *[getattr(source, t) for t in scan.tables]))}
+
+
+def first_failing_bit(n: int, arity: int, expr: str, source):
+    """(c, tuple): c the lowest bit that expr, a mask over x, y, z (the first
+    `arity`) and tables read off source, sets at any tuple of
+    range(n)**arity, and tuple the first where it is set; None where expr is
+    0 at every tuple.  One loop (`_scan`), whose expression may also use &,
+    |, ^ and ~, such as a congruence law's failure mask (`expression`)."""
+    scan = _SCANS.get((arity, (expr,), "masks")) or _scan(arity, (expr,), "masks")
+    low, witness = scan(n, *[getattr(source, t) for t in scan.tables])
+    return None if witness is None else (low.bit_length() - 1, witness)
 
 
 def first_failure_of(n: int, groups, source):
@@ -130,27 +143,30 @@ def first_failure_of(n: int, groups, source):
 
 _VARS = ("x", "y", "z")
 _CMP = (_ast.Eq, _ast.NotEq, _ast.Lt, _ast.LtE, _ast.Gt, _ast.GtE, _ast.In, _ast.NotIn)
-_SCANS = {}     # (arity, checks) or (arity, exprs, "ranks") -> scan; generated text -> scan
+_BITS = (_ast.BitAnd, _ast.BitOr, _ast.BitXor, _ast.Invert)
+_SCANS = {}     # (arity, checks) or (arity, exprs, mode) -> scan; generated text -> scan
 
 
-def _scan(arity: int, checks, fused: bool = False):
+def _scan(arity: int, checks, mode=None):
     """first_failure's function for one group of checks, cached by its text:
     a loop per variable, x outermost, and in the innermost one `if not
     (expression): return index, tuple, rank` per check, rank counting the
     tuples from 1 in lexicographic order.  Its parameters are n and
     the tables named (`scan.tables`).  Nothing is compiled unless every
-    expression passes `_whitelist`.  fused gives first_failures' function on
-    expressions, `if not _fK and not (expr): _fK = rank` with reads hoisted."""
-    exprs = checks if fused else [expr for _, expr in checks]
+    expression passes `_whitelist`.  On expressions, with reads hoisted,
+    mode "ranks" gives first_failures' function, `if not _fK and not
+    (expr): _fK = rank`, and mode "masks" first_failing_bit's on one mask,
+    which keeps the lowest bit set yet and the tuple that first set it."""
+    exprs = checks if mode else [expr for _, expr in checks]
     tables, spans, names, level = set(), [[] for _ in exprs], {}, [[] for _ in range(arity + 1)]
     for expr, reads in zip(exprs, spans):
         tree = compile(expr, "<check>", "eval", _ast.PyCF_ONLY_AST)    # the scan kernel
-        _whitelist(tree.body, expr, arity, tables, reads)
+        _whitelist(tree.body, expr, arity, tables, reads, mode == "masks")
     tables, bodies = tuple(sorted(tables)), []
     texts = Counter(expr[s:e] for expr, reads in zip(exprs, spans) for s, e, _ in reads)
     for expr, reads in zip(exprs, spans):
         chars = list(expr)
-        for s, e, d in reads if fused else ():    # inner reads first
+        for s, e, d in reads if mode else ():    # inner reads first
             read = expr[s:e]
             if read not in names and (d < arity or texts[read] > 1):    # bound in loop d
                 level[d].append((e - s, f"_h{len(names)} = {''.join(chars[s:e])}"))
@@ -162,30 +178,37 @@ def _scan(arity: int, checks, fused: bool = False):
     witness = "(" + ", ".join(_VARS[:arity]) + ("," if arity == 1 else "") + ")"
     rank = "".join(v + " * _n" * (arity - 1 - d) + " + " for d, v in enumerate(_VARS[:arity])) + "1"
     lines = [f"def scan({', '.join(('_n',) + tables)}):", "    _r = _range(_n)"]
-    lines += [f"    {flags.replace(',', ' =')} = 0"] * fused
+    lines += [f"    {flags.replace(',', ' =')} = 0"] * (mode == "ranks")
+    lines += ["    _low, _below, _t = 0, -1, None"] * (mode == "masks")
     for d in range(arity + 1):
         lines += [f"{'    ' * d}for {_VARS[d - 1]} in _r:"] * (d > 0)
         lines += ["    " * (d + 1) + line for _, line in sorted(level[d])]
-    lines += [f"{pad}if not _f{i} and not ({body}): _f{i} = {rank}" if fused
-              else f"{pad}if not ({body}): return {i}, {witness}, {rank}"
-              for i, body in enumerate(bodies)]
-    lines += [f"        if {flags.replace(',', ' and')}: break", f"    return {flags},"] * fused
+    if mode == "masks":     # a bit below the lowest yet: the lowest of the new bits is lower
+        lines += [f"{pad}_b = {bodies[0]}", f"{pad}if _b & _below:",
+                  f"{pad}    _low = _b & -_b", f"{pad}    _below, _t = _low - 1, {witness}",
+                  f"{pad}    if not _below: return _low, _t", "    return _low, _t"]
+    else:
+        lines += [f"{pad}if not _f{i} and not ({body}): _f{i} = {rank}" if mode
+                  else f"{pad}if not ({body}): return {i}, {witness}, {rank}"
+                  for i, body in enumerate(bodies)]
+        lines += [f"        if {flags.replace(',', ' and')}: break", f"    return {flags},"] * bool(mode)
     text = "\n".join(lines)
     if text not in _SCANS:
         env = {"__builtins__": {}, "_range": range}
         exec(compile(text, "<first_failure scan>", "exec"), env)    # the scan kernel
         _SCANS[text] = env["scan"]
         _SCANS[text].tables = tables
-    _SCANS[(arity, checks, "ranks") if fused else (arity, checks)] = _SCANS[text]
+    _SCANS[(arity, checks, mode) if mode else (arity, checks)] = _SCANS[text]
     return _SCANS[text]
 
 
-def _whitelist(node, expr: str, arity: int, tables: set, reads: list) -> int:
+def _whitelist(node, expr: str, arity: int, tables: set, reads: list, bits: bool = False) -> int:
     """node's depth (the loop binding the last variable it reads; 0: none),
     with each subscript's (start, end, depth) added to reads, inner ones
     first, and each table named to tables.  InvariantViolated unless node and
     its parts are names (tables and the first `arity` of x, y, z; none starts
-    with _), subscripts, comparisons, and/or/not, set displays or integers."""
+    with _), subscripts, comparisons, and/or/not, set displays or integers,
+    or, with bits, the bitwise operators &, |, ^ and ~."""
     kind = type(node)
     if kind is _ast.Name and node.id not in _VARS[arity:] and node.id[0] != "_":
         if node.id in _VARS:
@@ -198,15 +221,17 @@ def _whitelist(node, expr: str, arity: int, tables: set, reads: list) -> int:
         parts = (node.left, *node.comparators)
     elif kind is _ast.BoolOp:
         parts = node.values
-    elif kind is _ast.UnaryOp and type(node.op) is _ast.Not:
+    elif kind is _ast.UnaryOp and (type(node.op) is _ast.Not or bits and type(node.op) in _BITS):
         parts = (node.operand,)
+    elif kind is _ast.BinOp and bits and type(node.op) in _BITS:
+        parts = (node.left, node.right)
     elif kind is _ast.Set:
         parts = node.elts
     elif kind is _ast.Constant and type(node.value) is int:
         return 0
     else:
         raise InvariantViolated(f"{kind.__name__} is not allowed in the scan expression {expr!r}")
-    depth = max([_whitelist(part, expr, arity, tables, reads) for part in parts], default=0)
+    depth = max([_whitelist(part, expr, arity, tables, reads, bits) for part in parts], default=0)
     if kind is _ast.Subscript:
         reads.append((node.col_offset, node.end_col_offset, depth))
     return depth
@@ -223,6 +248,9 @@ _FORM = {"implies": "(not ({}) or ({}))", "imply": "(not ({}) or ({}))", "iff": 
          "~": "neg_sim[{}]", "x": "x", "y": "y", "z": "z", "0": "zero", "1": "one",
          "~C": "cls[{}] == cls[{}]", "in": "{} in {}", "[1]_C": "one_cls",
          "for every congruence C:": "{}", "for every monadic congruence C:": "{}"}
+_MASK = {"implies": "~({}) | ({})", "imply": "~({}) | ({})", "iff": "~(({}) ^ ({}))",
+         "and": "({}) & ({})", "~C": "EQ[{}][{}]", "in": "ONE[{}]",
+         "for every congruence C:": "ALL & ~({})", "for every monadic congruence C:": "MON & ~({})"}
 _OPPOSITE = {"->": "~>", "~>": "->", "-": "~", "~": "-"}    # and * and (+) swap operands
 _TOKEN = (r"\s*(under \([AMT]\):|for every (?:monadic )?congruence C:|\(both arrows\)|\(dual\)"
           r"|\(all x,y\)|\(\+\)|and|implies|imply|iff|in|->|~>|~C|<=|\[1\]_C|\S)")
@@ -283,11 +311,22 @@ def formula(text: str, name: str = "") -> tuple:
     return _FORMULAS[text]
 
 
-def expression(tree) -> str:
-    """The expression the kernel scans for a formula's tree, which closes no part."""
-    if tree[0] == "(all x,y)":
+def expression(tree, masks: bool = False) -> str:
+    """The expression the kernel scans for a formula's tree, which closes no
+    part.  With masks, a congruence quantifier's tree gives its failure mask
+    (`first_failing_bit`), bit c set where the body fails at the c-th
+    congruence: ALL has a bit per congruence, MON one per monadic one, t ~C
+    u reads EQ[t][u], t in [1]_C reads ONE[t], a relation without C gives
+    ALL or 0, and `and`, `implies` and `iff` are &, ~a | b and ~(a ^ b)."""
+    op = tree[0]
+    if op == "(all x,y)":
         raise InvariantViolated(f"{tree} closes x and y: the kernel scans each part alone")
-    return _FORM[tree[0]].format(*map(expression, tree[1:]))
+    if not masks:
+        return _FORM[op].format(*map(expression, tree[1:]))
+    if op not in _MASK:
+        return f"({expression(tree)} and ALL)"
+    # the terms of ~C and in are plain; in reads its left one only
+    return _MASK[op].format(*(expression(t, op not in ("~C", "in")) for t in tree[1:]))
 
 
 def opposite(tree) -> tuple:

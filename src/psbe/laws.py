@@ -19,14 +19,14 @@ import os
 from functools import cache
 from itertools import permutations, product
 from math import inf
-from operator import attrgetter, itemgetter
+from operator import and_, attrgetter, itemgetter
 from types import SimpleNamespace
 from typing import NamedTuple
 
 from .algebra import FiniteAlgebra, PreconditionUnmet, _indices, _listed
 from .classify import (FAILS, FLAG_ALIASES, FLAG_NAMES, HOLDS, NOT_APPLICABLE, Verdict,
-                       InvariantViolated, backtrack, classify, expression, first_failure,
-                       first_failures, formula)
+                       InvariantViolated, backtrack, classify, expression, first_failing_bit,
+                       first_failure, first_failures, formula)
 from . import deduction as _ded, quantifiers as _q
 
 
@@ -35,14 +35,15 @@ class Ctx:
     (optionally) one monadic pair, with the tables a compiled formula names,
     under the names the algebra and its report carry: arrow, squig, leq,
     neg_minus, neg_sim, odot, oplus, meet, join, one and zero, and the
-    pair's E and F (and a congruence's cls and one_cls on a copy,
-    `with_classes`).  `report` is the algebra's one ClassificationReport
-    (`classify`), whose tables are read off it on each use.
+    pair's E and F; a congruence law's failure mask reads ALL, EQ and ONE
+    (`_congruence_masks`) and MON, bit c standing for the c-th congruence.
+    `report` is the algebra's one ClassificationReport (`classify`), whose
+    tables are read off it on each use.
     `zero` is the declared zero, not `report.zero`, until ROADMAP item 2.
-    `ds`, `congruences`, `hypotheses` (the decided ones) and `once` are kept
-    on the algebra object; `failures` (`verify_suite`'s first failures, by
-    expression), `monadic_members` (its monadic DS's members) and
-    `monadic_congruences` (its monadic congruences' cls) per pair."""
+    `ds`, `congruences`, `hypotheses` (the decided ones), the masks and
+    `once` are kept on the algebra object; `failures` (`verify_suite`'s first
+    failures, by expression), `monadic_members` (its monadic DS's members)
+    and MON (its monadic congruences) per pair."""
 
     def __init__(self, alg: FiniteAlgebra, pair: _q.MonadicPair | None = None):
         self.alg = alg
@@ -69,6 +70,7 @@ class Ctx:
 
     leq, neg_minus, neg_sim, odot, oplus, meet, join = (property(attrgetter("report." + t))
         for t in ("leq", "neg_minus", "neg_sim", "odot", "oplus", "meet", "join"))
+    ALL, EQ, ONE = (property(lambda self, i=i: self.once(_congruence_masks)[i]) for i in range(3))
 
     @property
     def monadic_members(self) -> set:
@@ -77,27 +79,21 @@ class Ctx:
         return self._mds
 
     @property
-    def monadic_congruences(self) -> set:   # x ~ y implies Fx ~ Fy, by one leader test each
-        if self._mcs is None:
-            self._mcs = {c.cls for c in self.once(_congruence_tables)
-                         if _ded._disagreement(c.cls, c.links, maps=(self.F,)) is None}
-        return self._mcs
+    def MON(self) -> int:
+        if self._mon is None:
+            self._mon = _monadic_mask(self)
+        return self._mon
 
     def _bind(self, pair):
         self.pair = pair
         self.E, self.F = (pair.exists.images, pair.forall.images) if pair else (None, None)
         self.pair_name = ",".join(map(str, self.F)) if pair else None
-        self.failures, self._mds, self._mcs = {}, None, None
+        self.failures, self._mds, self._mon = {}, None, None
 
     def with_pair(self, pair):
         ctx = object.__new__(Ctx)
         ctx.__dict__.update(self.__dict__)
         ctx._bind(pair)
-        return ctx
-
-    def with_classes(self, c):     # a copy that also reads congruence c's cls and one_cls
-        ctx = object.__new__(Ctx)
-        ctx.__dict__.update(self.__dict__, cls=c.cls, one_cls=c.one_cls)
         return ctx
 
 
@@ -125,39 +121,47 @@ class Law(NamedTuple):
 
 # ---------------------------------------------------------------- catalog
 
-def _congruence_tables(ctx):
-    """Per congruence, in order, the tables its laws read: cls (its classes),
-    one_cls (the class of 1) and links, each x paired with the first element
-    of its block where the two differ."""
-    return [SimpleNamespace(cls=c.classes, one_cls=c.one_class(ctx.alg),
-                            links=_ded._links(c.classes)) for c in ctx.congruences]
+def _congruence_masks(ctx):
+    """(ALL, EQ, ONE), bit c of each mask standing for the c-th congruence:
+    ALL has a bit per congruence, EQ[x][y] those relating x and y, and ONE[x]
+    = EQ[x][one] those putting x in the class of 1.  Read off label[x][k],
+    the congruences with x in block k, in O(|Con| n + n^3) mask operations."""
+    congs, label = ctx.congruences, [[0] * ctx.n for _ in range(ctx.n)]
+    for c, cong in enumerate(congs):
+        for x, k in enumerate(cong.classes):
+            label[x][k] |= 1 << c
+    eq = [[sum(map(and_, lx, ly)) for ly in label] for lx in label]    # x's labels are disjoint
+    return (1 << len(congs)) - 1, eq, [row[ctx.one] for row in eq]
 
 
-def _over_congruences(body):
-    """Wrap body(ctx, tables of a congruence) -> witness or None into a
-    global check.  Its instance count is n^2 per congruence visited, up
-    to and including a failing one: a fixed measure, not the tuples the
-    body scanned (which may be none)."""
-    def check(ctx):
-        congs = ctx.once(_congruence_tables)
-        for count, c in enumerate(congs, 1):
-            bad = body(ctx, c)
-            if bad is not None:
-                return False, bad, count * ctx.n * ctx.n
-        return True, None, len(congs) * ctx.n * ctx.n
-    return check
+def _monadic_mask(ctx):
+    """The monadic congruences of ctx's pair, a mask: x ~ y implies Fx ~ Fy,
+    tested at every x < y for every congruence at once, in n^2/2 mask operations."""
+    eq, f, bad = ctx.EQ, ctx.F, 0
+    for x, fx in enumerate(f):
+        row, images = eq[x], eq[fx]
+        for y in range(x + 1, ctx.n):
+            if f[y] != fx:
+                bad |= row[y] & ~images[f[y]]
+    return ctx.ALL & ~bad
+
+
+def _first_congruence(ctx, hit):
+    """(ok, witness, instances) of a law over the congruences that first
+    fails at hit = (c, witness), or holds at hit None.  Its instance count
+    is n^2 per congruence up to and including c (all of them when it
+    holds): a fixed measure, not the tuples scanned (which may be none)."""
+    if hit is None:
+        return True, None, ctx.ALL.bit_length() * ctx.n * ctx.n
+    return False, hit[1], (hit[0] + 1) * ctx.n * ctx.n
 
 
 @cache
 def _over_classes(tree, arity: int):
-    """The check of a "for every [monadic] congruence C:" formula's tree (`_over_congruences`)."""
-    checks, monadic = ((None, expression(tree)),), "monadic" in tree[0]
-
-    def body(ctx, c):
-        if not monadic or c.cls in ctx.monadic_congruences:
-            hit = first_failure(ctx.n, arity, checks, ctx.with_classes(c))
-            return hit and hit[1]
-    return _over_congruences(body)
+    """The check of a "for every [monadic] congruence C:" formula's tree: one scan
+    of its failure mask over every congruence at once (`first_failing_bit`)."""
+    expr = expression(tree, masks=True)
+    return lambda ctx: _first_congruence(ctx, first_failing_bit(ctx.n, arity, expr, ctx))
 
 
 @cache
@@ -171,9 +175,26 @@ def _closed_parts(tree):
     return check
 
 
-def _p6_cong_one_class_mds(ctx, c):    # None when [1] is a monadic DS
-    if c.cls in ctx.monadic_congruences and c.one_cls not in ctx.monadic_members:
-        return tuple(sorted(c.one_cls))
+def _one_classes(ctx):
+    """{members of a DS: the congruences whose class of 1 it is, a mask}."""
+    masks = {}
+    for d in ctx.ds:
+        mask = ctx.ALL
+        for x, one_x in enumerate(ctx.ONE):
+            mask &= one_x if x in d.members else ~one_x
+        masks[d.members] = mask
+    return masks
+
+
+def _p6_cong_one_class_mds(ctx):    # a monadic congruence whose [1] is no monadic DS
+    ones, ok = ctx.once(_one_classes), 0
+    for members in ctx.monadic_members:
+        ok |= ones[members]
+    bad = ctx.MON & ~ok
+    if not bad:
+        return _first_congruence(ctx, None)
+    c = (bad & -bad).bit_length() - 1
+    return _first_congruence(ctx, (c, tuple(x for x, m in enumerate(ctx.ONE) if m >> c & 1)))
 
 
 def _p6_ds_upward(ctx):
@@ -392,7 +413,7 @@ def catalog() -> tuple[Law, ...]:
             ("pseudo_be", "condition_M"), _p6_monadic_ds_generated))
     add(Law("P6.monadic_con_one_class",
             "monadic congruence: [1] is a monadic deductive system", 0, _BE,
-            _over_congruences(_p6_cong_one_class_mds)))
+            _p6_cong_one_class_mds))
     law("P6.commutative_exists_cong",
         "for every monadic congruence C: x ~C y implies Ex ~C Ey", _BCOM)
 

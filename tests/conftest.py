@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from functools import cache
 from itertools import combinations, product
 from pathlib import Path
@@ -9,11 +10,12 @@ import pytest
 import psbe
 from psbe.algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap, load_algebra
 from psbe.classify import (HOLDS, Verdict, check_pseudo_be, check_pseudo_bck, classify,
-                           theorem_fails)
-from psbe.deduction import DeductiveSystem, _braces, _is_normal, generated_ds
-from psbe.laws import (SearchResult, _is_canonical, _law_counterexample, _models, _psbe_checked,
-                       candidate_count, catalog, free_cells)
-from psbe.quantifiers import PLAIN, MonadicPair, check_monadic
+                           expression, first_failure, formula, theorem_fails)
+from psbe.deduction import (DeductiveSystem, _braces, _is_normal, enumerate_congruences,
+                            generated_ds, is_monadic_congruence, monadic_ds)
+from psbe.laws import (Ctx, SearchResult, _is_canonical, _law_counterexample, _models,
+                       _psbe_checked, candidate_count, catalog, free_cells)
+from psbe.quantifiers import PLAIN, MonadicPair, check_monadic, enumerate_mop
 
 FIXDIR = Path(psbe.__file__).resolve().parent / "fixtures"
 CLASSES = FIXDIR.parent / "classes"
@@ -275,10 +277,75 @@ def reference_first_failure_of(n, groups, source):
     return None
 
 
+def reference_first_failing_bit(n, arity, expr, source):
+    """first_failing_bit by the plain scanner: the mask expr at each tuple,
+    the lowest bit set yet kept with the first tuple that set it."""
+    mask, low = predicate(arity, expr, source), None
+    for tup in product(range(n), repeat=arity):
+        bits = mask(*tup)
+        if bits and (low is None or (bits & -bits).bit_length() - 1 < low[0]):
+            low = (bits & -bits).bit_length() - 1, tup
+    return low
+
+
 def scanned_parts(tree):
     """The trees of a formula the kernel scans: each closed part's body, left
     first, when "(all x,y)" closes its parts, else the formula's tree."""
     return [part for _, part in tree[1:]] if tree[1][0] == "(all x,y)" else [tree]
+
+
+# ------------------------------------------------ the per-congruence laws
+# the congruence laws' reference: each congruence in turn, first_failure on
+# a copy of the context that reads its classes (cls[x], and one_cls, the
+# class of 1), the monadic ones decided by the leader test.
+
+CONGRUENCE_LAWS = tuple(law for law in catalog() if law.anchor.startswith("for every")
+                        or law.id == "P6.monadic_con_one_class")
+
+
+def with_classes(ctx, cong):
+    """A copy of ctx that also reads cong's cls and one_cls."""
+    copy = object.__new__(Ctx)
+    copy.__dict__.update(ctx.__dict__, cls=cong.classes, one_cls=cong.one_class(ctx.alg))
+    return copy
+
+
+def per_congruence(law, ctx):
+    """law.check(ctx), (ok, witness, instances), congruence by congruence:
+    the body scanned by first_failure (P6.monadic_con_one_class: [1] of a
+    monadic congruence among the monadic DS) until one fails; n^2
+    instances per congruence visited, monadic or not."""
+    n, congs = ctx.n, enumerate_congruences(ctx.alg)
+    if law.id == "P6.monadic_con_one_class":
+        systems = {d.members for d in monadic_ds(ctx.alg, ctx.pair)}
+    else:
+        tree, arity = formula(law.anchor)[:2]
+    for count, cong in enumerate(congs, 1):
+        one_cls = cong.one_class(ctx.alg)
+        if law.id == "P6.monadic_con_one_class":
+            bad = (tuple(sorted(one_cls)) if is_monadic_congruence(cong, ctx.pair)
+                   and one_cls not in systems else None)
+        elif "monadic" in tree[0] and not is_monadic_congruence(cong, ctx.pair):
+            bad = None
+        else:
+            hit = first_failure(n, arity, ((law.id, expression(tree)),), with_classes(ctx, cong))
+            bad = hit and hit[1]
+        if bad is not None:
+            return False, bad, count * n * n
+    return True, None, len(congs) * n * n
+
+
+def congruence_law_outcomes(alg, seed=0):
+    """(law id, pair name, check, reference) of each congruence law on alg,
+    its hypothesis not read: without a pair, and with each monadic pair and
+    four pairs of self-maps drawn at random from seed, which make the
+    monadic laws fail."""
+    rng, base = random.Random(seed), Ctx(alg)
+    maps = [UnaryMap(tuple(rng.randrange(alg.size) for _ in alg.elements())) for _ in range(8)]
+    pairs = [base.with_pair(pair) for pair in enumerate_mop(alg) + [
+        MonadicPair(*maps[i:i + 2]) for i in range(0, 8, 2)]]
+    return [(law.id, ctx.pair_name, law.check(ctx), per_congruence(law, ctx))
+            for law in CONGRUENCE_LAWS for ctx in (pairs if law.uses_pair else [base])]
 
 
 # ------------------------------------------------ the eager classification

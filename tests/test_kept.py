@@ -198,11 +198,15 @@ def test_generated_ds_and_ctx_once_read_what_the_object_keeps(psbe5, monkeypatch
     assert ctx.monadic_members == {d.members for d in systems if is_monadic_ds(d, pairs[0])}
 
 
-def test_leader_test_runs_once_per_pair_and_congruence(bc4, monkeypatch):
-    # both monadic-congruence laws read the pair context's one set of monadic
-    # congruences: on bc4, 4 congruences and 2 pairs make 8 leader tests
+def test_congruence_masks_are_built_once_per_object_and_pair(bc4, monkeypatch):
+    # both monadic-congruence laws read the congruence masks the algebra object
+    # keeps and the one monadic mask of each pair context: on bc4, 4 congruences
+    # and 2 pairs make one mask table, two monadic masks and no leader test
     alg = bc4._replace()
-    tested = Counter()
+    built, tested = Counter(), Counter()
+    for name in ("_congruence_masks", "_monadic_mask"):
+        monkeypatch.setattr(laws_module, name, lambda ctx, real=getattr(laws_module, name),
+                            name=name: built.update([name]) or real(ctx))
     real = deduction_module._disagreement
 
     def counted(cls, links, tables=(), maps=()):
@@ -216,10 +220,12 @@ def test_leader_test_runs_once_per_pair_and_congruence(bc4, monkeypatch):
                                                  "P6.commutative_exists_cong"])
     assert [v.status for v in verdicts] == [HOLDS] * 4
     assert len(pairs) == 2 and len(enumerate_congruences(alg)) == 4
-    assert sum(tested.values()) == 8 and set(tested.values()) == {1}
+    assert built == {"_congruence_masks": 1, "_monadic_mask": 2} and not tested
     ctx = Ctx(alg).with_pair(pairs[0])
-    assert ctx.monadic_congruences is ctx.monadic_congruences
-    assert ctx.with_pair(pairs[0]).monadic_congruences is not ctx.monadic_congruences
+    assert ctx.EQ is ctx.with_pair(pairs[1]).EQ is Ctx(alg).EQ
+    assert Ctx(alg._replace()).EQ is not ctx.EQ and built["_congruence_masks"] == 2
+    assert ctx.MON == ctx.MON and built["_monadic_mask"] == 3
+    assert ctx.with_pair(pairs[0]).MON == ctx.MON and built["_monadic_mask"] == 4
 
 
 @pytest.mark.parametrize("law_id, max_size, scanner", [

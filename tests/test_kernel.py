@@ -1,5 +1,6 @@
-"""The compiled scan kernel, `classify.first_failure`, against the plain
-scanner of conftest, and its whitelist; `verify_suite`'s fused scans
+"""The compiled scan kernel, `classify.first_failure` and its mask mode
+`first_failing_bit`, against the plain scanner of conftest, and its
+whitelist; `verify_suite`'s fused scans
 (`classify.first_failures`) against the laws evaluated one at a time.
 
 The reference scanner makes each check expression a predicate and calls
@@ -24,22 +25,24 @@ from pathlib import Path
 import pytest
 
 from psbe.algebra import UnaryMap
-from psbe.classify import (InvariantViolated, Verdict, classify, expression, first_failure,
-                           first_failure_of, first_failures)
+from psbe.classify import (InvariantViolated, Verdict, classify, expression, first_failing_bit,
+                           first_failure, first_failure_of, first_failures)
 from psbe.cli import run
 from psbe.laws import Ctx, _models, catalog, evaluate_law, verify_suite
 from psbe.quantifiers import (MonadicPair, build_from_sigma, build_from_tau, check_monadic,
                               check_mv_quantifier, declared_pairs, enumerate_mop)
 
 from conftest import (EVERY_LAW, FIXTURE_NAMES, assert_generated_ds_matches_references,
-                      fixture_path, load, model_algebra, predicate, reference_first_failure,
-                      reference_first_failure_of, scanned_parts, times_c2)
+                      fixture_path, load, model_algebra, predicate, reference_first_failing_bit,
+                      reference_first_failure, reference_first_failure_of, scanned_parts,
+                      times_c2)
 from test_law_pin import with_least_zero
 from test_quantifiers import MODES, times_c2_pair
 
 classify_module = importlib.import_module("psbe.classify")
 laws_module = importlib.import_module("psbe.laws")
-KERNEL = {first_failure: reference_first_failure, first_failure_of: reference_first_failure_of}
+KERNEL = {first_failure: reference_first_failure, first_failure_of: reference_first_failure_of,
+          first_failing_bit: reference_first_failing_bit}
 
 
 def reference_scanner(monkeypatch):
@@ -232,6 +235,21 @@ def test_a_fused_scan_reads_each_row_in_the_loop_that_binds_it():
     assert "_h0[z]" in loops[3] and "if _f0 and _f1: break" in text
 
 
+MASKS = type("Masks", (), {"m": ((0, 6), (4, 1)), "low": 2})()
+
+
+def test_a_mask_scan_gives_the_lowest_bit_and_where_it_is_first_set(monkeypatch):
+    # bits 1 and 2 are set first, at (0, 1); bit 0 only later, at (1, 1)
+    assert first_failing_bit(2, 2, "m[x][y]", MASKS) == (0, (1, 1))
+    assert first_failing_bit(2, 2, "m[x][y] & ~1", MASKS) == (1, (0, 1))
+    assert first_failing_bit(2, 1, "m[x][x] & low", MASKS) is None
+    assert first_failing_bit(2, 2, "m[y][x] ^ m[x][y] | low", MASKS) == (1, (0, 0))
+    # kept by its expression, as a check group is: a second scan builds nothing
+    monkeypatch.setattr(classify_module, "_scan", None)
+    assert first_failing_bit(2, 2, "m[x][y]", MASKS) == (0, (1, 1))
+    assert classify_module._SCANS[2, ("m[x][y]",), "masks"].tables == ("m",)
+
+
 def test_a_scan_is_compiled_once_per_text():
     expr = "a[x][x] == one and x in {0, 1}"
     first_failure(2, 1, (("A", expr),), TABLES)
@@ -260,6 +278,8 @@ def test_a_scan_is_compiled_once_per_text():
     "a[x][y] + 1 == one",
     "(v := one) == one",
     "a[x][y] is one",
+    "a[x][y] & 1 == one",                   # bitwise operators, but in a mask scan
+    "~a[x][y] == one",
 ])
 def test_the_whitelist_rejects_before_anything_is_compiled(expr, monkeypatch):
     calls = []
@@ -280,6 +300,14 @@ def test_the_whitelist_rejects_before_anything_is_compiled(expr, monkeypatch):
     assert classify_module._SCANS == scans
 
 
+@pytest.mark.parametrize("expr", ["a[x][y] + 1", "a[x][y] << 1", "-a[x][y]", "len(a) & 1"])
+def test_a_mask_scan_admits_only_the_bitwise_operators(expr):
+    scans = dict(classify_module._SCANS)
+    with pytest.raises(InvariantViolated, match="is not allowed in the scan expression"):
+        first_failing_bit(2, 2, expr, TABLES)
+    assert classify_module._SCANS == scans
+
+
 def test_no_scan_is_compiled_at_import_or_by_the_catalog():
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys, psbe; psbe.catalog(); "
@@ -296,9 +324,9 @@ NOT_FORMULAS = {"y >= x or arrow[y][x] != one or arrow[x][y] != one"}
 def test_every_scan_is_a_compiled_formula(monkeypatch):
     scanned, scan = set(), classify_module._scan
 
-    def spy(arity, checks, fused=False):
-        scanned.update(checks if fused else [expr for _, expr in checks])
-        return scan(arity, checks, fused)
+    def spy(arity, checks, mode=None):
+        scanned.update(checks if mode else [expr for _, expr in checks])
+        return scan(arity, checks, mode)
     monkeypatch.setattr(classify_module, "_SCANS", {})      # so that every group is scanned anew
     monkeypatch.setattr(classify_module, "_scan", spy)
     for name in FIXTURE_NAMES:
@@ -312,8 +340,8 @@ def test_every_scan_is_a_compiled_formula(monkeypatch):
         build_from_sigma(bc4, pair.exists)
         for kind, m in (("universal", pair.forall), ("existential", pair.exists)):
             check_mv_quantifier(bc4, m, kind)
-    formulas = {expression(part) for tree, *_ in classify_module._FORMULAS.values()
-                for part in scanned_parts(tree)}
+    formulas = {expression(part, masks=part[0].startswith("for every"))
+                for tree, *_ in classify_module._FORMULAS.values() for part in scanned_parts(tree)}
     assert scanned - formulas == NOT_FORMULAS
 
 

@@ -14,7 +14,8 @@ from psbe.laws import (FAILS, HOLDS, NOT_APPLICABLE, Ctx, catalog,
 from psbe.quantifiers import (BOUNDED_COMMUTATIVE, MonadicPair, check_monadic, compose_pairs,
                               enumerate_mop, fixed_set, is_monadic, require_monadic)
 
-from conftest import EVERY_LAW, FIXTURE_NAMES, load, scanned_parts, times_c2
+from conftest import (C2, EVERY_LAW, FIXTURE_NAMES, ORACLE_ALGEBRAS, congruence_law_outcomes,
+                      direct_product, load, per_congruence, scanned_parts, times_c2)
 
 laws_module = importlib.import_module("psbe.laws")
 quantifiers_module = importlib.import_module("psbe.quantifiers")
@@ -475,3 +476,43 @@ def test_a_congruence_law_builds_only_the_tables_it_names():
     law = pointwise_law("t", "for every congruence C: x -> y in [1]_C iff x ~> y in [1]_C")
     assert evaluate_law(law, Ctx(alg)).status == HOLDS
     assert not {"odot", "oplus", "leq", "meet"} & set(vars(Ctx(alg).report))
+
+
+@pytest.mark.parametrize("anchor, mask", [
+    ("for every congruence C: x -> y in [1]_C iff x ~> y in [1]_C",
+     "ALL & ~(~((ONE[arrow[x][y]]) ^ (ONE[squig[x][y]])))"),
+    ("for every monadic congruence C: x ~C y implies Ex ~C Ey",
+     "MON & ~(~(EQ[x][y]) | (EQ[E[x]][E[y]]))"),
+    ("for every congruence C: x ~C y and x <= y implies x = 1",
+     "ALL & ~(~((EQ[x][y]) & ((leq[x][y] and ALL))) | ((x == one and ALL)))"),
+])
+def test_a_congruence_formula_compiles_to_its_failure_mask(anchor, mask):
+    # bit c for the c-th congruence: EQ and ONE read C, a relation without C is ALL or 0
+    assert expression(formula(anchor)[0], masks=True) == mask
+
+
+@pytest.mark.parametrize("alg", ORACLE_ALGEBRAS)
+def test_congruence_laws_match_the_per_congruence_scan(alg):
+    for law_id, pair, got, want in congruence_law_outcomes(alg):
+        assert got == want, (law_id, pair)
+
+
+def test_the_congruence_comparison_fails_somewhere():
+    # with hypotheses unread and pairs of maps that are not monadic, the
+    # comparison meets a failure of every congruence law but the two L6
+    # theorems of every pseudo BE-algebra
+    failing = {law_id for param in ORACLE_ALGEBRAS
+               for law_id, _, (ok, _, _), _ in congruence_law_outcomes(param.values[0]) if not ok}
+    assert failing == {"L6.commutative_converse", "P6.commutative_exists_cong",
+                       "P6.monadic_con_one_class"}
+
+
+def test_the_first_failing_congruence_is_not_where_the_scan_first_fails():
+    # C2 x C2 has the congruences 0000, 0011, 0101 and 0123 (elements 2x + y):
+    # x ~C y fails first at (0, 1), on 0101 and 0123, but the first congruence
+    # that fails is 0011, at (0, 2)
+    alg = direct_product(C2, C2)
+    assert [c.classes for c in enumerate_congruences(alg)] == [
+        (0, 0, 0, 0), (0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 2, 3)]
+    law = pointwise_law("t", "for every congruence C: x ~C y")
+    assert law.check(Ctx(alg)) == per_congruence(law, Ctx(alg)) == (False, (0, 2), 2 * 16)
