@@ -335,12 +335,11 @@ def per_congruence(law, ctx):
     return True, None, len(congs) * n * n
 
 
-def congruence_law_outcomes(alg, seed=0):
+def congruence_law_outcomes(alg):
     """(law id, pair name, check, reference) of each congruence law on alg,
     its hypothesis not read: without a pair, and with each monadic pair and
-    four pairs of self-maps drawn at random from seed, which make the
-    monadic laws fail."""
-    rng, base = random.Random(seed), Ctx(alg)
+    four pairs of self-maps drawn at random, which make the monadic laws fail."""
+    rng, base = random.Random(0), Ctx(alg)
     maps = [UnaryMap(tuple(rng.randrange(alg.size) for _ in alg.elements())) for _ in range(8)]
     pairs = [base.with_pair(pair) for pair in enumerate_mop(alg) + [
         MonadicPair(*maps[i:i + 2]) for i in range(0, 8, 2)]]

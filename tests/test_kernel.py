@@ -278,7 +278,7 @@ def test_a_scan_is_compiled_once_per_text():
     "a[x][y] + 1 == one",
     "(v := one) == one",
     "a[x][y] is one",
-    "a[x][y] & 1 == one",                   # bitwise operators, but in a mask scan
+    "a[x][y] & 1 == one",                   # bitwise operators, outside a mask scan
     "~a[x][y] == one",
 ])
 def test_the_whitelist_rejects_before_anything_is_compiled(expr, monkeypatch):
