@@ -170,6 +170,20 @@ class FiniteAlgebra:
         return self._replace(unary={**self.unary, **maps})
 
 
+# the key under which a model built from the class library keeps its structure line
+SHIPPED = "shipped"
+_SHIPPED_FIELDS = ("mop", "ds", "congruences")
+
+
+def shipped(alg: FiniteAlgebra, field: str) -> str | None:
+    """The text of one field, "mop", "ds" or "congruences", of the line of
+    classes/<n>.structures kept on alg under SHIPPED (`laws.search_counterexample`
+    keeps it on each model it builds from the library), or None on any other
+    algebra, a `_replace` copy included.  The enumerator of the field decodes it."""
+    line = alg._store.get(SHIPPED)
+    return None if line is None else line.split(";")[_SHIPPED_FIELDS.index(field)]
+
+
 def dual(alg: FiniteAlgebra) -> FiniteAlgebra:
     """The dual algebra A^op: -> and ~> swapped; names, 1, zero and unary maps kept."""
     return alg._replace(arrow=alg.squig, squig=alg.arrow)

@@ -14,7 +14,8 @@ from itertools import product
 from operator import itemgetter
 from typing import NamedTuple
 
-from .algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap, _indices, _listed, is_self_map
+from .algebra import (FiniteAlgebra, PreconditionUnmet, UnaryMap, _indices, _listed, is_self_map,
+                      shipped)
 from .classify import (HOLDS, ClassificationReport, InvariantViolated, Verdict,
                        check_pseudo_bck, classify, closed_sets, theorem_fails)
 from . import quantifiers as _q
@@ -63,12 +64,19 @@ def enumerate_ds(alg: FiniteAlgebra) -> list[DeductiveSystem]:
     with one element at a time (`closed_sets`).  The families closed for
     -> and for ~> are listed apart; where they differ, PreconditionUnmet
     names the member of their difference that is least as a binary
-    number over the elements other than 1, lower index lower bit.  Kept
-    per algebra object (`FiniteAlgebra.kept`); each call gets a new list."""
+    number over the elements other than 1, lower index lower bit.  On a
+    model that search builds from the class library the list is decoded
+    from its shipped line (`algebra.shipped`): each system's member
+    digits, then + when it is normal or - when not.  Kept per algebra
+    object (`FiniteAlgebra.kept`); each call gets a new list."""
     return list(alg.kept("ds", _enumerate_ds))
 
 
 def _enumerate_ds(alg: FiniteAlgebra) -> list[DeductiveSystem]:
+    text = shipped(alg, "ds")
+    if text is not None:
+        return [DeductiveSystem(frozenset(map(int, d[:-1])), d[-1] == "+")
+                for d in text.split(",")]
     one = alg.one
 
     def family(table):
@@ -304,11 +312,17 @@ def enumerate_congruences(alg: FiniteAlgebra) -> list[Congruence]:
     once per pair per call.  A join applies only the links (x, first
     element of x's block) of a principal.  Callers report the first
     congruence that fails a law, so the sort order is part of the
-    contract.  Kept per algebra object; each call gets a new list."""
+    contract.  On a model that search builds from the class library the
+    list is decoded from its shipped line (`algebra.shipped`): each
+    congruence's restricted-growth digits.  Kept per algebra object;
+    each call gets a new list."""
     return list(alg.kept("congruences", _enumerate_congruences))
 
 
 def _enumerate_congruences(alg: FiniteAlgebra) -> list[Congruence]:
+    text = shipped(alg, "congruences")
+    if text is not None:
+        return [Congruence(tuple(map(int, c))) for c in text.split(",")]
     n = alg.size
     tables = [(t, tuple(zip(*t))) for t in (alg.arrow, alg.squig)]
 

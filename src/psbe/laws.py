@@ -23,7 +23,7 @@ from operator import and_, attrgetter, itemgetter
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from .algebra import FiniteAlgebra, PreconditionUnmet, _indices, _listed
+from .algebra import SHIPPED, FiniteAlgebra, PreconditionUnmet, _indices, _listed
 from .classify import (FAILS, FLAG_ALIASES, FLAG_NAMES, HOLDS, NOT_APPLICABLE, Verdict,
                        InvariantViolated, backtrack, classify, expression, first_failing_bit,
                        first_failure, first_failures, formula)
@@ -642,23 +642,34 @@ def _is_canonical(n, arrow, squig) -> bool:
 
 
 @cache
-def _class_lines(n) -> list[str]:
-    """The library file of size n (`classes/<n>.txt`), read on the first search that reaches n."""
-    with open(f"{os.path.dirname(__file__)}/classes/{n}.txt", encoding="ascii") as fh:
+def _class_lines(n, kind="txt") -> list[str]:
+    """A library file of size n, read on the first search that reaches n: the
+    classes (classes/<n>.txt) or, kind "structures", their structures."""
+    with open(f"{os.path.dirname(__file__)}/classes/{n}.{kind}", encoding="ascii") as fh:
         return fh.read().splitlines()
+
+
+@cache
+def _class_rows(n):
+    """One itemgetter per row of arrow, then of squig, over (*range(n), *a line's
+    digits): a forced cell picks its value, a free cell its digit in the line."""
+    cells = free_cells(n)
+    at = {cell: n + i for i, cell in enumerate(cells)}
+    return [itemgetter(*(at[x, y] + t * len(cells) if (x, y) in at else (y if x == 0 else 0)
+                         for y in range(n))) for t in (0, 1) for x in range(n)]
 
 
 def _classes(n):
     """The least model of each isomorphism class on n elements (`_is_canonical`), as
     `_models` yields it, from the library: a line holds the base-n digits of the
-    arrow's free cells, then the squig's (`free_cells`), so its rank is int(line, n) + 1."""
-    cells = free_cells(n)
+    arrow's free cells, then the squig's (`free_cells`), so its rank is int(line, n) + 1.
+    The row of 1 is the identity and the column of 1 and the diagonal are 1
+    (element 0), so each row is read off the digits by one itemgetter (`_class_rows`)."""
+    rows, forced = _class_rows(n), tuple(range(n))
     for line in _class_lines(n):
-        t = [[[y if x == 0 else 0 for y in range(n)] for x in range(n)] for _ in range(2)]
-        for i, digit in enumerate(line):        # the arrow's cells, then the squig's
-            x, y = cells[i % len(cells)]
-            t[i // len(cells)][x][y] = int(digit)
-        yield (int(line or "0", n) + 1, *(tuple(map(tuple, table)) for table in t))
+        values = forced + tuple(map(int, line))
+        t = [row(values) for row in rows]
+        yield int(line or "0", n) + 1, tuple(t[:n]), tuple(t[n:])
 
 
 def _psbe_checked(alg: FiniteAlgebra) -> FiniteAlgebra:
@@ -713,10 +724,11 @@ def search_counterexample(spec: SearchSpec) -> SearchResult:
         remaining = (inf if spec.budget is None
                      else max(spec.budget - result.visited, 0))
         total, names = candidate_count(n) ** 2, ("1", *(f"e{i}" for i in range(1, n)))
-        for rank, arrow, squig in _classes(n):
+        for (rank, arrow, squig), line in zip(_classes(n), _class_lines(n, "structures")):
             if rank > remaining:
                 break
             alg = FiniteAlgebra(f"search_{n}", names, 0, arrow, squig)
+            alg.kept(SHIPPED, lambda alg: line)     # the structures the enumerators decode
             hit = _law_counterexample(law, alg, spec)
             if hit is not None:
                 result.visited_by_size[n] = rank

@@ -12,7 +12,7 @@ from itertools import product
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from .algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap, is_self_map
+from .algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap, is_self_map, shipped
 from .classify import (HOLDS, InvariantViolated, Verdict, axioms, backtrack, classify,
                        closed_sets, first_failure_of, require_pseudo_be, theorem_fails)
 
@@ -111,8 +111,11 @@ def enumerate_mop(alg: FiniteAlgebra, mode: str = PLAIN) -> list[MonadicPair]:
     is a plain pair that satisfies M6 and M7 (M6), so the mode's list is
     the plain list, which is in sort order, filtered by a scan of M6 (and
     M7) per pair once the mode's tables are read (PreconditionUnmet before
-    anything is listed, where one is missing).  Kept per algebra object
-    and mode; each call gets a new list.
+    anything is listed, where one is missing).  On a model that search
+    builds from the class library the plain list is decoded from its
+    shipped line (`algebra.shipped`): each pair's F digits, then its E
+    digits, written by this search.  Kept per algebra object and mode;
+    each call gets a new list.
     """
     if mode not in (PLAIN, BOUNDED_COMMUTATIVE, HOOP):
         _mode_tables(alg, mode)     # raises PreconditionUnmet before the mode is hashed in a key
@@ -125,6 +128,11 @@ def _enumerate_mop(alg: FiniteAlgebra, mode: str) -> list[MonadicPair]:
     if groups:
         return [p for p in enumerate_mop(alg) if first_failure_of(
             alg.size, axioms(groups), SimpleNamespace(**tables, F=p.forall.images)) is None]
+    text = shipped(alg, "mop")
+    if text is not None:
+        n = alg.size
+        return [MonadicPair(UnaryMap(tuple(map(int, p[n:]))), UnaryMap(tuple(map(int, p[:n]))))
+                for p in text.split(",")]
     one, arr, sq, rng = alg.one, alg.arrow, alg.squig, range(alg.size)
     up = [{y for y in rng if arr[x][y] == one and sq[x][y] == one} for x in rng]     # M1
     down = [{y for y in rng if arr[y][x] == one and sq[y][x] == one} for x in rng]   # M2

@@ -8,13 +8,14 @@ from pathlib import Path
 import pytest
 
 import psbe
-from psbe.algebra import FiniteAlgebra, PreconditionUnmet, UnaryMap, load_algebra
+from psbe.algebra import SHIPPED, FiniteAlgebra, PreconditionUnmet, UnaryMap, load_algebra
 from psbe.classify import (HOLDS, Verdict, check_pseudo_be, check_pseudo_bck, classify,
                            expression, first_failure, formula, theorem_fails)
 from psbe.deduction import (DeductiveSystem, _braces, _is_normal, enumerate_congruences,
-                            generated_ds, is_monadic_congruence, monadic_ds)
-from psbe.laws import (Ctx, SearchResult, _is_canonical, _law_counterexample, _models,
-                       _psbe_checked, candidate_count, catalog, free_cells)
+                            enumerate_ds, generated_ds, is_monadic_congruence, monadic_ds)
+from psbe.laws import (Ctx, SearchResult, _class_lines, _classes, _is_canonical,
+                       _law_counterexample, _models, _psbe_checked, candidate_count, catalog,
+                       free_cells)
 from psbe.quantifiers import PLAIN, MonadicPair, check_monadic, enumerate_mop
 
 FIXDIR = Path(psbe.__file__).resolve().parent / "fixtures"
@@ -203,16 +204,57 @@ def library_text(n):
     return "".join(lines).encode("ascii")
 
 
-def assert_library(n):
-    """classes/<n>.txt against `library_text(n)`, byte for byte.  A missing file is
-    written and the test fails, as `assert_pinned` does; rerun to check it."""
-    path, text = CLASSES / f"{n}.txt", library_text(n)
+def _assert_file(path, text, what):
+    """path against text, byte for byte.  A missing file is written and the test
+    fails, as `assert_pinned` does; rerun to check it."""
     if not path.exists():
         path.write_bytes(text)
-        pytest.fail(f"{path} was missing: written with {len(text.splitlines())} classes; "
+        pytest.fail(f"{path} was missing: written with {len(text.splitlines())} lines; "
                     "rerun to check it")
     if path.read_bytes() != text:
-        pytest.fail(f"{path} is not the classes that _models and _is_canonical give")
+        pytest.fail(f"{path} is not {what}")
+
+
+def assert_library(n):
+    """classes/<n>.txt against `library_text(n)`."""
+    _assert_file(CLASSES / f"{n}.txt", library_text(n),
+                 "the classes that _models and _is_canonical give")
+
+
+def shipped_model(n, arrow, squig, line):
+    """The model search builds from a library class, its structure line kept on it."""
+    alg = model_algebra(n, arrow, squig)
+    alg.kept(SHIPPED, lambda alg: line)
+    return alg
+
+
+def structures(alg):
+    """(plain MOP pairs, deductive systems, congruences) of alg, as its enumerators list them."""
+    return enumerate_mop(alg), enumerate_ds(alg), enumerate_congruences(alg)
+
+
+def structures_line(alg):
+    """alg's line of classes/<n>.structures, written from its enumerators' lists
+    (`structures`): the pairs, each its F digits then its E digits; the deductive
+    systems, each its member digits then + (normal) or - (not); the congruences,
+    each its restricted-growth digits.  Items are joined by "," and the three fields by ";"."""
+    digits = lambda xs: "".join(map(str, xs))
+    pairs, ds, congruences = structures(alg)
+    return ";".join((",".join(digits(p.forall.images) + digits(p.exists.images) for p in pairs),
+                     ",".join(digits(sorted(d.members)) + "-+"[d.normal] for d in ds),
+                     ",".join(digits(c.classes) for c in congruences)))
+
+
+def assert_structures(n):
+    """classes/<n>.structures against the lines the enumerators write for the classes
+    of classes/<n>.txt, in order, each computed on an untagged model; and each line,
+    kept on its class's model as search keeps it, decodes to the same three lists."""
+    models = [model_algebra(n, arrow, squig) for _, arrow, squig in _classes(n)]
+    _assert_file(CLASSES / f"{n}.structures",
+                 "".join(structures_line(alg) + "\n" for alg in models).encode("ascii"),
+                 "the structures that enumerate_mop, enumerate_ds and enumerate_congruences give")
+    for alg, line in zip(models, _class_lines(n, "structures"), strict=True):
+        assert structures(shipped_model(n, alg.arrow, alg.squig, line)) == structures(alg), line
 
 
 def search_outcome(search, spec):

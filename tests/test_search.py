@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+import psbe.deduction
 import psbe.laws
+import psbe.quantifiers
 from psbe.algebra import PreconditionUnmet
 from psbe.classify import FAILS, ClassificationReport, InvariantViolated, check_pseudo_bck
 from psbe.laws import (Ctx, SearchSpec, _is_canonical,
@@ -148,6 +150,74 @@ def test_counterexample_is_reclassified_for_its_recheck(law_id, max_size, monkey
     alg = search_counterexample(SearchSpec(law=law_id, max_size=max_size)).found[0]
     assert built[alg.arrow, alg.squig] == 2
     assert max(built.values()) == 2
+
+
+# one law of each kind, and the shipped fields (`algebra.shipped`) that each decodes
+DECODED = {"AX.refl": set(), "P3.isotone_unconditional": {"mop"},
+           "P6.monadic_ds_generated": {"mop", "ds"},
+           "P6.monadic_con_one_class": {"mop", "ds", "congruences"}}
+ENUMERATORS = ((psbe.quantifiers, "_enumerate_mop", "mop"), (psbe.deduction, "_enumerate_ds", "ds"),
+               (psbe.deduction, "_enumerate_congruences", "congruences"))
+
+
+def _computed(monkeypatch):
+    """[(field, whether the enumerator decoded it)] of each enumerator's kept computation."""
+    calls = []
+    for module, name, field in ENUMERATORS:
+        def spy(alg, *mode, module=module, real=getattr(module, name), field=field):
+            calls.append((field, module.shipped(alg, field) is not None))
+            return real(alg, *mode)
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("law_id", DECODED)
+def test_search_is_the_same_with_the_structures_withheld(law_id, monkeypatch):
+    # the enumerators decode a library model's shipped line, and decode only
+    # what the law reads; withheld, they compute every structure, with the same result
+    spec = SearchSpec(law=law_id, max_size=4)
+    calls = _computed(monkeypatch)
+    with_lines = search_outcome(search_counterexample, spec)
+    assert {field for field, decoded in calls if decoded} == DECODED[law_id]
+    for module in (psbe.quantifiers, psbe.deduction):
+        monkeypatch.setattr(module, "shipped", lambda alg, field: None)
+    calls.clear()
+    assert search_outcome(search_counterexample, spec) == with_lines
+    assert not any(decoded for _, decoded in calls)
+
+
+def _lying(monkeypatch, lie):
+    real = psbe.laws._class_lines
+    monkeypatch.setattr(psbe.laws, "_class_lines", lambda n, kind="txt": (
+        [lie(*line.split(";")) for line in real(n, kind)] if kind == "structures"
+        else real(n, kind)))
+
+
+@pytest.mark.parametrize("law_id", ["P6.monadic_ds_generated", "P6.monadic_con_one_class"])
+def test_a_counterexample_is_rechecked_on_computed_structures(law_id, monkeypatch):
+    # every line lies: its deductive systems largest first, {1} left out.  A
+    # model fails on the lie, and the re-check on its _replace() copy, which
+    # keeps no line, computes each structure the law reads and finds no failure
+    _lying(monkeypatch, lambda mop, ds, congruences: ";".join(
+        (mop, ",".join(ds.split(",")[:0:-1]), congruences)))
+    calls = _computed(monkeypatch)
+    with pytest.raises(InvariantViolated, match="re-verification"):
+        search_counterexample(SearchSpec(law=law_id, max_size=4))
+    recheck = calls[calls.index(("mop", False)):]
+    assert sorted(recheck) == sorted((field, False) for field in DECODED[law_id])
+
+
+def test_a_found_counterexample_is_rechecked_on_computed_pairs(monkeypatch):
+    calls = _computed(monkeypatch)
+    assert search_counterexample(SearchSpec("P3.isotone_unconditional", max_size=4)).found
+    assert calls[-1] == ("mop", False) and set(calls[:-1]) == {("mop", True)}
+
+
+def test_a_pair_free_law_decodes_nothing(monkeypatch):
+    # with no readable field in any line, AX.refl exhausts n <= 4 as before
+    _lying(monkeypatch, lambda *fields: "?;?;?")
+    result = search_counterexample(SearchSpec(law="AX.refl", max_size=4))
+    assert result.exhausted and result.found is None
 
 
 def test_finds_non_antisymmetric_algebra():
