@@ -175,13 +175,15 @@ SHIPPED = "shipped"
 _SHIPPED_FIELDS = ("mop", "ds", "congruences")
 
 
-def shipped(alg: FiniteAlgebra, field: str) -> str | None:
-    """The text of one field, "mop", "ds" or "congruences", of the line of
+def shipped(alg: FiniteAlgebra, field: str) -> list[str] | None:
+    """The items of one field, "mop", "ds" or "congruences", of the line of
     classes/<n>.structures kept on alg under SHIPPED (`laws.search_counterexample`
     keeps it on each model it builds from the library), or None on any other
-    algebra, a `_replace` copy included.  The enumerator of the field decodes it."""
+    algebra, a `_replace` copy included.  A line holds the three fields in that
+    order, joined by ";", each a list of items joined by ","; the enumerator of
+    the field decodes its items."""
     line = alg._store.get(SHIPPED)
-    return None if line is None else line.split(";")[_SHIPPED_FIELDS.index(field)]
+    return None if line is None else line.split(";")[_SHIPPED_FIELDS.index(field)].split(",")
 
 
 def dual(alg: FiniteAlgebra) -> FiniteAlgebra:

@@ -73,10 +73,9 @@ def enumerate_ds(alg: FiniteAlgebra) -> list[DeductiveSystem]:
 
 
 def _enumerate_ds(alg: FiniteAlgebra) -> list[DeductiveSystem]:
-    text = shipped(alg, "ds")
-    if text is not None:
-        return [DeductiveSystem(frozenset(map(int, d[:-1])), d[-1] == "+")
-                for d in text.split(",")]
+    items = shipped(alg, "ds")
+    if items is not None:
+        return [DeductiveSystem(frozenset(map(int, d[:-1])), d[-1] == "+") for d in items]
     one = alg.one
 
     def family(table):
@@ -320,9 +319,9 @@ def enumerate_congruences(alg: FiniteAlgebra) -> list[Congruence]:
 
 
 def _enumerate_congruences(alg: FiniteAlgebra) -> list[Congruence]:
-    text = shipped(alg, "congruences")
-    if text is not None:
-        return [Congruence(tuple(map(int, c))) for c in text.split(",")]
+    items = shipped(alg, "congruences")
+    if items is not None:
+        return [Congruence(tuple(map(int, c))) for c in items]
     n = alg.size
     tables = [(t, tuple(zip(*t))) for t in (alg.arrow, alg.squig)]
 

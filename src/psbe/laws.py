@@ -700,7 +700,12 @@ def search_counterexample(spec: SearchSpec) -> SearchResult:
     (`_is_canonical`) only, in that order, read off the shipped library
     (`_classes`) that `_models` and `_is_canonical` build.  Each model is
     checked for psBE, filtered by the required classification flags and
-    has the law evaluated on every monadic pair.  The rank order is the
+    has the law evaluated on every monadic pair.  It keeps its class's
+    line of classes/<n>.structures (`algebra.shipped`), from which
+    `enumerate_mop` (plain), `enumerate_ds` and `enumerate_congruences`
+    decode the pairs, deductive systems and congruences the law reads, so
+    an exhausted verdict trusts those lists as it trusts the class list;
+    the tests write the lines with the same enumerators.  The rank order is the
     lexicographic order of the full tables, as the row of 1 and the
     forced cells are the same under every relabelling that fixes 1, and
     such a relabelling keeps psBE, the `require` flags and a law's
@@ -714,7 +719,8 @@ def search_counterexample(spec: SearchSpec) -> SearchResult:
     checkable against `candidate_count`.  The budget bounds the same
     count: when it runs out first, the result comes back with found None
     and exhausted False.  Any returned counterexample has been re-checked
-    from scratch before being returned.
+    from scratch before being returned: on a `_replace()` copy, which keeps
+    no line, so every structure it reads is computed again.
     """
     law = _law_by_id().get(spec.law)
     if law is None:
@@ -733,7 +739,7 @@ def search_counterexample(spec: SearchSpec) -> SearchResult:
             if hit is not None:
                 result.visited_by_size[n] = rank
                 # soundness: re-verify the witness on a fresh copy, whose
-                # classification is computed again, not read from hit[0]
+                # classification and structures are computed again, not read from hit[0]
                 if _law_counterexample(law, hit[0]._replace(), spec) is None:
                     raise InvariantViolated(
                         f"counterexample to {law.id} failed re-verification")

@@ -128,11 +128,11 @@ def _enumerate_mop(alg: FiniteAlgebra, mode: str) -> list[MonadicPair]:
     if groups:
         return [p for p in enumerate_mop(alg) if first_failure_of(
             alg.size, axioms(groups), SimpleNamespace(**tables, F=p.forall.images)) is None]
-    text = shipped(alg, "mop")
-    if text is not None:
+    items = shipped(alg, "mop")
+    if items is not None:
         n = alg.size
         return [MonadicPair(UnaryMap(tuple(map(int, p[n:]))), UnaryMap(tuple(map(int, p[:n]))))
-                for p in text.split(",")]
+                for p in items]
     one, arr, sq, rng = alg.one, alg.arrow, alg.squig, range(alg.size)
     up = [{y for y in rng if arr[x][y] == one and sq[x][y] == one} for x in rng]     # M1
     down = [{y for y in rng if arr[y][x] == one and sq[y][x] == one} for x in rng]   # M2
